@@ -30,7 +30,7 @@
 //! decode error, and per-job final outputs are merged into the
 //! [`ServiceReport`] when the engine finishes.
 
-use super::core::RunningIteration;
+use super::round::RunningIteration;
 use crate::event::JobId;
 use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
@@ -451,22 +451,6 @@ impl NumericCore {
     }
 }
 
-/// The response set the timing model credits for a completed iteration:
-/// every done worker's original chunks plus every done redo set — the
-/// exact coverage `RunningIteration::complete` certified.
-fn credited_coverage(iter: &RunningIteration) -> Vec<(usize, Vec<usize>, bool)> {
-    let mut cover = Vec::new();
-    for w in 0..iter.assignment.workers() {
-        if iter.done[w] && !iter.assignment.chunks[w].is_empty() {
-            cover.push((w, iter.assignment.chunks[w].clone(), false));
-        }
-        if iter.redo_done[w] && !iter.redo_chunks[w].is_empty() {
-            cover.push((w, iter.redo_chunks[w].clone(), true));
-        }
-    }
-    cover
-}
-
 // ---- SimVerified --------------------------------------------------------
 
 /// Master-side numerics: recompute the credited coverage sequentially at
@@ -514,9 +498,9 @@ impl ExecutionBackend for SimVerifiedBackend {
         let k = enc.encoded.params().k;
         let mut per_chunk: Vec<Vec<usize>> =
             vec![Vec::new(); enc.encoded.layout().chunks_per_partition];
-        for (w, chunks, _redo) in credited_coverage(iter) {
-            for &chunk in &chunks {
-                per_chunk[chunk].push(w);
+        for credit in iter.credited() {
+            for &chunk in credit.chunks {
+                per_chunk[chunk].push(credit.worker);
             }
         }
         let t0 = Instant::now();
@@ -756,14 +740,7 @@ impl ExecutionBackend for ThreadedBackend {
         let needed: Vec<&TaskInfo> = state
             .tasks
             .iter()
-            .filter(|t| {
-                !t.cancelled
-                    && if t.redo {
-                        iter.redo_done[t.worker]
-                    } else {
-                        iter.done[t.worker]
-                    }
-            })
+            .filter(|t| !t.cancelled && iter.task_done(t.worker, t.redo))
             .collect();
         // Everything else is work nobody waited for: cancel it now (the
         // engine already refunded its timing charge).

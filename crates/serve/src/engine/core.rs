@@ -8,177 +8,24 @@
 //! and feed the speed predictor, and completed rounds decode (via the
 //! execution backend) strictly in round order — a round that finishes
 //! ahead of an earlier sibling parks until the window head retires
-//! ([`ServiceEngine::retire_ready_rounds`]). Timeout and churn events
-//! are handed to [`super::recovery`]; share rescaling lives in
+//! ([`ServiceEngine::retire_ready_rounds`]). A round's task state is
+//! read and written only through [`super::round`]. Timeout and churn
+//! events are handed to [`super::recovery`]; share rescaling lives in
 //! [`super::rebalance`]; the window policy itself is
 //! [`super::pipeline::PipelinePolicy`].
 
-use super::pipeline::{IterScratch, SCRATCH_POOL_CAP};
+use super::round::{sinks, RunningIteration, Tasks};
 use super::{trace_into, ServeError, ServiceEngine};
 use crate::admission::{batch_key, BatchKey, BatchPolicy, QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
 use crate::metrics::JobRecord;
 use crate::shared_alloc::{allocate_for_resident, full_over_available};
 use crate::workload::JobSpec;
-use s2c2_core::{allocate_chunks_basic, ChunkAssignment};
+use s2c2_core::allocate_chunks_basic;
 use s2c2_telemetry::TraceEventKind;
 
 use super::thread_speedup;
 use super::SchedulerMode;
-
-/// Refunds the not-yet-performed remainder of an abandoned task's compute
-/// charge: a task scheduled to finish at `finish` and abandoned at `now`
-/// still owes `(finish − now) · share` dedicated compute-seconds (capped
-/// at what was charged).
-pub(crate) fn refund_busy(
-    busy_time: &mut f64,
-    charged: &mut f64,
-    finish: f64,
-    now: f64,
-    share: f64,
-) {
-    let refund = ((finish - now) * share).clamp(0.0, *charged);
-    *busy_time -= refund;
-    *charged -= refund;
-}
-
-/// Returns a retired round's per-worker vectors to the scratch pool for
-/// the next dispatch (see [`IterScratch`]). A full pool simply drops
-/// them.
-pub(crate) fn reclaim_scratch(pool: &mut Vec<IterScratch>, iter: RunningIteration) {
-    if pool.len() < SCRATCH_POOL_CAP {
-        pool.push(IterScratch {
-            finish: iter.finish,
-            done: iter.done,
-            valid: iter.valid,
-            redo_chunks: iter.redo_chunks,
-            redo_finish: iter.redo_finish,
-            redo_done: iter.redo_done,
-            redo_valid: iter.redo_valid,
-            busy_charged: iter.busy_charged,
-            redo_busy_charged: iter.redo_busy_charged,
-            ded_offset: iter.ded_offset,
-        });
-    }
-}
-
-/// One in-flight iteration round of a resident job (or batch of jobs).
-/// A job holds up to `pipeline.depth()` of these at once, committed in
-/// `round_index` order.
-#[derive(Debug)]
-pub(crate) struct RunningIteration {
-    pub(crate) generation: u64,
-    /// Zero-based iteration index of this round within its job — the
-    /// in-order commit key: a round retires only when every earlier
-    /// index has.
-    pub(crate) round_index: usize,
-    pub(crate) share: f64,
-    pub(crate) k_eff: usize,
-    pub(crate) rows_per_chunk: usize,
-    /// Stacked right-hand sides this round carries: 1 for a solo job,
-    /// the member count for a batch round. Every compute charge,
-    /// transfer size, and decode cost scales by it (the shared LU
-    /// factorization does not — that is the decode amortization).
-    pub(crate) rhs: usize,
-    pub(crate) assignment: ChunkAssignment,
-    /// Scheduled finish time per worker (`INFINITY` = no task).
-    pub(crate) finish: Vec<f64>,
-    pub(crate) done: Vec<bool>,
-    /// `false` once a task is cancelled (deadline) or its worker churned.
-    pub(crate) valid: Vec<bool>,
-    pub(crate) redo_chunks: Vec<Vec<usize>>,
-    pub(crate) redo_finish: Vec<f64>,
-    pub(crate) redo_done: Vec<bool>,
-    pub(crate) redo_valid: Vec<bool>,
-    /// Dedicated compute-seconds charged to `busy_time` per original task
-    /// (refunded pro rata when a task is cancelled or abandoned).
-    pub(crate) busy_charged: Vec<f64>,
-    /// Same, for redo tasks.
-    pub(crate) redo_busy_charged: Vec<f64>,
-    /// Dedicated share-seconds between this round's dispatch and each
-    /// worker's actual task start. A pipelined round queues behind the
-    /// job's earlier in-flight rounds on a shared worker, so speed
-    /// observations must subtract this offset from the share integral
-    /// or the queueing delay would be billed as slowness. Exactly 0 for
-    /// every worker at pipeline depth 1.
-    pub(crate) ded_offset: Vec<f64>,
-    /// Set once this round's coverage completed and it is waiting for
-    /// its earlier siblings to retire (in-order commit). The value is
-    /// the completion instant; `None` while tasks are still in flight.
-    pub(crate) parked_at: Option<f64>,
-    /// Set once this iteration fell back to waiting out stragglers.
-    pub(crate) waited_out: bool,
-    /// The currently-armed §4.3 deadline. Kept for the rebalance
-    /// re-arm condition (`latest >= armed_deadline`); staleness of
-    /// timeout *events* is decided by [`Self::armed_seq`].
-    pub(crate) armed_deadline: f64,
-    /// Arming sequence number: bumped at every (re)arm of this round's
-    /// deadline, carried in the scheduled timeout event. A timeout
-    /// whose `arm` does not match was superseded (share rebalances
-    /// stretch in-flight spans and re-arm) and is dropped — keyed per
-    /// round, so a retired round's stale timeout can never fire against
-    /// a successor round.
-    pub(crate) armed_seq: u64,
-    /// Dedicated share-seconds accumulated over completed share
-    /// segments: `∫ share dt` from iteration start to [`Self::share_anchor`].
-    /// With rebalancing, `duration · share` is wrong whenever the share
-    /// changed mid-task; speed observations must use this integral or
-    /// the predictor inherits a bias of up to `old_share / new_share`.
-    pub(crate) share_integral: f64,
-    /// Instant the current share segment began.
-    pub(crate) share_anchor: f64,
-    /// Instant this round was dispatched (phase-profiling anchor).
-    pub(crate) started: f64,
-    /// Input-broadcast transfer time of this round (the virtual
-    /// "dispatch" phase).
-    pub(crate) t_input: f64,
-    /// Reply transfer time of the most recent task completion — by the
-    /// time the iteration completes, the "collect" phase of the
-    /// critical path.
-    pub(crate) last_reply: f64,
-}
-
-impl RunningIteration {
-    pub(crate) fn covers(&self, worker: usize, chunk: usize) -> bool {
-        self.assignment.chunks[worker].binary_search(&chunk).is_ok()
-    }
-
-    /// Dedicated share-seconds the iteration has accrued by instant `t`
-    /// (`∫ share` over `[start, t]`, exact across share rebalances).
-    pub(crate) fn dedicated_by(&self, t: f64) -> f64 {
-        self.share_integral + (t - self.share_anchor).max(0.0) * self.share
-    }
-
-    pub(crate) fn done_cover(&self, chunk: usize) -> usize {
-        let n = self.assignment.workers();
-        (0..n)
-            .filter(|&w| {
-                (self.done[w] && self.covers(w, chunk))
-                    || (self.redo_done[w] && self.redo_chunks[w].contains(&chunk))
-            })
-            .count()
-    }
-
-    pub(crate) fn pending_redo_cover(&self, chunk: usize) -> usize {
-        let n = self.assignment.workers();
-        (0..n)
-            .filter(|&w| {
-                self.redo_valid[w] && !self.redo_done[w] && self.redo_chunks[w].contains(&chunk)
-            })
-            .count()
-    }
-
-    pub(crate) fn inflight_original_cover(&self, chunk: usize) -> usize {
-        let n = self.assignment.workers();
-        (0..n)
-            .filter(|&w| self.valid[w] && !self.done[w] && self.covers(w, chunk))
-            .count()
-    }
-
-    pub(crate) fn complete(&self) -> bool {
-        (0..self.assignment.chunks_per_partition).all(|c| self.done_cover(c) >= self.k_eff)
-    }
-}
 
 /// One job riding a resident batch. A solo job is a batch of one —
 /// per-member QoS state (weight, SLO, boost flag) is tracked here so
@@ -238,31 +85,81 @@ impl ResidentJob {
     }
 }
 
+/// How a job left the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fate {
+    Malformed,
+    RateLimited,
+    Rejected,
+    Failed,
+    Completed,
+}
+
 impl ServiceEngine {
-    /// A resolved-on-arrival record (malformed, rate-limited, rejected).
-    fn stillborn_record(
-        &self,
+    /// Writes a job's one [`JobRecord`] and its closing trace event,
+    /// both stamped `finished`. A job turned away before it became
+    /// resident (`resident: None`) counts as admitted at that instant,
+    /// with no progress.
+    fn record_fate(
+        &mut self,
         spec: &JobSpec,
         arrival: f64,
-        rejected: bool,
-        rate_limited: bool,
-    ) -> JobRecord {
-        JobRecord {
-            id: spec.id,
-            tenant: spec.tenant,
+        finished: f64,
+        fate: Fate,
+        resident: Option<&ResidentJob>,
+    ) {
+        let (job, tenant) = (spec.id, spec.tenant);
+        trace_into(&mut self.telemetry, finished, || match fate {
+            Fate::Malformed => TraceEventKind::Malformed { job },
+            Fate::RateLimited => TraceEventKind::RateLimited { job },
+            Fate::Rejected => TraceEventKind::Rejected { job },
+            Fate::Failed => TraceEventKind::JobFailed { job, tenant },
+            Fate::Completed => TraceEventKind::JobComplete { job, tenant },
+        });
+        self.report.jobs.push(JobRecord {
+            id: job,
+            tenant,
             preset: spec.preset,
             arrival,
-            admitted: self.now,
-            finished: self.now,
-            iterations: 0,
-            retries: 0,
-            failed: true,
-            rejected,
-            rate_limited,
+            admitted: resident.map_or(finished, |j| j.admitted),
+            finished,
+            iterations: resident.map_or(0, |j| j.iterations_done),
+            retries: resident.map_or(0, |j| j.total_retries),
+            failed: fate != Fate::Completed,
+            rejected: fate == Fate::Rejected,
+            rate_limited: fate == Fate::RateLimited,
             weight: spec.weight,
             deadline: spec.deadline,
             work: spec.total_work(),
+        });
+    }
+
+    /// A resident job leaves the system, completed or failed. Every
+    /// member of its batch resolves with its own record — its own
+    /// arrival (and therefore sojourn), weight, SLO, and work: the
+    /// batch is an execution detail, not a reporting unit.
+    pub(crate) fn resolve_job(
+        &mut self,
+        id: JobId,
+        finished: f64,
+        fate: Fate,
+    ) -> Result<(), ServeError> {
+        let Some(job) = self.resident.remove(&id) else {
+            return Ok(());
+        };
+        for m in &job.members {
+            self.record_fate(&m.spec, m.arrival, finished, fate, Some(&job));
+            if fate == Fate::Completed {
+                if let Some(tel) = self.telemetry.as_mut() {
+                    tel.metrics.observe("job_latency", finished - m.arrival);
+                }
+            }
+            self.backend.on_job_resolved(m.spec.id);
         }
+        // Work conservation: the freed capacity flows to the survivors
+        // now, not at their next iteration boundaries.
+        self.rebalance_shares();
+        self.try_admit()
     }
 
     pub(crate) fn on_arrival(&mut self, spec: JobSpec) -> Result<(), ServeError> {
@@ -304,11 +201,7 @@ impl ServiceEngine {
             || spec.chunks_per_partition == 0
             || spec.iterations == 0;
         if malformed {
-            trace_into(&mut self.telemetry, now, || TraceEventKind::Malformed {
-                job: jid,
-            });
-            let record = self.stillborn_record(&spec, self.now, false, false);
-            self.report.jobs.push(record);
+            self.record_fate(&spec, now, now, Fate::Malformed, None);
             return Ok(());
         }
         // Token-bucket rate limiting: a tenant that bursts past its
@@ -316,11 +209,7 @@ impl ServiceEngine {
         // can occupy queue space or a residency slot.
         if let Some(bucket) = self.buckets.get_mut(&spec.tenant) {
             if !bucket.try_admit(self.now) {
-                trace_into(&mut self.telemetry, now, || TraceEventKind::RateLimited {
-                    job: jid,
-                });
-                let record = self.stillborn_record(&spec, self.now, false, true);
-                self.report.jobs.push(record);
+                self.record_fate(&spec, now, now, Fate::RateLimited, None);
                 return Ok(());
             }
         }
@@ -429,12 +318,8 @@ impl ServiceEngine {
             let mut members: Vec<BatchMember> = Vec::with_capacity(group.len());
             for queued in group {
                 if self.cfg.reject_infeasible_deadlines && self.deadline_infeasible(&queued) {
-                    let (jid, now) = (queued.spec.id, self.now);
-                    trace_into(&mut self.telemetry, now, || TraceEventKind::Rejected {
-                        job: jid,
-                    });
-                    let record = self.stillborn_record(&queued.spec, queued.arrival, true, false);
-                    self.report.jobs.push(record);
+                    let now = self.now;
+                    self.record_fate(&queued.spec, queued.arrival, now, Fate::Rejected, None);
                     self.sample_queue_depth();
                     continue;
                 }
@@ -678,11 +563,12 @@ impl ServiceEngine {
             generation,
             rung,
         });
-        // Per-worker bookkeeping comes from the scratch pool when a
-        // retired round left one (reset in place — contents identical to
-        // fresh allocation).
-        let sc = self.take_scratch(n);
+        // The task table comes from the scratch pool when a retired
+        // round left one (reset in place — contents identical to fresh
+        // allocation).
+        let tasks = self.take_scratch(n);
         let mut iter = RunningIteration {
+            job: id,
             generation,
             round_index,
             share,
@@ -690,20 +576,11 @@ impl ServiceEngine {
             rows_per_chunk: rpc,
             rhs,
             assignment,
-            finish: sc.finish,
-            done: sc.done,
-            valid: sc.valid,
-            redo_chunks: sc.redo_chunks,
-            redo_finish: sc.redo_finish,
-            redo_done: sc.redo_done,
-            redo_valid: sc.redo_valid,
-            busy_charged: sc.busy_charged,
-            redo_busy_charged: sc.redo_busy_charged,
-            ded_offset: sc.ded_offset,
+            tasks,
             parked_at: None,
             waited_out: false,
             armed_deadline: f64::INFINITY,
-            armed_seq: 1,
+            armed_seq: 0,
             share_integral: 0.0,
             share_anchor: at,
             started: at,
@@ -722,6 +599,7 @@ impl ServiceEngine {
         let mut max_planned_span: f64 = 0.0;
         let mut max_actual_span: f64 = 0.0;
         let window = &self.resident[&id].window;
+        let mut sinks = sinks!(self, at);
         for (w, &plan_speed) in plan_speeds.iter().enumerate() {
             let chunks = iter.assignment.chunks[w].len();
             if chunks == 0 {
@@ -732,51 +610,21 @@ impl ServiceEngine {
             // round's task starts after the worker's live tasks from
             // earlier window rounds. With an empty window (depth 1)
             // `start_w == at` exactly.
-            let start_w = window.iter().fold(at, |acc, r| {
-                let mut latest = acc;
-                if r.valid[w] && !r.done[w] && r.finish[w].is_finite() {
-                    latest = latest.max(r.finish[w]);
-                }
-                if r.redo_valid[w] && !r.redo_done[w] && r.redo_finish[w].is_finite() {
-                    latest = latest.max(r.redo_finish[w]);
-                }
-                latest
-            });
+            let start_w = window
+                .iter()
+                .fold(at, |acc, r| acc.max(r.latest_open_finish(w)));
             let offset = start_w - at;
             let rows_w = chunks * rpc;
             let work = ((rows_w * spec.cols) * rhs) as f64;
             let rate = self.speeds[w] * share * self.compute.elements_per_sec * speedup;
             let t_reply = self.comm.transfer_time(((rows_w * rhs) * 8) as u64);
             let span = t_in + work / rate + t_reply;
-            iter.finish[w] = start_w + span;
-            // Freeze the queueing delay in dedicated share-seconds so
-            // speed observations can subtract it (approximate across a
-            // later rebalance, exact otherwise; identically 0 at depth 1).
-            iter.ded_offset[w] = offset * share;
             max_actual_span = max_actual_span.max(offset + span);
             let plan_rate =
                 plan_speed.max(f64::MIN_POSITIVE) * share * self.compute.elements_per_sec * speedup;
             max_planned_span = max_planned_span.max(offset + (t_in + work / plan_rate + t_reply));
-            // Utilization is accounted in dedicated compute-seconds (the
-            // share factor stretches wall time, not work done).
-            iter.busy_charged[w] = work / rate * share;
-            self.report.busy_time[w] += iter.busy_charged[w];
-            trace_into(&mut self.telemetry, at, || TraceEventKind::TaskDispatch {
-                job: id,
-                worker: w,
-                generation,
-                chunks,
-                redo: false,
-            });
-            self.queue.push(
-                iter.finish[w],
-                EventKind::TaskComplete {
-                    job: id,
-                    worker: w,
-                    generation,
-                    redo: false,
-                },
-            );
+            let charge = work / rate * share;
+            iter.dispatch(w, start_w + span, charge, offset * share, &mut sinks);
         }
 
         // Adaptive scheduling arms the deadline from the *plan* (so
@@ -787,16 +635,7 @@ impl ServiceEngine {
             SchedulerMode::SharedS2c2 { .. } => max_planned_span,
             SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => max_actual_span,
         };
-        let deadline = at + (1.0 + self.cfg.timeout_margin) * span;
-        iter.armed_deadline = deadline;
-        self.queue.push(
-            deadline,
-            EventKind::Timeout {
-                job: id,
-                generation,
-                arm: iter.armed_seq,
-            },
-        );
+        iter.arm(at + (1.0 + self.cfg.timeout_margin) * span, &mut sinks);
 
         if rhs > 1 {
             self.report.batch_rounds += 1;
@@ -813,17 +652,13 @@ impl ServiceEngine {
         Ok(())
     }
 
-    /// Pops a pooled scratch set (reset in place) or builds a fresh one.
-    fn take_scratch(&mut self, n: usize) -> IterScratch {
-        let mut sc = match self.scratch.pop() {
-            Some(sc) => {
-                self.report.scratch_reuses += 1;
-                sc
-            }
-            None => IterScratch::default(),
-        };
-        sc.reset(n);
-        sc
+    /// Pops a pooled task table (reset in place) or builds a fresh one.
+    fn take_scratch(&mut self, n: usize) -> Tasks {
+        let pooled = self.scratch.pop();
+        self.report.scratch_reuses += u64::from(pooled.is_some());
+        let mut tasks = pooled.unwrap_or_default();
+        tasks.reset(n);
+        tasks
     }
 
     pub(crate) fn on_task_complete(
@@ -846,54 +681,29 @@ impl ServiceEngine {
             if iter.parked_at.is_some() {
                 return Ok(());
             }
-            if redo {
-                // A rescheduled (merged) redo task supersedes this event.
-                if !iter.redo_valid[worker]
-                    || iter.redo_done[worker]
-                    || (t - iter.redo_finish[worker]).abs() > 1e-9
-                {
-                    return Ok(());
-                }
-                iter.redo_done[worker] = true;
-                let rows_w = iter.redo_chunks[worker].len() * iter.rows_per_chunk;
-                iter.last_reply = self.comm.transfer_time(((rows_w * iter.rhs) * 8) as u64);
-            } else {
-                // The finish-time match drops completion events superseded
-                // by a share rebalance (the task was rescheduled).
-                if !iter.valid[worker]
-                    || iter.done[worker]
-                    || (t - iter.finish[worker]).abs() > 1e-9
-                {
-                    return Ok(());
-                }
-                iter.done[worker] = true;
-                let reply_rows = iter.assignment.chunks[worker].len() * iter.rows_per_chunk;
-                iter.last_reply = self
-                    .comm
-                    .transfer_time(((reply_rows * iter.rhs) * 8) as u64);
-                // Feed the predictor with the observed relative rate. Redo
-                // tasks are excluded (their span includes master-side idle
-                // time, which would skew the estimate — same rule as the
-                // single-job engine). The denominator is the share
-                // *integral*, not `duration · share`: rebalances change the
-                // share mid-task and the naive product would mis-scale the
-                // estimate by up to `old_share / new_share`. Pipelined
-                // rounds additionally subtract the queueing offset the
-                // task spent waiting behind earlier window rounds.
-                if matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
-                    let rows_w = iter.assignment.chunks[worker].len() * iter.rows_per_chunk;
-                    let dedicated = (iter.dedicated_by(iter.finish[worker])
-                        - iter.ded_offset[worker])
-                        .max(f64::MIN_POSITIVE);
-                    // The observed rate covers the whole stacked width the
-                    // worker actually computed, so batched and unbatched
-                    // rounds feed the predictor the same per-element speed.
-                    let observed =
-                        ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
-                    let mut obs: Vec<Option<f64>> = vec![None; self.speeds.len()];
-                    obs[worker] = Some(observed);
-                    self.tracker.observe(&obs);
-                }
+            let Some(chunks) = iter.complete_task(worker, redo, t) else {
+                return Ok(());
+            };
+            let rows_w = chunks * iter.rows_per_chunk;
+            iter.last_reply = self.comm.transfer_time(((rows_w * iter.rhs) * 8) as u64);
+            // Feed the predictor with the observed relative rate. Redo
+            // tasks are excluded (their span includes master-side idle
+            // time, which would skew the estimate — same rule as the
+            // single-job engine). The denominator is the share
+            // *integral*, not `duration · share`: rebalances change the
+            // share mid-task and the naive product would mis-scale the
+            // estimate by up to `old_share / new_share`. Pipelined
+            // rounds additionally subtract the queueing offset the
+            // task spent waiting behind earlier window rounds.
+            if !redo && matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
+                let dedicated = iter.task_dedicated_by(worker, None);
+                // The observed rate covers the whole stacked width the
+                // worker actually computed, so batched and unbatched
+                // rounds feed the predictor the same per-element speed.
+                let observed = ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
+                let mut obs: Vec<Option<f64>> = vec![None; self.speeds.len()];
+                obs[worker] = Some(observed);
+                self.tracker.observe(&obs);
             }
         }
         trace_into(&mut self.telemetry, t, || TraceEventKind::TaskComplete {
@@ -934,46 +744,10 @@ impl ServiceEngine {
         let head = pos == 0 && job.window[0].round_index == job.iterations_done;
         let iter = &mut job.window[pos];
         // The master stops caring about still-running tasks (conventional
-        // stragglers, superfluous redo): refund the compute they will not
-        // perform, and tell the backend so real workers drop the stale
-        // work too. The valid flags are cleared so a later churn event
-        // cannot refund the same task twice while the round sits parked.
-        for w in 0..iter.assignment.workers() {
-            if iter.valid[w] && !iter.done[w] && iter.finish[w].is_finite() {
-                iter.valid[w] = false;
-                refund_busy(
-                    &mut self.report.busy_time[w],
-                    &mut iter.busy_charged[w],
-                    iter.finish[w],
-                    now,
-                    iter.share,
-                );
-                self.backend.on_cancel(id, generation, w, false);
-                trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                    job: id,
-                    worker: w,
-                    generation,
-                    redo: false,
-                });
-            }
-            if iter.redo_valid[w] && !iter.redo_done[w] && iter.redo_finish[w].is_finite() {
-                iter.redo_valid[w] = false;
-                refund_busy(
-                    &mut self.report.busy_time[w],
-                    &mut iter.redo_busy_charged[w],
-                    iter.redo_finish[w],
-                    now,
-                    iter.share,
-                );
-                self.backend.on_cancel(id, generation, w, true);
-                trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                    job: id,
-                    worker: w,
-                    generation,
-                    redo: true,
-                });
-            }
-        }
+        // stragglers, superfluous redo). Cancelling closes their slots,
+        // so a later churn event finds nothing to refund while the round
+        // sits parked.
+        iter.cancel_open(&mut sinks!(self, now));
         iter.parked_at = Some(now);
         if head {
             return self.retire_ready_rounds(id);
@@ -1041,8 +815,7 @@ impl ServiceEngine {
             let decode_time = match self.cfg.scheduler {
                 SchedulerMode::Uncoded => 0.0,
                 SchedulerMode::ConventionalMds | SchedulerMode::SharedS2c2 { .. } => {
-                    let flops = decode_flops(&iter);
-                    flops / self.decode_flops_per_sec
+                    iter.decode_flops() / self.decode_flops_per_sec
                 }
             };
             let end = at + decode_time;
@@ -1101,48 +874,9 @@ impl ServiceEngine {
             job.iterations_done += 1;
             job.iter_retries = 0;
             job.last_retire_end = end;
-            reclaim_scratch(&mut self.scratch, iter);
+            iter.reclaim(&mut self.scratch);
             if job.iterations_done >= job.leader().iterations {
-                // Every member resolves with its own record: its own
-                // arrival (and therefore sojourn), weight, SLO, and work —
-                // the batch is an execution detail, not a reporting unit.
-                for m in &job.members {
-                    let record = JobRecord {
-                        id: m.spec.id,
-                        tenant: m.spec.tenant,
-                        preset: m.spec.preset,
-                        arrival: m.arrival,
-                        admitted: job.admitted,
-                        finished: end,
-                        iterations: job.iterations_done,
-                        retries: job.total_retries,
-                        failed: false,
-                        rejected: false,
-                        rate_limited: false,
-                        weight: m.spec.weight,
-                        deadline: m.spec.deadline,
-                        work: m.spec.total_work(),
-                    };
-                    self.report.jobs.push(record);
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        tel.metrics.observe("job_latency", end - m.arrival);
-                    }
-                    let (jid, tenant) = (m.spec.id, m.spec.tenant);
-                    trace_into(&mut self.telemetry, end, || TraceEventKind::JobComplete {
-                        job: jid,
-                        tenant,
-                    });
-                }
-                let member_ids: Vec<JobId> = job.members.iter().map(|m| m.spec.id).collect();
-                self.resident.remove(&id);
-                for mid in member_ids {
-                    self.backend.on_job_resolved(mid);
-                }
-                // Work conservation: the freed capacity flows to the
-                // survivors now, not at their next iteration boundaries.
-                self.rebalance_shares();
-                self.try_admit()?;
-                return Ok(());
+                return self.resolve_job(id, end, Fate::Completed);
             }
             at = end;
         }
@@ -1210,66 +944,17 @@ impl ServiceEngine {
                 continue;
             };
             let mut doomed: Vec<u64> = Vec::new();
+            let mut sinks = sinks!(self, now);
             for iter in &mut job.window {
                 // Parked rounds have no live tasks (cancelled at park).
                 if iter.parked_at.is_some() {
                     continue;
                 }
-                let generation = iter.generation;
-                let mut affected = false;
-                if iter.valid[worker] && !iter.done[worker] && iter.finish[worker].is_finite() {
-                    iter.valid[worker] = false;
-                    refund_busy(
-                        &mut self.report.busy_time[worker],
-                        &mut iter.busy_charged[worker],
-                        iter.finish[worker],
-                        now,
-                        iter.share,
-                    );
-                    self.backend.on_cancel(id, generation, worker, false);
-                    trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                        job: id,
-                        worker,
-                        generation,
-                        redo: false,
-                    });
-                    affected = true;
-                }
-                if iter.redo_valid[worker] && !iter.redo_done[worker] {
-                    iter.redo_valid[worker] = false;
-                    refund_busy(
-                        &mut self.report.busy_time[worker],
-                        &mut iter.redo_busy_charged[worker],
-                        iter.redo_finish[worker],
-                        now,
-                        iter.share,
-                    );
-                    self.backend.on_cancel(id, generation, worker, true);
-                    // The cancelled recompute never happens: drop its chunks
-                    // from the redo bookkeeping, or a later merged redo on
-                    // this worker would mark `redo_done` and `done_cover`
-                    // would credit coverage nobody computed.
-                    iter.redo_chunks[worker].clear();
-                    iter.redo_finish[worker] = f64::INFINITY;
-                    trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                        job: id,
-                        worker,
-                        generation,
-                        redo: true,
-                    });
-                    affected = true;
-                }
-                if !affected {
-                    continue;
-                }
-                let is_doomed = (0..iter.assignment.chunks_per_partition).any(|c| {
-                    iter.done_cover(c)
-                        + iter.pending_redo_cover(c)
-                        + iter.inflight_original_cover(c)
-                        < iter.k_eff
-                });
-                if is_doomed {
-                    doomed.push(generation);
+                // `|`, not `||`: both of the worker's tasks go.
+                let affected =
+                    iter.cancel(worker, false, &mut sinks) | iter.cancel(worker, true, &mut sinks);
+                if affected && iter.doomed() {
+                    doomed.push(iter.generation);
                 }
             }
             for generation in doomed {
@@ -1333,37 +1018,4 @@ impl ServiceEngine {
             );
         }
     }
-}
-
-/// Master-side decode cost of a completed iteration (same model as the
-/// single-job engine: per chunk, LU on the missing systematic rows).
-/// For a batch round the LU factorization is shared — every stacked
-/// right-hand side reuses it and pays only the per-column triangular
-/// solves and RHS adjustments. That factor-once term is the decode-side
-/// amortization batching buys.
-pub(crate) fn decode_flops(iter: &RunningIteration) -> f64 {
-    let n = iter.assignment.workers();
-    let k = iter.k_eff;
-    let rpc = iter.rows_per_chunk as f64;
-    let rhs = iter.rhs as f64;
-    let mut flops = 0.0;
-    for chunk in 0..iter.assignment.chunks_per_partition {
-        let mut finishers: Vec<(f64, usize)> = (0..n)
-            .filter_map(|w| {
-                if iter.done[w] && iter.covers(w, chunk) {
-                    Some((iter.finish[w], w))
-                } else if iter.redo_done[w] && iter.redo_chunks[w].contains(&chunk) {
-                    Some((iter.redo_finish[w], w))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        finishers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let missing = finishers.iter().take(k).filter(|&&(_, w)| w >= k).count() as f64;
-        flops += missing.powi(3) / 3.0
-            + rhs * (rpc * missing.powi(2))
-            + rhs * (missing * k as f64 * rpc);
-    }
-    flops
 }

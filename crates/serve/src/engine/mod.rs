@@ -12,6 +12,11 @@
 //!
 //! * `core` — resident-job state and the event handlers (arrival,
 //!   admission, iteration start/completion, churn, epoch ticks);
+//! * `round` — the per-round task model: one `TaskSlot` type for a
+//!   worker's original and redo task, and the only code that touches
+//!   them — dispatch, completion, the single cancel/refund site, share
+//!   rescaling, deadline arming — plus the coverage questions (is the
+//!   round decodable, how far short is a chunk, what is credited);
 //! * [`backend`] — the pluggable `ExecutionBackend` seam: timing-only
 //!   simulation, master-side verified numerics, or real OS-thread
 //!   workers (selected via [`BackendKind`]);
@@ -20,7 +25,7 @@
 //! * `rebalance` — work-conserving share rebalancing and
 //!   deadline-aware share boosting;
 //! * `pipeline` — the cross-round in-flight window policy
-//!   ([`PipelinePolicy`]) and the per-round scratch pool.
+//!   ([`PipelinePolicy`]).
 //!
 //! # Timing model
 //!
@@ -116,6 +121,7 @@ mod core;
 mod pipeline;
 mod rebalance;
 mod recovery;
+mod round;
 #[cfg(test)]
 mod tests;
 
@@ -385,9 +391,9 @@ pub struct ServiceEngine {
     /// window, and without this dedup each re-plan would enqueue
     /// another identical no-op flush.
     pending_flushes: Vec<(BatchKey, f64)>,
-    /// Retired rounds' per-worker bookkeeping vectors, pooled for reuse
-    /// by the next dispatch (see [`pipeline::IterScratch`]).
-    scratch: Vec<pipeline::IterScratch>,
+    /// Retired rounds' task tables, pooled for reuse by the next
+    /// dispatch (see [`round::Tasks`]).
+    scratch: Vec<round::Tasks>,
 }
 
 impl std::fmt::Debug for ServiceEngine {

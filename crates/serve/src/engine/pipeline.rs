@@ -1,5 +1,4 @@
-//! Cross-round pipelined serving: the bounded in-flight window policy
-//! and the per-round scratch pool.
+//! Cross-round pipelined serving: the bounded in-flight window policy.
 //!
 //! The paper's serving loop is a hard barrier: round `i + 1` of a job
 //! cannot dispatch until round `i` has collected, decoded, and
@@ -62,63 +61,6 @@ impl std::fmt::Display for PipelinePolicy {
     }
 }
 
-/// Retired rounds' per-worker bookkeeping vectors, kept for reuse.
-///
-/// Every round needs ~10 pool-width vectors (scheduled finishes, done /
-/// valid flags, redo bookkeeping, busy charges, start offsets). The
-/// barrier engine allocated them fresh per round; under pipelining a
-/// job touches `depth ×` as many live rounds, so the engine keeps a
-/// small pool of retired rounds' vectors and re-initializes them in
-/// place — contents after [`IterScratch::reset`] are element-for-element
-/// identical to fresh allocation, so reuse is invisible to the timing
-/// model. Reuses are counted in `ServiceReport::scratch_reuses`.
-#[derive(Debug, Default)]
-pub(crate) struct IterScratch {
-    pub(crate) finish: Vec<f64>,
-    pub(crate) done: Vec<bool>,
-    pub(crate) valid: Vec<bool>,
-    pub(crate) redo_chunks: Vec<Vec<usize>>,
-    pub(crate) redo_finish: Vec<f64>,
-    pub(crate) redo_done: Vec<bool>,
-    pub(crate) redo_valid: Vec<bool>,
-    pub(crate) busy_charged: Vec<f64>,
-    pub(crate) redo_busy_charged: Vec<f64>,
-    pub(crate) ded_offset: Vec<f64>,
-}
-
-/// Upper bound on pooled scratch sets: enough for every resident job's
-/// whole window in any realistic configuration, small enough that a
-/// churn-heavy run cannot hoard memory.
-pub(crate) const SCRATCH_POOL_CAP: usize = 64;
-
-impl IterScratch {
-    /// Re-initializes every vector for an `n`-worker round, preserving
-    /// capacity. The post-state is exactly what fresh construction
-    /// produces.
-    pub(crate) fn reset(&mut self, n: usize) {
-        fn refill<T: Copy>(v: &mut Vec<T>, n: usize, x: T) {
-            v.clear();
-            v.resize(n, x);
-        }
-        refill(&mut self.finish, n, f64::INFINITY);
-        refill(&mut self.done, n, false);
-        refill(&mut self.valid, n, true);
-        refill(&mut self.redo_finish, n, f64::INFINITY);
-        refill(&mut self.redo_done, n, false);
-        refill(&mut self.redo_valid, n, false);
-        refill(&mut self.busy_charged, n, 0.0);
-        refill(&mut self.redo_busy_charged, n, 0.0);
-        refill(&mut self.ded_offset, n, 0.0);
-        // Inner chunk lists keep their capacity — the per-round
-        // allocation the pool exists to avoid.
-        self.redo_chunks.truncate(n);
-        for v in &mut self.redo_chunks {
-            v.clear();
-        }
-        self.redo_chunks.resize_with(n, Vec::new);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,38 +76,5 @@ mod tests {
         assert_eq!(PipelinePolicy::default(), PipelinePolicy::Off);
         assert_eq!(PipelinePolicy::Off.to_string(), "off");
         assert_eq!(PipelinePolicy::Depth(3).to_string(), "depth-3");
-    }
-
-    #[test]
-    fn scratch_reset_matches_fresh_construction() {
-        let mut s = IterScratch::default();
-        s.reset(3);
-        // Dirty every vector as a retired round would.
-        s.finish[1] = 7.0;
-        s.done[2] = true;
-        s.valid[0] = false;
-        s.redo_chunks[1].extend([4, 5]);
-        s.redo_finish[0] = 1.0;
-        s.redo_done[1] = true;
-        s.redo_valid[2] = true;
-        s.busy_charged[0] = 0.25;
-        s.redo_busy_charged[2] = 0.5;
-        s.ded_offset[1] = 0.125;
-        let kept_cap = s.redo_chunks[1].capacity();
-        s.reset(4);
-        assert_eq!(s.finish, vec![f64::INFINITY; 4]);
-        assert_eq!(s.done, vec![false; 4]);
-        assert_eq!(s.valid, vec![true; 4]);
-        assert_eq!(s.redo_chunks, vec![Vec::<usize>::new(); 4]);
-        assert_eq!(s.redo_finish, vec![f64::INFINITY; 4]);
-        assert_eq!(s.redo_done, vec![false; 4]);
-        assert_eq!(s.redo_valid, vec![false; 4]);
-        assert_eq!(s.busy_charged, vec![0.0; 4]);
-        assert_eq!(s.redo_busy_charged, vec![0.0; 4]);
-        assert_eq!(s.ded_offset, vec![0.0; 4]);
-        assert!(
-            s.redo_chunks[1].capacity() >= kept_cap,
-            "inner chunk lists keep their allocation across resets"
-        );
     }
 }

@@ -12,8 +12,9 @@
 //! constant regardless of pipeline depth.
 
 use super::core::{BatchMember, ResidentJob};
+use super::round::sinks;
 use super::{trace_into, ServiceEngine};
-use crate::event::{EventKind, JobId};
+use crate::event::JobId;
 use s2c2_telemetry::TraceEventKind;
 
 impl ServiceEngine {
@@ -80,12 +81,9 @@ impl ServiceEngine {
     /// — which is also what keeps per-worker busy accounting within the
     /// service horizon.
     ///
-    /// Rescaling stretches a task's whole remaining span by
-    /// `old_share / new_share` and reschedules its completion event; the
-    /// superseded event is recognized (and dropped) by its stale finish
-    /// time. Busy accounting needs no adjustment: a task's dedicated
-    /// compute-seconds are share-invariant, and the refund rule
-    /// `(finish − now) · share` is preserved exactly by the rescale.
+    /// The per-round mechanics (stretch every open task, reschedule its
+    /// completion, close the share segment) are
+    /// [`super::round::RunningIteration::rescale`].
     pub(crate) fn rebalance_shares(&mut self) {
         self.update_deadline_boosts();
         let total: f64 = self
@@ -103,6 +101,7 @@ impl ServiceEngine {
         for id in ids {
             let weight = self.effective_weight(&self.resident[&id]);
             let new_share = weight / total;
+            let mut sinks = sinks!(self, now);
             let Some(job) = self.resident.get_mut(&id) else {
                 continue;
             };
@@ -114,62 +113,9 @@ impl ServiceEngine {
             // exactly at depth 1.
             let mut rearm: Vec<(usize, f64)> = Vec::new();
             for (pos, iter) in job.window.iter_mut().enumerate() {
-                let old_share = iter.share;
-                if (new_share - old_share).abs() <= 1e-12 * new_share.max(old_share) {
+                let Some(latest) = iter.rescale(new_share, &mut sinks) else {
                     continue;
-                }
-                let stretch = old_share / new_share;
-                let generation = iter.generation;
-                let mut touched = false;
-                let mut latest = now;
-                for w in 0..iter.assignment.workers() {
-                    if iter.valid[w]
-                        && !iter.done[w]
-                        && iter.finish[w].is_finite()
-                        && iter.finish[w] > now
-                    {
-                        let nf = now + (iter.finish[w] - now) * stretch;
-                        iter.finish[w] = nf;
-                        latest = latest.max(nf);
-                        touched = true;
-                        self.queue.push(
-                            nf,
-                            EventKind::TaskComplete {
-                                job: id,
-                                worker: w,
-                                generation,
-                                redo: false,
-                            },
-                        );
-                    }
-                    if iter.redo_valid[w]
-                        && !iter.redo_done[w]
-                        && iter.redo_finish[w].is_finite()
-                        && iter.redo_finish[w] > now
-                    {
-                        let nf = now + (iter.redo_finish[w] - now) * stretch;
-                        iter.redo_finish[w] = nf;
-                        latest = latest.max(nf);
-                        touched = true;
-                        self.queue.push(
-                            nf,
-                            EventKind::TaskComplete {
-                                job: id,
-                                worker: w,
-                                generation,
-                                redo: true,
-                            },
-                        );
-                    }
-                }
-                // Close the old share segment so speed observations integrate
-                // the true dedicated time across the change.
-                iter.share_integral += (now - iter.share_anchor).max(0.0) * old_share;
-                iter.share_anchor = iter.share_anchor.max(now);
-                iter.share = new_share;
-                if !touched {
-                    continue;
-                }
+                };
                 job_touched = true;
                 // Stretched spans can outrun the armed §4.3 deadline;
                 // re-arm behind them so a squeezed (not straggling)
@@ -182,23 +128,11 @@ impl ServiceEngine {
                 continue;
             }
             self.report.rebalances += 1;
-            trace_into(&mut self.telemetry, now, || TraceEventKind::Rebalance {
+            trace_into(sinks.telemetry, now, || TraceEventKind::Rebalance {
                 resident: resident_count,
             });
             for (pos, latest) in rearm {
-                let iter = &mut job.window[pos];
-                let deadline = now + (1.0 + margin) * (latest - now).max(f64::MIN_POSITIVE);
-                iter.armed_deadline = deadline;
-                iter.armed_seq += 1;
-                let (generation, arm) = (iter.generation, iter.armed_seq);
-                self.queue.push(
-                    deadline,
-                    EventKind::Timeout {
-                        job: id,
-                        generation,
-                        arm,
-                    },
-                );
+                job.window[pos].arm_behind(latest, margin, &mut sinks);
             }
         }
     }

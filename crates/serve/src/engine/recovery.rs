@@ -14,10 +14,10 @@
 //! the [`s2c2_cluster::threaded::ThreadedCluster`] cooperative-cancel
 //! hook) and dispatches the same redo work the timing model schedules.
 
-use super::core::{reclaim_scratch, refund_busy, RunningIteration};
+use super::core::Fate;
+use super::round::sinks;
 use super::{thread_speedup, trace_into, SchedulerMode, ServeError, ServiceEngine};
-use crate::event::{EventKind, JobId};
-use crate::metrics::JobRecord;
+use crate::event::JobId;
 use s2c2_telemetry::TraceEventKind;
 
 impl ServiceEngine {
@@ -36,8 +36,7 @@ impl ServiceEngine {
         let margin = self.cfg.timeout_margin;
         let elements_per_sec = self.compute.elements_per_sec;
         let comm = self.comm;
-        let speeds = self.speeds.clone();
-        let up = self.up.clone();
+        let mut sinks = sinks!(self, now);
 
         // Both lookups are graceful: a churn sweep may queue several
         // doomed generations for one job, and an earlier rung-5 restart
@@ -57,7 +56,6 @@ impl ServiceEngine {
         }
         let iter = &mut job.window[pos];
         let n = iter.assignment.workers();
-        let c = iter.assignment.chunks_per_partition;
         let rpc = iter.rows_per_chunk;
         // A mid-batch straggler degrades or redoes *per batch*: the
         // whole stacked round is recovered at once, so per-member
@@ -65,83 +63,21 @@ impl ServiceEngine {
         // worker/chunk set) can never diverge inside one batch.
         let rhs = iter.rhs;
 
-        // Outstanding need per chunk. Adaptive mode writes in-flight
-        // originals off as cancelled (the §4.3 rule); the baselines keep
-        // counting on them (they only recover from churn).
-        let mut need = vec![0usize; c];
-        let mut total_need = 0usize;
-        for (chunk, slot) in need.iter_mut().enumerate() {
-            let mut have = iter.done_cover(chunk) + iter.pending_redo_cover(chunk);
-            if !cancel_late {
-                have += iter.inflight_original_cover(chunk);
-            }
-            *slot = iter.k_eff.saturating_sub(have);
-            total_need += *slot;
-        }
-
-        let reschedule_after_inflight = |iter: &RunningIteration| -> f64 {
-            let mut latest = now;
-            for w in 0..n {
-                if iter.valid[w] && !iter.done[w] && iter.finish[w].is_finite() {
-                    latest = latest.max(iter.finish[w]);
-                }
-                if iter.redo_valid[w] && !iter.redo_done[w] && iter.redo_finish[w].is_finite() {
-                    latest = latest.max(iter.redo_finish[w]);
-                }
-            }
-            now + (1.0 + margin) * (latest - now).max(f64::MIN_POSITIVE)
-        };
-
-        if total_need == 0 {
+        // Outstanding need per chunk (adaptive mode has written the
+        // in-flight originals off, the baselines still count on them).
+        let need: Vec<usize> = (0..iter.assignment.chunks_per_partition)
+            .map(|chunk| iter.shortfall(chunk, !cancel_late))
+            .collect();
+        if need.iter().all(|&short| short == 0) {
             // Everything outstanding is already being handled; re-arm the
             // safety net behind the open tasks.
-            let deadline = reschedule_after_inflight(iter);
-            iter.armed_deadline = deadline;
-            iter.armed_seq += 1;
-            let arm = iter.armed_seq;
-            self.queue.push(
-                deadline,
-                EventKind::Timeout {
-                    job: id,
-                    generation,
-                    arm,
-                },
-            );
+            iter.arm_behind(iter.latest_open(), margin, &mut sinks);
             return Ok(());
         }
 
         // Rung 3: hand the missing chunks to finished, still-present
         // workers (they hold the coded partitions — no data movement).
-        let hosts: Vec<usize> = (0..n).filter(|&w| iter.done[w] && up[w]).collect();
-        let mut extra: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut satisfiable = true;
-        'chunks: for (chunk, &need_c) in need.iter().enumerate() {
-            for _ in 0..need_c {
-                let pick = hosts
-                    .iter()
-                    .copied()
-                    .filter(|&w| {
-                        !iter.covers(w, chunk)
-                            && !iter.redo_chunks[w].contains(&chunk)
-                            && !extra[w].contains(&chunk)
-                    })
-                    .min_by(|&a, &b| {
-                        (iter.redo_chunks[a].len() + extra[a].len())
-                            .cmp(&(iter.redo_chunks[b].len() + extra[b].len()))
-                            .then(iter.finish[a].total_cmp(&iter.finish[b]))
-                            .then(a.cmp(&b))
-                    });
-                match pick {
-                    Some(w) => extra[w].push(chunk),
-                    None => {
-                        satisfiable = false;
-                        break 'chunks;
-                    }
-                }
-            }
-        }
-
-        if satisfiable {
+        if let Some(extra) = iter.plan_redo(&need, &self.up) {
             if cancel_late {
                 // Cancel the late workers AND feed the estimator what the
                 // master actually learned: by the deadline each cancelled
@@ -150,65 +86,39 @@ impl ServiceEngine {
                 // this, a cold-start straggler is cancelled before it can
                 // ever report a speed and stays mispredicted forever.
                 let mut obs: Vec<Option<f64>> = vec![None; n];
-                let mut any_cancelled = false;
                 let t_in = comm.transfer_time((cols * rhs * 8) as u64);
                 for (w, slot) in obs.iter_mut().enumerate() {
-                    // `is_finite` matters: a worker with no task this
-                    // iteration has finish == INFINITY, and "cancelling"
-                    // it would fabricate a near-zero speed observation
-                    // that permanently excludes a healthy worker.
-                    if iter.valid[w]
-                        && !iter.done[w]
-                        && iter.finish[w].is_finite()
-                        && iter.finish[w] > now
-                    {
-                        iter.valid[w] = false;
-                        refund_busy(
-                            &mut self.report.busy_time[w],
-                            &mut iter.busy_charged[w],
-                            iter.finish[w],
-                            now,
-                            iter.share,
-                        );
-                        self.backend.on_cancel(id, iter.generation, w, false);
-                        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                            job: id,
-                            worker: w,
-                            generation,
-                            redo: false,
-                        });
-                        let rows_w = iter.assignment.chunks[w].len() * rpc;
-                        let work = ((rows_w * cols) * rhs) as f64;
-                        let t_reply = comm.transfer_time(((rows_w * rhs) * 8) as u64);
-                        // Reconstruct progress in *dedicated* share-
-                        // seconds (the share integral), not wall time —
-                        // rebalances change the share mid-task, and wall
-                        // spans would misattribute the mixed-share
-                        // window. Comm legs are charged at the current
-                        // share (exact when the share never changed).
-                        // Pipelined rounds subtract the queueing offset
-                        // spent waiting behind earlier window rounds
-                        // (identically 0 at depth 1).
-                        let ded_total = (iter.dedicated_by(iter.finish[w]) - iter.ded_offset[w])
-                            .max(f64::MIN_POSITIVE);
-                        let ded_elapsed =
-                            (iter.dedicated_by(now) - iter.ded_offset[w]).max(f64::MIN_POSITIVE);
-                        let ded_comm = (t_in + t_reply) * iter.share;
-                        let compute_ded = (ded_total - ded_comm).max(f64::MIN_POSITIVE);
-                        let rate = work / compute_ded;
-                        let partial = (rate * (ded_elapsed - t_in * iter.share).max(0.0)).min(work);
-                        *slot = Some(partial.max(1.0) / ded_elapsed);
-                        any_cancelled = true;
+                    if !iter.cancel_late(w, &mut sinks) {
+                        continue;
                     }
+                    let rows_w = iter.assignment.chunks[w].len() * rpc;
+                    let work = ((rows_w * cols) * rhs) as f64;
+                    let t_reply = comm.transfer_time(((rows_w * rhs) * 8) as u64);
+                    // Reconstruct progress in *dedicated* share-
+                    // seconds (the share integral), not wall time —
+                    // rebalances change the share mid-task, and wall
+                    // spans would misattribute the mixed-share
+                    // window. Comm legs are charged at the current
+                    // share (exact when the share never changed).
+                    // Pipelined rounds subtract the queueing offset
+                    // spent waiting behind earlier window rounds
+                    // (identically 0 at depth 1).
+                    let ded_total = iter.task_dedicated_by(w, None);
+                    let ded_elapsed = iter.task_dedicated_by(w, Some(now));
+                    let ded_comm = (t_in + t_reply) * iter.share;
+                    let compute_ded = (ded_total - ded_comm).max(f64::MIN_POSITIVE);
+                    let rate = work / compute_ded;
+                    let partial = (rate * (ded_elapsed - t_in * iter.share).max(0.0)).min(work);
+                    *slot = Some(partial.max(1.0) / ded_elapsed);
                 }
-                if any_cancelled {
+                if obs.iter().any(Option::is_some) {
                     self.tracker.observe(&obs);
                 }
             }
             // Rung 3 of the ladder: chunks actually move to finished
             // workers this recovery pass.
             self.report.recovery_rung_counts[2] += 1;
-            trace_into(&mut self.telemetry, now, || TraceEventKind::RecoveryRung {
+            trace_into(sinks.telemetry, now, || TraceEventKind::RecoveryRung {
                 job: id,
                 generation,
                 rung: 3,
@@ -220,19 +130,16 @@ impl ServiceEngine {
                 }
                 // Dispatch the reassigned chunks for real before merging
                 // them into the timing model's bookkeeping.
-                self.backend
+                sinks
+                    .backend
                     .on_redo(id, generation, w, &new_chunks)
                     .map_err(ServeError::Backend)?;
                 // Merge with any still-pending redo on the same worker:
                 // the combined task finishes after both workloads.
-                let base = if iter.redo_valid[w] && !iter.redo_done[w] {
-                    iter.redo_finish[w]
-                } else {
-                    now
-                };
+                let base = iter.open_finish(w, true).unwrap_or(now);
                 let rows_w = new_chunks.len() * rpc;
                 let work = ((rows_w * cols) * rhs) as f64;
-                let rate = speeds[w] * iter.share * elements_per_sec * speedup;
+                let rate = self.speeds[w] * iter.share * elements_per_sec * speedup;
                 // Coded hosts already hold the partitions, so the work
                 // order is a 64-byte control message; uncoded hosts must
                 // first receive the raw rows being reassigned.
@@ -245,56 +152,20 @@ impl ServiceEngine {
                     + comm.transfer_time(order_bytes)
                     + work / rate
                     + comm.transfer_time(((rows_w * rhs) * 8) as u64);
-                iter.redo_chunks[w].extend(new_chunks);
-                iter.redo_finish[w] = finish;
-                iter.redo_done[w] = false;
-                iter.redo_valid[w] = true;
                 latest_redo = latest_redo.max(finish);
-                iter.redo_busy_charged[w] += work / rate * iter.share;
-                self.report.busy_time[w] += work / rate * iter.share;
-                let chunks = iter.redo_chunks[w].len();
-                trace_into(&mut self.telemetry, now, || TraceEventKind::TaskDispatch {
-                    job: id,
-                    worker: w,
-                    generation,
-                    chunks,
-                    redo: true,
-                });
-                self.queue.push(
-                    finish,
-                    EventKind::TaskComplete {
-                        job: id,
-                        worker: w,
-                        generation,
-                        redo: true,
-                    },
-                );
+                let charge = work / rate * iter.share;
+                iter.dispatch_redo(w, new_chunks, finish, charge, &mut sinks);
             }
             if from_timeout {
                 self.report.timeouts += 1;
             }
-            let deadline = now + (1.0 + margin) * (latest_redo - now).max(f64::MIN_POSITIVE);
-            iter.armed_deadline = deadline;
-            iter.armed_seq += 1;
-            let arm = iter.armed_seq;
-            self.queue.push(
-                deadline,
-                EventKind::Timeout {
-                    job: id,
-                    generation,
-                    arm,
-                },
-            );
+            iter.arm_behind(latest_redo, margin, &mut sinks);
             return Ok(());
         }
 
         // Rung 4: not enough finished workers — wait out whatever is
         // still in flight (conventional semantics).
-        let has_inflight = (0..n).any(|w| {
-            (iter.valid[w] && !iter.done[w] && iter.finish[w].is_finite())
-                || (iter.redo_valid[w] && !iter.redo_done[w])
-        });
-        if has_inflight {
+        if iter.has_open() {
             if !iter.waited_out {
                 iter.waited_out = true;
                 self.report.degraded_iterations += 1;
@@ -302,24 +173,13 @@ impl ServiceEngine {
                 // wait-out. Counted once per iteration (the flag), not
                 // once per re-armed deadline.
                 self.report.recovery_rung_counts[3] += 1;
-                trace_into(&mut self.telemetry, now, || TraceEventKind::RecoveryRung {
+                trace_into(sinks.telemetry, now, || TraceEventKind::RecoveryRung {
                     job: id,
                     generation,
                     rung: 4,
                 });
             }
-            let deadline = reschedule_after_inflight(iter);
-            iter.armed_deadline = deadline;
-            iter.armed_seq += 1;
-            let arm = iter.armed_seq;
-            self.queue.push(
-                deadline,
-                EventKind::Timeout {
-                    job: id,
-                    generation,
-                    arm,
-                },
-            );
+            iter.arm_behind(iter.latest_open(), margin, &mut sinks);
             return Ok(());
         }
 
@@ -327,99 +187,30 @@ impl ServiceEngine {
         // window rounds keep running: their completions park behind the
         // commit cursor until the restarted round retires.
         self.report.recovery_rung_counts[4] += 1;
-        trace_into(&mut self.telemetry, now, || TraceEventKind::RecoveryRung {
+        trace_into(sinks.telemetry, now, || TraceEventKind::RecoveryRung {
             job: id,
             generation,
             rung: 5,
         });
         let failed_round = job.window.remove(pos);
         let round_index = failed_round.round_index;
-        reclaim_scratch(&mut self.scratch, failed_round);
-        self.backend.on_iteration_abandoned(id, generation);
+        failed_round.reclaim(&mut self.scratch);
+        sinks.backend.on_iteration_abandoned(id, generation);
         job.iter_retries += 1;
         job.total_retries += 1;
-        if job.iter_retries > self.cfg.max_retries {
-            // The retry budget is a property of the residency: when it
-            // is exhausted, every member of the batch fails together,
-            // each with its own record. The rest of the window is torn
-            // down with it — cancel every surviving in-flight task and
-            // abandon each round at the backend.
-            while !job.window.is_empty() {
-                let mut r = job.window.remove(0);
-                let gen_r = r.generation;
-                for w in 0..r.assignment.workers() {
-                    if r.valid[w] && !r.done[w] && r.finish[w].is_finite() {
-                        r.valid[w] = false;
-                        refund_busy(
-                            &mut self.report.busy_time[w],
-                            &mut r.busy_charged[w],
-                            r.finish[w],
-                            now,
-                            r.share,
-                        );
-                        self.backend.on_cancel(id, gen_r, w, false);
-                        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                            job: id,
-                            worker: w,
-                            generation: gen_r,
-                            redo: false,
-                        });
-                    }
-                    if r.redo_valid[w] && !r.redo_done[w] && r.redo_finish[w].is_finite() {
-                        r.redo_valid[w] = false;
-                        refund_busy(
-                            &mut self.report.busy_time[w],
-                            &mut r.redo_busy_charged[w],
-                            r.redo_finish[w],
-                            now,
-                            r.share,
-                        );
-                        self.backend.on_cancel(id, gen_r, w, true);
-                        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskCancel {
-                            job: id,
-                            worker: w,
-                            generation: gen_r,
-                            redo: true,
-                        });
-                    }
-                }
-                self.backend.on_iteration_abandoned(id, gen_r);
-                reclaim_scratch(&mut self.scratch, r);
-            }
-            for m in &job.members {
-                let record = JobRecord {
-                    id: m.spec.id,
-                    tenant: m.spec.tenant,
-                    preset: m.spec.preset,
-                    arrival: m.arrival,
-                    admitted: job.admitted,
-                    finished: now,
-                    iterations: job.iterations_done,
-                    retries: job.total_retries,
-                    failed: true,
-                    rejected: false,
-                    rate_limited: false,
-                    weight: m.spec.weight,
-                    deadline: m.spec.deadline,
-                    work: m.spec.total_work(),
-                };
-                self.report.jobs.push(record);
-                let (jid, tenant) = (m.spec.id, m.spec.tenant);
-                trace_into(&mut self.telemetry, now, || TraceEventKind::JobFailed {
-                    job: jid,
-                    tenant,
-                });
-            }
-            let member_ids: Vec<JobId> = job.members.iter().map(|m| m.spec.id).collect();
-            self.resident.remove(&id);
-            for mid in member_ids {
-                self.backend.on_job_resolved(mid);
-            }
-            self.rebalance_shares();
-            self.try_admit()?;
-        } else {
-            self.dispatch_round(id, round_index, now)?;
+        if job.iter_retries <= self.cfg.max_retries {
+            return self.dispatch_round(id, round_index, now);
         }
-        Ok(())
+        // The retry budget is a property of the residency: when it is
+        // exhausted, every member of the batch fails together, each
+        // with its own record. The rest of the window is torn down with
+        // it — cancel every surviving in-flight task and abandon each
+        // round at the backend.
+        for mut round in job.window.drain(..) {
+            round.cancel_open(&mut sinks);
+            sinks.backend.on_iteration_abandoned(id, round.generation);
+            round.reclaim(&mut self.scratch);
+        }
+        self.resolve_job(id, now, Fate::Failed)
     }
 }

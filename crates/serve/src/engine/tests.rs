@@ -1,6 +1,7 @@
 //! Unit tests for the service engine: the timing/behavior suite from
 //! the monolithic-engine era (kept verbatim to pin the refactor), plus
-//! the backend, rate-limit, and deadline-boost suites.
+//! the backend, rate-limit, deadline-boost and pipelining suites, and
+//! direct tests of the per-round task model in `round.rs`.
 
 use super::*;
 use crate::workload::{generate_workload, ArrivalPattern, JobPreset};
@@ -1529,5 +1530,190 @@ fn pipelined_engine_survives_churn_across_window_rounds() {
     assert!(
         two_round_kill,
         "the scenario must kill a worker holding tasks in two window rounds"
+    );
+}
+
+// ---- the per-round task model (engine/round.rs) -------------------------
+
+use super::round::{RunningIteration, Sinks, Tasks};
+
+/// The engine state a round writes to, standing alone.
+struct Rig {
+    busy: Vec<f64>,
+    queue: EventQueue,
+    backend: Box<dyn ExecutionBackend>,
+    telemetry: Option<Telemetry>,
+}
+
+impl Rig {
+    fn new(n: usize) -> Self {
+        Rig {
+            busy: vec![0.0; n],
+            queue: EventQueue::new(),
+            backend: backend::make_backend(BackendKind::Sim, n),
+            telemetry: Some(Telemetry::new()),
+        }
+    }
+
+    fn sinks(&mut self, now: f64) -> Sinks<'_> {
+        Sinks {
+            now,
+            busy_time: &mut self.busy,
+            queue: &mut self.queue,
+            backend: self.backend.as_mut(),
+            telemetry: &mut self.telemetry,
+        }
+    }
+
+    /// `(worker, redo)` of every `TaskCancel` traced so far.
+    fn cancels(&self) -> Vec<(usize, bool)> {
+        let events = self.telemetry.as_ref().unwrap().trace.events();
+        let cancel = |e: &TraceEvent| match e.kind {
+            TraceEventKind::TaskCancel { worker, redo, .. } => Some((worker, redo)),
+            _ => None,
+        };
+        events.iter().filter_map(cancel).collect()
+    }
+}
+
+/// A 4-worker, 3-chunk, `k = 2` round at share 0.5, dispatched at
+/// t = 0: worker 0 is the straggler (finish 10), workers 1 and 2 finish
+/// at 1.5, worker 3 has no task. Every original is charged 1.0.
+fn straggling_round(rig: &mut Rig) -> RunningIteration {
+    let chunks = vec![vec![0, 1, 2], vec![0, 1], vec![2], vec![]];
+    let mut tasks = Tasks::default();
+    tasks.reset(chunks.len());
+    let mut round = RunningIteration {
+        job: 7,
+        generation: 1,
+        round_index: 0,
+        share: 0.5,
+        k_eff: 2,
+        rows_per_chunk: 10,
+        rhs: 1,
+        assignment: s2c2_core::ChunkAssignment {
+            chunks,
+            chunks_per_partition: 3,
+            k: 2,
+        },
+        tasks,
+        parked_at: None,
+        waited_out: false,
+        armed_deadline: f64::INFINITY,
+        armed_seq: 0,
+        share_integral: 0.0,
+        share_anchor: 0.0,
+        started: 0.0,
+        t_input: 0.0,
+        last_reply: 0.0,
+    };
+    let mut sinks = rig.sinks(0.0);
+    for (w, finish) in [(0, 10.0), (1, 1.5), (2, 1.5)] {
+        round.dispatch(w, finish, 1.0, 0.0, &mut sinks);
+    }
+    round
+}
+
+#[test]
+fn churn_cancelled_redo_drops_its_chunk_list() {
+    let mut rig = Rig::new(4);
+    let mut round = straggling_round(&mut rig);
+    assert_eq!(round.complete_task(1, false, 1.5), Some(2));
+    assert_eq!(round.complete_task(2, false, 1.5), Some(1));
+    // Deadline at t = 2: worker 2 is handed chunk 0, then churns out
+    // half-way through the recompute.
+    round.dispatch_redo(2, vec![0], 3.0, 0.4, &mut rig.sinks(2.0));
+    assert_eq!(round.shortfall(0, false), 0, "the pending redo counts");
+    assert!(round.cancel(2, true, &mut rig.sinks(2.5)));
+    assert_eq!(round.shortfall(0, false), 1, "a cancelled one does not");
+    // Back up, it is handed chunk 1 instead and finishes that. The
+    // merged task must be credited with chunk 1 only: chunk 0 was never
+    // computed.
+    round.dispatch_redo(2, vec![1], 5.0, 0.4, &mut rig.sinks(4.0));
+    assert_eq!(round.complete_task(2, true, 5.0), Some(1));
+    let redo_credit: Vec<&[usize]> = round
+        .credited()
+        .filter(|c| c.worker == 2)
+        .map(|c| c.chunks)
+        .collect();
+    assert_eq!(redo_credit, [&[2][..], &[1][..]]);
+    assert_eq!(round.shortfall(0, false), 1);
+    assert!(!round.complete());
+}
+
+#[test]
+fn rung_three_cancels_only_originals_still_running_past_now() {
+    let mut rig = Rig::new(4);
+    let mut round = straggling_round(&mut rig);
+    assert_eq!(round.complete_task(2, false, 1.5), Some(1));
+    // Deadline at t = 2. Worker 1's completion (t = 1.5) has not been
+    // popped yet, but its work is over: not late. Worker 3 never had a
+    // task: "cancelling" it would fabricate a speed observation.
+    let mut sinks = rig.sinks(2.0);
+    assert!(round.cancel_late(0, &mut sinks));
+    assert!(!round.cancel_late(1, &mut sinks));
+    assert!(!round.cancel_late(2, &mut sinks));
+    assert!(!round.cancel_late(3, &mut sinks));
+    assert_eq!(rig.cancels(), [(0, false)]);
+    assert_eq!(round.open_finish(1, false), Some(1.5), "still awaited");
+    assert_eq!(round.open_finish(3, false), None);
+    // Worker 0 is refunded (10 − 2) · 0.5 capped at its charge of 1.0;
+    // nobody else's account moves.
+    assert_eq!(rig.busy, [0.0, 1.0, 1.0, 0.0]);
+}
+
+#[test]
+fn cancel_refunds_an_open_task_exactly_once() {
+    let mut rig = Rig::new(4);
+    let mut round = straggling_round(&mut rig);
+    assert_eq!(round.complete_task(2, false, 1.5), Some(1));
+    round.dispatch_redo(2, vec![0, 1], 9.0, 0.8, &mut rig.sinks(2.0));
+    assert_eq!(rig.busy, [1.0, 1.0, 1.8, 0.0]);
+    // Worker 1 churns out at t = 1.25: (1.5 − 1.25) · 0.5 comes back.
+    assert!(round.cancel(1, false, &mut rig.sinks(1.25)));
+    assert_eq!(rig.busy[1], 0.875);
+    // A second churn event, a done task, and slots that never held a
+    // task all refund nothing and trace nothing.
+    let mut sinks = rig.sinks(1.25);
+    assert!(!round.cancel(1, false, &mut sinks));
+    assert!(!round.cancel(2, false, &mut sinks));
+    assert!(!round.cancel(3, false, &mut sinks));
+    assert!(!round.cancel(0, true, &mut sinks));
+    assert_eq!(rig.busy, [1.0, 0.875, 1.8, 0.0]);
+    assert_eq!(rig.cancels(), [(1, false)]);
+    // Round completion abandons what is still open — the straggler and
+    // the now superfluous redo — once each, and a stale completion
+    // event for either is ignored afterwards.
+    round.cancel_open(&mut rig.sinks(8.0));
+    round.cancel_open(&mut rig.sinks(8.5));
+    assert_eq!(rig.cancels(), [(1, false), (0, false), (2, true)]);
+    assert_eq!(rig.busy, [0.0, 0.875, 1.3, 0.0]);
+    assert!(!round.has_open());
+    assert_eq!(round.complete_task(0, false, 10.0), None);
+    assert_eq!(round.complete_task(2, true, 9.0), None);
+}
+
+#[test]
+fn scratch_reset_matches_fresh_construction() {
+    let mut rig = Rig::new(4);
+    let mut round = straggling_round(&mut rig);
+    // Dirty every field as a retired round would.
+    round.complete_task(2, false, 1.5);
+    round.dispatch_redo(2, vec![0, 1], 9.0, 0.8, &mut rig.sinks(2.0));
+    round.cancel(0, false, &mut rig.sinks(2.0));
+    let mut pool = Vec::new();
+    round.reclaim(&mut pool);
+    let mut tasks = pool.pop().unwrap();
+    let kept_cap = tasks.redo_capacity(2);
+    assert!(kept_cap >= 2);
+    for n in [5, 3] {
+        tasks.reset(n);
+        let mut fresh = Tasks::default();
+        fresh.reset(n);
+        assert_eq!(tasks, fresh);
+    }
+    assert!(
+        tasks.redo_capacity(2) >= kept_cap,
+        "inner chunk lists keep their allocation across resets"
     );
 }
