@@ -1,7 +1,7 @@
 //! Golden pins of the serve engine's event stream.
 //!
-//! Five small seeded `Sim` runs in four tests, chosen so that together
-//! they walk every task-lifecycle path the engine has — for original
+//! Six small seeded `Sim` runs in five tests. The first five are chosen
+//! so that together they walk every task-lifecycle path the engine has — for original
 //! and redo tasks alike: deadline cancel + reassignment (rung 3,
 //! including a redo merged onto a worker that still has one pending),
 //! churn cancels, wait-out (rung 4), restart (rung 5), retry exhaustion
@@ -10,19 +10,23 @@
 //! re-arm their deadline, and the baselines' stragglers abandoned at
 //! round completion. (Not reached by any small run: a redo still open
 //! when its round completes, which needs an exact finish/deadline tie;
-//! `engine/tests.rs` covers that cancel directly.) Each run is pinned
-//! by the FNV-1a of its JSONL trace export plus the report counters a
-//! trace does not carry.
+//! `engine/tests.rs` covers that cancel directly.) The sixth pins the
+//! *arrival order* of a hand-built workload slice: arrivals win ties
+//! against engine events at the same instant, and equal-time arrivals
+//! keep slice order. Each run is pinned by the FNV-1a of its JSONL
+//! trace export plus the report counters a trace does not carry.
 //!
 //! The constants were generated on the engine as it stood before the
-//! per-round task model moved into `engine/round.rs`; a refactor of the
-//! engine must reproduce them unedited. A change that *means* to alter
+//! per-round task model moved into `engine/round.rs` (the arrival-order
+//! case: before arrivals stopped being pre-pushed onto the event
+//! queue); a refactor of the engine must reproduce them unedited. A change that *means* to alter
 //! behaviour regenerates them (the failure message prints the observed
 //! value) and says why in CHANGES.md.
 
 use s2c2_cluster::ClusterSpec;
 use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_serve::prelude::*;
+use s2c2_serve::JobId;
 use s2c2_telemetry::export::jsonl;
 use s2c2_trace::CloudTraceConfig;
 
@@ -222,6 +226,49 @@ fn baseline_under_churn(scheduler: SchedulerMode, seed: u64) -> ServiceReport {
         .expect("run completes")
 }
 
+/// (e) A hand-built slice that is *not* time-sorted, with duplicate
+/// arrival instants, arrivals at t = 0 and arrivals landing exactly on
+/// epoch ticks (multiples of `cfg.epoch`) while the pool resamples
+/// speeds and churns at those ticks. Ids are deliberately out of step
+/// with both slice and time order, and two residency slots keep a
+/// queue, so the order arrivals are taken in decides who is admitted
+/// first and at which speeds.
+fn arrival_ties() -> (Vec<(f64, JobSpec)>, ServiceReport) {
+    let n = 12;
+    let mut cfg = s2c2(PredictorSource::LastValue);
+    cfg.max_resident = 2;
+    cfg.churn = Some(ChurnConfig {
+        p_fail: 0.05,
+        p_recover: 0.5,
+        min_up: 10,
+    });
+    cfg.max_retries = 10;
+    let tick = cfg.epoch;
+    let job = |id: JobId, preset: JobPreset| preset.instantiate(id, (id % 3) as u32, n);
+    let stream = vec![
+        (2.0 * tick, job(0, JobPreset::medium())),
+        (0.0, job(5, JobPreset::small())),
+        (tick, job(1, JobPreset::small())),
+        (0.0, job(2, JobPreset::medium())),
+        (4.0 * tick, job(3, JobPreset::medium())),
+        (tick, job(4, JobPreset::small())),
+        (3.0 * tick, job(6, JobPreset::small())),
+        (0.3, job(7, JobPreset::small())),
+        (2.0 * tick, job(8, JobPreset::small())),
+        (4.0 * tick, job(9, JobPreset::small())),
+        (0.0, job(10, JobPreset::small())),
+        (9.0 * tick, job(11, JobPreset::medium())),
+    ];
+    let pool = ClusterSpec::builder(n)
+        .compute_bound()
+        .seed(0xFEED)
+        .cloud(&CloudTraceConfig::volatile())
+        .build();
+    let engine = ServiceEngine::new(pool, cfg).expect("valid config");
+    let report = engine.run(&stream).expect("run completes");
+    (stream, report)
+}
+
 fn cancels(report: &ServiceReport, of_redo: bool) -> usize {
     count(
         report,
@@ -335,6 +382,61 @@ fn golden_baselines_under_churn() {
             rebalances: 30,
             scratch_reuses: 60,
             finished_fnv: 0xB1EB54C804CBF3CD,
+        }
+    );
+}
+
+#[test]
+fn golden_arrival_ties() {
+    let (stream, report) = arrival_ties();
+    assert_eq!(report.completed(), stream.len());
+    assert!(
+        stream.windows(2).any(|w| w[0].0 > w[1].0),
+        "the slice must not be time-sorted"
+    );
+    // Arrivals are taken in time order, equal instants in slice order
+    // (not id order).
+    let tel = report.telemetry.as_ref().expect("telemetry was enabled");
+    let arrivals: Vec<(f64, JobId)> = tel
+        .trace
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::JobArrival { job, .. } => Some((e.time, job)),
+            _ => None,
+        })
+        .collect();
+    let ids: Vec<JobId> = arrivals.iter().map(|&(_, job)| job).collect();
+    assert_eq!(ids, [5, 2, 10, 1, 4, 7, 0, 8, 6, 3, 9, 11]);
+    // An arrival landing on an epoch tick is taken before the tick: the
+    // tick's churn is traced at the same instant, after the arrival.
+    let events = tel.trace.events();
+    let arrival_then_churn = events.iter().enumerate().any(|(i, e)| {
+        matches!(e.kind, TraceEventKind::JobArrival { .. })
+            && events[i + 1..]
+                .iter()
+                .take_while(|later| later.time.to_bits() == e.time.to_bits())
+                .any(|later| {
+                    matches!(
+                        later.kind,
+                        TraceEventKind::WorkerDown { .. } | TraceEventKind::WorkerUp { .. }
+                    )
+                })
+    });
+    assert!(
+        arrival_then_churn,
+        "a tick must churn right after an arrival"
+    );
+    assert_eq!(
+        pin_of(&report),
+        Pin {
+            trace_fnv: 0xF3DDFE6603598799,
+            events_processed: 1378,
+            timeouts: 13,
+            recovery_rung_counts: [66, 0, 13, 15, 2],
+            rebalances: 22,
+            scratch_reuses: 64,
+            finished_fnv: 0x9FBE8643E96FAAFB,
         }
     );
 }
