@@ -59,6 +59,9 @@ pub struct SpeedTracker {
     oracle: bool,
     bank: Option<PredictorBank>,
     predictions: Vec<f64>,
+    /// Whether `predictions` came out of the bank (true from the first
+    /// observation on) rather than the all-ones start.
+    primed: bool,
     obs_scale: f64,
 }
 
@@ -87,6 +90,7 @@ impl SpeedTracker {
             oracle,
             bank,
             predictions: vec![1.0; n],
+            primed: false,
             obs_scale: 0.0,
         }
     }
@@ -114,10 +118,17 @@ impl SpeedTracker {
     /// ignore `actual` entirely; only the oracle reads it.
     #[must_use]
     pub fn predictions_from(&self, actual: &[f64]) -> Vec<f64> {
+        self.predictions_for(actual).to_vec()
+    }
+
+    /// [`Self::predictions_from`] without the copy: a view of the
+    /// current forecasts (of `actual` itself for the oracle).
+    #[must_use]
+    pub fn predictions_for<'a>(&'a self, actual: &'a [f64]) -> &'a [f64] {
         if self.oracle {
-            actual.to_vec()
+            actual
         } else {
-            self.predictions.clone()
+            &self.predictions
         }
     }
 
@@ -128,14 +139,45 @@ impl SpeedTracker {
             for v in observed.iter().flatten() {
                 self.obs_scale = self.obs_scale.max(*v);
             }
-            let scale = if self.obs_scale > 0.0 {
-                self.obs_scale
-            } else {
-                1.0
-            };
+            let scale = obs_divisor(self.obs_scale);
             let scaled: Vec<Option<f64>> = observed.iter().map(|o| o.map(|v| v / scale)).collect();
             self.predictions = bank.observe_and_predict_masked(&scaled);
+            self.primed = true;
         }
+    }
+
+    /// Feeds one worker's observed speed: bit-equal to
+    /// [`Self::observe`] on `[None, …, Some(observed), …, None]`, but in
+    /// place and touching that worker's predictor only. The idle
+    /// workers' forecasts stand as they are — a predictor's forecast
+    /// does not move without new information (the
+    /// [`s2c2_predict::SpeedPredictor::predict_cold`] contract) — except
+    /// on the very first observation, which replaces the all-ones start
+    /// by the bank's cold forecasts exactly as the masked form does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range.
+    pub fn observe_one(&mut self, worker: usize, observed: f64) {
+        if let Some(bank) = &mut self.bank {
+            self.obs_scale = self.obs_scale.max(observed);
+            let scale = obs_divisor(self.obs_scale);
+            if !self.primed {
+                self.predictions = bank.predict_cold();
+                self.primed = true;
+            }
+            self.predictions[worker] = bank.observe_one(worker, observed / scale);
+        }
+    }
+}
+
+/// What observations are divided by: the running maximum, once there is
+/// one.
+fn obs_divisor(obs_scale: f64) -> f64 {
+    if obs_scale > 0.0 {
+        obs_scale
+    } else {
+        1.0
     }
 }
 
@@ -208,6 +250,75 @@ mod tests {
         let p = t.predictions(&sim);
         assert_eq!(p.len(), 4);
         assert!((p[2] - 0.25).abs() < 1e-12, "oracle sees the straggler");
+    }
+
+    /// A short-trained LSTM and an ARIMA(1,1,1): the weights do not
+    /// matter here, only that the predictors are stateful and their cold
+    /// forecasts are not 1.0.
+    fn trained_sources() -> [PredictorSource; 2] {
+        use s2c2_predict::arima::{ArimaModel, ArimaOrder};
+        use s2c2_predict::lstm::{train, LstmConfig};
+        use s2c2_trace::{CloudTraceConfig, TraceSet};
+        let traces = TraceSet::generate(&CloudTraceConfig::volatile(), 4, 60, 3);
+        let series: Vec<&[f64]> = traces.traces().iter().map(|t| t.samples()).collect();
+        let cfg = LstmConfig {
+            epochs: 2,
+            ..LstmConfig::default()
+        };
+        let lstm = train(&cfg, &series).online();
+        let arima = ArimaModel::fit(ArimaOrder::Arima111, &series).online();
+        [
+            PredictorSource::Prototype(Box::new(lstm)),
+            PredictorSource::Prototype(Box::new(arima)),
+        ]
+    }
+
+    #[test]
+    fn observe_one_equals_the_one_hot_observe_bit_for_bit() {
+        let n = 5;
+        let ewma: BoxedPredictor = Box::new(s2c2_predict::predictor::Ewma::new(0.3));
+        let [lstm, arima] = trained_sources();
+        let sources = [
+            PredictorSource::Uniform,
+            PredictorSource::LastValue,
+            PredictorSource::Oracle,
+            PredictorSource::Prototype(ewma),
+            lstm,
+            arima,
+        ];
+        let actual: Vec<f64> = (0..n).map(|w| 0.5 + w as f64).collect();
+        for source in &sources {
+            let mut one = SpeedTracker::new(source, n);
+            let mut masked = SpeedTracker::new(source, n);
+            // xorshift64: a fixed, dependency-free observation stream.
+            let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+            for step in 0..400 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let worker = (x % n as u64) as usize;
+                let observed = 1e-3 + (x >> 11) as f64 / (1u64 << 53) as f64 * 5e4;
+                // Now and then a full multi-worker observation (rung 3
+                // feeds one) lands between the single replies.
+                if step % 37 == 36 {
+                    let full: Vec<Option<f64>> = (0..n)
+                        .map(|w| (w != worker).then_some(observed / (w + 1) as f64))
+                        .collect();
+                    one.observe(&full);
+                    masked.observe(&full);
+                }
+                one.observe_one(worker, observed);
+                let mut hot = vec![None; n];
+                hot[worker] = Some(observed);
+                masked.observe(&hot);
+                let bits = |t: &SpeedTracker| -> Vec<u64> {
+                    let p = t.predictions_for(&actual);
+                    p.iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&one), bits(&masked), "{source:?} step {step}");
+                assert_eq!(one.obs_scale.to_bits(), masked.obs_scale.to_bits());
+            }
+        }
     }
 
     #[test]

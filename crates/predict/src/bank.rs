@@ -79,6 +79,18 @@ impl PredictorBank {
             .collect()
     }
 
+    /// Feeds one worker's observation and returns its next-iteration
+    /// prediction; every other worker's predictor is left untouched —
+    /// the one-worker form of [`Self::observe_and_predict_masked`] for a
+    /// master that hears from its workers one reply at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range.
+    pub fn observe_one(&mut self, worker: usize, observed: f64) -> f64 {
+        self.predictors[worker].observe_and_predict(observed)
+    }
+
     /// Resets every predictor's online state.
     pub fn reset(&mut self) {
         for p in &mut self.predictors {
@@ -123,6 +135,15 @@ mod tests {
     fn cold_predictions_before_observation() {
         let bank = PredictorBank::from_prototype(&LastValue::new(1.0), 2);
         assert_eq!(bank.predict_cold(), vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn observe_one_matches_the_one_hot_masked_call() {
+        let mut one = PredictorBank::from_prototype(&LastValue::new(1.0), 3);
+        let mut masked = one.clone();
+        assert_eq!(one.observe_one(1, 0.4), 0.4);
+        let preds = masked.observe_and_predict_masked(&[None, Some(0.4), None]);
+        assert_eq!(one.predict_cold(), preds);
     }
 
     #[test]

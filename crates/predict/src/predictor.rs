@@ -15,6 +15,10 @@ pub trait SpeedPredictor: Send {
 
     /// Prediction for the next iteration *without* new information
     /// (used before the first iteration, when nothing has been observed).
+    /// A forecast does not move without new information: after
+    /// [`Self::observe_and_predict`] returned `p`, this returns `p` until
+    /// the next observation or [`Self::reset`] — which is what lets a
+    /// master refresh one worker's forecast and leave the rest alone.
     fn predict_cold(&self) -> f64;
 
     /// Clones into a boxed trait object (predictors are stateful).

@@ -30,6 +30,7 @@
 //! decode error, and per-job final outputs are merged into the
 //! [`ServiceReport`] when the engine finishes.
 
+use super::core::BatchMember;
 use super::round::RunningIteration;
 use crate::event::JobId;
 use crate::metrics::ServiceReport;
@@ -82,8 +83,8 @@ impl std::fmt::Display for BackendKind {
 /// The seam between the event loop and execution. Hook errors are
 /// surfaced as [`super::ServeError::Backend`].
 ///
-/// Iteration-level hooks receive the *member specs* of the residency's
-/// batch (a solo job passes a one-element slice, `specs[0]` is always
+/// Iteration-level hooks receive the *members* of the residency's
+/// batch (a solo job passes a one-element slice, `members[0]` is always
 /// the leader whose id keys the engine's events): a batch round
 /// dispatches one stacked multi-RHS task per worker, whose contiguous
 /// reply blocks feed the stacked decoder directly — every member is
@@ -99,7 +100,7 @@ pub(crate) trait ExecutionBackend {
     /// stacked across every member's input vector.
     fn on_iteration_start(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         iter: &RunningIteration,
         iteration_index: usize,
     ) -> Result<(), String>;
@@ -120,7 +121,7 @@ pub(crate) trait ExecutionBackend {
     /// member from them in one stacked pass.
     fn on_iteration_complete(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         iter: &RunningIteration,
         iteration_index: usize,
         is_final: bool,
@@ -191,7 +192,7 @@ impl ExecutionBackend for SimBackend {
     }
     fn on_iteration_start(
         &mut self,
-        _: &[JobSpec],
+        _: &[BatchMember],
         _: &RunningIteration,
         _: usize,
     ) -> Result<(), String> {
@@ -203,7 +204,7 @@ impl ExecutionBackend for SimBackend {
     fn on_cancel(&mut self, _: JobId, _: u64, _: usize, _: bool) {}
     fn on_iteration_complete(
         &mut self,
-        _: &[JobSpec],
+        _: &[BatchMember],
         _: &RunningIteration,
         _: usize,
         _: bool,
@@ -335,18 +336,18 @@ impl NumericCore {
     /// leader's cached entry serves the whole group.
     fn batch_inputs(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         iteration_index: usize,
     ) -> Result<(Arc<CachedEncoding>, Arc<MultiVector>), String> {
         let leader = self
             .jobs
-            .get(&specs[0].id)
-            .ok_or_else(|| format!("job {} iterated before admission", specs[0].id))?;
+            .get(&members[0].spec.id)
+            .ok_or_else(|| format!("job {} iterated before admission", members[0].spec.id))?;
         let enc = Arc::clone(&leader.enc);
         // Draw a shape-matching buffer from the pool when one is free;
         // every member slot is fully overwritten below, so reuse is
         // bit-invisible to the numerics.
-        let (count, cols) = (specs.len(), specs[0].cols);
+        let (count, cols) = (members.len(), members[0].spec.cols);
         let mut xs = match self
             .xs_pool
             .iter()
@@ -358,7 +359,7 @@ impl NumericCore {
             }
             None => MultiVector::zeros(count, cols),
         };
-        for (m, s) in specs.iter().enumerate() {
+        for (m, BatchMember { spec: s, .. }) in members.iter().enumerate() {
             let job = self
                 .jobs
                 .get(&s.id)
@@ -377,32 +378,32 @@ impl NumericCore {
     /// sequential reference, and records the outcomes.
     fn verify_multi(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         blocks: &[MultiChunkResult],
         iteration_index: usize,
         is_final: bool,
     ) -> Result<(), String> {
         let leader = self
             .jobs
-            .get(&specs[0].id)
-            .ok_or_else(|| format!("job {} completed before admission", specs[0].id))?;
+            .get(&members[0].spec.id)
+            .ok_or_else(|| format!("job {} completed before admission", members[0].spec.id))?;
         let t0 = Instant::now();
         let outs = leader
             .enc
             .code
             .decode_matvec_multi(leader.enc.encoded.layout(), blocks)
-            .map_err(|e| format!("job {} decode failed: {e}", specs[0].id))?;
+            .map_err(|e| format!("job {} decode failed: {e}", members[0].spec.id))?;
         self.phase_wall.decode += t0.elapsed().as_secs_f64();
-        if outs.len() != specs.len() {
+        if outs.len() != members.len() {
             return Err(format!(
                 "batch led by job {} decoded {} members, expected {}",
-                specs[0].id,
+                members[0].spec.id,
                 outs.len(),
-                specs.len()
+                members.len()
             ));
         }
         let t0 = Instant::now();
-        for (spec, y) in specs.iter().zip(outs) {
+        for (BatchMember { spec, .. }, y) in members.iter().zip(outs) {
             // Consume (not just read) the round's reference: rounds
             // commit in order exactly once, and the entry must not
             // outlive its round under pipelining.
@@ -468,12 +469,12 @@ impl ExecutionBackend for SimVerifiedBackend {
     }
     fn on_iteration_start(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         _iter: &RunningIteration,
         iteration_index: usize,
     ) -> Result<(), String> {
-        for spec in specs {
-            self.core.begin_iteration(spec, iteration_index)?;
+        for m in members {
+            self.core.begin_iteration(&m.spec, iteration_index)?;
         }
         Ok(())
     }
@@ -483,7 +484,7 @@ impl ExecutionBackend for SimVerifiedBackend {
     fn on_cancel(&mut self, _: JobId, _: u64, _: usize, _: bool) {}
     fn on_iteration_complete(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         iter: &RunningIteration,
         iteration_index: usize,
         is_final: bool,
@@ -494,7 +495,7 @@ impl ExecutionBackend for SimVerifiedBackend {
         // (fastest-k with deterministic systematic preference), so this
         // backend truncates the credited coverage *before* computing:
         // responses beyond k would be materialized only to be dropped.
-        let (enc, xs) = self.core.batch_inputs(specs, iteration_index)?;
+        let (enc, xs) = self.core.batch_inputs(members, iteration_index)?;
         let k = enc.encoded.params().k;
         let mut per_chunk: Vec<Vec<usize>> =
             vec![Vec::new(); enc.encoded.layout().chunks_per_partition];
@@ -517,7 +518,7 @@ impl ExecutionBackend for SimVerifiedBackend {
         // it), so it always returns to the pool.
         self.core.recycle(xs);
         self.core
-            .verify_multi(specs, &blocks, iteration_index, is_final)
+            .verify_multi(members, &blocks, iteration_index, is_final)
     }
     fn on_iteration_abandoned(&mut self, _: JobId, _: u64) {}
     fn on_job_resolved(&mut self, job: JobId) {
@@ -643,15 +644,15 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn on_iteration_start(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         iter: &RunningIteration,
         iteration_index: usize,
     ) -> Result<(), String> {
-        for spec in specs {
-            self.core.begin_iteration(spec, iteration_index)?;
+        for m in members {
+            self.core.begin_iteration(&m.spec, iteration_index)?;
         }
-        let (_, xs) = self.core.batch_inputs(specs, iteration_index)?;
-        let leader = specs[0].id;
+        let (_, xs) = self.core.batch_inputs(members, iteration_index)?;
+        let leader = members[0].spec.id;
         let mut tasks = Vec::new();
         for (w, chunks) in iter.assignment.chunks.iter().enumerate() {
             if chunks.is_empty() {
@@ -723,12 +724,12 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn on_iteration_complete(
         &mut self,
-        specs: &[JobSpec],
+        members: &[BatchMember],
         iter: &RunningIteration,
         iteration_index: usize,
         is_final: bool,
     ) -> Result<(), String> {
-        let leader = specs[0].id;
+        let leader = members[0].spec.id;
         let Some(state) = self.inflight.remove(&(leader, iter.generation)) else {
             return Err(format!("job {leader} completed without dispatched tasks"));
         };
@@ -809,7 +810,7 @@ impl ExecutionBackend for ThreadedBackend {
         // to the pool.
         self.core.recycle(state.xs);
         self.core
-            .verify_multi(specs, &blocks, iteration_index, is_final)
+            .verify_multi(members, &blocks, iteration_index, is_final)
     }
 
     fn on_iteration_abandoned(&mut self, job: JobId, generation: u64) {

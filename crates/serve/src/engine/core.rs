@@ -15,7 +15,7 @@
 //! [`super::pipeline::PipelinePolicy`].
 
 use super::round::{sinks, RunningIteration, Tasks};
-use super::{trace_into, ServeError, ServiceEngine};
+use super::{avail_speeds, trace_into, ServeError, ServiceEngine};
 use crate::admission::{batch_key, BatchKey, BatchPolicy, QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
 use crate::metrics::JobRecord;
@@ -162,7 +162,7 @@ impl ServiceEngine {
         self.try_admit()
     }
 
-    pub(crate) fn on_arrival(&mut self, spec: JobSpec) -> Result<(), ServeError> {
+    pub(crate) fn on_arrival(&mut self, spec: &JobSpec) -> Result<(), ServeError> {
         self.arrivals_remaining -= 1;
         let n = self.n();
         // QoS fields are rejected with a *typed* error, not a silent
@@ -201,7 +201,7 @@ impl ServiceEngine {
             || spec.chunks_per_partition == 0
             || spec.iterations == 0;
         if malformed {
-            self.record_fate(&spec, now, now, Fate::Malformed, None);
+            self.record_fate(spec, now, now, Fate::Malformed, None);
             return Ok(());
         }
         // Token-bucket rate limiting: a tenant that bursts past its
@@ -209,12 +209,12 @@ impl ServiceEngine {
         // can occupy queue space or a residency slot.
         if let Some(bucket) = self.buckets.get_mut(&spec.tenant) {
             if !bucket.try_admit(self.now) {
-                self.record_fate(&spec, now, now, Fate::RateLimited, None);
+                self.record_fate(spec, now, now, Fate::RateLimited, None);
                 return Ok(());
             }
         }
         self.pending.push(QueuedJob {
-            spec,
+            spec: spec.clone(),
             arrival: self.now,
         });
         self.sample_queue_depth();
@@ -222,7 +222,9 @@ impl ServiceEngine {
     }
 
     pub(crate) fn try_admit(&mut self) -> Result<(), ServeError> {
-        'slots: while self.resident.len() < self.cfg.max_resident {
+        // Most calls find nothing queued (every job resolution and batch
+        // flush re-runs admission): no resident snapshot for those.
+        'slots: while !self.pending.is_empty() && self.resident.len() < self.cfg.max_resident {
             // The policy sees *member* jobs, never batches: a weight-2
             // member counts its full weight toward its tenant's resident
             // mass whether it rides a batch or runs alone.
@@ -394,7 +396,7 @@ impl ServiceEngine {
         if queued.spec.deadline.is_none() {
             return false;
         }
-        let cap: f64 = self.avail_speeds().iter().sum::<f64>()
+        let cap: f64 = avail_speeds(&self.speeds, &self.up).sum::<f64>()
             * self.compute.elements_per_sec
             * thread_speedup(self.cfg.worker_threads);
         if cap <= 0.0 {
@@ -468,11 +470,12 @@ impl ServiceEngine {
         if self.update_deadline_boosts() {
             self.rebalance_shares();
         }
-        let avail = self.avail_speeds();
-        let alive = avail.iter().filter(|&&s| s > 0.0).count();
-        let spec = self.resident[&id].leader().clone();
-        let rhs = self.resident[&id].rhs();
-        let (k_eff, c_eff, rpc) = self.effective_shape(&spec);
+        let alive = avail_speeds(&self.speeds, &self.up)
+            .filter(|&s| s > 0.0)
+            .count();
+        let job = &self.resident[&id];
+        let (cols, rhs) = (job.leader().cols, job.rhs());
+        let (k_eff, c_eff, rpc) = self.effective_shape(job.leader());
 
         if alive < k_eff {
             // s2c2-allow: no-panic-paths -- engine invariant: round dispatches are only scheduled for ids the event loop keeps resident
@@ -489,7 +492,7 @@ impl ServiceEngine {
         // the same `weight / Σ weights` rule `split_worker_capacity`
         // slices capacity by. Weights here are *effective* (per-member
         // deadline boosts included, summed over batch members).
-        let weight = self.effective_weight(&self.resident[&id]);
+        let weight = self.effective_weight(job);
         let total_weight: f64 = self
             .resident
             .values()
@@ -497,43 +500,42 @@ impl ServiceEngine {
             .sum::<f64>()
             .max(f64::MIN_POSITIVE);
         let weighted_share = (weight / total_weight).min(1.0);
-        let (assignment, share, degraded, plan_speeds) = match &self.cfg.scheduler {
+        // The task table comes from the scratch pool when a retired
+        // round left one (reset in place — contents identical to fresh
+        // allocation).
+        let tasks = self.take_scratch(self.n(), c_eff, k_eff);
+        // The available speeds and the speeds the round is planned at
+        // live in engine-owned buffers, refilled per round.
+        let (avail, plan_speeds) = (&mut self.avail, &mut self.plan_speeds);
+        avail.clear();
+        avail.extend(avail_speeds(&self.speeds, &self.up));
+        plan_speeds.clear();
+        let uniform = |&s: &f64| if s > 0.0 { 1.0 } else { 0.0 };
+        let (assignment, share, degraded) = match &self.cfg.scheduler {
             SchedulerMode::Uncoded => {
                 let mask: Vec<bool> = avail.iter().map(|&s| s > 0.0).collect();
                 let a = allocate_chunks_basic(&mask, 1, c_eff)
                     // s2c2-allow: no-panic-paths -- engine invariant: the alive >= k_eff guard above makes k=1 allocation infallible
                     .expect("alive >= 1 guarantees feasibility");
-                let uniform: Vec<f64> = avail
-                    .iter()
-                    .map(|&s| if s > 0.0 { 1.0 } else { 0.0 })
-                    .collect();
-                (a, weighted_share, false, uniform)
+                plan_speeds.extend(avail.iter().map(uniform));
+                (a, weighted_share, false)
             }
             SchedulerMode::ConventionalMds => {
-                let uniform: Vec<f64> = avail
-                    .iter()
-                    .map(|&s| if s > 0.0 { 1.0 } else { 0.0 })
-                    .collect();
+                plan_speeds.extend(avail.iter().map(uniform));
                 (
-                    full_over_available(&avail, k_eff, c_eff),
+                    full_over_available(avail, k_eff, c_eff),
                     weighted_share,
                     false,
-                    uniform,
                 )
             }
             SchedulerMode::SharedS2c2 { .. } => {
-                let preds: Vec<f64> = self
-                    .tracker
-                    .predictions_from(&avail)
-                    .iter()
-                    .zip(self.up.iter())
-                    .map(|(&p, &u)| if u { p.max(0.0) } else { 0.0 })
-                    .collect();
+                let preds = self.tracker.predictions_for(avail).iter().zip(&self.up);
+                plan_speeds.extend(preds.map(|(&p, &u)| if u { p.max(0.0) } else { 0.0 }));
                 // Weighted capacity split across the resident set; only
                 // this job's slice is needed (neighbours are rescaled by
                 // `rebalance_shares` when membership changes).
-                let mine = allocate_for_resident(&preds, k_eff, c_eff, weight, total_weight);
-                (mine.assignment, mine.share, mine.degraded, preds)
+                let mine = allocate_for_resident(plan_speeds, k_eff, c_eff, weight, total_weight);
+                (mine.assignment, mine.share, mine.degraded)
             }
         };
 
@@ -541,7 +543,6 @@ impl ServiceEngine {
             self.report.degraded_iterations += 1;
         }
 
-        let n = self.n();
         let generation = self.next_generation;
         self.next_generation += 1;
         // Rungs 1 and 2 of the recovery ladder are decided right here at
@@ -563,10 +564,6 @@ impl ServiceEngine {
             generation,
             rung,
         });
-        // The task table comes from the scratch pool when a retired
-        // round left one (reset in place — contents identical to fresh
-        // allocation).
-        let tasks = self.take_scratch(n);
         let mut iter = RunningIteration {
             job: id,
             generation,
@@ -593,14 +590,14 @@ impl ServiceEngine {
         // latency is paid once per round, not once per member — the
         // fixed cost batching exists to amortize. Compute still scales
         // with the stacked width (`rhs` matvecs per assigned row).
-        let t_in = self.comm.transfer_time((spec.cols * rhs * 8) as u64);
+        let t_in = self.comm.transfer_time((cols * rhs * 8) as u64);
         iter.t_input = t_in;
         let speedup = thread_speedup(self.cfg.worker_threads);
         let mut max_planned_span: f64 = 0.0;
         let mut max_actual_span: f64 = 0.0;
         let window = &self.resident[&id].window;
         let mut sinks = sinks!(self, at);
-        for (w, &plan_speed) in plan_speeds.iter().enumerate() {
+        for (w, &plan_speed) in self.plan_speeds.iter().enumerate() {
             let chunks = iter.assignment.chunks[w].len();
             if chunks == 0 {
                 continue;
@@ -615,7 +612,7 @@ impl ServiceEngine {
                 .fold(at, |acc, r| acc.max(r.latest_open_finish(w)));
             let offset = start_w - at;
             let rows_w = chunks * rpc;
-            let work = ((rows_w * spec.cols) * rhs) as f64;
+            let work = ((rows_w * cols) * rhs) as f64;
             let rate = self.speeds[w] * share * self.compute.elements_per_sec * speedup;
             let t_reply = self.comm.transfer_time(((rows_w * rhs) * 8) as u64);
             let span = t_in + work / rate + t_reply;
@@ -642,9 +639,8 @@ impl ServiceEngine {
         }
         // s2c2-allow: no-panic-paths -- engine invariant: this runs inside a round dispatch for a job verified resident above
         let job = self.resident.get_mut(&id).expect("resident job");
-        let specs: Vec<JobSpec> = job.members.iter().map(|m| m.spec.clone()).collect();
         self.backend
-            .on_iteration_start(&specs, &iter, round_index)
+            .on_iteration_start(&job.members, &iter, round_index)
             .map_err(ServeError::Backend)?;
         job.stalled_rounds.retain(|&r| r != round_index);
         let pos = job.window.partition_point(|r| r.round_index < round_index);
@@ -653,11 +649,11 @@ impl ServiceEngine {
     }
 
     /// Pops a pooled task table (reset in place) or builds a fresh one.
-    fn take_scratch(&mut self, n: usize) -> Tasks {
+    fn take_scratch(&mut self, n: usize, chunks: usize, k: usize) -> Tasks {
         let pooled = self.scratch.pop();
         self.report.scratch_reuses += u64::from(pooled.is_some());
         let mut tasks = pooled.unwrap_or_default();
-        tasks.reset(n);
+        tasks.reset(n, chunks, k);
         tasks
     }
 
@@ -669,7 +665,7 @@ impl ServiceEngine {
         redo: bool,
         t: f64,
     ) -> Result<(), ServeError> {
-        {
+        let completed = {
             let Some(job) = self.resident.get_mut(&id) else {
                 return Ok(());
             };
@@ -701,22 +697,16 @@ impl ServiceEngine {
                 // worker actually computed, so batched and unbatched
                 // rounds feed the predictor the same per-element speed.
                 let observed = ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
-                let mut obs: Vec<Option<f64>> = vec![None; self.speeds.len()];
-                obs[worker] = Some(observed);
-                self.tracker.observe(&obs);
+                self.tracker.observe_one(worker, observed);
             }
-        }
+            iter.complete()
+        };
         trace_into(&mut self.telemetry, t, || TraceEventKind::TaskComplete {
             job: id,
             worker,
             generation,
             redo,
         });
-        let completed = self
-            .resident
-            .get(&id)
-            .and_then(|j| j.window.iter().find(|r| r.generation == generation))
-            .is_some_and(RunningIteration::complete);
         if completed {
             self.on_round_complete(id, generation)?;
         }
@@ -808,14 +798,13 @@ impl ServiceEngine {
             let iter = job.window.remove(0);
             let completed_at = iter.parked_at.unwrap_or(at);
             let is_final = job.iterations_done + 1 >= job.leader().iterations;
-            let specs: Vec<JobSpec> = job.members.iter().map(|m| m.spec.clone()).collect();
             self.backend
-                .on_iteration_complete(&specs, &iter, job.iterations_done, is_final)
+                .on_iteration_complete(&job.members, &iter, job.iterations_done, is_final)
                 .map_err(ServeError::Backend)?;
             let decode_time = match self.cfg.scheduler {
                 SchedulerMode::Uncoded => 0.0,
                 SchedulerMode::ConventionalMds | SchedulerMode::SharedS2c2 { .. } => {
-                    iter.decode_flops() / self.decode_flops_per_sec
+                    iter.decode_flops(&mut self.decode_scratch) / self.decode_flops_per_sec
                 }
             };
             let end = at + decode_time;

@@ -2,13 +2,17 @@
 //!
 //! [`ServiceEngine`] multiplexes many concurrent coded jobs onto one
 //! shared worker pool, driven entirely by the typed events of
-//! [`crate::event`]: arrivals join the admission queue, admitted jobs run
-//! iterations whose per-worker tasks are scheduled from the shared-cluster
-//! S²C² allocation, epoch ticks resample worker speeds and churn, and
-//! §4.3-style timeouts recover from mis-predictions and departed workers.
+//! [`crate::event`] and the workload's arrival stream: arrivals join the
+//! admission queue, admitted jobs run iterations whose per-worker tasks
+//! are scheduled from the shared-cluster S²C² allocation, epoch ticks
+//! resample worker speeds and churn, and §4.3-style timeouts recover
+//! from mis-predictions and departed workers.
 //!
 //! The engine is split into focused submodules, all driven by one event
-//! loop (this module):
+//! loop (this module), which merges the time-ordered arrival stream
+//! with the event queue — arrivals win ties, so the order is exactly
+//! what pre-pushing every arrival would give, without the heap ever
+//! holding a future arrival:
 //!
 //! * `core` — resident-job state and the event handlers (arrival,
 //!   admission, iteration start/completion, churn, epoch ticks);
@@ -16,7 +20,9 @@
 //!   worker's original and redo task, and the only code that touches
 //!   them — dispatch, completion, the single cancel/refund site, share
 //!   rescaling, deadline arming — plus the coverage questions (is the
-//!   round decodable, how far short is a chunk, what is credited);
+//!   round decodable, how far short is a chunk, what is credited),
+//!   answered from a per-chunk response tally the transitions keep, so
+//!   a task completion costs what its own chunk list costs;
 //! * [`backend`] — the pluggable `ExecutionBackend` seam: timing-only
 //!   simulation, master-side verified numerics, or real OS-thread
 //!   workers (selected via [`BackendKind`]);
@@ -357,6 +363,17 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// The pool's speeds as schedulable right now: a departed worker's is 0.
+pub(crate) fn avail_speeds<'a>(
+    speeds: &'a [f64],
+    up: &'a [bool],
+) -> impl Iterator<Item = f64> + 'a {
+    speeds
+        .iter()
+        .zip(up)
+        .map(|(&s, &u)| if u { s } else { 0.0 })
+}
+
 /// Effective speedup of `threads`-way row-partitioned matvec.
 pub(crate) fn thread_speedup(threads: usize) -> f64 {
     1.0 + 0.9 * threads.saturating_sub(1) as f64
@@ -394,6 +411,12 @@ pub struct ServiceEngine {
     /// Retired rounds' task tables, pooled for reuse by the next
     /// dispatch (see [`round::Tasks`]).
     scratch: Vec<round::Tasks>,
+    /// Per-dispatch buffers: the pool's available speeds, and the
+    /// speeds the round being dispatched is planned at.
+    avail: Vec<f64>,
+    plan_speeds: Vec<f64>,
+    /// Per-retire buffers of the decode-cost model.
+    decode_scratch: round::DecodeScratch,
 }
 
 impl std::fmt::Debug for ServiceEngine {
@@ -531,6 +554,9 @@ impl ServiceEngine {
             buckets,
             pending_flushes: Vec::new(),
             scratch: Vec::new(),
+            avail: Vec::new(),
+            plan_speeds: Vec::new(),
+            decode_scratch: round::DecodeScratch::default(),
         })
     }
 
@@ -617,73 +643,104 @@ impl ServiceEngine {
         self.report.telemetry = Some(tel);
     }
 
-    /// The event loop proper: seeds arrivals and epoch ticks, then pops
-    /// until drained or the event budget runs out.
+    /// The event loop proper. Arrivals are streamed from the workload
+    /// in arrival order and merged with the event queue, so the heap
+    /// holds live engine events only — its size tracks the work in
+    /// flight, not the length of the stream. An arrival is taken when
+    /// its time is `total_cmp`-≤ the queue head's: arrivals win ties
+    /// against engine events, and equal-time arrivals keep slice order.
     fn drive(&mut self, workload: &[(f64, JobSpec)]) -> Result<(), ServeError> {
+        for (t, spec) in workload {
+            if !(t.is_finite() && *t >= 0.0) {
+                return Err(ServeError::InvalidJob {
+                    job: spec.id,
+                    reason: format!("arrival time must be finite and non-negative, got {t}"),
+                });
+            }
+        }
+        // Stable, so equal instants stay in slice order.
+        let mut order: Vec<&(f64, JobSpec)> = workload.iter().collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut arrivals = order.into_iter().peekable();
+
         // Initial samples: epoch 0.
         for (w, m) in self.models.iter_mut().enumerate() {
             self.speeds[w] = m.speed_at(0);
         }
         self.up.copy_from_slice(self.churn.advance_to(0));
         self.arrivals_remaining = workload.len();
-        for (t, spec) in workload {
-            self.queue.push(*t, EventKind::JobArrival(spec.clone()));
-        }
         if self.work_remains() {
             self.queue
                 .push(self.cfg.epoch, EventKind::EpochTick { epoch: 1 });
         }
 
-        while let Some((t, kind)) = self.queue.pop() {
-            self.now = t;
-            self.report.events_processed += 1;
-            if self.report.events_processed > self.cfg.max_events {
-                return Err(ServeError::Runaway {
-                    events: self.report.events_processed,
-                });
+        loop {
+            let head = self.queue.peek_time();
+            let due = arrivals.next_if(|(at, _)| head.map_or(true, |h| at.total_cmp(&h).is_le()));
+            if let Some((at, spec)) = due {
+                self.begin_event(*at)?;
+                self.on_arrival(spec)?;
+            } else if let Some((t, kind)) = self.queue.pop() {
+                self.begin_event(t)?;
+                self.on_event(t, kind)?;
+            } else {
+                return Ok(());
             }
-            match kind {
-                EventKind::JobArrival(spec) => self.on_arrival(spec)?,
-                EventKind::TaskComplete {
-                    job,
-                    worker,
-                    generation,
-                    redo,
-                } => self.on_task_complete(job, worker, generation, redo, t)?,
-                EventKind::WorkerSpeedChange { worker, speed } => self.speeds[worker] = speed,
-                EventKind::Timeout {
-                    job,
-                    generation,
-                    arm,
-                } => self.on_timeout(job, generation, arm)?,
-                EventKind::WorkerChurn { worker, up } => self.on_churn(worker, up)?,
-                EventKind::EpochTick { epoch } => self.on_epoch_tick(epoch),
-                // A batch window expired: drop the spent flush markers,
-                // then re-run admission so the held group (plus
-                // whatever mates accumulated) is flushed.
-                EventKind::BatchFlush => {
-                    self.pending_flushes.retain(|&(_, at)| at > t);
-                    let pending = self.pending.len();
-                    trace_into(&mut self.telemetry, t, || TraceEventKind::BatchFlush {
-                        pending,
-                    });
-                    self.try_admit()?;
-                }
-            }
+        }
+    }
+
+    /// Advances the clock to the next event and charges it to the event
+    /// budget.
+    fn begin_event(&mut self, t: f64) -> Result<(), ServeError> {
+        self.now = t;
+        self.report.events_processed += 1;
+        if self.report.events_processed > self.cfg.max_events {
+            return Err(ServeError::Runaway {
+                events: self.report.events_processed,
+            });
         }
         Ok(())
     }
 
-    fn work_remains(&self) -> bool {
-        self.arrivals_remaining > 0 || !self.pending.is_empty() || !self.resident.is_empty()
+    /// Reacts to one popped queue event.
+    fn on_event(&mut self, t: f64, kind: EventKind) -> Result<(), ServeError> {
+        match kind {
+            EventKind::TaskComplete {
+                job,
+                worker,
+                generation,
+                redo,
+            } => self.on_task_complete(job, worker, generation, redo, t),
+            EventKind::WorkerSpeedChange { worker, speed } => {
+                self.speeds[worker] = speed;
+                Ok(())
+            }
+            EventKind::Timeout {
+                job,
+                generation,
+                arm,
+            } => self.on_timeout(job, generation, arm),
+            EventKind::WorkerChurn { worker, up } => self.on_churn(worker, up),
+            EventKind::EpochTick { epoch } => {
+                self.on_epoch_tick(epoch);
+                Ok(())
+            }
+            // A batch window expired: drop the spent flush markers,
+            // then re-run admission so the held group (plus whatever
+            // mates accumulated) is flushed.
+            EventKind::BatchFlush => {
+                self.pending_flushes.retain(|&(_, at)| at > t);
+                let pending = self.pending.len();
+                trace_into(&mut self.telemetry, t, || TraceEventKind::BatchFlush {
+                    pending,
+                });
+                self.try_admit()
+            }
+        }
     }
 
-    fn avail_speeds(&self) -> Vec<f64> {
-        self.speeds
-            .iter()
-            .zip(self.up.iter())
-            .map(|(&s, &u)| if u { s } else { 0.0 })
-            .collect()
+    fn work_remains(&self) -> bool {
+        self.arrivals_remaining > 0 || !self.pending.is_empty() || !self.resident.is_empty()
     }
 
     fn sample_queue_depth(&mut self) {

@@ -13,9 +13,17 @@
 //! `Timeout` push). The coverage questions the recovery ladder, the
 //! decode-cost model and the numeric backends ask — is the round
 //! decodable, how far short is a chunk, is it doomed, which responses
-//! are credited — are answered here too, from the slots, so a code that
-//! counts something other than chunks-per-worker (symbols collected,
-//! row ranges) has one place to change.
+//! are credited — are answered here too, so a code that counts
+//! something other than chunks-per-worker (symbols collected, row
+//! ranges) has one place to change.
+//!
+//! Those answers are *kept*, not recomputed: every transition of a
+//! slot re-files its chunks in a per-chunk response tally
+//! ([`ChunkCover`]), at a cost proportional to the task's own chunk
+//! list, so a worker reply costs the master what the reply carries and
+//! "is the round decodable" is one compare. The definitional
+//! chunks × workers scans survive as `#[cfg(test)]` oracles the tally
+//! is differentially tested against.
 //!
 //! `core`, `recovery`, `rebalance` and `backend` are clients: none of
 //! them indexes task state by worker.
@@ -25,6 +33,21 @@ use super::trace_into;
 use crate::event::{EventKind, EventQueue, JobId};
 use s2c2_core::ChunkAssignment;
 use s2c2_telemetry::{Telemetry, TraceEventKind};
+use std::ops::Range;
+
+/// Where a task is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// No task the master counts on: never dispatched, or cancelled
+    /// (deadline, churn, or abandoned when its round completes without
+    /// it).
+    Idle,
+    /// Dispatched, not cancelled, not finished: the master is still
+    /// waiting for this task.
+    Open,
+    /// Finished: its chunks are responses in hand.
+    Done,
+}
 
 /// One task of one worker in one round — the original assignment or the
 /// redo reassigned to it by rung 3.
@@ -32,10 +55,7 @@ use s2c2_telemetry::{Telemetry, TraceEventKind};
 struct TaskSlot {
     /// Scheduled finish instant (`INFINITY` until a task is dispatched).
     finish: f64,
-    done: bool,
-    /// `true` from dispatch until the task is cancelled (deadline,
-    /// churn, or abandoned when its round completes without it).
-    valid: bool,
+    phase: Phase,
     /// Dedicated compute-seconds charged to `busy_time` for this task
     /// (refunded pro rata when it is cancelled).
     busy_charged: f64,
@@ -44,16 +64,24 @@ struct TaskSlot {
 impl TaskSlot {
     const EMPTY: TaskSlot = TaskSlot {
         finish: f64::INFINITY,
-        done: false,
-        valid: false,
+        phase: Phase::Idle,
         busy_charged: 0.0,
     };
 
-    /// Dispatched, not cancelled, not finished: the master is still
-    /// waiting for this task. A worker with no task is never open.
+    /// A worker with no task is never open.
     fn open(&self) -> bool {
-        self.valid && !self.done
+        self.phase == Phase::Open
     }
+}
+
+/// The responses one chunk has, tallied by the phase of the task that
+/// carries them. Idle tasks carry none.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ChunkCover {
+    /// Responses in hand: done tasks holding the chunk.
+    done: usize,
+    /// Responses still awaited, `[from originals, from redos]`.
+    open: [usize; 2],
 }
 
 /// Everything a round tracks about one worker.
@@ -80,7 +108,14 @@ struct WorkerTasks {
 /// `ServiceReport::scratch_reuses`). Under pipelining a job touches
 /// `depth ×` as many live rounds, which is what the pool is for.
 #[derive(Debug, Default, PartialEq)]
-pub(crate) struct Tasks(Vec<WorkerTasks>);
+pub(crate) struct Tasks {
+    workers: Vec<WorkerTasks>,
+    /// Per chunk of the partition, kept in step with the slots by
+    /// [`RunningIteration::refile`].
+    cover: Vec<ChunkCover>,
+    /// Chunks whose responses in hand are still short of `k`.
+    short: usize,
+}
 
 /// Upper bound on pooled task tables: enough for every resident job's
 /// whole window in any realistic configuration, small enough that a
@@ -88,26 +123,30 @@ pub(crate) struct Tasks(Vec<WorkerTasks>);
 const SCRATCH_POOL_CAP: usize = 64;
 
 impl Tasks {
-    /// Re-initializes the table for an `n`-worker round. Inner chunk
+    /// Re-initializes the table for an `n`-worker round over `chunks`
+    /// chunks per partition that each need `k` responses. Inner chunk
     /// lists keep their capacity — the per-round allocation the pool
     /// exists to avoid.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.0.truncate(n);
-        for t in &mut self.0 {
+    pub(crate) fn reset(&mut self, n: usize, chunks: usize, k: usize) {
+        self.workers.truncate(n);
+        for t in &mut self.workers {
             t.slots = [TaskSlot::EMPTY; 2];
             t.redo_chunks.clear();
             t.ded_offset = 0.0;
         }
-        self.0.resize_with(n, || WorkerTasks {
+        self.workers.resize_with(n, || WorkerTasks {
             slots: [TaskSlot::EMPTY; 2],
             redo_chunks: Vec::new(),
             ded_offset: 0.0,
         });
+        self.cover.clear();
+        self.cover.resize(chunks, ChunkCover::default());
+        self.short = if k > 0 { chunks } else { 0 };
     }
 
     #[cfg(test)]
     pub(crate) fn redo_capacity(&self, worker: usize) -> usize {
-        self.0[worker].redo_chunks.capacity()
+        self.workers[worker].redo_chunks.capacity()
     }
 }
 
@@ -141,7 +180,16 @@ pub(crate) use sinks;
 pub(crate) struct Credit<'a> {
     pub(crate) worker: usize,
     pub(crate) chunks: &'a [usize],
-    finish: f64,
+}
+
+/// Buffers [`RunningIteration::decode_flops`] works in, owned by the
+/// engine and reused round after round.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeScratch {
+    /// The credited tasks as `(finish, worker, redo)`, fastest first.
+    order: Vec<(f64, usize, bool)>,
+    /// Per chunk: `(responses taken, of which non-systematic)`.
+    taken: Vec<(usize, usize)>,
 }
 
 /// One in-flight iteration round of a resident job (or batch of jobs).
@@ -215,7 +263,7 @@ fn refund_busy(busy_time: &mut f64, slot: &mut TaskSlot, now: f64, share: f64) {
 
 impl RunningIteration {
     fn slot(&self, worker: usize, redo: bool) -> &TaskSlot {
-        &self.tasks.0[worker].slots[usize::from(redo)]
+        &self.tasks.workers[worker].slots[usize::from(redo)]
     }
 
     /// Whether `worker`'s *original* assignment includes `chunk`.
@@ -226,7 +274,7 @@ impl RunningIteration {
     /// The chunk list behind one of `worker`'s two tasks.
     fn chunks(&self, worker: usize, redo: bool) -> &[usize] {
         if redo {
-            &self.tasks.0[worker].redo_chunks
+            &self.tasks.workers[worker].redo_chunks
         } else {
             &self.assignment.chunks[worker]
         }
@@ -252,7 +300,7 @@ impl RunningIteration {
     /// rounds.
     pub(crate) fn task_dedicated_by(&self, worker: usize, t: Option<f64>) -> f64 {
         let t = t.unwrap_or(self.slot(worker, false).finish);
-        (self.dedicated_by(t) - self.tasks.0[worker].ded_offset).max(f64::MIN_POSITIVE)
+        (self.dedicated_by(t) - self.tasks.workers[worker].ded_offset).max(f64::MIN_POSITIVE)
     }
 
     // ---- lifecycle ------------------------------------------------------
@@ -266,27 +314,86 @@ impl RunningIteration {
         }
     }
 
-    /// Starts (or, for a redo merged onto a pending one, restarts) one
-    /// of `worker`'s tasks: charges `charge` dedicated compute-seconds,
+    /// Moves the responses `worker`'s task carries — the chunks at
+    /// `range` of its list — from one phase's tally to another's. The
+    /// only writer of the coverage tally; every slot transition calls
+    /// it, at a cost proportional to the task's own chunk list.
+    fn refile(&mut self, worker: usize, redo: bool, range: Range<usize>, from: Phase, to: Phase) {
+        let k = self.k_eff;
+        let Tasks {
+            workers,
+            cover,
+            short,
+        } = &mut self.tasks;
+        let chunks: &[usize] = if redo {
+            &workers[worker].redo_chunks
+        } else {
+            &self.assignment.chunks[worker]
+        };
+        for &chunk in &chunks[range] {
+            let tally = &mut cover[chunk];
+            match from {
+                Phase::Idle => {}
+                Phase::Open => tally.open[usize::from(redo)] -= 1,
+                Phase::Done => {
+                    *short += usize::from(tally.done == k);
+                    tally.done -= 1;
+                }
+            }
+            match to {
+                Phase::Idle => {}
+                Phase::Open => tally.open[usize::from(redo)] += 1,
+                Phase::Done => {
+                    tally.done += 1;
+                    *short -= usize::from(tally.done == k);
+                }
+            }
+        }
+    }
+
+    /// Starts (or, for a redo merged onto an earlier one, restarts) one
+    /// of `worker`'s tasks, whose chunk list is newly handed out from
+    /// position `fresh` on: charges `charge` dedicated compute-seconds,
     /// traces the dispatch and schedules the completion. Utilization is
     /// accounted in dedicated compute-seconds (the share factor
     /// stretches wall time, not work done).
-    fn launch(&mut self, worker: usize, redo: bool, finish: f64, charge: f64, s: &mut Sinks) {
-        let slot = &mut self.tasks.0[worker].slots[usize::from(redo)];
+    fn launch(
+        &mut self,
+        worker: usize,
+        redo: bool,
+        fresh: usize,
+        finish: f64,
+        charge: f64,
+        s: &mut Sinks,
+    ) {
+        let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
+        let was = slot.phase;
         *slot = TaskSlot {
             finish,
-            done: false,
-            valid: true,
+            phase: Phase::Open,
             busy_charged: slot.busy_charged + charge,
         };
+        // A redo merged onto a *finished* one is credited as a whole,
+        // only once it finishes again: what it had in hand goes back to
+        // awaited (the one place a done task reopens). Merged onto a
+        // pending one, the old chunks are awaited already; an idle slot
+        // holds none.
+        debug_assert!(
+            was != Phase::Idle || fresh == 0,
+            "idle slots hold no chunks"
+        );
+        if was == Phase::Done {
+            self.refile(worker, redo, 0..fresh, Phase::Done, Phase::Open);
+        }
+        let held = self.chunks(worker, redo).len();
+        self.refile(worker, redo, fresh..held, Phase::Idle, Phase::Open);
         s.busy_time[worker] += charge;
         let (job, generation) = (self.job, self.generation);
-        let chunks = self.chunks(worker, redo).len();
         trace_into(s.telemetry, s.now, || TraceEventKind::TaskDispatch {
             job,
             worker,
             generation,
-            chunks,
+            chunks: held,
             redo,
         });
         s.queue.push(finish, self.completion(worker, redo));
@@ -305,13 +412,18 @@ impl RunningIteration {
         ded_offset: f64,
         s: &mut Sinks,
     ) {
-        self.tasks.0[worker].ded_offset = ded_offset;
-        self.launch(worker, false, finish, charge, s);
+        debug_assert!(
+            self.slot(worker, false).phase == Phase::Idle,
+            "a round dispatches each original once"
+        );
+        self.tasks.workers[worker].ded_offset = ded_offset;
+        self.launch(worker, false, 0, finish, charge, s);
     }
 
-    /// Dispatches reassigned `chunks` to finished worker `worker`,
-    /// merged with whatever redo it already holds: the merged task is
-    /// credited as a whole, only once it finishes.
+    /// Dispatches reassigned `chunks` — none of which `worker` already
+    /// holds, the [`Self::plan_redo`] rule — to finished worker
+    /// `worker`, merged with whatever redo it already holds: the merged
+    /// task is credited as a whole, only once it finishes.
     pub(crate) fn dispatch_redo(
         &mut self,
         worker: usize,
@@ -320,8 +432,10 @@ impl RunningIteration {
         charge: f64,
         s: &mut Sinks,
     ) {
-        self.tasks.0[worker].redo_chunks.extend(chunks);
-        self.launch(worker, true, finish, charge, s);
+        let held = &mut self.tasks.workers[worker].redo_chunks;
+        let fresh = held.len();
+        held.extend(chunks);
+        self.launch(worker, true, fresh, finish, charge, s);
     }
 
     /// A completion event fired at `t`: marks the task done and returns
@@ -330,12 +444,14 @@ impl RunningIteration {
     /// rebalance or a merged redo (the task was rescheduled); a
     /// cancelled task's completion is stale by its flag.
     pub(crate) fn complete_task(&mut self, worker: usize, redo: bool, t: f64) -> Option<usize> {
-        let slot = &mut self.tasks.0[worker].slots[usize::from(redo)];
+        let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
         if !slot.open() || (t - slot.finish).abs() > 1e-9 {
             return None;
         }
-        slot.done = true;
-        Some(self.chunks(worker, redo).len())
+        slot.phase = Phase::Done;
+        let replied = self.chunks(worker, redo).len();
+        self.refile(worker, redo, 0..replied, Phase::Open, Phase::Done);
+        Some(replied)
     }
 
     /// The master stops caring about one task: refunds the compute it
@@ -347,15 +463,16 @@ impl RunningIteration {
     /// never happens, and a later redo merged onto this worker must not
     /// credit coverage nobody computed.
     pub(crate) fn cancel(&mut self, worker: usize, redo: bool, s: &mut Sinks) -> bool {
-        let tasks = &mut self.tasks.0[worker];
-        let slot = &mut tasks.slots[usize::from(redo)];
+        let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
         if !slot.open() {
             return false;
         }
-        slot.valid = false;
+        slot.phase = Phase::Idle;
         refund_busy(&mut s.busy_time[worker], slot, s.now, self.share);
+        let awaited = self.chunks(worker, redo).len();
+        self.refile(worker, redo, 0..awaited, Phase::Open, Phase::Idle);
         if redo {
-            tasks.redo_chunks.clear();
+            self.tasks.workers[worker].redo_chunks.clear();
         }
         let (job, generation) = (self.job, self.generation);
         s.backend.on_cancel(job, generation, worker, redo);
@@ -380,7 +497,7 @@ impl RunningIteration {
     /// stragglers and superfluous redos at completion, everything when
     /// the round is torn down).
     pub(crate) fn cancel_open(&mut self, s: &mut Sinks) {
-        for worker in 0..self.tasks.0.len() {
+        for worker in 0..self.tasks.workers.len() {
             self.cancel(worker, false, s);
             self.cancel(worker, true, s);
         }
@@ -402,9 +519,9 @@ impl RunningIteration {
         }
         let stretch = old_share / new_share;
         let mut latest = None;
-        for worker in 0..self.tasks.0.len() {
+        for worker in 0..self.tasks.workers.len() {
             for redo in [false, true] {
-                let slot = &mut self.tasks.0[worker].slots[usize::from(redo)];
+                let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
                 if slot.open() && slot.finish > now {
                     let finish = now + (slot.finish - now) * stretch;
                     slot.finish = finish;
@@ -462,37 +579,25 @@ impl RunningIteration {
     /// The last finish the round is still waiting for (`NEG_INFINITY`
     /// if nothing is open).
     pub(crate) fn latest_open(&self) -> f64 {
-        (0..self.tasks.0.len())
+        (0..self.tasks.workers.len())
             .map(|w| self.latest_open_finish(w))
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
     pub(crate) fn has_open(&self) -> bool {
-        let mut slots = self.tasks.0.iter().flat_map(|t| &t.slots);
+        let mut slots = self.tasks.workers.iter().flat_map(|t| &t.slots);
         slots.any(TaskSlot::open)
     }
 
     pub(crate) fn task_done(&self, worker: usize, redo: bool) -> bool {
-        self.slot(worker, redo).done
+        self.slot(worker, redo).phase == Phase::Done
     }
 
     // ---- coverage -------------------------------------------------------
 
-    /// How many tasks whose chunk list holds `chunk` satisfy `counts`
-    /// (called with the slot and its `redo` flag). Rung 3 never hands a
-    /// worker a chunk it already holds, so tasks and workers coincide.
-    fn cover(&self, chunk: usize, counts: impl Fn(&TaskSlot, bool) -> bool) -> usize {
-        let per_worker = self.tasks.0.iter().enumerate().map(|(w, t)| {
-            usize::from(counts(&t.slots[0], false) && self.covers(w, chunk))
-                + usize::from(counts(&t.slots[1], true) && t.redo_chunks.contains(&chunk))
-        });
-        per_worker.sum()
-    }
-
     /// Whether every chunk has its `k` responses: the round decodes.
     pub(crate) fn complete(&self) -> bool {
-        (0..self.assignment.chunks_per_partition)
-            .all(|c| self.cover(c, |slot, _| slot.done) >= self.k_eff)
+        self.tasks.short == 0
     }
 
     /// Responses `chunk` still lacks, counting finished tasks and
@@ -500,10 +605,10 @@ impl RunningIteration {
     /// Adaptive mode writes those off as cancelled (the §4.3 rule); the
     /// baselines keep counting on them (they only recover from churn).
     pub(crate) fn shortfall(&self, chunk: usize, count_inflight: bool) -> usize {
-        let have = self.cover(chunk, |slot, redo| {
-            slot.done || (slot.open() && (redo || count_inflight))
-        });
-        self.k_eff.saturating_sub(have)
+        let tally = &self.tasks.cover[chunk];
+        let inflight = if count_inflight { tally.open[0] } else { 0 };
+        self.k_eff
+            .saturating_sub(tally.done + tally.open[1] + inflight)
     }
 
     /// Whether some chunk cannot reach `k` even if everything still
@@ -516,14 +621,17 @@ impl RunningIteration {
     /// task with a non-empty chunk list — the exact coverage
     /// [`Self::complete`] certified. Cancelled tasks are never credited.
     pub(crate) fn credited(&self) -> impl Iterator<Item = Credit<'_>> {
-        (0..self.tasks.0.len())
+        self.credited_tasks().map(|(w, redo)| Credit {
+            worker: w,
+            chunks: self.chunks(w, redo),
+        })
+    }
+
+    /// The `(worker, redo)` of every credited task.
+    fn credited_tasks(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        (0..self.tasks.workers.len())
             .flat_map(|w| [(w, false), (w, true)])
             .filter(|&(w, redo)| self.task_done(w, redo) && !self.chunks(w, redo).is_empty())
-            .map(|(w, redo)| Credit {
-                worker: w,
-                chunks: self.chunks(w, redo),
-                finish: self.slot(w, redo).finish,
-            })
     }
 
     /// Rung 3's plan: hands every missing response (`need` per chunk)
@@ -531,20 +639,20 @@ impl RunningIteration {
     /// partitions, no data movement — least-loaded first. `None` if
     /// some chunk has no eligible host left.
     pub(crate) fn plan_redo(&self, need: &[usize], up: &[bool]) -> Option<Vec<Vec<usize>>> {
-        let n = self.tasks.0.len();
+        let n = self.tasks.workers.len();
         let hosts: Vec<usize> = (0..n)
             .filter(|&w| self.task_done(w, false) && up[w])
             .collect();
         let mut extra: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (chunk, &need_c) in need.iter().enumerate() {
             for _ in 0..need_c {
-                let load = |w: usize| self.tasks.0[w].redo_chunks.len() + extra[w].len();
+                let load = |w: usize| self.tasks.workers[w].redo_chunks.len() + extra[w].len();
                 let pick = hosts
                     .iter()
                     .copied()
                     .filter(|&w| {
                         !self.covers(w, chunk)
-                            && !self.tasks.0[w].redo_chunks.contains(&chunk)
+                            && !self.tasks.workers[w].redo_chunks.contains(&chunk)
                             && !extra[w].contains(&chunk)
                     })
                     .min_by(|&a, &b| {
@@ -570,17 +678,88 @@ impl RunningIteration {
     /// side reuses it and pays only the per-column triangular solves
     /// and RHS adjustments. That factor-once term is the decode-side
     /// amortization batching buys.
-    pub(crate) fn decode_flops(&self) -> f64 {
+    ///
+    /// The credited tasks are ordered fastest first once, and each
+    /// hands its chunks out until a chunk has its `k` — the same
+    /// "fastest `k` per chunk" a per-chunk sort would pick, in one pass
+    /// over the responses.
+    pub(crate) fn decode_flops(&self, scratch: &mut DecodeScratch) -> f64 {
         let k = self.k_eff;
         let rpc = self.rows_per_chunk as f64;
         let rhs = self.rhs as f64;
-        let credited: Vec<Credit> = self.credited().collect();
+        let DecodeScratch { order, taken } = scratch;
+        order.clear();
+        order.extend(
+            self.credited_tasks()
+                .map(|(w, redo)| (self.slot(w, redo).finish, w, redo)),
+        );
+        // A worker's two tasks never share a chunk, so how an equal
+        // `(finish, worker)` pair falls is immaterial.
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        taken.clear();
+        taken.resize(self.assignment.chunks_per_partition, (0, 0));
+        for &(_, worker, redo) in order.iter() {
+            for &chunk in self.chunks(worker, redo) {
+                let (have, missing) = &mut taken[chunk];
+                if *have < k {
+                    *have += 1;
+                    *missing += usize::from(worker >= k);
+                }
+            }
+        }
+        let mut flops = 0.0;
+        for &(_, missing) in taken.iter() {
+            let missing = missing as f64;
+            flops += missing.powi(3) / 3.0
+                + rhs * (rpc * missing.powi(2))
+                + rhs * (missing * k as f64 * rpc);
+        }
+        flops
+    }
+}
+
+/// The definitional chunks × workers scans the coverage tally replaces,
+/// kept as oracles for the differential tests.
+#[cfg(test)]
+impl RunningIteration {
+    /// How many tasks whose chunk list holds `chunk` satisfy `counts`
+    /// (called with the slot and its `redo` flag). Rung 3 never hands a
+    /// worker a chunk it already holds, so tasks and workers coincide.
+    fn scan(&self, chunk: usize, counts: impl Fn(&TaskSlot, bool) -> bool) -> usize {
+        let per_worker = self.tasks.workers.iter().enumerate().map(|(w, t)| {
+            usize::from(counts(&t.slots[0], false) && self.covers(w, chunk))
+                + usize::from(counts(&t.slots[1], true) && t.redo_chunks.contains(&chunk))
+        });
+        per_worker.sum()
+    }
+
+    pub(crate) fn complete_by_scan(&self) -> bool {
+        (0..self.assignment.chunks_per_partition)
+            .all(|c| self.scan(c, |slot, _| slot.phase == Phase::Done) >= self.k_eff)
+    }
+
+    pub(crate) fn shortfall_by_scan(&self, chunk: usize, count_inflight: bool) -> usize {
+        let have = self.scan(chunk, |slot, redo| {
+            slot.phase == Phase::Done || (slot.open() && (redo || count_inflight))
+        });
+        self.k_eff.saturating_sub(have)
+    }
+
+    pub(crate) fn doomed_by_scan(&self) -> bool {
+        (0..self.assignment.chunks_per_partition).any(|c| self.shortfall_by_scan(c, true) > 0)
+    }
+
+    /// The per-chunk "fastest `k`" decode cost, one sort per chunk.
+    pub(crate) fn decode_flops_by_scan(&self) -> f64 {
+        let k = self.k_eff;
+        let rpc = self.rows_per_chunk as f64;
+        let rhs = self.rhs as f64;
         let mut flops = 0.0;
         for chunk in 0..self.assignment.chunks_per_partition {
-            let mut finishers: Vec<(f64, usize)> = credited
-                .iter()
-                .filter(|c| c.chunks.contains(&chunk))
-                .map(|c| (c.finish, c.worker))
+            let mut finishers: Vec<(f64, usize)> = self
+                .credited_tasks()
+                .filter(|&(w, redo)| self.chunks(w, redo).contains(&chunk))
+                .map(|(w, redo)| (self.slot(w, redo).finish, w))
                 .collect();
             finishers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let missing = finishers.iter().take(k).filter(|&&(_, w)| w >= k).count() as f64;
@@ -589,5 +768,10 @@ impl RunningIteration {
                 + rhs * (missing * k as f64 * rpc);
         }
         flops
+    }
+
+    /// Whether `worker` holds `chunk` in either of its tasks' lists.
+    pub(crate) fn holds(&self, worker: usize, chunk: usize) -> bool {
+        self.covers(worker, chunk) || self.tasks.workers[worker].redo_chunks.contains(&chunk)
     }
 }

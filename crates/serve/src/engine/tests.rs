@@ -5,6 +5,8 @@
 
 use super::*;
 use crate::workload::{generate_workload, ArrivalPattern, JobPreset};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn pool(n: usize, stragglers: &[usize]) -> ClusterSpec {
     ClusterSpec::builder(n)
@@ -503,6 +505,71 @@ fn malformed_qos_fields_return_typed_invalid_job() {
             other => panic!("expected InvalidJob, got {other}"),
         }
     }
+}
+
+#[test]
+fn invalid_arrival_times_return_typed_invalid_job() {
+    // Arrivals are streamed, never pushed onto the event queue, so a
+    // bad instant cannot reach `EventQueue::push`'s assert: it is
+    // refused up front, wherever in the slice it sits.
+    let n = 4;
+    for bad in [f64::NAN, -1.0, f64::INFINITY] {
+        let engine = ServiceEngine::new(
+            pool(n, &[]),
+            ServeConfig::new(SchedulerMode::ConventionalMds),
+        )
+        .unwrap();
+        let stream = [
+            (0.5, JobPreset::small().instantiate(0, 0, n)),
+            (bad, JobPreset::small().instantiate(1, 0, n)),
+        ];
+        match engine.run(&stream).expect_err("a bad instant is refused") {
+            ServeError::InvalidJob { job, reason } => {
+                assert_eq!(job, 1);
+                assert!(reason.contains("arrival time"), "{reason}");
+            }
+            other => panic!("expected InvalidJob, got {other}"),
+        }
+    }
+}
+
+#[test]
+fn event_queue_holds_live_events_only() {
+    // The perf harness's `sim-steady` pool and stream shape. The queue's
+    // high-water mark is set by the work in flight (resident jobs ×
+    // tasks, plus superseded completions not yet drained), not by how
+    // many arrivals the stream still has to deliver.
+    let n = 16;
+    let peak_of = |jobs: usize| {
+        let spec = ClusterSpec::builder(n)
+            .compute_bound()
+            .seed(0xFEED)
+            .straggler_slowdown(5.0)
+            .stragglers(&[2, 7, 12], 0.2)
+            .build();
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        cfg.max_events = 400 * jobs as u64;
+        let stream = generate_workload(
+            &ArrivalPattern::Poisson { rate: 2.0 },
+            &JobPreset::standard_mix(),
+            jobs,
+            4,
+            n,
+            42,
+        );
+        let mut engine = ServiceEngine::new(spec, cfg).unwrap();
+        engine.drive(&stream).unwrap();
+        assert_eq!(engine.report.jobs.len(), jobs);
+        engine.queue.peak_len()
+    };
+    // Measured 359 and 326; with arrivals pre-pushed the peaks were at
+    // least the stream lengths, 1 000 and 5 000.
+    const LIVE_BOUND: usize = 512;
+    let (short, long) = (peak_of(1_000), peak_of(5_000));
+    assert!(short <= LIVE_BOUND, "1k-job peak {short}");
+    assert!(long <= LIVE_BOUND, "5k-job peak {long}");
 }
 
 // ---- execution backends -------------------------------------------------
@@ -1576,25 +1643,23 @@ impl Rig {
     }
 }
 
-/// A 4-worker, 3-chunk, `k = 2` round at share 0.5, dispatched at
-/// t = 0: worker 0 is the straggler (finish 10), workers 1 and 2 finish
-/// at 1.5, worker 3 has no task. Every original is charged 1.0.
-fn straggling_round(rig: &mut Rig) -> RunningIteration {
-    let chunks = vec![vec![0, 1, 2], vec![0, 1], vec![2], vec![]];
+/// An undispatched round at share 0.5 over the given per-worker chunk
+/// lists, `chunks` chunks per partition, `k` responses needed.
+fn blank_round(lists: Vec<Vec<usize>>, chunks: usize, k: usize, rhs: usize) -> RunningIteration {
     let mut tasks = Tasks::default();
-    tasks.reset(chunks.len());
-    let mut round = RunningIteration {
+    tasks.reset(lists.len(), chunks, k);
+    RunningIteration {
         job: 7,
         generation: 1,
         round_index: 0,
         share: 0.5,
-        k_eff: 2,
+        k_eff: k,
         rows_per_chunk: 10,
-        rhs: 1,
+        rhs,
         assignment: s2c2_core::ChunkAssignment {
-            chunks,
-            chunks_per_partition: 3,
-            k: 2,
+            chunks: lists,
+            chunks_per_partition: chunks,
+            k,
         },
         tasks,
         parked_at: None,
@@ -1606,7 +1671,15 @@ fn straggling_round(rig: &mut Rig) -> RunningIteration {
         started: 0.0,
         t_input: 0.0,
         last_reply: 0.0,
-    };
+    }
+}
+
+/// A 4-worker, 3-chunk, `k = 2` round at share 0.5, dispatched at
+/// t = 0: worker 0 is the straggler (finish 10), workers 1 and 2 finish
+/// at 1.5, worker 3 has no task. Every original is charged 1.0.
+fn straggling_round(rig: &mut Rig) -> RunningIteration {
+    let chunks = vec![vec![0, 1, 2], vec![0, 1], vec![2], vec![]];
+    let mut round = blank_round(chunks, 3, 2, 1);
     let mut sinks = rig.sinks(0.0);
     for (w, finish) in [(0, 10.0), (1, 1.5), (2, 1.5)] {
         round.dispatch(w, finish, 1.0, 0.0, &mut sinks);
@@ -1706,14 +1779,101 @@ fn scratch_reset_matches_fresh_construction() {
     let mut tasks = pool.pop().unwrap();
     let kept_cap = tasks.redo_capacity(2);
     assert!(kept_cap >= 2);
-    for n in [5, 3] {
-        tasks.reset(n);
+    for (n, chunks, k) in [(5, 4, 3), (3, 2, 1)] {
+        tasks.reset(n, chunks, k);
         let mut fresh = Tasks::default();
-        fresh.reset(n);
+        fresh.reset(n, chunks, k);
         assert_eq!(tasks, fresh);
     }
     assert!(
         tasks.redo_capacity(2) >= kept_cap,
         "inner chunk lists keep their allocation across resets"
     );
+}
+
+#[test]
+fn coverage_tally_equals_the_definitional_scan_after_every_op() {
+    let (n, chunks) = (6, 5);
+    let mut scratch = super::round::DecodeScratch::default();
+    // What the sequences reached, over all seeds: the tally is only
+    // tested where the ops actually went.
+    let (mut completed, mut reopened, mut merged_open, mut doomed) = (0, 0, 0, 0);
+    for seed in 0..200 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = rng.gen_range(1..=3);
+        let mut rig = Rig::new(n);
+        // Every worker is assigned a random sorted chunk list.
+        let lists: Vec<Vec<usize>> = (0..n)
+            .map(|_| (0..chunks).filter(|_| rng.gen_bool(0.5)).collect())
+            .collect();
+        let mut round = blank_round(lists, chunks, k, 2);
+        let mut dispatched = vec![false; n];
+        let mut now = 0.0;
+        for _ in 0..120 {
+            now += rng.gen_range(0.0..0.5);
+            let w = rng.gen_range(0..n);
+            let redo = rng.gen_bool(0.4);
+            let mut sinks = rig.sinks(now);
+            match rng.gen_range(0..9) {
+                0 | 1 if !dispatched[w] => {
+                    dispatched[w] = true;
+                    let finish = now + rng.gen_range(0.1..3.0);
+                    round.dispatch(w, finish, 1.0, 0.0, &mut sinks);
+                }
+                2 | 3 => {
+                    // The task's own completion event, or a stale one.
+                    let at = match round.open_finish(w, redo) {
+                        Some(finish) if rng.gen_bool(0.8) => finish,
+                        _ => now + 7.0,
+                    };
+                    round.complete_task(w, redo, at);
+                }
+                4 => {
+                    round.cancel(w, redo, &mut sinks);
+                }
+                5 => {
+                    round.cancel_late(w, &mut sinks);
+                }
+                6 if rng.gen_bool(0.1) => round.cancel_open(&mut sinks),
+                7 if round.task_done(w, false) => {
+                    // Rung 3's rule: a finished host, chunks it does
+                    // not hold — onto an idle, pending or done redo.
+                    let extra: Vec<usize> = (0..chunks)
+                        .filter(|&c| !round.holds(w, c) && rng.gen_bool(0.5))
+                        .collect();
+                    if !extra.is_empty() {
+                        reopened += usize::from(round.task_done(w, true));
+                        merged_open += usize::from(round.open_finish(w, true).is_some());
+                        let finish = now + rng.gen_range(0.1..2.0);
+                        round.dispatch_redo(w, extra, finish, 0.5, &mut sinks);
+                    }
+                }
+                8 => {
+                    round.rescale(rng.gen_range(0.1..1.0), &mut sinks);
+                }
+                _ => {}
+            }
+            assert_eq!(round.complete(), round.complete_by_scan(), "seed {seed}");
+            assert_eq!(round.doomed(), round.doomed_by_scan(), "seed {seed}");
+            for c in 0..chunks {
+                for inflight in [false, true] {
+                    assert_eq!(
+                        round.shortfall(c, inflight),
+                        round.shortfall_by_scan(c, inflight),
+                        "seed {seed} chunk {c}"
+                    );
+                }
+            }
+            assert_eq!(
+                round.decode_flops(&mut scratch).to_bits(),
+                round.decode_flops_by_scan().to_bits(),
+                "seed {seed}"
+            );
+            completed += usize::from(round.complete());
+            doomed += usize::from(round.doomed());
+        }
+    }
+    assert!(completed > 0 && doomed > 0, "{completed} {doomed}");
+    assert!(reopened > 0, "a redo must merge onto a done one");
+    assert!(merged_open > 0, "and onto a pending one");
 }

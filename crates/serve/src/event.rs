@@ -1,8 +1,11 @@
 //! The typed discrete-event core: a binary-heap event queue with
 //! deterministic FIFO tie-breaking.
 //!
-//! Everything the service engine does is a reaction to one of the
-//! [`EventKind`] variants. Determinism matters more here than in the
+//! Everything the service engine schedules for itself is one of the
+//! [`EventKind`] variants. (Job arrivals are not: the engine streams
+//! them straight from the workload slice and merges that cursor with
+//! the queue, so the heap only ever holds live engine events.)
+//! Determinism matters more here than in the
 //! single-job simulator: many jobs' events interleave at identical
 //! timestamps (iteration boundaries, epoch ticks), and the pop order
 //! decides admission order, share computation, and therefore every
@@ -10,18 +13,15 @@
 //! nondecreasing pop times and, among equal times, insertion (FIFO)
 //! order — both properties are proptested in `tests/proptest_serve.rs`.
 
-use crate::workload::JobSpec;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Identifier of a job across its whole service lifetime.
 pub type JobId = u64;
 
-/// Every event the service engine reacts to.
+/// Every event the service engine schedules.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A new job enters the system and joins the admission queue.
-    JobArrival(JobSpec),
     /// One worker finished its assigned task for one job iteration.
     TaskComplete {
         /// Job the task belongs to.
@@ -112,6 +112,7 @@ impl PartialOrd for QueuedEvent {
 pub struct EventQueue {
     heap: BinaryHeap<QueuedEvent>,
     next_seq: u64,
+    peak_len: usize,
 }
 
 impl EventQueue {
@@ -135,6 +136,7 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(QueuedEvent { time, seq, kind });
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pops the earliest event (FIFO among equal times).
@@ -158,6 +160,13 @@ impl EventQueue {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// The most events ever pending at once — a host-speed-independent
+    /// measure of how much the queue holds beyond live work.
+    #[must_use]
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
     }
 }
 
@@ -215,5 +224,18 @@ mod tests {
         assert_eq!(q.peek_time(), Some(2.5));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop().map(|(t, _)| t), Some(2.5));
+    }
+
+    #[test]
+    fn peak_len_is_the_high_water_mark() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peak_len(), 0);
+        for epoch in 0..3 {
+            q.push(1.0, EventKind::EpochTick { epoch });
+        }
+        q.pop();
+        q.pop();
+        q.push(2.0, EventKind::EpochTick { epoch: 3 });
+        assert_eq!((q.len(), q.peak_len()), (2, 3));
     }
 }

@@ -7,9 +7,11 @@
 //! supplies that layer:
 //!
 //! * [`event`] — the typed discrete-event core: a binary-heap
-//!   [`event::EventQueue`] over `JobArrival` / `TaskComplete` /
-//!   `WorkerSpeedChange` / `Timeout` / `WorkerChurn` events, with
-//!   deterministic FIFO tie-breaking.
+//!   [`event::EventQueue`] over `TaskComplete` / `WorkerSpeedChange` /
+//!   `Timeout` / `WorkerChurn` / `EpochTick` / `BatchFlush` events, with
+//!   deterministic FIFO tie-breaking. Job arrivals are not queue
+//!   events: the engine streams them from the workload slice and
+//!   merges that cursor with the heap.
 //! * [`workload`] — Poisson and trace-driven arrival generators over
 //!   heterogeneous job presets (matvec shapes, `(n, k)` parameters,
 //!   iteration counts, per-job capacity weights and deadline SLOs).
