@@ -101,6 +101,14 @@ impl OverDecompositionStrategy {
         })
     }
 
+    /// The speed tracker whose forecasts drive the next allocation
+    /// (read-only: this is how a test sees the observed speeds a round
+    /// fed back).
+    #[must_use]
+    pub fn tracker(&self) -> &SpeedTracker {
+        &self.tracker
+    }
+
     fn part_rows(&self, p: usize) -> usize {
         self.starts[p + 1] - self.starts[p]
     }

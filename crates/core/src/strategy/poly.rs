@@ -382,6 +382,14 @@ impl PolyS2c2 {
             self.mispredicted_rounds as f64 / self.rounds as f64
         }
     }
+
+    /// The speed tracker whose forecasts drive the next allocation
+    /// (read-only: this is how a test sees the observed speeds a round
+    /// fed back).
+    #[must_use]
+    pub fn tracker(&self) -> &SpeedTracker {
+        &self.tracker
+    }
 }
 
 impl BilinearStrategy for PolyS2c2 {

@@ -124,6 +124,14 @@ impl S2c2Strategy {
         self.code.params()
     }
 
+    /// The speed tracker whose forecasts drive the next allocation
+    /// (read-only: this is how a test sees the observed speeds a round
+    /// fed back).
+    #[must_use]
+    pub fn tracker(&self) -> &SpeedTracker {
+        &self.tracker
+    }
+
     fn build_assignment(&self, preds: &[f64]) -> ChunkAssignment {
         let p = self.code.params();
         let c = self.enc.layout().chunks_per_partition;
