@@ -9,7 +9,7 @@ use crate::speed_tracker::PredictorSource;
 use crate::strategy::s2c2::S2c2Mode;
 use crate::strategy::{
     IterationOutcome, MatvecStrategy, MdsStrategy, OverDecompositionStrategy, ReplicationStrategy,
-    S2c2Strategy, StrategyKind, UncodedStrategy,
+    S2c2Strategy, StrategyKind,
 };
 use s2c2_cluster::{ClusterSim, ClusterSpec, JobMetrics};
 use s2c2_coding::mds::MdsParams;
@@ -111,7 +111,7 @@ impl CodedJobBuilder {
         }
         let strategy: Box<dyn MatvecStrategy> = match self.strategy {
             StrategyKind::Uncoded => {
-                Box::new(UncodedStrategy::new(&self.a, n, self.chunks_per_worker)?)
+                Box::new(MdsStrategy::uncoded(&self.a, n, self.chunks_per_worker)?)
             }
             StrategyKind::Replication => Box::new(ReplicationStrategy::new(
                 &self.a,

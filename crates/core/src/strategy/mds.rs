@@ -1,24 +1,108 @@
 //! Conventional `(n, k)`-MDS coded computation (Lee et al.), the paper's
-//! primary coded baseline.
+//! primary coded baseline — and, as its degenerate `(n, n)` case, the
+//! uncoded even split of §2.
 //!
 //! Every worker computes its *entire* coded partition every iteration; the
 //! master uses the fastest `k` responses and ignores the rest. Robust to
 //! `n − k` stragglers, but (a) each worker does `1/k`-of-the-data work
 //! regardless of cluster health, and (b) the slowest `n − k` workers'
 //! effort is always wasted — the two inefficiencies S²C² removes.
+//!
+//! This module also owns the numeric tail every coded-matvec scheduler
+//! shares (compute the chosen responses, decode, charge the decode);
+//! the round itself is planned by
+//! [`round::plan_round`](crate::strategy::round::plan_round).
 
-use crate::alloc::allocate_full;
+use crate::alloc::{allocate_full, ChunkAssignment};
 use crate::error::S2c2Error;
-use crate::strategy::coded_common::{run_coded_round, CodedRoundConfig};
+use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
+use s2c2_coding::chunks::WorkerChunkResult;
 use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
 use s2c2_linalg::{Matrix, Vector};
 
+/// Master-side cost of decoding one chunk from `k` responses of which
+/// `missing` are parity (each systematic response is a free decode): LU
+/// on the `missing` unknown systematic blocks, then per right-hand side
+/// the triangular solves and the adjustment by the `k` received blocks.
+/// With `rhs` stacked right-hand sides the factorization is shared. The
+/// serve engine charges its rounds by the same formula.
+#[must_use]
+pub fn chunk_decode_flops(missing: usize, k: usize, rows_per_chunk: usize, rhs: usize) -> f64 {
+    let (m, rpc, rhs) = (missing as f64, rows_per_chunk as f64, rhs as f64);
+    m.powi(3) / 3.0 + rhs * (rpc * m.powi(2)) + rhs * (m * k as f64 * rpc)
+}
+
+/// An MDS-encoded matrix plus the numeric tail every coded-matvec
+/// scheduler shares.
+pub(crate) struct CodedMatvec {
+    pub(crate) code: MdsCode,
+    pub(crate) enc: EncodedMatrix,
+}
+
+impl CodedMatvec {
+    pub(crate) fn new(
+        a: &Matrix,
+        params: MdsParams,
+        chunks_per_partition: usize,
+    ) -> Result<Self, S2c2Error> {
+        let code = MdsCode::new(params)?;
+        let enc = code.encode(a, chunks_per_partition)?;
+        Ok(CodedMatvec { code, enc })
+    }
+
+    /// The conventional assignment: every worker, its whole partition.
+    pub(crate) fn full_assignment(&self) -> ChunkAssignment {
+        let p = self.code.params();
+        allocate_full(p.n, p.k, self.enc.layout().chunks_per_partition)
+    }
+
+    /// Runs one round of `assignment` on the simulator's current
+    /// iteration: plans it, computes exactly the responses the plan
+    /// uses, decodes, and charges the decode.
+    pub(crate) fn run_round(
+        &self,
+        assignment: &ChunkAssignment,
+        sim: &ClusterSim,
+        x: &Vector,
+        margin: f64,
+        reassign: bool,
+        expected_speeds: Option<&[f64]>,
+    ) -> Result<(IterationOutcome, Feedback), S2c2Error> {
+        let layout = *self.enc.layout();
+        let k = self.code.params().k;
+        let rpc = layout.rows_per_chunk();
+        let cost = RoundCost {
+            broadcast_bytes: (x.len() * 8) as u64,
+            fixed_elems: 0,
+            rows_per_chunk: rpc,
+            elems_per_row: x.len(),
+            reply_bytes_per_row: 8,
+            unit: WorkUnit::Rows,
+        };
+        let plan = plan_round(assignment, k, sim, &cost, margin, reassign, expected_speeds)?;
+
+        let mut responses: Vec<WorkerChunkResult> = Vec::new();
+        let mut decode_flops = 0.0;
+        for (chunk, workers) in plan.chosen.iter().enumerate() {
+            let computed = workers
+                .iter()
+                .map(|&w| self.enc.worker_compute_chunk(w, chunk, x));
+            responses.extend(computed);
+            let parity = workers.iter().filter(|&&w| w >= k).count();
+            decode_flops += chunk_decode_flops(parity, k, rpc, 1);
+        }
+        let result = self.code.decode_matvec(&layout, &responses)?;
+        let (metrics, feedback) = plan.finish(sim.decode_time(decode_flops));
+        Ok((IterationOutcome { result, metrics }, feedback))
+    }
+}
+
 /// Conventional MDS coded computation.
 pub struct MdsStrategy {
-    code: MdsCode,
-    enc: EncodedMatrix,
+    coded: CodedMatvec,
+    name: String,
 }
 
 impl MdsStrategy {
@@ -33,22 +117,38 @@ impl MdsStrategy {
         params: MdsParams,
         chunks_per_partition: usize,
     ) -> Result<Self, S2c2Error> {
-        let code = MdsCode::new(params)?;
-        let enc = code.encode(a, chunks_per_partition)?;
-        Ok(MdsStrategy { code, enc })
+        Ok(MdsStrategy {
+            coded: CodedMatvec::new(a, params, chunks_per_partition)?,
+            name: format!("mds({},{})", params.n, params.k),
+        })
+    }
+
+    /// The uncoded even-split baseline (§2's strawman): every worker
+    /// owns `1/n` of the rows and the master waits for everyone — the
+    /// degenerate `(n, n)` code (identity generator, no parity), which
+    /// gives exactly the "speed of the slowest node" behaviour. The
+    /// chunking only matters for metric granularity here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding failures for degenerate shapes.
+    pub fn uncoded(a: &Matrix, n: usize, chunks_per_partition: usize) -> Result<Self, S2c2Error> {
+        Ok(MdsStrategy {
+            coded: CodedMatvec::new(a, MdsParams::new(n, n), chunks_per_partition)?,
+            name: "uncoded".into(),
+        })
     }
 
     /// The code parameters in use.
     #[must_use]
     pub fn params(&self) -> MdsParams {
-        self.code.params()
+        self.coded.code.params()
     }
 }
 
 impl MatvecStrategy for MdsStrategy {
     fn name(&self) -> String {
-        let p = self.code.params();
-        format!("mds({},{})", p.n, p.k)
+        self.name.clone()
     }
 
     fn run_iteration(
@@ -58,30 +158,17 @@ impl MatvecStrategy for MdsStrategy {
         x: &Vector,
     ) -> Result<IterationOutcome, S2c2Error> {
         sim.begin_iteration(iteration);
-        let p = self.code.params();
-        let assignment = allocate_full(p.n, p.k, self.enc.layout().chunks_per_partition);
-        let cfg = CodedRoundConfig {
-            timeout_margin: 0.15,
-            reassign: false, // conventional coded computing never reassigns
-        };
-        let round = run_coded_round(
-            &self.code,
-            &self.enc,
-            &assignment,
-            sim,
-            iteration,
-            x,
-            &cfg,
-            None,
-        )?;
-        Ok(IterationOutcome {
-            result: round.result,
-            metrics: round.metrics,
-        })
+        // Conventional coded computing never reassigns (and plain
+        // uncoded has no recovery mechanism at all).
+        let assignment = self.coded.full_assignment();
+        let (outcome, _) = self
+            .coded
+            .run_round(&assignment, sim, x, 0.15, false, None)?;
+        Ok(outcome)
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {
-        self.enc.bytes_per_worker()
+        self.coded.enc.bytes_per_worker()
     }
 }
 
@@ -183,5 +270,58 @@ mod tests {
         let (a, _) = data();
         let s = MdsStrategy::new(&a, MdsParams::new(12, 6), 2).unwrap();
         assert_eq!(s.name(), "mds(12,6)");
+    }
+
+    fn uncoded_data() -> (Matrix, Vector) {
+        let a = Matrix::from_fn(240, 5, |r, c| ((r + 2 * c) % 9) as f64 - 4.0);
+        let x = Vector::from_fn(5, |i| 0.5 + i as f64);
+        (a, x)
+    }
+
+    #[test]
+    fn uncoded_computes_exact_product() {
+        let (a, x) = uncoded_data();
+        let mut s = MdsStrategy::uncoded(&a, 6, 4).unwrap();
+        assert_eq!(s.name(), "uncoded");
+        let spec = ClusterSpec::builder(6).build();
+        let mut sim = ClusterSim::new(spec);
+        let out = s.run_iteration(&mut sim, 0, &x).unwrap();
+        s2c2_linalg::assert_slices_close(out.result.as_slice(), a.matvec(&x).as_slice(), 1e-9);
+    }
+
+    #[test]
+    fn uncoded_latency_tracks_slowest_worker() {
+        let (a, x) = uncoded_data();
+        let mut s = MdsStrategy::uncoded(&a, 6, 4).unwrap();
+        // No straggler run.
+        let mut fast_sim = ClusterSim::new(ClusterSpec::builder(6).compute_bound().build());
+        let fast = s.run_iteration(&mut fast_sim, 0, &x).unwrap();
+        // One 5x straggler: uncoded must be ~5x slower.
+        let mut slow_sim = ClusterSim::new(
+            ClusterSpec::builder(6)
+                .compute_bound()
+                .straggler_slowdown(5.0)
+                .stragglers(&[2], 0.0)
+                .build(),
+        );
+        let slow = s.run_iteration(&mut slow_sim, 0, &x).unwrap();
+        let ratio = slow.metrics.latency / fast.metrics.latency;
+        assert!(ratio > 3.5, "uncoded gated on the straggler: ratio {ratio}");
+    }
+
+    #[test]
+    fn uncoded_no_waste_when_all_results_used() {
+        let (a, x) = uncoded_data();
+        let mut s = MdsStrategy::uncoded(&a, 4, 3).unwrap();
+        let mut sim = ClusterSim::new(ClusterSpec::builder(4).build());
+        let out = s.run_iteration(&mut sim, 0, &x).unwrap();
+        assert_eq!(out.metrics.total_wasted_rows(), 0);
+    }
+
+    #[test]
+    fn uncoded_storage_is_one_nth() {
+        let (a, _x) = uncoded_data();
+        let s = MdsStrategy::uncoded(&a, 6, 4).unwrap();
+        assert_eq!(s.storage_bytes_per_worker(), a.payload_bytes() / 6);
     }
 }

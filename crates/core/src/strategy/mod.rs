@@ -4,26 +4,30 @@
 //!
 //! | Strategy | Paper role |
 //! |---|---|
-//! | [`UncodedStrategy`] | even split, wait for all (§2's strawman) |
+//! | [`MdsStrategy::uncoded`] | even split, wait for all (§2's strawman): the degenerate `(n, n)` code |
 //! | [`ReplicationStrategy`] | uncoded r-replication + speculative re-execution (Hadoop/LATE-like, §7.1 baseline) |
 //! | [`MdsStrategy`] | conventional (n,k)-MDS coded computation (Lee et al., §7.1/7.2 baseline) |
 //! | [`S2c2Strategy`] | **the contribution**: basic & general S²C² (§4) |
 //! | [`OverDecompositionStrategy`] | Charm++-style over-decomposition + prediction-driven rebalancing (§7.2 baseline) |
 //! | [`poly`] | polynomial-coded Hessian, conventional vs S²C²-scheduled (§5, Fig 12) |
+//!
+//! The coded strategies (uncoded, MDS, both S²C² variants, both
+//! polynomial schedulers) all schedule through the one §4.3 round planner
+//! in [`round`]; [`mds`] and [`poly`] add only their numeric tails, and
+//! [`s2c2`] the adaptive predict → allocate → observe loop around it.
 
-pub mod coded_common;
 pub mod mds;
 pub mod overdecomp;
+mod partitions;
 pub mod poly;
 pub mod replication;
+pub mod round;
 pub mod s2c2;
-pub mod uncoded;
 
 pub use mds::MdsStrategy;
 pub use overdecomp::OverDecompositionStrategy;
 pub use replication::ReplicationStrategy;
 pub use s2c2::S2c2Strategy;
-pub use uncoded::UncodedStrategy;
 
 use crate::error::S2c2Error;
 use s2c2_cluster::metrics::RoundMetrics;

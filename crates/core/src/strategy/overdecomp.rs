@@ -20,6 +20,8 @@
 
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
+use crate::strategy::partitions::RowPartitions;
+use crate::strategy::round::Deadlines;
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
@@ -27,15 +29,13 @@ use s2c2_linalg::{Matrix, Vector};
 
 /// Over-decomposition with prediction-driven load balancing.
 pub struct OverDecompositionStrategy {
-    partitions: Vec<Matrix>,
-    starts: Vec<usize>,
+    partitions: RowPartitions,
     /// `holders[p]` = workers currently holding a copy of partition `p`
     /// (grows as rebalancing moves data).
     holders: Vec<Vec<usize>>,
     n: usize,
     tracker: SpeedTracker,
     timeout_margin: f64,
-    rows: usize,
 }
 
 impl OverDecompositionStrategy {
@@ -66,18 +66,6 @@ impl OverDecompositionStrategy {
             return Err(S2c2Error::InvalidConfig("matrix has zero rows".into()));
         }
         let parts = factor * n;
-        let base = a.rows() / parts;
-        let extra = a.rows() % parts;
-        let mut starts = Vec::with_capacity(parts + 1);
-        starts.push(0);
-        for p in 0..parts {
-            let size = base + usize::from(p < extra);
-            starts.push(starts[p] + size);
-        }
-        let partitions: Vec<Matrix> = (0..parts)
-            .map(|p| a.row_block(starts[p], starts[p + 1]))
-            .collect();
-
         // Placement: primary round-robin; additional copies for the first
         // (replication - 1) * parts partitions, offset round-robin.
         let extra_copies = ((replication - 1.0) * parts as f64).round() as usize;
@@ -91,13 +79,11 @@ impl OverDecompositionStrategy {
         }
 
         Ok(OverDecompositionStrategy {
-            partitions,
-            starts,
+            partitions: RowPartitions::split(a, parts),
             holders,
             n,
             tracker: SpeedTracker::new(predictor, n),
             timeout_margin: 0.15,
-            rows: a.rows(),
         })
     }
 
@@ -107,10 +93,6 @@ impl OverDecompositionStrategy {
     #[must_use]
     pub fn tracker(&self) -> &SpeedTracker {
         &self.tracker
-    }
-
-    fn part_rows(&self, p: usize) -> usize {
-        self.starts[p + 1] - self.starts[p]
     }
 }
 
@@ -203,14 +185,14 @@ impl MatvecStrategy for OverDecompositionStrategy {
                 .expect("counts sum to parts");
             *slot = w;
             load[w] += 1;
-            moved_bytes_per_worker[w] += self.partitions[p].payload_bytes();
+            moved_bytes_per_worker[w] += self.partitions.payload_bytes(p);
             self.holders[p].push(w); // the copy stays cached
         }
 
         // Phase-1 completion per worker: input + moves + compute + reply.
         let mut rows_of = vec![0usize; n];
         for p in 0..parts {
-            rows_of[owner[p]] += self.part_rows(p);
+            rows_of[owner[p]] += self.partitions.rows(p);
         }
         let mut times = vec![f64::INFINITY; n];
         for w in 0..n {
@@ -232,7 +214,6 @@ impl MatvecStrategy for OverDecompositionStrategy {
         // speed, calibrated on the fastest 70% of responses. A correctly
         // predicted slower worker is NOT rescued (rescue moves data here,
         // so false positives are doubly expensive).
-        let workers_with_work: Vec<usize> = (0..n).filter(|&w| times[w].is_finite()).collect();
         let planned: Vec<f64> = (0..n)
             .map(|w| {
                 if preds[w] > 0.0 {
@@ -242,22 +223,18 @@ impl MatvecStrategy for OverDecompositionStrategy {
                 }
             })
             .collect();
-        let mut by_time = workers_with_work.clone();
-        by_time.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-        let k_obs = (by_time.len() * 7 / 10).max(1);
-        let t_kobs = times[by_time[k_obs - 1]];
-        let mean_rate: f64 = by_time[..k_obs]
-            .iter()
-            .map(|&w| times[w] / planned[w])
-            .sum::<f64>()
-            / k_obs as f64;
-        let deadline_for =
-            |w: usize| t_kobs.max((1.0 + self.timeout_margin) * planned[w] * mean_rate);
+        let responders = times.iter().filter(|t| t.is_finite()).count();
+        let deadlines = Deadlines::calibrate(
+            &times,
+            &planned,
+            (responders * 7 / 10).max(1),
+            self.timeout_margin,
+        );
 
         let mut final_time = 0.0_f64;
         let mut observed: Vec<Option<f64>> = vec![None; n];
         let lagging: Vec<usize> = (0..n)
-            .filter(|&w| times[w].is_finite() && times[w] > deadline_for(w))
+            .filter(|&w| times[w].is_finite() && times[w] > deadlines.deadline_for(w))
             .collect();
         let mut rescue_time = vec![0.0_f64; n];
         let mut rescue_rows = vec![0usize; n];
@@ -266,10 +243,10 @@ impl MatvecStrategy for OverDecompositionStrategy {
             // fastest first.
             let deadline = lagging
                 .iter()
-                .map(|&w| deadline_for(w))
-                .fold(t_kobs, f64::max);
+                .map(|&w| deadlines.deadline_for(w))
+                .fold(deadlines.t_need, f64::max);
             let mut hosts: Vec<usize> = (0..n)
-                .filter(|&w| times[w].is_finite() && times[w] <= deadline_for(w))
+                .filter(|&w| times[w].is_finite() && times[w] <= deadlines.deadline_for(w))
                 .collect();
             hosts.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
             if !hosts.is_empty() {
@@ -280,8 +257,8 @@ impl MatvecStrategy for OverDecompositionStrategy {
                     let mut rows = 0usize;
                     for (p, &o) in owner.iter().enumerate() {
                         if o == slow {
-                            bytes += self.partitions[p].payload_bytes();
-                            rows += self.part_rows(p);
+                            bytes += self.partitions.payload_bytes(p);
+                            rows += self.partitions.rows(p);
                             if !self.holders[p].contains(&host) {
                                 self.holders[p].push(host);
                             }
@@ -330,13 +307,8 @@ impl MatvecStrategy for OverDecompositionStrategy {
         debug_assert!(metrics.conserves_work());
         self.tracker.observe(&observed);
 
-        // Numeric result: concatenate partition products in order.
-        let mut out = Vec::with_capacity(self.rows);
-        for p in 0..parts {
-            out.extend_from_slice(self.partitions[p].matvec(x).as_slice());
-        }
         Ok(IterationOutcome {
-            result: Vector::from(out),
+            result: self.partitions.matvec_concat(x),
             metrics,
         })
     }
@@ -347,7 +319,7 @@ impl MatvecStrategy for OverDecompositionStrategy {
             .holders
             .iter()
             .enumerate()
-            .map(|(p, h)| self.partitions[p].payload_bytes() * h.len() as u64)
+            .map(|(p, h)| self.partitions.payload_bytes(p) * h.len() as u64)
             .sum();
         total / self.n as u64
     }

@@ -18,6 +18,8 @@
 use crate::alloc::{allocate_chunks_with_fixed_cost, allocate_full, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
+use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
+use crate::strategy::s2c2::AdaptiveScheduler;
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
 use s2c2_coding::chunks::WorkerChunkResult;
@@ -51,7 +53,8 @@ pub trait BilinearStrategy: Send {
     ) -> Result<BilinearOutcome, S2c2Error>;
 }
 
-/// Shared state for the two polynomial schedulers.
+/// A polynomial-encoded pair plus the numeric tail the two schedulers
+/// share.
 struct PolyShared {
     code: PolynomialCode,
     enc: EncodedPair,
@@ -69,226 +72,72 @@ impl PolyShared {
         Ok(PolyShared { code, enc })
     }
 
-    /// Executes a round under `assignment`; mirrors
-    /// [`coded_common::run_coded_round`](crate::strategy::coded_common::run_coded_round)
-    /// with the polynomial cost model (fixed scaling pass + per-chunk
-    /// product) and `k = a·b`.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// The conventional assignment: every node, its whole encoded product.
+    fn full_assignment(&self) -> ChunkAssignment {
+        let p = self.code.params();
+        allocate_full(
+            p.n,
+            p.recovery_threshold(),
+            self.enc.layout().row.chunks_per_partition,
+        )
+    }
+
+    /// What a round with inner dimension `m` charges: every node scales
+    /// its full `B̃ᵢ` by `diag(w)` (`m·pcol` elements, not reduced by
+    /// S²C²), then pays `m·pcol` elements per product row and sends
+    /// `pcol` values back for each.
+    fn cost(&self, m: usize) -> RoundCost {
+        let layout = self.enc.layout();
+        let pcol = layout.cols_per_partition();
+        RoundCost {
+            broadcast_bytes: (m * 8) as u64,
+            fixed_elems: m * pcol,
+            rows_per_chunk: layout.row.rows_per_chunk(),
+            elems_per_row: m * pcol,
+            reply_bytes_per_row: (pcol * 8) as u64,
+            unit: WorkUnit::Elements,
+        }
+    }
+
+    /// Runs one round of `assignment` with `k = a·b`: plans it, computes
+    /// exactly the products the plan uses, interpolates.
     fn run_round(
         &self,
         assignment: &ChunkAssignment,
         sim: &ClusterSim,
-        iteration: usize,
         w: &Vector,
-        timeout_margin: f64,
+        margin: f64,
         reassign: bool,
         expected_speeds: Option<&[f64]>,
-    ) -> Result<(BilinearOutcome, Vec<Option<f64>>, bool), S2c2Error> {
-        let n = sim.n();
-        let p = self.code.params();
-        let need = p.recovery_threshold();
+    ) -> Result<(BilinearOutcome, Feedback), S2c2Error> {
+        let need = self.code.params().recovery_threshold();
         let layout = *self.enc.layout();
-        let c = layout.row.chunks_per_partition;
-        let rpc = layout.row.rows_per_chunk();
-        let m = w.len(); // inner dimension
-        let pcol = layout.cols_per_partition();
-        let input_time = sim.transfer_time((m * 8) as u64);
+        let cost = self.cost(w.len());
+        let plan = plan_round(
+            assignment,
+            need,
+            sim,
+            &cost,
+            margin,
+            reassign,
+            expected_speeds,
+        )?;
 
-        // Per-worker phase-1 completion: input + fixed diag(w)·B̃ scaling
-        // (m·pcol elements) + chunk products (rows·m·pcol elements, modelled
-        // as rows·(m·pcol) "row-equivalents") + reply.
-        let rows: Vec<usize> = assignment.rows_per_worker(rpc);
-        let row_cost_cols = m * pcol; // elements per product row
-        let mut times = vec![f64::INFINITY; n];
-        for wk in 0..n {
-            if rows[wk] == 0 {
-                continue;
-            }
-            times[wk] = input_time
-                + sim.compute_time(wk, m, pcol) // fixed scaling pass
-                + sim.compute_time(wk, rows[wk], row_cost_cols)
-                + sim.transfer_time((rows[wk] * pcol * 8) as u64);
-        }
-        let assigned: Vec<usize> = (0..n).filter(|&wk| rows[wk] > 0).collect();
-        if assigned.len() < need {
-            return Err(S2c2Error::NotEnoughWorkers {
-                alive: assigned.len(),
-                need,
-            });
-        }
-
-        // Plan-normalized §4.3 deadline: each worker's budget covers its
-        // fixed diag(w) pass plus its chunk share, divided by its
-        // predicted speed when scheduling adaptively (see coded_common
-        // for the rationale).
-        let work_of = |wk: usize| (m * pcol + rows[wk] * row_cost_cols) as f64;
-        let planned: Vec<f64> = (0..n)
-            .map(|wk| match expected_speeds {
-                Some(p) if p[wk] > 0.0 => work_of(wk) / p[wk],
-                _ => work_of(wk),
-            })
-            .collect();
-        let mut by_time: Vec<usize> = assigned.clone();
-        by_time.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-        let t_kth = times[by_time[need - 1]];
-        let mean_rate: f64 = by_time[..need]
-            .iter()
-            .map(|&wk| times[wk] / planned[wk])
-            .sum::<f64>()
-            / need as f64;
-        let deadline_for = |wk: usize| t_kth.max((1.0 + timeout_margin) * planned[wk] * mean_rate);
-
-        let covers = |wk: usize, chunk: usize| assignment.chunks[wk].binary_search(&chunk).is_ok();
-        let active: Vec<usize> = assigned
-            .iter()
-            .copied()
-            .filter(|&wk| times[wk] <= deadline_for(wk))
-            .collect();
-        let mut cancelled: Vec<usize> = if reassign {
-            assigned
-                .iter()
-                .copied()
-                .filter(|&wk| times[wk] > deadline_for(wk))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let cancel_at = cancelled
-            .iter()
-            .map(|&wk| deadline_for(wk))
-            .fold(t_kth, f64::max);
-
-        // Reassign deficit chunks among finished workers.
-        let mut extra: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut fired = false;
-        if !cancelled.is_empty() {
-            let mut ok = true;
-            let mut candidates = active.clone();
-            candidates.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-            'outer: for chunk in 0..c {
-                let live = active.iter().filter(|&&wk| covers(wk, chunk)).count();
-                if live >= need {
-                    continue;
-                }
-                let mut want = need - live;
-                while want > 0 {
-                    let pick = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&cand| !covers(cand, chunk) && !extra[cand].contains(&chunk))
-                        .min_by_key(|&cand| extra[cand].len());
-                    match pick {
-                        Some(cand) => {
-                            extra[cand].push(chunk);
-                            want -= 1;
-                        }
-                        None => break,
-                    }
-                }
-                if want > 0 {
-                    ok = false;
-                    break 'outer;
-                }
-            }
-            if ok {
-                fired = true;
-            } else {
-                extra.iter_mut().for_each(Vec::clear);
-                cancelled.clear();
-            }
-        }
-        let live_workers: Vec<usize> = if cancelled.is_empty() {
-            assigned.clone()
-        } else {
-            active.clone()
-        };
-
-        let mut t2 = vec![f64::INFINITY; n];
-        for (wk, ex) in extra.iter().enumerate() {
-            if !ex.is_empty() {
-                let er = ex.len() * rpc;
-                t2[wk] = cancel_at
-                    + sim.transfer_time(64)
-                    + sim.compute_time(wk, er, row_cost_cols)
-                    + sim.transfer_time((er * pcol * 8) as u64);
-            }
-        }
-
-        // Collection: need earliest results per chunk.
-        let mut t_compute: f64 = 0.0;
-        let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); c];
-        for (chunk, slot) in chosen.iter_mut().enumerate() {
-            let mut cands: Vec<(f64, usize)> = Vec::new();
-            for &wk in &live_workers {
-                if covers(wk, chunk) {
-                    cands.push((times[wk], wk));
-                }
-            }
-            for (wk, ex) in extra.iter().enumerate() {
-                if ex.contains(&chunk) {
-                    cands.push((t2[wk], wk));
-                }
-            }
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            if cands.len() < need {
-                return Err(S2c2Error::IterationFailed(format!(
-                    "chunk {chunk}: only {} poly results",
-                    cands.len()
-                )));
-            }
-            t_compute = t_compute.max(cands[need - 1].0);
-            *slot = cands[..need].iter().map(|&(_, wk)| wk).collect();
-        }
-
-        // Numeric compute + decode.
         let mut responses: Vec<WorkerChunkResult> = Vec::new();
-        let mut useful_rows = vec![0usize; n];
-        for (chunk, sel) in chosen.iter().enumerate() {
-            for &wk in sel {
-                responses.push(self.enc.worker_compute_chunk(wk, chunk, Some(w)));
-                useful_rows[wk] += rpc;
-            }
+        for (chunk, workers) in plan.chosen.iter().enumerate() {
+            let computed = workers
+                .iter()
+                .map(|&wk| self.enc.worker_compute_chunk(wk, chunk, Some(w)));
+            responses.extend(computed);
         }
         let result = self.code.decode_product(&layout, &responses)?;
         // Interpolation solve: need^3/3 LU + need^2 per decoded value.
+        let c = layout.row.chunks_per_partition as f64;
         let vpc = layout.values_per_chunk() as f64;
         let nd = need as f64;
-        let decode_time = sim.decode_time(c as f64 * (nd * nd * nd / 3.0 + vpc * nd * nd));
-
-        let mut metrics = RoundMetrics::new(iteration, n);
-        let mut observed: Vec<Option<f64>> = vec![None; n];
-        for wk in 0..n {
-            let er = extra[wk].len() * rpc;
-            if live_workers.contains(&wk) {
-                metrics.assigned_rows[wk] = rows[wk] + er;
-                metrics.computed_rows[wk] = rows[wk] + er;
-                let t = if er > 0 { t2[wk] } else { times[wk] };
-                if rows[wk] + er > 0 {
-                    metrics.response_times[wk] = Some(t);
-                    // Speed estimation uses the phase-1 response and is
-                    // work-normalized (the fixed diag(w) pass is part of
-                    // the response time, so `rows/time` would report
-                    // different "speeds" for equal-speed workers with
-                    // different loads).
-                    observed[wk] = Some(work_of(wk) / times[wk]);
-                }
-            } else if cancelled.contains(&wk) {
-                metrics.assigned_rows[wk] = rows[wk];
-                let own_deadline = deadline_for(wk);
-                let elapsed = (own_deadline - input_time).max(0.0);
-                let partial_elems = sim.partial_compute_elements(wk, elapsed);
-                let partial = ((partial_elems / row_cost_cols as f64) as usize).min(rows[wk]);
-                metrics.computed_rows[wk] = partial;
-                metrics.response_times[wk] = Some(own_deadline);
-                observed[wk] = Some(partial_elems.max(1.0) / own_deadline);
-            }
-        }
-        metrics.useful_rows = useful_rows;
-        metrics.latency = t_compute + decode_time;
-        metrics.decode_time = decode_time;
-        debug_assert!(metrics.conserves_work());
-
-        Ok((BilinearOutcome { result, metrics }, observed, fired))
+        let decode_time = sim.decode_time(c * (nd * nd * nd / 3.0 + vpc * nd * nd));
+        let (metrics, feedback) = plan.finish(decode_time);
+        Ok((BilinearOutcome { result, metrics }, feedback))
     }
 }
 
@@ -329,15 +178,10 @@ impl BilinearStrategy for PolyConventional {
         w: &Vector,
     ) -> Result<BilinearOutcome, S2c2Error> {
         sim.begin_iteration(iteration);
-        let p = self.shared.code.params();
-        let assignment = allocate_full(
-            p.n,
-            p.recovery_threshold(),
-            self.shared.enc.layout().row.chunks_per_partition,
-        );
-        let (outcome, _, _) =
-            self.shared
-                .run_round(&assignment, sim, iteration, w, 0.15, false, None)?;
+        let assignment = self.shared.full_assignment();
+        let (outcome, _) = self
+            .shared
+            .run_round(&assignment, sim, w, 0.15, false, None)?;
         Ok(outcome)
     }
 }
@@ -345,10 +189,7 @@ impl BilinearStrategy for PolyConventional {
 /// S²C²-scheduled polynomial-coded computation.
 pub struct PolyS2c2 {
     shared: PolyShared,
-    tracker: SpeedTracker,
-    timeout_margin: f64,
-    mispredicted_rounds: usize,
-    rounds: usize,
+    sched: AdaptiveScheduler,
 }
 
 impl PolyS2c2 {
@@ -366,21 +207,15 @@ impl PolyS2c2 {
     ) -> Result<Self, S2c2Error> {
         Ok(PolyS2c2 {
             shared: PolyShared::new(a_t, a, params, chunks_per_partition)?,
-            tracker: SpeedTracker::new(predictor, params.n),
-            timeout_margin: 0.15,
-            mispredicted_rounds: 0,
-            rounds: 0,
+            sched: AdaptiveScheduler::new(predictor, params.n),
         })
     }
 
-    /// Measured fraction of rounds where the timeout fired.
+    /// Fraction of rounds in which the timeout fired and work was
+    /// rebuilt.
     #[must_use]
     pub fn misprediction_rate(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.mispredicted_rounds as f64 / self.rounds as f64
-        }
+        self.sched.misprediction_rate()
     }
 
     /// The speed tracker whose forecasts drive the next allocation
@@ -388,7 +223,7 @@ impl PolyS2c2 {
     /// fed back).
     #[must_use]
     pub fn tracker(&self) -> &SpeedTracker {
-        &self.tracker
+        self.sched.tracker()
     }
 }
 
@@ -406,32 +241,23 @@ impl BilinearStrategy for PolyS2c2 {
     ) -> Result<BilinearOutcome, S2c2Error> {
         sim.begin_iteration(iteration);
         let p = self.shared.code.params();
-        let layout = *self.shared.enc.layout();
-        let c = layout.row.chunks_per_partition;
-        let preds = self.tracker.predictions(sim);
+        let (preds, margin) = self.sched.forecast(sim)?;
         // Fixed cost: the diag(w) scaling pass over the full encoded B
         // partition; unit cost: one chunk's product work.
-        let m = w.len() as f64;
-        let pcol = layout.cols_per_partition() as f64;
-        let fixed = m * pcol;
-        let unit = layout.row.rows_per_chunk() as f64 * m * pcol;
-        let assignment =
-            allocate_chunks_with_fixed_cost(&preds, p.recovery_threshold(), c, fixed, unit)
-                .unwrap_or_else(|_| allocate_full(p.n, p.recovery_threshold(), c));
-        // Cold-start margin widening: see S2c2Strategy::run_iteration.
-        let margin = if self.rounds == 0 {
-            self.timeout_margin.max(0.35)
-        } else {
-            self.timeout_margin
-        };
-        let (outcome, observed, fired) =
+        let cost = self.shared.cost(w.len());
+        let attempt = allocate_chunks_with_fixed_cost(
+            &preds,
+            p.recovery_threshold(),
+            self.shared.enc.layout().row.chunks_per_partition,
+            cost.fixed_elems as f64,
+            cost.rows_per_chunk as f64 * cost.elems_per_row as f64,
+        );
+        // §4.4 fallback, as in S2c2Strategy.
+        let assignment = attempt.unwrap_or_else(|_| self.shared.full_assignment());
+        let (outcome, feedback) =
             self.shared
-                .run_round(&assignment, sim, iteration, w, margin, true, Some(&preds))?;
-        self.rounds += 1;
-        if fired {
-            self.mispredicted_rounds += 1;
-        }
-        self.tracker.observe(&observed);
+                .run_round(&assignment, sim, w, margin, true, Some(&preds))?;
+        self.sched.learn(&feedback);
         Ok(outcome)
     }
 }
@@ -566,5 +392,34 @@ mod tests {
         let out = s.run_iteration(&mut sim, 0, &w).unwrap();
         assert!(out.result.max_abs_diff(&expect) < 1e-6);
         assert!(s.misprediction_rate() > 0.0);
+    }
+
+    #[test]
+    fn mismatched_cluster_size_is_a_typed_error() {
+        // Built for n = 12; a 14-worker sim used to index out of bounds
+        // and a 10-worker one to fail with a misleading coverage message
+        // (S²C²) or silently ignore two workers (conventional).
+        let (a_t, a, w, _) = hessian_inputs();
+        let params = PolyParams::new(12, 3, 3);
+        for workers in [10, 14] {
+            let spec = ClusterSpec::builder(workers).compute_bound().build();
+            let mut strategies: Vec<Box<dyn BilinearStrategy>> = vec![Box::new(
+                PolyConventional::new(&a_t, &a, params, 6).unwrap(),
+            )];
+            for predictor in [PredictorSource::Uniform, PredictorSource::Oracle] {
+                strategies.push(Box::new(
+                    PolyS2c2::new(&a_t, &a, params, 6, &predictor).unwrap(),
+                ));
+            }
+            for strategy in &mut strategies {
+                let mut sim = ClusterSim::new(spec.clone());
+                let err = strategy.run_iteration(&mut sim, 0, &w).unwrap_err();
+                assert!(
+                    matches!(err, S2c2Error::InvalidConfig(_)),
+                    "{} on {workers} workers: {err}",
+                    strategy.name()
+                );
+            }
+        }
     }
 }

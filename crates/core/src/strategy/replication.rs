@@ -18,6 +18,7 @@
 //! Whichever copy finishes first wins; the loser's work is wasted.
 
 use crate::error::S2c2Error;
+use crate::strategy::partitions::RowPartitions;
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
@@ -25,15 +26,13 @@ use s2c2_linalg::{Matrix, Vector};
 
 /// Replication + speculation strategy.
 pub struct ReplicationStrategy {
-    /// Partition row blocks (partition `p` covers rows `[starts[p], starts[p+1])`).
-    partitions: Vec<Matrix>,
-    starts: Vec<usize>,
+    /// One row block per worker.
+    partitions: RowPartitions,
     /// `replicas[p]` = sorted worker ids holding partition `p`.
     replicas: Vec<Vec<usize>>,
     n: usize,
     max_speculative: usize,
     detect_quantile: f64,
-    rows: usize,
 }
 
 impl ReplicationStrategy {
@@ -63,19 +62,6 @@ impl ReplicationStrategy {
         if a.rows() == 0 {
             return Err(S2c2Error::InvalidConfig("matrix has zero rows".into()));
         }
-        // Near-even partition bounds.
-        let base = a.rows() / n;
-        let extra = a.rows() % n;
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0);
-        for p in 0..n {
-            let size = base + usize::from(p < extra);
-            starts.push(starts[p] + size);
-        }
-        let partitions: Vec<Matrix> = (0..n)
-            .map(|p| a.row_block(starts[p], starts[p + 1]))
-            .collect();
-
         // Deterministic pseudo-random placement: stride coprime-ish to n.
         let stride = (seed as usize % n.saturating_sub(1).max(1)) + 1;
         let replicas: Vec<Vec<usize>> = (0..n)
@@ -94,13 +80,11 @@ impl ReplicationStrategy {
             .collect();
 
         Ok(ReplicationStrategy {
-            partitions,
-            starts,
+            partitions: RowPartitions::split(a, n),
             replicas,
             n,
             max_speculative,
             detect_quantile: 0.75,
-            rows: a.rows(),
         })
     }
 
@@ -136,7 +120,7 @@ impl MatvecStrategy for ReplicationStrategy {
         let input_time = sim.transfer_time(input_bytes);
 
         // Primary executions: task p runs on worker p.
-        let part_rows = |p: usize| self.starts[p + 1] - self.starts[p];
+        let part_rows = |p: usize| self.partitions.rows(p);
         let mut primary_time = vec![0.0_f64; n];
         for (p, t) in primary_time.iter_mut().enumerate() {
             *t = input_time
@@ -186,7 +170,7 @@ impl MatvecStrategy for ReplicationStrategy {
             let move_time = if has_replica {
                 0.0
             } else {
-                let bytes = self.partitions[p].payload_bytes();
+                let bytes = self.partitions.payload_bytes(p);
                 metrics.rebalance_bytes += bytes;
                 sim.transfer_time(bytes)
             };
@@ -236,14 +220,8 @@ impl MatvecStrategy for ReplicationStrategy {
         metrics.latency = t_done; // concatenation needs no decode
         debug_assert!(metrics.conserves_work());
 
-        // Numeric result: concatenate partition products.
-        let mut out = Vec::with_capacity(self.rows);
-        for p in 0..n {
-            out.extend_from_slice(self.partitions[p].matvec(x).as_slice());
-        }
-
         Ok(IterationOutcome {
-            result: Vector::from(out),
+            result: self.partitions.matvec_concat(x),
             metrics,
         })
     }
@@ -251,7 +229,7 @@ impl MatvecStrategy for ReplicationStrategy {
     fn storage_bytes_per_worker(&self) -> u64 {
         // r copies of 1/n of the data per worker on average.
         let r = self.replicas.first().map_or(1, Vec::len) as u64;
-        self.partitions.first().map_or(0, Matrix::payload_bytes) * r
+        self.partitions.payload_bytes(0) * r
     }
 }
 

@@ -15,18 +15,96 @@
 //!    coded data — no data movement, ever),
 //! 4. feeds observed speeds back to the predictors.
 //!
-//! Robustness (§4.4): if predictions fail so badly that reassignment
-//! cannot rebuild coverage, the round degrades to conventional coded
-//! computing — correctness never depends on prediction quality.
+//! Robustness (§4.4): if the predictions leave fewer than `k` workers
+//! schedulable, the round runs the conventional full assignment instead;
+//! and however wrong they are, the first `k` finishers are never
+//! cancelled, so coverage can always be rebuilt — correctness never
+//! depends on prediction quality.
 
-use crate::alloc::{allocate_chunks, allocate_chunks_basic, allocate_full, ChunkAssignment};
+use crate::alloc::{allocate_chunks, allocate_chunks_basic, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
-use crate::strategy::coded_common::{run_coded_round, CodedRoundConfig};
+use crate::strategy::mds::CodedMatvec;
+use crate::strategy::round::Feedback;
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
-use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
+use s2c2_coding::mds::MdsParams;
 use s2c2_linalg::{Matrix, Vector};
+
+/// The adaptive half of S²C², whatever the code underneath: forecasts
+/// out, a round run on them, observations back in. Shared by the MDS
+/// and the polynomial scheduler.
+pub(crate) struct AdaptiveScheduler {
+    tracker: SpeedTracker,
+    timeout_margin: f64,
+    /// Count of rounds in which the timeout machinery rebuilt work.
+    mispredicted_rounds: usize,
+    rounds: usize,
+}
+
+impl AdaptiveScheduler {
+    pub(crate) fn new(predictor: &PredictorSource, n: usize) -> Self {
+        AdaptiveScheduler {
+            tracker: SpeedTracker::new(predictor, n),
+            timeout_margin: 0.15,
+            mispredicted_rounds: 0,
+            rounds: 0,
+        }
+    }
+
+    pub(crate) fn tracker(&self) -> &SpeedTracker {
+        &self.tracker
+    }
+
+    /// Fraction of rounds in which the timeout fired and work was
+    /// rebuilt (the measured mis-prediction rate of §7.2).
+    pub(crate) fn misprediction_rate(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.mispredicted_rounds as f64 / self.rounds as f64
+        }
+    }
+
+    /// Forecasts for the iteration in flight and this round's timeout
+    /// margin.
+    ///
+    /// # Errors
+    ///
+    /// [`S2c2Error::InvalidConfig`] if the scheduler was built for a
+    /// different worker count than the cluster has (an oracle tracker
+    /// would otherwise hand back cluster-sized "forecasts").
+    pub(crate) fn forecast(&self, sim: &ClusterSim) -> Result<(Vec<f64>, f64), S2c2Error> {
+        if sim.n() != self.tracker.n() {
+            return Err(S2c2Error::InvalidConfig(format!(
+                "scheduler built for {} workers, cluster has {}",
+                self.tracker.n(),
+                sim.n()
+            )));
+        }
+        // Cold start: before any observation the "prediction" is a blind
+        // uniform guess, so judging workers against the 15% margin would
+        // cancel every slightly-below-par node and churn. Until the first
+        // round completes, the margin is widened to the a-priori
+        // non-straggler speed spread (~35%); genuine stragglers (5x) are
+        // still far outside it.
+        let margin = if self.rounds == 0 {
+            self.timeout_margin.max(0.35)
+        } else {
+            self.timeout_margin
+        };
+        Ok((self.tracker.predictions(sim), margin))
+    }
+
+    /// Feeds what a completed round observed back to the tracker.
+    pub(crate) fn learn(&mut self, feedback: &Feedback) {
+        self.rounds += 1;
+        if feedback.reassigned {
+            self.mispredicted_rounds += 1;
+        }
+        self.tracker.observe(&feedback.observed_speeds);
+    }
+}
 
 /// Which S²C² variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,25 +117,20 @@ pub enum S2c2Mode {
 
 /// The S²C² scheduler over an `(n, k)`-MDS-coded matrix.
 pub struct S2c2Strategy {
-    code: MdsCode,
-    enc: EncodedMatrix,
-    tracker: SpeedTracker,
+    coded: CodedMatvec,
+    sched: AdaptiveScheduler,
     mode: S2c2Mode,
-    timeout_margin: f64,
     /// Basic mode: a worker is a straggler when its estimated speed falls
     /// below this fraction of the median estimate.
     straggler_threshold: f64,
-    /// Count of rounds in which the timeout machinery fired.
-    mispredicted_rounds: usize,
-    rounds: usize,
 }
 
 impl std::fmt::Debug for S2c2Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("S2c2Strategy")
-            .field("params", &self.code.params())
+            .field("params", &self.params())
             .field("mode", &self.mode)
-            .field("rounds", &self.rounds)
+            .field("rounds", &self.sched.rounds)
             .finish()
     }
 }
@@ -82,17 +155,11 @@ impl S2c2Strategy {
                 params.n
             )));
         }
-        let code = MdsCode::new(params)?;
-        let enc = code.encode(a, chunks_per_partition)?;
         Ok(S2c2Strategy {
-            code,
-            enc,
-            tracker: SpeedTracker::new(predictor, params.n),
+            coded: CodedMatvec::new(a, params, chunks_per_partition)?,
+            sched: AdaptiveScheduler::new(predictor, params.n),
             mode,
-            timeout_margin: 0.15,
             straggler_threshold: 0.5,
-            mispredicted_rounds: 0,
-            rounds: 0,
         })
     }
 
@@ -104,24 +171,20 @@ impl S2c2Strategy {
     /// Panics on a negative margin.
     pub fn set_timeout_margin(&mut self, margin: f64) {
         assert!(margin >= 0.0, "timeout margin must be non-negative");
-        self.timeout_margin = margin;
+        self.sched.timeout_margin = margin;
     }
 
-    /// Fraction of rounds in which the timeout fired (the measured
-    /// mis-prediction rate of §7.2).
+    /// Fraction of rounds in which the timeout fired and work was
+    /// rebuilt (the measured mis-prediction rate of §7.2).
     #[must_use]
     pub fn misprediction_rate(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.mispredicted_rounds as f64 / self.rounds as f64
-        }
+        self.sched.misprediction_rate()
     }
 
     /// The code parameters in use.
     #[must_use]
     pub fn params(&self) -> MdsParams {
-        self.code.params()
+        self.coded.code.params()
     }
 
     /// The speed tracker whose forecasts drive the next allocation
@@ -129,12 +192,14 @@ impl S2c2Strategy {
     /// fed back).
     #[must_use]
     pub fn tracker(&self) -> &SpeedTracker {
-        &self.tracker
+        self.sched.tracker()
     }
 
+    /// Algorithm 1 on the forecasts (general), or detected stragglers
+    /// excluded and an even split among the rest (basic).
     fn build_assignment(&self, preds: &[f64]) -> ChunkAssignment {
-        let p = self.code.params();
-        let c = self.enc.layout().chunks_per_partition;
+        let p = self.params();
+        let c = self.coded.enc.layout().chunks_per_partition;
         let attempt = match self.mode {
             S2c2Mode::General => allocate_chunks(preds, p.k, c),
             S2c2Mode::Basic => {
@@ -151,13 +216,13 @@ impl S2c2Strategy {
         // §4.4 fallback: an unschedulable prediction state (fewer than k
         // workers believed alive) degrades to conventional coded computing
         // rather than failing.
-        attempt.unwrap_or_else(|_| allocate_full(p.n, p.k, c))
+        attempt.unwrap_or_else(|_| self.coded.full_assignment())
     }
 }
 
 impl MatvecStrategy for S2c2Strategy {
     fn name(&self) -> String {
-        let p = self.code.params();
+        let p = self.params();
         let mode = match self.mode {
             S2c2Mode::Basic => "basic",
             S2c2Mode::General => "general",
@@ -172,52 +237,20 @@ impl MatvecStrategy for S2c2Strategy {
         x: &Vector,
     ) -> Result<IterationOutcome, S2c2Error> {
         sim.begin_iteration(iteration);
-        let preds = self.tracker.predictions(sim);
+        let (preds, margin) = self.sched.forecast(sim)?;
         let assignment = self.build_assignment(&preds);
-        // Cold start: before any observation the "prediction" is a blind
-        // uniform guess, so judging workers against the 15% margin would
-        // cancel every slightly-below-par node and churn. Until the first
-        // round completes, the margin is widened to the a-priori
-        // non-straggler speed spread (~35%); genuine stragglers (5x) are
-        // still far outside it.
-        let margin = if self.rounds == 0 {
-            self.timeout_margin.max(0.35)
-        } else {
-            self.timeout_margin
-        };
-        let cfg = CodedRoundConfig {
-            timeout_margin: margin,
-            reassign: true,
-        };
-        // Basic mode plans on its equal-speed assumption; general mode on
-        // the actual predictions.
-        let expected: Option<&[f64]> = match self.mode {
-            S2c2Mode::Basic => None,
-            S2c2Mode::General => Some(&preds),
-        };
-        let round = run_coded_round(
-            &self.code,
-            &self.enc,
-            &assignment,
-            sim,
-            iteration,
-            x,
-            &cfg,
-            expected,
-        )?;
-        self.rounds += 1;
-        if round.reassigned {
-            self.mispredicted_rounds += 1;
-        }
-        self.tracker.observe(&round.observed_speeds);
-        Ok(IterationOutcome {
-            result: round.result,
-            metrics: round.metrics,
-        })
+        // Basic mode plans on its equal-speed assumption; general mode
+        // on the actual predictions.
+        let expected = (self.mode == S2c2Mode::General).then_some(preds.as_slice());
+        let (outcome, feedback) =
+            self.coded
+                .run_round(&assignment, sim, x, margin, true, expected)?;
+        self.sched.learn(&feedback);
+        Ok(outcome)
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {
-        self.enc.bytes_per_worker()
+        self.coded.enc.bytes_per_worker()
     }
 }
 
@@ -330,7 +363,7 @@ mod tests {
         let max = *active_rows.iter().max().unwrap();
         let min = *active_rows.iter().min().unwrap();
         assert!(
-            max - min <= s.enc.layout().rows_per_chunk(),
+            max - min <= s.coded.enc.layout().rows_per_chunk(),
             "even split in basic mode"
         );
     }
@@ -419,7 +452,7 @@ mod tests {
             for w in stragglers..12 {
                 let got = out.metrics.assigned_rows[w] as f64;
                 assert!(
-                    (got - expect).abs() <= s.enc.layout().rows_per_chunk() as f64,
+                    (got - expect).abs() <= s.coded.enc.layout().rows_per_chunk() as f64,
                     "{stragglers} stragglers: worker {w} rows {got}, expected ~{expect}"
                 );
             }

@@ -31,6 +31,7 @@
 use super::backend::ExecutionBackend;
 use super::trace_into;
 use crate::event::{EventKind, EventQueue, JobId};
+use s2c2_core::strategy::mds::chunk_decode_flops;
 use s2c2_core::ChunkAssignment;
 use s2c2_telemetry::{Telemetry, TraceEventKind};
 use std::ops::Range;
@@ -671,9 +672,9 @@ impl RunningIteration {
         Some(extra)
     }
 
-    /// Master-side decode cost of a completed iteration (same model as
-    /// the single-job engine: per chunk, LU on the missing systematic
-    /// rows among the fastest `k` credited responses). For a batch
+    /// Master-side decode cost of a completed iteration (the single-job
+    /// engine's [`chunk_decode_flops`]: per chunk, LU on the missing
+    /// systematic rows among the fastest `k` credited responses). For a batch
     /// round the LU factorization is shared — every stacked right-hand
     /// side reuses it and pays only the per-column triangular solves
     /// and RHS adjustments. That factor-once term is the decode-side
@@ -685,8 +686,6 @@ impl RunningIteration {
     /// over the responses.
     pub(crate) fn decode_flops(&self, scratch: &mut DecodeScratch) -> f64 {
         let k = self.k_eff;
-        let rpc = self.rows_per_chunk as f64;
-        let rhs = self.rhs as f64;
         let DecodeScratch { order, taken } = scratch;
         order.clear();
         order.extend(
@@ -709,10 +708,7 @@ impl RunningIteration {
         }
         let mut flops = 0.0;
         for &(_, missing) in taken.iter() {
-            let missing = missing as f64;
-            flops += missing.powi(3) / 3.0
-                + rhs * (rpc * missing.powi(2))
-                + rhs * (missing * k as f64 * rpc);
+            flops += chunk_decode_flops(missing, k, self.rows_per_chunk, self.rhs);
         }
         flops
     }
