@@ -39,7 +39,10 @@ struct SchemeResult {
     forward_metrics: JobMetrics,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call per scheme row; each argument is a column of the figure's table"
+)]
 fn run_scheme(
     data: &Classification,
     label: &str,

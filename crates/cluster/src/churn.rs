@@ -120,10 +120,13 @@ impl ChurnProcess {
         // Enforce the availability floor: recover the longest-down
         // workers first (lowest `since`, then lowest id — deterministic).
         while self.up_count() < self.min_up {
+            #[expect(
+                clippy::expect_used,
+                reason = "up_count < min_up <= n implies a down worker exists"
+            )]
             let pick = (0..self.up.len())
                 .filter(|&w| !self.up[w])
                 .min_by_key(|&w| (self.since[w], w))
-                // s2c2-allow: panic-reachability -- up_count < min_up <= n implies a down worker exists
                 .expect("min_up <= n guarantees a candidate");
             self.up[pick] = true;
             self.since[pick] = epoch;

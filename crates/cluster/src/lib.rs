@@ -26,6 +26,18 @@
 //! chains for long-lived shared pools (the `s2c2-serve` engine).
 
 #![warn(missing_docs)]
+// Library code (tests excepted) does not panic; a site that provably
+// cannot carries `#[expect(lint, reason = "…")]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 pub mod churn;
 pub mod comm;

@@ -271,7 +271,7 @@ mod tests {
         }
         // Bases actually differ across workers.
         let mut bases: Vec<f64> = spec.workers.iter_mut().map(|m| m.speed_at(0)).collect();
-        bases.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        bases.sort_by(f64::total_cmp);
         assert!(bases[7] - bases[0] > 0.02, "heterogeneous bases");
     }
 

@@ -10,11 +10,15 @@
 //! Per-worker slowdowns are injected by busy-wait delays proportional to
 //! task size, so the "who finishes first" structure of a straggler
 //! scenario is reproduced with real threads.
+#![expect(
+    clippy::disallowed_types,
+    reason = "measurement site: `Instant` times worker closures, bounds blocking waits and paces spin delays; no scheduling decision reads it"
+)]
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -121,6 +125,10 @@ where
             let results = result_tx.clone();
             let mut work = make_worker(worker);
             let busy = Arc::clone(&busy_nanos);
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread-spawn failure at startup has no recovery path"
+            )]
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("s2c2-worker-{worker}"))
@@ -145,7 +153,6 @@ where
                             }
                         }
                     })
-                    // s2c2-allow: panic-reachability -- OS thread-spawn failure at startup has no recovery path
                     .expect("failed to spawn worker thread"),
             );
             senders.push(tx);
@@ -188,18 +195,17 @@ where
         let task_id = self.next_task;
         self.next_task += 1;
         let cancel = Arc::new(AtomicBool::new(false));
-        self.cancels
-            .lock()
-            // s2c2-allow: panic-reachability -- lock holders never panic, so the mutex cannot poison
-            .expect("cancel registry poisoned")
-            .insert(task_id, Arc::clone(&cancel));
+        self.registry().insert(task_id, Arc::clone(&cancel));
+        #[expect(
+            clippy::expect_used,
+            reason = "workers only exit after their sender is dropped at shutdown"
+        )]
         self.senders[worker]
             .send(Envelope {
                 task_id,
                 cancel,
                 payload,
             })
-            // s2c2-allow: panic-reachability -- workers only exit after their sender is dropped at shutdown
             .expect("worker thread has terminated");
         task_id
     }
@@ -211,13 +217,7 @@ where
     /// Returns `false` if the task already replied (or never existed) —
     /// cancelling it is then a no-op.
     pub fn cancel(&self, task_id: u64) -> bool {
-        match self
-            .cancels
-            .lock()
-            // s2c2-allow: panic-reachability -- lock holders never panic, so the mutex cannot poison
-            .expect("cancel registry poisoned")
-            .remove(&task_id)
-        {
+        match self.registry().remove(&task_id) {
             Some(flag) => {
                 flag.store(true, Ordering::Relaxed);
                 true
@@ -228,11 +228,16 @@ where
 
     /// Drops the cancel-flag bookkeeping of a reply the master has seen.
     fn retire(&self, task_id: u64) {
-        self.cancels
-            .lock()
-            // s2c2-allow: panic-reachability -- lock holders never panic, so the mutex cannot poison
-            .expect("cancel registry poisoned")
-            .remove(&task_id);
+        self.registry().remove(&task_id);
+    }
+
+    /// The cancel-flag registry, locked.
+    #[expect(
+        clippy::expect_used,
+        reason = "lock holders never panic, so the mutex cannot poison"
+    )]
+    fn registry(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<AtomicBool>>> {
+        self.cancels.lock().expect("cancel registry poisoned")
     }
 
     /// Receives the next completed result, waiting up to `timeout`.
@@ -256,7 +261,10 @@ where
     /// Panics if all workers have terminated and the channel drained.
     #[must_use]
     pub fn recv(&self) -> WorkerReply<R> {
-        // s2c2-allow: panic-reachability -- documented Panics contract: callers hold live workers
+        #[expect(
+            clippy::expect_used,
+            reason = "documented Panics contract: callers hold live workers"
+        )]
         let r = self.results.recv().expect("all workers terminated");
         self.retire(r.task_id);
         r

@@ -108,6 +108,10 @@ fn apportion_capped(weights: &[f64], total: usize, cap: usize) -> Vec<usize> {
     // 1/speed, so slot placement must be speed-aware.
     let mut leftover = total - assigned;
     while leftover > 0 {
+        #[expect(
+            clippy::expect_used,
+            reason = "leftover > 0 with total <= n*cap implies an uncapped worker"
+        )]
         let pick = (0..n)
             .filter(|&i| counts[i] < cap)
             .min_by(|&a, &b| {
@@ -119,7 +123,6 @@ fn apportion_capped(weights: &[f64], total: usize, cap: usize) -> Vec<usize> {
                 // the allocator mid-run.
                 fa.total_cmp(&fb).then(a.cmp(&b))
             })
-            // s2c2-allow: panic-reachability -- leftover > 0 with total <= n*cap implies an uncapped worker
             .expect("total <= n*cap guarantees a slot");
         counts[pick] += 1;
         leftover -= 1;

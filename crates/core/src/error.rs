@@ -39,7 +39,9 @@ impl std::error::Error for S2c2Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             S2c2Error::Coding(e) => Some(e),
-            _ => None,
+            S2c2Error::NotEnoughWorkers { .. }
+            | S2c2Error::InvalidConfig(_)
+            | S2c2Error::IterationFailed(_) => None,
         }
     }
 }

@@ -20,6 +20,21 @@
 //! * [`storage_model`] — the Fig 3 effective-storage comparison.
 
 #![warn(missing_docs)]
+// Library code (tests excepted) does not panic and names every variant
+// it matches; a justified exception carries
+// `#[expect(lint, reason = "…")]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+    )
+)]
 
 pub mod alloc;
 pub mod error;

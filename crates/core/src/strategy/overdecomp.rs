@@ -101,7 +101,6 @@ impl MatvecStrategy for OverDecompositionStrategy {
         "over-decomposition".into()
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run_iteration(
         &mut self,
         sim: &mut ClusterSim,
@@ -134,13 +133,16 @@ impl MatvecStrategy for OverDecompositionStrategy {
             assigned += counts[w];
         }
         for _ in 0..parts - assigned {
+            #[expect(
+                clippy::expect_used,
+                reason = "the strategy is constructed with n >= 1 workers"
+            )]
             let pick = (0..n)
                 .min_by(|&a, &b| {
                     let fa = (counts[a] + 1) as f64 / preds[a].max(1e-9);
                     let fb = (counts[b] + 1) as f64 / preds[b].max(1e-9);
                     fa.total_cmp(&fb).then(a.cmp(&b))
                 })
-                // s2c2-allow: panic-reachability -- the strategy is constructed with n >= 1 workers
                 .expect("n > 0");
             counts[pick] += 1;
         }
@@ -178,10 +180,13 @@ impl MatvecStrategy for OverDecompositionStrategy {
             if *slot != usize::MAX {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "counts sum to parts, so an under-loaded worker exists"
+            )]
             let w = *order
                 .iter()
                 .find(|&&w| load[w] < counts[w])
-                // s2c2-allow: panic-reachability -- counts sum to parts, so an under-loaded worker exists
                 .expect("counts sum to parts");
             *slot = w;
             load[w] += 1;

@@ -100,7 +100,6 @@ impl MatvecStrategy for ReplicationStrategy {
         "replication".into()
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run_iteration(
         &mut self,
         sim: &mut ClusterSim,

@@ -30,6 +30,18 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library code (tests excepted) does not panic; a site that provably
+// cannot carries `#[expect(lint, reason = "…")]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
 
 pub mod error;
 pub mod matrix;

@@ -196,7 +196,6 @@ impl MultiVector {
 /// standalone `dot_slices(row, x_m)` call while `row` is loaded once
 /// for all four members.
 #[inline]
-#[allow(clippy::many_single_char_names)]
 fn dot_rhs4(row: &[f64], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64], out: &mut [f64]) {
     debug_assert!(out.len() >= 4);
     let n = row.len();

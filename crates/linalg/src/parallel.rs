@@ -89,6 +89,10 @@ pub fn par_matvec_rows(a: &Matrix, x: &Vector, begin: usize, end: usize, threads
             offset = stop;
         }
         for h in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raises a worker panic, as std::thread::scope itself would"
+            )]
             h.join().expect("par_matvec worker panicked");
         }
     });
@@ -140,6 +144,10 @@ pub fn par_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
             begin = end;
         }
         for h in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raises a worker panic, as std::thread::scope itself would"
+            )]
             h.join().expect("par_matmul worker panicked");
         }
     });

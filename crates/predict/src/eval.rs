@@ -37,6 +37,10 @@ impl PredictionReport {
     ///
     /// Panics if the model was not evaluated.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented Panics contract: callers name a model they evaluated"
+    )]
     pub fn score(&self, name: &str) -> &ModelScore {
         self.scores
             .iter()

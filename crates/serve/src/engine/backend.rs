@@ -29,6 +29,10 @@
 //! hit/miss counters, verified-iteration counts, the worst observed
 //! decode error, and per-job final outputs are merged into the
 //! [`ServiceReport`] when the engine finishes.
+#![expect(
+    clippy::disallowed_types,
+    reason = "measurement site: `Instant` times the numeric phases into phase_wall, which feeds no decision"
+)]
 
 use super::core::BatchMember;
 use super::round::RunningIteration;
@@ -611,8 +615,11 @@ impl ThreadedBackend {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "backend invariant: `finish` is the only taker and the engine never dispatches after it"
+    )]
     fn cluster(&mut self) -> &mut ThreadedCluster<WorkerTask, Vec<MultiChunkResult>> {
-        // s2c2-allow: no-panic-paths -- backend invariant: `finish` is the only taker and the engine never dispatches after it
         self.cluster.as_mut().expect("cluster alive until finish")
     }
 
@@ -691,9 +698,12 @@ impl ExecutionBackend for ThreadedBackend {
         };
         let xs = Arc::clone(&state.xs);
         let id = self.dispatch(job, worker, chunks.to_vec(), xs)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "backend invariant: the let-else guard above returned on a missing entry"
+        )]
         self.inflight
             .get_mut(&(job, generation))
-            // s2c2-allow: no-panic-paths -- backend invariant: the let-else guard above returned on a missing entry
             .expect("checked above")
             .tasks
             .push(TaskInfo {
@@ -785,10 +795,13 @@ impl ExecutionBackend for ThreadedBackend {
         // divergence).
         let mut blocks: Vec<MultiChunkResult> = Vec::new();
         for t in &state.tasks {
+            #[expect(
+                clippy::expect_used,
+                reason = "backend invariant: the collect loop above blocks until every credited task has replied"
+            )]
             let output = self
                 .arrived
                 .remove(&t.id)
-                // s2c2-allow: no-panic-paths -- backend invariant: the collect loop above blocks until every credited task has replied
                 .expect("collected in the loop above");
             let is_needed = needed.iter().any(|nt| nt.id == t.id);
             if !is_needed {

@@ -478,7 +478,10 @@ impl ServiceEngine {
         let (k_eff, c_eff, rpc) = self.effective_shape(job.leader());
 
         if alive < k_eff {
-            // s2c2-allow: no-panic-paths -- engine invariant: round dispatches are only scheduled for ids the event loop keeps resident
+            #[expect(
+                clippy::expect_used,
+                reason = "engine invariant: round dispatches are only scheduled for ids the event loop keeps resident"
+            )]
             let job = self.resident.get_mut(&id).expect("resident job");
             if !job.stalled_rounds.contains(&round_index) {
                 job.stalled_rounds.push(round_index);
@@ -514,8 +517,11 @@ impl ServiceEngine {
         let (assignment, share, degraded) = match &self.cfg.scheduler {
             SchedulerMode::Uncoded => {
                 let mask: Vec<bool> = avail.iter().map(|&s| s > 0.0).collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "engine invariant: the alive >= k_eff guard above makes k=1 allocation infallible"
+                )]
                 let a = allocate_chunks_basic(&mask, 1, c_eff)
-                    // s2c2-allow: no-panic-paths -- engine invariant: the alive >= k_eff guard above makes k=1 allocation infallible
                     .expect("alive >= 1 guarantees feasibility");
                 plan_speeds.extend(avail.iter().map(uniform));
                 (a, weighted_share, false)
@@ -637,7 +643,10 @@ impl ServiceEngine {
         if rhs > 1 {
             self.report.batch_rounds += 1;
         }
-        // s2c2-allow: no-panic-paths -- engine invariant: this runs inside a round dispatch for a job verified resident above
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: this runs inside a round dispatch for a job verified resident above"
+        )]
         let job = self.resident.get_mut(&id).expect("resident job");
         self.backend
             .on_iteration_start(&job.members, &iter, round_index)
@@ -758,7 +767,6 @@ impl ServiceEngine {
     /// it, committing decode/verify strictly in round order, then tops
     /// the window back up. At depth 1 this is exactly the barrier
     /// engine's iteration completion.
-    #[allow(clippy::too_many_lines)]
     pub(crate) fn retire_ready_rounds(&mut self, id: JobId) -> Result<(), ServeError> {
         let mut at = self.now;
         // The head this call retires was the round blocking any parked

@@ -23,7 +23,6 @@ use s2c2_telemetry::TraceEventKind;
 impl ServiceEngine {
     /// Deadline-miss / churn recovery for one in-flight round: the
     /// robustness ladder's rungs 3–5.
-    #[allow(clippy::too_many_lines)]
     pub(crate) fn recover(
         &mut self,
         id: JobId,

@@ -69,6 +69,21 @@
 //! ```
 
 #![warn(missing_docs)]
+// Library code (tests excepted) does not panic and names every variant
+// it matches; a justified exception carries
+// `#[expect(lint, reason = "…")]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+    )
+)]
 
 pub mod admission;
 pub mod engine;
@@ -100,4 +115,104 @@ pub mod prelude {
     pub use crate::metrics::{ServiceReport, TenantSummary};
     pub use crate::workload::{generate_workload, ArrivalPattern, JobPreset, JobSpec};
     pub use s2c2_telemetry::{PhaseTotals, Telemetry, TraceEvent, TraceEventKind};
+}
+
+/// Lint canary: one deliberately bad item per `clippy.toml` ban and per
+/// denied lint, each under the `#[expect]` that must catch it. Deleting a
+/// ban, or a `rust-version` below 1.81 (under which clippy skips
+/// `allow_attributes`), leaves an expectation unfulfilled, and `-D
+/// warnings` turns that into an error. This proves the configuration is
+/// wired and each lint fires on this input, not that any crate denies
+/// the lint: `#[expect]` sets the level locally, whatever `lib.rs` says.
+#[cfg(clippy)]
+mod lint_canary {
+    #![expect(dead_code, reason = "canary: items exist to be linted, never used")]
+
+    #[expect(clippy::disallowed_types, reason = "canary: HashMap is banned")]
+    type Unordered = std::collections::HashMap<u8, u8>;
+
+    #[expect(clippy::disallowed_types, reason = "canary: HashSet is banned")]
+    type UnorderedSet = std::collections::HashSet<u8>;
+
+    #[expect(clippy::disallowed_types, reason = "canary: Instant is banned")]
+    type WallClock = std::time::Instant;
+
+    #[expect(clippy::disallowed_types, reason = "canary: SystemTime is banned")]
+    type Calendar = std::time::SystemTime;
+
+    #[expect(clippy::disallowed_methods, reason = "canary: partial_cmp is banned")]
+    fn partial_order(a: f64, b: f64) -> Option<std::cmp::Ordering> {
+        a.partial_cmp(&b)
+    }
+
+    #[expect(clippy::unwrap_used, reason = "canary: unwrap is denied outside tests")]
+    fn unwraps(x: Option<u8>) -> u8 {
+        x.unwrap()
+    }
+
+    #[expect(clippy::expect_used, reason = "canary: expect is denied")]
+    fn expects(x: Option<u8>) -> u8 {
+        x.expect("canary")
+    }
+
+    #[expect(clippy::panic, reason = "canary: panic! is denied")]
+    fn panics() {
+        panic!("canary")
+    }
+
+    #[expect(clippy::unreachable, reason = "canary: unreachable! is denied")]
+    fn unreachables() {
+        unreachable!("canary")
+    }
+
+    #[expect(clippy::todo, reason = "canary: todo! is denied")]
+    fn todos() {
+        todo!("canary")
+    }
+
+    #[expect(clippy::unimplemented, reason = "canary: unimplemented! is denied")]
+    fn unimplementeds() {
+        unimplemented!("canary")
+    }
+
+    enum Three {
+        A,
+        B,
+        C,
+    }
+
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "canary: catch-all arms are denied"
+    )]
+    fn catch_all(t: &Three) -> u8 {
+        match t {
+            Three::A => 0,
+            _ => 1,
+        }
+    }
+
+    #[expect(
+        clippy::match_wildcard_for_single_variants,
+        reason = "canary: a catch-all standing for one variant is denied"
+    )]
+    fn catch_one(t: &Three) -> u8 {
+        match t {
+            Three::A => 0,
+            Three::B => 1,
+            _ => 2,
+        }
+    }
+
+    #[expect(clippy::allow_attributes, reason = "canary: #[allow] is denied")]
+    #[allow(unused_mut, reason = "canary")]
+    fn allows() {}
+
+    #[expect(
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        reason = "canary: an #[allow] without a reason is denied twice over"
+    )]
+    #[allow(unused_mut)]
+    fn allows_without_reason() {}
 }

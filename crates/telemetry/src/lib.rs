@@ -28,6 +28,21 @@
 //! in plain ids (`u64` jobs, `usize` workers, `u32` tenants) so the
 //! crate sits below `s2c2-serve` in the workspace DAG.
 #![warn(missing_docs)]
+// Library code (tests excepted) does not panic and names every variant
+// it matches; a justified exception carries
+// `#[expect(lint, reason = "…")]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+    )
+)]
 
 pub mod event;
 pub mod export;

@@ -209,7 +209,7 @@ mod tests {
                 steps.push((w[1] - w[0]).abs() / w[0]);
             }
         }
-        steps.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        steps.sort_by(f64::total_cmp);
         let median = steps[steps.len() / 2];
         assert!(
             median < 0.05,

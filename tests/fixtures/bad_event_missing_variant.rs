@@ -1,5 +1,5 @@
-//! Semantic fixture: a wildcard arm over a registered engine enum.
-//! `exhaustive-event-match` must fire at the `_` arm.
+//! Known-bad: a deleted variant arm. No catch-all is left behind, so
+//! the compiler's exhaustiveness check must name `BatchFlush`.
 
 pub enum EventKind {
     JobArrival,
@@ -10,6 +10,6 @@ pub enum EventKind {
 pub fn interpret(k: EventKind) -> u32 {
     match k {
         EventKind::JobArrival => 1,
-        _ => 0,
+        EventKind::TaskComplete => 2,
     }
 }

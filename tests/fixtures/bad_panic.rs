@@ -1,8 +1,9 @@
-// Known-bad: panic-prone constructs in non-test serve code.
-fn lookup(map: &std::collections::BTreeMap<u64, f64>, id: u64) -> f64 {
+//! Known-bad: panic-prone constructs in library code.
+
+pub fn lookup(map: &std::collections::BTreeMap<u64, f64>, id: u64) -> f64 {
     let direct = map.get(&id).unwrap();
     let described = map.get(&id).expect("job is resident");
-    if *direct != *described {
+    if direct.to_bits() != described.to_bits() {
         panic!("diverged");
     }
     match id {

@@ -1,7 +1,6 @@
-// Lexer edge cases: every banned construct below appears only inside
-// comments, strings, raw strings, byte strings, or char literals. The
-// fixture harness scans this file under the *strictest* synthetic path
-// (an engine decision path) and asserts zero findings.
+//! Lexer edge cases: every banned construct below appears only inside
+//! comments, strings, raw strings, byte strings, or char literals, so
+//! the gate must report nothing.
 
 /* Block comment mentioning HashMap::new() and Instant::now()
    /* with a nested block comment calling x.partial_cmp(y).unwrap() */
@@ -9,7 +8,7 @@
 
 // Line comment: foo.unwrap(); unsafe { }; SystemTime::now()
 
-fn raw_strings() -> Vec<&'static str> {
+pub fn raw_strings() -> Vec<&'static str> {
     vec![
         r"plain raw: x.unwrap()",
         r#"one guard: HashMap<"k", "v"> and Instant::now()"#,
@@ -17,15 +16,15 @@ fn raw_strings() -> Vec<&'static str> {
     ]
 }
 
-fn strings_and_bytes() -> (&'static [u8], &'static [u8], &'static str) {
+pub fn strings_and_bytes() -> (&'static [u8], &'static [u8], &'static str) {
     (
         b"byte string: y.expect(\"no\") unsafe",
-        br#"raw bytes: HashSet::new() // not a comment"#,
+        br#"raw bytes: "HashSet::new()" // not a comment"#,
         "escaped quote \" then unwrap() and \\",
     )
 }
 
-fn char_literals() -> (char, char, char, char, u8) {
+pub fn char_literals() -> (char, char, char, char, u8) {
     // '"' must not open a string; '/' must not open a comment; '\'' is
     // an escaped quote; lifetimes ('a) must not eat the code after them.
     let quote = '"';
@@ -36,7 +35,7 @@ fn char_literals() -> (char, char, char, char, u8) {
     (quote, slash, escaped, unicode, byte)
 }
 
-fn lifetimes<'a>(x: &'a str) -> &'a str {
+pub fn lifetimes<'a>(x: &'a str, _other: &str) -> &'a str {
     let _one_char_lifetime: &'_ str = x;
     x
 }

@@ -1,6 +1,6 @@
-//! Semantic fixture: parser edge cases that must produce zero findings —
-//! generics with where-clauses, guards, nested matches, wrapped
-//! patterns, macro bodies, and provably ordered float reductions.
+//! Edge cases that must produce zero diagnostics: generics with
+//! where-clauses, guards, nested matches, wrapped patterns, macro bodies,
+//! and ordered float reductions.
 
 pub enum EventKind {
     JobArrival,
@@ -48,7 +48,7 @@ pub fn wrapped(k: Option<EventKind>) -> u32 {
     }
 }
 
-pub fn totals(xs: &[f64], v: &Vec<f64>) -> f64 {
+pub fn totals(xs: &[f64], v: &[f64]) -> f64 {
     let head: f64 = xs.iter().take(3).sum();
     let scaled = v.iter().map(|x| x * 2.0).sum::<f64>();
     let peak = xs.iter().copied().fold(0.0, f64::max);
