@@ -18,8 +18,8 @@ use crate::error::S2c2Error;
 use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
-use s2c2_coding::chunks::WorkerChunkResult;
 use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
+use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
 use s2c2_linalg::{Matrix, Vector};
 
 /// Master-side cost of decoding one chunk from `k` responses of which
@@ -60,7 +60,8 @@ impl CodedMatvec {
 
     /// Runs one round of `assignment` on the simulator's current
     /// iteration: plans it, computes exactly the responses the plan
-    /// uses, decodes, and charges the decode.
+    /// uses (on every host core once the round is large enough),
+    /// decodes, and charges the decode.
     pub(crate) fn run_round(
         &self,
         assignment: &ChunkAssignment,
@@ -69,6 +70,34 @@ impl CodedMatvec {
         margin: f64,
         reassign: bool,
         expected_speeds: Option<&[f64]>,
+    ) -> Result<(IterationOutcome, Feedback), S2c2Error> {
+        let threads = host_threads();
+        self.run_round_with_threads(
+            assignment,
+            sim,
+            x,
+            margin,
+            reassign,
+            expected_speeds,
+            threads,
+        )
+    }
+
+    /// [`Self::run_round`] computing its responses on up to `threads`
+    /// OS threads; every output is the same for any `threads`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "run_round's arguments plus the thread count tests pin"
+    )]
+    fn run_round_with_threads(
+        &self,
+        assignment: &ChunkAssignment,
+        sim: &ClusterSim,
+        x: &Vector,
+        margin: f64,
+        reassign: bool,
+        expected_speeds: Option<&[f64]>,
+        threads: usize,
     ) -> Result<(IterationOutcome, Feedback), S2c2Error> {
         let layout = *self.enc.layout();
         let k = self.code.params().k;
@@ -83,16 +112,22 @@ impl CodedMatvec {
         };
         let plan = plan_round(assignment, k, sim, &cost, margin, reassign, expected_speeds)?;
 
-        let mut responses: Vec<WorkerChunkResult> = Vec::new();
+        // (worker, chunk) in chunk-major order: the order decode expects.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut decode_flops = 0.0;
         for (chunk, workers) in plan.chosen.iter().enumerate() {
-            let computed = workers
-                .iter()
-                .map(|&w| self.enc.worker_compute_chunk(w, chunk, x));
-            responses.extend(computed);
+            pairs.extend(workers.iter().map(|&w| (w, chunk)));
             let parity = workers.iter().filter(|&&w| w >= k).count();
             decode_flops += chunk_decode_flops(parity, k, rpc, 1);
         }
+        let threads = if should_spawn(pairs.len() * rpc, x.len(), threads) {
+            threads
+        } else {
+            1
+        };
+        let responses = par_map(&pairs, threads, |&(w, chunk)| {
+            self.enc.worker_compute_chunk(w, chunk, x)
+        });
         let result = self.code.decode_matvec(&layout, &responses)?;
         let (metrics, feedback) = plan.finish(sim.decode_time(decode_flops));
         Ok((IterationOutcome { result, metrics }, feedback))
@@ -263,6 +298,44 @@ mod tests {
             (frac - 0.3).abs() < 0.01,
             "waste fraction {frac}, expected 0.3"
         );
+    }
+
+    #[test]
+    fn round_is_bit_identical_at_every_thread_count() {
+        use crate::alloc::allocate_chunks;
+        use crate::strategy::round::round_bits;
+        use s2c2_linalg::parallel::should_spawn;
+
+        // 2 880 × 24 rows of work crosses the spawn cutoff; the two
+        // stragglers force a parity decode, and under the equal-speed
+        // allocation a cancel and a redo.
+        let a = Matrix::from_fn(12 * 6 * 40, 24, |r, c| {
+            ((r * 7 + c * 13) % 29) as f64 / 7.0 - 2.0
+        });
+        let x = Vector::from_fn(24, |i| (i as f64 * 0.3).cos());
+        assert!(should_spawn(a.rows(), x.len(), 2));
+        let coded = CodedMatvec::new(&a, MdsParams::new(12, 6), 6).unwrap();
+        let mut sim = ClusterSim::new(
+            ClusterSpec::builder(12)
+                .compute_bound()
+                .straggler_slowdown(5.0)
+                .stragglers(&[0, 1], 0.0)
+                .build(),
+        );
+        sim.begin_iteration(0);
+        let equal_speeds = allocate_chunks(&[1.0; 12], 6, 6).unwrap();
+        for (assignment, reassign) in [(coded.full_assignment(), false), (equal_speeds, true)] {
+            let bits = |threads| {
+                let (out, feedback) = coded
+                    .run_round_with_threads(&assignment, &sim, &x, 0.15, reassign, None, threads)
+                    .unwrap();
+                round_bits(out.result.as_slice(), &out.metrics, &feedback)
+            };
+            let one = bits(1);
+            for threads in [2, 3, 7] {
+                assert_eq!(bits(threads), one, "{threads} threads, reassign {reassign}");
+            }
+        }
     }
 
     #[test]

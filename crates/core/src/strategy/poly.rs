@@ -22,8 +22,8 @@ use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
 use crate::strategy::s2c2::AdaptiveScheduler;
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
-use s2c2_coding::chunks::WorkerChunkResult;
 use s2c2_coding::polynomial::{EncodedPair, PolyParams, PolynomialCode};
+use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
 use s2c2_linalg::{Matrix, Vector};
 
 /// Result of one bilinear iteration.
@@ -100,7 +100,8 @@ impl PolyShared {
     }
 
     /// Runs one round of `assignment` with `k = a·b`: plans it, computes
-    /// exactly the products the plan uses, interpolates.
+    /// exactly the products the plan uses (on every host core once the
+    /// round is large enough), interpolates.
     fn run_round(
         &self,
         assignment: &ChunkAssignment,
@@ -109,6 +110,34 @@ impl PolyShared {
         margin: f64,
         reassign: bool,
         expected_speeds: Option<&[f64]>,
+    ) -> Result<(BilinearOutcome, Feedback), S2c2Error> {
+        let threads = host_threads();
+        self.run_round_with_threads(
+            assignment,
+            sim,
+            w,
+            margin,
+            reassign,
+            expected_speeds,
+            threads,
+        )
+    }
+
+    /// [`Self::run_round`] computing its products on up to `threads` OS
+    /// threads; every output is the same for any `threads`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "run_round's arguments plus the thread count tests pin"
+    )]
+    fn run_round_with_threads(
+        &self,
+        assignment: &ChunkAssignment,
+        sim: &ClusterSim,
+        w: &Vector,
+        margin: f64,
+        reassign: bool,
+        expected_speeds: Option<&[f64]>,
+        threads: usize,
     ) -> Result<(BilinearOutcome, Feedback), S2c2Error> {
         let need = self.code.params().recovery_threshold();
         let layout = *self.enc.layout();
@@ -123,13 +152,22 @@ impl PolyShared {
             expected_speeds,
         )?;
 
-        let mut responses: Vec<WorkerChunkResult> = Vec::new();
-        for (chunk, workers) in plan.chosen.iter().enumerate() {
-            let computed = workers
-                .iter()
-                .map(|&wk| self.enc.worker_compute_chunk(wk, chunk, Some(w)));
-            responses.extend(computed);
-        }
+        // (worker, chunk) in chunk-major order: the order decode expects.
+        let pairs: Vec<(usize, usize)> = plan
+            .chosen
+            .iter()
+            .enumerate()
+            .flat_map(|(chunk, workers)| workers.iter().map(move |&wk| (wk, chunk)))
+            .collect();
+        let rows = pairs.len() * cost.rows_per_chunk;
+        let threads = if should_spawn(rows, cost.elems_per_row, threads) {
+            threads
+        } else {
+            1
+        };
+        let responses = par_map(&pairs, threads, |&(wk, chunk)| {
+            self.enc.worker_compute_chunk(wk, chunk, Some(w))
+        });
         let result = self.code.decode_product(&layout, &responses)?;
         // Interpolation solve: need^3/3 LU + need^2 per decoded value.
         let c = layout.row.chunks_per_partition as f64;
@@ -369,6 +407,45 @@ mod tests {
         // Gains bounded by the un-schedulable diag(w) pass: conventional /
         // s2c2 must stay below the ideal 12/9 ratio.
         assert!(lc / ls < 12.0 / 9.0 + 0.05);
+    }
+
+    #[test]
+    fn round_is_bit_identical_at_every_thread_count() {
+        use crate::alloc::allocate_chunks;
+        use crate::strategy::round::round_bits;
+        use s2c2_linalg::parallel::should_spawn;
+
+        // 36 features -> 12 rows per grid partition, 6 chunks of 2; the
+        // 60-row inner dimension makes a round's products cross the spawn
+        // cutoff.
+        let m = 60;
+        let a = Matrix::from_fn(m, 36, |r, c| (((r * 5 + c * 3) % 11) as f64 - 5.0) / 4.0);
+        let a_t = a.transpose();
+        let w = Vector::from_fn(m, |i| 0.2 + (i % 7) as f64 * 0.1);
+        let shared = PolyShared::new(&a_t, &a, PolyParams::new(12, 3, 3), 6).unwrap();
+        let cost = shared.cost(m);
+        assert!(should_spawn(9 * 12, cost.elems_per_row, 2));
+        let mut sim = ClusterSim::new(
+            ClusterSpec::builder(12)
+                .compute_bound()
+                .straggler_slowdown(5.0)
+                .stragglers(&[0, 4], 0.0)
+                .build(),
+        );
+        sim.begin_iteration(0);
+        let equal_speeds = allocate_chunks(&[1.0; 12], 9, 6).unwrap();
+        for (assignment, reassign) in [(shared.full_assignment(), false), (equal_speeds, true)] {
+            let bits = |threads| {
+                let (out, feedback) = shared
+                    .run_round_with_threads(&assignment, &sim, &w, 0.15, reassign, None, threads)
+                    .unwrap();
+                round_bits(out.result.as_slice(), &out.metrics, &feedback)
+            };
+            let one = bits(1);
+            for threads in [2, 3, 7] {
+                assert_eq!(bits(threads), one, "{threads} threads, reassign {reassign}");
+            }
+        }
     }
 
     #[test]

@@ -355,6 +355,28 @@ pub fn plan_round(
     })
 }
 
+/// Every bit a finished round produces — decoded values, accounting and
+/// feedback — flattened so two rounds compare with one `assert_eq!`.
+#[cfg(test)]
+pub(crate) fn round_bits(values: &[f64], metrics: &RoundMetrics, feedback: &Feedback) -> Vec<u64> {
+    let opt = |v: &Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+    let rows = |v: &Vec<usize>| v.iter().map(|&r| r as u64).collect::<Vec<_>>();
+    let mut bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+    bits.extend([
+        metrics.iteration as u64,
+        metrics.latency.to_bits(),
+        metrics.rebalance_bytes,
+        metrics.decode_time.to_bits(),
+        u64::from(feedback.reassigned),
+    ]);
+    bits.extend(rows(&metrics.assigned_rows));
+    bits.extend(rows(&metrics.computed_rows));
+    bits.extend(rows(&metrics.useful_rows));
+    bits.extend(metrics.response_times.iter().map(opt));
+    bits.extend(feedback.observed_speeds.iter().map(opt));
+    bits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

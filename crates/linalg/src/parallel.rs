@@ -1,18 +1,30 @@
-//! Thread-parallel kernels over row blocks.
+//! Scoped-thread data parallelism for the host-side numerics.
 //!
-//! The threaded cluster executor (`s2c2-cluster`) simulates workers with OS
-//! threads; inside a single simulated worker we additionally want real data
-//! parallelism for the large matvecs the workloads issue. This module
-//! provides scoped-thread row-partitioned kernels in the spirit of rayon's
-//! `par_iter` (the HPC guide's recommended shape) without pulling in a
-//! work-stealing runtime: the partition sizes here are large and uniform,
-//! so static splitting is both simpler and faster.
+//! [`par_map`] is the one spawn/join primitive; the kernels here are its
+//! clients. Callers on the single-job path: `s2c2-core`'s coded rounds
+//! (`CodedMatvec::run_round` under MDS, uncoded and both S²C² variants,
+//! and `PolyShared::run_round` under both polynomial schedulers) compute
+//! a round's chosen worker responses with [`par_map`], and the
+//! `s2c2-workloads` trainers take their master-side margins (logistic
+//! regression and SVM loss/accuracy, the Hessian weights) with
+//! [`par_matvec`] — all at [`host_threads`]. The serve engine does not
+//! call into this module: its threaded backend already runs one OS
+//! thread per simulated worker.
+//!
+//! Splitting is static and contiguous, in the spirit of rayon's
+//! `par_iter` without a work-stealing runtime: the items are uniform, so
+//! equal parts are balanced. No output depends on the thread count —
+//! every item is computed by the same sequential code whichever thread
+//! runs it, and results come back in input order.
+
+use std::sync::OnceLock;
 
 use crate::matrix::Matrix;
-use crate::vector::{dot_slices, Vector};
+use crate::vector::Vector;
 
-/// Minimum number of matrix *elements* (`rows × cols`) a row-range matvec
-/// must touch before [`par_matvec_rows`] spawns OS threads.
+/// Minimum amount of work (`rows × cols` matrix elements, or the
+/// equivalent multiply-adds) a kernel must do before it spawns OS
+/// threads.
 ///
 /// Thread spawn + join costs a few microseconds; a matvec over fewer
 /// elements than this finishes sequentially in about that time, so
@@ -21,19 +33,71 @@ use crate::vector::{dot_slices, Vector};
 /// as a tall-narrow one and deserves the same decision.
 pub const PAR_SPAWN_WORK: usize = 32 * 1024;
 
-/// Whether a row-range matvec of `rows × cols` elements should spawn
-/// `threads` OS threads rather than fall through to the sequential
-/// kernel. Exposed so the spawn boundary is unit-testable.
+/// Whether `rows × cols` elements of work should spawn `threads` OS
+/// threads rather than run on the caller's. Exposed so the spawn
+/// boundary is unit-testable and so callers that batch their own items
+/// for [`par_map`] apply the same rule.
 #[must_use]
 pub fn should_spawn(rows: usize, cols: usize, threads: usize) -> bool {
     threads > 1 && rows > 0 && rows.saturating_mul(cols) >= PAR_SPAWN_WORK
 }
 
+/// The host's available parallelism (1 if it cannot be read), read once
+/// per process. Honours the CPU affinity mask, so a run pinned to one
+/// core computes on one thread.
+#[must_use]
+pub fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Maps `f` over `items` on up to `threads` OS threads and returns the
+/// results in input order.
+///
+/// The slice is split into at most `threads` contiguous parts of equal
+/// length (the last may be shorter); every part but the last runs on a
+/// scoped thread, the last on the caller's. With one thread or fewer
+/// than two items nothing is spawned.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`; re-raises a panic from `f`.
+pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    assert!(threads > 0, "need at least one thread");
+    if threads == 1 || items.len() < 2 {
+        return items.iter().map(f).collect();
+    }
+    let mut parts = items.chunks(items.len().div_ceil(threads));
+    let last = parts.next_back().unwrap_or_default();
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let tail: Vec<R> = last.iter().map(f).collect();
+        let mut out = Vec::with_capacity(items.len());
+        for h in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raises a worker panic, as std::thread::scope itself would"
+            )]
+            out.extend(h.join().expect("par_map worker panicked"));
+        }
+        out.extend(tail);
+        out
+    })
+}
+
 /// Computes `A·x` with `threads` OS threads, splitting rows evenly.
 ///
 /// Falls back to the sequential kernel for a single thread or when the
-/// total work `rows × cols` is below [`PAR_SPAWN_WORK`] (the crossover is
-/// far below any matrix the workloads produce).
+/// total work `rows × cols` is below [`PAR_SPAWN_WORK`]. Bit-identical
+/// to [`Matrix::matvec`] either way.
 ///
 /// # Panics
 ///
@@ -46,7 +110,8 @@ pub fn par_matvec(a: &Matrix, x: &Vector, threads: usize) -> Vector {
 /// Computes rows `[begin, end)` of `A·x` with `threads` OS threads — the
 /// kernel behind [`par_matvec`], exposed separately because coded workers
 /// compute *chunks* (row ranges of their partition) rather than whole
-/// matrices.
+/// matrices. Each thread runs [`Matrix::matvec_rows`] on one contiguous
+/// block of the range, so the result is bit-identical to it.
 ///
 /// # Panics
 ///
@@ -65,41 +130,22 @@ pub fn par_matvec_rows(a: &Matrix, x: &Vector, begin: usize, end: usize, threads
     if !should_spawn(rows, a.cols(), threads) {
         return a.matvec_rows(x, begin, end);
     }
-    let threads = threads.min(rows);
-    let mut out = vec![0.0; rows];
-    let chunk = rows.div_ceil(threads);
-    let xs = x.as_slice();
-
-    std::thread::scope(|scope| {
-        // Hand each thread a disjoint &mut of the output: no locks needed.
-        let mut remaining: &mut [f64] = &mut out;
-        let mut offset = 0usize;
-        let mut handles = Vec::with_capacity(threads);
-        while offset < rows {
-            let stop = (offset + chunk).min(rows);
-            let (mine, rest) = remaining.split_at_mut(stop - offset);
-            remaining = rest;
-            let a_ref = &*a;
-            let first = begin + offset;
-            handles.push(scope.spawn(move || {
-                for (i, slot) in mine.iter_mut().enumerate() {
-                    *slot = dot_slices(a_ref.row(first + i), xs);
-                }
-            }));
-            offset = stop;
-        }
-        for h in handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "re-raises a worker panic, as std::thread::scope itself would"
-            )]
-            h.join().expect("par_matvec worker panicked");
-        }
+    let block = rows.div_ceil(threads);
+    let blocks: Vec<(usize, usize)> = (begin..end)
+        .step_by(block)
+        .map(|lo| (lo, (lo + block).min(end)))
+        .collect();
+    let parts = par_map(&blocks, threads, |&(lo, hi)| {
+        a.matvec_rows(x, lo, hi).into_vec()
     });
-    Vector::from(out)
+    Vector::from(parts.concat())
 }
 
 /// Computes `A·B` with `threads` OS threads, splitting `A`'s rows evenly.
+///
+/// Falls back to [`Matrix::matmul`] when the work `rows × cols(A) ×
+/// cols(B)` is below [`PAR_SPAWN_WORK`]; each output row is accumulated
+/// exactly as there.
 ///
 /// # Panics
 ///
@@ -108,50 +154,24 @@ pub fn par_matvec_rows(a: &Matrix, x: &Vector, begin: usize, end: usize, threads
 pub fn par_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     assert!(threads > 0, "need at least one thread");
     assert_eq!(a.cols(), b.rows(), "par_matmul: dimension mismatch");
-    let rows = a.rows();
-    if threads == 1 || rows < 64 {
+    let (rows, bc) = (a.rows(), b.cols());
+    if !should_spawn(rows, a.cols().saturating_mul(bc), threads) {
         return a.matmul(b);
     }
-    let threads = threads.min(rows);
-    let bc = b.cols();
-    let mut out = vec![0.0; rows * bc];
-    let chunk = rows.div_ceil(threads);
-
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [f64] = &mut out;
-        let mut begin = 0usize;
-        let mut handles = Vec::with_capacity(threads);
-        while begin < rows {
-            let end = (begin + chunk).min(rows);
-            let (mine, rest) = remaining.split_at_mut((end - begin) * bc);
-            remaining = rest;
-            let (a_ref, b_ref) = (&*a, &*b);
-            handles.push(scope.spawn(move || {
-                for local in 0..end - begin {
-                    let i = begin + local;
-                    let out_row = &mut mine[local * bc..(local + 1) * bc];
-                    for k in 0..a_ref.cols() {
-                        let a_ik = a_ref.get(i, k);
-                        if a_ik == 0.0 {
-                            continue;
-                        }
-                        for (o, bval) in out_row.iter_mut().zip(b_ref.row(k)) {
-                            *o += a_ik * bval;
-                        }
-                    }
-                }
-            }));
-            begin = end;
+    let row_ids: Vec<usize> = (0..rows).collect();
+    let out_rows = par_map(&row_ids, threads, |&i| {
+        let mut out_row = vec![0.0; bc];
+        for (k, &a_ik) in a.row(i).iter().enumerate() {
+            if a_ik == 0.0 {
+                continue;
+            }
+            for (o, bval) in out_row.iter_mut().zip(b.row(k)) {
+                *o += a_ik * bval;
+            }
         }
-        for h in handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "re-raises a worker panic, as std::thread::scope itself would"
-            )]
-            h.join().expect("par_matmul worker panicked");
-        }
+        out_row
     });
-    Matrix::from_flat(rows, bc, out)
+    Matrix::from_flat(rows, bc, out_rows.concat())
 }
 
 #[cfg(test)]
@@ -162,6 +182,54 @@ mod tests {
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
         Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
+    }
+
+    #[test]
+    fn par_map_keeps_input_order() {
+        let items: Vec<u64> = (0..101).collect();
+        let expect: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
+        for threads in [1, 2, 3, 7, 64] {
+            assert_eq!(par_map(&items, threads, |i| i * i + 1), expect);
+        }
+    }
+
+    #[test]
+    fn par_map_handles_empty_and_short_inputs() {
+        let empty: [u8; 0] = [];
+        assert!(par_map(&empty, 4, |&b| b).is_empty());
+        assert_eq!(par_map(&[5_u8], 4, |&b| b * 2), vec![10]);
+        // More threads than items: one item per part.
+        assert_eq!(par_map(&[1, 2, 3], 16, |&v| v - 1), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn par_map_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..10).collect();
+        let ran_on = |threads| par_map(&items, threads, |_| std::thread::current().id());
+        // One thread spawns nothing.
+        assert!(ran_on(1).iter().all(|&id| id == caller));
+        // Two threads: the first half on a scoped thread, the last part
+        // on the caller's.
+        let split = ran_on(2);
+        assert!(split[..5].iter().all(|&id| id != caller));
+        assert!(split[5..].iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "par_map worker panicked")]
+    fn par_map_reraises_a_worker_panic() {
+        let _ = par_map(&[0, 1, 2, 3], 2, |&v| {
+            assert!(v != 0, "item 0 fails");
+            v
+        });
+    }
+
+    #[test]
+    fn host_threads_is_positive_and_stable() {
+        let threads = host_threads();
+        assert!(threads >= 1);
+        assert_eq!(host_threads(), threads);
     }
 
     #[test]
@@ -222,6 +290,11 @@ mod tests {
         let x = Vector::filled(8, 0.5);
         let par = par_matvec(&a, &x, 512);
         crate::assert_slices_close(par.as_slice(), a.matvec(&x).as_slice(), 1e-12);
+        // Short-wide past the cutoff: one row per thread, six threads.
+        let wide = random_matrix(6, PAR_SPAWN_WORK / 4, 4);
+        let x = Vector::from_fn(wide.cols(), |i| (i as f64 * 0.01).sin());
+        assert!(should_spawn(6, wide.cols(), 16));
+        assert_eq!(par_matvec(&wide, &x, 16), wide.matvec(&x));
     }
 
     #[test]
@@ -250,9 +323,10 @@ mod tests {
         let a = random_matrix(120, 40, 4);
         let b = random_matrix(40, 25, 5);
         let seq = a.matmul(&b);
+        // 120 rows × 40 × 25 is past the spawn cutoff.
+        assert!(should_spawn(120, 40 * 25, 2));
         for threads in [1, 2, 5] {
-            let par = par_matmul(&a, &b, threads);
-            assert!(par.max_abs_diff(&seq) < 1e-12);
+            assert_eq!(par_matmul(&a, &b, threads), seq);
         }
     }
 

@@ -22,6 +22,15 @@ pub struct Classification {
     pub labels: Vector,
 }
 
+/// Fraction of rows whose margin sign (`u ≥ 0` predicts +1) matches the
+/// ±1 label.
+pub(crate) fn sign_accuracy(u: &Vector, labels: &Vector) -> f64 {
+    let correct = (0..u.len())
+        .filter(|&i| (u[i] >= 0.0) == (labels[i] > 0.0))
+        .count();
+    correct as f64 / u.len() as f64
+}
+
 /// Generates a gisette-like two-class dataset: `rows` examples of `cols`
 /// features drawn from two Gaussian blobs separated along a random
 /// direction, labels ±1.

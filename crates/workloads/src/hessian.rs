@@ -11,6 +11,7 @@ use s2c2_cluster::{ClusterSim, JobMetrics};
 use s2c2_coding::polynomial::PolyParams;
 use s2c2_core::strategy::poly::{BilinearStrategy, PolyConventional, PolyS2c2};
 use s2c2_core::S2c2Error;
+use s2c2_linalg::parallel::{host_threads, par_matvec};
 use s2c2_linalg::{Matrix, Vector};
 
 /// Which polynomial scheduler to use.
@@ -92,7 +93,7 @@ impl DistributedHessian {
     /// Computes the logistic Hessian weights at model `x` (locally).
     #[must_use]
     pub fn logistic_weights(&self, x: &Vector) -> Vector {
-        let u = self.features.matvec(x);
+        let u = par_matvec(&self.features, x, host_threads());
         Vector::from_fn(u.len(), |i| {
             let s = 1.0 / (1.0 + (-u[i]).exp());
             (s * (1.0 - s)).max(1e-12)

@@ -4,10 +4,11 @@
 //! `u = A·w` and the backward gradient `g = Aᵀ·(σ(u) − ½(y+1))` — plus
 //! O(rows) master-side work. This is the workload behind Figs 1, 3 and 6.
 
-use crate::datasets::Classification;
+use crate::datasets::{sign_accuracy, Classification};
 use crate::exec::ExecConfig;
 use s2c2_core::job::CodedJob;
 use s2c2_core::S2c2Error;
+use s2c2_linalg::parallel::{host_threads, par_matvec};
 use s2c2_linalg::{Matrix, Vector};
 
 /// Report of a single gradient-descent step.
@@ -95,17 +96,34 @@ impl DistributedLogReg {
         grad.axpy(self.l2, &self.weights);
         self.weights.axpy(-self.learning_rate, &grad);
 
+        // One margin at the new weights serves both loss and accuracy.
+        let u = self.margin();
         Ok(StepReport {
             latency: fwd.metrics.latency + bwd.metrics.latency,
-            loss: self.loss(),
-            accuracy: self.accuracy(),
+            loss: self.loss_at(&u),
+            accuracy: sign_accuracy(&u, &self.labels),
         })
     }
 
     /// Training log-loss of the current weights (computed locally).
     #[must_use]
     pub fn loss(&self) -> f64 {
-        let u = self.features.matvec(&self.weights);
+        self.loss_at(&self.margin())
+    }
+
+    /// Training accuracy of the current weights (computed locally).
+    #[must_use]
+    pub fn accuracy(&self) -> f64 {
+        sign_accuracy(&self.margin(), &self.labels)
+    }
+
+    /// The margin `u = A·w` at the current weights, on every host core.
+    fn margin(&self) -> Vector {
+        par_matvec(&self.features, &self.weights, host_threads())
+    }
+
+    /// Mean log-loss of margin `u` against the {0, 1} targets.
+    fn loss_at(&self, u: &Vector) -> f64 {
         let mut total = 0.0;
         for i in 0..u.len() {
             let p = sigmoid(u[i]).clamp(1e-12, 1.0 - 1e-12);
@@ -116,16 +134,6 @@ impl DistributedLogReg {
             };
         }
         total / u.len() as f64
-    }
-
-    /// Training accuracy of the current weights (computed locally).
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        let u = self.features.matvec(&self.weights);
-        let correct = (0..u.len())
-            .filter(|&i| (u[i] >= 0.0) == (self.labels[i] > 0.0))
-            .count();
-        correct as f64 / u.len() as f64
     }
 
     /// Total simulated latency accumulated so far across both jobs.
@@ -199,6 +207,27 @@ mod tests {
         assert!(report.accuracy > 0.85, "accuracy {}", report.accuracy);
         assert!(report.latency > 0.0);
         assert!(lr.total_latency() > 0.0);
+    }
+
+    #[test]
+    fn step_report_is_the_public_loss_and_accuracy_bit_for_bit() {
+        // 2 400 × 16 features: the margin crosses the parallel kernel's
+        // spawn cutoff.
+        let data = gisette_like(2400, 16, 19);
+        let mut lr =
+            DistributedLogReg::new(&data, &config(StrategyKind::S2c2General), 0.5, 1e-4).unwrap();
+        for _ in 0..2 {
+            let report = lr.step().unwrap();
+            assert_eq!(report.loss.to_bits(), lr.loss().to_bits());
+            assert_eq!(report.accuracy.to_bits(), lr.accuracy().to_bits());
+            // ... and equal to the sequential margin's.
+            let u = data.features.matvec(lr.weights());
+            assert_eq!(report.loss.to_bits(), lr.loss_at(&u).to_bits());
+            assert_eq!(
+                report.accuracy.to_bits(),
+                sign_accuracy(&u, &data.labels).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! same two-coded-products loop as logistic regression with the logistic
 //! residual replaced by the hinge subgradient indicator.
 
-use crate::datasets::Classification;
+use crate::datasets::{sign_accuracy, Classification};
 use crate::exec::ExecConfig;
 use s2c2_core::job::CodedJob;
 use s2c2_core::S2c2Error;
+use s2c2_linalg::parallel::{host_threads, par_matvec};
 use s2c2_linalg::{Matrix, Vector};
 
 /// Report of one SVM subgradient step.
@@ -85,31 +86,38 @@ impl DistributedSvm {
         grad.axpy(self.l2, &self.weights);
         self.weights.axpy(-self.learning_rate, &grad);
 
+        // One margin at the new weights serves both objective and accuracy.
+        let u = self.margin();
         Ok(SvmStepReport {
             latency: fwd.metrics.latency + bwd.metrics.latency,
-            objective: self.objective(),
-            accuracy: self.accuracy(),
+            objective: self.objective_at(&u),
+            accuracy: sign_accuracy(&u, &self.labels),
         })
     }
 
     /// Regularized hinge objective (computed locally).
     #[must_use]
     pub fn objective(&self) -> f64 {
-        let u = self.features.matvec(&self.weights);
-        let hinge: f64 = (0..u.len())
-            .map(|i| (1.0 - self.labels[i] * u[i]).max(0.0))
-            .sum();
-        hinge / u.len() as f64 + 0.5 * self.l2 * self.weights.dot(&self.weights)
+        self.objective_at(&self.margin())
     }
 
     /// Training accuracy (computed locally).
     #[must_use]
     pub fn accuracy(&self) -> f64 {
-        let u = self.features.matvec(&self.weights);
-        let correct = (0..u.len())
-            .filter(|&i| (u[i] >= 0.0) == (self.labels[i] > 0.0))
-            .count();
-        correct as f64 / u.len() as f64
+        sign_accuracy(&self.margin(), &self.labels)
+    }
+
+    /// The margin `u = A·w` at the current weights, on every host core.
+    fn margin(&self) -> Vector {
+        par_matvec(&self.features, &self.weights, host_threads())
+    }
+
+    /// Regularized hinge objective of margin `u`.
+    fn objective_at(&self, u: &Vector) -> f64 {
+        let hinge: f64 = (0..u.len())
+            .map(|i| (1.0 - self.labels[i] * u[i]).max(0.0))
+            .sum();
+        hinge / u.len() as f64 + 0.5 * self.l2 * self.weights.dot(&self.weights)
     }
 
     /// Total simulated latency across both jobs so far.
@@ -177,6 +185,27 @@ mod tests {
             last.objective
         );
         assert!(last.accuracy > 0.85, "accuracy {}", last.accuracy);
+    }
+
+    #[test]
+    fn step_report_is_the_public_objective_and_accuracy_bit_for_bit() {
+        // 2 800 × 14 features: the margin crosses the parallel kernel's
+        // spawn cutoff.
+        let data = gisette_like(2800, 14, 37);
+        let mut svm =
+            DistributedSvm::new(&data, &config(StrategyKind::S2c2General), 0.2, 1e-3).unwrap();
+        for _ in 0..2 {
+            let report = svm.step().unwrap();
+            assert_eq!(report.objective.to_bits(), svm.objective().to_bits());
+            assert_eq!(report.accuracy.to_bits(), svm.accuracy().to_bits());
+            // ... and equal to the sequential margin's.
+            let u = data.features.matvec(svm.weights());
+            assert_eq!(report.objective.to_bits(), svm.objective_at(&u).to_bits());
+            assert_eq!(
+                report.accuracy.to_bits(),
+                sign_accuracy(&u, &data.labels).to_bits()
+            );
+        }
     }
 
     #[test]
