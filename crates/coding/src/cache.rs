@@ -80,7 +80,9 @@ impl EncodeCache {
     /// # Errors
     ///
     /// Propagates [`CodingError`] from code construction or encoding on
-    /// a miss; errors are not cached.
+    /// a miss, and returns [`CodingError::InvalidParams`] when the matrix
+    /// built on a miss is not the `rows × cols` the key claims; errors
+    /// are not cached.
     pub fn get_or_encode(
         &mut self,
         key: EncodeKey,
@@ -98,7 +100,16 @@ impl EncodeCache {
         let t0 = std::time::Instant::now();
         let code = MdsCode::new(MdsParams { n: key.n, k: key.k })?;
         let a = matrix();
-        debug_assert_eq!((a.rows(), a.cols()), (key.rows, key.cols));
+        if a.shape() != (key.rows, key.cols) {
+            return Err(CodingError::InvalidParams(format!(
+                "matrix {} is {} x {}, but its key claims {} x {}",
+                key.matrix_id,
+                a.rows(),
+                a.cols(),
+                key.rows,
+                key.cols
+            )));
+        }
         let encoded = code.encode(&a, key.chunks_per_partition)?;
         self.encode_seconds += t0.elapsed().as_secs_f64();
         let entry = Arc::new(CachedEncoding { code, encoded });
@@ -227,6 +238,17 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn wrong_shaped_matrix_errors_and_is_not_cached() {
+        let mut cache = EncodeCache::new();
+        let lying = cache.get_or_encode(key(1, 6, 4, 3), || Matrix::zeros(59, 5));
+        assert!(matches!(lying, Err(CodingError::InvalidParams(_))));
+        assert!(cache.is_empty());
+        // The key stays free for the matrix it does describe.
+        cache.get_or_encode(key(1, 6, 4, 3), matrix).unwrap();
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 1));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::error::CodingError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2c2_linalg::multivector::ROW_BLOCK_ELEMS;
+use s2c2_linalg::parallel::{host_threads, par_for_each_mut, should_spawn};
 use s2c2_linalg::{LuFactors, Matrix, MultiVector, Vector};
 
 /// `(n, k)` MDS code parameters: `n` workers, any `k` responses decode.
@@ -66,6 +67,33 @@ impl MdsParams {
     pub fn storage_overhead(&self) -> f64 {
         self.n as f64 / self.k as f64
     }
+}
+
+/// The matrix an encoding reads its systematic rows from.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// `A` itself: systematic row `r` is row `r` of the matrix.
+    Rows(&'a Matrix),
+    /// `Aᵀ`: systematic row `r` is column `r` of the matrix.
+    Columns(&'a Matrix),
+}
+
+impl Source<'_> {
+    /// `(rows, cols)` of the matrix being encoded.
+    fn shape(self) -> (usize, usize) {
+        match self {
+            Source::Rows(a) => (a.rows(), a.cols()),
+            Source::Columns(a) => (a.cols(), a.rows()),
+        }
+    }
+}
+
+/// Rows `[begin, end)` of every coded partition, in worker order: the
+/// unit of work one encoding thread fills.
+struct RowRange<'a> {
+    begin: usize,
+    end: usize,
+    parts: Vec<&'a mut [f64]>,
 }
 
 /// A constructed `(n, k)` MDS code (generator rows materialized).
@@ -127,7 +155,8 @@ impl MdsCode {
     }
 
     /// Generator row for worker `i` (length `k`): unit vector for
-    /// systematic workers, Cauchy row for parity workers.
+    /// systematic workers, the worker's row of the seeded random parity
+    /// block (see the module docs) for parity workers.
     ///
     /// # Panics
     ///
@@ -149,7 +178,13 @@ impl MdsCode {
     /// `chunks_per_partition`-way over-decomposition.
     ///
     /// Systematic partitions are plain row blocks of (zero-padded) `A`;
-    /// parity partitions are Cauchy-weighted sums of all `k` blocks.
+    /// parity partitions are sums of all `k` blocks weighted by the
+    /// worker's row of the seeded random parity block.
+    ///
+    /// The partitions are allocated once on the caller's thread and
+    /// filled in place, row range by row range, on every host core once
+    /// the matrix is large enough; the result is bit-identical for any
+    /// core count.
     ///
     /// # Errors
     ///
@@ -159,68 +194,156 @@ impl MdsCode {
         a: &Matrix,
         chunks_per_partition: usize,
     ) -> Result<EncodedMatrix, CodingError> {
-        let layout = ChunkLayout::new(a.rows(), self.params.k, chunks_per_partition)?;
+        self.encode_with_threads(Source::Rows(a), chunks_per_partition, host_threads())
+    }
+
+    /// Encodes `Aᵀ` without materializing it: bit-identical to
+    /// `self.encode(&a.transpose(), chunks_per_partition)`.
+    ///
+    /// The systematic partitions are filled by a blocked transposition
+    /// straight from `a`'s rows, then the parity pass of [`Self::encode`]
+    /// runs over them unchanged — so the backward product of a gradient
+    /// method costs one encoding and no `rows × cols` temporary.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layout errors for degenerate shapes.
+    pub fn encode_transpose(
+        &self,
+        a: &Matrix,
+        chunks_per_partition: usize,
+    ) -> Result<EncodedMatrix, CodingError> {
+        self.encode_with_threads(Source::Columns(a), chunks_per_partition, host_threads())
+    }
+
+    /// The encoder behind [`Self::encode`] and [`Self::encode_transpose`]
+    /// on up to `threads` OS threads; every output bit is the same for
+    /// any `threads`.
+    fn encode_with_threads(
+        &self,
+        source: Source<'_>,
+        chunks_per_partition: usize,
+        threads: usize,
+    ) -> Result<EncodedMatrix, CodingError> {
+        let (rows, cols) = source.shape();
+        let layout = ChunkLayout::new(rows, self.params.k, chunks_per_partition)?;
         let prow = layout.partition_rows();
-        let cols = a.cols();
-        let k = self.params.k;
+        let n = self.params.n;
+        let mut partitions: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(prow, cols)).collect();
 
-        // Zero-padded view of A's row r (rows past the original are zero).
-        let padded_row = |r: usize| -> Option<&[f64]> {
-            if r < a.rows() {
-                Some(a.row(r))
-            } else {
-                None
-            }
+        // One work item per contiguous range of partition rows, holding
+        // that range of every partition; the ranges split as `par_map`
+        // splits, so each thread owns exactly one.
+        let threads = if should_spawn(prow, n * cols, threads) {
+            threads
+        } else {
+            1
         };
-
-        let mut partitions = Vec::with_capacity(self.params.n);
-        // Systematic partitions: copy (and pad) block i.
-        for i in 0..k {
-            let mut part = Matrix::zeros(prow, cols);
-            for r in 0..prow {
-                if let Some(src) = padded_row(i * prow + r) {
-                    part.row_mut(r).copy_from_slice(src);
-                }
+        let span = prow.div_ceil(threads).max(1);
+        let mut ranges: Vec<RowRange<'_>> = (0..prow)
+            .step_by(span)
+            .map(|begin| RowRange {
+                begin,
+                end: (begin + span).min(prow),
+                parts: Vec::with_capacity(n),
+            })
+            .collect();
+        for part in &mut partitions {
+            let mut rest = part.as_mut_slice();
+            for range in &mut ranges {
+                let (head, tail) =
+                    std::mem::take(&mut rest).split_at_mut((range.end - range.begin) * cols);
+                range.parts.push(head);
+                rest = tail;
             }
-            partitions.push(part);
         }
-        // Parity partitions: one cache-blocked pass over the data instead
-        // of a full sweep per parity node. Row blocks are sized so the
-        // source rows plus every parity destination block stay resident,
-        // so each data element is read from memory once rather than
-        // `n − k` times. Per output element the k contributions still
-        // accumulate in ascending-j order, identical to a per-partition
-        // sweep.
-        let pcount = self.params.n - k;
-        if pcount > 0 {
-            let mut parity_parts = vec![Matrix::zeros(prow, cols); pcount];
-            let block_rows = (ROW_BLOCK_ELEMS / (cols.max(1) * (pcount + 1))).clamp(1, prow);
-            let mut b = 0;
-            while b < prow {
-                let bend = (b + block_rows).min(prow);
-                for j in 0..k {
-                    for r in b..bend {
-                        let Some(src) = padded_row(j * prow + r) else {
-                            continue;
-                        };
-                        for (p, part) in parity_parts.iter_mut().enumerate() {
-                            let w = self.parity.get(p, j);
-                            for (d, s) in part.row_mut(r).iter_mut().zip(src.iter()) {
-                                *d += w * s;
-                            }
-                        }
-                    }
-                }
-                b = bend;
-            }
-            partitions.extend(parity_parts);
-        }
+        par_for_each_mut(&mut ranges, threads, |range| {
+            self.fill_range(source, rows, prow, cols, range);
+        });
+        drop(ranges);
 
         Ok(EncodedMatrix {
             params: self.params,
             layout,
             partitions,
         })
+    }
+
+    /// Fills one row range of every partition: the systematic rows from
+    /// `source` (rows at or past `rows`, the original count, stay zero
+    /// padding), then the parity rows from those systematic rows.
+    fn fill_range(
+        &self,
+        source: Source<'_>,
+        rows: usize,
+        prow: usize,
+        cols: usize,
+        range: &mut RowRange<'_>,
+    ) {
+        let k = self.params.k;
+        let (begin, end) = (range.begin, range.end);
+        let (sys, parity) = range.parts.split_at_mut(k);
+        // Local rows [0, valid(j)) of systematic block j hold data.
+        let valid = |j: usize| rows.saturating_sub(j * prow + begin).min(end - begin);
+
+        match source {
+            Source::Rows(a) => {
+                for (j, dst) in sys.iter_mut().enumerate() {
+                    let first = (j * prow + begin).min(rows) * cols;
+                    let len = valid(j) * cols;
+                    dst[..len].copy_from_slice(&a.as_slice()[first..first + len]);
+                }
+            }
+            Source::Columns(a) => {
+                // Systematic row r of block j is column j·prow + r of `a`.
+                // Eight rows of `a` at a time: each destination row then
+                // receives a whole cache line per visit while the eight
+                // source rows' current lines stay resident.
+                const TILE: usize = 8;
+                let a_cols = a.cols();
+                for t0 in (0..cols).step_by(TILE) {
+                    let t1 = (t0 + TILE).min(cols);
+                    for (j, dst) in sys.iter_mut().enumerate() {
+                        let first_col = j * prow + begin;
+                        for r in 0..valid(j) {
+                            let row = &mut dst[r * cols..(r + 1) * cols];
+                            for (t, d) in (t0..t1).zip(&mut row[t0..t1]) {
+                                *d = a.as_slice()[t * a_cols + first_col + r];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Parity: one cache-blocked pass over the systematic rows instead
+        // of a full sweep per parity node. Row blocks are sized so the
+        // source rows plus every parity destination block stay resident,
+        // so each data element is read from memory once rather than
+        // `n − k` times. Per output element the k contributions still
+        // accumulate in ascending-j order, identical to a per-partition
+        // sweep; padding rows contribute nothing (they are skipped, not
+        // added as zeros).
+        if parity.is_empty() {
+            return;
+        }
+        let block_rows = (ROW_BLOCK_ELEMS / (cols.max(1) * (parity.len() + 1))).clamp(1, prow);
+        let mut b = 0;
+        while b < end - begin {
+            let bend = (b + block_rows).min(end - begin);
+            for (j, src_rows) in sys.iter().enumerate() {
+                for r in b..bend.min(valid(j)) {
+                    let src = &src_rows[r * cols..(r + 1) * cols];
+                    for (p, part) in parity.iter_mut().enumerate() {
+                        let w = self.parity.get(p, j);
+                        for (d, s) in part[r * cols..(r + 1) * cols].iter_mut().zip(src) {
+                            *d += w * s;
+                        }
+                    }
+                }
+            }
+            b = bend;
+        }
     }
 
     /// Decodes the full `A·x` product from per-chunk worker results.
@@ -863,9 +986,93 @@ mod tests {
         let code = MdsCode::new(MdsParams::new(4, 2)).unwrap();
         assert_eq!(code.generator_row(0), vec![1.0, 0.0]);
         assert_eq!(code.generator_row(1), vec![0.0, 1.0]);
-        // Parity rows are dense Cauchy rows.
+        // Parity rows are dense rows of the seeded random parity block.
         assert!(code.generator_row(2).iter().all(|&v| v != 0.0));
         assert_ne!(code.generator_row(2), code.generator_row(3));
+    }
+
+    /// The sequential encoder the row-range split replaced, written
+    /// element by element: systematic blocks copied, each parity element
+    /// accumulated over `j` ascending from zero, padding rows skipped.
+    fn reference_encode(code: &MdsCode, a: &Matrix, chunks: usize) -> Vec<Matrix> {
+        let MdsParams { n, k } = code.params();
+        let prow = ChunkLayout::new(a.rows(), k, chunks)
+            .unwrap()
+            .partition_rows();
+        let row = |r: usize| (r < a.rows()).then(|| a.row(r));
+        let systematic = (0..k).map(|i| {
+            Matrix::from_fn(prow, a.cols(), |r, c| {
+                row(i * prow + r).map_or(0.0, |s| s[c])
+            })
+        });
+        let parity = (0..n - k).map(|p| {
+            Matrix::from_fn(prow, a.cols(), |r, c| {
+                let mut acc = 0.0;
+                for j in 0..k {
+                    if let Some(s) = row(j * prow + r) {
+                        acc += code.parity.get(p, j) * s[c];
+                    }
+                }
+                acc
+            })
+        });
+        systematic.chain(parity).collect()
+    }
+
+    fn bits(parts: &[Matrix]) -> Vec<Vec<u64>> {
+        parts
+            .iter()
+            .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn encode_is_the_sequential_encode_at_every_thread_count() {
+        // (rows, cols, n, k, chunks): rows not divisible by k·chunks,
+        // n = k, one column, one row — each past the spawn cutoff in at
+        // least one orientation, and partitions with fewer rows than
+        // threads.
+        let cases = [
+            (50, 7, 6, 4, 3),
+            (1_001, 37, 7, 5, 3),
+            (600, 60, 4, 4, 3),
+            (40_000, 1, 6, 4, 5),
+            (3, 9_000, 5, 3, 2),
+        ];
+        for (rows, cols, n, k, chunks) in cases {
+            let a = Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 31 + c * 17) % 23) as f64 / 7.0 - 1.5
+            });
+            let code = MdsCode::new(MdsParams::new(n, k)).unwrap();
+            let expect_a = bits(&reference_encode(&code, &a, chunks));
+            let expect_at = bits(&reference_encode(&code, &a.transpose(), chunks));
+            for threads in [1, 2, 3, 7] {
+                let label = format!("{rows} x {cols}, ({n}, {k}, {chunks}), {threads} threads");
+                let enc = code
+                    .encode_with_threads(Source::Rows(&a), chunks, threads)
+                    .unwrap();
+                assert_eq!(bits(enc.partitions()), expect_a, "A, {label}");
+                let enc = code
+                    .encode_with_threads(Source::Columns(&a), chunks, threads)
+                    .unwrap();
+                assert_eq!(bits(enc.partitions()), expect_at, "Aᵀ, {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_transpose_is_encode_of_the_transpose() {
+        let a = data_matrix(97, 130);
+        let code = MdsCode::new(MdsParams::new(6, 4)).unwrap();
+        let direct = code.encode_transpose(&a, 3).unwrap();
+        let via = code.encode(&a.transpose(), 3).unwrap();
+        assert_eq!(direct.layout(), via.layout());
+        assert_eq!(bits(direct.partitions()), bits(via.partitions()));
+        // ... and it decodes to Aᵀ·x.
+        let x = Vector::from_fn(97, |i| (i as f64 * 0.1).sin());
+        let resp = full_responses(&direct, &[1, 3, 4, 5], &x);
+        let y = code.decode_matvec(direct.layout(), &resp).unwrap();
+        assert_slices_close(y.as_slice(), a.transpose().matvec(&x).as_slice(), 1e-9);
     }
 
     #[test]

@@ -12,12 +12,22 @@ use crate::strategy::{
     S2c2Strategy, StrategyKind,
 };
 use s2c2_cluster::{ClusterSim, ClusterSpec, JobMetrics};
-use s2c2_coding::mds::MdsParams;
+use s2c2_coding::cache::CachedEncoding;
+use s2c2_coding::mds::{MdsCode, MdsParams};
 use s2c2_linalg::{Matrix, Vector};
+use std::sync::Arc;
+
+/// What a job is built from.
+enum JobData {
+    /// The data matrix; the strategy encodes or splits it itself.
+    Matrix(Arc<Matrix>),
+    /// An MDS encoding of it that other jobs may share.
+    Encoded(Arc<CachedEncoding>),
+}
 
 /// Builder for a [`CodedJob`].
 pub struct CodedJobBuilder {
-    a: Matrix,
+    data: JobData,
     params: MdsParams,
     chunks_per_worker: usize,
     strategy: StrategyKind,
@@ -29,11 +39,27 @@ pub struct CodedJobBuilder {
 }
 
 impl CodedJobBuilder {
-    /// Starts a builder over data matrix `a` with `(n, k)` code `params`.
+    /// Starts a builder over data matrix `a` with `(n, k)` code `params`
+    /// (an `Arc<Matrix>` is taken without copying the data).
     #[must_use]
-    pub fn new(a: Matrix, params: MdsParams) -> Self {
+    pub fn new(a: impl Into<Arc<Matrix>>, params: MdsParams) -> Self {
+        Self::over(JobData::Matrix(a.into()), params)
+    }
+
+    /// Starts a builder over an existing MDS encoding, shared with every
+    /// other job built on it: no copy, no re-encode. Only the strategies
+    /// that run on that encoding — [`StrategyKind::MdsCoded`],
+    /// [`StrategyKind::S2c2Basic`] and [`StrategyKind::S2c2General`] —
+    /// can be built this way, and the encoding's `(n, k)` and chunking
+    /// must be `params` and [`Self::chunks_per_worker`]'s.
+    #[must_use]
+    pub fn from_encoding(encoding: Arc<CachedEncoding>, params: MdsParams) -> Self {
+        Self::over(JobData::Encoded(encoding), params)
+    }
+
+    fn over(data: JobData, params: MdsParams) -> Self {
         CodedJobBuilder {
-            a,
+            data,
             params,
             chunks_per_worker: 8,
             strategy: StrategyKind::S2c2General,
@@ -99,8 +125,9 @@ impl CodedJobBuilder {
     ///
     /// # Errors
     ///
-    /// Configuration mismatches (cluster size vs `n`, degenerate shapes)
-    /// surface as [`S2c2Error::InvalidConfig`].
+    /// Configuration mismatches (cluster size vs `n`, degenerate shapes,
+    /// a shared encoding of another geometry or under a strategy that
+    /// does not run on it) surface as [`S2c2Error::InvalidConfig`].
     pub fn build(self, cluster: ClusterSpec) -> Result<CodedJob, S2c2Error> {
         let n = cluster.n();
         if n != self.params.n {
@@ -110,39 +137,31 @@ impl CodedJobBuilder {
             )));
         }
         let strategy: Box<dyn MatvecStrategy> = match self.strategy {
-            StrategyKind::Uncoded => {
-                Box::new(MdsStrategy::uncoded(&self.a, n, self.chunks_per_worker)?)
-            }
+            StrategyKind::Uncoded => Box::new(MdsStrategy::uncoded(
+                self.matrix()?,
+                n,
+                self.chunks_per_worker,
+            )?),
             StrategyKind::Replication => Box::new(ReplicationStrategy::new(
-                &self.a,
+                self.matrix()?,
                 n,
                 self.replicas,
                 self.max_speculative,
                 self.seed,
             )?),
-            StrategyKind::MdsCoded => Box::new(MdsStrategy::new(
-                &self.a,
-                self.params,
-                self.chunks_per_worker,
-            )?),
-            StrategyKind::S2c2Basic => Box::new(S2c2Strategy::new(
-                &self.a,
-                self.params,
-                self.chunks_per_worker,
+            StrategyKind::MdsCoded => Box::new(MdsStrategy::from_encoding(self.encoding()?)),
+            StrategyKind::S2c2Basic => Box::new(S2c2Strategy::from_encoding(
+                self.encoding()?,
                 S2c2Mode::Basic,
                 &self.predictor,
-                n,
-            )?),
-            StrategyKind::S2c2General => Box::new(S2c2Strategy::new(
-                &self.a,
-                self.params,
-                self.chunks_per_worker,
+            )),
+            StrategyKind::S2c2General => Box::new(S2c2Strategy::from_encoding(
+                self.encoding()?,
                 S2c2Mode::General,
                 &self.predictor,
-                n,
-            )?),
+            )),
             StrategyKind::OverDecomposition => Box::new(OverDecompositionStrategy::new(
-                &self.a,
+                self.matrix()?,
                 n,
                 self.overdecomp_factor,
                 self.params.storage_overhead(),
@@ -156,6 +175,42 @@ impl CodedJobBuilder {
             metrics: JobMetrics::new(),
             iteration: 0,
         })
+    }
+
+    /// The matrix, for the strategies that split it themselves.
+    fn matrix(&self) -> Result<&Matrix, S2c2Error> {
+        match &self.data {
+            JobData::Matrix(a) => Ok(a),
+            JobData::Encoded(_) => Err(S2c2Error::InvalidConfig(format!(
+                "{} does not run on an MDS encoding; build it from the matrix",
+                self.strategy
+            ))),
+        }
+    }
+
+    /// The job's `(n, k)` encoding: the shared one after checking it is
+    /// the encoding this job would have built, or the matrix encoded now.
+    fn encoding(&self) -> Result<Arc<CachedEncoding>, S2c2Error> {
+        match &self.data {
+            JobData::Encoded(encoding) => {
+                let params = encoding.code.params();
+                let chunks = encoding.encoded.layout().chunks_per_partition;
+                if (params, chunks) == (self.params, self.chunks_per_worker) {
+                    Ok(Arc::clone(encoding))
+                } else {
+                    Err(S2c2Error::InvalidConfig(format!(
+                        "shared encoding is ({}, {}) with {chunks} chunks per worker, \
+                         the job asks for ({}, {}) with {}",
+                        params.n, params.k, self.params.n, self.params.k, self.chunks_per_worker
+                    )))
+                }
+            }
+            JobData::Matrix(a) => {
+                let code = MdsCode::new(self.params)?;
+                let encoded = code.encode(a, self.chunks_per_worker)?;
+                Ok(Arc::new(CachedEncoding { code, encoded }))
+            }
+        }
     }
 }
 
@@ -216,6 +271,14 @@ impl CodedJob {
         self.strategy.storage_bytes_per_worker()
     }
 
+    /// The MDS encoding the job computes against, if its strategy runs on
+    /// one — the shared allocation for a job built with
+    /// [`CodedJobBuilder::from_encoding`].
+    #[must_use]
+    pub fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
+        self.strategy.encoding()
+    }
+
     /// Number of cluster workers.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -267,6 +330,76 @@ mod tests {
             .build(cluster)
             .unwrap_err();
         assert!(matches!(err, S2c2Error::InvalidConfig(_)));
+    }
+
+    fn shared(a: &Matrix, params: MdsParams, chunks: usize) -> Arc<CachedEncoding> {
+        let code = s2c2_coding::mds::MdsCode::new(params).unwrap();
+        let encoded = code.encode(a, chunks).unwrap();
+        Arc::new(CachedEncoding { code, encoded })
+    }
+
+    fn straggling(n: usize) -> ClusterSpec {
+        ClusterSpec::builder(n)
+            .straggler_slowdown(5.0)
+            .stragglers(&[2], 0.1)
+            .build()
+    }
+
+    #[test]
+    fn jobs_on_a_shared_encoding_alias_it_and_match_jobs_on_the_matrix() {
+        let (a, x) = data();
+        let params = MdsParams::new(12, 6);
+        let encoding = shared(&a, params, 12);
+        for kind in [
+            StrategyKind::MdsCoded,
+            StrategyKind::S2c2Basic,
+            StrategyKind::S2c2General,
+        ] {
+            assert!(kind.runs_on_mds_encoding());
+            let mut on_shared = CodedJobBuilder::from_encoding(Arc::clone(&encoding), params)
+                .chunks_per_worker(12)
+                .strategy(kind)
+                .build(straggling(12))
+                .unwrap();
+            assert!(Arc::ptr_eq(on_shared.encoding().unwrap(), &encoding));
+            let mut on_matrix = CodedJobBuilder::new(a.clone(), params)
+                .chunks_per_worker(12)
+                .strategy(kind)
+                .build(straggling(12))
+                .unwrap();
+            assert!(!Arc::ptr_eq(on_matrix.encoding().unwrap(), &encoding));
+            for _ in 0..3 {
+                let s = on_shared.run_iteration(&x).unwrap();
+                let m = on_matrix.run_iteration(&x).unwrap();
+                assert_eq!(s.result, m.result, "{kind}");
+                assert_eq!(s.metrics.latency.to_bits(), m.metrics.latency.to_bits());
+            }
+        }
+        // Three jobs built, still the one encoding.
+        assert_eq!(Arc::strong_count(&encoding), 1);
+    }
+
+    #[test]
+    fn shared_encoding_of_another_geometry_or_strategy_is_rejected() {
+        let (a, _) = data();
+        let params = MdsParams::new(12, 6);
+        let encoding = shared(&a, params, 12);
+        let build = |params: MdsParams, chunks: usize, kind: StrategyKind| {
+            CodedJobBuilder::from_encoding(Arc::clone(&encoding), params)
+                .chunks_per_worker(chunks)
+                .strategy(kind)
+                .build(straggling(params.n))
+        };
+        for (p, chunks) in [(MdsParams::new(12, 8), 12), (params, 6)] {
+            let err = build(p, chunks, StrategyKind::MdsCoded).unwrap_err();
+            assert!(matches!(err, S2c2Error::InvalidConfig(_)), "{err}");
+        }
+        for kind in StrategyKind::all() {
+            if !kind.runs_on_mds_encoding() {
+                let err = build(params, 12, kind).unwrap_err();
+                assert!(matches!(err, S2c2Error::InvalidConfig(_)), "{kind}: {err}");
+            }
+        }
     }
 
     #[test]

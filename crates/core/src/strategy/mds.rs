@@ -18,9 +18,11 @@ use crate::error::S2c2Error;
 use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
+use s2c2_coding::cache::CachedEncoding;
 use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
 use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
 use s2c2_linalg::{Matrix, Vector};
+use std::sync::Arc;
 
 /// Master-side cost of decoding one chunk from `k` responses of which
 /// `missing` are parity (each systematic response is a free decode): LU
@@ -36,26 +38,40 @@ pub fn chunk_decode_flops(missing: usize, k: usize, rows_per_chunk: usize, rhs: 
 
 /// An MDS-encoded matrix plus the numeric tail every coded-matvec
 /// scheduler shares.
+///
+/// The encoding is shared, not owned: schedulers built over one
+/// [`CachedEncoding`] (an MDS and an S²C² job over the same data, say)
+/// compute against one allocation, never a copy.
 pub(crate) struct CodedMatvec {
-    pub(crate) code: MdsCode,
-    pub(crate) enc: EncodedMatrix,
+    pub(crate) shared: Arc<CachedEncoding>,
 }
 
 impl CodedMatvec {
+    /// Encodes `a` into a fresh encoding of its own.
     pub(crate) fn new(
         a: &Matrix,
         params: MdsParams,
         chunks_per_partition: usize,
     ) -> Result<Self, S2c2Error> {
         let code = MdsCode::new(params)?;
-        let enc = code.encode(a, chunks_per_partition)?;
-        Ok(CodedMatvec { code, enc })
+        let encoded = code.encode(a, chunks_per_partition)?;
+        Ok(CodedMatvec {
+            shared: Arc::new(CachedEncoding { code, encoded }),
+        })
+    }
+
+    pub(crate) fn code(&self) -> &MdsCode {
+        &self.shared.code
+    }
+
+    pub(crate) fn encoded(&self) -> &EncodedMatrix {
+        &self.shared.encoded
     }
 
     /// The conventional assignment: every worker, its whole partition.
     pub(crate) fn full_assignment(&self) -> ChunkAssignment {
-        let p = self.code.params();
-        allocate_full(p.n, p.k, self.enc.layout().chunks_per_partition)
+        let p = self.code().params();
+        allocate_full(p.n, p.k, self.encoded().layout().chunks_per_partition)
     }
 
     /// Runs one round of `assignment` on the simulator's current
@@ -99,8 +115,8 @@ impl CodedMatvec {
         expected_speeds: Option<&[f64]>,
         threads: usize,
     ) -> Result<(IterationOutcome, Feedback), S2c2Error> {
-        let layout = *self.enc.layout();
-        let k = self.code.params().k;
+        let layout = *self.encoded().layout();
+        let k = self.code().params().k;
         let rpc = layout.rows_per_chunk();
         let cost = RoundCost {
             broadcast_bytes: (x.len() * 8) as u64,
@@ -126,9 +142,9 @@ impl CodedMatvec {
             1
         };
         let responses = par_map(&pairs, threads, |&(w, chunk)| {
-            self.enc.worker_compute_chunk(w, chunk, x)
+            self.encoded().worker_compute_chunk(w, chunk, x)
         });
-        let result = self.code.decode_matvec(&layout, &responses)?;
+        let result = self.code().decode_matvec(&layout, &responses)?;
         let (metrics, feedback) = plan.finish(sim.decode_time(decode_flops));
         Ok((IterationOutcome { result, metrics }, feedback))
     }
@@ -152,10 +168,25 @@ impl MdsStrategy {
         params: MdsParams,
         chunks_per_partition: usize,
     ) -> Result<Self, S2c2Error> {
-        Ok(MdsStrategy {
-            coded: CodedMatvec::new(a, params, chunks_per_partition)?,
-            name: format!("mds({},{})", params.n, params.k),
-        })
+        Ok(Self::conventional(CodedMatvec::new(
+            a,
+            params,
+            chunks_per_partition,
+        )?))
+    }
+
+    /// Conventional MDS over an existing (possibly shared) encoding:
+    /// no data is copied or re-encoded.
+    pub(crate) fn from_encoding(encoding: Arc<CachedEncoding>) -> Self {
+        Self::conventional(CodedMatvec { shared: encoding })
+    }
+
+    fn conventional(coded: CodedMatvec) -> Self {
+        let p = coded.code().params();
+        MdsStrategy {
+            name: format!("mds({},{})", p.n, p.k),
+            coded,
+        }
     }
 
     /// The uncoded even-split baseline (§2's strawman): every worker
@@ -177,7 +208,7 @@ impl MdsStrategy {
     /// The code parameters in use.
     #[must_use]
     pub fn params(&self) -> MdsParams {
-        self.coded.code.params()
+        self.coded.code().params()
     }
 }
 
@@ -203,7 +234,11 @@ impl MatvecStrategy for MdsStrategy {
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {
-        self.coded.enc.bytes_per_worker()
+        self.coded.encoded().bytes_per_worker()
+    }
+
+    fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
+        Some(&self.coded.shared)
     }
 }
 

@@ -32,7 +32,9 @@ pub use s2c2::S2c2Strategy;
 use crate::error::S2c2Error;
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
+use s2c2_coding::cache::CachedEncoding;
 use s2c2_linalg::Vector;
+use std::sync::Arc;
 
 /// Result of one strategy iteration.
 #[derive(Debug, Clone)]
@@ -68,6 +70,13 @@ pub trait MatvecStrategy: Send {
 
     /// Bytes of input data each worker must store up front.
     fn storage_bytes_per_worker(&self) -> u64;
+
+    /// The MDS encoding the strategy computes against, for the
+    /// strategies that run on one (conventional MDS, uncoded, S²C²);
+    /// jobs built over a shared encoding return that very allocation.
+    fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
+        None
+    }
 }
 
 /// Selector used by the [`crate::job::CodedJobBuilder`] facade.
@@ -99,6 +108,19 @@ impl StrategyKind {
             StrategyKind::S2c2General,
             StrategyKind::OverDecomposition,
         ]
+    }
+
+    /// Whether the strategy runs on an `(n, k)`-MDS encoding of the
+    /// matrix under the job's own code — conventional MDS and both S²C²
+    /// variants — and so can share one with other jobs.
+    #[must_use]
+    pub fn runs_on_mds_encoding(self) -> bool {
+        match self {
+            StrategyKind::MdsCoded | StrategyKind::S2c2Basic | StrategyKind::S2c2General => true,
+            StrategyKind::Uncoded | StrategyKind::Replication | StrategyKind::OverDecomposition => {
+                false
+            }
+        }
     }
 }
 

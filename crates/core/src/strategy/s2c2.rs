@@ -1,7 +1,11 @@
 //! Slack Squeeze Coded Computing — the paper's contribution (§4).
 //!
-//! Data is encoded **once** with a conservative `(n, k)` code; every
-//! iteration the scheduler:
+//! Data is encoded **once** with a conservative `(n, k)` code — and the
+//! encoding can be the very one a conventional MDS job runs on:
+//! [`CodedJobBuilder::from_encoding`](crate::job::CodedJobBuilder::from_encoding)
+//! hands both schedulers one shared allocation, so switching a job from
+//! MDS to S²C² re-encodes and re-distributes nothing. Every iteration
+//! the scheduler:
 //!
 //! 1. obtains per-worker speed estimates from the [`SpeedTracker`]
 //!    (LSTM/ARIMA forecasts, last-value, uniform, or the oracle),
@@ -28,8 +32,10 @@ use crate::strategy::mds::CodedMatvec;
 use crate::strategy::round::Feedback;
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
+use s2c2_coding::cache::CachedEncoding;
 use s2c2_coding::mds::MdsParams;
 use s2c2_linalg::{Matrix, Vector};
+use std::sync::Arc;
 
 /// The adaptive half of S²C², whatever the code underneath: forecasts
 /// out, a round run on them, observations back in. Shared by the MDS
@@ -155,12 +161,30 @@ impl S2c2Strategy {
                 params.n
             )));
         }
-        Ok(S2c2Strategy {
-            coded: CodedMatvec::new(a, params, chunks_per_partition)?,
-            sched: AdaptiveScheduler::new(predictor, params.n),
+        let coded = CodedMatvec::new(a, params, chunks_per_partition)?;
+        Ok(Self::scheduling(coded, mode, predictor))
+    }
+
+    /// The scheduler over an existing (possibly shared) encoding — the
+    /// paper's "no data re-distribution": S²C² runs on the very coded
+    /// partitions conventional MDS computes against. The caller has
+    /// checked the code against the cluster.
+    pub(crate) fn from_encoding(
+        encoding: Arc<CachedEncoding>,
+        mode: S2c2Mode,
+        predictor: &PredictorSource,
+    ) -> Self {
+        Self::scheduling(CodedMatvec { shared: encoding }, mode, predictor)
+    }
+
+    fn scheduling(coded: CodedMatvec, mode: S2c2Mode, predictor: &PredictorSource) -> Self {
+        let n = coded.code().params().n;
+        S2c2Strategy {
+            coded,
+            sched: AdaptiveScheduler::new(predictor, n),
             mode,
             straggler_threshold: 0.5,
-        })
+        }
     }
 
     /// Overrides the §4.3 timeout margin (default 0.15, from the paper's
@@ -184,7 +208,7 @@ impl S2c2Strategy {
     /// The code parameters in use.
     #[must_use]
     pub fn params(&self) -> MdsParams {
-        self.coded.code.params()
+        self.coded.code().params()
     }
 
     /// The speed tracker whose forecasts drive the next allocation
@@ -199,7 +223,7 @@ impl S2c2Strategy {
     /// excluded and an even split among the rest (basic).
     fn build_assignment(&self, preds: &[f64]) -> ChunkAssignment {
         let p = self.params();
-        let c = self.coded.enc.layout().chunks_per_partition;
+        let c = self.coded.encoded().layout().chunks_per_partition;
         let attempt = match self.mode {
             S2c2Mode::General => allocate_chunks(preds, p.k, c),
             S2c2Mode::Basic => {
@@ -250,7 +274,11 @@ impl MatvecStrategy for S2c2Strategy {
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {
-        self.coded.enc.bytes_per_worker()
+        self.coded.encoded().bytes_per_worker()
+    }
+
+    fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
+        Some(&self.coded.shared)
     }
 }
 
@@ -363,7 +391,7 @@ mod tests {
         let max = *active_rows.iter().max().unwrap();
         let min = *active_rows.iter().min().unwrap();
         assert!(
-            max - min <= s.coded.enc.layout().rows_per_chunk(),
+            max - min <= s.coded.encoded().layout().rows_per_chunk(),
             "even split in basic mode"
         );
     }
@@ -452,7 +480,7 @@ mod tests {
             for w in stragglers..12 {
                 let got = out.metrics.assigned_rows[w] as f64;
                 assert!(
-                    (got - expect).abs() <= s.coded.enc.layout().rows_per_chunk() as f64,
+                    (got - expect).abs() <= s.coded.encoded().layout().rows_per_chunk() as f64,
                     "{stragglers} stragglers: worker {w} rows {got}, expected ~{expect}"
                 );
             }

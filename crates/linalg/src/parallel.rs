@@ -1,13 +1,17 @@
 //! Scoped-thread data parallelism for the host-side numerics.
 //!
-//! [`par_map`] is the one spawn/join primitive; the kernels here are its
-//! clients. Callers on the single-job path: `s2c2-core`'s coded rounds
-//! (`CodedMatvec::run_round` under MDS, uncoded and both S²C² variants,
-//! and `PolyShared::run_round` under both polynomial schedulers) compute
-//! a round's chosen worker responses with [`par_map`], and the
-//! `s2c2-workloads` trainers take their master-side margins (logistic
-//! regression and SVM loss/accuracy, the Hessian weights) with
-//! [`par_matvec`] — all at [`host_threads`]. The serve engine does not
+//! [`par_map`] and its in-place twin [`par_for_each_mut`] share the one
+//! spawn/join site; the kernels here are their clients. Callers on the
+//! single-job path: `s2c2-core`'s coded rounds (`CodedMatvec::run_round`
+//! under MDS, uncoded and both S²C² variants, and `PolyShared::run_round`
+//! under both polynomial schedulers) compute a round's chosen worker
+//! responses with [`par_map`], and the `s2c2-workloads` trainers take
+//! their master-side margins (logistic regression and SVM
+//! loss/accuracy, the Hessian weights) with [`par_matvec`]. The set-up
+//! fills caller-allocated outputs with [`par_for_each_mut`]:
+//! `s2c2-coding`'s `MdsCode::encode` / `encode_transpose` (row ranges of
+//! every partition) and `s2c2-workloads`' `gisette_like` (row blocks of
+//! the features). All run at [`host_threads`]. The serve engine does not
 //! call into this module: its threaded backend already runs one OS
 //! thread per simulated worker.
 //!
@@ -72,23 +76,64 @@ where
     if threads == 1 || items.len() < 2 {
         return items.iter().map(f).collect();
     }
-    let mut parts = items.chunks(items.len().div_ceil(threads));
-    let last = parts.next_back().unwrap_or_default();
+    let parts = items.chunks(items.len().div_ceil(threads));
+    let mut out = Vec::with_capacity(items.len());
+    for part in run_parts(parts, |part| part.iter().map(&f).collect::<Vec<R>>()) {
+        out.extend(part);
+    }
+    out
+}
+
+/// Runs `f` on every item of `items` in place, split over up to
+/// `threads` OS threads exactly as [`par_map`] splits.
+///
+/// The in-place counterpart of [`par_map`] for outputs the caller
+/// allocates up front — the items are typically disjoint `&mut` slices
+/// of one buffer — so the spawned threads fill memory without allocating
+/// any of their own.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`; re-raises a panic from `f`.
+pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    assert!(threads > 0, "need at least one thread");
+    if threads == 1 || items.len() < 2 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let size = items.len().div_ceil(threads);
+    run_parts(items.chunks_mut(size), |part| part.iter_mut().for_each(&f));
+}
+
+/// The one spawn/join site: runs `f` on every part, each part but the
+/// last on a scoped thread and the last on the caller's, and returns the
+/// per-part results in order.
+fn run_parts<P, R, F>(mut parts: impl DoubleEndedIterator<Item = P>, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(P) -> R + Sync,
+{
+    let Some(last) = parts.next_back() else {
+        return Vec::new();
+    };
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        let tail: Vec<R> = last.iter().map(f).collect();
-        let mut out = Vec::with_capacity(items.len());
+        let handles: Vec<_> = parts.map(|part| scope.spawn(move || f(part))).collect();
+        let tail = f(last);
+        let mut out = Vec::with_capacity(handles.len() + 1);
         for h in handles {
             #[expect(
                 clippy::expect_used,
                 reason = "re-raises a worker panic, as std::thread::scope itself would"
             )]
-            out.extend(h.join().expect("par_map worker panicked"));
+            out.push(h.join().expect("par_map worker panicked"));
         }
-        out.extend(tail);
+        out.push(tail);
         out
     })
 }
@@ -222,6 +267,43 @@ mod tests {
         let _ = par_map(&[0, 1, 2, 3], 2, |&v| {
             assert!(v != 0, "item 0 fails");
             v
+        });
+    }
+
+    #[test]
+    fn par_for_each_mut_splits_like_par_map() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 3, 7, 64] {
+            let mut items: Vec<(u64, Option<std::thread::ThreadId>)> =
+                (0..101).map(|i| (i, None)).collect();
+            par_for_each_mut(&mut items, threads, |(v, ran_on)| {
+                *v = *v * *v + 1;
+                *ran_on = Some(std::thread::current().id());
+            });
+            let expect: Vec<u64> = (0..101).map(|i| i * i + 1).collect();
+            let got: Vec<u64> = items.iter().map(|&(v, _)| v).collect();
+            assert_eq!(got, expect, "{threads} threads");
+            // The same parts as par_map: the last on the caller's thread,
+            // the ones before it elsewhere.
+            let on_caller = |&(_, id): &(u64, Option<std::thread::ThreadId>)| id == Some(caller);
+            let size = if threads == 1 {
+                101
+            } else {
+                101_usize.div_ceil(threads)
+            };
+            let tail_start = (101 - 1) / size * size;
+            assert!(items[tail_start..].iter().all(on_caller), "{threads}");
+            assert!(!items[..tail_start].iter().any(on_caller), "{threads}");
+        }
+        let mut empty: [u8; 0] = [];
+        par_for_each_mut(&mut empty, 4, |b| *b += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "par_map worker panicked")]
+    fn par_for_each_mut_reraises_a_worker_panic() {
+        par_for_each_mut(&mut [0, 1, 2, 3], 2, |v| {
+            assert!(*v != 0, "item 0 fails");
         });
     }
 

@@ -7,6 +7,7 @@
 //! independently — a documented simplification; relative latencies across
 //! strategies, which is what every figure reports, are unaffected).
 
+use crate::datasets::{Classification, Orientation};
 use s2c2_cluster::ClusterSpec;
 use s2c2_coding::mds::MdsParams;
 use s2c2_core::job::{CodedJob, CodedJobBuilder};
@@ -14,6 +15,7 @@ use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_core::strategy::StrategyKind;
 use s2c2_core::S2c2Error;
 use s2c2_linalg::Matrix;
+use std::sync::Arc;
 
 /// Execution configuration shared by the workloads.
 pub struct ExecConfig {
@@ -70,7 +72,41 @@ impl ExecConfig {
     ///
     /// Propagates job-construction failures.
     pub fn build_job(&self, matrix: Matrix) -> Result<CodedJob, S2c2Error> {
-        CodedJobBuilder::new(matrix, self.params)
+        self.build(CodedJobBuilder::new(matrix, self.params))
+    }
+
+    /// Builds a coded job over the features of `data` (or their
+    /// transpose). The strategies that run on an MDS encoding take the
+    /// dataset's shared one ([`Classification::encoding`]), so every job
+    /// over the same data and code reuses a single encode; the others
+    /// get the matrix — shared, or transposed for them alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding and job-construction failures.
+    pub fn build_data_job(
+        &self,
+        data: &Classification,
+        orientation: Orientation,
+    ) -> Result<CodedJob, S2c2Error> {
+        let builder = if self.strategy.runs_on_mds_encoding() {
+            let encoding = data.encoding(orientation, self.params, self.chunks_per_worker)?;
+            CodedJobBuilder::from_encoding(encoding, self.params)
+        } else {
+            match orientation {
+                Orientation::Features => {
+                    CodedJobBuilder::new(Arc::clone(&data.features), self.params)
+                }
+                Orientation::Transposed => {
+                    CodedJobBuilder::new(data.features.transpose(), self.params)
+                }
+            }
+        };
+        self.build(builder)
+    }
+
+    fn build(&self, builder: CodedJobBuilder) -> Result<CodedJob, S2c2Error> {
+        builder
             .chunks_per_worker(self.chunks_per_worker)
             .strategy(self.strategy)
             .predictor(self.predictor.clone())

@@ -4,12 +4,13 @@
 //! `u = A·w` and the backward gradient `g = Aᵀ·(σ(u) − ½(y+1))` — plus
 //! O(rows) master-side work. This is the workload behind Figs 1, 3 and 6.
 
-use crate::datasets::{sign_accuracy, Classification};
+use crate::datasets::{sign_accuracy, Classification, Orientation};
 use crate::exec::ExecConfig;
 use s2c2_core::job::CodedJob;
 use s2c2_core::S2c2Error;
 use s2c2_linalg::parallel::{host_threads, par_matvec};
 use s2c2_linalg::{Matrix, Vector};
+use std::sync::Arc;
 
 /// Report of a single gradient-descent step.
 #[derive(Debug, Clone)]
@@ -26,7 +27,8 @@ pub struct StepReport {
 pub struct DistributedLogReg {
     forward: CodedJob,
     backward: CodedJob,
-    features: Matrix,
+    /// The dataset's features, shared, for the master-side margin.
+    features: Arc<Matrix>,
     /// Labels remapped to {0, 1} for the logistic gradient.
     targets01: Vector,
     labels: Vector,
@@ -36,20 +38,25 @@ pub struct DistributedLogReg {
 }
 
 impl DistributedLogReg {
-    /// Builds the distributed trainer: encodes `A` for the forward job and
-    /// `Aᵀ` for the backward job under the same execution config.
+    /// Builds the distributed trainer: a forward job on `A` and a
+    /// backward job on `Aᵀ` under the same execution config. Coded
+    /// strategies take the dataset's shared encodings of `A` and `Aᵀ`
+    /// ([`Classification::encoding`]), so trainers over one dataset
+    /// encode each matrix once between them.
     ///
     /// # Errors
     ///
-    /// Propagates job-construction failures.
+    /// [`S2c2Error::InvalidConfig`] unless the dataset has one label per
+    /// example; propagates job-construction failures.
     pub fn new(
         data: &Classification,
         config: &ExecConfig,
         learning_rate: f64,
         l2: f64,
     ) -> Result<Self, S2c2Error> {
-        let forward = config.build_job(data.features.clone())?;
-        let backward = config.build_job(data.features.transpose())?;
+        data.check_labels()?;
+        let forward = config.build_data_job(data, Orientation::Features)?;
+        let backward = config.build_data_job(data, Orientation::Transposed)?;
         let targets01 = Vector::from_fn(data.labels.len(), |i| {
             if data.labels[i] > 0.0 {
                 1.0
@@ -60,7 +67,7 @@ impl DistributedLogReg {
         Ok(DistributedLogReg {
             forward,
             backward,
-            features: data.features.clone(),
+            features: Arc::clone(&data.features),
             targets01,
             labels: data.labels.clone(),
             weights: Vector::zeros(data.features.cols()),
@@ -249,6 +256,55 @@ mod tests {
         w.axpy(-0.3, &grad);
 
         s2c2_linalg::assert_slices_close(dist.weights().as_slice(), w.as_slice(), 1e-6);
+    }
+
+    #[test]
+    fn trainers_over_one_dataset_share_two_encodings() {
+        let data = gisette_like(240, 12, 5);
+        let mds = DistributedLogReg::new(&data, &config(StrategyKind::MdsCoded), 0.5, 0.0).unwrap();
+        let s2c2 =
+            DistributedLogReg::new(&data, &config(StrategyKind::S2c2General), 0.5, 0.0).unwrap();
+        let fwd = |lr: &DistributedLogReg| Arc::clone(lr.forward.encoding().unwrap());
+        let bwd = |lr: &DistributedLogReg| Arc::clone(lr.backward.encoding().unwrap());
+        assert!(Arc::ptr_eq(&fwd(&mds), &fwd(&s2c2)));
+        assert!(Arc::ptr_eq(&bwd(&mds), &bwd(&s2c2)));
+        assert!(!Arc::ptr_eq(&fwd(&mds), &bwd(&mds)));
+        // Four jobs, two encodings: each held by exactly its two jobs
+        // (plus the handle taken here), and by nothing else.
+        assert_eq!(Arc::strong_count(&fwd(&mds)), 3);
+        assert_eq!(Arc::strong_count(&bwd(&mds)), 3);
+        assert!(Arc::ptr_eq(&mds.features, &data.features));
+    }
+
+    #[test]
+    fn trainers_built_after_the_last_one_dropped_still_train() {
+        let data = gisette_like(240, 12, 5);
+        let weights = |kind| {
+            let mut lr = DistributedLogReg::new(&data, &config(kind), 0.5, 0.0).unwrap();
+            for _ in 0..3 {
+                lr.step().unwrap();
+            }
+            lr.weights().clone()
+        };
+        // Each trainer is dropped before the next is built, so each
+        // encodes anew; the model trained is the same either way.
+        let first = weights(StrategyKind::MdsCoded);
+        let second = weights(StrategyKind::S2c2General);
+        let third = weights(StrategyKind::MdsCoded);
+        assert_eq!(first, third);
+        s2c2_linalg::assert_slices_close(first.as_slice(), second.as_slice(), 1e-9);
+    }
+
+    #[test]
+    fn labels_that_do_not_match_the_examples_are_rejected() {
+        let data = gisette_like(96, 8, 13);
+        let short = Classification::new(
+            Arc::clone(&data.features),
+            Vector::from(data.labels.as_slice()[..95].to_vec()),
+        );
+        let err =
+            DistributedLogReg::new(&short, &config(StrategyKind::MdsCoded), 0.3, 0.0).unwrap_err();
+        assert!(matches!(err, S2c2Error::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! same two-coded-products loop as logistic regression with the logistic
 //! residual replaced by the hinge subgradient indicator.
 
-use crate::datasets::{sign_accuracy, Classification};
+use crate::datasets::{sign_accuracy, Classification, Orientation};
 use crate::exec::ExecConfig;
 use s2c2_core::job::CodedJob;
 use s2c2_core::S2c2Error;
 use s2c2_linalg::parallel::{host_threads, par_matvec};
 use s2c2_linalg::{Matrix, Vector};
+use std::sync::Arc;
 
 /// Report of one SVM subgradient step.
 #[derive(Debug, Clone)]
@@ -26,7 +27,8 @@ pub struct SvmStepReport {
 pub struct DistributedSvm {
     forward: CodedJob,
     backward: CodedJob,
-    features: Matrix,
+    /// The dataset's features, shared, for the master-side margin.
+    features: Arc<Matrix>,
     labels: Vector,
     weights: Vector,
     learning_rate: f64,
@@ -34,21 +36,25 @@ pub struct DistributedSvm {
 }
 
 impl DistributedSvm {
-    /// Builds the trainer (encodes `A` forward, `Aᵀ` backward).
+    /// Builds the trainer: `A` forward, `Aᵀ` backward, on the dataset's
+    /// shared encodings under the coded strategies (see
+    /// [`crate::logreg::DistributedLogReg::new`]).
     ///
     /// # Errors
     ///
-    /// Propagates job-construction failures.
+    /// [`S2c2Error::InvalidConfig`] unless the dataset has one label per
+    /// example; propagates job-construction failures.
     pub fn new(
         data: &Classification,
         config: &ExecConfig,
         learning_rate: f64,
         l2: f64,
     ) -> Result<Self, S2c2Error> {
+        data.check_labels()?;
         Ok(DistributedSvm {
-            forward: config.build_job(data.features.clone())?,
-            backward: config.build_job(data.features.transpose())?,
-            features: data.features.clone(),
+            forward: config.build_data_job(data, Orientation::Features)?,
+            backward: config.build_data_job(data, Orientation::Transposed)?,
+            features: Arc::clone(&data.features),
             labels: data.labels.clone(),
             weights: Vector::zeros(data.features.cols()),
             learning_rate,
@@ -228,6 +234,15 @@ mod tests {
         grad.scale(1.0 / 70.0);
         w.axpy(-0.1, &grad);
         s2c2_linalg::assert_slices_close(dist.weights().as_slice(), w.as_slice(), 1e-6);
+    }
+
+    #[test]
+    fn labels_that_do_not_match_the_examples_are_rejected() {
+        let data = gisette_like(70, 6, 29);
+        let long = Classification::new(Arc::clone(&data.features), Vector::zeros(71));
+        let err =
+            DistributedSvm::new(&long, &config(StrategyKind::S2c2General), 0.1, 0.0).unwrap_err();
+        assert!(matches!(err, S2c2Error::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -137,6 +137,14 @@ fn encodings_of_a_and_its_transpose_are_pinned() {
             "Aᵀ of {:?} under ({n}, {k}, {chunks}): observed {got_at:#018x}",
             a.shape()
         );
+        // Encoding Aᵀ straight from A's rows gives the same partitions.
+        let got_direct = encoding_digest(&code.encode_transpose(a, chunks).unwrap());
+        assert_eq!(
+            got_direct,
+            pin_at,
+            "encode_transpose of {:?} under ({n}, {k}, {chunks}): observed {got_direct:#018x}",
+            a.shape()
+        );
     }
 }
 
