@@ -237,7 +237,9 @@ impl CodedJob {
     ///
     /// # Errors
     ///
-    /// Propagates strategy failures.
+    /// [`S2c2Error::InvalidConfig`] unless `x` has one entry per column
+    /// of the job's matrix, before anything runs; propagates strategy
+    /// failures. A failed iteration does not advance the job.
     pub fn run_iteration(&mut self, x: &Vector) -> Result<IterationOutcome, S2c2Error> {
         let out = self
             .strategy
@@ -245,6 +247,21 @@ impl CodedJob {
         self.metrics.push(out.metrics.clone());
         self.iteration += 1;
         Ok(out)
+    }
+
+    /// The exact product `A·x` from the data the job's strategy stores,
+    /// on every host core ([`MatvecStrategy::product`]). It runs no
+    /// round: the simulated cluster, the iteration count and the metrics
+    /// are untouched. A coded job (uncoded, MDS, S²C²) keeps the
+    /// systematic part of it, so its next iteration on bit-identical `x`
+    /// computes only the parity responses its plan chose.
+    ///
+    /// # Errors
+    ///
+    /// [`S2c2Error::InvalidConfig`] unless `x` has one entry per column
+    /// of the job's matrix.
+    pub fn product(&self, x: &Vector) -> Result<Vector, S2c2Error> {
+        self.strategy.product(x)
     }
 
     /// Accumulated metrics over every completed iteration.
@@ -296,6 +313,10 @@ mod tests {
         (a, x)
     }
 
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn every_strategy_kind_builds_and_runs() {
         let (a, x) = data();
@@ -310,6 +331,9 @@ mod tests {
                 .strategy(kind)
                 .build(cluster)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            // The exact product, bit for bit, without running a round.
+            assert_eq!(bits(&job.product(&x).unwrap()), bits(&expect), "{kind}");
+            assert_eq!(job.iteration(), 0);
             for _ in 0..3 {
                 let out = job
                     .run_iteration(&x)
@@ -319,6 +343,26 @@ mod tests {
             assert_eq!(job.metrics().len(), 3, "{kind}");
             assert_eq!(job.iteration(), 3);
             assert!(job.storage_bytes_per_worker() > 0);
+        }
+    }
+
+    #[test]
+    fn an_input_of_the_wrong_length_is_a_typed_error() {
+        // Four entries against five columns.
+        let (a, _) = data();
+        let short = Vector::filled(4, 1.0);
+        for kind in StrategyKind::all() {
+            let mut job = CodedJobBuilder::new(a.clone(), MdsParams::new(12, 6))
+                .chunks_per_worker(12)
+                .strategy(kind)
+                .build(straggling(12))
+                .unwrap();
+            let err = job.run_iteration(&short).unwrap_err();
+            assert!(matches!(err, S2c2Error::InvalidConfig(_)), "{kind}: {err}");
+            assert_eq!(job.iteration(), 0, "{kind}");
+            assert!(job.metrics().is_empty(), "{kind}");
+            let err = job.product(&short).unwrap_err();
+            assert!(matches!(err, S2c2Error::InvalidConfig(_)), "{kind}: {err}");
         }
     }
 

@@ -9,20 +9,22 @@
 //! effort is always wasted — the two inefficiencies S²C² removes.
 //!
 //! This module also owns the numeric tail every coded-matvec scheduler
-//! shares (compute the chosen responses, decode, charge the decode);
-//! the round itself is planned by
+//! shares (compute the chosen responses, decode, charge the decode) and
+//! the exact product [`MatvecStrategy::product`] computes from the
+//! systematic partitions; the round itself is planned by
 //! [`round::plan_round`](crate::strategy::round::plan_round).
 
 use crate::alloc::{allocate_full, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
-use crate::strategy::{IterationOutcome, MatvecStrategy};
+use crate::strategy::{check_input, IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
 use s2c2_coding::cache::CachedEncoding;
+use s2c2_coding::chunks::WorkerChunkResult;
 use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
 use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
 use s2c2_linalg::{Matrix, Vector};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Master-side cost of decoding one chunk from `k` responses of which
 /// `missing` are parity (each systematic response is a free decode): LU
@@ -41,9 +43,33 @@ pub fn chunk_decode_flops(missing: usize, k: usize, rows_per_chunk: usize, rhs: 
 ///
 /// The encoding is shared, not owned: schedulers built over one
 /// [`CachedEncoding`] (an MDS and an S²C² job over the same data, say)
-/// compute against one allocation, never a copy.
+/// compute against one allocation, never a copy. What a job computed
+/// itself is its own: the last exact product stays with this job alone.
 pub(crate) struct CodedMatvec {
     pub(crate) shared: Arc<CachedEncoding>,
+    /// The last product [`Self::product`] computed; replaced by the next.
+    kept: Mutex<Option<KeptProduct>>,
+}
+
+/// `(worker, chunk)` pairs.
+type Pairs = Vec<(usize, usize)>;
+
+/// An exact product and the input it was computed for.
+struct KeptProduct {
+    /// The bits of the input.
+    x: Vec<u64>,
+    /// Every systematic worker's response to that input for every chunk,
+    /// in worker-then-chunk order: `A·x` over the padded rows.
+    padded: Vec<f64>,
+}
+
+impl KeptProduct {
+    fn is_for(&self, x: &Vector) -> bool {
+        self.x
+            .iter()
+            .copied()
+            .eq(x.as_slice().iter().map(|v| v.to_bits()))
+    }
 }
 
 impl CodedMatvec {
@@ -55,9 +81,20 @@ impl CodedMatvec {
     ) -> Result<Self, S2c2Error> {
         let code = MdsCode::new(params)?;
         let encoded = code.encode(a, chunks_per_partition)?;
-        Ok(CodedMatvec {
-            shared: Arc::new(CachedEncoding { code, encoded }),
-        })
+        Ok(Self::over(Arc::new(CachedEncoding { code, encoded })))
+    }
+
+    /// Computes against an existing (possibly shared) encoding.
+    pub(crate) fn over(shared: Arc<CachedEncoding>) -> Self {
+        CodedMatvec {
+            shared,
+            kept: Mutex::new(None),
+        }
+    }
+
+    /// [`S2c2Error::InvalidConfig`] unless `x` has one entry per column.
+    pub(crate) fn check_input(&self, x: &Vector) -> Result<(), S2c2Error> {
+        check_input(x, self.encoded().partition(0).cols())
     }
 
     pub(crate) fn code(&self) -> &MdsCode {
@@ -74,10 +111,54 @@ impl CodedMatvec {
         allocate_full(p.n, p.k, self.encoded().layout().chunks_per_partition)
     }
 
+    /// The exact `A·x`, on every host core once the matrix is large
+    /// enough: every systematic worker's response for every chunk,
+    /// padding rows included, truncated to the original rows. The job
+    /// keeps it, so a following round on bit-identical `x` serves its
+    /// systematic responses from it.
+    pub(crate) fn product(&self, x: &Vector) -> Result<Vector, S2c2Error> {
+        self.product_with_threads(x, host_threads())
+    }
+
+    /// [`Self::product`] on up to `threads` OS threads; the result is the
+    /// same for any `threads`.
+    pub(super) fn product_with_threads(
+        &self,
+        x: &Vector,
+        threads: usize,
+    ) -> Result<Vector, S2c2Error> {
+        self.check_input(x)?;
+        let layout = *self.encoded().layout();
+        let chunks = layout.chunks_per_partition;
+        let pairs: Pairs = (0..self.code().params().k)
+            .flat_map(|w| (0..chunks).map(move |chunk| (w, chunk)))
+            .collect();
+        let threads = if should_spawn(layout.padded_rows, x.len(), threads) {
+            threads
+        } else {
+            1
+        };
+        let encoded = self.encoded();
+        let padded = par_map(&pairs, threads, |&(w, chunk)| {
+            encoded.worker_compute_chunk(w, chunk, x).values
+        })
+        .concat();
+        let product = Vector::from(padded[..layout.original_rows].to_vec());
+        // The entry is replaced whole, so a panic elsewhere cannot leave
+        // it half-written.
+        *self.kept.lock().unwrap_or_else(PoisonError::into_inner) = Some(KeptProduct {
+            x: x.as_slice().iter().map(|v| v.to_bits()).collect(),
+            padded,
+        });
+        Ok(product)
+    }
+
     /// Runs one round of `assignment` on the simulator's current
     /// iteration: plans it, computes exactly the responses the plan
     /// uses (on every host core once the round is large enough),
-    /// decodes, and charges the decode.
+    /// decodes, and charges the decode. A systematic response to the
+    /// input of the product this job last computed is not computed
+    /// again: it is that product's rows.
     pub(crate) fn run_round(
         &self,
         assignment: &ChunkAssignment,
@@ -88,7 +169,7 @@ impl CodedMatvec {
         expected_speeds: Option<&[f64]>,
     ) -> Result<(IterationOutcome, Feedback), S2c2Error> {
         let threads = host_threads();
-        self.run_round_with_threads(
+        let (outcome, feedback, _) = self.run_round_with_threads(
             assignment,
             sim,
             x,
@@ -96,16 +177,18 @@ impl CodedMatvec {
             reassign,
             expected_speeds,
             threads,
-        )
+        )?;
+        Ok((outcome, feedback))
     }
 
     /// [`Self::run_round`] computing its responses on up to `threads`
-    /// OS threads; every output is the same for any `threads`.
+    /// OS threads; every output is the same for any `threads`. Also
+    /// returns the `(worker, chunk)` pairs it computed, chunk-major.
     #[expect(
         clippy::too_many_arguments,
         reason = "run_round's arguments plus the thread count tests pin"
     )]
-    fn run_round_with_threads(
+    pub(super) fn run_round_with_threads(
         &self,
         assignment: &ChunkAssignment,
         sim: &ClusterSim,
@@ -114,7 +197,7 @@ impl CodedMatvec {
         reassign: bool,
         expected_speeds: Option<&[f64]>,
         threads: usize,
-    ) -> Result<(IterationOutcome, Feedback), S2c2Error> {
+    ) -> Result<(IterationOutcome, Feedback, Pairs), S2c2Error> {
         let layout = *self.encoded().layout();
         let k = self.code().params().k;
         let rpc = layout.rows_per_chunk();
@@ -129,24 +212,49 @@ impl CodedMatvec {
         let plan = plan_round(assignment, k, sim, &cost, margin, reassign, expected_speeds)?;
 
         // (worker, chunk) in chunk-major order: the order decode expects.
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut pairs: Pairs = Vec::new();
         let mut decode_flops = 0.0;
         for (chunk, workers) in plan.chosen.iter().enumerate() {
             pairs.extend(workers.iter().map(|&w| (w, chunk)));
             let parity = workers.iter().filter(|&&w| w >= k).count();
             decode_flops += chunk_decode_flops(parity, k, rpc, 1);
         }
-        let threads = if should_spawn(pairs.len() * rpc, x.len(), threads) {
+        // A systematic worker's response is rows of the exact product,
+        // the same dot products over the same stored rows, so the kept
+        // product serves it bit for bit when its input is this `x`.
+        let kept = self.kept.lock().unwrap_or_else(PoisonError::into_inner);
+        let kept = kept.as_ref().filter(|p| p.is_for(x));
+        let served = |w: usize, chunk: usize| {
+            kept.filter(|_| w < k)
+                .map(|p| &p.padded[layout.output_range(w, chunk)])
+        };
+        let computed: Pairs = pairs
+            .iter()
+            .copied()
+            .filter(|&(w, chunk)| served(w, chunk).is_none())
+            .collect();
+        let threads = if should_spawn(computed.len() * rpc, x.len(), threads) {
             threads
         } else {
             1
         };
-        let responses = par_map(&pairs, threads, |&(w, chunk)| {
-            self.encoded().worker_compute_chunk(w, chunk, x)
-        });
+        let encoded = self.encoded();
+        let mut fresh = par_map(&computed, threads, |&(w, chunk)| {
+            encoded.worker_compute_chunk(w, chunk, x)
+        })
+        .into_iter();
+        // `fresh` holds the unserved pairs in chunk-major order, so it
+        // yields exactly one response for each.
+        let responses: Vec<WorkerChunkResult> = pairs
+            .iter()
+            .filter_map(|&(w, chunk)| match served(w, chunk) {
+                Some(values) => Some(WorkerChunkResult::new(w, chunk, values.to_vec())),
+                None => fresh.next(),
+            })
+            .collect();
         let result = self.code().decode_matvec(&layout, &responses)?;
         let (metrics, feedback) = plan.finish(sim.decode_time(decode_flops));
-        Ok((IterationOutcome { result, metrics }, feedback))
+        Ok((IterationOutcome { result, metrics }, feedback, computed))
     }
 }
 
@@ -178,7 +286,7 @@ impl MdsStrategy {
     /// Conventional MDS over an existing (possibly shared) encoding:
     /// no data is copied or re-encoded.
     pub(crate) fn from_encoding(encoding: Arc<CachedEncoding>) -> Self {
-        Self::conventional(CodedMatvec { shared: encoding })
+        Self::conventional(CodedMatvec::over(encoding))
     }
 
     fn conventional(coded: CodedMatvec) -> Self {
@@ -223,6 +331,7 @@ impl MatvecStrategy for MdsStrategy {
         iteration: usize,
         x: &Vector,
     ) -> Result<IterationOutcome, S2c2Error> {
+        self.coded.check_input(x)?;
         sim.begin_iteration(iteration);
         // Conventional coded computing never reassigns (and plain
         // uncoded has no recovery mechanism at all).
@@ -231,6 +340,10 @@ impl MatvecStrategy for MdsStrategy {
             .coded
             .run_round(&assignment, sim, x, 0.15, false, None)?;
         Ok(outcome)
+    }
+
+    fn product(&self, x: &Vector) -> Result<Vector, S2c2Error> {
+        self.coded.product(x)
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {
@@ -361,7 +474,7 @@ mod tests {
         let equal_speeds = allocate_chunks(&[1.0; 12], 6, 6).unwrap();
         for (assignment, reassign) in [(coded.full_assignment(), false), (equal_speeds, true)] {
             let bits = |threads| {
-                let (out, feedback) = coded
+                let (out, feedback, _) = coded
                     .run_round_with_threads(&assignment, &sim, &x, 0.15, reassign, None, threads)
                     .unwrap();
                 round_bits(out.result.as_slice(), &out.metrics, &feedback)
@@ -371,6 +484,50 @@ mod tests {
                 assert_eq!(bits(threads), one, "{threads} threads, reassign {reassign}");
             }
         }
+    }
+
+    #[test]
+    fn a_kept_product_serves_only_the_very_same_input() {
+        // Stragglers 0 and 1 push the fastest-k rule onto parity workers,
+        // so the round chooses systematic and parity responses alike.
+        let a = Matrix::from_fn(1_001, 24, |r, c| ((r * 5 + c * 11) % 23) as f64 / 5.0 - 2.0);
+        let x = Vector::from_fn(24, |i| if i == 3 { 0.0 } else { (i as f64 * 0.7).sin() });
+        let coded = CodedMatvec::new(&a, MdsParams::new(12, 6), 7).unwrap();
+        let mut sim = ClusterSim::new(
+            ClusterSpec::builder(12)
+                .compute_bound()
+                .straggler_slowdown(5.0)
+                .stragglers(&[0, 1], 0.0)
+                .build(),
+        );
+        sim.begin_iteration(0);
+        let assignment = coded.full_assignment();
+        let computed = |x: &Vector| {
+            let (out, _, computed) = coded
+                .run_round_with_threads(&assignment, &sim, x, 0.15, false, None, 2)
+                .unwrap();
+            s2c2_linalg::assert_slices_close(out.result.as_slice(), a.matvec(x).as_slice(), 1e-9);
+            computed
+        };
+        // Nothing kept yet: the round computes every pair it chose.
+        let every = computed(&x);
+        let parity: Vec<(usize, usize)> = every.iter().copied().filter(|&(w, _)| w >= 6).collect();
+        assert!(!parity.is_empty() && parity.len() < every.len());
+        coded.product(&x).unwrap();
+        assert_eq!(computed(&x), parity);
+        // −0.0 for +0.0, or one ulp up: not the input the product was
+        // computed for, however close.
+        let mut signed = x.clone();
+        signed[3] = -0.0;
+        let mut ulp = x.clone();
+        ulp[5] = f64::from_bits(x[5].to_bits() + 1);
+        assert_eq!(computed(&signed), every);
+        assert_eq!(computed(&ulp), every);
+        // Rounds leave the kept product alone; the next product replaces it.
+        assert_eq!(computed(&x), parity);
+        coded.product(&ulp).unwrap();
+        assert_eq!(computed(&x), every);
+        assert_eq!(computed(&ulp), parity);
     }
 
     #[test]

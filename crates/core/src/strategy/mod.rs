@@ -68,6 +68,18 @@ pub trait MatvecStrategy: Send {
         x: &Vector,
     ) -> Result<IterationOutcome, S2c2Error>;
 
+    /// The exact product `A·x` from the data the strategy stores, on
+    /// every host core once the matrix is large enough. It runs no round
+    /// and never touches the cluster. The coded strategies (uncoded, MDS,
+    /// S²C²) keep the systematic part of it: their next round on
+    /// bit-identical `x` computes only the parity responses it chose.
+    ///
+    /// # Errors
+    ///
+    /// [`S2c2Error::InvalidConfig`] unless `x` has one entry per column
+    /// of `A`.
+    fn product(&self, x: &Vector) -> Result<Vector, S2c2Error>;
+
     /// Bytes of input data each worker must store up front.
     fn storage_bytes_per_worker(&self) -> u64;
 
@@ -76,6 +88,20 @@ pub trait MatvecStrategy: Send {
     /// jobs built over a shared encoding return that very allocation.
     fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
         None
+    }
+}
+
+/// [`S2c2Error::InvalidConfig`] unless the input `x` has one entry per
+/// column of a `cols`-column matrix: checked before anything computes,
+/// so a wrong-length input is a typed error rather than a kernel panic.
+pub(crate) fn check_input(x: &Vector, cols: usize) -> Result<(), S2c2Error> {
+    if x.len() == cols {
+        Ok(())
+    } else {
+        Err(S2c2Error::InvalidConfig(format!(
+            "input has {} entries, the matrix {cols} columns",
+            x.len()
+        )))
     }
 }
 
@@ -146,5 +172,48 @@ mod tests {
     fn kind_display_names() {
         assert_eq!(StrategyKind::S2c2General.to_string(), "s2c2-general");
         assert_eq!(StrategyKind::all().len(), 6);
+    }
+
+    #[test]
+    fn product_is_the_matrix_product_for_every_kind_at_every_thread_count() {
+        use crate::strategy::mds::CodedMatvec;
+        use crate::strategy::partitions::RowPartitions;
+        use s2c2_coding::mds::MdsParams;
+        use s2c2_linalg::parallel::should_spawn;
+        use s2c2_linalg::Matrix;
+
+        // 1 001 rows: a multiple of neither 6 · 7 nor 12 · 7, so both
+        // codes pad; 40 columns put the product past the spawn cutoff.
+        let a = Matrix::from_fn(1_001, 40, |r, c| ((r * 7 + c * 3) % 19) as f64 / 3.0 - 2.5);
+        let x = Vector::from_fn(40, |i| (i as f64 * 0.37).sin());
+        assert!(should_spawn(a.rows(), a.cols(), 2));
+        let bits = |v: &Vector| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let expect = bits(&a.matvec(&x));
+        let (n, k, chunks) = (12, 6, 7);
+        for kind in StrategyKind::all() {
+            // What each kind computes the product from, as its strategy
+            // builds it.
+            let product = |threads| match kind {
+                StrategyKind::Uncoded => CodedMatvec::new(&a, MdsParams::new(n, n), chunks)
+                    .unwrap()
+                    .product_with_threads(&x, threads)
+                    .unwrap(),
+                StrategyKind::MdsCoded | StrategyKind::S2c2Basic | StrategyKind::S2c2General => {
+                    CodedMatvec::new(&a, MdsParams::new(n, k), chunks)
+                        .unwrap()
+                        .product_with_threads(&x, threads)
+                        .unwrap()
+                }
+                StrategyKind::Replication => {
+                    RowPartitions::split(&a, n).matvec_concat_with_threads(&x, threads)
+                }
+                StrategyKind::OverDecomposition => {
+                    RowPartitions::split(&a, 4 * n).matvec_concat_with_threads(&x, threads)
+                }
+            };
+            for threads in [1, 2, 3, 7] {
+                assert_eq!(bits(&product(threads)), expect, "{kind}, {threads} threads");
+            }
+        }
     }
 }

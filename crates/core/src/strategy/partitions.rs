@@ -2,11 +2,16 @@
 //! over-decomposition): the matrix cut into consecutive near-even row
 //! blocks, whose products concatenate to `A·x` with nothing to decode.
 
+use crate::error::S2c2Error;
+use crate::strategy::check_input;
+use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
 use s2c2_linalg::{Matrix, Vector};
 
 /// A matrix split into consecutive row blocks.
 pub(super) struct RowPartitions {
     blocks: Vec<Matrix>,
+    rows: usize,
+    cols: usize,
 }
 
 impl RowPartitions {
@@ -24,7 +29,11 @@ impl RowPartitions {
                 block
             })
             .collect();
-        RowPartitions { blocks }
+        RowPartitions {
+            blocks,
+            rows: a.rows(),
+            cols: a.cols(),
+        }
     }
 
     /// Number of partitions.
@@ -42,12 +51,26 @@ impl RowPartitions {
         self.blocks[p].payload_bytes()
     }
 
-    /// `A·x`: the partition products, concatenated in order.
+    /// [`S2c2Error::InvalidConfig`] unless `x` has one entry per column.
+    pub(super) fn check_input(&self, x: &Vector) -> Result<(), S2c2Error> {
+        check_input(x, self.cols)
+    }
+
+    /// `A·x`: the partition products, concatenated in order, on every
+    /// host core once the matrix is large enough.
     pub(super) fn matvec_concat(&self, x: &Vector) -> Vector {
-        let mut out = Vec::with_capacity(self.blocks.iter().map(Matrix::rows).sum());
-        for block in &self.blocks {
-            out.extend_from_slice(block.matvec(x).as_slice());
-        }
-        Vector::from(out)
+        self.matvec_concat_with_threads(x, host_threads())
+    }
+
+    /// [`Self::matvec_concat`] on up to `threads` OS threads; the result
+    /// is the same for any `threads`.
+    pub(super) fn matvec_concat_with_threads(&self, x: &Vector, threads: usize) -> Vector {
+        let threads = if should_spawn(self.rows, self.cols, threads) {
+            threads
+        } else {
+            1
+        };
+        let parts = par_map(&self.blocks, threads, |block| block.matvec(x).into_vec());
+        Vector::from(parts.concat())
     }
 }

@@ -106,6 +106,7 @@ impl MatvecStrategy for ReplicationStrategy {
         iteration: usize,
         x: &Vector,
     ) -> Result<IterationOutcome, S2c2Error> {
+        self.partitions.check_input(x)?;
         sim.begin_iteration(iteration);
         let n = self.n;
         if sim.n() != n {
@@ -223,6 +224,11 @@ impl MatvecStrategy for ReplicationStrategy {
             result: self.partitions.matvec_concat(x),
             metrics,
         })
+    }
+
+    fn product(&self, x: &Vector) -> Result<Vector, S2c2Error> {
+        self.partitions.check_input(x)?;
+        Ok(self.partitions.matvec_concat(x))
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {

@@ -174,7 +174,7 @@ impl S2c2Strategy {
         mode: S2c2Mode,
         predictor: &PredictorSource,
     ) -> Self {
-        Self::scheduling(CodedMatvec { shared: encoding }, mode, predictor)
+        Self::scheduling(CodedMatvec::over(encoding), mode, predictor)
     }
 
     fn scheduling(coded: CodedMatvec, mode: S2c2Mode, predictor: &PredictorSource) -> Self {
@@ -260,6 +260,7 @@ impl MatvecStrategy for S2c2Strategy {
         iteration: usize,
         x: &Vector,
     ) -> Result<IterationOutcome, S2c2Error> {
+        self.coded.check_input(x)?;
         sim.begin_iteration(iteration);
         let (preds, margin) = self.sched.forecast(sim)?;
         let assignment = self.build_assignment(&preds);
@@ -271,6 +272,10 @@ impl MatvecStrategy for S2c2Strategy {
                 .run_round(&assignment, sim, x, margin, true, expected)?;
         self.sched.learn(&feedback);
         Ok(outcome)
+    }
+
+    fn product(&self, x: &Vector) -> Result<Vector, S2c2Error> {
+        self.coded.product(x)
     }
 
     fn storage_bytes_per_worker(&self) -> u64 {
@@ -483,6 +488,96 @@ mod tests {
                     (got - expect).abs() <= s.coded.encoded().layout().rows_per_chunk() as f64,
                     "{stragglers} stragglers: worker {w} rows {got}, expected ~{expect}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_after_the_product_is_a_fresh_round_that_computes_only_parity() {
+        use crate::strategy::round::round_bits;
+        use crate::strategy::StrategyKind;
+
+        // 1 001 rows pad under (12, 6) and (12, 12) with 7 chunks; the
+        // systematic stragglers 1 and 4 push rounds onto parity workers.
+        let a = Matrix::from_fn(1_001, 24, |r, c| ((r * 3 + c * 7) % 17) as f64 / 4.0 - 2.0);
+        let warm_up = Vector::from_fn(24, |i| 0.1 * i as f64 - 1.0);
+        let x = Vector::from_fn(24, |i| (i as f64 * 0.45).cos());
+        let spec = ClusterSpec::builder(12)
+            .compute_bound()
+            .straggler_slowdown(5.0)
+            .stragglers(&[1, 4, 9], 0.1)
+            .build();
+        let chunks = 7;
+        let k_of = |kind| if kind == StrategyKind::Uncoded { 12 } else { 6 };
+
+        // Iteration 1 of `kind` at `threads`, S²C² after a warm-up round
+        // that taught its tracker; with `keep`, the job computed the
+        // product of `x` first. Returns the round's bits, the tracker's
+        // forecasts after it, and the pairs the round computed.
+        let round = |kind: StrategyKind, threads: usize, keep: bool| {
+            let params = MdsParams::new(12, k_of(kind));
+            let mut sim = ClusterSim::new(spec.clone());
+            let mode = match kind {
+                StrategyKind::Uncoded | StrategyKind::MdsCoded => {
+                    let coded = CodedMatvec::new(&a, params, chunks).unwrap();
+                    sim.begin_iteration(1);
+                    if keep {
+                        coded.product(&x).unwrap();
+                    }
+                    let assignment = coded.full_assignment();
+                    let (out, feedback, computed) = coded
+                        .run_round_with_threads(&assignment, &sim, &x, 0.15, false, None, threads)
+                        .unwrap();
+                    let bits = round_bits(out.result.as_slice(), &out.metrics, &feedback);
+                    return (bits, Vec::new(), computed);
+                }
+                StrategyKind::S2c2Basic => S2c2Mode::Basic,
+                StrategyKind::S2c2General => S2c2Mode::General,
+                other => panic!("{other} keeps no product"),
+            };
+            let predictor = PredictorSource::LastValue;
+            let mut s = S2c2Strategy::new(&a, params, chunks, mode, &predictor, 12).unwrap();
+            s.run_iteration(&mut sim, 0, &warm_up).unwrap();
+            // `run_iteration` at `threads`.
+            sim.begin_iteration(1);
+            if keep {
+                s.product(&x).unwrap();
+            }
+            let (preds, margin) = s.sched.forecast(&sim).unwrap();
+            let assignment = s.build_assignment(&preds);
+            let expected = (mode == S2c2Mode::General).then_some(preds.as_slice());
+            let (out, feedback, computed) = s
+                .coded
+                .run_round_with_threads(&assignment, &sim, &x, margin, true, expected, threads)
+                .unwrap();
+            s.sched.learn(&feedback);
+            let bits = round_bits(out.result.as_slice(), &out.metrics, &feedback);
+            let forecasts = s.tracker().predictions(&sim);
+            (
+                bits,
+                forecasts.iter().map(|f| f.to_bits()).collect(),
+                computed,
+            )
+        };
+
+        for kind in [
+            StrategyKind::Uncoded,
+            StrategyKind::MdsCoded,
+            StrategyKind::S2c2Basic,
+            StrategyKind::S2c2General,
+        ] {
+            // A fresh job computes every pair its round chose.
+            let (fresh, fresh_forecasts, chosen) = round(kind, 1, false);
+            let k = k_of(kind);
+            assert!(chosen.iter().any(|&(w, _)| w < k), "{kind}");
+            let parity: Vec<(usize, usize)> =
+                chosen.iter().copied().filter(|&(w, _)| w >= k).collect();
+            assert_eq!(parity.is_empty(), kind == StrategyKind::Uncoded, "{kind}");
+            for threads in [1, 2, 3, 7] {
+                let (bits, forecasts, computed) = round(kind, threads, true);
+                assert_eq!(bits, fresh, "{kind}, {threads} threads");
+                assert_eq!(forecasts, fresh_forecasts, "{kind}, {threads} threads");
+                assert_eq!(computed, parity, "{kind}, {threads} threads");
             }
         }
     }

@@ -5,9 +5,9 @@
 //! single-job path: `s2c2-core`'s coded rounds (`CodedMatvec::run_round`
 //! under MDS, uncoded and both S²C² variants, and `PolyShared::run_round`
 //! under both polynomial schedulers) compute a round's chosen worker
-//! responses with [`par_map`], and the `s2c2-workloads` trainers take
-//! their master-side margins (logistic regression and SVM
-//! loss/accuracy, the Hessian weights) with [`par_matvec`]. The set-up
+//! responses, and a job's exact product (the logistic regression and
+//! SVM loss/accuracy margins) its systematic rows, with [`par_map`];
+//! the Hessian takes its weights with [`par_matvec`]. The set-up
 //! fills caller-allocated outputs with [`par_for_each_mut`]:
 //! `s2c2-coding`'s `MdsCode::encode` / `encode_transpose` (row ranges of
 //! every partition) and `s2c2-workloads`' `gisette_like` (row blocks of

@@ -1,16 +1,18 @@
 //! Distributed logistic regression by gradient descent.
 //!
 //! Each iteration runs two coded matvec jobs — the forward margin
-//! `u = A·w` and the backward gradient `g = Aᵀ·(σ(u) − ½(y+1))` — plus
-//! O(rows) master-side work. This is the workload behind Figs 1, 3 and 6.
+//! `u = A·w` and the backward gradient `g = Aᵀ·(σ(u) − ½(y+1))` — and
+//! the master's exact margin `A·w₊` at the new weights, from which the
+//! step reports loss and accuracy. The forward job computes that margin
+//! ([`CodedJob::product`]) and keeps its systematic rows, so the next
+//! step's forward round, on the same `w₊`, computes only the parity
+//! responses it chose. This is the workload behind Figs 1, 3 and 6.
 
 use crate::datasets::{sign_accuracy, Classification, Orientation};
 use crate::exec::ExecConfig;
 use s2c2_core::job::CodedJob;
 use s2c2_core::S2c2Error;
-use s2c2_linalg::parallel::{host_threads, par_matvec};
-use s2c2_linalg::{Matrix, Vector};
-use std::sync::Arc;
+use s2c2_linalg::Vector;
 
 /// Report of a single gradient-descent step.
 #[derive(Debug, Clone)]
@@ -27,8 +29,6 @@ pub struct StepReport {
 pub struct DistributedLogReg {
     forward: CodedJob,
     backward: CodedJob,
-    /// The dataset's features, shared, for the master-side margin.
-    features: Arc<Matrix>,
     /// Labels remapped to {0, 1} for the logistic gradient.
     targets01: Vector,
     labels: Vector,
@@ -67,7 +67,6 @@ impl DistributedLogReg {
         Ok(DistributedLogReg {
             forward,
             backward,
-            features: Arc::clone(&data.features),
             targets01,
             labels: data.labels.clone(),
             weights: Vector::zeros(data.features.cols()),
@@ -88,7 +87,7 @@ impl DistributedLogReg {
     ///
     /// Propagates scheduling/decode failures.
     pub fn step(&mut self) -> Result<StepReport, S2c2Error> {
-        let rows = self.features.rows() as f64;
+        let rows = self.labels.len() as f64;
         // Forward: u = A w  (distributed).
         let fwd = self.forward.run_iteration(&self.weights)?;
         // Residual: sigma(u) - t  (master-side, O(rows)).
@@ -103,7 +102,8 @@ impl DistributedLogReg {
         grad.axpy(self.l2, &self.weights);
         self.weights.axpy(-self.learning_rate, &grad);
 
-        // One margin at the new weights serves both loss and accuracy.
+        // One margin at the new weights serves both loss and accuracy,
+        // and the next step's forward round.
         let u = self.margin();
         Ok(StepReport {
             latency: fwd.metrics.latency + bwd.metrics.latency,
@@ -124,9 +124,12 @@ impl DistributedLogReg {
         sign_accuracy(&self.margin(), &self.labels)
     }
 
-    /// The margin `u = A·w` at the current weights, on every host core.
+    /// The exact margin `u = A·w` at the current weights, from the
+    /// forward job on every host core.
     fn margin(&self) -> Vector {
-        par_matvec(&self.features, &self.weights, host_threads())
+        self.forward
+            .product(&self.weights)
+            .expect("the weights have one entry per feature")
     }
 
     /// Mean log-loss of margin `u` against the {0, 1} targets.
@@ -170,8 +173,8 @@ fn sigmoid(x: f64) -> f64 {
 impl std::fmt::Debug for DistributedLogReg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistributedLogReg")
-            .field("rows", &self.features.rows())
-            .field("cols", &self.features.cols())
+            .field("rows", &self.labels.len())
+            .field("cols", &self.weights.len())
             .finish()
     }
 }
@@ -183,6 +186,7 @@ mod tests {
     use s2c2_cluster::ClusterSpec;
     use s2c2_coding::mds::MdsParams;
     use s2c2_core::strategy::StrategyKind;
+    use std::sync::Arc;
 
     fn config(strategy: StrategyKind) -> ExecConfig {
         let cluster = ClusterSpec::builder(6)
@@ -273,7 +277,9 @@ mod tests {
         // (plus the handle taken here), and by nothing else.
         assert_eq!(Arc::strong_count(&fwd(&mds)), 3);
         assert_eq!(Arc::strong_count(&bwd(&mds)), 3);
-        assert!(Arc::ptr_eq(&mds.features, &data.features));
+        // The margin comes from the forward job: neither trainer holds
+        // the features themselves.
+        assert_eq!(Arc::strong_count(&data.features), 1);
     }
 
     #[test]

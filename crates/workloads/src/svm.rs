@@ -2,15 +2,15 @@
 //!
 //! The cloud experiments (Figs 8–11, 13) run SVM; structurally it is the
 //! same two-coded-products loop as logistic regression with the logistic
-//! residual replaced by the hinge subgradient indicator.
+//! residual replaced by the hinge subgradient indicator — including the
+//! master's exact margin at the new weights, which the forward job
+//! computes and its next round reuses (see [`crate::logreg`]).
 
 use crate::datasets::{sign_accuracy, Classification, Orientation};
 use crate::exec::ExecConfig;
 use s2c2_core::job::CodedJob;
 use s2c2_core::S2c2Error;
-use s2c2_linalg::parallel::{host_threads, par_matvec};
-use s2c2_linalg::{Matrix, Vector};
-use std::sync::Arc;
+use s2c2_linalg::Vector;
 
 /// Report of one SVM subgradient step.
 #[derive(Debug, Clone)]
@@ -27,8 +27,6 @@ pub struct SvmStepReport {
 pub struct DistributedSvm {
     forward: CodedJob,
     backward: CodedJob,
-    /// The dataset's features, shared, for the master-side margin.
-    features: Arc<Matrix>,
     labels: Vector,
     weights: Vector,
     learning_rate: f64,
@@ -54,7 +52,6 @@ impl DistributedSvm {
         Ok(DistributedSvm {
             forward: config.build_data_job(data, Orientation::Features)?,
             backward: config.build_data_job(data, Orientation::Transposed)?,
-            features: Arc::clone(&data.features),
             labels: data.labels.clone(),
             weights: Vector::zeros(data.features.cols()),
             learning_rate,
@@ -74,7 +71,7 @@ impl DistributedSvm {
     ///
     /// Propagates scheduling/decode failures.
     pub fn step(&mut self) -> Result<SvmStepReport, S2c2Error> {
-        let rows = self.features.rows() as f64;
+        let rows = self.labels.len() as f64;
         // Forward margins (distributed).
         let fwd = self.forward.run_iteration(&self.weights)?;
         // Hinge active-set indicator: -y_i where y_i * u_i < 1, else 0.
@@ -92,7 +89,8 @@ impl DistributedSvm {
         grad.axpy(self.l2, &self.weights);
         self.weights.axpy(-self.learning_rate, &grad);
 
-        // One margin at the new weights serves both objective and accuracy.
+        // One margin at the new weights serves both objective and
+        // accuracy, and the next step's forward round.
         let u = self.margin();
         Ok(SvmStepReport {
             latency: fwd.metrics.latency + bwd.metrics.latency,
@@ -113,9 +111,12 @@ impl DistributedSvm {
         sign_accuracy(&self.margin(), &self.labels)
     }
 
-    /// The margin `u = A·w` at the current weights, on every host core.
+    /// The exact margin `u = A·w` at the current weights, from the
+    /// forward job on every host core.
     fn margin(&self) -> Vector {
-        par_matvec(&self.features, &self.weights, host_threads())
+        self.forward
+            .product(&self.weights)
+            .expect("the weights have one entry per feature")
     }
 
     /// Regularized hinge objective of margin `u`.
@@ -149,8 +150,8 @@ impl DistributedSvm {
 impl std::fmt::Debug for DistributedSvm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistributedSvm")
-            .field("rows", &self.features.rows())
-            .field("cols", &self.features.cols())
+            .field("rows", &self.labels.len())
+            .field("cols", &self.weights.len())
             .finish()
     }
 }
@@ -162,6 +163,7 @@ mod tests {
     use s2c2_cluster::ClusterSpec;
     use s2c2_coding::mds::MdsParams;
     use s2c2_core::strategy::StrategyKind;
+    use std::sync::Arc;
 
     fn config(strategy: StrategyKind) -> ExecConfig {
         let cluster = ClusterSpec::builder(10)
