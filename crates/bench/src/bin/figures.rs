@@ -6,12 +6,11 @@
 //! cargo run -p s2c2-bench --release --bin figures -- all
 //! cargo run -p s2c2-bench --release --bin figures -- fig6 serve
 //! cargo run -p s2c2-bench --release --bin figures -- --quick all
-//! cargo run -p s2c2-bench --release --bin figures -- baseline   # rewrites BENCH_BASELINE.json
 //! ```
 //!
 //! Tables are printed to stdout and written as CSV under `results/`.
 
-use s2c2_bench::experiments::{baseline, registry, Scale};
+use s2c2_bench::experiments::{registry, Scale};
 use s2c2_bench::report::Table;
 use std::path::PathBuf;
 
@@ -41,27 +40,7 @@ fn print_usage() {
         };
         eprintln!("  {:<12} {}{alias}", def.name, def.summary);
     }
-    eprintln!("  {:<12} {}", "baseline", baseline::SUMMARY);
-    eprintln!(
-        "  {:<12} runs every experiment above except `baseline`",
-        "all"
-    );
-}
-
-fn run_baseline() {
-    let b = baseline::run();
-    let json = b.to_json();
-    print!("{json}");
-    // Anchor to the workspace root so the committed reference file is
-    // rewritten regardless of the invoking cwd.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_BASELINE.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-    println!();
+    eprintln!("  {:<12} runs every experiment above", "all");
 }
 
 fn main() {
@@ -100,7 +79,6 @@ fn main() {
     // experiments are discoverable instead of silently skipped.
     let known = |name: &str| {
         name == "all"
-            || name == "baseline"
             || reg
                 .iter()
                 .any(|d| d.name == name || d.aliases.contains(&name))
@@ -114,16 +92,10 @@ fn main() {
 
     let all = selected.contains(&"all");
     for def in &reg {
-        let wanted = (all && def.in_all)
-            || selected.contains(&def.name)
-            || def.aliases.iter().any(|a| selected.contains(a));
+        let wanted =
+            all || selected.contains(&def.name) || def.aliases.iter().any(|a| selected.contains(a));
         if wanted {
             (def.run)(scale, &mut emit);
         }
-    }
-    // `baseline` is opt-in only (not part of `all`): it rewrites the
-    // committed BENCH_BASELINE.json reference file.
-    if selected.contains(&"baseline") {
-        run_baseline();
     }
 }

@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of this reproduction's own design choices.
 //!
 //! * chunk granularity vs latency/decode cost,
 //! * timeout margin vs latency/wasted work,

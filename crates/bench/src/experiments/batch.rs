@@ -25,8 +25,7 @@
 //! amortized is visible: batching `m` jobs pays one input transfer, one
 //! reply, and one decode LU factorization per round instead of `m`.
 //! The table shows sustained throughput and p99 sojourn; the batched
-//! rows must beat the unbatched engine on both (asserted in tests and
-//! pinned in `BENCH_BASELINE.json`).
+//! rows must beat the unbatched engine on both (asserted in tests).
 
 use crate::experiments::Scale;
 use crate::report::Table;

@@ -66,6 +66,80 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s2c2_core::job::CodedJobBuilder;
+    use s2c2_linalg::{assert_slices_close, Matrix, Vector, ROUND_TRIP_TOL};
+    use s2c2_serve::percentile;
+
+    /// The motivating scenario as a bare coded matvec: 1200×60 on 12
+    /// workers, two of them 5× slow. Returns one scheme's per-iteration
+    /// latencies over 8 iterations after a warmup, sorted ascending.
+    fn straggler_rounds(params: MdsParams, kind: StrategyKind) -> Vec<f64> {
+        let a = Matrix::from_fn(1200, 60, |r, c| (((r * 31 + c * 17) % 13) as f64) * 0.25);
+        let x = Vector::from_fn(60, |i| 1.0 + 0.01 * i as f64);
+        let mut job = CodedJobBuilder::new(a.clone(), params)
+            .chunks_per_worker(12)
+            .strategy(kind)
+            .predictor(PredictorSource::LastValue)
+            .build(common::controlled_cluster(12, 2, 0xBA5E))
+            .unwrap();
+        // The warmup lets prediction-driven schemes observe speeds.
+        let warm = job.run_iteration(&x).unwrap();
+        assert_slices_close(
+            warm.result.as_slice(),
+            a.matvec(&x).as_slice(),
+            ROUND_TRIP_TOL,
+        );
+        let skip = job.metrics().len();
+        for _ in 0..8 {
+            job.run_iteration(&x).unwrap();
+        }
+        let mut latencies: Vec<f64> = job.metrics().rounds()[skip..]
+            .iter()
+            .map(|r| r.latency)
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        latencies
+    }
+
+    fn schemes() -> [(&'static str, MdsParams, StrategyKind); 3] {
+        [
+            ("uncoded", MdsParams::new(12, 12), StrategyKind::Uncoded),
+            ("mds(12,9)", MdsParams::new(12, 9), StrategyKind::MdsCoded),
+            (
+                "s2c2(12,9)",
+                MdsParams::new(12, 9),
+                StrategyKind::S2c2General,
+            ),
+        ]
+    }
+
+    #[test]
+    fn s2c2_beats_conventional_mds_under_stragglers() {
+        let [uncoded, mds, s2c2] = schemes().map(|(_, params, kind)| {
+            let rounds = straggler_rounds(params, kind);
+            rounds.iter().sum::<f64>() / rounds.len() as f64
+        });
+        // Uncoded waits for the 5×-slow stragglers every iteration.
+        assert!(
+            uncoded > mds,
+            "uncoded {uncoded} should trail mds {mds} with stragglers"
+        );
+        // S²C² squeezes the (12,9) slack instead of always paying it.
+        assert!(
+            s2c2 < mds * 1.02,
+            "s2c2 {s2c2} should not trail conventional mds {mds}"
+        );
+    }
+
+    #[test]
+    fn tail_latencies_are_ordered() {
+        for (name, params, kind) in schemes() {
+            let rounds = straggler_rounds(params, kind);
+            let (p50, p99) = (percentile(&rounds, 50.0), percentile(&rounds, 99.0));
+            assert!(p50 > 0.0, "{name}: p50 {p50}");
+            assert!(p50 <= p99, "{name}: p50 {p50} above p99 {p99}");
+        }
+    }
 
     #[test]
     fn shape_matches_paper() {

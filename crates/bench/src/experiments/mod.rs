@@ -1,12 +1,11 @@
 //! One module per paper figure (plus the §6.1 prediction table, the
-//! DESIGN.md ablations, and the multi-job `serve` scenario). Every
+//! design-choice ablations, and the multi-job `serve` scenario). Every
 //! experiment is a pure function `run(Scale) -> Table` (or a small
 //! struct of tables), and every experiment registers itself in
 //! [`registry`] so front-ends discover the full set without hard-coding
 //! names.
 
 pub mod ablations;
-pub mod baseline;
 pub mod batch;
 pub mod common;
 pub mod e2e;
@@ -26,12 +25,12 @@ pub mod trace;
 
 /// Experiment size selector.
 ///
-/// `Full` is what the `figures` binary and EXPERIMENTS.md use; `Quick`
-/// shrinks matrices and iteration counts so Criterion benches and smoke
-/// tests stay fast while exercising the identical code paths.
+/// `Full` is the `figures` binary's default; `Quick` (`figures --quick`)
+/// shrinks matrices and iteration counts so unit tests and CI's figures
+/// smoke stay fast while exercising the identical code paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced sizes for benches/tests.
+    /// Reduced sizes for tests and smoke runs.
     Quick,
     /// Paper-shaped sizes for the recorded results.
     Full,
@@ -60,9 +59,6 @@ pub struct ExperimentDef {
     pub aliases: &'static [&'static str],
     /// One-line description shown in `--help` / error listings.
     pub summary: &'static str,
-    /// Whether `all` includes it (the baseline rewrites a committed
-    /// reference file, so it stays opt-in).
-    pub in_all: bool,
     /// Runs the experiment, emitting every table it produces.
     pub run: fn(Scale, EmitFn<'_>),
 }
@@ -79,14 +75,12 @@ pub fn registry() -> Vec<ExperimentDef> {
             name: "fig1",
             aliases: &[],
             summary: "motivation: fixed (n,k) codes pay for absent stragglers",
-            in_all: true,
             run: |s, emit| emit(&fig01_motivation::run(s), "fig01_motivation.csv"),
         },
         ExperimentDef {
             name: "fig2",
             aliases: &[],
             summary: "cloud speed traces and their summary statistics",
-            in_all: true,
             run: |s, emit| {
                 let out = fig02_traces::run(s);
                 emit(&out.traces, "fig02_traces.csv");
@@ -97,35 +91,30 @@ pub fn registry() -> Vec<ExperimentDef> {
             name: "fig3",
             aliases: &[],
             summary: "effective storage overhead per strategy",
-            in_all: true,
             run: |s, emit| emit(&fig03_storage::run(s), "fig03_storage.csv"),
         },
         ExperimentDef {
             name: "prediction",
             aliases: &[],
             summary: "§6.1 speed-prediction accuracy (LSTM/ARIMA/last-value)",
-            in_all: true,
             run: |s, emit| emit(&prediction::run(s), "prediction_6_1.csv"),
         },
         ExperimentDef {
             name: "fig6",
             aliases: &[],
             summary: "logistic regression under controlled stragglers",
-            in_all: true,
             run: |s, emit| emit(&fig06_logreg::run(s), "fig06_logreg.csv"),
         },
         ExperimentDef {
             name: "fig7",
             aliases: &[],
             summary: "PageRank under controlled stragglers",
-            in_all: true,
             run: |s, emit| emit(&fig07_pagerank::run(s), "fig07_pagerank.csv"),
         },
         ExperimentDef {
             name: "fig8",
             aliases: &["fig9", "fig10", "fig11"],
             summary: "cloud environments: latency and wasted work (figs 8–11)",
-            in_all: true,
             run: |s, emit| {
                 let out = fig08_cloud::run(s);
                 emit(&out.fig8, "fig08_cloud_low.csv");
@@ -138,21 +127,18 @@ pub fn registry() -> Vec<ExperimentDef> {
             name: "fig12",
             aliases: &[],
             summary: "polynomial-coded Hessian, conventional vs S²C²",
-            in_all: true,
             run: |s, emit| emit(&fig12_polynomial::run(s), "fig12_polynomial.csv"),
         },
         ExperimentDef {
             name: "fig13",
             aliases: &[],
             summary: "scaling the cluster size",
-            in_all: true,
             run: |s, emit| emit(&fig13_scale::run(s), "fig13_scale.csv"),
         },
         ExperimentDef {
             name: "serve",
             aliases: &[],
             summary: "multi-job service engine: S²C² vs MDS vs uncoded under load",
-            in_all: true,
             run: |s, emit| {
                 let out = serve::run(s);
                 emit(&out.policies, "serve_policies.csv");
@@ -164,21 +150,18 @@ pub fn registry() -> Vec<ExperimentDef> {
             name: "e2e",
             aliases: &[],
             summary: "execution backends: sim vs verified vs real threads + encode cache",
-            in_all: true,
             run: |s, emit| emit(&e2e::run(s), "e2e_backends.csv"),
         },
         ExperimentDef {
             name: "batch",
             aliases: &[],
             summary: "batched encode/dispatch rounds for small jobs at high arrival rate",
-            in_all: true,
             run: |s, emit| emit(&batch::run(s), "batch_rounds.csv"),
         },
         ExperimentDef {
             name: "qos",
             aliases: &[],
             summary: "QoS: tenant-weighted shares and deadline-aware admission",
-            in_all: true,
             run: |s, emit| {
                 let out = qos::run(s);
                 emit(&out.weights, "qos_weights.csv");
@@ -189,7 +172,6 @@ pub fn registry() -> Vec<ExperimentDef> {
             name: "trace",
             aliases: &[],
             summary: "telemetry: trace spans, rung counts, phase profile + exported timelines",
-            in_all: true,
             run: |s, emit| {
                 emit(&trace::run(s), "trace_telemetry.csv");
                 let dir = std::path::PathBuf::from("results");
@@ -207,10 +189,8 @@ pub fn registry() -> Vec<ExperimentDef> {
             name: "pipeline",
             aliases: &[],
             summary: "cross-round pipelined serving: window depth vs tail latency and stalls",
-            in_all: true,
             run: |s, emit| {
-                let out = pipeline::run(s);
-                emit(&out.table, "pipeline_depth.csv");
+                emit(&pipeline::run(s), "pipeline_depth.csv");
                 let dir = std::path::PathBuf::from("results");
                 match pipeline::write_exports(s, &dir) {
                     Ok(()) => println!(
@@ -219,25 +199,12 @@ pub fn registry() -> Vec<ExperimentDef> {
                     ),
                     Err(e) => eprintln!("warning: could not write pipeline exports: {e}"),
                 }
-                // Wall-clock timings are machine-dependent, so the bench
-                // file is rewritten only by full-scale runs (the scale
-                // the committed reference was recorded at).
-                if s == Scale::Full {
-                    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                        .join("../..")
-                        .join("BENCH_PIPELINE.json");
-                    match std::fs::write(&path, pipeline::bench_json(&out)) {
-                        Ok(()) => println!("[written {}]\n", path.display()),
-                        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-                    }
-                }
             },
         },
         ExperimentDef {
             name: "ablations",
             aliases: &[],
             summary: "design ablations: chunking, timeout margin, conditioning, predictor",
-            in_all: true,
             run: |s, emit| {
                 emit(&ablations::chunk_granularity(s), "ablation_chunks.csv");
                 emit(&ablations::timeout_margin(s), "ablation_timeout.csv");
@@ -270,6 +237,6 @@ mod registry_tests {
 
     #[test]
     fn serve_is_registered() {
-        assert!(registry().iter().any(|e| e.name == "serve" && e.in_all));
+        assert!(registry().iter().any(|e| e.name == "serve"));
     }
 }

@@ -9,11 +9,7 @@
 //! number is p99 sojourn and total stall time vs depth at the same λ.
 //!
 //! Everything tabulated is virtual-clock data, so the table is
-//! byte-deterministic across reruns and machines. Wall-clock timings —
-//! where the scratch-pool reuse shows up as an allocation drop — go to
-//! `BENCH_PIPELINE.json` only (written at full scale, committed at the
-//! repo root), never to stdout, which keeps the determinism smoke's
-//! stdout diff meaningful.
+//! byte-deterministic across reruns and machines.
 
 use crate::experiments::{common, Scale};
 use crate::report::Table;
@@ -22,7 +18,6 @@ use s2c2_serve::prelude::*;
 use s2c2_telemetry::export;
 use s2c2_trace::CloudTraceConfig;
 use std::path::Path;
-use std::time::Instant;
 
 /// Pool size: small enough that one slowed worker is a meaningful
 /// fraction of capacity, the regime where pipelining pays.
@@ -34,45 +29,6 @@ pub const SEED: u64 = 0x0909;
 pub const ARRIVAL_RATE: f64 = 0.6;
 /// Window depths swept.
 pub const DEPTHS: &[usize] = &[1, 2, 4];
-
-/// One depth's measurements on one preset.
-#[derive(Debug, Clone)]
-pub struct DepthRow {
-    /// Row label (`calm/depth-1`, …).
-    pub label: String,
-    /// Cloud preset name (`calm` / `volatile`).
-    pub preset: &'static str,
-    /// Window depth.
-    pub depth: usize,
-    /// Median job sojourn latency (virtual seconds).
-    pub p50_latency: f64,
-    /// 99th-percentile job sojourn latency (virtual seconds).
-    pub p99_latency: f64,
-    /// Total time completed rounds sat parked awaiting in-order commit.
-    pub stall_s: f64,
-    /// Rounds that completed out of order and parked.
-    pub parked: u64,
-    /// Virtual seconds during which ≥ 2 rounds of one job overlapped.
-    pub overlap_s: f64,
-    /// Completed jobs per second of makespan.
-    pub throughput: f64,
-    /// Scratch buffers recycled instead of freshly allocated.
-    pub scratch_reuses: u64,
-    /// Wall-clock milliseconds for the run (excluded from stdout).
-    pub wall_ms: f64,
-}
-
-/// The experiment's outputs: the deterministic table plus the raw rows
-/// (which carry the wall-clock timings for `BENCH_PIPELINE.json`).
-#[derive(Debug, Clone)]
-pub struct PipelineOutput {
-    /// Virtual-clock depth-sweep table (stdout/CSV surface).
-    pub table: Table,
-    /// Per-run rows including wall-clock milliseconds.
-    pub rows: Vec<DepthRow>,
-    /// Jobs served per run.
-    pub jobs: usize,
-}
 
 /// The iteration-heavy workload: pipelining overlaps rounds *within* a
 /// job, so the win scales with iterations per job.
@@ -122,7 +78,7 @@ pub fn run_depth(
 /// p99 sojourn over depth 1 on the volatile preset — the experiment's
 /// headline claim, enforced rather than eyeballed.
 #[must_use]
-pub fn run(scale: Scale) -> PipelineOutput {
+pub fn run(scale: Scale) -> Table {
     let jobs = scale.pick(10, 28);
     let mut table = Table::new(
         format!(
@@ -139,46 +95,29 @@ pub fn run(scale: Scale) -> PipelineOutput {
             "scratch_reuse".into(),
         ],
     );
-    let mut rows = Vec::new();
     for (preset_name, preset) in [
         ("calm", CloudTraceConfig::calm()),
         ("volatile", CloudTraceConfig::volatile()),
     ] {
         for &depth in DEPTHS {
-            let started = Instant::now();
             let r = run_depth(jobs, &preset, depth, false);
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
             assert_eq!(
                 r.completed(),
                 jobs,
                 "{preset_name}/depth-{depth}: every job must complete"
             );
-            let row = DepthRow {
-                label: format!("{preset_name}/depth-{depth}"),
-                preset: preset_name,
-                depth,
-                p50_latency: r.latency_percentile(50.0),
-                p99_latency: r.latency_percentile(99.0),
-                stall_s: r.pipeline_stall_time,
-                parked: r.rounds_parked,
-                overlap_s: r.pipeline_overlap_time,
-                throughput: r.throughput(),
-                scratch_reuses: r.scratch_reuses,
-                wall_ms,
-            };
             table.push_row(
-                row.label.clone(),
+                format!("{preset_name}/depth-{depth}"),
                 vec![
-                    row.p50_latency,
-                    row.p99_latency,
-                    row.stall_s,
-                    row.parked as f64,
-                    row.overlap_s,
-                    row.throughput,
-                    row.scratch_reuses as f64,
+                    r.latency_percentile(50.0),
+                    r.latency_percentile(99.0),
+                    r.pipeline_stall_time,
+                    r.rounds_parked as f64,
+                    r.pipeline_overlap_time,
+                    r.throughput(),
+                    r.scratch_reuses as f64,
                 ],
             );
-            rows.push(row);
         }
     }
     let p99 = |label: &str| table.value(label, "p99_sojourn");
@@ -188,39 +127,7 @@ pub fn run(scale: Scale) -> PipelineOutput {
         p99("volatile/depth-2"),
         p99("volatile/depth-1"),
     );
-    PipelineOutput { table, rows, jobs }
-}
-
-/// Renders the depth sweep (including wall-clock) as the
-/// `BENCH_PIPELINE.json` document.
-#[must_use]
-pub fn bench_json(out: &PipelineOutput) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"workers\": {POOL},\n"));
-    s.push_str(&format!("  \"jobs\": {},\n", out.jobs));
-    s.push_str(&format!("  \"arrival_rate\": {ARRIVAL_RATE},\n"));
-    s.push_str("  \"sweep\": [\n");
-    for (i, r) in out.rows.iter().enumerate() {
-        let sep = if i + 1 == out.rows.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"preset\": \"{}\", \"depth\": {}, \"p50_latency\": {:.6}, \
-             \"p99_latency\": {:.6}, \"stall_s\": {:.6}, \"parked\": {}, \
-             \"overlap_s\": {:.6}, \"throughput\": {:.6}, \"scratch_reuses\": {}, \
-             \"wall_ms\": {:.3}}}{sep}\n",
-            r.preset,
-            r.depth,
-            r.p50_latency,
-            r.p99_latency,
-            r.stall_s,
-            r.parked,
-            r.overlap_s,
-            r.throughput,
-            r.scratch_reuses,
-            r.wall_ms,
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    table
 }
 
 /// Writes the exporter artifact of one traced depth-2 volatile run into
@@ -253,19 +160,18 @@ pub fn write_exports(scale: Scale, dir: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     #[test]
     fn deterministic_across_runs() {
         let a = run(Scale::Quick);
         let b = run(Scale::Quick);
-        assert_eq!(a.table, b.table, "same seed must reproduce the table");
+        assert_eq!(a, b, "same seed must reproduce the table");
     }
 
     #[test]
     fn depth_two_beats_depth_one_on_volatile_p99() {
         let out = run(Scale::Quick);
-        let p99 = |label: &str| out.table.value(label, "p99_sojourn");
+        let p99 = |label: &str| out.value(label, "p99_sojourn");
         assert!(
             p99("volatile/depth-2") <= p99("volatile/depth-1"),
             "pipelining must absorb volatile stalls: {} vs {}",
@@ -279,12 +185,12 @@ mod tests {
         let out = run(Scale::Quick);
         for preset in ["calm", "volatile"] {
             assert_eq!(
-                out.table.value(&format!("{preset}/depth-1"), "overlap_s"),
+                out.value(&format!("{preset}/depth-1"), "overlap_s"),
                 0.0,
                 "{preset}: a depth-1 window cannot overlap rounds"
             );
             assert!(
-                out.table.value(&format!("{preset}/depth-2"), "overlap_s") > 0.0,
+                out.value(&format!("{preset}/depth-2"), "overlap_s") > 0.0,
                 "{preset}: depth 2 must overlap successive rounds"
             );
         }
@@ -293,63 +199,12 @@ mod tests {
     #[test]
     fn scratch_pool_reuses_buffers() {
         let out = run(Scale::Quick);
-        for (label, _) in &out.table.rows {
+        for (label, _) in &out.rows {
             assert!(
-                out.table.value(label, "scratch_reuse") > 0.0,
+                out.value(label, "scratch_reuse") > 0.0,
                 "{label}: multi-iteration jobs must recycle scratch buffers"
             );
         }
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let out = run(Scale::Quick);
-        let doc = bench_json(&out);
-        export::validate_json(&doc).expect("BENCH_PIPELINE.json must be valid JSON");
-        assert_eq!(doc.matches("\"depth\"").count(), DEPTHS.len() * 2);
-    }
-
-    #[test]
-    fn committed_bench_file_keeps_the_headline_claim() {
-        // The committed depth sweep must show depth 2 holding or beating
-        // the depth-1 p99 on the volatile preset — the smoke that keeps
-        // BENCH_PIPELINE.json honest without re-running the full sweep.
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_PIPELINE.json");
-        let doc = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("committed {} must be readable: {e}", path.display()));
-        let mut volatile_p99 = Vec::new();
-        for line in doc.lines() {
-            let line = line.trim();
-            if !line.contains("\"preset\": \"volatile\"") {
-                continue;
-            }
-            let field = |key: &str| -> f64 {
-                let at = line
-                    .find(key)
-                    .unwrap_or_else(|| panic!("row carries {key}"));
-                let rest = &line[at + key.len()..];
-                let end = rest
-                    .find([',', '}'])
-                    .unwrap_or_else(|| panic!("{key} value is delimited"));
-                rest[..end].trim().parse().expect("numeric field")
-            };
-            volatile_p99.push((field("\"depth\":") as usize, field("\"p99_latency\":")));
-        }
-        let p99_at = |d: usize| {
-            volatile_p99
-                .iter()
-                .find(|(depth, _)| *depth == d)
-                .unwrap_or_else(|| panic!("committed sweep has a volatile depth-{d} row"))
-                .1
-        };
-        assert!(
-            p99_at(2) <= p99_at(1),
-            "committed sweep must show depth 2 ≤ depth 1 on volatile p99: {} vs {}",
-            p99_at(2),
-            p99_at(1)
-        );
     }
 
     #[test]

@@ -22,9 +22,7 @@ use crate::report::Table;
 use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_serve::prelude::*;
 
-/// Pool size for the serve scenario (shared with the committed baseline
-/// so `BENCH_BASELINE.json` guards exactly the scenario these tables
-/// measure).
+/// Pool size for the serve scenario.
 pub const POOL: usize = 16;
 /// Injected 5×-slow stragglers.
 pub const STRAGGLERS: usize = 3;
@@ -59,8 +57,7 @@ pub fn mode(name: &str) -> SchedulerMode {
     }
 }
 
-/// Runs one service configuration of the canonical serve scenario
-/// (also the substrate of the committed baseline's serve rows).
+/// Runs one service configuration of the canonical serve scenario.
 ///
 /// # Panics
 ///
@@ -190,6 +187,25 @@ mod tests {
             mds < uncoded,
             "coded mds p99 {mds} must beat uncoded {uncoded} under stragglers"
         );
+    }
+
+    #[test]
+    fn utilization_within_bounds_and_tenants_present() {
+        for name in ["uncoded", "mds", "s2c2"] {
+            let u = run_service(mode(name), 1.0, 40, 1).utilization();
+            assert!((0.0..=1.0).contains(&u), "{name}: utilization {u}");
+        }
+        // The workload spreads jobs over 4 tenants.
+        let tenants = run_service(mode("s2c2"), 1.0, 40, 1).tenant_summaries();
+        assert_eq!(tenants.len(), 4);
+        let share_sum: f64 = tenants.iter().map(|t| t.achieved_share).sum();
+        assert!(
+            share_sum <= 1.0 + 1e-9,
+            "achieved shares sum to {share_sum}"
+        );
+        for t in &tenants {
+            assert_eq!(t.on_time_ratio, 1.0, "no SLOs in the serve scenario");
+        }
     }
 
     #[test]

@@ -2,17 +2,14 @@
 //!
 //! Each module under [`experiments`] implements one figure (or figure
 //! family) as a pure function from a scale-reduced but shape-preserving
-//! configuration to a [`report::Table`]. Two front-ends consume them:
-//!
-//! * the `figures` binary (`cargo run -p s2c2-bench --release --bin
-//!   figures -- all`) prints paper-vs-measured tables and writes CSVs
-//!   under `results/`;
-//! * the Criterion benches (`cargo bench`) print the same tables once and
-//!   then time the core operation of each experiment.
+//! configuration to a [`report::Table`]. The `figures` binary (`cargo run
+//! -p s2c2-bench --release --bin figures -- all`) prints those tables and
+//! writes CSVs under `results/`; the `perf` binary is the one harness for
+//! host and virtual time (see the README's Measuring section).
 //!
 //! Absolute numbers differ from the paper (our substrate is a simulator,
-//! not a 13-node Xeon cluster) — EXPERIMENTS.md records the shape
-//! comparison figure by figure.
+//! not a 13-node Xeon cluster); each experiment module's doc states the
+//! expected shape, and its tests assert it.
 
 #![warn(missing_docs)]
 // Library code (tests excepted) names every variant it matches.

@@ -1,5 +1,6 @@
 //! Tiny table type for experiment outputs.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -93,7 +94,8 @@ impl Table {
         out
     }
 
-    /// Writes the table as CSV.
+    /// Writes the table as CSV. Labels and headers such as `mds(12,9)`
+    /// are quoted per RFC 4180; values keep their `{v:?}` text.
     ///
     /// # Errors
     ///
@@ -104,12 +106,26 @@ impl Table {
             std::fs::create_dir_all(dir)?;
         }
         let mut f = std::fs::File::create(path)?;
-        writeln!(f, "label,{}", self.columns.join(","))?;
+        let header: Vec<Cow<'_, str>> = std::iter::once("label")
+            .chain(self.columns.iter().map(String::as_str))
+            .map(csv_field)
+            .collect();
+        writeln!(f, "{}", header.join(","))?;
         for (label, values) in &self.rows {
             let vals: Vec<String> = values.iter().map(|v| format!("{v:?}")).collect();
-            writeln!(f, "{label},{}", vals.join(","))?;
+            writeln!(f, "{},{}", csv_field(label), vals.join(","))?;
         }
         Ok(())
+    }
+}
+
+/// One CSV field: quoted when it holds a comma, a quote or a line break,
+/// with embedded quotes doubled; verbatim otherwise.
+fn csv_field(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(field)
     }
 }
 
@@ -144,15 +160,54 @@ mod tests {
         assert!(s.contains("4.2500"));
     }
 
+    fn csv_text(t: &Table, file: &str) -> String {
+        let path = std::env::temp_dir()
+            .join("s2c2_bench_report_test")
+            .join(file);
+        t.write_csv(&path).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        content
+    }
+
+    /// Splits one CSV line, honouring quoted fields and doubled quotes.
+    fn split_csv_line(line: &str) -> Vec<String> {
+        let mut fields = Vec::new();
+        let mut field = String::new();
+        let mut quoted = false;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut field)),
+                c => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
+    }
+
     #[test]
     fn csv_roundtrip_shape() {
-        let dir = std::env::temp_dir().join("s2c2_bench_report_test");
-        let path = dir.join("t.csv");
-        sample().write_csv(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("label,a,b"));
-        assert_eq!(content.lines().count(), 3);
-        std::fs::remove_file(path).ok();
+        let content = csv_text(&sample(), "plain.csv");
+        assert_eq!(content, "label,a,b\nrow1,1.0,2.0\nrow2,3.5,4.25\n");
+    }
+
+    #[test]
+    fn csv_quotes_fields_holding_commas_and_quotes() {
+        let mut t = Table::new("q", vec!["s2c2 (12,10)".into(), "plain".into()]);
+        t.push_row("mds(12,9)", vec![1.5, 2.0]);
+        t.push_row("say \"hi\"", vec![3.0, 4.0]);
+        let content = csv_text(&t, "quoted.csv");
+        let lines: Vec<Vec<String>> = content.lines().map(split_csv_line).collect();
+        assert_eq!(lines[0], ["label", "s2c2 (12,10)", "plain"]);
+        assert_eq!(lines[1], ["mds(12,9)", "1.5", "2.0"]);
+        assert_eq!(lines[2], ["say \"hi\"", "3.0", "4.0"]);
+        assert!(lines.iter().all(|l| l.len() == t.columns.len() + 1));
     }
 
     #[test]

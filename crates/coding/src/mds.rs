@@ -15,9 +15,9 @@
 //! parity block is a **seeded random matrix**: every square submatrix is
 //! nonsingular with probability 1, submatrix condition numbers stay small
 //! (tens, not 10¹³), and the fixed per-`(n,k)` seed keeps encodings
-//! deterministic and reproducible. The conditioning ablation bench
-//! (`ablation_conditioning`) quantifies this choice against Cauchy and
-//! Vandermonde parities.
+//! deterministic and reproducible. The conditioning ablation
+//! (`figures -- ablations`, `ablation_conditioning.csv`) quantifies this
+//! choice against Cauchy and Vandermonde parities.
 //!
 //! Because the code is systematic, decoding a chunk with `m` missing
 //! systematic blocks solves only an `m × m` system (`m ≤ n − k` ≤ 10 in
@@ -48,7 +48,7 @@ impl MdsParams {
     /// # Panics
     ///
     /// Panics unless `0 < k <= n` (use [`MdsCode::new`] for a fallible
-    /// constructor; this one is for literals in examples/benches).
+    /// constructor; this one is for literals in examples and experiments).
     #[must_use]
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k > 0 && k <= n, "require 0 < k <= n, got ({n},{k})");
@@ -528,93 +528,6 @@ impl MdsCode {
         // + RHS adjustment m·k·rpc.
         chunks * (m.powi(3) / 3.0 + rpc * m.powi(2) + m * self.params.k as f64 * rpc)
     }
-
-    /// Fused encode-multiply: every worker's stacked chunk products for
-    /// `xs`, computed directly from the data matrix without ever
-    /// materializing parity partitions.
-    ///
-    /// The code is systematic and the products are linear in the stored
-    /// rows, so parity products are generator-weighted combinations of
-    /// the systematic chunk products: `k` row-range matvecs over `A`
-    /// (exactly the systematic work) plus cheap length-`rows_per_chunk ×
-    /// members` axpys replace the full `(n − k) × partition` parity
-    /// encode pass. A one-shot multiply therefore skips `(n − k)/n` of
-    /// the encode cost entirely — the right tool when an encoding will
-    /// be used once rather than cached across iterations.
-    ///
-    /// Systematic blocks are bit-identical to
-    /// [`EncodedMatrix::worker_compute_chunk_multi`] on an encoding of
-    /// `a`; parity blocks differ by rounding only (weighted sums of
-    /// products instead of products of weighted rows), which decoding
-    /// absorbs within [`s2c2_linalg::ROUND_TRIP_TOL`].
-    ///
-    /// Returns the layout and one block per `(worker, chunk)` pair,
-    /// worker-major.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::InvalidParams`] when `xs.len() != a.cols()`, plus
-    /// layout errors for degenerate shapes.
-    pub fn encode_matvec_multi(
-        &self,
-        a: &Matrix,
-        chunks_per_partition: usize,
-        xs: &MultiVector,
-    ) -> Result<(ChunkLayout, Vec<MultiChunkResult>), CodingError> {
-        if xs.len() != a.cols() {
-            return Err(CodingError::InvalidParams(format!(
-                "input length {} does not match matrix columns {}",
-                xs.len(),
-                a.cols()
-            )));
-        }
-        let k = self.params.k;
-        let layout = ChunkLayout::new(a.rows(), k, chunks_per_partition)?;
-        let prow = layout.partition_rows();
-        let chunks = layout.chunks_per_partition;
-        let members = xs.count();
-        let width = layout.rows_per_chunk() * members;
-
-        // Systematic products straight off `a`'s rows; rows beyond the
-        // original count are zero padding, so their products are zeros.
-        let mut sys: Vec<Vec<f64>> = Vec::with_capacity(k * chunks);
-        for j in 0..k {
-            for c in 0..chunks {
-                let local = layout.chunk_range_in_partition(c);
-                let begin = (j * prow + local.start).min(a.rows());
-                let end = (j * prow + local.end).min(a.rows());
-                let mut vals = a.matvec_multi_rows(xs, begin, end).into_flat();
-                vals.resize(width, 0.0);
-                sys.push(vals);
-            }
-        }
-        // Parity products as generator-weighted combinations of the
-        // systematic products.
-        let mut parity_blocks = Vec::with_capacity((self.params.n - k) * chunks);
-        for p in 0..self.params.n - k {
-            for c in 0..chunks {
-                let mut vals = vec![0.0; width];
-                for j in 0..k {
-                    let w = self.parity.get(p, j);
-                    for (d, s) in vals.iter_mut().zip(&sys[j * chunks + c]) {
-                        *d += w * s;
-                    }
-                }
-                parity_blocks.push(MultiChunkResult::new(k + p, c, members, vals));
-            }
-        }
-        let mut results = Vec::with_capacity(self.params.n * chunks);
-        for (idx, vals) in sys.into_iter().enumerate() {
-            results.push(MultiChunkResult::new(
-                idx / chunks,
-                idx % chunks,
-                members,
-                vals,
-            ));
-        }
-        results.extend(parity_blocks);
-        Ok((layout, results))
-    }
 }
 
 /// The result of encoding: `n` coded partitions plus the shared layout.
@@ -921,52 +834,6 @@ mod tests {
                 need: 2
             }
         );
-    }
-
-    #[test]
-    fn fused_encode_multiply_matches_two_pass() {
-        let a = data_matrix(50, 7);
-        let code = MdsCode::new(MdsParams::new(6, 4)).unwrap();
-        let enc = code.encode(&a, 3).unwrap();
-        let xs = MultiVector::from_fn(3, 7, |m, i| ((m * 3 + i) % 5) as f64 * 0.4 - 0.9);
-        let (layout, fused) = code.encode_matvec_multi(&a, 3, &xs).unwrap();
-        assert_eq!(&layout, enc.layout());
-        assert_eq!(fused.len(), 6 * 3);
-        for block in &fused {
-            let direct = enc.worker_compute_chunk_multi(block.worker, block.chunk, &xs);
-            if block.worker < 4 {
-                // Systematic products come off the same rows through the
-                // same kernel: bit-identical.
-                assert_eq!(block.values, direct.values);
-            } else {
-                // Parity products are combinations of products rather than
-                // products of combinations: equal up to rounding.
-                assert_slices_close(&block.values, &direct.values, 1e-9);
-            }
-        }
-        // Fused responses decode like any others: drop one systematic
-        // worker, keep a parity worker in the mix.
-        let subset: Vec<MultiChunkResult> = fused
-            .iter()
-            .filter(|b| b.worker != 1 && b.worker != 5)
-            .cloned()
-            .collect();
-        let outs = code.decode_matvec_multi(&layout, &subset).unwrap();
-        for (m, y) in outs.iter().enumerate() {
-            let x = Vector::from(xs.member(m).to_vec());
-            assert_slices_close(y.as_slice(), a.matvec(&x).as_slice(), 1e-6);
-        }
-    }
-
-    #[test]
-    fn fused_encode_multiply_rejects_bad_input_length() {
-        let a = data_matrix(20, 4);
-        let code = MdsCode::new(MdsParams::new(3, 2)).unwrap();
-        let xs = MultiVector::zeros(2, 9);
-        assert!(matches!(
-            code.encode_matvec_multi(&a, 2, &xs),
-            Err(CodingError::InvalidParams(_))
-        ));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! polynomial `Σ_q α_i^q · X_q` with `X_(j+l·a) = A_j·B_l`. Any `a·b`
 //! responses therefore recover every block product by interpolation.
 //!
-//! Differences from the paper's exposition, both documented in DESIGN.md:
+//! Two deliberate differences from the paper's exposition:
 //!
 //! * evaluation points are Chebyshev-spaced on `[−1, 1]` instead of the
 //!   integers `0..n` — integer nodes make the interpolation Vandermonde

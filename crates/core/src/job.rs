@@ -2,7 +2,7 @@
 //! iterations against it, accumulating metrics.
 //!
 //! This is the API the examples and workloads use; the strategies remain
-//! directly accessible for benches that need finer control.
+//! directly accessible for experiments that need finer control.
 
 use crate::error::S2c2Error;
 use crate::speed_tracker::PredictorSource;

@@ -1,4 +1,4 @@
-//! Synthetic dataset generators (DESIGN.md substitution table).
+//! Synthetic stand-ins for the paper's datasets.
 //!
 //! * [`gisette_like`] replaces the UCI gisette digits data: two Gaussian
 //!   class blobs in high dimension, labels ±1. Gradient-descent cost per

@@ -18,9 +18,9 @@
 //! * [`hessian::DistributedHessian`] — `Aᵀ·diag(w)·A` on polynomial
 //!   codes (conventional vs S²C²-scheduled).
 //!
-//! [`datasets`] generates the data substitutes documented in DESIGN.md
-//! (the UCI gisette set and the Toronto ranking graph are replaced by
-//! statistically similar synthetic generators).
+//! [`datasets`] generates the data substitutes: the UCI gisette set and
+//! the Toronto ranking graph are replaced by statistically similar
+//! synthetic generators.
 
 #![warn(missing_docs)]
 
