@@ -145,6 +145,33 @@ mod tests {
     }
 
     #[test]
+    fn rows_guard_the_numeric_path() {
+        // The same checks on the raw reports rather than the table.
+        let report = |backend| {
+            let r = run_backend(backend, 10);
+            assert_eq!(r.completed(), 10, "{backend} must complete every job");
+            r
+        };
+        let sim = report(BackendKind::Sim);
+        let verified = report(BackendKind::SimVerified);
+        let threaded = report(BackendKind::Threaded);
+        // Virtual latencies are backend-independent.
+        assert_eq!(
+            sim.latency_percentile(50.0),
+            threaded.latency_percentile(50.0)
+        );
+        assert_eq!(
+            verified.latency_percentile(99.0),
+            threaded.latency_percentile(99.0)
+        );
+        // Numeric backends verify every iteration and amortize encodes.
+        assert_eq!(sim.verified_iterations, 0);
+        assert!(threaded.verified_iterations > 0);
+        assert!(threaded.encode_cache_hits > 0, "recurring trace must hit");
+        assert_eq!(threaded.encode_cache_misses, 3, "one encode per preset");
+    }
+
+    #[test]
     fn numeric_backends_verify_every_iteration() {
         let t = run(Scale::Quick);
         assert_eq!(t.value("sim", "verified_iters"), 0.0);

@@ -181,6 +181,21 @@ mod tests {
     }
 
     #[test]
+    fn full_sweep_keeps_the_headline_claim() {
+        // The full-scale sweep must show depth 2 holding or beating the
+        // depth-1 p99 on the volatile preset, not only the quick one.
+        let jobs = Scale::Full.pick(10, 28);
+        let p99 = |depth| {
+            run_depth(jobs, &CloudTraceConfig::volatile(), depth, false).latency_percentile(99.0)
+        };
+        let (two, one) = (p99(2), p99(1));
+        assert!(
+            two <= one,
+            "full sweep must show depth 2 ≤ depth 1 on volatile p99: {two} vs {one}"
+        );
+    }
+
+    #[test]
     fn deeper_windows_overlap_rounds() {
         let out = run(Scale::Quick);
         for preset in ["calm", "volatile"] {

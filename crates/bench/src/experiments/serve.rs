@@ -190,6 +190,23 @@ mod tests {
     }
 
     #[test]
+    fn summary_shows_the_tail_win_at_forty_jobs() {
+        let report = |name: &str| {
+            let r = run_service(mode(name), 1.0, 40, 1);
+            assert_eq!(r.completed(), 40, "{name} must complete every job");
+            r
+        };
+        let (s2c2, mds) = (report("s2c2"), report("mds"));
+        assert!(
+            s2c2.latency_percentile(99.0) < mds.latency_percentile(99.0),
+            "serve s2c2 p99 {} must beat mds {}",
+            s2c2.latency_percentile(99.0),
+            mds.latency_percentile(99.0)
+        );
+        assert!(s2c2.throughput() > 0.0);
+    }
+
+    #[test]
     fn utilization_within_bounds_and_tenants_present() {
         for name in ["uncoded", "mds", "s2c2"] {
             let u = run_service(mode(name), 1.0, 40, 1).utilization();
