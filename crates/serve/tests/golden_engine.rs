@@ -1,6 +1,6 @@
 //! Golden pins of the serve engine's event stream.
 //!
-//! Six small seeded `Sim` runs in five tests. The first five are chosen
+//! Seven small seeded `Sim` runs in six tests. The first six are chosen
 //! so that together they walk every task-lifecycle path the engine has — for original
 //! and redo tasks alike: deadline cancel + reassignment (rung 3,
 //! including a redo merged onto a worker that still has one pending),
@@ -10,7 +10,7 @@
 //! re-arm their deadline, and the baselines' stragglers abandoned at
 //! round completion. (Not reached by any small run: a redo still open
 //! when its round completes, which needs an exact finish/deadline tie;
-//! `engine/tests.rs` covers that cancel directly.) The sixth pins the
+//! `engine/tests.rs` covers that cancel directly.) The seventh pins the
 //! *arrival order* of a hand-built workload slice: arrivals win ties
 //! against engine events at the same instant, and equal-time arrivals
 //! keep slice order. Each run is pinned by the FNV-1a of its JSONL
@@ -19,7 +19,8 @@
 //! The constants were generated on the engine as it stood before the
 //! per-round task model moved into `engine/round.rs` (the arrival-order
 //! case: before arrivals stopped being pre-pushed onto the event
-//! queue); a refactor of the engine must reproduce them unedited. A change that *means* to alter
+//! queue; case (c′): while the engine still carried deadline boosts,
+//! with the boost off); a refactor of the engine must reproduce them unedited. A change that *means* to alter
 //! behaviour regenerates them (the failure message prints the observed
 //! value) and says why in CHANGES.md.
 
@@ -206,6 +207,25 @@ fn pipelined_batches_with_boost() -> ServiceReport {
     engine.run(&stream).expect("run completes")
 }
 
+/// (c′) Pipeline depth 2 with size-threshold batching on a
+/// mispredicting pool: batch rounds of up to three members share three
+/// residency slots, admissions and completions rebalance the residents
+/// while originals are open, and late originals are redone.
+fn pipelined_batches() -> ServiceReport {
+    let n = 12;
+    let mut cfg = s2c2(PredictorSource::Uniform);
+    cfg.pipeline = PipelinePolicy::Depth(2);
+    cfg.batch = BatchPolicy::SizeThreshold { max_batch: 3 };
+    cfg.max_resident = 3;
+    let mix = [
+        (JobPreset::small().with_deadline(3.0), 3.0),
+        (JobPreset::medium(), 2.0),
+    ];
+    let stream = generate_workload(&ArrivalPattern::Poisson { rate: 4.0 }, &mix, 24, 3, n, 2);
+    let engine = ServiceEngine::new(controlled_pool(n, &[2, 7]), cfg).expect("valid config");
+    engine.run(&stream).expect("run completes")
+}
+
 /// (d) The non-adaptive baselines under churn. They never cancel on a
 /// deadline, so they reach what S²C² cannot: stragglers still running
 /// when the round completes (abandoned there), and recovery that keeps
@@ -340,6 +360,27 @@ fn golden_pipelined_batches_with_boost() {
             rebalances: 38,
             scratch_reuses: 66,
             finished_fnv: 0x43CCD8E51C94E5EE,
+        }
+    );
+}
+
+#[test]
+fn golden_pipelined_batches() {
+    let report = pipelined_batches();
+    assert_eq!(report.completed(), 24);
+    assert!(report.batch_rounds > 0, "batches must form");
+    assert!(report.rebalances > 0, "admissions rebalance the residents");
+    assert!(report.recovery_rung_counts[2] > 0, "redos must be in play");
+    assert_eq!(
+        pin_of(&report),
+        Pin {
+            trace_fnv: 0xAF3FFF844F0C0CFA,
+            events_processed: 3291,
+            timeouts: 44,
+            recovery_rung_counts: [72, 0, 44, 0, 0],
+            rebalances: 38,
+            scratch_reuses: 66,
+            finished_fnv: 0xC68C01B3598B06FB,
         }
     );
 }
