@@ -31,54 +31,6 @@ impl QueuedJob {
     }
 }
 
-/// Token-bucket rate limit on one tenant's admissions.
-///
-/// A tenant accrues `rate` tokens per second up to a `burst` ceiling;
-/// each arriving job spends one token or is refused outright (recorded
-/// as `rate_limited`, counted separately from deadline rejections).
-/// Weights bound a tenant's *relative* share once resident; this is the
-/// complementary absolute cap on how fast it may enter at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimit {
-    /// Sustained admission rate, in jobs per second (> 0).
-    pub rate: f64,
-    /// Burst capacity, in jobs (≥ 1; the bucket starts full).
-    pub burst: f64,
-}
-
-/// Running token-bucket state for one tenant (virtual-time refill).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TokenBucket {
-    limit: RateLimit,
-    tokens: f64,
-    last_refill: f64,
-}
-
-impl TokenBucket {
-    /// A full bucket under `limit`.
-    pub(crate) fn new(limit: RateLimit) -> Self {
-        TokenBucket {
-            limit,
-            tokens: limit.burst,
-            last_refill: 0.0,
-        }
-    }
-
-    /// Refills for the elapsed virtual time, then tries to spend one
-    /// token. Returns whether the arrival is admitted.
-    pub(crate) fn try_admit(&mut self, now: f64) -> bool {
-        let elapsed = (now - self.last_refill).max(0.0);
-        self.tokens = (self.tokens + elapsed * self.limit.rate).min(self.limit.burst);
-        self.last_refill = self.last_refill.max(now);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// How the engine coalesces queued small jobs into shared batch rounds.
 ///
 /// S²C²'s advantage comes from amortizing coding work across the
@@ -89,9 +41,8 @@ impl TokenBucket {
 /// same model matrix *and* code geometry — into one round: a single
 /// cache-backed encode, one stacked multi-RHS dispatch per worker, one
 /// decode LU factorization per chunk, and one residency slot for the
-/// whole group. Per-job identity survives: QoS (weights, deadlines,
-/// boosts, rate limits) and all reporting see the member jobs, never
-/// the batch.
+/// whole group. Per-job identity survives: QoS (weights, deadlines)
+/// and all reporting see the member jobs, never the batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchPolicy {
     /// No batching (default): every job runs its own rounds. The engine
@@ -190,12 +141,6 @@ pub struct ResidentInfo {
 pub enum QueuePolicy {
     /// Earliest arrival first (ties by id).
     Fifo,
-    /// Least total remaining work first — the classic mean-latency
-    /// optimizer; can starve large jobs under sustained load.
-    ShortestExpectedWork,
-    /// Max-min fairness across tenants: admit from the tenant with the
-    /// fewest currently-resident jobs (FIFO within a tenant).
-    FairShare,
     /// Least slack to deadline first: admit the job whose absolute
     /// deadline (`arrival + SLO`) is earliest; jobs without a deadline
     /// queue behind every deadline-carrying job, FIFO among themselves.
@@ -204,7 +149,8 @@ pub enum QueuePolicy {
     /// tenant holds the least resident capacity *relative to the job's
     /// weight* (`resident_weight[tenant] / job.weight`), so a weight-2
     /// tenant is entitled to hold twice the resident mass before it
-    /// yields to a weight-1 tenant.
+    /// yields to a weight-1 tenant. With unit weights this is max-min
+    /// fairness: the tenant with the fewest resident jobs goes first.
     WeightedFairShare,
 }
 
@@ -227,27 +173,6 @@ impl QueuePolicy {
         };
         let idx = match self {
             QueuePolicy::Fifo => (0..queue.len()).min_by(|&a, &b| by_arrival(a, b)),
-            QueuePolicy::ShortestExpectedWork => (0..queue.len()).min_by(|&a, &b| {
-                queue[a]
-                    .spec
-                    .total_work()
-                    .total_cmp(&queue[b].spec.total_work())
-                    .then_with(|| by_arrival(a, b))
-            }),
-            QueuePolicy::FairShare => {
-                // One pass over the resident set, then O(1) per queued
-                // job — not an O(queue × residents) rescan.
-                let mut count: BTreeMap<u32, usize> = BTreeMap::new();
-                for r in residents {
-                    *count.entry(r.tenant).or_insert(0) += 1;
-                }
-                let resident_of = |t: u32| count.get(&t).copied().unwrap_or(0);
-                (0..queue.len()).min_by(|&a, &b| {
-                    resident_of(queue[a].spec.tenant)
-                        .cmp(&resident_of(queue[b].spec.tenant))
-                        .then_with(|| by_arrival(a, b))
-                })
-            }
             QueuePolicy::EarliestDeadline => (0..queue.len()).min_by(|&a, &b| {
                 queue[a]
                     .absolute_deadline()
@@ -255,6 +180,8 @@ impl QueuePolicy {
                     .then_with(|| by_arrival(a, b))
             }),
             QueuePolicy::WeightedFairShare => {
+                // One pass over the resident set, then O(1) per queued
+                // job — not an O(queue × residents) rescan.
                 let mut mass: BTreeMap<u32, f64> = BTreeMap::new();
                 for r in residents {
                     *mass.entry(r.tenant).or_insert(0.0) += r.weight;
@@ -310,8 +237,6 @@ impl std::fmt::Display for QueuePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             QueuePolicy::Fifo => "fifo",
-            QueuePolicy::ShortestExpectedWork => "shortest-work",
-            QueuePolicy::FairShare => "fair-share",
             QueuePolicy::EarliestDeadline => "earliest-deadline",
             QueuePolicy::WeightedFairShare => "weighted-fair-share",
         };
@@ -357,27 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn shortest_work_prefers_small_jobs() {
-        let q = vec![
-            queued(0, 0, 0.0, JobPreset::large()),
-            queued(1, 0, 9.0, JobPreset::small()),
-        ];
-        assert_eq!(QueuePolicy::ShortestExpectedWork.pick(&q, &[]), Some(1));
-    }
-
-    #[test]
     fn fair_share_balances_tenants() {
-        // Tenant 0 already has two resident jobs, tenant 1 none: the
-        // tenant-1 job wins even though it arrived later.
+        // Unit weights: tenant 0 already has two resident jobs, tenant 1
+        // none, so the tenant-1 job wins even though it arrived later.
         let q = vec![
             queued(0, 0, 0.0, JobPreset::small()),
             queued(1, 1, 4.0, JobPreset::small()),
         ];
         let two_zero = [resident(0, 1.0), resident(0, 1.0)];
-        assert_eq!(QueuePolicy::FairShare.pick(&q, &two_zero), Some(1));
+        assert_eq!(QueuePolicy::WeightedFairShare.pick(&q, &two_zero), Some(1));
         // With equal residency, FIFO order applies.
         let one_each = [resident(0, 1.0), resident(1, 1.0)];
-        assert_eq!(QueuePolicy::FairShare.pick(&q, &one_each), Some(0));
+        assert_eq!(QueuePolicy::WeightedFairShare.pick(&q, &one_each), Some(0));
     }
 
     #[test]
@@ -417,8 +333,6 @@ mod tests {
     fn empty_queue_picks_nothing() {
         for p in [
             QueuePolicy::Fifo,
-            QueuePolicy::ShortestExpectedWork,
-            QueuePolicy::FairShare,
             QueuePolicy::EarliestDeadline,
             QueuePolicy::WeightedFairShare,
         ] {
@@ -441,38 +355,6 @@ mod tests {
         assert!((j.absolute_deadline() - 5.0).abs() < 1e-12);
         let no_slo = queued(1, 0, 3.0, JobPreset::small());
         assert_eq!(no_slo.absolute_deadline(), f64::INFINITY);
-    }
-
-    #[test]
-    fn token_bucket_caps_bursts_and_refills() {
-        let mut b = TokenBucket::new(RateLimit {
-            rate: 2.0,
-            burst: 3.0,
-        });
-        // The burst drains in three back-to-back arrivals...
-        assert!(b.try_admit(0.0));
-        assert!(b.try_admit(0.0));
-        assert!(b.try_admit(0.0));
-        assert!(!b.try_admit(0.0), "burst exhausted");
-        assert!(!b.try_admit(0.2), "0.4 tokens accrued, still short");
-        // ...then refills at 2 tokens/s, capped at the burst ceiling.
-        assert!(b.try_admit(0.5));
-        assert!(b.try_admit(100.0));
-        assert!(b.try_admit(100.0));
-        assert!(b.try_admit(100.0));
-        assert!(!b.try_admit(100.0), "refill is capped at burst");
-    }
-
-    #[test]
-    fn token_bucket_ignores_time_regressions() {
-        let mut b = TokenBucket::new(RateLimit {
-            rate: 1.0,
-            burst: 1.0,
-        });
-        assert!(b.try_admit(5.0));
-        // An earlier timestamp must not mint tokens or move time back.
-        assert!(!b.try_admit(4.0));
-        assert!(b.try_admit(6.0));
     }
 
     #[test]
@@ -531,7 +413,7 @@ mod tests {
 
     #[test]
     fn display_names() {
-        assert_eq!(QueuePolicy::FairShare.to_string(), "fair-share");
+        assert_eq!(QueuePolicy::Fifo.to_string(), "fifo");
         assert_eq!(
             QueuePolicy::EarliestDeadline.to_string(),
             "earliest-deadline"

@@ -34,8 +34,8 @@
     reason = "measurement site: `Instant` times the numeric phases into phase_wall, which feeds no decision"
 )]
 
-use super::core::BatchMember;
 use super::round::RunningIteration;
+use crate::admission::QueuedJob;
 use crate::event::JobId;
 use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
@@ -104,7 +104,7 @@ pub(crate) trait ExecutionBackend {
     /// stacked across every member's input vector.
     fn on_iteration_start(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         iter: &RunningIteration,
         iteration_index: usize,
     ) -> Result<(), String>;
@@ -125,7 +125,7 @@ pub(crate) trait ExecutionBackend {
     /// member from them in one stacked pass.
     fn on_iteration_complete(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         iter: &RunningIteration,
         iteration_index: usize,
         is_final: bool,
@@ -196,7 +196,7 @@ impl ExecutionBackend for SimBackend {
     }
     fn on_iteration_start(
         &mut self,
-        _: &[BatchMember],
+        _: &[QueuedJob],
         _: &RunningIteration,
         _: usize,
     ) -> Result<(), String> {
@@ -208,7 +208,7 @@ impl ExecutionBackend for SimBackend {
     fn on_cancel(&mut self, _: JobId, _: u64, _: usize, _: bool) {}
     fn on_iteration_complete(
         &mut self,
-        _: &[BatchMember],
+        _: &[QueuedJob],
         _: &RunningIteration,
         _: usize,
         _: bool,
@@ -340,7 +340,7 @@ impl NumericCore {
     /// leader's cached entry serves the whole group.
     fn batch_inputs(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         iteration_index: usize,
     ) -> Result<(Arc<CachedEncoding>, Arc<MultiVector>), String> {
         let leader = self
@@ -363,7 +363,7 @@ impl NumericCore {
             }
             None => MultiVector::zeros(count, cols),
         };
-        for (m, BatchMember { spec: s, .. }) in members.iter().enumerate() {
+        for (m, QueuedJob { spec: s, .. }) in members.iter().enumerate() {
             let job = self
                 .jobs
                 .get(&s.id)
@@ -382,7 +382,7 @@ impl NumericCore {
     /// sequential reference, and records the outcomes.
     fn verify_multi(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         blocks: &[MultiChunkResult],
         iteration_index: usize,
         is_final: bool,
@@ -407,7 +407,7 @@ impl NumericCore {
             ));
         }
         let t0 = Instant::now();
-        for (BatchMember { spec, .. }, y) in members.iter().zip(outs) {
+        for (QueuedJob { spec, .. }, y) in members.iter().zip(outs) {
             // Consume (not just read) the round's reference: rounds
             // commit in order exactly once, and the entry must not
             // outlive its round under pipelining.
@@ -473,7 +473,7 @@ impl ExecutionBackend for SimVerifiedBackend {
     }
     fn on_iteration_start(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         _iter: &RunningIteration,
         iteration_index: usize,
     ) -> Result<(), String> {
@@ -488,7 +488,7 @@ impl ExecutionBackend for SimVerifiedBackend {
     fn on_cancel(&mut self, _: JobId, _: u64, _: usize, _: bool) {}
     fn on_iteration_complete(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         iter: &RunningIteration,
         iteration_index: usize,
         is_final: bool,
@@ -651,7 +651,7 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn on_iteration_start(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         iter: &RunningIteration,
         iteration_index: usize,
     ) -> Result<(), String> {
@@ -734,7 +734,7 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn on_iteration_complete(
         &mut self,
-        members: &[BatchMember],
+        members: &[QueuedJob],
         iter: &RunningIteration,
         iteration_index: usize,
         is_final: bool,

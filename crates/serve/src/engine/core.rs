@@ -1,9 +1,9 @@
 //! Resident-job state and the engine's event handlers.
 //!
 //! Everything here reacts to one popped event: arrivals feed the
-//! admission queue ([`ServiceEngine::on_arrival`], with token-bucket
-//! rate limiting), admission fills a job's in-flight round window
-//! whose per-worker tasks are scheduled from the shared allocation
+//! admission queue ([`ServiceEngine::on_arrival`]), admission fills a
+//! job's in-flight round window whose per-worker tasks are scheduled
+//! from the shared allocation
 //! ([`ServiceEngine::dispatch_round`]), task completions mark coverage
 //! and feed the speed predictor, and completed rounds decode (via the
 //! execution backend) strictly in round order — a round that finishes
@@ -27,30 +27,18 @@ use s2c2_telemetry::TraceEventKind;
 use super::thread_speedup;
 use super::SchedulerMode;
 
-/// One job riding a resident batch. A solo job is a batch of one —
-/// per-member QoS state (weight, SLO, boost flag) is tracked here so
-/// batching never collapses member identities into the batch.
-#[derive(Debug)]
-pub(crate) struct BatchMember {
-    pub(crate) spec: JobSpec,
-    pub(crate) arrival: f64,
-    /// Absolute SLO instant (`arrival + relative deadline`), if any.
-    pub(crate) deadline_abs: Option<f64>,
-    /// Whether deadline-aware share boosting has fired for this member
-    /// (sticky for the rest of its residency).
-    pub(crate) boosted: bool,
-}
-
 /// A job (or coalesced batch of jobs) currently holding a residency
 /// slot.
 #[derive(Debug)]
 pub(crate) struct ResidentJob {
-    /// Member jobs sharing this slot and its rounds; `members[0]` is
+    /// Member jobs sharing this slot and its rounds, each with its own
+    /// spec (weight, SLO) and arrival — a solo job is a batch of one,
+    /// and batching never collapses member identities. `members[0]` is
     /// the leader whose id keys the resident map and every scheduled
     /// event. All members share one [`batch_key`] (model identity,
     /// shape, code geometry, iteration count), so their rounds run in
     /// lockstep from admission to completion.
-    pub(crate) members: Vec<BatchMember>,
+    pub(crate) members: Vec<QueuedJob>,
     pub(crate) admitted: f64,
     /// Rounds committed (decoded/verified) so far — the in-order commit
     /// cursor: the next retirable round is exactly `round_index ==
@@ -83,13 +71,20 @@ impl ResidentJob {
     pub(crate) fn rhs(&self) -> usize {
         self.members.len()
     }
+
+    /// Capacity weight of this residency slot: the sum of its members'
+    /// weights. Batching is capacity-neutral by construction — m
+    /// coalesced weight-1 jobs hold exactly the capacity m resident
+    /// weight-1 jobs would.
+    pub(crate) fn weight(&self) -> f64 {
+        self.members.iter().map(|m| m.spec.weight).sum()
+    }
 }
 
 /// How a job left the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fate {
     Malformed,
-    RateLimited,
     Rejected,
     Failed,
     Completed,
@@ -111,7 +106,6 @@ impl ServiceEngine {
         let (job, tenant) = (spec.id, spec.tenant);
         trace_into(&mut self.telemetry, finished, || match fate {
             Fate::Malformed => TraceEventKind::Malformed { job },
-            Fate::RateLimited => TraceEventKind::RateLimited { job },
             Fate::Rejected => TraceEventKind::Rejected { job },
             Fate::Failed => TraceEventKind::JobFailed { job, tenant },
             Fate::Completed => TraceEventKind::JobComplete { job, tenant },
@@ -127,7 +121,6 @@ impl ServiceEngine {
             retries: resident.map_or(0, |j| j.total_retries),
             failed: fate != Fate::Completed,
             rejected: fate == Fate::Rejected,
-            rate_limited: fate == Fate::RateLimited,
             weight: spec.weight,
             deadline: spec.deadline,
             work: spec.total_work(),
@@ -204,15 +197,6 @@ impl ServiceEngine {
             self.record_fate(spec, now, now, Fate::Malformed, None);
             return Ok(());
         }
-        // Token-bucket rate limiting: a tenant that bursts past its
-        // admission budget has the job refused on the spot — before it
-        // can occupy queue space or a residency slot.
-        if let Some(bucket) = self.buckets.get_mut(&spec.tenant) {
-            if !bucket.try_admit(self.now) {
-                self.record_fate(spec, now, now, Fate::RateLimited, None);
-                return Ok(());
-            }
-        }
         self.pending.push(QueuedJob {
             spec: spec.clone(),
             arrival: self.now,
@@ -242,7 +226,7 @@ impl ServiceEngine {
             // pass: invisible to re-picks, so a held group defers only
             // itself and never starves unrelated admissions.
             let mut held: Vec<BatchKey> = Vec::new();
-            let group: Vec<QueuedJob> = loop {
+            let mut members: Vec<QueuedJob> = loop {
                 // Most passes hold nothing: pick straight off the
                 // pending queue without copying it. The filtered clone
                 // is built only while a time-window key is actually
@@ -317,22 +301,15 @@ impl ServiceEngine {
             };
             // Deadline admission control applies per member: a hopeless
             // member is turned away without dragging its mates down.
-            let mut members: Vec<BatchMember> = Vec::with_capacity(group.len());
-            for queued in group {
-                if self.cfg.reject_infeasible_deadlines && self.deadline_infeasible(&queued) {
-                    let now = self.now;
-                    self.record_fate(&queued.spec, queued.arrival, now, Fate::Rejected, None);
-                    self.sample_queue_depth();
-                    continue;
+            members.retain(|queued| {
+                if !(self.cfg.reject_infeasible_deadlines && self.deadline_infeasible(queued)) {
+                    return true;
                 }
-                let deadline_abs = queued.spec.deadline.map(|d| queued.arrival + d);
-                members.push(BatchMember {
-                    spec: queued.spec,
-                    arrival: queued.arrival,
-                    deadline_abs,
-                    boosted: false,
-                });
-            }
+                let now = self.now;
+                self.record_fate(&queued.spec, queued.arrival, now, Fate::Rejected, None);
+                self.sample_queue_depth();
+                false
+            });
             if members.is_empty() {
                 continue;
             }
@@ -462,14 +439,6 @@ impl ServiceEngine {
         round_index: usize,
         at: f64,
     ) -> Result<(), ServeError> {
-        // A boost firing here changes the whole resident set's effective
-        // weight mass: the neighbours' in-flight tasks must be rescaled
-        // too, or shares stop summing to 1 (the oversubscription bug) —
-        // and sticky boosts mean the epoch-tick watchdog would never
-        // catch up.
-        if self.update_deadline_boosts() {
-            self.rebalance_shares();
-        }
         let alive = avail_speeds(&self.speeds, &self.up)
             .filter(|&s| s > 0.0)
             .count();
@@ -493,13 +462,12 @@ impl ServiceEngine {
         // Planning speeds and per-job assignment. Every mode rates the
         // job at its weight-normalized share of the live resident mass —
         // the same `weight / Σ weights` rule `split_worker_capacity`
-        // slices capacity by. Weights here are *effective* (per-member
-        // deadline boosts included, summed over batch members).
-        let weight = self.effective_weight(job);
+        // slices capacity by. A batch weighs the sum of its members.
+        let weight = job.weight();
         let total_weight: f64 = self
             .resident
             .values()
-            .map(|j| self.effective_weight(j))
+            .map(ResidentJob::weight)
             .sum::<f64>()
             .max(f64::MIN_POSITIVE);
         let weighted_share = (weight / total_weight).min(1.0);
@@ -982,13 +950,6 @@ impl ServiceEngine {
                 self.queue
                     .push(self.now, EventKind::WorkerChurn { worker: w, up: new });
             }
-        }
-        // Epoch ticks are also the boost watchdog: a resident job whose
-        // slack ran out mid-iteration gets its weight bump (and the pool
-        // a rescale) at the next tick, not only at the next membership
-        // change.
-        if self.update_deadline_boosts() {
-            self.rebalance_shares();
         }
         // Epoch ticks double as the utilization / memory sampler: one
         // point per tick keeps the series bounded by run length, not by

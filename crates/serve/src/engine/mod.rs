@@ -28,8 +28,7 @@
 //!   workers (selected via [`BackendKind`]);
 //! * `recovery` — the §4.3 robustness ladder (cancel-and-reassign,
 //!   wait-out, retry);
-//! * `rebalance` — work-conserving share rebalancing and
-//!   deadline-aware share boosting;
+//! * `rebalance` — work-conserving share rebalancing;
 //! * `pipeline` — the cross-round in-flight window policy
 //!   ([`PipelinePolicy`]).
 //!
@@ -88,10 +87,10 @@
 //! count) into one *batch round*: a single cache-backed encode, one
 //! stacked multi-RHS dispatch per worker, one decode LU factorization
 //! per chunk, and one residency slot for the whole group. QoS always
-//! sees the member jobs — per-member weights, deadline boosts,
-//! rejections, and records — and the recovery ladder degrades or
-//! redoes a straggling round *per batch*, so every member decodes from
-//! the identical coverage. With [`BatchPolicy::Off`] (the default) the
+//! sees the member jobs — per-member weights, deadlines, rejections,
+//! and records — and the recovery ladder degrades or redoes a
+//! straggling round *per batch*, so every member decodes from the
+//! identical coverage. With [`BatchPolicy::Off`] (the default) the
 //! engine is byte-identical to the pre-batching behavior.
 //!
 //! # Deadlines and QoS
@@ -101,13 +100,10 @@
 //! [`ServeConfig::reject_infeasible_deadlines`] the engine refuses, at
 //! admission time, jobs whose deadline cannot be met even by the whole
 //! pool running the job alone (an optimistic lower bound, so only
-//! provably-hopeless jobs are turned away). Two capacity-side QoS levers
-//! extend that admission-side pair: per-tenant token-bucket **rate
-//! limits** ([`ServeConfig::tenant_rate_limits`]) cap a tenant's
-//! absolute burst admission, and **deadline-aware share boosting**
-//! ([`ServeConfig::deadline_boost`]) bumps a resident job's effective
-//! weight once its remaining slack falls below a threshold fraction of
-//! its SLO, pulling at-risk jobs forward inside the capacity layer.
+//! provably-hopeless jobs are turned away). Tenant entitlements come
+//! from [`QueuePolicy::WeightedFairShare`] admission and from the
+//! weight-proportional capacity split; a resident job's share is its
+//! members' nominal weight over the resident mass, whatever its slack.
 //!
 //! # Robustness ladder (per iteration)
 //!
@@ -134,7 +130,7 @@ mod tests;
 pub use backend::BackendKind;
 pub use pipeline::PipelinePolicy;
 
-use crate::admission::{BatchKey, BatchPolicy, QueuePolicy, QueuedJob, RateLimit, TokenBucket};
+use crate::admission::{BatchKey, BatchPolicy, QueuePolicy, QueuedJob};
 use crate::event::{EventKind, EventQueue, JobId};
 use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
@@ -208,25 +204,6 @@ pub struct ChurnConfig {
     pub min_up: usize,
 }
 
-/// Deadline-aware share boosting: the capacity-layer complement to
-/// earliest-deadline *admission*.
-///
-/// A resident job carrying an SLO is watched at every share recompute
-/// point (iteration boundaries, resident-set changes, epoch ticks): once
-/// the fraction of its SLO budget still remaining drops below
-/// `slack_threshold`, its effective capacity weight is multiplied by
-/// `factor` for the rest of its residency (sticky — slack regained by
-/// the boost does not un-boost it, which would oscillate). Activations
-/// are counted in [`ServiceReport::boost_activations`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeadlineBoost {
-    /// Boost when `remaining_slack / total_SLO` falls below this
-    /// fraction (in `(0, 1]`).
-    pub slack_threshold: f64,
-    /// Effective-weight multiplier applied to at-risk jobs (≥ 1).
-    pub factor: f64,
-}
-
 /// Engine configuration.
 #[derive(Debug)]
 pub struct ServeConfig {
@@ -258,13 +235,6 @@ pub struct ServeConfig {
     /// only provably-hopeless jobs are rejected). Rejected jobs resolve
     /// immediately as failed with the `rejected` flag set.
     pub reject_infeasible_deadlines: bool,
-    /// Per-tenant token-bucket rate limits on arrival admission. Tenants
-    /// without an entry are unlimited; a tenant that exhausts its bucket
-    /// has the arrival refused on the spot (recorded `rate_limited`,
-    /// disjoint from deadline rejections).
-    pub tenant_rate_limits: BTreeMap<u32, RateLimit>,
-    /// Optional deadline-aware share boosting for at-risk resident jobs.
-    pub deadline_boost: Option<DeadlineBoost>,
     /// Batching/coalescing of queued jobs sharing a model matrix and
     /// code geometry onto one encode/dispatch round (see
     /// [`BatchPolicy`]). Off by default — the unbatched engine is
@@ -299,8 +269,6 @@ impl ServeConfig {
             max_retries: 3,
             max_events: 2_000_000,
             reject_infeasible_deadlines: false,
-            tenant_rate_limits: BTreeMap::new(),
-            deadline_boost: None,
             batch: BatchPolicy::Off,
             pipeline: PipelinePolicy::Off,
             telemetry: false,
@@ -398,7 +366,6 @@ pub struct ServiceEngine {
     next_generation: u64,
     report: ServiceReport,
     backend: Box<dyn ExecutionBackend>,
-    buckets: BTreeMap<u32, TokenBucket>,
     /// Trace buffer + metrics registry, present only when
     /// [`ServeConfig::telemetry`] is on. Every emission site goes
     /// through [`trace_into`], so the `None` path costs one branch.
@@ -455,18 +422,6 @@ impl ServiceEngine {
                 "worker_threads must be ≥ 1".into(),
             ));
         }
-        for (tenant, limit) in &cfg.tenant_rate_limits {
-            if !(limit.rate.is_finite() && limit.rate > 0.0) {
-                return Err(ServeError::InvalidConfig(format!(
-                    "tenant {tenant} rate limit must have a positive rate"
-                )));
-            }
-            if !(limit.burst.is_finite() && limit.burst >= 1.0) {
-                return Err(ServeError::InvalidConfig(format!(
-                    "tenant {tenant} rate limit must allow a burst of at least one job"
-                )));
-            }
-        }
         match cfg.batch {
             BatchPolicy::Off => {}
             BatchPolicy::SizeThreshold { max_batch } => {
@@ -494,26 +449,18 @@ impl ServiceEngine {
                 "pipeline depth must be ≥ 1 (use PipelinePolicy::Off to disable)".into(),
             ));
         }
-        if let Some(boost) = &cfg.deadline_boost {
-            if !(boost.slack_threshold.is_finite()
-                && boost.slack_threshold > 0.0
-                && boost.slack_threshold <= 1.0)
-            {
-                return Err(ServeError::InvalidConfig(
-                    "deadline boost slack_threshold must be in (0, 1]".into(),
-                ));
-            }
-            if !(boost.factor.is_finite() && boost.factor >= 1.0) {
-                return Err(ServeError::InvalidConfig(
-                    "deadline boost factor must be ≥ 1".into(),
-                ));
-            }
-        }
         let churn = match &cfg.churn {
             Some(c) => {
                 if c.min_up > n {
                     return Err(ServeError::InvalidConfig(
                         "churn min_up exceeds pool size".into(),
+                    ));
+                }
+                // `contains` is false for NaN, so a NaN probability is
+                // refused here rather than panicking in `ChurnProcess`.
+                if !((0.0..=1.0).contains(&c.p_fail) && (0.0..=1.0).contains(&c.p_recover)) {
+                    return Err(ServeError::InvalidConfig(
+                        "churn p_fail and p_recover must be in [0, 1]".into(),
                     ));
                 }
                 ChurnProcess::new(n, c.p_fail, c.p_recover, c.min_up, 0x5EEC)
@@ -524,11 +471,6 @@ impl ServiceEngine {
             SchedulerMode::SharedS2c2 { predictor } => predictor.clone(),
             SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => PredictorSource::Uniform,
         };
-        let buckets = cfg
-            .tenant_rate_limits
-            .iter()
-            .map(|(&tenant, &limit)| (tenant, TokenBucket::new(limit)))
-            .collect();
         Ok(ServiceEngine {
             tracker: SpeedTracker::new(&predictor, n),
             backend: backend::make_backend(cfg.backend, n),
@@ -551,7 +493,6 @@ impl ServiceEngine {
                 busy_time: vec![0.0; n],
                 ..ServiceReport::default()
             },
-            buckets,
             pending_flushes: Vec::new(),
             scratch: Vec::new(),
             avail: Vec::new(),
@@ -616,7 +557,6 @@ impl ServiceEngine {
         m.inc_by("jobs_completed", self.report.completed() as u64);
         m.inc_by("jobs_failed", self.report.failed() as u64);
         m.inc_by("jobs_rejected", self.report.rejected() as u64);
-        m.inc_by("jobs_rate_limited", self.report.rate_limited() as u64);
         m.inc_by("timeouts", self.report.timeouts as u64);
         m.inc_by(
             "degraded_iterations",

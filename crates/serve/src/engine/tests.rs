@@ -1,7 +1,7 @@
 //! Unit tests for the service engine: the timing/behavior suite from
 //! the monolithic-engine era (kept verbatim to pin the refactor), plus
-//! the backend, rate-limit, deadline-boost and pipelining suites, and
-//! direct tests of the per-round task model in `round.rs`.
+//! the backend, batching, telemetry and pipelining suites, and direct
+//! tests of the per-round task model in `round.rs`.
 
 use super::*;
 use crate::workload::{generate_workload, ArrivalPattern, JobPreset};
@@ -219,9 +219,45 @@ fn invalid_config_rejected() {
 }
 
 #[test]
+fn invalid_churn_probabilities_rejected_at_config() {
+    // Out-of-range or NaN probabilities are a configuration error, not
+    // a panic inside the churn process.
+    for (p_fail, p_recover) in [
+        (1.5, 0.5),
+        (-0.1, 0.5),
+        (f64::NAN, 0.5),
+        (0.1, 1.5),
+        (0.1, f64::NAN),
+    ] {
+        let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
+        cfg.churn = Some(ChurnConfig {
+            p_fail,
+            p_recover,
+            min_up: 2,
+        });
+        assert!(
+            matches!(
+                ServiceEngine::new(pool(4, &[]), cfg),
+                Err(ServeError::InvalidConfig(_))
+            ),
+            "p_fail {p_fail}, p_recover {p_recover} must be rejected"
+        );
+    }
+    // The closed interval's ends are valid.
+    let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
+    cfg.churn = Some(ChurnConfig {
+        p_fail: 0.0,
+        p_recover: 1.0,
+        min_up: 2,
+    });
+    assert!(ServiceEngine::new(pool(4, &[]), cfg).is_ok());
+}
+
+#[test]
 fn fair_share_spreads_tenants() {
-    // Two tenants, one flooding: fair-share must still admit the
-    // other tenant's job ahead of the flood's backlog.
+    // Two tenants, one flooding, every weight 1: weighted fair-share
+    // must still admit the other tenant's job ahead of the flood's
+    // backlog.
     let n = 8;
     let mut arrivals: Vec<(f64, JobSpec)> = (0..6)
         .map(|i| (0.001 * i as f64, JobPreset::medium().instantiate(i, 0, n)))
@@ -230,7 +266,7 @@ fn fair_share_spreads_tenants() {
     let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
         predictor: PredictorSource::LastValue,
     });
-    cfg.policy = QueuePolicy::FairShare;
+    cfg.policy = QueuePolicy::WeightedFairShare;
     cfg.max_resident = 2;
     let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
     let report = engine.run(&arrivals).unwrap();
@@ -741,179 +777,6 @@ fn threaded_backend_survives_churn_with_verified_numerics() {
     assert!(report.max_decode_error < 1e-6);
 }
 
-// ---- per-tenant rate limiting -------------------------------------------
-
-#[test]
-fn tenant_rate_limit_rejects_bursts_separately_from_deadlines() {
-    let n = 8;
-    // Tenant 0 floods 10 jobs at t=0 under a burst-2 bucket; tenant 1 is
-    // unlimited. One tenant-0 job also carries a hopeless deadline so
-    // both rejection kinds appear in one run, counted apart.
-    let mut arrivals: Vec<(f64, JobSpec)> = (0..10u64)
-        .map(|i| (0.0, JobPreset::small().instantiate(i, 0, n)))
-        .collect();
-    arrivals.push((0.0, JobPreset::small().instantiate(10, 1, n)));
-    arrivals.push((
-        0.001,
-        JobPreset::large().with_deadline(1e-6).instantiate(11, 1, n),
-    ));
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.reject_infeasible_deadlines = true;
-    cfg.tenant_rate_limits.insert(
-        0,
-        RateLimit {
-            rate: 0.1,
-            burst: 2.0,
-        },
-    );
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let report = engine.run(&arrivals).unwrap();
-    assert_eq!(report.rate_limited(), 8, "burst 2 of 10 admitted");
-    assert_eq!(report.rejected(), 1, "the hopeless SLO");
-    assert_eq!(report.completed(), 3);
-    let tenants = report.tenant_summaries();
-    assert_eq!(tenants[0].rate_limited, 8);
-    assert_eq!(tenants[0].rejected, 0);
-    assert_eq!(tenants[1].rate_limited, 0);
-    assert_eq!(tenants[1].rejected, 1);
-    // Rate-limited records never held a slot and are never on time.
-    for j in report.jobs.iter().filter(|j| j.rate_limited) {
-        assert!(j.failed && !j.rejected);
-        assert_eq!(j.iterations, 0);
-    }
-}
-
-#[test]
-fn tenant_rate_limit_refills_over_time() {
-    let n = 8;
-    // 1 job/s refill, burst 1: a 0.5s-spaced stream admits every other.
-    let arrivals: Vec<(f64, JobSpec)> = (0..6u64)
-        .map(|i| (0.5 * i as f64, JobPreset::small().instantiate(i, 0, n)))
-        .collect();
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.tenant_rate_limits.insert(
-        0,
-        RateLimit {
-            rate: 1.0,
-            burst: 1.0,
-        },
-    );
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let report = engine.run(&arrivals).unwrap();
-    assert_eq!(report.rate_limited(), 3, "every other arrival refused");
-    assert_eq!(report.completed(), 3);
-}
-
-#[test]
-fn invalid_rate_limit_rejected_at_config() {
-    let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
-    cfg.tenant_rate_limits.insert(
-        0,
-        RateLimit {
-            rate: 0.0,
-            burst: 2.0,
-        },
-    );
-    assert!(matches!(
-        ServiceEngine::new(pool(4, &[]), cfg),
-        Err(ServeError::InvalidConfig(_))
-    ));
-    let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
-    cfg.tenant_rate_limits.insert(
-        0,
-        RateLimit {
-            rate: 1.0,
-            burst: 0.5,
-        },
-    );
-    assert!(ServiceEngine::new(pool(4, &[]), cfg).is_err());
-}
-
-// ---- deadline-aware share boosting --------------------------------------
-
-#[test]
-fn deadline_boost_activates_and_speeds_at_risk_job() {
-    let n = 8;
-    // A deadline-carrying job shares the pool with a heavy SLO-less
-    // neighbour; unboosted it finishes around 1.84s, so a 2.0s SLO
-    // burns through half its slack mid-run. The boost (8x past
-    // half-slack) then reclaims most of the pool.
-    let build = |boost: Option<DeadlineBoost>| {
-        let slo = JobPreset::medium().with_deadline(2.0).instantiate(0, 0, n);
-        let heavy = JobPreset::large().with_weight(2.0).instantiate(1, 1, n);
-        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-            predictor: PredictorSource::LastValue,
-        });
-        cfg.deadline_boost = boost;
-        let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-        engine.run(&[(0.0, slo), (0.0, heavy)]).unwrap()
-    };
-    let plain = build(None);
-    let boosted = build(Some(DeadlineBoost {
-        slack_threshold: 0.5,
-        factor: 8.0,
-    }));
-    assert_eq!(plain.boost_activations, 0);
-    assert!(boosted.boost_activations > 0, "the at-risk job must boost");
-    let latency = |r: &ServiceReport| r.jobs.iter().find(|j| j.id == 0).unwrap().latency();
-    assert!(
-        latency(&boosted) < latency(&plain),
-        "boost must cut the SLO job's latency: {} vs {}",
-        latency(&boosted),
-        latency(&plain)
-    );
-    // A boost firing at an iteration boundary must rescale the
-    // neighbour's in-flight tasks too: shares keep summing to 1, so no
-    // worker can accrue more dedicated busy time than the horizon (the
-    // oversubscription invariant PR 3 established).
-    assert!((0.0..=1.0).contains(&boosted.utilization()));
-    let max_busy = boosted.busy_time.iter().copied().fold(0.0, f64::max);
-    assert!(
-        max_busy <= boosted.makespan + 1e-6,
-        "worker busy {max_busy} exceeds makespan {}",
-        boosted.makespan
-    );
-}
-
-#[test]
-fn boost_firing_mid_stream_keeps_shares_consistent() {
-    // Many SLO-carrying jobs across staggered arrivals: boosts fire at
-    // iteration starts while neighbours are mid-iteration, repeatedly.
-    // Every firing must rescale the whole resident set.
-    let n = 8;
-    let mut arrivals: Vec<(f64, JobSpec)> = Vec::new();
-    for i in 0..10u64 {
-        arrivals.push((
-            0.3 * i as f64,
-            JobPreset::medium()
-                .with_deadline(2.5)
-                .instantiate(i, (i % 2) as u32, n),
-        ));
-    }
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.deadline_boost = Some(DeadlineBoost {
-        slack_threshold: 0.6,
-        factor: 4.0,
-    });
-    let engine = ServiceEngine::new(pool(n, &[2]), cfg).unwrap();
-    let r = engine.run(&arrivals).unwrap();
-    assert_eq!(r.completed(), 10);
-    assert!(r.boost_activations > 0, "tight SLOs must trigger boosts");
-    assert!((0.0..=1.0).contains(&r.utilization()));
-    let max_busy = r.busy_time.iter().copied().fold(0.0, f64::max);
-    assert!(
-        max_busy <= r.makespan + 1e-6,
-        "worker busy {max_busy} exceeds makespan {}",
-        r.makespan
-    );
-}
-
 #[test]
 fn all_rejected_workload_reports_finite_metrics() {
     // Degenerate but legal: every job arrives at t = 0 with a provably
@@ -953,28 +816,6 @@ fn all_rejected_workload_reports_finite_metrics() {
         assert!(t.p99_latency.is_finite());
         assert!(t.achieved_share.is_finite());
     }
-    // The same holds when every arrival is rate-limited away.
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.tenant_rate_limits.insert(
-        0,
-        RateLimit {
-            rate: 1e-6,
-            burst: 1.0,
-        },
-    );
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    // First arrival eats the single token and completes; use a burst of
-    // pure refusals instead: pre-drain with an id-0 arrival, then the
-    // rest are refused at the same instant.
-    let w: Vec<(f64, JobSpec)> = (0..4u64)
-        .map(|i| (0.0, JobPreset::small().instantiate(i, 0, n)))
-        .collect();
-    let r = engine.run(&w).unwrap();
-    assert_eq!(r.rate_limited(), 3, "burst 1 admits exactly one");
-    assert!(r.utilization().is_finite());
-    assert!(r.mean_queue_depth().is_finite());
 }
 
 // ---- batching / coalescing ----------------------------------------------
@@ -1195,51 +1036,6 @@ fn batch_window_flush_respects_edf_ordering() {
 }
 
 #[test]
-fn batch_members_keep_per_member_deadline_boosts() {
-    // A batch carrying one SLO member next to a heavy neighbour: the
-    // boost fires for the member (not the batch), raising only its
-    // weight contribution — and the run stays within capacity bounds.
-    let n = 8;
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.batch = BatchPolicy::SizeThreshold { max_batch: 2 };
-    cfg.max_resident = 2;
-    cfg.deadline_boost = Some(DeadlineBoost {
-        slack_threshold: 0.6,
-        factor: 6.0,
-    });
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    // Burst: two batchable smalls (one with an SLO) behind a heavy
-    // large job, single shared arrival instant so they coalesce.
-    let w: Vec<(f64, JobSpec)> = vec![
-        (
-            0.0,
-            JobPreset::large().with_weight(3.0).instantiate(0, 0, n),
-        ),
-        (
-            0.0,
-            JobPreset::large().with_weight(3.0).instantiate(1, 0, n),
-        ),
-        (
-            0.0,
-            JobPreset::small().with_deadline(2.0).instantiate(2, 1, n),
-        ),
-        (0.0, JobPreset::small().instantiate(3, 1, n)),
-    ];
-    let r = engine.run(&w).unwrap();
-    assert_eq!(r.completed(), 4);
-    assert_eq!(r.batches_admitted, 1, "the two smalls coalesce");
-    assert!(
-        r.boost_activations > 0,
-        "the SLO member must boost inside its batch"
-    );
-    assert!((0.0..=1.0).contains(&r.utilization()));
-    let max_busy = r.busy_time.iter().copied().fold(0.0, f64::max);
-    assert!(max_busy <= r.makespan + 1e-6);
-}
-
-#[test]
 fn infeasible_member_rejected_without_dragging_batch_down() {
     // Deadline admission control applies per member: one hopeless SLO
     // inside a gathered group is turned away, the rest ride on.
@@ -1317,24 +1113,6 @@ fn invalid_batch_policy_rejected_at_config() {
                 Err(ServeError::InvalidConfig(_))
             ),
             "{batch} must be rejected"
-        );
-    }
-}
-
-#[test]
-fn invalid_deadline_boost_rejected_at_config() {
-    for (threshold, factor) in [(0.0, 2.0), (1.5, 2.0), (0.5, 0.5), (f64::NAN, 2.0)] {
-        let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
-        cfg.deadline_boost = Some(DeadlineBoost {
-            slack_threshold: threshold,
-            factor,
-        });
-        assert!(
-            matches!(
-                ServiceEngine::new(pool(4, &[]), cfg),
-                Err(ServeError::InvalidConfig(_))
-            ),
-            "threshold {threshold}, factor {factor} must be rejected"
         );
     }
 }

@@ -16,8 +16,7 @@
 //!   heterogeneous job presets (matvec shapes, `(n, k)` parameters,
 //!   iteration counts, per-job capacity weights and deadline SLOs).
 //! * [`admission`] — pluggable queueing policies: FIFO,
-//!   shortest-expected-work, tenant fair-share, earliest-deadline, and
-//!   weighted fair-share.
+//!   earliest-deadline, and weighted fair-share.
 //! * [`shared_alloc`] — Algorithm 1 extended to a shared cluster: each
 //!   worker's capacity is split across resident jobs in proportion to
 //!   their weights (via [`s2c2_core::split_worker_capacity`]) while
@@ -26,9 +25,8 @@
 //! * [`engine`] — the [`engine::ServiceEngine`] tying it together, with
 //!   worker churn, §4.3-style timeout recovery, a retry ladder,
 //!   work-conserving share rebalancing at every resident-set change,
-//!   optional deadline admission control, per-tenant token-bucket rate
-//!   limiting, and deadline-aware share boosting. Execution is
-//!   pluggable ([`engine::BackendKind`]): timing-only simulation,
+//!   and optional deadline admission control. Execution is pluggable
+//!   ([`engine::BackendKind`]): timing-only simulation,
 //!   master-side verified numerics, or real OS-thread workers over
 //!   [`s2c2_cluster::threaded::ThreadedCluster`] with an encode cache
 //!   shared across recurring jobs.
@@ -92,12 +90,9 @@ pub mod metrics;
 pub mod shared_alloc;
 pub mod workload;
 
-pub use admission::{
-    batch_key, BatchKey, BatchPolicy, QueuePolicy, QueuedJob, RateLimit, ResidentInfo,
-};
+pub use admission::{batch_key, BatchKey, BatchPolicy, QueuePolicy, QueuedJob, ResidentInfo};
 pub use engine::{
-    BackendKind, ChurnConfig, DeadlineBoost, PipelinePolicy, SchedulerMode, ServeConfig,
-    ServeError, ServiceEngine,
+    BackendKind, ChurnConfig, PipelinePolicy, SchedulerMode, ServeConfig, ServeError, ServiceEngine,
 };
 pub use event::{EventKind, EventQueue, JobId};
 pub use metrics::{percentile, JobRecord, ServiceReport, TenantSummary};
@@ -107,10 +102,9 @@ pub use workload::{generate_workload, ArrivalPattern, JobPreset, JobSpec};
 
 /// One-stop imports for service-engine users.
 pub mod prelude {
-    pub use crate::admission::{BatchPolicy, QueuePolicy, RateLimit};
+    pub use crate::admission::{BatchPolicy, QueuePolicy};
     pub use crate::engine::{
-        BackendKind, ChurnConfig, DeadlineBoost, PipelinePolicy, SchedulerMode, ServeConfig,
-        ServiceEngine,
+        BackendKind, ChurnConfig, PipelinePolicy, SchedulerMode, ServeConfig, ServiceEngine,
     };
     pub use crate::metrics::{ServiceReport, TenantSummary};
     pub use crate::workload::{generate_workload, ArrivalPattern, JobPreset, JobSpec};

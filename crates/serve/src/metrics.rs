@@ -68,11 +68,6 @@ pub struct JobRecord {
     /// Whether the job was rejected by deadline admission control
     /// (implies `failed`; it never held a residency slot).
     pub rejected: bool,
-    /// Whether the job was refused by its tenant's token-bucket rate
-    /// limit (implies `failed`; it never entered the admission queue).
-    /// Disjoint from `rejected`, so operators can tell "your SLO was
-    /// hopeless" from "you burst past your rate".
-    pub rate_limited: bool,
     /// Capacity weight the job ran with.
     pub weight: f64,
     /// Relative SLO it arrived with, if any.
@@ -120,9 +115,6 @@ pub struct TenantSummary {
     pub completed: usize,
     /// Jobs rejected by deadline admission control.
     pub rejected: usize,
-    /// Jobs refused by the tenant's token-bucket rate limit (counted
-    /// separately from deadline rejections).
-    pub rate_limited: usize,
     /// Fraction of the tenant's deadline-carrying jobs that completed
     /// within their SLO (1.0 when it submitted none).
     pub on_time_ratio: f64,
@@ -174,10 +166,6 @@ pub struct ServiceReport {
     /// (`rhs > 1`) — each one an encode/dispatch/decode round that
     /// several jobs shared.
     pub batch_rounds: usize,
-    /// Deadline-aware share boosts activated: resident jobs whose
-    /// effective weight was bumped because their slack-to-deadline ratio
-    /// dropped below [`crate::engine::DeadlineBoost::slack_threshold`].
-    pub boost_activations: usize,
     /// Total events processed.
     pub events_processed: u64,
     /// Encode-cache lookups served from cache (numeric backends only;
@@ -253,12 +241,6 @@ impl ServiceReport {
     #[must_use]
     pub fn rejected(&self) -> usize {
         self.jobs.iter().filter(|j| j.rejected).count()
-    }
-
-    /// Jobs refused by tenant token-bucket rate limits.
-    #[must_use]
-    pub fn rate_limited(&self) -> usize {
-        self.jobs.iter().filter(|j| j.rate_limited).count()
     }
 
     /// Mean member count of the multi-member batches admitted, or 0
@@ -468,7 +450,6 @@ impl ServiceReport {
                     jobs: mine.len(),
                     completed: mine.iter().filter(|j| !j.failed).count(),
                     rejected: mine.iter().filter(|j| j.rejected).count(),
-                    rate_limited: mine.iter().filter(|j| j.rate_limited).count(),
                     on_time_ratio: Self::on_time_ratio_of(mine.iter().copied()),
                     p50_latency: lat.percentile(50.0),
                     p99_latency: lat.percentile(99.0),
@@ -504,7 +485,6 @@ mod tests {
             retries: 0,
             failed,
             rejected: false,
-            rate_limited: false,
             weight: 1.0,
             deadline: None,
             work: 100.0,
@@ -745,16 +725,15 @@ mod tests {
     #[test]
     fn zero_makespan_report_is_nan_free() {
         // A run whose every job resolved at t = 0 (all rejected or
-        // rate-limited on arrival) has zero makespan: every derived
-        // metric must degrade to 0 (or a vacuous ratio), never NaN or
-        // a division by zero.
+        // malformed on arrival) has zero makespan: every derived metric
+        // must degrade to 0 (or a vacuous ratio), never NaN or a
+        // division by zero.
         let mut rejected = record(0, 0.0, 0.0, 0.0, true);
         rejected.rejected = true;
         rejected.deadline = Some(1e-9);
-        let mut limited = record(1, 0.0, 0.0, 0.0, true);
-        limited.rate_limited = true;
+        let malformed = record(1, 0.0, 0.0, 0.0, true);
         let report = ServiceReport {
-            jobs: vec![rejected, limited],
+            jobs: vec![rejected, malformed],
             queue_depth: vec![(0.0, 0)],
             busy_time: vec![0.0; 4],
             makespan: 0.0,
@@ -791,26 +770,6 @@ mod tests {
         r.batches_admitted = 2;
         r.batched_jobs = 7;
         assert!((r.mean_batch_size() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_limited_counted_separately_from_rejections() {
-        let mut limited = record(0, 0.0, 0.0, 0.0, true);
-        limited.rate_limited = true;
-        let mut rejected = record(1, 0.0, 0.0, 0.0, true);
-        rejected.rejected = true;
-        let served = record(2, 0.0, 0.0, 1.0, false);
-        let report = ServiceReport {
-            jobs: vec![limited, rejected, served],
-            ..ServiceReport::default()
-        };
-        assert_eq!(report.rate_limited(), 1);
-        assert_eq!(report.rejected(), 1);
-        assert_eq!(report.failed(), 2);
-        let t = report.tenant_summaries();
-        assert_eq!(t[0].rate_limited, 1);
-        assert_eq!(t[0].rejected, 1);
-        assert_eq!(t[0].completed, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 pub struct JobSpec {
     /// Unique id (assigned by the generator, ascending in arrival order).
     pub id: JobId,
-    /// Owning tenant (fair-share admission groups by this).
+    /// Owning tenant (weighted fair-share admission groups by this).
     pub tenant: u32,
     /// Data-matrix rows of the iterated matvec.
     pub rows: usize,
@@ -57,8 +57,8 @@ impl JobSpec {
         (self.rows * self.cols) as f64
     }
 
-    /// Total useful work over all iterations, in matrix elements — the
-    /// quantity shortest-expected-work admission orders by.
+    /// Total useful work over all iterations, in matrix elements — what
+    /// deadline admission control bounds the service time by.
     #[must_use]
     pub fn total_work(&self) -> f64 {
         self.work_per_iteration() * self.iterations as f64

@@ -28,11 +28,6 @@ pub enum TraceEventKind {
         /// Job id.
         job: u64,
     },
-    /// The tenant's token bucket had no tokens; the job was dropped.
-    RateLimited {
-        /// Job id.
-        job: u64,
-    },
     /// Deadline-aware admission judged the job's SLO infeasible.
     Rejected {
         /// Job id.

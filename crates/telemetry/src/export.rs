@@ -59,9 +59,6 @@ pub fn jsonl(events: &[TraceEvent]) -> String {
             TraceEventKind::Malformed { job } => {
                 let _ = writeln!(out, r#"{{"t":{t},"type":"malformed","job":{job}}}"#);
             }
-            TraceEventKind::RateLimited { job } => {
-                let _ = writeln!(out, r#"{{"t":{t},"type":"rate_limited","job":{job}}}"#);
-            }
             TraceEventKind::Rejected { job } => {
                 let _ = writeln!(out, r#"{{"t":{t},"type":"rejected","job":{job}}}"#);
             }
@@ -235,7 +232,6 @@ enum SpanEnd {
     Open,
     Failed,
     Rejected,
-    RateLimited,
     Malformed,
 }
 
@@ -248,7 +244,6 @@ impl SpanEnd {
             SpanEnd::Open => "open",
             SpanEnd::Failed => "failed",
             SpanEnd::Rejected => "rejected",
-            SpanEnd::RateLimited => "rate_limited",
             SpanEnd::Malformed => "malformed",
         }
     }
@@ -283,7 +278,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             }
             // No worker or tenant identity to collect.
             TraceEventKind::Malformed { .. }
-            | TraceEventKind::RateLimited { .. }
             | TraceEventKind::Rejected { .. }
             | TraceEventKind::Admitted { .. }
             | TraceEventKind::BatchFormed { .. }
@@ -404,18 +398,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             TraceEventKind::Rejected { job } => {
                 if let Some(start) = open_jobs.remove(&job) {
                     close_job(&mut rows, &tenant_of, job, start, e.time, SpanEnd::Rejected);
-                }
-            }
-            TraceEventKind::RateLimited { job } => {
-                if let Some(start) = open_jobs.remove(&job) {
-                    close_job(
-                        &mut rows,
-                        &tenant_of,
-                        job,
-                        start,
-                        e.time,
-                        SpanEnd::RateLimited,
-                    );
                 }
             }
             TraceEventKind::Malformed { job } => {

@@ -64,8 +64,8 @@ pub mod prelude {
     pub use s2c2_core::strategy::StrategyKind;
     pub use s2c2_linalg::{Matrix, Vector};
     pub use s2c2_serve::prelude::{
-        generate_workload, ArrivalPattern, BackendKind, ChurnConfig, DeadlineBoost, JobPreset,
-        JobSpec, PipelinePolicy, QueuePolicy, RateLimit, SchedulerMode, ServeConfig, ServiceEngine,
-        ServiceReport, TenantSummary,
+        generate_workload, ArrivalPattern, BackendKind, ChurnConfig, JobPreset, JobSpec,
+        PipelinePolicy, QueuePolicy, SchedulerMode, ServeConfig, ServiceEngine, ServiceReport,
+        TenantSummary,
     };
 }
