@@ -14,8 +14,8 @@
 //!   makes experiments reproducible and fast while remaining end-to-end
 //!   verifiable numerically.
 //! * [`threaded::ThreadedCluster`] — a real master/worker executor: one OS
-//!   thread per worker, crossbeam channels for task/result message
-//!   passing, injected per-worker slowdowns. Integration tests run the
+//!   thread per worker, `std::sync::mpsc` channels for task/result
+//!   message passing, injected per-worker slowdowns. Integration tests run the
 //!   same strategies on this engine to validate the concurrency path
 //!   (ordering, lost-straggler behaviour, shutdown).
 //!

@@ -1,11 +1,11 @@
 //! Real multi-threaded master/worker executor.
 //!
-//! One OS thread per worker, crossbeam channels for task dispatch and
-//! result collection. The scheduling layer uses this engine to validate
-//! the concurrency path — out-of-order completion, fastest-k collection,
-//! straggler results arriving after the master has moved on, clean
-//! shutdown — with the *same* strategy code it runs against the timing
-//! simulator.
+//! One OS thread per worker, `std::sync::mpsc` channels for task
+//! dispatch and result collection. The scheduling layer uses this engine
+//! to validate the concurrency path — out-of-order completion, fastest-k
+//! collection, straggler results arriving after the master has moved on,
+//! clean shutdown — with the *same* strategy code it runs against the
+//! timing simulator.
 //!
 //! Per-worker slowdowns are injected by busy-wait delays proportional to
 //! task size, so the "who finishes first" structure of a straggler
@@ -15,10 +15,10 @@
     reason = "measurement site: `Instant` times worker closures, bounds blocking waits and paces spin delays; no scheduling decision reads it"
 )]
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,8 +71,9 @@ pub struct ThreadedCluster<T, R> {
     handles: Vec<JoinHandle<()>>,
     next_task: u64,
     /// Cancel flags of tasks not yet seen back by the master; pruned as
-    /// replies are received and on explicit cancellation.
-    cancels: Mutex<BTreeMap<u64, Arc<AtomicBool>>>,
+    /// replies are received and on explicit cancellation. Master-side
+    /// only: each worker gets its task's flag inside the envelope.
+    cancels: BTreeMap<u64, Arc<AtomicBool>>,
     /// Wall-clock nanoseconds each worker thread has spent inside its
     /// task closure (queue/channel wait time excluded).
     busy_nanos: Arc<Vec<AtomicU64>>,
@@ -115,13 +116,17 @@ where
         F: FnMut(T, &CancelToken) -> R + Send + 'static,
     {
         assert!(n > 0, "need at least one worker");
-        let (result_tx, result_rx) = unbounded::<WorkerReply<R>>();
+        let (result_tx, result_rx) = channel::<WorkerReply<R>>();
         let busy_nanos: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
         let mut senders = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for worker in 0..n {
-            // Bounded mailbox: a runaway master cannot queue unbounded work.
-            let (tx, rx) = bounded::<Envelope<T>>(1024);
+            // Unbounded mailbox: the serve engine's residency already
+            // bounds a worker's queue at one original and one redo per
+            // in-flight round, 2 × `max_resident` × pipeline depth (8 at
+            // the defaults), and std's bounded channel would allocate
+            // every slot of a cap up front.
+            let (tx, rx) = channel::<Envelope<T>>();
             let results = result_tx.clone();
             let mut work = make_worker(worker);
             let busy = Arc::clone(&busy_nanos);
@@ -162,7 +167,7 @@ where
             results: result_rx,
             handles,
             next_task: 0,
-            cancels: Mutex::new(BTreeMap::new()),
+            cancels: BTreeMap::new(),
             busy_nanos,
         }
     }
@@ -195,7 +200,7 @@ where
         let task_id = self.next_task;
         self.next_task += 1;
         let cancel = Arc::new(AtomicBool::new(false));
-        self.registry().insert(task_id, Arc::clone(&cancel));
+        self.cancels.insert(task_id, Arc::clone(&cancel));
         #[expect(
             clippy::expect_used,
             reason = "workers only exit after their sender is dropped at shutdown"
@@ -216,8 +221,8 @@ where
     ///
     /// Returns `false` if the task already replied (or never existed) —
     /// cancelling it is then a no-op.
-    pub fn cancel(&self, task_id: u64) -> bool {
-        match self.registry().remove(&task_id) {
+    pub fn cancel(&mut self, task_id: u64) -> bool {
+        match self.cancels.remove(&task_id) {
             Some(flag) => {
                 flag.store(true, Ordering::Relaxed);
                 true
@@ -226,32 +231,14 @@ where
         }
     }
 
-    /// Drops the cancel-flag bookkeeping of a reply the master has seen.
-    fn retire(&self, task_id: u64) {
-        self.registry().remove(&task_id);
-    }
-
-    /// The cancel-flag registry, locked.
-    #[expect(
-        clippy::expect_used,
-        reason = "lock holders never panic, so the mutex cannot poison"
-    )]
-    fn registry(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<AtomicBool>>> {
-        self.cancels.lock().expect("cancel registry poisoned")
-    }
-
     /// Receives the next completed result, waiting up to `timeout`.
     ///
-    /// Returns `None` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<WorkerReply<R>> {
-        match self.results.recv_timeout(timeout) {
-            Ok(r) => {
-                self.retire(r.task_id);
-                Some(r)
-            }
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => None,
-        }
+    /// Returns `None` on timeout, or once every worker has terminated
+    /// and the channel is drained.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<WorkerReply<R>> {
+        let r = self.results.recv_timeout(timeout).ok()?;
+        self.cancels.remove(&r.task_id);
+        Some(r)
     }
 
     /// Blocks for the next completed result.
@@ -260,13 +247,13 @@ where
     ///
     /// Panics if all workers have terminated and the channel drained.
     #[must_use]
-    pub fn recv(&self) -> WorkerReply<R> {
+    pub fn recv(&mut self) -> WorkerReply<R> {
         #[expect(
             clippy::expect_used,
             reason = "documented Panics contract: callers hold live workers"
         )]
         let r = self.results.recv().expect("all workers terminated");
-        self.retire(r.task_id);
+        self.cancels.remove(&r.task_id);
         r
     }
 
@@ -275,7 +262,7 @@ where
     /// (they belong to cancelled stragglers and are drained next round —
     /// exactly the paper's "ignore the slow nodes" semantics).
     pub fn collect_until(
-        &self,
+        &mut self,
         timeout: Duration,
         mut pred: impl FnMut(&[WorkerReply<R>]) -> bool,
     ) -> Vec<WorkerReply<R>> {
@@ -295,10 +282,10 @@ where
     }
 
     /// Drains any stale results without blocking (start-of-round hygiene).
-    pub fn drain_stale(&self) -> usize {
+    pub fn drain_stale(&mut self) -> usize {
         let mut n = 0;
         while let Ok(r) = self.results.try_recv() {
-            self.retire(r.task_id);
+            self.cancels.remove(&r.task_id);
             n += 1;
         }
         n
@@ -480,13 +467,34 @@ mod tests {
 
     #[test]
     fn cancel_after_reply_is_a_noop() {
-        let mut cluster: ThreadedCluster<u32, u32> = ThreadedCluster::spawn(1, |_| |x: u32| x);
-        let id = cluster.submit(0, 7);
-        let reply = cluster.recv();
-        assert_eq!(reply.result, 7);
-        // The reply retired the cancel flag; cancelling now is a no-op.
-        assert!(!cluster.cancel(id));
-        assert!(!cluster.cancel(id + 1), "unknown ids are no-ops too");
+        type Pool = ThreadedCluster<u32, u32>;
+        // A receive path returns how many replies it took in.
+        type Receive = fn(&mut Pool) -> usize;
+        let paths: [(&str, Receive); 4] = [
+            ("recv", |c| usize::from(c.recv().result == 7)),
+            ("recv_timeout", |c| {
+                c.recv_timeout(Duration::from_secs(10)).into_iter().count()
+            }),
+            ("collect_until", |c| {
+                c.collect_until(Duration::from_secs(10), |rs| !rs.is_empty())
+                    .len()
+            }),
+            ("drain_stale", |c| loop {
+                match c.drain_stale() {
+                    0 => std::thread::sleep(Duration::from_millis(1)),
+                    n => break n,
+                }
+            }),
+        ];
+        let mut cluster: Pool = ThreadedCluster::spawn(1, |_| |x: u32| x);
+        let mut last = 0;
+        for (path, receive) in paths {
+            last = cluster.submit(0, 7);
+            assert_eq!(receive(&mut cluster), 1, "{path} takes in the reply");
+            // The reply retired the cancel flag; cancelling now is a no-op.
+            assert!(!cluster.cancel(last), "{path} left the cancel flag behind");
+        }
+        assert!(!cluster.cancel(last + 1), "unknown ids are no-ops too");
         cluster.shutdown();
     }
 

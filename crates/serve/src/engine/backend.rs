@@ -566,7 +566,7 @@ struct ThreadedJobTasks {
     xs: Arc<MultiVector>,
 }
 
-/// Real-threads backend: one OS thread per pool worker, crossbeam
+/// Real-threads backend: one OS thread per pool worker, `std::sync::mpsc`
 /// channels, cooperative cancellation.
 struct ThreadedBackend {
     core: NumericCore,

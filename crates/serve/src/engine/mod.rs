@@ -406,6 +406,13 @@ impl ServiceEngine {
     /// [`ServeError::InvalidConfig`] on degenerate knobs.
     pub fn new(spec: ClusterSpec, cfg: ServeConfig) -> Result<Self, ServeError> {
         let n = spec.n();
+        // Checked before the churn process or the threaded pool is
+        // built: both refuse an empty pool with a panic.
+        if n == 0 {
+            return Err(ServeError::InvalidConfig(
+                "the cluster needs at least one worker".into(),
+            ));
+        }
         if cfg.max_resident == 0 {
             return Err(ServeError::InvalidConfig("max_resident must be ≥ 1".into()));
         }

@@ -219,6 +219,23 @@ fn invalid_config_rejected() {
 }
 
 #[test]
+fn empty_pool_rejected_at_config() {
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let mut spec = pool(4, &[]);
+        spec.workers.clear();
+        let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
+        cfg.backend = backend;
+        assert!(
+            matches!(
+                ServiceEngine::new(spec, cfg),
+                Err(ServeError::InvalidConfig(_))
+            ),
+            "an empty pool must be rejected on {backend:?}"
+        );
+    }
+}
+
+#[test]
 fn invalid_churn_probabilities_rejected_at_config() {
     // Out-of-range or NaN probabilities are a configuration error, not
     // a panic inside the churn process.

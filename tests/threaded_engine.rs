@@ -1,5 +1,5 @@
 //! End-to-end coded computing on the *real* threaded executor: OS-thread
-//! workers, crossbeam message passing, injected slowdowns, fastest-k
+//! workers, `std::sync::mpsc` message passing, injected slowdowns, fastest-k
 //! collection, decode — validating that the strategy logic survives true
 //! concurrency (out-of-order completion, late straggler replies).
 
