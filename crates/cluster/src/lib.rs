@@ -15,9 +15,9 @@
 //!   verifiable numerically.
 //! * [`threaded::ThreadedCluster`] — a real master/worker executor: one OS
 //!   thread per worker, `std::sync::mpsc` channels for task/result
-//!   message passing, injected per-worker slowdowns. Integration tests run the
-//!   same strategies on this engine to validate the concurrency path
-//!   (ordering, lost-straggler behaviour, shutdown).
+//!   message passing, injected per-worker slowdowns. Integration tests
+//!   run the same strategies on this engine to validate the concurrency
+//!   path (ordering, lost-straggler behaviour, shutdown).
 //!
 //! [`metrics`] defines the per-round and per-job accounting every figure
 //! of the paper is computed from: completion latency, per-worker wasted
