@@ -142,11 +142,6 @@ impl ServiceEngine {
         };
         for m in &job.members {
             self.record_fate(&m.spec, m.arrival, finished, fate, Some(&job));
-            if fate == Fate::Completed {
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.metrics.observe("job_latency", finished - m.arrival);
-                }
-            }
             self.backend.on_job_resolved(m.spec.id);
         }
         // Work conservation: the freed capacity flows to the survivors
@@ -800,9 +795,6 @@ impl ServiceEngine {
             self.report.phase_virtual.collect += collect;
             self.report.phase_virtual.decode += decode_time;
             self.report.iteration_time_total += span + decode_time;
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.metrics.observe("iteration_span", span + decode_time);
-            }
             let generation = iter.generation;
             let iteration_index = job.iterations_done;
             trace_into(&mut self.telemetry, at, || TraceEventKind::Decode {
@@ -949,24 +941,6 @@ impl ServiceEngine {
             if new != old {
                 self.queue
                     .push(self.now, EventKind::WorkerChurn { worker: w, up: new });
-            }
-        }
-        // Epoch ticks double as the utilization / memory sampler: one
-        // point per tick keeps the series bounded by run length, not by
-        // event volume.
-        if self.telemetry.is_some() {
-            let busy: f64 = self.report.busy_time.iter().sum();
-            let denom = self.now * self.n() as f64;
-            let util = if denom > 0.0 {
-                (busy / denom).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let rss = s2c2_telemetry::registry::resident_set_bytes() as f64;
-            let now = self.now;
-            if let Some(tel) = &mut self.telemetry {
-                tel.metrics.sample("utilization", now, util);
-                tel.metrics.sample("rss_bytes", now, rss);
             }
         }
         if self.work_remains() {

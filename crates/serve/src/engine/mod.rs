@@ -245,11 +245,10 @@ pub struct ServeConfig {
     /// commit in round order. Off by default — `Off` and `Depth(1)` are
     /// byte-identical to the barrier engine.
     pub pipeline: PipelinePolicy,
-    /// Record structured trace events and a metrics registry during the
-    /// run, surfaced as [`ServiceReport::telemetry`]. Off by default;
-    /// the disabled path never constructs an event (emission sites take
-    /// closures that are simply not evaluated), so existing outputs stay
-    /// byte-identical.
+    /// Record structured trace events during the run, surfaced as
+    /// [`ServiceReport::telemetry`]. Off by default; the disabled path
+    /// never constructs an event (emission sites take closures that are
+    /// simply not evaluated), so existing outputs stay byte-identical.
     pub telemetry: bool,
 }
 
@@ -366,9 +365,9 @@ pub struct ServiceEngine {
     next_generation: u64,
     report: ServiceReport,
     backend: Box<dyn ExecutionBackend>,
-    /// Trace buffer + metrics registry, present only when
-    /// [`ServeConfig::telemetry`] is on. Every emission site goes
-    /// through [`trace_into`], so the `None` path costs one branch.
+    /// Trace buffer, present only when [`ServeConfig::telemetry`] is on.
+    /// Every emission site goes through [`trace_into`], so the `None`
+    /// path costs one branch.
     telemetry: Option<Telemetry>,
     /// Batch-flush events already scheduled, by `(key, instant)` —
     /// admission re-plans a held group on every arrival during its
@@ -547,47 +546,8 @@ impl ServiceEngine {
                 resident: self.resident.len(),
             });
         }
-        self.finalize_telemetry();
+        self.report.telemetry = self.telemetry.take();
         Ok(self.report)
-    }
-
-    /// Rolls run-level summary counters and gauges into the metrics
-    /// registry and hands the whole telemetry bundle to the report.
-    fn finalize_telemetry(&mut self) {
-        let Some(mut tel) = self.telemetry.take() else {
-            return;
-        };
-        let trace_events = tel.trace.len() as u64;
-        let m = &mut tel.metrics;
-        m.inc_by("events_processed", self.report.events_processed);
-        m.inc_by("trace_events", trace_events);
-        m.inc_by("jobs_completed", self.report.completed() as u64);
-        m.inc_by("jobs_failed", self.report.failed() as u64);
-        m.inc_by("jobs_rejected", self.report.rejected() as u64);
-        m.inc_by("timeouts", self.report.timeouts as u64);
-        m.inc_by(
-            "degraded_iterations",
-            self.report.degraded_iterations as u64,
-        );
-        m.inc_by("rebalances", self.report.rebalances as u64);
-        m.inc_by("batch_rounds", self.report.batch_rounds as u64);
-        m.inc_by("rounds_parked", self.report.rounds_parked);
-        m.inc_by("scratch_reuses", self.report.scratch_reuses);
-        const RUNGS: [&str; 5] = [
-            "rung_1_normal",
-            "rung_2_degraded",
-            "rung_3_redo",
-            "rung_4_wait_out",
-            "rung_5_restart",
-        ];
-        for (name, &count) in RUNGS.iter().zip(self.report.recovery_rung_counts.iter()) {
-            m.inc_by(name, count);
-        }
-        m.set_gauge("makespan", self.report.makespan);
-        m.set_gauge("utilization", self.report.utilization());
-        m.set_gauge("throughput", self.report.throughput());
-        m.set_gauge("pipeline_stall_seconds", self.report.pipeline_stall_time);
-        self.report.telemetry = Some(tel);
     }
 
     /// The event loop proper. Arrivals are streamed from the workload
@@ -691,15 +651,6 @@ impl ServiceEngine {
     }
 
     fn sample_queue_depth(&mut self) {
-        self.report.queue_depth.push((self.now, self.pending.len()));
-        let in_flight: usize = self.resident.values().map(|j| j.window.len()).sum();
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.metrics
-                .sample("queue_depth", self.now, self.pending.len() as f64);
-            tel.metrics
-                .sample("resident_jobs", self.now, self.resident.len() as f64);
-            tel.metrics
-                .sample("pipeline_depth", self.now, in_flight as f64);
-        }
+        self.report.queue_depth.record(self.now, self.pending.len());
     }
 }

@@ -117,7 +117,7 @@ fn queue_builds_under_load_and_drains() {
     let report = run_mode(SchedulerMode::ConventionalMds, 40, 8.0);
     assert_eq!(report.completed(), 40);
     assert!(report.max_queue_depth() > 0, "overload must queue");
-    assert_eq!(report.queue_depth.last().unwrap().1, 0, "queue drains");
+    assert_eq!(report.queue_depth.current(), 0, "queue drains");
 }
 
 #[test]
@@ -1198,6 +1198,42 @@ fn rung_trace_events_mirror_ladder_transitions() {
         report.recovery_rung_counts[2] + report.recovery_rung_counts[3] > 0,
         "timeout recovery must surface as rung-3 redo or rung-4 wait-out"
     );
+}
+
+#[test]
+fn tracing_changes_no_report_field() {
+    // Tracing is observability only: with the trace taken out, the
+    // traced report prints exactly as the untraced one — every field,
+    // not a chosen few. Churn, uniform predictions on a straggler pool,
+    // a pipeline window and batching drag the recovery ladder, parked
+    // rounds and shared rounds into the comparison.
+    let n = 12;
+    let run_with = |telemetry: bool| {
+        let mut cfg = pipelined_cfg(2, PredictorSource::Uniform);
+        cfg.churn = Some(ChurnConfig {
+            p_fail: 0.05,
+            p_recover: 0.4,
+            min_up: 10,
+        });
+        cfg.max_retries = 10;
+        cfg.max_resident = 3;
+        cfg.batch = BatchPolicy::SizeThreshold { max_batch: 4 };
+        cfg.telemetry = telemetry;
+        let engine = ServiceEngine::new(pool(n, &[2, 7]), cfg).unwrap();
+        engine.run(&small_burst(24, n)).unwrap()
+    };
+    let plain = run_with(false);
+    let mut traced = run_with(true);
+    assert!(
+        plain.recovery_rung_counts[2] > 0 && plain.recovery_rung_counts[3] > 0,
+        "the scenario must reach rungs 3 and 4: {:?}",
+        plain.recovery_rung_counts
+    );
+    assert!(plain.batches_admitted > 0, "the burst must form batches");
+    assert!(plain.rounds_parked > 0, "the window must park a round");
+    assert!(plain.telemetry.is_none());
+    assert!(traced.telemetry.take().is_some());
+    assert_eq!(format!("{traced:?}"), format!("{plain:?}"));
 }
 
 // ---- pipelined serving --------------------------------------------------

@@ -31,7 +31,7 @@
 //!   [`s2c2_cluster::threaded::ThreadedCluster`] with an encode cache
 //!   shared across recurring jobs.
 //! * [`metrics`] — service-level reporting: sojourn-latency percentiles
-//!   (p50/p95/p99), throughput, utilization, queue depth over time, and
+//!   (p50/p95/p99), throughput, utilization, mean and peak queue depth, and
 //!   per-tenant QoS summaries (on-time ratio, achieved vs entitled
 //!   capacity share).
 //!

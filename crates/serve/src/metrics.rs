@@ -15,11 +15,13 @@
 //!   fractional share `s` accrues `s` busy-seconds per wall second);
 //!   busy time is truncated at makespan per worker, so utilization is
 //!   always within `[0, 1]`.
-//! * **Queue depth** integrates over `[0, makespan]` only; transition
-//!   samples past makespan are ignored rather than diluting the mean.
+//! * **Queue depth** integrates over `[0, makespan]`. The engine samples
+//!   it only when a job enters or leaves the queue, at instants that
+//!   never decrease and never pass makespan (a queued job resolves no
+//!   earlier than it was queued), so one running integral suffices.
 
 use crate::event::JobId;
-use s2c2_telemetry::{PhaseTotals, StreamingHistogram, Telemetry};
+use s2c2_telemetry::{PhaseTotals, Telemetry};
 
 /// Nearest-rank percentile of an ascending-sorted slice.
 ///
@@ -41,6 +43,45 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     );
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+}
+
+/// Admission-queue depth over a run as running sums: the time-weighted
+/// integral up to the latest sample, the depth held since then, and the
+/// peak.
+///
+/// Samples must arrive in time order, which debug builds check. The
+/// engine's do; see the module's *Queue depth* semantics.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QueueDepth {
+    /// Integral of the depth over `[0, last]`.
+    area: f64,
+    /// Time of the latest sample.
+    last: f64,
+    /// Depth since the latest sample (0 before the first).
+    current: usize,
+    /// Peak depth.
+    max: usize,
+}
+
+impl QueueDepth {
+    /// Records that the queue holds `depth` jobs from time `t` on.
+    pub fn record(&mut self, t: f64, depth: usize) {
+        debug_assert!(
+            t >= self.last,
+            "queue-depth samples must not go back in time: {t} after {}",
+            self.last
+        );
+        self.area += self.current as f64 * (t - self.last);
+        self.last = t;
+        self.current = depth;
+        self.max = self.max.max(depth);
+    }
+
+    /// Depth at the latest sample.
+    #[must_use]
+    pub fn current(&self) -> usize {
+        self.current
+    }
 }
 
 /// Lifecycle record of one job.
@@ -139,8 +180,8 @@ pub struct TenantSummary {
 pub struct ServiceReport {
     /// Per-job lifecycle records, in completion order.
     pub jobs: Vec<JobRecord>,
-    /// `(time, queued_jobs)` samples taken at every queue transition.
-    pub queue_depth: Vec<(f64, usize)>,
+    /// Admission-queue depth, sampled at every queue transition.
+    pub queue_depth: QueueDepth,
     /// Per-worker accumulated busy (compute) time, in dedicated
     /// compute-seconds (fractional shares accrue fractionally).
     pub busy_time: Vec<f64>,
@@ -219,8 +260,8 @@ pub struct ServiceReport {
     /// scratch pool instead of freshly allocated (every round after a
     /// job's first reuses a retired round's buffers).
     pub scratch_reuses: u64,
-    /// Trace buffer + metrics registry, present when the run had
-    /// telemetry enabled ([`crate::engine::ServeConfig::telemetry`]).
+    /// Trace buffer, present when the run had telemetry enabled
+    /// ([`crate::engine::ServeConfig::telemetry`]).
     pub telemetry: Option<Telemetry>,
 }
 
@@ -269,9 +310,14 @@ impl ServiceReport {
     /// Ascending-sorted sojourn latencies of completed jobs.
     #[must_use]
     pub fn latencies(&self) -> Vec<f64> {
-        let mut l: Vec<f64> = self
-            .jobs
-            .iter()
+        Self::latencies_of(&self.jobs)
+    }
+
+    /// Ascending-sorted sojourn latencies of the completed jobs among
+    /// `jobs`.
+    fn latencies_of<'a>(jobs: impl IntoIterator<Item = &'a JobRecord>) -> Vec<f64> {
+        let mut l: Vec<f64> = jobs
+            .into_iter()
             .filter(|j| !j.failed)
             .map(JobRecord::latency)
             .collect();
@@ -279,31 +325,11 @@ impl ServiceReport {
         l
     }
 
-    /// Exact-mode streaming histogram over completed-job sojourn
-    /// latencies: single pass, no sort, and nearest-rank percentiles
-    /// that are bit-identical to the sorted-vector path.
-    #[must_use]
-    pub fn latency_histogram(&self) -> StreamingHistogram {
-        Self::latency_histogram_of(self.jobs.iter())
-    }
-
-    fn latency_histogram_of<'a>(
-        jobs: impl IntoIterator<Item = &'a JobRecord>,
-    ) -> StreamingHistogram {
-        let mut h = StreamingHistogram::exact();
-        for j in jobs {
-            if !j.failed {
-                h.record(j.latency());
-            }
-        }
-        h
-    }
-
     /// Sojourn-latency percentile (`p` in `[0, 100]`) over completed
-    /// jobs, streamed through the exact histogram.
+    /// jobs.
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> f64 {
-        self.latency_histogram().percentile(p)
+        percentile(&self.latencies(), p)
     }
 
     /// Mean sojourn latency over completed jobs.
@@ -349,34 +375,22 @@ impl ServiceReport {
     /// Time-weighted mean admission-queue depth over `[0, makespan]`.
     ///
     /// The depth is 0 before the first transition sample, piecewise
-    /// constant between samples, and held from the last pre-makespan
-    /// sample to makespan; samples past makespan are ignored (they would
-    /// dilute the mean with time no job was waiting on).
+    /// constant between samples, and held from the last sample to
+    /// makespan.
     #[must_use]
     pub fn mean_queue_depth(&self) -> f64 {
-        if self.makespan <= 0.0 || self.queue_depth.is_empty() {
+        if self.makespan <= 0.0 {
             return 0.0;
         }
-        let mut area = 0.0;
-        let mut prev_t = 0.0;
-        let mut depth = 0.0;
-        for &(t, d) in &self.queue_depth {
-            let t_clamped = t.clamp(0.0, self.makespan);
-            area += depth * (t_clamped - prev_t).max(0.0);
-            prev_t = prev_t.max(t_clamped);
-            if t >= self.makespan {
-                break;
-            }
-            depth = d as f64;
-        }
-        area += depth * (self.makespan - prev_t).max(0.0);
-        area / self.makespan
+        let q = &self.queue_depth;
+        debug_assert!(q.last <= self.makespan, "queue sampled past makespan");
+        (q.area + q.current as f64 * (self.makespan - q.last)) / self.makespan
     }
 
     /// Peak admission-queue depth.
     #[must_use]
     pub fn max_queue_depth(&self) -> usize {
-        self.queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0)
+        self.queue_depth.max
     }
 
     /// Fraction of deadline-carrying jobs that completed within their
@@ -442,7 +456,7 @@ impl ServiceReport {
             .map(|tenant| {
                 let mine: Vec<&JobRecord> =
                     self.jobs.iter().filter(|j| j.tenant == tenant).collect();
-                let lat = Self::latency_histogram_of(mine.iter().copied());
+                let lat = Self::latencies_of(mine.iter().copied());
                 let weight_mass: f64 = mine.iter().map(|j| j.weight).sum();
                 let done_work: f64 = censored_work(tenant);
                 TenantSummary {
@@ -451,8 +465,8 @@ impl ServiceReport {
                     completed: mine.iter().filter(|j| !j.failed).count(),
                     rejected: mine.iter().filter(|j| j.rejected).count(),
                     on_time_ratio: Self::on_time_ratio_of(mine.iter().copied()),
-                    p50_latency: lat.percentile(50.0),
-                    p99_latency: lat.percentile(99.0),
+                    p50_latency: percentile(&lat, 50.0),
+                    p99_latency: percentile(&lat, 99.0),
                     entitled_share: if total_weight > 0.0 {
                         weight_mass / total_weight
                     } else {
@@ -519,9 +533,9 @@ mod tests {
 
     #[test]
     fn latency_percentiles_stream_bit_identically_to_the_sorted_path() {
-        // The streaming-histogram path must reproduce the legacy
-        // sort-the-whole-vector nearest-rank result bit-for-bit — the
-        // full-scale qos/e2e figures are pinned on it.
+        // Report percentiles are the nearest-rank values over the sorted
+        // latencies, bit for bit — the full-scale qos/e2e figures are
+        // pinned on it.
         let mut jobs = Vec::new();
         for i in 0..57u32 {
             let latency = f64::from(i % 13).mul_add(0.731, 0.01) * f64::from(1 + i / 17);
@@ -539,7 +553,6 @@ mod tests {
                 "p = {p}"
             );
         }
-        assert_eq!(report.latency_histogram().count() as usize, sorted.len());
     }
 
     #[test]
@@ -604,36 +617,38 @@ mod tests {
         assert!((saturated.utilization() - 1.0).abs() < 1e-12);
     }
 
+    fn queue_depth_of(samples: &[(f64, usize)]) -> QueueDepth {
+        let mut q = QueueDepth::default();
+        for &(t, d) in samples {
+            q.record(t, d);
+        }
+        q
+    }
+
     #[test]
     fn queue_depth_time_weighting() {
         let report = ServiceReport {
-            queue_depth: vec![(0.0, 0), (1.0, 2), (3.0, 1), (4.0, 1)],
+            queue_depth: queue_depth_of(&[(0.0, 0), (1.0, 2), (3.0, 1), (4.0, 1)]),
             makespan: 4.0,
             ..ServiceReport::default()
         };
         // 0·1 + 2·2 + 1·1 over a 4-second makespan.
         assert!((report.mean_queue_depth() - 1.25).abs() < 1e-12);
         assert_eq!(report.max_queue_depth(), 2);
+        assert_eq!(report.queue_depth.current(), 1);
     }
 
     #[test]
-    fn queue_depth_ignores_post_makespan_samples() {
-        // Samples extend to t = 8 but the last job resolved at 4: the
-        // mean must integrate over [0, 4] only — not dilute the 2-deep
-        // first half with post-makespan emptiness.
-        let report = ServiceReport {
-            queue_depth: vec![(0.0, 2), (2.0, 1), (6.0, 3), (8.0, 0)],
-            makespan: 4.0,
-            ..ServiceReport::default()
-        };
-        // 2·2 + 1·2 over 4 seconds = 1.5 (the (6,3)/(8,0) tail ignored).
-        assert!((report.mean_queue_depth() - 1.5).abs() < 1e-12);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not go back in time")]
+    fn queue_depth_rejects_out_of_order_samples() {
+        queue_depth_of(&[(2.0, 1), (1.0, 0)]);
     }
 
     #[test]
     fn queue_depth_holds_last_depth_to_makespan() {
         let report = ServiceReport {
-            queue_depth: vec![(1.0, 4)],
+            queue_depth: queue_depth_of(&[(1.0, 4)]),
             makespan: 3.0,
             ..ServiceReport::default()
         };
@@ -734,7 +749,7 @@ mod tests {
         let malformed = record(1, 0.0, 0.0, 0.0, true);
         let report = ServiceReport {
             jobs: vec![rejected, malformed],
-            queue_depth: vec![(0.0, 0)],
+            queue_depth: queue_depth_of(&[(0.0, 0)]),
             busy_time: vec![0.0; 4],
             makespan: 0.0,
             ..ServiceReport::default()

@@ -627,8 +627,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
         }
         *pos > s
     };
+    let int_start = *pos;
     if !digits(b, pos) {
         return Err(format!("bad number at byte {start}"));
+    }
+    // RFC 8259: the integer part is `0` or starts with a nonzero digit.
+    if b[int_start] == b'0' && *pos - int_start > 1 {
+        return Err(format!("leading zero in number at byte {start}"));
     }
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -802,5 +807,11 @@ mod tests {
         assert!(validate_json(r#"{"a":1"#).is_err());
         assert!(validate_json("[1,]").is_err());
         assert!(validate_json(r#"{"a":1} extra"#).is_err());
+        for ok in ["0", "-0", "0.5", "10"] {
+            validate_json(ok).unwrap();
+        }
+        for leading_zero in ["01", "-007", "00.5"] {
+            assert!(validate_json(leading_zero).is_err(), "{leading_zero}");
+        }
     }
 }

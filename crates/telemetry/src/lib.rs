@@ -8,14 +8,6 @@
 //!   virtual-clock timestamps appended to a cheap buffer behind the
 //!   [`TraceSink`] trait. The disabled path is zero-cost: emission sites
 //!   take a closure that is never evaluated when tracing is off.
-//! * [`histogram`] — [`StreamingHistogram`], a log-bucketed streaming
-//!   histogram over `f64` samples. Its *exact* mode (one bucket per
-//!   distinct bit pattern) reproduces nearest-rank percentiles
-//!   bit-for-bit, so report percentiles can route through it without
-//!   perturbing any pinned figure.
-//! * [`registry`] — [`MetricsRegistry`]: named counters, gauges,
-//!   histograms, and time series sampled on engine events (queue depth,
-//!   utilization, resident-set size).
 //! * [`phases`] — [`PhaseTotals`]: per-iteration service time split into
 //!   encode / dispatch / compute / collect / decode / verify, kept
 //!   separately for the deterministic virtual clock and for
@@ -23,6 +15,11 @@
 //! * [`export`] — deterministic JSONL event logs and Chrome trace-event
 //!   (`chrome://tracing` / Perfetto) timelines with one track per worker
 //!   and per tenant.
+//!
+//! Run-level counts, gauges and percentiles are `ServiceReport` fields
+//! and methods only; this crate keeps no second copy of them, and
+//! nothing in it reads the host (no clock, no filesystem), so a trace is
+//! as deterministic as the run it records.
 //!
 //! Everything here is dependency-free and engine-agnostic: events speak
 //! in plain ids (`u64` jobs, `usize` workers, `u32` tenants) so the
@@ -46,23 +43,19 @@
 
 pub mod event;
 pub mod export;
-pub mod histogram;
 pub mod phases;
-pub mod registry;
 
 pub use event::{NullSink, TraceBuffer, TraceEvent, TraceEventKind, TraceSink};
-pub use histogram::StreamingHistogram;
 pub use phases::PhaseTotals;
-pub use registry::{MetricsRegistry, TimeSeries};
 
-/// Bundled trace buffer + metrics registry: the unit of telemetry state
-/// an engine run carries when observability is enabled.
+/// The telemetry state an engine run carries when observability is
+/// enabled: the trace. Every run-level number is a
+/// [`ServiceReport`](../s2c2_serve/metrics/struct.ServiceReport.html)
+/// field, so nothing here copies one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// Ordered event log (virtual-clock timestamps).
     pub trace: TraceBuffer,
-    /// Named counters, gauges, histograms, and time series.
-    pub metrics: MetricsRegistry,
 }
 
 impl Telemetry {

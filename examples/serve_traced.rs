@@ -1,5 +1,5 @@
-//! Serving with the telemetry layer on: structured trace spans, the
-//! metrics registry, phase profiling, and exportable timelines.
+//! Serving with the telemetry layer on: structured trace spans, phase
+//! profiling, and exportable timelines, next to the report they explain.
 //!
 //! The same small recurring-matrix trace from `serve_threaded` is served
 //! with `ServeConfig::telemetry` enabled, showing that (a) the trace is
@@ -96,18 +96,21 @@ fn main() {
     );
     println!("  {:<10} {:>8.3}", "total", traced.iteration_time_total);
 
-    // -- metrics registry -------------------------------------------------
-    let spans = tel
-        .metrics
-        .histogram("iteration_span")
-        .expect("iteration spans are observed");
+    // -- run summary (the report; the trace holds no copy) ----------------
     println!(
-        "\nmetrics: {} iteration spans, p50 {:.3}s, p99 {:.3}s; counters:",
-        spans.count(),
-        spans.percentile(50.0),
-        spans.percentile(99.0),
+        "\nreport: sojourn p50 {:.3}s, p99 {:.3}s; queue depth mean {:.2}, peak {}",
+        traced.latency_percentile(50.0),
+        traced.latency_percentile(99.0),
+        traced.mean_queue_depth(),
+        traced.max_queue_depth(),
     );
-    for (name, value) in tel.metrics.counters() {
+    for (name, value) in [
+        ("events_processed", traced.events_processed),
+        ("trace_events", tel.trace.len() as u64),
+        ("timeouts", traced.timeouts as u64),
+        ("rebalances", traced.rebalances as u64),
+        ("scratch_reuses", traced.scratch_reuses),
+    ] {
         println!("  {name:<20} {value:>6}");
     }
 

@@ -16,7 +16,7 @@
 //! | **the paper** | [`core`] | Algorithm 1 allocator, S²C² strategies, job driver |
 //! | applications | [`workloads`] | LR, SVM, PageRank, graph filtering, Hessian |
 //! | service | [`serve`] | event-driven multi-job engine, shared-cluster S²C² |
-//! | observability | [`telemetry`] | trace spans, metrics registry, phase profiles, exporters |
+//! | observability | [`telemetry`] | trace spans, phase profiles, exporters |
 //!
 //! # Quickstart
 //!
