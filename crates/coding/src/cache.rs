@@ -1,15 +1,18 @@
 //! Encode-once cache for recurring model matrices.
 //!
 //! Encoding is the one expensive, *amortizable* step of the coded
-//! pipeline: `O(rows · cols · n/k)` flops plus an `n`-partition copy of
-//! the data, paid before a single useful matvec runs. A serving system
-//! sees the same model matrix over and over (trace workloads re-submit
-//! identical models under fresh job ids), so re-encoding per job throws
-//! that amortization away — the observation the serverless/rateless
-//! straggler-mitigation line of work makes about deployed systems.
+//! pipeline: `O(rows · cols · (n − k))` flops into `n − k` parity
+//! partitions, paid before a single useful matvec runs. The encoding
+//! holds the source matrix itself (the systematic partitions) plus that
+//! parity, so an entry costs the matrix once plus `(n − k)/k` of it. A
+//! serving system sees the same model matrix over and over (trace
+//! workloads re-submit identical models under fresh job ids), so
+//! re-encoding per job throws that amortization away — the observation
+//! the serverless/rateless straggler-mitigation line of work makes about
+//! deployed systems.
 //!
 //! [`EncodeCache`] memoizes `(matrix identity, code geometry) →
-//! (code, encoded partitions)` behind [`std::sync::Arc`], so concurrent
+//! (code, encoding)` behind [`std::sync::Arc`], so concurrent
 //! executors (one [`crate::mds::EncodedMatrix`] shared by many worker
 //! threads) alias one allocation. Hit/miss counters are exposed for
 //! service-level reporting.
@@ -42,13 +45,13 @@ pub struct EncodeKey {
     pub chunks_per_partition: usize,
 }
 
-/// One cached encoding: the code (needed to decode) plus the encoded
-/// partitions (what workers compute against).
+/// One cached encoding: the code (needed to decode) plus the encoding
+/// (what workers compute against: the source matrix and its parity).
 #[derive(Debug, Clone)]
 pub struct CachedEncoding {
     /// The `(n, k)` MDS code the matrix was encoded with.
     pub code: MdsCode,
-    /// The encoded partitions.
+    /// The encoding: the source matrix plus its parity partitions.
     pub encoded: EncodedMatrix,
 }
 
@@ -110,7 +113,7 @@ impl EncodeCache {
                 key.cols
             )));
         }
-        let encoded = code.encode(&a, key.chunks_per_partition)?;
+        let encoded = code.encode(a, key.chunks_per_partition)?;
         self.encode_seconds += t0.elapsed().as_secs_f64();
         let entry = Arc::new(CachedEncoding { code, encoded });
         self.map.insert(key, Arc::clone(&entry));

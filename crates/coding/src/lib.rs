@@ -23,10 +23,15 @@
 //! S²C² (in `s2c2-core`) exploits to assign partial work to slow nodes
 //! without re-encoding or moving data.
 //!
+//! An MDS encoding holds its source matrix by reference count as the
+//! systematic partitions and stores only the parity partitions, so the
+//! data exists once however many encodings (of `A` and of `Aᵀ`) share it.
+//!
 //! Both codecs also share one worker-reply format, [`MultiChunkResult`]: a
 //! contiguous block per `(worker, chunk)`. An MDS worker computes its
 //! chunk against a stacked batch of inputs with
-//! [`EncodedMatrix::worker_compute_chunk_multi`], and
+//! [`EncodedMatrix::worker_compute_chunk_multi`] (a round's pairs at once
+//! with [`EncodedMatrix::compute_pairs`]), and
 //! [`MdsCode::decode_matvec_multi`] is the one MDS decode entry; a
 //! single input is the one-member block. A polynomial worker replies with
 //! its flattened chunk product as a one-member block.

@@ -6,6 +6,12 @@
 //! MDS iff every square submatrix of `P` is nonsingular, in which case
 //! *any* `k` of the `n` per-chunk results reconstruct that chunk of `A·x`.
 //!
+//! **One copy of the data.** An [`EncodedMatrix`] holds the source matrix
+//! by [`Arc`] and stores only the `n − k` parity partitions: a systematic
+//! worker's partition is `A`'s own rows (or, for an encoding of `Aᵀ`,
+//! `A`'s own columns), read in place. Every response and every partition
+//! is bit-identical to what a materialized copy would give.
+//!
 //! **Parity construction.** Over the reals, the classic structured MDS
 //! generators (Vandermonde, Cauchy) have *exponentially* ill-conditioned
 //! submatrices — a 10×10 Cauchy block is Hilbert-like (κ ≈ 10¹³) and
@@ -28,8 +34,11 @@ use crate::error::CodingError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s2c2_linalg::multivector::ROW_BLOCK_ELEMS;
-use s2c2_linalg::parallel::{host_threads, par_for_each_mut, should_spawn};
-use s2c2_linalg::{LuFactors, Matrix, MultiVector, Vector};
+use s2c2_linalg::parallel::{host_threads, par_for_each_mut, par_map, should_spawn};
+use s2c2_linalg::{IntoShared, LuFactors, Matrix, MultiVector, Vector};
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// `(n, k)` MDS code parameters: `n` workers, any `k` responses decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,18 +76,19 @@ impl MdsParams {
     }
 }
 
-/// The matrix an encoding reads its systematic rows from.
-#[derive(Clone, Copy)]
-enum Source<'a> {
+/// The matrix an encoding's systematic partitions are, held by
+/// reference count: the encoding stores no copy of it.
+#[derive(Debug, Clone)]
+enum Source {
     /// `A` itself: systematic row `r` is row `r` of the matrix.
-    Rows(&'a Matrix),
+    Rows(Arc<Matrix>),
     /// `Aᵀ`: systematic row `r` is column `r` of the matrix.
-    Columns(&'a Matrix),
+    Columns(Arc<Matrix>),
 }
 
-impl Source<'_> {
+impl Source {
     /// `(rows, cols)` of the matrix being encoded.
-    fn shape(self) -> (usize, usize) {
+    fn shape(&self) -> (usize, usize) {
         match self {
             Source::Rows(a) => (a.rows(), a.cols()),
             Source::Columns(a) => (a.cols(), a.rows()),
@@ -86,7 +96,7 @@ impl Source<'_> {
     }
 }
 
-/// Rows `[begin, end)` of every coded partition, in worker order: the
+/// Rows `[begin, end)` of every parity partition, in worker order: the
 /// unit of work one encoding thread fills.
 struct RowRange<'a> {
     begin: usize,
@@ -175,43 +185,56 @@ impl MdsCode {
     /// Encodes a data matrix into `n` coded partitions with
     /// `chunks_per_partition`-way over-decomposition.
     ///
-    /// Systematic partitions are plain row blocks of (zero-padded) `A`;
-    /// parity partitions are sums of all `k` blocks weighted by the
-    /// worker's row of the seeded random parity block.
+    /// The encoding keeps `a` itself as its systematic partitions — row
+    /// blocks of (zero-padded) `A`, read in place — and stores only the
+    /// `n − k` parity partitions: sums of all `k` blocks weighted by the
+    /// worker's row of the seeded random parity block. An owned or
+    /// shared matrix is kept without a copy; a borrowed one is copied
+    /// once ([`IntoShared`]).
     ///
-    /// The partitions are allocated once on the caller's thread and
-    /// filled in place, row range by row range, on every host core once
-    /// the matrix is large enough; the result is bit-identical for any
-    /// core count.
+    /// The parity partitions are allocated once on the caller's thread
+    /// and filled in place, row range by row range, on every host core
+    /// once the matrix is large enough; the result is bit-identical for
+    /// any core count.
     ///
     /// # Errors
     ///
     /// Propagates layout errors for degenerate shapes.
     pub fn encode(
         &self,
-        a: &Matrix,
+        a: impl IntoShared,
         chunks_per_partition: usize,
     ) -> Result<EncodedMatrix, CodingError> {
-        self.encode_with_threads(Source::Rows(a), chunks_per_partition, host_threads())
+        self.encode_with_threads(
+            Source::Rows(a.into_shared()),
+            chunks_per_partition,
+            host_threads(),
+        )
     }
 
-    /// Encodes `Aᵀ` without materializing it: bit-identical to
-    /// `self.encode(&a.transpose(), chunks_per_partition)`.
+    /// Encodes `Aᵀ` without materializing it: every partition is
+    /// bit-identical to `self.encode(&a.transpose(), chunks_per_partition)`'s.
     ///
-    /// The systematic partitions are filled by a blocked transposition
-    /// straight from `a`'s rows, then the parity pass of [`Self::encode`]
-    /// runs over them unchanged — so the backward product of a gradient
-    /// method costs one encoding and no `rows × cols` temporary.
+    /// The encoding keeps `a` as its systematic partitions (systematic
+    /// row `r` is column `r` of `a`) and stores only the parity
+    /// partitions, which one pass fills from tiles of `a`'s rows
+    /// transposed into a small per-thread scratch — so the backward
+    /// product of a gradient method costs one encoding, no `rows × cols`
+    /// temporary and no second copy of the data.
     ///
     /// # Errors
     ///
     /// Propagates layout errors for degenerate shapes.
     pub fn encode_transpose(
         &self,
-        a: &Matrix,
+        a: impl IntoShared,
         chunks_per_partition: usize,
     ) -> Result<EncodedMatrix, CodingError> {
-        self.encode_with_threads(Source::Columns(a), chunks_per_partition, host_threads())
+        self.encode_with_threads(
+            Source::Columns(a.into_shared()),
+            chunks_per_partition,
+            host_threads(),
+        )
     }
 
     /// The encoder behind [`Self::encode`] and [`Self::encode_transpose`]
@@ -219,7 +242,7 @@ impl MdsCode {
     /// any `threads`.
     fn encode_with_threads(
         &self,
-        source: Source<'_>,
+        source: Source,
         chunks_per_partition: usize,
         threads: usize,
     ) -> Result<EncodedMatrix, CodingError> {
@@ -227,11 +250,13 @@ impl MdsCode {
         let layout = ChunkLayout::new(rows, self.params.k, chunks_per_partition)?;
         let prow = layout.partition_rows();
         let n = self.params.n;
-        let mut partitions: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(prow, cols)).collect();
+        let mut parity: Vec<Matrix> = (self.params.k..n)
+            .map(|_| Matrix::zeros(prow, cols))
+            .collect();
 
         // One work item per contiguous range of partition rows, holding
-        // that range of every partition; the ranges split as `par_map`
-        // splits, so each thread owns exactly one.
+        // that range of every parity partition; the ranges split as
+        // `par_map` splits, so each thread owns exactly one.
         let threads = if should_spawn(prow, n * cols, threads) {
             threads
         } else {
@@ -243,10 +268,10 @@ impl MdsCode {
             .map(|begin| RowRange {
                 begin,
                 end: (begin + span).min(prow),
-                parts: Vec::with_capacity(n),
+                parts: Vec::with_capacity(parity.len()),
             })
             .collect();
-        for part in &mut partitions {
+        for part in &mut parity {
             let mut rest = part.as_mut_slice();
             for range in &mut ranges {
                 let (head, tail) =
@@ -256,23 +281,27 @@ impl MdsCode {
             }
         }
         par_for_each_mut(&mut ranges, threads, |range| {
-            self.fill_range(source, rows, prow, cols, range);
+            self.fill_range(&source, rows, prow, cols, range);
         });
         drop(ranges);
 
         Ok(EncodedMatrix {
             params: self.params,
             layout,
-            partitions,
+            source,
+            parity,
         })
     }
 
-    /// Fills one row range of every partition: the systematic rows from
-    /// `source` (rows at or past `rows`, the original count, stay zero
-    /// padding), then the parity rows from those systematic rows.
+    /// Fills one row range of every parity partition from the systematic
+    /// rows in `source` (rows at or past `rows`, the original count, are
+    /// zero padding and contribute nothing: they are skipped, not added
+    /// as zeros). Per output element the `k` contributions accumulate in
+    /// ascending-`j` order from zero, whatever the orientation, so both
+    /// equal the element-by-element sequential encode bit for bit.
     fn fill_range(
         &self,
-        source: Source<'_>,
+        source: &Source,
         rows: usize,
         prow: usize,
         cols: usize,
@@ -280,67 +309,75 @@ impl MdsCode {
     ) {
         let k = self.params.k;
         let (begin, end) = (range.begin, range.end);
-        let (sys, parity) = range.parts.split_at_mut(k);
+        let parity = &mut range.parts;
+        if parity.is_empty() {
+            return;
+        }
         // Local rows [0, valid(j)) of systematic block j hold data.
         let valid = |j: usize| rows.saturating_sub(j * prow + begin).min(end - begin);
 
         match source {
             Source::Rows(a) => {
-                for (j, dst) in sys.iter_mut().enumerate() {
-                    let first = (j * prow + begin).min(rows) * cols;
-                    let len = valid(j) * cols;
-                    dst[..len].copy_from_slice(&a.as_slice()[first..first + len]);
+                // One cache-blocked pass over A's rows instead of a full
+                // sweep per parity node. Row blocks are sized so the
+                // source rows plus every parity destination block stay
+                // resident, so each data element is read from memory
+                // once rather than `n − k` times.
+                let block_rows =
+                    (ROW_BLOCK_ELEMS / (cols.max(1) * (parity.len() + 1))).clamp(1, prow);
+                let mut b = 0;
+                while b < end - begin {
+                    let bend = (b + block_rows).min(end - begin);
+                    for j in 0..k {
+                        for r in b..bend.min(valid(j)) {
+                            let src = a.row(j * prow + begin + r);
+                            for (p, part) in parity.iter_mut().enumerate() {
+                                let w = self.parity.get(p, j);
+                                for (d, s) in part[r * cols..(r + 1) * cols].iter_mut().zip(src) {
+                                    *d += w * s;
+                                }
+                            }
+                        }
+                    }
+                    b = bend;
                 }
             }
             Source::Columns(a) => {
-                // Systematic row r of block j is column j·prow + r of `a`.
-                // Eight rows of `a` at a time: each destination row then
-                // receives a whole cache line per visit while the eight
-                // source rows' current lines stay resident.
-                const TILE: usize = 8;
-                let a_cols = a.cols();
-                for t0 in (0..cols).step_by(TILE) {
-                    let t1 = (t0 + TILE).min(cols);
-                    for (j, dst) in sys.iter_mut().enumerate() {
-                        let first_col = j * prow + begin;
-                        for r in 0..valid(j) {
-                            let row = &mut dst[r * cols..(r + 1) * cols];
-                            for (t, d) in (t0..t1).zip(&mut row[t0..t1]) {
-                                *d = a.as_slice()[t * a_cols + first_col + r];
+                // Systematic row r of block j is column j·prow + begin + r
+                // of `a`. A tile of `a`'s rows (the parity partitions'
+                // columns [t0, t0 + tile)) is transposed into `scratch`,
+                // block-major, then every parity row's tile accumulates
+                // from it. `a` is read once, row by row; the scratch
+                // holds about ROW_BLOCK_ELEMS values.
+                let m = end - begin;
+                let tile = (ROW_BLOCK_ELEMS / (k * m).max(1)).clamp(1, cols.max(1));
+                let mut scratch = vec![0.0; k * m * tile];
+                for t0 in (0..cols).step_by(tile) {
+                    let tb = tile.min(cols - t0);
+                    for ti in 0..tb {
+                        let row = a.row(t0 + ti);
+                        // valid(j) only falls as j grows.
+                        for j in (0..k).take_while(|&j| valid(j) > 0) {
+                            let first = j * prow + begin;
+                            for (r, &v) in row[first..first + valid(j)].iter().enumerate() {
+                                scratch[(j * m + r) * tile + ti] = v;
+                            }
+                        }
+                    }
+                    for r in 0..m {
+                        for (p, part) in parity.iter_mut().enumerate() {
+                            let dst = &mut part[r * cols + t0..r * cols + t0 + tb];
+                            for j in (0..k).filter(|&j| r < valid(j)) {
+                                let w = self.parity.get(p, j);
+                                let src = &scratch[(j * m + r) * tile..][..tb];
+                                for (d, s) in dst.iter_mut().zip(src) {
+                                    *d += w * s;
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-
-        // Parity: one cache-blocked pass over the systematic rows instead
-        // of a full sweep per parity node. Row blocks are sized so the
-        // source rows plus every parity destination block stay resident,
-        // so each data element is read from memory once rather than
-        // `n − k` times. Per output element the k contributions still
-        // accumulate in ascending-j order, identical to a per-partition
-        // sweep; padding rows contribute nothing (they are skipped, not
-        // added as zeros).
-        if parity.is_empty() {
-            return;
-        }
-        let block_rows = (ROW_BLOCK_ELEMS / (cols.max(1) * (parity.len() + 1))).clamp(1, prow);
-        let mut b = 0;
-        while b < end - begin {
-            let bend = (b + block_rows).min(end - begin);
-            for (j, src_rows) in sys.iter().enumerate() {
-                for r in b..bend.min(valid(j)) {
-                    let src = &src_rows[r * cols..(r + 1) * cols];
-                    for (p, part) in parity.iter_mut().enumerate() {
-                        let w = self.parity.get(p, j);
-                        for (d, s) in part[r * cols..(r + 1) * cols].iter_mut().zip(src) {
-                            *d += w * s;
-                        }
-                    }
-                }
-            }
-            b = bend;
         }
     }
 
@@ -468,12 +505,16 @@ impl MdsCode {
     }
 }
 
-/// The result of encoding: `n` coded partitions plus the shared layout.
+/// The result of encoding: the source matrix (the `k` systematic
+/// partitions, read in place), the `n − k` parity partitions and the
+/// shared layout.
 #[derive(Debug, Clone)]
 pub struct EncodedMatrix {
     params: MdsParams,
     layout: ChunkLayout,
-    partitions: Vec<Matrix>,
+    source: Source,
+    /// Parity partition `i` belongs to worker `k + i`.
+    parity: Vec<Matrix>,
 }
 
 impl EncodedMatrix {
@@ -489,42 +530,77 @@ impl EncodedMatrix {
         &self.layout
     }
 
-    /// Coded partition stored by worker `i`.
+    /// Columns of every coded partition: the length of an input.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.source.shape().1
+    }
+
+    /// The matrix the encoding was made from (`A` for [`MdsCode::encode`],
+    /// `A` again, not `Aᵀ`, for [`MdsCode::encode_transpose`]): the
+    /// encoding holds it, so it lives as long as the encoding does.
+    #[must_use]
+    pub fn source(&self) -> &Arc<Matrix> {
+        match &self.source {
+            Source::Rows(a) | Source::Columns(a) => a,
+        }
+    }
+
+    /// Coded partition stored by worker `i`: borrowed for a parity
+    /// worker, materialized from the source (zero padding included) for
+    /// a systematic one.
     ///
     /// # Panics
     ///
     /// Panics if `i >= n`.
     #[must_use]
-    pub fn partition(&self, i: usize) -> &Matrix {
-        &self.partitions[i]
+    pub fn partition(&self, i: usize) -> Cow<'_, Matrix> {
+        let k = self.params.k;
+        if i >= k {
+            return Cow::Borrowed(&self.parity[i - k]);
+        }
+        let first = i * self.layout.partition_rows();
+        let rows = self.layout.original_rows;
+        let at = |r: usize| (first + r < rows).then_some(first + r);
+        Cow::Owned(match &self.source {
+            Source::Rows(a) => Matrix::from_fn(self.layout.partition_rows(), a.cols(), |r, c| {
+                at(r).map_or(0.0, |row| a.get(row, c))
+            }),
+            Source::Columns(a) => {
+                Matrix::from_fn(self.layout.partition_rows(), a.rows(), |r, c| {
+                    at(r).map_or(0.0, |col| a.get(c, col))
+                })
+            }
+        })
     }
 
-    /// All partitions, indexed by worker.
-    #[must_use]
-    pub fn partitions(&self) -> &[Matrix] {
-        &self.partitions
-    }
-
-    /// Per-worker stored bytes (each worker holds one partition).
+    /// The storage the cost model charges each worker: one
+    /// `partition_rows × cols` partition of 8-byte values. This is
+    /// modelled per-worker storage, not host memory: the encoding itself
+    /// holds only the parity partitions beside the shared source.
     #[must_use]
     pub fn bytes_per_worker(&self) -> u64 {
-        self.partitions.first().map_or(0, Matrix::payload_bytes)
+        (self.layout.partition_rows() * self.cols() * 8) as u64
     }
 
     /// Computes worker `worker`'s reply for `chunk` against every member
     /// of `xs` — the numeric work a worker performs when assigned that
-    /// chunk; a single input goes in as [`MultiVector::single`]. The
-    /// kernel ([`Matrix::matvec_multi_rows`]) makes one cache-blocked
-    /// pass over the stored partition and tiles members, so each
-    /// partition row is loaded once per member tile instead of once per
-    /// member.
+    /// chunk; a single input goes in as [`MultiVector::single`]. A parity
+    /// worker reads its stored partition and a systematic worker of an
+    /// encoding of `A` reads `A`'s rows, both with the cache-blocked
+    /// kernel of [`Matrix::matvec_multi_rows`], which tiles members so
+    /// each row is loaded once per member tile instead of once per
+    /// member; rows of zero padding answer `0.0`. A systematic worker of
+    /// an encoding of `Aᵀ` goes through the column kernel of
+    /// [`Self::compute_pairs`].
     ///
     /// Returns one contiguous [`MultiChunkResult`] block
     /// (`rows_per_chunk × members`, member-minor), the format the
     /// decoder consumes as is. Every member's column is bit-identical to
-    /// that member's one-member block (same dot-product evaluation
-    /// order), which keeps batched and unbatched decode outputs equal
-    /// bit for bit.
+    /// that member's one-member block and to `dot_slices` over the
+    /// materialized partition row (same dot-product evaluation order),
+    /// which keeps batched and unbatched decode outputs equal bit for
+    /// bit.
     ///
     /// # Panics
     ///
@@ -536,12 +612,34 @@ impl EncodedMatrix {
         chunk: usize,
         xs: &MultiVector,
     ) -> MultiChunkResult {
-        let range = self.layout.chunk_range_in_partition(chunk);
-        let block = self.partitions[worker].matvec_multi_rows(xs, range.start, range.end);
-        MultiChunkResult::new(worker, chunk, xs.count(), block.into_flat())
+        let k = self.params.k;
+        let values = match &self.source {
+            _ if worker >= k => {
+                let range = self.layout.chunk_range_in_partition(chunk);
+                self.parity[worker - k]
+                    .matvec_multi_rows(xs, range.start, range.end)
+                    .into_flat()
+            }
+            Source::Rows(a) => {
+                let range = self.layout.output_range(worker, chunk);
+                let rows = self.layout.original_rows;
+                let mut values = a
+                    .matvec_multi_rows(xs, range.start.min(rows), range.end.min(rows))
+                    .into_flat();
+                values.resize(range.len() * xs.count(), 0.0);
+                values
+            }
+            Source::Columns(a) => {
+                return self
+                    .column_blocks(a, &[(worker, chunk)], xs, 1)
+                    .swap_remove(0)
+            }
+        };
+        MultiChunkResult::new(worker, chunk, xs.count(), values)
     }
 
-    /// Computes worker `worker`'s blocks for every chunk in `chunks`.
+    /// Computes worker `worker`'s blocks for every chunk in `chunks`
+    /// ([`Self::compute_pairs`] on one thread).
     ///
     /// # Panics
     ///
@@ -553,11 +651,210 @@ impl EncodedMatrix {
         chunks: &[usize],
         xs: &MultiVector,
     ) -> Vec<MultiChunkResult> {
-        chunks
+        let pairs: Vec<(usize, usize)> = chunks.iter().map(|&c| (worker, c)).collect();
+        self.compute_pairs(&pairs, xs, 1)
+    }
+
+    /// Computes the block of every `(worker, chunk)` pair, in the order
+    /// given, on up to `threads` OS threads once the work is large
+    /// enough; every block is bit-identical to
+    /// [`Self::worker_compute_chunk_multi`]'s for any `threads`.
+    ///
+    /// The systematic pairs of an encoding of `Aᵀ` are the columns of
+    /// `A` they cover, and all of them are computed by one row-streaming
+    /// pass over `A` (the column kernel), split between threads by
+    /// column range: `A` is read once per call, not once per pair.
+    /// Every other pair is an independent row-block product.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Self::worker_compute_chunk_multi`].
+    #[must_use]
+    pub fn compute_pairs(
+        &self,
+        pairs: &[(usize, usize)],
+        xs: &MultiVector,
+        threads: usize,
+    ) -> Vec<MultiChunkResult> {
+        let work = pairs.len() * self.layout.rows_per_chunk();
+        let threads = if should_spawn(work, self.cols(), threads) {
+            threads
+        } else {
+            1
+        };
+        let Source::Columns(a) = &self.source else {
+            return par_map(pairs, threads, |&(w, c)| {
+                self.worker_compute_chunk_multi(w, c, xs)
+            });
+        };
+        let k = self.params.k;
+        let (systematic, parity): (Vec<_>, Vec<_>) =
+            pairs.iter().copied().partition(|&(w, _)| w < k);
+        let mut systematic = self.column_blocks(a, &systematic, xs, threads).into_iter();
+        let mut parity = par_map(&parity, threads, |&(w, c)| {
+            self.worker_compute_chunk_multi(w, c, xs)
+        })
+        .into_iter();
+        pairs
             .iter()
-            .map(|&c| self.worker_compute_chunk_multi(worker, c, xs))
+            .filter_map(|&(w, _)| {
+                if w < k {
+                    systematic.next()
+                } else {
+                    parity.next()
+                }
+            })
             .collect()
     }
+
+    /// The column kernel: the blocks of systematic `pairs` of an
+    /// encoding of `Aᵀ`, whose rows are columns of `a`.
+    ///
+    /// One pass streams `a`'s rows; each thread owns a contiguous range
+    /// of the needed columns and keeps, per column and member, the four
+    /// lane accumulators of `dot_slices` (over row index mod 4) plus its
+    /// tail, summed `s0 + s1 + s2 + s3 + tail` at the end — the
+    /// evaluation order of `dot_slices` over the materialized column, so
+    /// every value is bit-identical to it at any thread count.
+    fn column_blocks(
+        &self,
+        a: &Matrix,
+        pairs: &[(usize, usize)],
+        xs: &MultiVector,
+        threads: usize,
+    ) -> Vec<MultiChunkResult> {
+        assert_eq!(xs.len(), a.rows(), "column kernel: dimension mismatch");
+        let count = xs.count();
+        let cols = a.cols();
+        // The columns the pairs read, as sorted disjoint runs.
+        let mut wanted: Vec<Range<usize>> = pairs
+            .iter()
+            .map(|&(w, c)| {
+                let range = self.layout.output_range(w, c);
+                range.start.min(cols)..range.end.min(cols)
+            })
+            .filter(|range| !range.is_empty())
+            .collect();
+        wanted.sort_by_key(|range| range.start);
+        // A gap narrower than a cache line of values is computed rather
+        // than skipped: its lines are read anyway, and one run sweeps
+        // faster than two.
+        const GAP: usize = 8;
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(wanted.len());
+        for range in wanted {
+            match runs.last_mut() {
+                Some(last) if range.start <= last.end + GAP => last.end = last.end.max(range.end),
+                _ => runs.push(range),
+            }
+        }
+        // Split the runs' columns into equal contiguous parts.
+        let total: usize = runs.iter().map(ExactSizeIterator::len).sum();
+        let share = total.div_ceil(threads).max(1);
+        let mut parts: Vec<Vec<Range<usize>>> = Vec::new();
+        let mut part = Vec::new();
+        let mut room = share;
+        for run in &runs {
+            let mut start = run.start;
+            while start < run.end {
+                let end = run.end.min(start + room);
+                part.push(start..end);
+                room -= end - start;
+                start = end;
+                if room == 0 {
+                    parts.push(std::mem::take(&mut part));
+                    room = share;
+                }
+            }
+        }
+        if !part.is_empty() {
+            parts.push(part);
+        }
+        // Per needed column in run order, `count` member values; at most
+        // `threads` parts, so each runs on a thread of its own.
+        let sums = par_map(&parts, threads, |part| column_dots(a, part, xs)).concat();
+        let mut firsts = Vec::with_capacity(runs.len());
+        let mut first = 0;
+        for run in &runs {
+            firsts.push(first);
+            first += run.len();
+        }
+        pairs
+            .iter()
+            .map(|&(w, c)| {
+                let range = self.layout.output_range(w, c);
+                let mut values = Vec::with_capacity(range.len() * count);
+                for col in range {
+                    if col < cols {
+                        let i = runs.partition_point(|run| run.end <= col);
+                        let at = (firsts[i] + col - runs[i].start) * count;
+                        values.extend_from_slice(&sums[at..at + count]);
+                    } else {
+                        values.resize(values.len() + count, 0.0);
+                    }
+                }
+                MultiChunkResult::new(w, c, count, values)
+            })
+            .collect()
+    }
+}
+
+/// `xᵀ·a[:, run]` for every member of `xs` and every column of `runs`,
+/// by one pass over `a`'s rows: per column and member, `dot_slices`'s
+/// four lane accumulators (row index mod 4) and its tail, summed in its
+/// order. Returns `count` values per column, in run order.
+fn column_dots(a: &Matrix, runs: &[Range<usize>], xs: &MultiVector) -> Vec<f64> {
+    let count = xs.count();
+    let width: usize = runs.iter().map(ExactSizeIterator::len).sum();
+    let quads = a.rows() / 4;
+    // Member-major; per member the lanes s0, s1, s2, s3 and the tail,
+    // `width` columns each.
+    let mut acc = vec![0.0; count * 5 * width];
+    for (m, lanes) in acc.chunks_exact_mut(5 * width).enumerate() {
+        let x = xs.member(m);
+        let (s0, rest) = lanes.split_at_mut(width);
+        let (s1, rest) = rest.split_at_mut(width);
+        let (s2, rest) = rest.split_at_mut(width);
+        let (s3, tail) = rest.split_at_mut(width);
+        // Rows 4q .. 4q + 3 feed lanes 0 .. 3 in one sweep of the runs.
+        for q in 0..quads {
+            let t = 4 * q;
+            let (x0, x1, x2, x3) = (x[t], x[t + 1], x[t + 2], x[t + 3]);
+            let (r0, r1, r2, r3) = (a.row(t), a.row(t + 1), a.row(t + 2), a.row(t + 3));
+            let mut at = 0;
+            for run in runs {
+                let n = run.len();
+                let (d0, d1) = (&mut s0[at..at + n], &mut s1[at..at + n]);
+                let (d2, d3) = (&mut s2[at..at + n], &mut s3[at..at + n]);
+                let (v0, v1) = (&r0[run.clone()], &r1[run.clone()]);
+                let (v2, v3) = (&r2[run.clone()], &r3[run.clone()]);
+                for i in 0..n {
+                    d0[i] += v0[i] * x0;
+                    d1[i] += v1[i] * x1;
+                    d2[i] += v2[i] * x2;
+                    d3[i] += v3[i] * x3;
+                }
+                at += n;
+            }
+        }
+        for (t, &xt) in x.iter().enumerate().skip(4 * quads) {
+            let row = a.row(t);
+            let mut at = 0;
+            for run in runs {
+                for (d, v) in tail[at..at + run.len()].iter_mut().zip(&row[run.clone()]) {
+                    *d += v * xt;
+                }
+                at += run.len();
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(width * count);
+    for i in 0..width {
+        for lanes in acc.chunks_exact(5 * width) {
+            let lane = |l: usize| lanes[l * width + i];
+            out.push(lane(0) + lane(1) + lane(2) + lane(3) + lane(4));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -728,55 +1025,185 @@ mod tests {
         systematic.chain(parity).collect()
     }
 
-    fn bits(parts: &[Matrix]) -> Vec<Vec<u64>> {
+    /// Every partition of `enc`, systematic ones materialized.
+    fn partitions(enc: &EncodedMatrix) -> Vec<Matrix> {
+        (0..enc.params().n)
+            .map(|i| enc.partition(i).into_owned())
+            .collect()
+    }
+
+    fn bits(parts: &[Matrix]) -> Vec<(usize, usize, Vec<u64>)> {
         parts
             .iter()
-            .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
+            .map(|m| {
+                let values = m.as_slice().iter().map(|v| v.to_bits()).collect();
+                (m.rows(), m.cols(), values)
+            })
             .collect()
     }
 
     #[test]
     fn encode_is_the_sequential_encode_at_every_thread_count() {
-        // (rows, cols, n, k, chunks): rows not divisible by k·chunks,
-        // n = k, one column, one row — each past the spawn cutoff in at
-        // least one orientation, and partitions with fewer rows than
-        // threads.
+        // (rows, cols, n, k, chunks): rows not divisible by k·chunks
+        // (tail padding; transposed, (50, 7) leaves partition 3 all
+        // zero), n = k, one column, one row — each past the spawn cutoff
+        // in at least one orientation, and partitions with fewer rows
+        // than threads.
         let cases = [
             (50, 7, 6, 4, 3),
             (1_001, 37, 7, 5, 3),
             (600, 60, 4, 4, 3),
             (40_000, 1, 6, 4, 5),
             (3, 9_000, 5, 3, 2),
+            (130, 97, 9, 6, 4),
         ];
         for (rows, cols, n, k, chunks) in cases {
-            let a = Matrix::from_fn(rows, cols, |r, c| {
+            let a = Arc::new(Matrix::from_fn(rows, cols, |r, c| {
                 ((r * 31 + c * 17) % 23) as f64 / 7.0 - 1.5
-            });
+            }));
             let code = MdsCode::new(MdsParams::new(n, k)).unwrap();
             let expect_a = bits(&reference_encode(&code, &a, chunks));
             let expect_at = bits(&reference_encode(&code, &a.transpose(), chunks));
             for threads in [1, 2, 3, 7] {
                 let label = format!("{rows} x {cols}, ({n}, {k}, {chunks}), {threads} threads");
-                let enc = code
-                    .encode_with_threads(Source::Rows(&a), chunks, threads)
-                    .unwrap();
-                assert_eq!(bits(enc.partitions()), expect_a, "A, {label}");
-                let enc = code
-                    .encode_with_threads(Source::Columns(&a), chunks, threads)
-                    .unwrap();
-                assert_eq!(bits(enc.partitions()), expect_at, "Aᵀ, {label}");
+                let source = Source::Rows(Arc::clone(&a));
+                let enc = code.encode_with_threads(source, chunks, threads).unwrap();
+                assert_eq!(bits(&partitions(&enc)), expect_a, "A, {label}");
+                let source = Source::Columns(Arc::clone(&a));
+                let enc = code.encode_with_threads(source, chunks, threads).unwrap();
+                assert_eq!(bits(&partitions(&enc)), expect_at, "Aᵀ, {label}");
             }
         }
+    }
+
+    #[test]
+    fn an_encoding_stores_parity_only_and_shares_its_source() {
+        let a = Arc::new(data_matrix(50, 7));
+        let code = MdsCode::new(MdsParams::new(6, 4)).unwrap();
+        for enc in [
+            code.encode(Arc::clone(&a), 3).unwrap(),
+            code.encode(&a, 3).unwrap(),
+            code.encode_transpose(Arc::clone(&a), 3).unwrap(),
+            code.encode_transpose(&a, 3).unwrap(),
+        ] {
+            assert_eq!(enc.parity.len(), 2);
+            assert!(Arc::ptr_eq(enc.source(), &a));
+            assert!(matches!(enc.partition(4), Cow::Borrowed(_)));
+            assert!(matches!(enc.partition(0), Cow::Owned(_)));
+        }
+        // Borrowing a plain matrix is the one copy.
+        let copied = code.encode(&*a, 3).unwrap();
+        assert!(!Arc::ptr_eq(copied.source(), &a));
+        assert_eq!(**copied.source(), *a);
+        assert_eq!(Arc::strong_count(&a), 1);
+    }
+
+    #[test]
+    fn columns_kernel_matches_materialized_rows() {
+        use s2c2_linalg::vector::dot_slices;
+        // Rows of A (the dot length) cover every remainder mod 4; 29
+        // columns under (7, 4) with 3 chunks pad to 36, so worker 3
+        // holds 2 real rows and 7 of padding (its chunk 2 all padding).
+        for rows in [40, 41, 42, 43] {
+            let a = Matrix::from_fn(rows, 29, |r, c| ((r * 13 + c * 7) % 17) as f64 / 3.0 - 2.5);
+            let at = a.transpose();
+            let code = MdsCode::new(MdsParams::new(7, 4)).unwrap();
+            let enc = code.encode_transpose(&a, 3).unwrap();
+            let rpc = enc.layout().rows_per_chunk();
+            // Out of order, adjacent and scattered chunks, parity mixed in.
+            let pairs = [
+                (2, 1),
+                (0, 0),
+                (5, 2),
+                (0, 2),
+                (3, 0),
+                (1, 1),
+                (0, 1),
+                (6, 0),
+                (3, 2),
+                (2, 2),
+            ];
+            for members in [1, 2, 4, 5] {
+                let xs = MultiVector::from_fn(members, rows, |m, t| {
+                    ((m * 5 + t * 3) % 11) as f64 / 4.0 - 1.2
+                });
+                let expect = |(w, c): (usize, usize)| -> Vec<u64> {
+                    let mut values = Vec::new();
+                    for r in 0..rpc {
+                        let row = enc.partition(w).row(c * rpc + r).to_vec();
+                        if w < 4 {
+                            let e = w * enc.layout().partition_rows() + c * rpc + r;
+                            let source = if e < 29 {
+                                at.row(e).to_vec()
+                            } else {
+                                vec![0.0; rows]
+                            };
+                            assert_eq!(row, source);
+                        }
+                        values.extend((0..members).map(|m| dot_slices(&row, xs.member(m))));
+                    }
+                    values.iter().map(|v| v.to_bits()).collect()
+                };
+                let label = format!("{rows} rows, {members} members");
+                for threads in [1, 3] {
+                    let got = enc.compute_pairs(&pairs, &xs, threads);
+                    for (block, &pair) in got.iter().zip(&pairs) {
+                        assert_eq!((block.worker, block.chunk), pair);
+                        let bits: Vec<u64> = block.values.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, expect(pair), "{pair:?}, {threads} threads, {label}");
+                    }
+                }
+                for &(w, c) in &pairs {
+                    let block = enc.worker_compute_chunk_multi(w, c, &xs);
+                    let bits: Vec<u64> = block.values.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(bits, expect((w, c)), "({w}, {c}) alone, {label}");
+                }
+                let chunks = enc.worker_compute_chunks_multi(1, &[2, 0, 1], &xs);
+                for (block, c) in chunks.iter().zip([2, 0, 1]) {
+                    let bits: Vec<u64> = block.values.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(bits, expect((1, c)), "worker 1 chunk {c}, {label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compute_pairs_is_per_pair_compute_on_rows() {
+        let a = data_matrix(50, 9);
+        let code = MdsCode::new(MdsParams::new(6, 4)).unwrap();
+        let enc = code.encode(&a, 3).unwrap();
+        let xs = MultiVector::from_fn(3, 9, |m, i| (m * 9 + i) as f64 * 0.1 - 1.0);
+        let pairs: Vec<(usize, usize)> = (0..6)
+            .rev()
+            .flat_map(|w| (0..3).map(move |c| (w, c)))
+            .collect();
+        let each: Vec<MultiChunkResult> = pairs
+            .iter()
+            .map(|&(w, c)| enc.worker_compute_chunk_multi(w, c, &xs))
+            .collect();
+        for threads in [1, 2, 5] {
+            assert_eq!(enc.compute_pairs(&pairs, &xs, threads), each);
+        }
+        // Worker 3's last chunk is padding: 50 rows in 4 × 15.
+        let padding = enc.worker_compute_chunk_multi(3, 2, &xs);
+        assert!(padding.values.iter().all(|&v| v.to_bits() == 0));
     }
 
     #[test]
     fn encode_transpose_is_encode_of_the_transpose() {
         let a = data_matrix(97, 130);
         let code = MdsCode::new(MdsParams::new(6, 4)).unwrap();
+        for threads in [1, 3] {
+            let source = Source::Columns(Arc::new(a.clone()));
+            let direct = code.encode_with_threads(source, 3, threads).unwrap();
+            let via = code.encode(a.transpose(), 3).unwrap();
+            assert_eq!(direct.layout(), via.layout());
+            assert_eq!(direct.cols(), via.cols());
+            let expect = bits(&reference_encode(&code, &a.transpose(), 3));
+            assert_eq!(bits(&partitions(&direct)), expect, "{threads} threads");
+            assert_eq!(bits(&partitions(&via)), expect, "{threads} threads");
+        }
         let direct = code.encode_transpose(&a, 3).unwrap();
-        let via = code.encode(&a.transpose(), 3).unwrap();
-        assert_eq!(direct.layout(), via.layout());
-        assert_eq!(bits(direct.partitions()), bits(via.partitions()));
         // ... and it decodes to Aᵀ·x.
         let x = Vector::from_fn(97, |i| (i as f64 * 0.1).sin());
         let resp = full_responses(&direct, &[1, 3, 4, 5], &x);
@@ -789,8 +1216,8 @@ mod tests {
         let a = data_matrix(40, 6);
         let code = MdsCode::new(MdsParams::new(4, 2)).unwrap();
         let enc = code.encode(&a, 2).unwrap();
-        assert_eq!(enc.partition(0), &a.row_block(0, 20));
-        assert_eq!(enc.partition(1), &a.row_block(20, 40));
+        assert_eq!(*enc.partition(0), a.row_block(0, 20));
+        assert_eq!(*enc.partition(1), a.row_block(20, 40));
         // Parity for (4,2) first parity node: weighted sum of both blocks.
         let g = code.generator_row(2);
         let mut expect = a.row_block(0, 20);

@@ -177,8 +177,9 @@ impl CodedJobBuilder {
         })
     }
 
-    /// The matrix, for the strategies that split it themselves.
-    fn matrix(&self) -> Result<&Matrix, S2c2Error> {
+    /// The matrix, for the strategies that split or encode it
+    /// themselves.
+    fn matrix(&self) -> Result<&Arc<Matrix>, S2c2Error> {
         match &self.data {
             JobData::Matrix(a) => Ok(a),
             JobData::Encoded(_) => Err(S2c2Error::InvalidConfig(format!(

@@ -22,8 +22,8 @@ use s2c2_cluster::ClusterSim;
 use s2c2_coding::cache::CachedEncoding;
 use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
 use s2c2_coding::MultiChunkResult;
-use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
-use s2c2_linalg::{Matrix, MultiVector, Vector};
+use s2c2_linalg::parallel::host_threads;
+use s2c2_linalg::{IntoShared, MultiVector, Vector};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Master-side cost of decoding one chunk from `k` responses of which
@@ -73,9 +73,10 @@ impl KeptProduct {
 }
 
 impl CodedMatvec {
-    /// Encodes `a` into a fresh encoding of its own.
+    /// Encodes `a` into a fresh encoding of its own, which keeps `a` as
+    /// its systematic partitions ([`MdsCode::encode`]).
     pub(crate) fn new(
-        a: &Matrix,
+        a: impl IntoShared,
         params: MdsParams,
         chunks_per_partition: usize,
     ) -> Result<Self, S2c2Error> {
@@ -94,7 +95,7 @@ impl CodedMatvec {
 
     /// [`S2c2Error::InvalidConfig`] unless `x` has one entry per column.
     pub(crate) fn check_input(&self, x: &Vector) -> Result<(), S2c2Error> {
-        check_input(x, self.encoded().partition(0).cols())
+        check_input(x, self.encoded().cols())
     }
 
     pub(crate) fn code(&self) -> &MdsCode {
@@ -133,17 +134,12 @@ impl CodedMatvec {
         let pairs: Pairs = (0..self.code().params().k)
             .flat_map(|w| (0..chunks).map(move |chunk| (w, chunk)))
             .collect();
-        let threads = if should_spawn(layout.padded_rows, x.len(), threads) {
-            threads
-        } else {
-            1
-        };
-        let encoded = self.encoded();
-        let xs = MultiVector::single(x);
-        let padded = par_map(&pairs, threads, |&(w, chunk)| {
-            encoded.worker_compute_chunk_multi(w, chunk, &xs).values
-        })
-        .concat();
+        let padded: Vec<f64> = self
+            .encoded()
+            .compute_pairs(&pairs, &MultiVector::single(x), threads)
+            .into_iter()
+            .flat_map(|block| block.values)
+            .collect();
         let product = Vector::from(padded[..layout.original_rows].to_vec());
         // The entry is replaced whole, so a panic elsewhere cannot leave
         // it half-written.
@@ -234,17 +230,10 @@ impl CodedMatvec {
             .copied()
             .filter(|&(w, chunk)| served(w, chunk).is_none())
             .collect();
-        let threads = if should_spawn(computed.len() * rpc, x.len(), threads) {
-            threads
-        } else {
-            1
-        };
-        let encoded = self.encoded();
-        let xs = MultiVector::single(x);
-        let mut fresh = par_map(&computed, threads, |&(w, chunk)| {
-            encoded.worker_compute_chunk_multi(w, chunk, &xs)
-        })
-        .into_iter();
+        let mut fresh = self
+            .encoded()
+            .compute_pairs(&computed, &MultiVector::single(x), threads)
+            .into_iter();
         // `fresh` holds the unserved pairs in chunk-major order, so it
         // yields exactly one response for each.
         let responses: Vec<MultiChunkResult> = pairs
@@ -272,13 +261,14 @@ pub struct MdsStrategy {
 
 impl MdsStrategy {
     /// Encodes `a` with an `(n, k)` code and
-    /// `chunks_per_partition`-way chunking.
+    /// `chunks_per_partition`-way chunking; the encoding keeps `a` as
+    /// its systematic partitions (a borrowed matrix is copied once).
     ///
     /// # Errors
     ///
     /// Propagates invalid code parameters or degenerate shapes.
     pub fn new(
-        a: &Matrix,
+        a: impl IntoShared,
         params: MdsParams,
         chunks_per_partition: usize,
     ) -> Result<Self, S2c2Error> {
@@ -312,7 +302,11 @@ impl MdsStrategy {
     /// # Errors
     ///
     /// Propagates encoding failures for degenerate shapes.
-    pub fn uncoded(a: &Matrix, n: usize, chunks_per_partition: usize) -> Result<Self, S2c2Error> {
+    pub fn uncoded(
+        a: impl IntoShared,
+        n: usize,
+        chunks_per_partition: usize,
+    ) -> Result<Self, S2c2Error> {
         Ok(MdsStrategy {
             coded: CodedMatvec::new(a, MdsParams::new(n, n), chunks_per_partition)?,
             name: "uncoded".into(),
@@ -365,6 +359,7 @@ impl MatvecStrategy for MdsStrategy {
 mod tests {
     use super::*;
     use s2c2_cluster::ClusterSpec;
+    use s2c2_linalg::Matrix;
 
     fn data() -> (Matrix, Vector) {
         let a = Matrix::from_fn(600, 8, |r, c| ((r * 5 + c * 11) % 13) as f64 - 6.0);

@@ -34,7 +34,7 @@ use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
 use s2c2_coding::cache::CachedEncoding;
 use s2c2_coding::mds::MdsParams;
-use s2c2_linalg::{Matrix, Vector};
+use s2c2_linalg::{IntoShared, Vector};
 use std::sync::Arc;
 
 /// The adaptive half of S²C², whatever the code underneath: forecasts
@@ -142,13 +142,14 @@ impl std::fmt::Debug for S2c2Strategy {
 }
 
 impl S2c2Strategy {
-    /// Encodes `a` and builds the scheduler.
+    /// Encodes `a` and builds the scheduler; the encoding keeps `a` as
+    /// its systematic partitions (a borrowed matrix is copied once).
     ///
     /// # Errors
     ///
     /// Propagates invalid code parameters or degenerate shapes.
     pub fn new(
-        a: &Matrix,
+        a: impl IntoShared,
         params: MdsParams,
         chunks_per_partition: usize,
         mode: S2c2Mode,
@@ -291,6 +292,7 @@ impl MatvecStrategy for S2c2Strategy {
 mod tests {
     use super::*;
     use s2c2_cluster::ClusterSpec;
+    use s2c2_linalg::Matrix;
 
     fn data() -> (Matrix, Vector) {
         let a = Matrix::from_fn(720, 6, |r, c| ((r * 3 + c * 5) % 11) as f64 - 5.0);

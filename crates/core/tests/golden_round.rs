@@ -190,15 +190,8 @@ fn s2c2(
     mode: S2c2Mode,
     predictor: &PredictorSource,
 ) -> S2c2Strategy {
-    S2c2Strategy::new(
-        &matvec_data(rows),
-        params,
-        chunks,
-        mode,
-        predictor,
-        params.n,
-    )
-    .expect("strategy builds")
+    S2c2Strategy::new(matvec_data(rows), params, chunks, mode, predictor, params.n)
+        .expect("strategy builds")
 }
 
 /// `Aᵀ·diag(w)·A` inputs: `A` is 30 × 18.

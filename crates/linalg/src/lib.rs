@@ -4,8 +4,9 @@
 //! scheduler, and the workloads) only need a small, predictable set of dense
 //! operations over `f64`:
 //!
-//! * a row-major [`Matrix`] with cheap row-range views (coded partitions are
-//!   contiguous row blocks),
+//! * a row-major [`Matrix`] whose kernels take row ranges (coded partitions
+//!   are contiguous row blocks), shared by reference count
+//!   ([`IntoShared`]) between the data set and its encodings,
 //! * matrix–vector and matrix–matrix products, both sequential and
 //!   thread-parallel,
 //! * an LU solver with partial pivoting (MDS decoding inverts small
@@ -52,7 +53,7 @@ pub mod structured;
 pub mod vector;
 
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use matrix::{IntoShared, Matrix};
 pub use multivector::MultiVector;
 pub use solve::LuFactors;
 pub use vector::Vector;

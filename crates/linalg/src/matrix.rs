@@ -1,13 +1,14 @@
-//! Row-major dense matrix with row-range views.
+//! Row-major dense matrix.
 //!
 //! Coded computing slices data matrices into contiguous *row blocks* (one
 //! per worker, then into chunks within a worker), so the representation is
-//! row-major and every partitioning operation is a cheap slice view or a
-//! single `memcpy`-like copy of contiguous storage.
+//! row-major: a row block is a contiguous range of the storage, and the
+//! kernels take row ranges instead of copies.
 
 use crate::error::LinalgError;
 use crate::multivector::{matvec_multi_block, MultiVector};
-use crate::vector::{dot_slices, Vector};
+use crate::vector::Vector;
+use std::sync::Arc;
 
 /// A dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,28 +131,18 @@ impl Matrix {
         &mut self.data[start..start + self.cols]
     }
 
-    /// Immutable view of the contiguous row range `[begin, end)`.
-    ///
-    /// This is the primitive behind partitioning a data matrix into coded
-    /// blocks and behind chunk-level work assignment: no copies involved.
-    #[must_use]
-    pub fn row_range(&self, begin: usize, end: usize) -> MatrixView<'_> {
-        assert!(begin <= end && end <= self.rows, "row range out of bounds");
-        MatrixView {
-            rows: end - begin,
-            cols: self.cols,
-            data: &self.data[begin * self.cols..end * self.cols],
-        }
-    }
-
     /// Copies the row range `[begin, end)` into an owned matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `begin <= end <= rows`.
     #[must_use]
     pub fn row_block(&self, begin: usize, end: usize) -> Matrix {
-        let view = self.row_range(begin, end);
+        assert!(begin <= end && end <= self.rows, "row range out of bounds");
         Matrix {
-            rows: view.rows,
-            cols: view.cols,
-            data: view.data.to_vec(),
+            rows: end - begin,
+            cols: self.cols,
+            data: self.data[begin * self.cols..end * self.cols].to_vec(),
         }
     }
 
@@ -369,58 +360,39 @@ impl Matrix {
     }
 }
 
-/// Borrowed view over a contiguous row range of a [`Matrix`].
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixView<'a> {
-    rows: usize,
-    cols: usize,
-    data: &'a [f64],
+/// A matrix that can be handed to a holder of one shared allocation:
+/// an owned [`Matrix`] or an [`Arc`] is kept without copying the data, a
+/// borrowed `Arc` is cloned (no copy), and a borrowed `Matrix` is copied
+/// once.
+///
+/// `impl Into<Arc<Matrix>>` would cover every case but the borrowed
+/// `Arc`, which deref coercion does not reach through a generic bound.
+pub trait IntoShared {
+    /// The shared allocation.
+    fn into_shared(self) -> Arc<Matrix>;
 }
 
-impl<'a> MatrixView<'a> {
-    /// Number of rows in the view.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
+impl IntoShared for Matrix {
+    fn into_shared(self) -> Arc<Matrix> {
+        Arc::new(self)
     }
+}
 
-    /// Number of columns in the view.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
+impl IntoShared for Arc<Matrix> {
+    fn into_shared(self) -> Arc<Matrix> {
+        self
     }
+}
 
-    /// Row `r` of the view as a slice.
-    #[must_use]
-    pub fn row(&self, r: usize) -> &'a [f64] {
-        let start = r * self.cols;
-        &self.data[start..start + self.cols]
+impl IntoShared for &Arc<Matrix> {
+    fn into_shared(self) -> Arc<Matrix> {
+        Arc::clone(self)
     }
+}
 
-    /// Matrix–vector product over the viewed rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    #[must_use]
-    pub fn matvec(&self, x: &Vector) -> Vector {
-        assert_eq!(x.len(), self.cols, "view matvec: dimension mismatch");
-        let xs = x.as_slice();
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            out.push(dot_slices(self.row(r), xs));
-        }
-        Vector::from(out)
-    }
-
-    /// Copies the view into an owned matrix.
-    #[must_use]
-    pub fn to_owned(&self) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.to_vec(),
-        }
+impl IntoShared for &Matrix {
+    fn into_shared(self) -> Arc<Matrix> {
+        Arc::new(self.clone())
     }
 }
 
@@ -457,16 +429,6 @@ mod tests {
         let full = m.matvec(&x);
         let part = m.matvec_rows(&x, 1, 3);
         assert_eq!(part.as_slice(), &full.as_slice()[1..3]);
-    }
-
-    #[test]
-    fn row_range_view_matches_block_copy() {
-        let m = sample();
-        let view = m.row_range(1, 3);
-        let block = m.row_block(1, 3);
-        assert_eq!(view.rows(), 2);
-        assert_eq!(view.to_owned(), block);
-        assert_eq!(view.row(0), &[4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -542,8 +504,19 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "row range out of bounds")]
-    fn row_range_bounds_checked() {
-        let _ = sample().row_range(2, 5);
+    fn row_block_bounds_checked() {
+        let _ = sample().row_block(2, 5);
+    }
+
+    #[test]
+    fn into_shared_copies_only_a_borrowed_matrix() {
+        let shared = Arc::new(sample());
+        assert!(Arc::ptr_eq(&(&shared).into_shared(), &shared));
+        assert!(Arc::ptr_eq(&Arc::clone(&shared).into_shared(), &shared));
+        let copied = (&*shared).into_shared();
+        assert!(!Arc::ptr_eq(&copied, &shared));
+        assert_eq!(*copied, sample());
+        assert_eq!(*sample().into_shared(), sample());
     }
 
     #[test]

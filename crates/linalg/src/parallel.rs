@@ -6,14 +6,16 @@
 //! under MDS, uncoded and both S²C² variants, and `PolyShared::run_round`
 //! under both polynomial schedulers) compute a round's chosen worker
 //! responses, and a job's exact product (the logistic regression and
-//! SVM loss/accuracy margins) its systematic rows, with [`par_map`];
-//! the Hessian takes its weights with [`par_matvec`]. The set-up
-//! fills caller-allocated outputs with [`par_for_each_mut`]:
+//! SVM loss/accuracy margins) its systematic rows, through
+//! `s2c2-coding`'s `EncodedMatrix::compute_pairs`, which maps [`par_map`]
+//! over the pairs or, for the column kernel of an encoding of `Aᵀ`, over
+//! column ranges; the Hessian takes its weights with [`par_matvec`]. The
+//! set-up fills caller-allocated outputs with [`par_for_each_mut`]:
 //! `s2c2-coding`'s `MdsCode::encode` / `encode_transpose` (row ranges of
-//! every partition) and `s2c2-workloads`' `gisette_like` (row blocks of
-//! the features). All run at [`host_threads`]. The serve engine does not
-//! call into this module: its threaded backend already runs one OS
-//! thread per simulated worker.
+//! every parity partition) and `s2c2-workloads`' `gisette_like` (row
+//! blocks of the features). All run at [`host_threads`]. The serve
+//! engine does not call into this module: its threaded backend already
+//! runs one OS thread per simulated worker.
 //!
 //! Splitting is static and contiguous, in the spirit of rayon's
 //! `par_iter` without a work-stealing runtime: the items are uniform, so

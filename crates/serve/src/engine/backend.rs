@@ -224,8 +224,9 @@ impl ExecutionBackend for SimBackend {
 
 /// Per-job numeric state shared by the verified backends.
 struct NumericJob {
+    /// The job's encoding; its source matrix is also the reference
+    /// the decoded outputs are checked against.
     enc: Arc<CachedEncoding>,
-    a: Arc<Matrix>,
     /// Per in-flight round, keyed by iteration index: the deterministic
     /// input and its sequential reference (`A·x`). Pipelined serving
     /// holds up to `depth` live entries at once; the barrier engine
@@ -244,11 +245,6 @@ const XS_POOL_CAP: usize = 16;
 struct NumericCore {
     cache: EncodeCache,
     jobs: BTreeMap<JobId, NumericJob>,
-    /// Reference matrices by identity — resident jobs sharing a
-    /// `matrix_id` alias one allocation instead of each materializing
-    /// its own copy. A `BTreeMap` on principle: nothing report-visible
-    /// may sit behind hashed iteration order.
-    models: BTreeMap<(u64, usize, usize), Arc<Matrix>>,
     verified: usize,
     max_error: f64,
     outputs: Vec<(JobId, Vec<f64>)>,
@@ -281,24 +277,17 @@ impl NumericCore {
             chunks_per_partition: c_eff,
         };
         let (matrix_id, rows, cols) = (spec.matrix_id, spec.rows, spec.cols);
+        // The encoding holds the model matrix itself (its systematic
+        // partitions), so recurring jobs share one copy of it, which
+        // also serves as the verification reference.
         let enc = self
             .cache
             .get_or_encode(key, || model_matrix(matrix_id, rows, cols))
             .map_err(|e| format!("job {} encode failed: {e}", spec.id))?;
-        // The reference matrix lives beside (not inside) the encode
-        // cache — the cache stays exactly what workers need — but is
-        // likewise shared by identity, so recurring jobs neither
-        // rebuild nor duplicate it.
-        let a = Arc::clone(
-            self.models
-                .entry((matrix_id, rows, cols))
-                .or_insert_with(|| Arc::new(model_matrix(matrix_id, rows, cols))),
-        );
         self.jobs.insert(
             spec.id,
             NumericJob {
                 enc,
-                a,
                 rounds: BTreeMap::new(),
             },
         );
@@ -316,7 +305,7 @@ impl NumericCore {
             .ok_or_else(|| format!("job {} iterated before admission", spec.id))?;
         if !job.rounds.contains_key(&iteration_index) {
             let x = Arc::new(iteration_input(spec.id, iteration_index, spec.cols));
-            let y_ref = job.a.matvec(&x);
+            let y_ref = job.enc.encoded.source().matvec(&x);
             job.rounds.insert(iteration_index, (x, y_ref));
         }
         Ok(())

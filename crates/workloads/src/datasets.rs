@@ -23,7 +23,9 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 /// The features sit behind an [`Arc`] so every trainer built over the
 /// dataset shares them, and the dataset remembers the MDS encodings
 /// handed out for them ([`Self::encoding`]): an MDS and an S²C² trainer
-/// over one dataset compute against the same coded partitions.
+/// over one dataset compute against the same coded partitions. Each
+/// encoding holds the features' `Arc` itself (its systematic
+/// partitions), so the features are never copied.
 #[derive(Debug, Clone)]
 pub struct Classification {
     /// Feature matrix, one example per row.
@@ -58,11 +60,17 @@ impl Classification {
     /// first use and shared with every caller while any of them holds
     /// it.
     ///
+    /// The encoding holds the features themselves (another strong
+    /// reference to [`Self::features`]) as its systematic partitions, plus
+    /// its own `n − k` parity partitions: the features live as long as
+    /// the dataset or any encoding on them.
+    ///
     /// The dataset keeps only weak references: once every job on an
-    /// encoding is dropped its memory is freed, and the next request
+    /// encoding is dropped its parity is freed, and the next request
     /// encodes afresh. An encoding belongs to the features allocation it
     /// was made from, so assigning new features misses rather than
-    /// returning a stale encoding.
+    /// returning a stale encoding (which keeps the old features alive
+    /// while a job holds it).
     ///
     /// # Errors
     ///
@@ -96,9 +104,11 @@ impl Classification {
         }
         let code = MdsCode::new(params)?;
         let encoded = match orientation {
-            Orientation::Features => code.encode(&self.features, chunks_per_partition)?,
+            Orientation::Features => {
+                code.encode(Arc::clone(&self.features), chunks_per_partition)?
+            }
             Orientation::Transposed => {
-                code.encode_transpose(&self.features, chunks_per_partition)?
+                code.encode_transpose(Arc::clone(&self.features), chunks_per_partition)?
             }
         };
         let encoding = Arc::new(CachedEncoding { code, encoded });
@@ -145,9 +155,10 @@ struct MemoKey {
 #[derive(Debug, Clone)]
 struct MemoEntry {
     key: MemoKey,
-    /// The features the encoding was made from. Holding the weak
-    /// reference keeps the allocation's address from being reused, so
-    /// pointer equality with the current features is identity.
+    /// The features the encoding was made from. While the encoding
+    /// lives it holds them strongly; after that the weak reference keeps
+    /// the allocation's address from being reused, so pointer equality
+    /// with the current features is identity.
     source: Weak<Matrix>,
     encoding: Weak<CachedEncoding>,
 }
@@ -350,6 +361,7 @@ pub fn power_law_graph(nodes: usize, edges_per_node: usize, seed: u64) -> Digrap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s2c2_coding::mds::EncodedMatrix;
 
     #[test]
     fn gisette_like_is_separable_ish() {
@@ -429,6 +441,13 @@ mod tests {
         assert!(should_spawn(997, 40, 2) && should_spawn(5, 8_000, 7));
     }
 
+    /// Every partition of `enc`, systematic ones materialized.
+    fn partitions(enc: &EncodedMatrix) -> Vec<Matrix> {
+        (0..enc.params().n)
+            .map(|i| enc.partition(i).into_owned())
+            .collect()
+    }
+
     fn small() -> Classification {
         gisette_like(60, 7, 3)
     }
@@ -455,10 +474,8 @@ mod tests {
         let at = data.encoding(Orientation::Transposed, p, 2).unwrap();
         let code = MdsCode::new(p).unwrap();
         assert_eq!(
-            at.encoded.partitions(),
-            code.encode(&data.features.transpose(), 2)
-                .unwrap()
-                .partitions()
+            partitions(&at.encoded),
+            partitions(&code.encode(data.features.transpose(), 2).unwrap())
         );
     }
 
@@ -473,8 +490,8 @@ mod tests {
         assert_eq!(Arc::strong_count(&fresh), 1);
         let code = MdsCode::new(p).unwrap();
         assert_eq!(
-            fresh.encoded.partitions(),
-            code.encode(&data.features, 2).unwrap().partitions()
+            partitions(&fresh.encoded),
+            partitions(&code.encode(&*data.features, 2).unwrap())
         );
     }
 
@@ -490,8 +507,8 @@ mod tests {
         assert!(!Arc::ptr_eq(&old, &new));
         let code = MdsCode::new(p).unwrap();
         assert_eq!(
-            new.encoded.partitions(),
-            code.encode(&data.features, 2).unwrap().partitions()
+            partitions(&new.encoded),
+            partitions(&code.encode(&*data.features, 2).unwrap())
         );
     }
 

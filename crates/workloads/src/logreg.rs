@@ -277,9 +277,13 @@ mod tests {
         // (plus the handle taken here), and by nothing else.
         assert_eq!(Arc::strong_count(&fwd(&mds)), 3);
         assert_eq!(Arc::strong_count(&bwd(&mds)), 3);
-        // The margin comes from the forward job: neither trainer holds
-        // the features themselves.
-        assert_eq!(Arc::strong_count(&data.features), 1);
+        // The features exist once: the dataset holds them, and each
+        // encoding keeps them as its systematic partitions. Neither
+        // trainer holds them otherwise (the margin comes from the
+        // forward job).
+        assert_eq!(Arc::strong_count(&data.features), 3);
+        assert!(Arc::ptr_eq(fwd(&mds).encoded.source(), &data.features));
+        assert!(Arc::ptr_eq(bwd(&mds).encoded.source(), &data.features));
     }
 
     #[test]
