@@ -7,7 +7,7 @@
 
 use crate::error::LinalgError;
 use crate::multivector::{matvec_multi_block, MultiVector};
-use crate::vector::Vector;
+use crate::vector::{max_abs_diff_slices, Vector};
 use std::sync::Arc;
 
 /// A dense row-major `f64` matrix.
@@ -180,9 +180,10 @@ impl Matrix {
     ///
     /// Workers computing a chunk of their partition call this so only the
     /// assigned rows are touched. Implemented as the single-member case
-    /// of the stacked kernel, which routes through the same 4-wide
-    /// unrolled dot product as the historical per-row loop — results are
-    /// bit-identical to it.
+    /// of the stacked kernel: four rows share one pass over `x` (16
+    /// independent accumulators), each row keeping `dot_slices`' four
+    /// lanes and tail in its order, so results are bit-identical to the
+    /// historical per-row loop.
     #[must_use]
     pub fn matvec_rows(&self, x: &Vector, begin: usize, end: usize) -> Vector {
         assert_eq!(x.len(), self.cols, "matvec_rows: dimension mismatch");
@@ -337,7 +338,8 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute element difference against another same-shape matrix.
+    /// Maximum absolute element difference against another same-shape
+    /// matrix; NaN if any difference is NaN.
     ///
     /// # Panics
     ///
@@ -345,10 +347,7 @@ impl Matrix {
     #[must_use]
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff: shape mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0, |m, (a, b)| m.max((a - b).abs()))
+        max_abs_diff_slices(&self.data, &other.data)
     }
 
     /// Number of bytes this matrix occupies when shipped over the simulated
@@ -495,6 +494,15 @@ mod tests {
         assert_eq!(m.frobenius_norm(), 5.0);
         let n = Matrix::zeros(2, 2);
         assert_eq!(m.max_abs_diff(&n), 4.0);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let m = Matrix::from_rows(vec![vec![3.0, 0.0], vec![0.0, 4.0]]);
+        let mut bad = m.clone();
+        bad.set(0, 1, f64::NAN);
+        assert!(bad.max_abs_diff(&m).is_nan());
+        assert!(m.max_abs_diff(&bad).is_nan());
     }
 
     #[test]

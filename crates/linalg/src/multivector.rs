@@ -16,6 +16,13 @@
 //! produce bit-identical results to the historical per-row
 //! `dot_slices` loop, which is what keeps batched and unbatched
 //! pipelines comparable at machine precision.
+//!
+//! A single member (`count == 1`, or the last member of an odd count)
+//! is walked four rows at a time: one pass over `x` feeds four rows'
+//! `dot_slices` lanes, 16 independent add chains instead of one row's
+//! four dependent ones, so the product is throughput-bound rather than
+//! latency-bound. Each row still sums its own lanes `j mod 4` and tail
+//! exactly as `dot_slices` does, so the grouping changes no bit.
 
 use crate::vector::{dot_slices, Vector};
 
@@ -269,6 +276,67 @@ fn dot_rhs2(row: &[f64], x0: &[f64], x1: &[f64], out: &mut [f64]) {
     out[1] = b0 + b1 + b2 + b3 + tb;
 }
 
+/// Dot products of four consecutive rows (`rows`, `4 × x.len()`
+/// row-major) against one `x`.
+///
+/// Each row keeps the exact [`dot_slices`] accumulation structure (four
+/// lane accumulators over column quads, scalar tail, lanes summed left
+/// to right), so every result is bit-identical to a standalone
+/// `dot_slices(row, x)` call. A lone `dot_slices` is latency-bound on
+/// its four dependent add chains; here the 16 chains are independent,
+/// so the adds pipeline and `x` is loaded once for four rows.
+#[inline]
+fn dot_rows4(rows: &[f64], x: &[f64]) -> [f64; 4] {
+    let n = x.len();
+    debug_assert_eq!(rows.len(), 4 * n);
+    let (r0, rest) = rows.split_at(n);
+    let (r1, rest) = rest.split_at(n);
+    let (r2, r3) = rest.split_at(n);
+    // Exact-size column quads: the loads need no bounds checks.
+    let quads = x
+        .chunks_exact(4)
+        .zip(r0.chunks_exact(4))
+        .zip(r1.chunks_exact(4))
+        .zip(r2.chunks_exact(4))
+        .zip(r3.chunks_exact(4));
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut b0, mut b1, mut b2, mut b3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut c0, mut c1, mut c2, mut c3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut d0, mut d1, mut d2, mut d3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for ((((xq, q0), q1), q2), q3) in quads {
+        a0 += q0[0] * xq[0];
+        a1 += q0[1] * xq[1];
+        a2 += q0[2] * xq[2];
+        a3 += q0[3] * xq[3];
+        b0 += q1[0] * xq[0];
+        b1 += q1[1] * xq[1];
+        b2 += q1[2] * xq[2];
+        b3 += q1[3] * xq[3];
+        c0 += q2[0] * xq[0];
+        c1 += q2[1] * xq[1];
+        c2 += q2[2] * xq[2];
+        c3 += q2[3] * xq[3];
+        d0 += q3[0] * xq[0];
+        d1 += q3[1] * xq[1];
+        d2 += q3[2] * xq[2];
+        d3 += q3[3] * xq[3];
+    }
+    let (mut ta, mut tb, mut tc, mut td) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for j in n / 4 * 4..n {
+        let xj = x[j];
+        ta += r0[j] * xj;
+        tb += r1[j] * xj;
+        tc += r2[j] * xj;
+        td += r3[j] * xj;
+    }
+    [
+        a0 + a1 + a2 + a3 + ta,
+        b0 + b1 + b2 + b3 + tb,
+        c0 + c1 + c2 + c3 + tc,
+        d0 + d1 + d2 + d3 + td,
+    ]
+}
+
 /// The cache-blocked stacked matvec kernel over raw storage.
 ///
 /// Computes rows `[begin, end)` of `A · xᵀ` for every member of the
@@ -279,9 +347,13 @@ fn dot_rhs2(row: &[f64], x0: &[f64], x1: &[f64], out: &mut [f64]) {
 /// Blocking: rows are walked in [`row_block_for`]-sized blocks and
 /// members in [`RHS_TILE`]-wide tiles inside each block, so the A block
 /// stays L1/L2-resident across all member tiles and each row element is
-/// loaded once per tile rather than once per member. Every member's
-/// value keeps the exact `dot_slices` accumulation order, so `count == 1`
-/// degenerates bit-identically to the sequential single-RHS kernel.
+/// loaded once per tile rather than once per member. A lone member (the
+/// `count == 1` product, or an odd count's last member) takes each
+/// block's rows four at a time through `dot_rows4`, and the block's
+/// last `< 4` rows through [`dot_slices`]. Every member's value keeps
+/// the exact `dot_slices` accumulation order (per row: lanes `j mod 4`,
+/// then the tail, summed left to right), so every grouping is
+/// bit-identical to the sequential per-row loop.
 ///
 /// # Panics
 ///
@@ -327,11 +399,21 @@ pub(crate) fn matvec_multi_block(
             }
             m += 2;
         }
-        // Single remainder member: the degenerate path, shared with the
-        // single-RHS kernels.
+        // Single remainder member (the whole product when `count == 1`):
+        // four rows per pass over `x`, then `dot_slices` for the block's
+        // last `< 4` rows.
         if m < count {
             let x = &rhs[m * cols..(m + 1) * cols];
-            for r in block..block_end {
+            let mut r = block;
+            while r + 4 <= block_end {
+                let rows = &a[r * cols..(r + 4) * cols];
+                let y = dot_rows4(rows, x);
+                for (i, v) in y.into_iter().enumerate() {
+                    out[(r + i - begin) * count + m] = v;
+                }
+                r += 4;
+            }
+            for r in r..block_end {
                 let row = &a[r * cols..(r + 1) * cols];
                 out[(r - begin) * count + m] = dot_slices(row, x);
             }
@@ -447,31 +529,45 @@ mod tests {
 
     #[test]
     fn single_member_is_bitwise_dot_slices() {
-        let a = sample(40, 13);
-        let xs = stack(1, 13);
-        let mut out = vec![0.0; 40];
-        matvec_multi_block(a.as_slice(), 13, 0, 40, xs.as_slice(), 1, &mut out);
-        for (r, &got) in out.iter().enumerate() {
-            assert_eq!(got, dot_slices(a.row(r), xs.member(0)), "row {r}");
+        // 43 rows: ten four-row groups and three leftover rows; the
+        // ranges also start and end off a multiple of four.
+        for &cols in &[4usize, 5, 6, 7, 13, 48, 64] {
+            let a = sample(43, cols);
+            let xs = stack(1, cols);
+            for (begin, end) in [(0, 43), (1, 42), (2, 7), (5, 5)] {
+                let mut out = vec![0.0; end - begin];
+                matvec_multi_block(a.as_slice(), cols, begin, end, xs.as_slice(), 1, &mut out);
+                for (i, &got) in out.iter().enumerate() {
+                    let r = begin + i;
+                    assert_eq!(
+                        got.to_bits(),
+                        dot_slices(a.row(r), xs.member(0)).to_bits(),
+                        "row {r} of [{begin}, {end}), cols {cols}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn every_member_is_bitwise_dot_slices() {
         // The tiled kernels preserve the exact dot_slices accumulation
-        // order per member, so stacked == standalone bit-for-bit.
-        let a = sample(17, 29);
-        for count in 1..=7usize {
-            let xs = stack(count, 29);
-            let mut out = vec![0.0; 17 * count];
-            matvec_multi_block(a.as_slice(), 29, 0, 17, xs.as_slice(), count, &mut out);
-            for r in 0..17 {
-                for m in 0..count {
-                    assert_eq!(
-                        out[r * count + m],
-                        dot_slices(a.row(r), xs.member(m)),
-                        "row {r} member {m} of {count}"
-                    );
+        // order per member, so stacked == standalone bit-for-bit. Odd
+        // counts send their last member through the four-row path.
+        for &cols in &[4usize, 5, 6, 7, 29, 48, 64] {
+            let a = sample(17, cols);
+            for count in 1..=7usize {
+                let xs = stack(count, cols);
+                let mut out = vec![0.0; 17 * count];
+                matvec_multi_block(a.as_slice(), cols, 0, 17, xs.as_slice(), count, &mut out);
+                for r in 0..17 {
+                    for m in 0..count {
+                        assert_eq!(
+                            out[r * count + m].to_bits(),
+                            dot_slices(a.row(r), xs.member(m)).to_bits(),
+                            "row {r} member {m} of {count}, cols {cols}"
+                        );
+                    }
                 }
             }
         }

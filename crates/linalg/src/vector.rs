@@ -130,7 +130,8 @@ impl Vector {
     }
 
     /// Element-wise absolute difference's maximum — convenient convergence
-    /// measure for iterative workloads.
+    /// measure for iterative workloads. NaN if any difference is NaN, so
+    /// a NaN iterate never reads as converged.
     ///
     /// # Panics
     ///
@@ -138,10 +139,7 @@ impl Vector {
     #[must_use]
     pub fn max_abs_diff(&self, other: &Vector) -> f64 {
         assert_eq!(self.len(), other.len(), "max_abs_diff: length mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0, |m, (a, b)| m.max((a - b).abs()))
+        max_abs_diff_slices(&self.data, &other.data)
     }
 
     /// Sum of all elements.
@@ -149,6 +147,19 @@ impl Vector {
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
+}
+
+/// Largest `|a[i] − b[i]|`, NaN-propagating: `f64::max` would return
+/// the non-NaN argument and hide a NaN element behind a zero error.
+pub(crate) fn max_abs_diff_slices(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |m, (x, y)| {
+        let d = (x - y).abs();
+        if d > m || d.is_nan() {
+            d
+        } else {
+            m
+        }
+    })
 }
 
 /// Dot product of two equal-length slices.
@@ -316,6 +327,20 @@ mod tests {
         let b = Vector::from(vec![1.5, 2.0, 2.0]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
         assert_eq!(a.sum(), 6.0);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let exact = Vector::from(vec![1.0, 2.0, 3.0]);
+        let mid = Vector::from(vec![1.0, f64::NAN, 3.0]);
+        let last = Vector::from(vec![1.0, 2.5, f64::NAN]);
+        assert!(mid.max_abs_diff(&exact).is_nan());
+        assert!(exact.max_abs_diff(&mid).is_nan());
+        // A NaN after a larger finite difference still wins.
+        assert!(last.max_abs_diff(&exact).is_nan());
+        assert!(Vector::from(vec![f64::NAN; 3])
+            .max_abs_diff(&exact)
+            .is_nan());
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! (absolute below magnitude 1): the kernels reassociate the per-row sum
 //! across four lanes, so exact bitwise equality with a serial fold is not
 //! expected, but anything past 1e-12 would indicate a kernel indexing bug
-//! rather than rounding.
+//! rather than rounding. Against `dot_slices`, whose four-lane order the
+//! kernels keep, the single-RHS product is compared bit for bit.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use s2c2_linalg::multivector::{row_block_for, RHS_TILE};
+use s2c2_linalg::vector::dot_slices;
 use s2c2_linalg::{Matrix, MultiVector, Vector};
 
 /// Column counts covering degenerate (1), the dot-product quad boundary
@@ -144,5 +146,39 @@ proptest! {
         let got = a.matvec(&x);
         let want = naive_multi_rows(&a, &MultiVector::single(&x), 0, rows);
         assert_close(got.as_slice(), &want)?;
+    }
+
+    #[test]
+    fn single_rhs_rows_are_bitwise_dot_slices(
+        cols in 1usize..=70,
+        extra in 0usize..9,
+        straddle in any::<bool>(),
+        lo in 0usize..1200,
+        hi in 0usize..1200,
+        seed in any::<u64>(),
+    ) {
+        // Two full cache blocks plus a ragged tail, so ranges can cross
+        // a block boundary and start or end off a multiple of four.
+        let block = row_block_for(cols);
+        let rows = 2 * block + extra;
+        let (begin, end) = if straddle {
+            // Within seven rows either side of the first block boundary.
+            (block - 1 - lo % 7, block + 1 + hi % 7)
+        } else {
+            let (a, b) = (lo % (rows + 1), hi % (rows + 1));
+            (a.min(b), a.max(b))
+        };
+
+        let mut next = lcg_fill(seed);
+        let a = Matrix::from_fn(rows, cols, |_, _| next());
+        let x = Vector::from_fn(cols, |_| next());
+
+        let got = a.matvec_rows(&x, begin, end);
+        prop_assert_eq!(got.len(), end - begin);
+        for (i, g) in got.as_slice().iter().enumerate() {
+            let r = begin + i;
+            let want = dot_slices(a.row(r), x.as_slice());
+            prop_assert_eq!(g.to_bits(), want.to_bits(), "row {} of [{}, {})", r, begin, end);
+        }
     }
 }

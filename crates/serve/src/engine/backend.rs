@@ -20,7 +20,8 @@
 //!   recovery ladder cancels (late stragglers, churn), re-dispatched on
 //!   redo assignment, and collected/decoded at iteration completion.
 //!   The schedule the engine decides is the schedule real threads
-//!   execute, end to end.
+//!   execute, end to end. The master computes each round's `A·x`
+//!   reference after dispatching it, while the workers compute.
 //!
 //! Both numeric backends draw per-iteration inputs `x` from the same
 //! deterministic generator and decode from identical response sets, so
@@ -228,11 +229,11 @@ struct NumericJob {
     /// the decoded outputs are checked against.
     enc: Arc<CachedEncoding>,
     /// Per in-flight round, keyed by iteration index: the deterministic
-    /// input and its sequential reference (`A·x`). Pipelined serving
-    /// holds up to `depth` live entries at once; the barrier engine
-    /// exactly one. Entries are consumed at verification (and dropped
-    /// wholesale when the job resolves).
-    rounds: BTreeMap<usize, (Arc<Vector>, Vector)>,
+    /// input and, once computed, its sequential reference (`A·x`).
+    /// Pipelined serving holds up to `depth` live entries at once; the
+    /// barrier engine exactly one. Entries are consumed at verification
+    /// (and dropped wholesale when the job resolves).
+    rounds: BTreeMap<usize, (Arc<Vector>, Option<Vector>)>,
 }
 
 /// Upper bound on pooled stacked-input buffers (see
@@ -294,19 +295,39 @@ impl NumericCore {
         Ok(())
     }
 
-    /// Materializes the round's deterministic input and its reference.
-    /// Idempotent per round index: a rung-5 restart re-dispatches the
-    /// same index, and the input is a pure function of `(job, index)`,
-    /// so the existing entry is reused.
-    fn begin_iteration(&mut self, spec: &JobSpec, iteration_index: usize) -> Result<(), String> {
+    /// Materializes the round's deterministic input. Idempotent per
+    /// round index: a rung-5 restart re-dispatches the same index, and
+    /// the input is a pure function of `(job, index)`, so the existing
+    /// entry is reused.
+    fn stage_input(&mut self, spec: &JobSpec, iteration_index: usize) -> Result<(), String> {
         let job = self
             .jobs
             .get_mut(&spec.id)
             .ok_or_else(|| format!("job {} iterated before admission", spec.id))?;
-        if !job.rounds.contains_key(&iteration_index) {
-            let x = Arc::new(iteration_input(spec.id, iteration_index, spec.cols));
-            let y_ref = job.enc.encoded.source().matvec(&x);
-            job.rounds.insert(iteration_index, (x, y_ref));
+        job.rounds.entry(iteration_index).or_insert_with(|| {
+            let x = iteration_input(spec.id, iteration_index, spec.cols);
+            (Arc::new(x), None)
+        });
+        Ok(())
+    }
+
+    /// Computes the staged round's sequential reference `A·x` once per
+    /// `(job, round)` (a rung-5 restart reuses it), timed as
+    /// verification. Separate from [`Self::stage_input`] so the
+    /// threaded backend can run it while its workers compute.
+    fn compute_reference(&mut self, spec: &JobSpec, iteration_index: usize) -> Result<(), String> {
+        let job = self
+            .jobs
+            .get_mut(&spec.id)
+            .ok_or_else(|| format!("job {} iterated before admission", spec.id))?;
+        let (x, y_ref) = job
+            .rounds
+            .get_mut(&iteration_index)
+            .ok_or_else(|| format!("job {} round {iteration_index} input missing", spec.id))?;
+        if y_ref.is_none() {
+            let t0 = Instant::now();
+            *y_ref = Some(job.enc.encoded.source().matvec(x));
+            self.phase_wall.verify += t0.elapsed().as_secs_f64();
         }
         Ok(())
     }
@@ -400,22 +421,19 @@ impl NumericCore {
             // Consume (not just read) the round's reference: rounds
             // commit in order exactly once, and the entry must not
             // outlive its round under pipelining.
-            let (_, y_ref) = self
+            let y_ref = self
                 .jobs
                 .get_mut(&spec.id)
                 .ok_or_else(|| format!("job {} completed before admission", spec.id))?
                 .rounds
                 .remove(&iteration_index)
+                .and_then(|(_, y_ref)| y_ref)
                 .ok_or_else(|| {
                     format!("job {} round {iteration_index} reference missing", spec.id)
                 })?;
-            let scale = 1.0 + y_ref.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            let err = y
-                .as_slice()
-                .iter()
-                .zip(y_ref.as_slice())
-                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
-                / scale;
+            // `max_abs_diff` propagates NaN, so a NaN anywhere in the
+            // decoded output fails here instead of reading as zero error.
+            let err = y.max_abs_diff(&y_ref) / (1.0 + y_ref.norm_inf());
             if err.is_nan() || err > VERIFY_TOL {
                 return Err(format!(
                     "job {} decoded output diverged from the sequential reference \
@@ -467,7 +485,8 @@ impl ExecutionBackend for SimVerifiedBackend {
         iteration_index: usize,
     ) -> Result<(), String> {
         for m in members {
-            self.core.begin_iteration(&m.spec, iteration_index)?;
+            self.core.stage_input(&m.spec, iteration_index)?;
+            self.core.compute_reference(&m.spec, iteration_index)?;
         }
         Ok(())
     }
@@ -645,7 +664,7 @@ impl ExecutionBackend for ThreadedBackend {
         iteration_index: usize,
     ) -> Result<(), String> {
         for m in members {
-            self.core.begin_iteration(&m.spec, iteration_index)?;
+            self.core.stage_input(&m.spec, iteration_index)?;
         }
         let (_, xs) = self.core.batch_inputs(members, iteration_index)?;
         let leader = members[0].spec.id;
@@ -670,6 +689,11 @@ impl ExecutionBackend for ThreadedBackend {
             prev.is_none(),
             "a generation is dispatched at most once per round"
         );
+        // The references run after the submit loop: the workers start
+        // at once and the master's `A·x` overlaps their compute.
+        for m in members {
+            self.core.compute_reference(&m.spec, iteration_index)?;
+        }
         Ok(())
     }
 
@@ -861,5 +885,71 @@ impl ExecutionBackend for ThreadedBackend {
             cluster.shutdown();
         }
         self.core.merge_into(report);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::JobPreset;
+
+    /// A medium job on an 8-worker pool with round 0 staged, and the
+    /// blocks `SimVerified` decodes it from: the k lowest workers'
+    /// responses for every chunk.
+    fn staged_round(core: &mut NumericCore) -> (QueuedJob, Vec<MultiChunkResult>) {
+        let n = 8;
+        let spec = JobPreset::medium().instantiate(7, 0, n);
+        core.admit(&spec, n, spec.k, spec.chunks_per_partition)
+            .unwrap();
+        core.stage_input(&spec, 0).unwrap();
+        let member = QueuedJob { spec, arrival: 0.0 };
+        let (enc, xs) = core.batch_inputs(std::slice::from_ref(&member), 0).unwrap();
+        let k = enc.encoded.params().k;
+        let mut blocks = Vec::new();
+        for chunk in 0..enc.encoded.layout().chunks_per_partition {
+            for w in 0..k {
+                blocks.push(enc.encoded.worker_compute_chunk_multi(w, chunk, &xs));
+            }
+        }
+        (member, blocks)
+    }
+
+    #[test]
+    fn a_referenced_round_verifies() {
+        let mut core = NumericCore::default();
+        let (member, blocks) = staged_round(&mut core);
+        core.compute_reference(&member.spec, 0).unwrap();
+        // Idempotent: a restarted round reuses the reference.
+        core.compute_reference(&member.spec, 0).unwrap();
+        core.verify_multi(std::slice::from_ref(&member), &blocks, 0, false)
+            .unwrap();
+        assert_eq!(core.verified, 1);
+        assert!(core.max_error < VERIFY_TOL);
+        assert!(core.phase_wall.verify > 0.0);
+    }
+
+    #[test]
+    fn a_nan_in_a_decoded_member_fails_verification() {
+        let mut core = NumericCore::default();
+        let (member, mut blocks) = staged_round(&mut core);
+        core.compute_reference(&member.spec, 0).unwrap();
+        // Worker 0 is systematic: its value lands in the decoded output
+        // as is.
+        blocks[0].values[1] = f64::NAN;
+        let err = core
+            .verify_multi(std::slice::from_ref(&member), &blocks, 0, false)
+            .unwrap_err();
+        assert!(err.contains("diverged"), "{err}");
+        assert_eq!(core.verified, 0);
+    }
+
+    #[test]
+    fn a_round_without_its_reference_is_an_error() {
+        let mut core = NumericCore::default();
+        let (member, blocks) = staged_round(&mut core);
+        let err = core
+            .verify_multi(std::slice::from_ref(&member), &blocks, 0, false)
+            .unwrap_err();
+        assert!(err.contains("reference missing"), "{err}");
     }
 }

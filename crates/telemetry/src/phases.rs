@@ -28,8 +28,8 @@ pub struct PhaseTotals {
     pub collect: f64,
     /// Master-side decode of the round's coverage.
     pub decode: f64,
-    /// Verification against the reference result (wall only: free on
-    /// the virtual clock).
+    /// Verification: computing the reference result and comparing the
+    /// decoded output against it (wall only: free on the virtual clock).
     pub verify: f64,
 }
 
