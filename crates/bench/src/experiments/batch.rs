@@ -11,21 +11,18 @@
 //!
 //! This experiment offers an identical high-λ Poisson stream of
 //! small-preset jobs (one shared model matrix, the regime the encode
-//! cache and batch key target) to the serve engine three times:
+//! cache and batch key target) to the serve engine twice:
 //!
 //! * **unbatched** — [`BatchPolicy::Off`]: the engine exactly as it was;
 //! * **batch-size** — [`BatchPolicy::SizeThreshold`]: queued mates ride
-//!   the policy pick opportunistically, up to 4 per round;
-//! * **batch-window** — [`BatchPolicy::TimeWindow`]: picks are
-//!   additionally held briefly so mates can accumulate at moderate
-//!   queue depths.
+//!   the policy pick opportunistically, up to 4 per round.
 //!
 //! The cluster model carries realistic per-message latency (the LAN
 //! link the paper's controlled cluster uses) so the fixed cost being
 //! amortized is visible: batching `m` jobs pays one input transfer, one
 //! reply, and one decode LU factorization per round instead of `m`.
 //! The table shows sustained throughput and p99 sojourn; the batched
-//! rows must beat the unbatched engine on both (asserted in tests).
+//! row must beat the unbatched engine on both (asserted in tests).
 
 use crate::experiments::Scale;
 use crate::report::Table;
@@ -94,19 +91,12 @@ pub fn run_policy(batch: BatchPolicy, jobs: usize) -> ServiceReport {
         .expect("batch run completes")
 }
 
-/// The three policies the table compares, with row labels.
+/// The two policies the table compares, with row labels.
 #[must_use]
 pub fn policies() -> Vec<(&'static str, BatchPolicy)> {
     vec![
         ("unbatched", BatchPolicy::Off),
         ("batch-size", BatchPolicy::SizeThreshold { max_batch: 4 }),
-        (
-            "batch-window",
-            BatchPolicy::TimeWindow {
-                window: 0.05,
-                max_batch: 4,
-            },
-        ),
     ]
 }
 
@@ -160,24 +150,18 @@ mod tests {
     #[test]
     fn batching_beats_unbatched_on_throughput_and_tail() {
         // The acceptance bar for the whole batching layer: at high λ on
-        // the small-job preset, both batched modes must sustain more
-        // throughput *and* a lower p99 sojourn than the unbatched
+        // the small-job preset, size-threshold batching must sustain
+        // more throughput *and* a lower p99 sojourn than the unbatched
         // engine.
         let t = run(Scale::Quick);
         let off_tp = t.value("unbatched", "throughput");
         let off_p99 = t.value("unbatched", "p99_latency");
-        for row in ["batch-size", "batch-window"] {
-            assert!(
-                t.value(row, "throughput") > off_tp,
-                "{row} throughput {} must beat unbatched {off_tp}",
-                t.value(row, "throughput")
-            );
-            assert!(
-                t.value(row, "p99_latency") < off_p99,
-                "{row} p99 {} must beat unbatched {off_p99}",
-                t.value(row, "p99_latency")
-            );
-        }
+        let (tp, p99) = (
+            t.value("batch-size", "throughput"),
+            t.value("batch-size", "p99_latency"),
+        );
+        assert!(tp > off_tp, "throughput {tp} must beat unbatched {off_tp}");
+        assert!(p99 < off_p99, "p99 {p99} must beat unbatched {off_p99}");
     }
 
     #[test]
@@ -185,14 +169,12 @@ mod tests {
         let t = run(Scale::Quick);
         assert_eq!(t.value("unbatched", "batch_rounds"), 0.0);
         assert_eq!(t.value("unbatched", "mean_batch"), 0.0);
-        for row in ["batch-size", "batch-window"] {
-            assert!(t.value(row, "batch_rounds") > 0.0, "{row} must batch");
-            let mean = t.value(row, "mean_batch");
-            assert!(
-                mean > 1.0 && mean <= 4.0 + 1e-12,
-                "{row} mean batch size {mean} outside (1, 4]"
-            );
-        }
+        assert!(t.value("batch-size", "batch_rounds") > 0.0, "must batch");
+        let mean = t.value("batch-size", "mean_batch");
+        assert!(
+            mean > 1.0 && mean <= 4.0 + 1e-12,
+            "mean batch size {mean} outside (1, 4]"
+        );
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   both contend (measured censored at the earliest tenant drain, so
 //!   the eventual full drain cannot mask the enforcement).
 //! * **deadline** — the same deadline-carrying Poisson load served
-//!   under FIFO admission, earliest-deadline admission, and
-//!   earliest-deadline plus infeasibility rejection. EDF lifts the
+//!   under FIFO and earliest-deadline admission. EDF lifts the
 //!   on-time ratio at identical offered load by spending queueing slack
 //!   where the SLOs are loose instead of where they are tight.
 //!
@@ -100,14 +99,13 @@ pub fn deadline_workload(jobs: usize) -> Vec<(f64, JobSpec)> {
 ///
 /// Panics if the engine rejects the configuration or the run stalls.
 #[must_use]
-pub fn run_deadline(jobs: usize, policy: QueuePolicy, reject: bool) -> ServiceReport {
+pub fn run_deadline(jobs: usize, policy: QueuePolicy) -> ServiceReport {
     let pool = common::controlled_cluster(POOL, STRAGGLERS, SEED);
     let workload = deadline_workload(jobs);
     let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
         predictor: PredictorSource::LastValue,
     });
     cfg.policy = policy;
-    cfg.reject_infeasible_deadlines = reject;
     ServiceEngine::new(pool, cfg)
         .expect("qos deadline configuration is valid")
         .run(&workload)
@@ -170,16 +168,14 @@ pub fn run(scale: Scale) -> QosOutput {
             "p50_latency".into(),
             "p99_latency".into(),
             "completed".into(),
-            "rejected".into(),
             "utilization".into(),
         ],
     );
-    for (label, policy, reject) in [
-        ("fifo", QueuePolicy::Fifo, false),
-        ("edf", QueuePolicy::EarliestDeadline, false),
-        ("edf+reject", QueuePolicy::EarliestDeadline, true),
+    for (label, policy) in [
+        ("fifo", QueuePolicy::Fifo),
+        ("edf", QueuePolicy::EarliestDeadline),
     ] {
-        let r = run_deadline(jobs, policy, reject);
+        let r = run_deadline(jobs, policy);
         assert_eq!(
             r.completed() + r.failed(),
             jobs,
@@ -193,7 +189,6 @@ pub fn run(scale: Scale) -> QosOutput {
                 r.latency_percentile(50.0),
                 r.latency_percentile(99.0),
                 r.completed() as f64,
-                r.rejected() as f64,
                 r.utilization(),
             ],
         );
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn utilization_bounded_across_policies() {
         let out = run(Scale::Quick);
-        for row in ["fifo", "edf", "edf+reject"] {
+        for row in ["fifo", "edf"] {
             let u = out.deadline.value(row, "utilization");
             assert!((0.0..=1.0).contains(&u), "{row} utilization {u}");
         }
@@ -267,10 +262,6 @@ mod tests {
         ));
         assert!(close(out.deadline.value("fifo", "on_time_ratio"), 0.25));
         assert!(close(out.deadline.value("edf", "on_time_ratio"), 0.9875));
-        assert!(close(
-            out.deadline.value("edf+reject", "on_time_ratio"),
-            0.9875
-        ));
         assert!(close(
             out.deadline.value("fifo", "p99_latency"),
             13.533762638708323

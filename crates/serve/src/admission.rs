@@ -55,40 +55,18 @@ pub enum BatchPolicy {
     /// fair-share) is preserved exactly — mates merely ride along.
     SizeThreshold {
         /// Size threshold: a round is capped at this many member jobs
-        /// (≥ 2; the threshold flushes immediately when reached).
-        max_batch: usize,
-    },
-    /// Like [`BatchPolicy::SizeThreshold`], but a batchable pick whose
-    /// group is still below `max_batch` is additionally held for up to
-    /// `window` seconds after the group's earliest arrival, so mates
-    /// can accumulate even while slots are free. Reaching `max_batch`
-    /// flushes early; the window expiring flushes whatever gathered.
-    /// While one key's group is held, other queued jobs (different key
-    /// or none) are admitted normally — the window delays only its own
-    /// group, so no other job is ever starved by it.
-    TimeWindow {
-        /// Seconds a batchable pick may be held past the group's
-        /// earliest arrival (finite, > 0).
-        window: f64,
-        /// Size cap that flushes the group early (≥ 2).
+        /// (≥ 2).
         max_batch: usize,
     },
 }
 
 impl BatchPolicy {
-    /// Whether this policy ever groups jobs.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        !matches!(self, BatchPolicy::Off)
-    }
-
     /// The member cap of one batch round (1 when batching is off).
     #[must_use]
     pub fn max_batch(&self) -> usize {
         match *self {
             BatchPolicy::Off => 1,
-            BatchPolicy::SizeThreshold { max_batch }
-            | BatchPolicy::TimeWindow { max_batch, .. } => max_batch,
+            BatchPolicy::SizeThreshold { max_batch } => max_batch,
         }
     }
 }
@@ -98,9 +76,6 @@ impl std::fmt::Display for BatchPolicy {
         match self {
             BatchPolicy::Off => f.write_str("off"),
             BatchPolicy::SizeThreshold { max_batch } => write!(f, "size({max_batch})"),
-            BatchPolicy::TimeWindow { window, max_batch } => {
-                write!(f, "window({window}s,{max_batch})")
-            }
         }
     }
 }
@@ -202,11 +177,12 @@ impl QueuePolicy {
 
     /// Returns `head` plus up to `max_batch − 1` queued mates sharing its
     /// [`batch_key`], in this policy's admission order (the head stays
-    /// first). The engine's batch-aware admission calls this after
-    /// [`Self::pick`]: the policy's pick is never displaced by
-    /// gathering — mates ride along behind it, themselves ordered the
-    /// way the policy would have admitted them (so a flushed batch under
-    /// earliest-deadline lists members by ascending deadline).
+    /// first). The engine's admission calls this after [`Self::pick`],
+    /// with `max_batch == 1` when batching is off (the head alone,
+    /// without scanning the queue). The policy's pick is never displaced
+    /// by gathering — mates ride along behind it, themselves ordered the
+    /// way the policy would have admitted them (so a batch gathered
+    /// under earliest-deadline lists members by ascending deadline).
     pub(crate) fn gather_batch(
         &self,
         queue: &[QueuedJob],
@@ -214,8 +190,11 @@ impl QueuePolicy {
         head: usize,
         max_batch: usize,
     ) -> Vec<usize> {
-        let key = batch_key(&queue[head].spec);
         let mut group = vec![head];
+        if max_batch <= 1 {
+            return group;
+        }
+        let key = batch_key(&queue[head].spec);
         let mut mates: Vec<usize> = (0..queue.len())
             .filter(|&i| i != head && batch_key(&queue[i].spec) == key)
             .collect();
@@ -396,18 +375,10 @@ mod tests {
 
     #[test]
     fn batch_policy_helpers() {
-        assert!(!BatchPolicy::Off.enabled());
         assert_eq!(BatchPolicy::Off.max_batch(), 1);
         let size = BatchPolicy::SizeThreshold { max_batch: 4 };
-        assert!(size.enabled());
         assert_eq!(size.max_batch(), 4);
         assert_eq!(size.to_string(), "size(4)");
-        let window = BatchPolicy::TimeWindow {
-            window: 0.5,
-            max_batch: 3,
-        };
-        assert_eq!(window.max_batch(), 3);
-        assert_eq!(window.to_string(), "window(0.5s,3)");
         assert_eq!(BatchPolicy::Off.to_string(), "off");
     }
 

@@ -16,7 +16,7 @@
 
 use super::round::{sinks, RunningIteration, Tasks};
 use super::{avail_speeds, trace_into, ServeError, ServiceEngine};
-use crate::admission::{batch_key, BatchKey, BatchPolicy, QueuedJob, ResidentInfo};
+use crate::admission::{QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
 use crate::metrics::JobRecord;
 use crate::shared_alloc::{allocate_for_resident, full_over_available};
@@ -35,9 +35,9 @@ pub(crate) struct ResidentJob {
     /// spec (weight, SLO) and arrival — a solo job is a batch of one,
     /// and batching never collapses member identities. `members[0]` is
     /// the leader whose id keys the resident map and every scheduled
-    /// event. All members share one [`batch_key`] (model identity,
-    /// shape, code geometry, iteration count), so their rounds run in
-    /// lockstep from admission to completion.
+    /// event. All members share one [`crate::admission::batch_key`]
+    /// (model identity, shape, code geometry, iteration count), so their
+    /// rounds run in lockstep from admission to completion.
     pub(crate) members: Vec<QueuedJob>,
     pub(crate) admitted: f64,
     /// Rounds committed (decoded/verified) so far — the in-order commit
@@ -85,16 +85,15 @@ impl ResidentJob {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fate {
     Malformed,
-    Rejected,
     Failed,
     Completed,
 }
 
 impl ServiceEngine {
     /// Writes a job's one [`JobRecord`] and its closing trace event,
-    /// both stamped `finished`. A job turned away before it became
-    /// resident (`resident: None`) counts as admitted at that instant,
-    /// with no progress.
+    /// both stamped `finished`. A malformed job never becomes resident
+    /// (`resident: None`): it counts as admitted at that instant, with
+    /// no progress.
     fn record_fate(
         &mut self,
         spec: &JobSpec,
@@ -106,7 +105,6 @@ impl ServiceEngine {
         let (job, tenant) = (spec.id, spec.tenant);
         trace_into(&mut self.telemetry, finished, || match fate {
             Fate::Malformed => TraceEventKind::Malformed { job },
-            Fate::Rejected => TraceEventKind::Rejected { job },
             Fate::Failed => TraceEventKind::JobFailed { job, tenant },
             Fate::Completed => TraceEventKind::JobComplete { job, tenant },
         });
@@ -120,7 +118,6 @@ impl ServiceEngine {
             iterations: resident.map_or(0, |j| j.iterations_done),
             retries: resident.map_or(0, |j| j.total_retries),
             failed: fate != Fate::Completed,
-            rejected: fate == Fate::Rejected,
             weight: spec.weight,
             deadline: spec.deadline,
             work: spec.total_work(),
@@ -201,9 +198,9 @@ impl ServiceEngine {
     }
 
     pub(crate) fn try_admit(&mut self) -> Result<(), ServeError> {
-        // Most calls find nothing queued (every job resolution and batch
-        // flush re-runs admission): no resident snapshot for those.
-        'slots: while !self.pending.is_empty() && self.resident.len() < self.cfg.max_resident {
+        // Most calls find nothing queued (every job resolution re-runs
+        // admission): no resident snapshot for those.
+        while !self.pending.is_empty() && self.resident.len() < self.cfg.max_resident {
             // The policy sees *member* jobs, never batches: a weight-2
             // member counts its full weight toward its tenant's resident
             // mass whether it rides a batch or runs alone.
@@ -217,96 +214,26 @@ impl ServiceEngine {
                     })
                 })
                 .collect();
-            // Batch keys held open by an unexpired time window this
-            // pass: invisible to re-picks, so a held group defers only
-            // itself and never starves unrelated admissions.
-            let mut held: Vec<BatchKey> = Vec::new();
-            let mut members: Vec<QueuedJob> = loop {
-                // Most passes hold nothing: pick straight off the
-                // pending queue without copying it. The filtered clone
-                // is built only while a time-window key is actually
-                // held, so the Off/size-threshold hot path stays
-                // allocation-free per pick.
-                let filtered: Option<(Vec<usize>, Vec<QueuedJob>)> = if held.is_empty() {
-                    None
-                } else {
-                    let visible: Vec<usize> = (0..self.pending.len())
-                        .filter(|&i| !held.contains(&batch_key(&self.pending[i].spec)))
-                        .collect();
-                    let cand = visible.iter().map(|&i| self.pending[i].clone()).collect();
-                    Some((visible, cand))
-                };
-                let queue: &[QueuedJob] = filtered
-                    .as_ref()
-                    .map_or(self.pending.as_slice(), |(_, cand)| cand.as_slice());
-                let to_pending = |i: usize| filtered.as_ref().map_or(i, |(visible, _)| visible[i]);
-                let Some(ci) = self.cfg.policy.pick(queue, &residents) else {
-                    break 'slots;
-                };
-                if !self.cfg.batch.enabled() {
-                    let at = to_pending(ci);
-                    break vec![self.pending.remove(at)];
-                }
-                // Batch-aware admission: the policy's pick stays the
-                // head; queued mates sharing its key ride along, in
-                // policy order, up to the size cap.
-                let group_c =
-                    self.cfg
-                        .policy
-                        .gather_batch(queue, &residents, ci, self.cfg.batch.max_batch());
-                if let BatchPolicy::TimeWindow { window, max_batch } = self.cfg.batch {
-                    if group_c.len() < max_batch {
-                        let earliest = group_c
-                            .iter()
-                            .map(|&i| queue[i].arrival)
-                            .fold(f64::INFINITY, f64::min);
-                        let flush_at = earliest + window;
-                        if self.now + 1e-12 < flush_at {
-                            // Window still open: hold this key, flush
-                            // later, and give the rest of the queue a
-                            // chance at the slot now. One flush event
-                            // per (key, instant) — every arrival during
-                            // the window re-plans the same group, and
-                            // duplicate events would burn the event
-                            // budget on no-ops.
-                            let key = batch_key(&queue[ci].spec);
-                            held.push(key);
-                            if !self
-                                .pending_flushes
-                                .iter()
-                                .any(|&(k, at)| k == key && at == flush_at)
-                            {
-                                self.pending_flushes.push((key, flush_at));
-                                self.queue.push(flush_at, EventKind::BatchFlush);
-                            }
-                            continue;
-                        }
-                    }
-                }
-                // Remove the group from the queue (descending index
-                // order keeps earlier indices valid) while preserving
-                // the policy-ordered member sequence.
-                let taken: Vec<QueuedJob> = group_c.iter().map(|&i| queue[i].clone()).collect();
-                let mut rm: Vec<usize> = group_c.iter().map(|&i| to_pending(i)).collect();
-                rm.sort_unstable_by(|a, b| b.cmp(a));
-                for i in rm {
-                    self.pending.remove(i);
-                }
-                break taken;
+            let Some(head) = self.cfg.policy.pick(&self.pending, &residents) else {
+                break;
             };
-            // Deadline admission control applies per member: a hopeless
-            // member is turned away without dragging its mates down.
-            members.retain(|queued| {
-                if !(self.cfg.reject_infeasible_deadlines && self.deadline_infeasible(queued)) {
-                    return true;
-                }
-                let now = self.now;
-                self.record_fate(&queued.spec, queued.arrival, now, Fate::Rejected, None);
-                self.sample_queue_depth();
-                false
-            });
-            if members.is_empty() {
-                continue;
+            // Batch-aware admission: the policy's pick stays the head;
+            // queued mates sharing its key ride along, in policy order,
+            // up to the size cap (a group of one when batching is off).
+            let group = self.cfg.policy.gather_batch(
+                &self.pending,
+                &residents,
+                head,
+                self.cfg.batch.max_batch(),
+            );
+            // Remove the group from the queue (descending index order
+            // keeps earlier indices valid) while preserving the
+            // policy-ordered member sequence.
+            let members: Vec<QueuedJob> = group.iter().map(|&i| self.pending[i].clone()).collect();
+            let mut rm = group;
+            rm.sort_unstable_by(|a, b| b.cmp(a));
+            for i in rm {
+                self.pending.remove(i);
             }
             let id = members[0].spec.id;
             let (k_eff, c_eff, _) = self.effective_shape(&members[0].spec);
@@ -359,24 +286,6 @@ impl ServiceEngine {
             self.fill_window(id, at)?;
         }
         Ok(())
-    }
-
-    /// Optimistic service-time lower bound: the job's total work run on
-    /// the whole available pool at once. If even that misses the SLO,
-    /// the deadline is provably infeasible.
-    fn deadline_infeasible(&self, queued: &QueuedJob) -> bool {
-        if queued.spec.deadline.is_none() {
-            return false;
-        }
-        let cap: f64 = avail_speeds(&self.speeds, &self.up).sum::<f64>()
-            * self.compute.elements_per_sec
-            * thread_speedup(self.cfg.worker_threads);
-        if cap <= 0.0 {
-            // No live capacity to estimate with: nothing is provable.
-            return false;
-        }
-        let min_service = queued.spec.total_work() / cap;
-        self.now + min_service > queued.absolute_deadline()
     }
 
     /// Effective `(k, chunks, rows_per_chunk)` of a job under the current

@@ -87,20 +87,18 @@
 //! count) into one *batch round*: a single cache-backed encode, one
 //! stacked multi-RHS dispatch per worker, one decode LU factorization
 //! per chunk, and one residency slot for the whole group. QoS always
-//! sees the member jobs — per-member weights, deadlines, rejections,
-//! and records — and the recovery ladder degrades or redoes a
-//! straggling round *per batch*, so every member decodes from the
-//! identical coverage. With [`BatchPolicy::Off`] (the default) the
-//! engine is byte-identical to the pre-batching behavior.
+//! sees the member jobs — per-member weights, deadlines, and records —
+//! and the recovery ladder degrades or redoes a straggling round *per
+//! batch*, so every member decodes from the identical coverage. With
+//! [`BatchPolicy::Off`] (the default) the engine is byte-identical to
+//! the pre-batching behavior.
 //!
 //! # Deadlines and QoS
 //!
 //! Jobs may carry a relative SLO ([`crate::workload::JobSpec::deadline`]).
-//! [`QueuePolicy::EarliestDeadline`] admits by least slack, and with
-//! [`ServeConfig::reject_infeasible_deadlines`] the engine refuses, at
-//! admission time, jobs whose deadline cannot be met even by the whole
-//! pool running the job alone (an optimistic lower bound, so only
-//! provably-hopeless jobs are turned away). Tenant entitlements come
+//! [`QueuePolicy::EarliestDeadline`] admits by least slack; a deadline
+//! never turns a job away, it only orders the queue and scores the
+//! job's record as on time or late. Tenant entitlements come
 //! from [`QueuePolicy::WeightedFairShare`] admission and from the
 //! weight-proportional capacity split; a resident job's share is its
 //! members' nominal weight over the resident mass, whatever its slack.
@@ -130,7 +128,7 @@ mod tests;
 pub use backend::BackendKind;
 pub use pipeline::PipelinePolicy;
 
-use crate::admission::{BatchKey, BatchPolicy, QueuePolicy, QueuedJob};
+use crate::admission::{BatchPolicy, QueuePolicy, QueuedJob};
 use crate::event::{EventKind, EventQueue, JobId};
 use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
@@ -230,11 +228,6 @@ pub struct ServeConfig {
     pub max_retries: usize,
     /// Hard event budget (guards against configuration-induced livelock).
     pub max_events: u64,
-    /// Deadline admission control: refuse jobs whose SLO cannot be met
-    /// even by the whole pool serving them alone (optimistic bound —
-    /// only provably-hopeless jobs are rejected). Rejected jobs resolve
-    /// immediately as failed with the `rejected` flag set.
-    pub reject_infeasible_deadlines: bool,
     /// Batching/coalescing of queued jobs sharing a model matrix and
     /// code geometry onto one encode/dispatch round (see
     /// [`BatchPolicy`]). Off by default — the unbatched engine is
@@ -267,7 +260,6 @@ impl ServeConfig {
             churn: None,
             max_retries: 3,
             max_events: 2_000_000,
-            reject_infeasible_deadlines: false,
             batch: BatchPolicy::Off,
             pipeline: PipelinePolicy::Off,
             telemetry: false,
@@ -369,11 +361,6 @@ pub struct ServiceEngine {
     /// Every emission site goes through [`trace_into`], so the `None`
     /// path costs one branch.
     telemetry: Option<Telemetry>,
-    /// Batch-flush events already scheduled, by `(key, instant)` —
-    /// admission re-plans a held group on every arrival during its
-    /// window, and without this dedup each re-plan would enqueue
-    /// another identical no-op flush.
-    pending_flushes: Vec<(BatchKey, f64)>,
     /// Retired rounds' task tables, pooled for reuse by the next
     /// dispatch (see [`round::Tasks`]).
     scratch: Vec<round::Tasks>,
@@ -428,27 +415,10 @@ impl ServiceEngine {
                 "worker_threads must be ≥ 1".into(),
             ));
         }
-        match cfg.batch {
-            BatchPolicy::Off => {}
-            BatchPolicy::SizeThreshold { max_batch } => {
-                if max_batch < 2 {
-                    return Err(ServeError::InvalidConfig(
-                        "batch size threshold must be ≥ 2 (use BatchPolicy::Off to disable)".into(),
-                    ));
-                }
-            }
-            BatchPolicy::TimeWindow { window, max_batch } => {
-                if !(window.is_finite() && window > 0.0) {
-                    return Err(ServeError::InvalidConfig(
-                        "batch time window must be finite and positive".into(),
-                    ));
-                }
-                if max_batch < 2 {
-                    return Err(ServeError::InvalidConfig(
-                        "batch size cap must be ≥ 2 (use BatchPolicy::Off to disable)".into(),
-                    ));
-                }
-            }
+        if matches!(cfg.batch, BatchPolicy::SizeThreshold { max_batch } if max_batch < 2) {
+            return Err(ServeError::InvalidConfig(
+                "batch size threshold must be ≥ 2 (use BatchPolicy::Off to disable)".into(),
+            ));
         }
         if cfg.pipeline == PipelinePolicy::Depth(0) {
             return Err(ServeError::InvalidConfig(
@@ -499,7 +469,6 @@ impl ServiceEngine {
                 busy_time: vec![0.0; n],
                 ..ServiceReport::default()
             },
-            pending_flushes: Vec::new(),
             scratch: Vec::new(),
             avail: Vec::new(),
             plan_speeds: Vec::new(),
@@ -631,17 +600,6 @@ impl ServiceEngine {
             EventKind::EpochTick { epoch } => {
                 self.on_epoch_tick(epoch);
                 Ok(())
-            }
-            // A batch window expired: drop the spent flush markers,
-            // then re-run admission so the held group (plus whatever
-            // mates accumulated) is flushed.
-            EventKind::BatchFlush => {
-                self.pending_flushes.retain(|&(_, at)| at > t);
-                let pending = self.pending.len();
-                trace_into(&mut self.telemetry, t, || TraceEventKind::BatchFlush {
-                    pending,
-                });
-                self.try_admit()
             }
         }
     }

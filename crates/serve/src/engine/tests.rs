@@ -424,40 +424,6 @@ fn work_conserving_rebalance_frees_capacity_early() {
 }
 
 #[test]
-fn infeasible_deadlines_rejected_at_admission() {
-    let n = 8;
-    // A deadline no pool could meet, next to a comfortably feasible
-    // neighbour.
-    let hopeless = JobPreset::large().with_deadline(1e-6).instantiate(0, 0, n);
-    let fine = JobPreset::small().with_deadline(60.0).instantiate(1, 0, n);
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.reject_infeasible_deadlines = true;
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let r = engine.run(&[(0.0, hopeless), (0.0, fine)]).unwrap();
-    assert_eq!(r.rejected(), 1);
-    assert_eq!(r.completed(), 1);
-    let rejected = r.jobs.iter().find(|j| j.rejected).unwrap();
-    assert_eq!(rejected.id, 0);
-    assert!(rejected.failed);
-    assert!(!rejected.on_time());
-    let served = r.jobs.iter().find(|j| !j.failed).unwrap();
-    assert!(served.on_time());
-    // Without the knob the hopeless job is served (late) instead.
-    let cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let hopeless = JobPreset::large().with_deadline(1e-6).instantiate(0, 0, n);
-    let fine = JobPreset::small().with_deadline(60.0).instantiate(1, 0, n);
-    let r = engine.run(&[(0.0, hopeless), (0.0, fine)]).unwrap();
-    assert_eq!(r.rejected(), 0);
-    assert_eq!(r.completed(), 2);
-    assert!(r.on_time_ratio() < 1.0);
-}
-
-#[test]
 fn earliest_deadline_admission_beats_fifo_on_time() {
     // A burst of loose-deadline work arrives just before one
     // tight-deadline job: FIFO makes it wait out the burst, EDF
@@ -796,26 +762,25 @@ fn threaded_backend_survives_churn_with_verified_numerics() {
 
 #[test]
 fn all_rejected_workload_reports_finite_metrics() {
-    // Degenerate but legal: every job arrives at t = 0 with a provably
-    // hopeless SLO and is rejected at admission, so the last resolution
-    // is at t = 0 and makespan is exactly zero. The engine must drain
-    // cleanly and every report metric must come back finite.
+    // Degenerate but legal: every job arrives at t = 0 asking for more
+    // workers than the pool has (`k = n + 1`) and is turned away as
+    // malformed, so the last resolution is at t = 0 and makespan is
+    // exactly zero. The engine must drain cleanly and every report
+    // metric must come back finite.
     let n = 8;
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+    let cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
         predictor: PredictorSource::LastValue,
     });
-    cfg.reject_infeasible_deadlines = true;
     let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
     let w: Vec<(f64, JobSpec)> = (0..5u64)
         .map(|i| {
-            (
-                0.0,
-                JobPreset::large().with_deadline(1e-9).instantiate(i, 0, n),
-            )
+            let mut spec = JobPreset::large().with_deadline(1.0).instantiate(i, 0, n);
+            spec.k = n + 1;
+            (0.0, spec)
         })
         .collect();
     let r = engine.run(&w).unwrap();
-    assert_eq!(r.rejected(), 5);
+    assert_eq!(r.failed(), 5);
     assert_eq!(r.completed(), 0);
     assert_eq!(r.makespan, 0.0);
     for v in [
@@ -945,145 +910,6 @@ fn batched_members_decode_their_own_outputs() {
 }
 
 #[test]
-fn time_window_holds_then_flushes_one_batch() {
-    // Two compatible jobs arrive 0.2s apart with free slots; the window
-    // holds the first until mates accumulate, then flushes both as one
-    // batch at (earliest arrival + window).
-    let n = 8;
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.batch = BatchPolicy::TimeWindow {
-        window: 0.5,
-        max_batch: 4,
-    };
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let w: Vec<(f64, JobSpec)> = vec![
-        (0.0, JobPreset::small().instantiate(0, 0, n)),
-        (0.2, JobPreset::small().instantiate(1, 0, n)),
-    ];
-    let r = engine.run(&w).unwrap();
-    assert_eq!(r.completed(), 2);
-    assert_eq!(r.batches_admitted, 1, "both jobs ride one batch");
-    assert_eq!(r.batched_jobs, 2);
-    for j in &r.jobs {
-        assert!(
-            (j.admitted - 0.5).abs() < 1e-9,
-            "job {} admitted at {}, expected the window flush at 0.5",
-            j.id,
-            j.admitted
-        );
-    }
-}
-
-#[test]
-fn time_window_size_cap_flushes_early() {
-    // Reaching the size threshold flushes before the window expires.
-    let n = 8;
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.batch = BatchPolicy::TimeWindow {
-        window: 30.0,
-        max_batch: 2,
-    };
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let w: Vec<(f64, JobSpec)> = vec![
-        (0.0, JobPreset::small().instantiate(0, 0, n)),
-        (0.1, JobPreset::small().instantiate(1, 0, n)),
-    ];
-    let r = engine.run(&w).unwrap();
-    assert_eq!(r.completed(), 2);
-    assert_eq!(r.batches_admitted, 1);
-    for j in &r.jobs {
-        assert!(
-            (j.admitted - 0.1).abs() < 1e-9,
-            "cap reached at t = 0.1 must flush immediately, admitted {}",
-            j.admitted
-        );
-    }
-}
-
-#[test]
-fn batch_window_flush_respects_edf_ordering() {
-    // EDF + time-window batching: a tight-deadline job with its own
-    // batch key is admitted at its own window expiry, never blocked
-    // behind a held small-job group whose window is still open — and
-    // the flushed group itself lists members in EDF order.
-    let n = 8;
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.policy = QueuePolicy::EarliestDeadline;
-    cfg.max_resident = 1;
-    cfg.batch = BatchPolicy::TimeWindow {
-        window: 0.2,
-        max_batch: 8,
-    };
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let w: Vec<(f64, JobSpec)> = vec![
-        (
-            0.0,
-            JobPreset::small().with_deadline(60.0).instantiate(0, 0, n),
-        ),
-        (
-            0.0,
-            JobPreset::medium().with_deadline(3.0).instantiate(1, 1, n),
-        ),
-        (
-            0.05,
-            JobPreset::small().with_deadline(50.0).instantiate(2, 0, n),
-        ),
-    ];
-    let r = engine.run(&w).unwrap();
-    assert_eq!(r.completed(), 3);
-    let by_id = |id: JobId| r.jobs.iter().find(|j| j.id == id).unwrap();
-    // The tight-deadline medium job flushes at its own window (t = 0.2)
-    // and takes the single slot first — the held small batch does not
-    // starve it.
-    assert!(
-        (by_id(1).admitted - 0.2).abs() < 1e-9,
-        "EDF head admitted at {}, expected its window flush at 0.2",
-        by_id(1).admitted
-    );
-    // The smalls flush later, as one batch, behind the EDF head.
-    assert_eq!(r.batches_admitted, 1);
-    assert_eq!(by_id(0).admitted, by_id(2).admitted);
-    assert!(by_id(0).admitted > by_id(1).admitted);
-}
-
-#[test]
-fn infeasible_member_rejected_without_dragging_batch_down() {
-    // Deadline admission control applies per member: one hopeless SLO
-    // inside a gathered group is turned away, the rest ride on.
-    let n = 8;
-    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-        predictor: PredictorSource::LastValue,
-    });
-    cfg.batch = BatchPolicy::SizeThreshold { max_batch: 4 };
-    cfg.max_resident = 1;
-    cfg.reject_infeasible_deadlines = true;
-    let engine = ServiceEngine::new(pool(n, &[]), cfg).unwrap();
-    let w: Vec<(f64, JobSpec)> = vec![
-        // A blocker so the next three queue and gather as one group.
-        (0.0, JobPreset::medium().instantiate(0, 0, n)),
-        (0.0, JobPreset::small().instantiate(1, 0, n)),
-        (
-            0.0,
-            JobPreset::small().with_deadline(1e-7).instantiate(2, 0, n),
-        ),
-        (0.0, JobPreset::small().instantiate(3, 0, n)),
-    ];
-    let r = engine.run(&w).unwrap();
-    assert_eq!(r.rejected(), 1, "the hopeless member is rejected");
-    assert_eq!(r.completed(), 3);
-    let rejected = r.jobs.iter().find(|j| j.rejected).unwrap();
-    assert_eq!(rejected.id, 2);
-    assert_eq!(r.batches_admitted, 1, "survivors still batch");
-    assert_eq!(r.batched_jobs, 2);
-}
-
-#[test]
 fn batching_survives_mid_batch_straggler_recovery() {
     // Uniform predictions on a straggler pool force the §4.3 cancel +
     // redo ladder on batch rounds; the whole batch recovers together
@@ -1109,18 +935,6 @@ fn invalid_batch_policy_rejected_at_config() {
     for batch in [
         BatchPolicy::SizeThreshold { max_batch: 0 },
         BatchPolicy::SizeThreshold { max_batch: 1 },
-        BatchPolicy::TimeWindow {
-            window: 0.0,
-            max_batch: 4,
-        },
-        BatchPolicy::TimeWindow {
-            window: f64::NAN,
-            max_batch: 4,
-        },
-        BatchPolicy::TimeWindow {
-            window: 1.0,
-            max_batch: 1,
-        },
     ] {
         let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
         cfg.batch = batch;

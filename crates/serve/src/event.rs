@@ -68,13 +68,6 @@ pub enum EventKind {
         /// Epoch index (multiples of the configured epoch length).
         epoch: usize,
     },
-    /// A batch-assembly time window expired: re-run admission so the
-    /// deferred batch (and whatever mates accumulated behind it) is
-    /// flushed onto the pool. Only scheduled under
-    /// [`crate::admission::BatchPolicy::TimeWindow`]; a spurious flush
-    /// (the batch was already admitted early on reaching its size cap)
-    /// is a harmless no-op.
-    BatchFlush,
 }
 
 #[derive(Debug)]

@@ -8,7 +8,7 @@
 //!
 //! * [`event`] — the typed discrete-event core: a binary-heap
 //!   [`event::EventQueue`] over `TaskComplete` / `WorkerSpeedChange` /
-//!   `Timeout` / `WorkerChurn` / `EpochTick` / `BatchFlush` events, with
+//!   `Timeout` / `WorkerChurn` / `EpochTick` events, with
 //!   deterministic FIFO tie-breaking. Job arrivals are not queue
 //!   events: the engine streams them from the workload slice and
 //!   merges that cursor with the heap.
@@ -25,7 +25,7 @@
 //! * [`engine`] — the [`engine::ServiceEngine`] tying it together, with
 //!   worker churn, §4.3-style timeout recovery, a retry ladder,
 //!   work-conserving share rebalancing at every resident-set change,
-//!   and optional deadline admission control. Execution is pluggable
+//!   and optional batching of jobs that share a model. Execution is pluggable
 //!   ([`engine::BackendKind`]): timing-only simulation,
 //!   master-side verified numerics, or real OS-thread workers over
 //!   [`s2c2_cluster::threaded::ThreadedCluster`] with an encode cache

@@ -9,8 +9,8 @@
 //!
 //! # Semantics
 //!
-//! * **Makespan** is the instant the last job *resolved* (completed,
-//!   failed, or was rejected) — not the time the last event drained.
+//! * **Makespan** is the instant the last job *resolved* (completed or
+//!   failed) — not the time the last event drained.
 //! * **Utilization** counts dedicated compute-seconds (a task running at
 //!   fractional share `s` accrues `s` busy-seconds per wall second);
 //!   busy time is truncated at makespan per worker, so utilization is
@@ -97,18 +97,15 @@ pub struct JobRecord {
     pub arrival: f64,
     /// Admission time (start of service).
     pub admitted: f64,
-    /// Completion (or failure/rejection) time.
+    /// Completion (or failure) time.
     pub finished: f64,
     /// Iterations completed.
     pub iterations: usize,
     /// Iteration restarts forced by churn storms.
     pub retries: usize,
-    /// Whether the job failed (exceeded its retry budget, was malformed,
-    /// or was rejected at admission).
+    /// Whether the job failed (exceeded its retry budget or was
+    /// malformed).
     pub failed: bool,
-    /// Whether the job was rejected by deadline admission control
-    /// (implies `failed`; it never held a residency slot).
-    pub rejected: bool,
     /// Capacity weight the job ran with.
     pub weight: f64,
     /// Relative SLO it arrived with, if any.
@@ -137,7 +134,7 @@ impl JobRecord {
     }
 
     /// Whether the job met its SLO: completed, and within its deadline
-    /// if it carried one. Failed or rejected jobs are never on time;
+    /// if it carried one. Failed jobs are never on time;
     /// SLO-less completed jobs always are.
     #[must_use]
     pub fn on_time(&self) -> bool {
@@ -154,8 +151,6 @@ pub struct TenantSummary {
     pub jobs: usize,
     /// Jobs completed successfully.
     pub completed: usize,
-    /// Jobs rejected by deadline admission control.
-    pub rejected: usize,
     /// Fraction of the tenant's deadline-carrying jobs that completed
     /// within their SLO (1.0 when it submitted none).
     pub on_time_ratio: f64,
@@ -185,7 +180,7 @@ pub struct ServiceReport {
     /// Per-worker accumulated busy (compute) time, in dedicated
     /// compute-seconds (fractional shares accrue fractionally).
     pub busy_time: Vec<f64>,
-    /// Time the last job resolved (completed, failed, or rejected) —
+    /// Time the last job resolved (completed or failed) —
     /// deliberately not the last drained event, so throughput is not
     /// diluted by stale straggler work nobody waited for.
     pub makespan: f64,
@@ -272,16 +267,10 @@ impl ServiceReport {
         self.jobs.iter().filter(|j| !j.failed).count()
     }
 
-    /// Failed job count (includes rejections).
+    /// Failed job count (includes malformed jobs).
     #[must_use]
     pub fn failed(&self) -> usize {
         self.jobs.iter().filter(|j| j.failed).count()
-    }
-
-    /// Jobs rejected by deadline admission control.
-    #[must_use]
-    pub fn rejected(&self) -> usize {
-        self.jobs.iter().filter(|j| j.rejected).count()
     }
 
     /// Mean member count of the multi-member batches admitted, or 0
@@ -394,8 +383,7 @@ impl ServiceReport {
     }
 
     /// Fraction of deadline-carrying jobs that completed within their
-    /// SLO (late completions, failures, and rejections all count as
-    /// misses). 1.0 when no job carried a deadline.
+    /// SLO (late completions and failures both count as misses). 1.0 when no job carried a deadline.
     #[must_use]
     pub fn on_time_ratio(&self) -> f64 {
         Self::on_time_ratio_of(self.jobs.iter())
@@ -463,7 +451,6 @@ impl ServiceReport {
                     tenant,
                     jobs: mine.len(),
                     completed: mine.iter().filter(|j| !j.failed).count(),
-                    rejected: mine.iter().filter(|j| j.rejected).count(),
                     on_time_ratio: Self::on_time_ratio_of(mine.iter().copied()),
                     p50_latency: percentile(&lat, 50.0),
                     p99_latency: percentile(&lat, 99.0),
@@ -498,7 +485,6 @@ mod tests {
             iterations: 4,
             retries: 0,
             failed,
-            rejected: false,
             weight: 1.0,
             deadline: None,
             work: 100.0,
@@ -590,7 +576,6 @@ mod tests {
         };
         assert_eq!(report.completed(), 2);
         assert_eq!(report.failed(), 1);
-        assert_eq!(report.rejected(), 0);
         assert_eq!(report.latencies(), vec![2.0, 4.0]);
         assert!((report.mean_latency() - 3.0).abs() < 1e-12);
         assert!((report.throughput() - 0.2).abs() < 1e-12);
@@ -662,18 +647,18 @@ mod tests {
         on_time.deadline = Some(2.0);
         let mut late = record(1, 0.0, 0.0, 5.0, false);
         late.deadline = Some(2.0);
-        let mut rejected = record(2, 0.0, 0.0, 0.0, true);
-        rejected.deadline = Some(2.0);
-        rejected.rejected = true;
+        // Turned away at arrival (malformed): failed, never resident.
+        let mut failed = record(2, 0.0, 0.0, 0.0, true);
+        failed.deadline = Some(2.0);
         let no_slo = record(3, 0.0, 0.0, 50.0, false);
         let report = ServiceReport {
-            jobs: vec![on_time, late, rejected, no_slo],
+            jobs: vec![on_time, late, failed, no_slo],
             ..ServiceReport::default()
         };
         // 1 of 3 deadline-carrying jobs on time; the SLO-less job is
         // out of the denominator.
         assert!((report.on_time_ratio() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(report.rejected(), 1);
+        assert_eq!(report.failed(), 1);
         // No deadlines anywhere -> vacuous 1.0.
         let empty = ServiceReport {
             jobs: vec![record(0, 0.0, 0.0, 1.0, false)],
@@ -739,16 +724,14 @@ mod tests {
 
     #[test]
     fn zero_makespan_report_is_nan_free() {
-        // A run whose every job resolved at t = 0 (all rejected or
-        // malformed on arrival) has zero makespan: every derived metric
-        // must degrade to 0 (or a vacuous ratio), never NaN or a
-        // division by zero.
-        let mut rejected = record(0, 0.0, 0.0, 0.0, true);
-        rejected.rejected = true;
-        rejected.deadline = Some(1e-9);
+        // A run whose every job resolved at t = 0 (all failed on
+        // arrival) has zero makespan: every derived metric must degrade
+        // to 0 (or a vacuous ratio), never NaN or a division by zero.
+        let mut failed_slo = record(0, 0.0, 0.0, 0.0, true);
+        failed_slo.deadline = Some(1e-9);
         let malformed = record(1, 0.0, 0.0, 0.0, true);
         let report = ServiceReport {
-            jobs: vec![rejected, malformed],
+            jobs: vec![failed_slo, malformed],
             queue_depth: queue_depth_of(&[(0.0, 0)]),
             busy_time: vec![0.0; 4],
             makespan: 0.0,

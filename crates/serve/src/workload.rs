@@ -37,8 +37,7 @@ pub struct JobSpec {
     pub weight: f64,
     /// Optional relative SLO: the job should finish within `deadline`
     /// seconds of its *arrival*. Consulted by
-    /// [`crate::admission::QueuePolicy::EarliestDeadline`] and the
-    /// engine's admission-time infeasibility rejection; reported as
+    /// [`crate::admission::QueuePolicy::EarliestDeadline`]; reported as
     /// `on_time` in job records.
     pub deadline: Option<f64>,
     /// Identity of the job's model matrix. Jobs sharing a `matrix_id`
@@ -58,7 +57,7 @@ impl JobSpec {
     }
 
     /// Total useful work over all iterations, in matrix elements — what
-    /// deadline admission control bounds the service time by.
+    /// a job record's `work` carries into per-tenant goodput.
     #[must_use]
     pub fn total_work(&self) -> f64 {
         self.work_per_iteration() * self.iterations as f64

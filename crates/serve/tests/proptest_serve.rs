@@ -19,6 +19,7 @@ use s2c2_core::split_worker_capacity;
 use s2c2_serve::event::{EventKind, EventQueue};
 use s2c2_serve::prelude::*;
 use s2c2_serve::shared_alloc::{allocate_shared, JobDemand};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A pool's worth of worker speeds with churn: some workers up at
 /// various speeds, some churned out (zero).
@@ -225,7 +226,6 @@ proptest! {
         ),
         weights in proptest::collection::vec(0.5f64..4.0, 10),
         seed in 0u64..256,
-        reject in any::<bool>(),
     ) {
         let n = 8;
         let mut workload = generate_workload(
@@ -253,7 +253,6 @@ proptest! {
             predictor: PredictorSource::LastValue,
         });
         cfg.policy = QueuePolicy::EarliestDeadline;
-        cfg.reject_infeasible_deadlines = reject;
         let report = ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap();
 
         prop_assert_eq!(report.jobs.len(), jobs, "every job resolves exactly once");
@@ -271,16 +270,127 @@ proptest! {
             } else {
                 prop_assert_eq!(j.on_time(), !j.failed);
             }
-            if j.rejected {
-                prop_assert!(j.failed, "rejection implies failure");
-                prop_assert!(reject, "rejections need the admission knob");
-                prop_assert!(j.deadline.is_some(), "only SLO jobs are rejected");
-            }
         }
         let util = report.utilization();
         prop_assert!((0.0..=1.0).contains(&util), "utilization {util}");
         let ratio = report.on_time_ratio();
         prop_assert!((0.0..=1.0).contains(&ratio));
+    }
+
+    /// Property 9: admission is work-conserving. A job waits in the
+    /// queue only while every residency slot is held, and a slot freed
+    /// while jobs are queued is refilled before the engine handles
+    /// anything else. Slot occupancy is rebuilt from the trace alone: a
+    /// slot is held from its leader's `Admitted` event until the first
+    /// `JobComplete` / `JobFailed` of any of its members. Trace order is
+    /// emission order; a completed job's record is stamped at its final
+    /// decode's end, which the refill (stamped at the engine clock)
+    /// never comes after.
+    #[test]
+    fn admission_is_work_conserving(
+        jobs in 4usize..=16,
+        rate in 1.0f64..16.0,
+        max_resident in 1usize..=4,
+        max_batch in prop_oneof![Just(1usize), 2usize..=4],
+        policy in prop_oneof![
+            Just(QueuePolicy::Fifo),
+            Just(QueuePolicy::EarliestDeadline),
+            Just(QueuePolicy::WeightedFairShare),
+        ],
+        seed in 0u64..256,
+    ) {
+        let n = 8;
+        let workload = generate_workload(
+            &ArrivalPattern::Poisson { rate },
+            &JobPreset::standard_mix(),
+            jobs,
+            3,
+            n,
+            seed,
+        );
+        let pool = s2c2_cluster::ClusterSpec::builder(n)
+            .compute_bound()
+            .seed(seed ^ 0x5107)
+            .straggler_slowdown(5.0)
+            .stragglers(&[1], 0.2)
+            .build();
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        cfg.policy = policy;
+        cfg.max_resident = max_resident;
+        cfg.batch = if max_batch == 1 {
+            BatchPolicy::Off
+        } else {
+            BatchPolicy::SizeThreshold { max_batch }
+        };
+        cfg.telemetry = true;
+        let report = ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap();
+        prop_assert_eq!(report.jobs.len(), jobs, "every job resolves exactly once");
+        let waited: BTreeSet<u64> = report
+            .jobs
+            .iter()
+            .filter(|j| j.admitted > j.arrival)
+            .map(|j| j.id)
+            .collect();
+
+        let trace = &report.telemetry.as_ref().expect("telemetry enabled").trace;
+        let mut leader_of: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut held: BTreeSet<u64> = BTreeSet::new();
+        let mut queued: BTreeSet<u64> = BTreeSet::new();
+        // A freed slot awaiting its refill: the resolved leader and the
+        // resolution's stamp.
+        let mut refill: Option<(u64, f64)> = None;
+        for e in trace.events() {
+            if let Some((resolved, at)) = refill {
+                // Only the batch's other resolutions, the share
+                // rebalance, and the refill itself may come between.
+                let allowed = match e.kind {
+                    TraceEventKind::JobComplete { job, .. }
+                    | TraceEventKind::JobFailed { job, .. } => leader_of[&job] == resolved,
+                    TraceEventKind::Rebalance { .. } | TraceEventKind::BatchFormed { .. } => true,
+                    TraceEventKind::Admitted { job, leader } => {
+                        job == leader && e.time <= at
+                    }
+                    _ => false,
+                };
+                prop_assert!(
+                    allowed,
+                    "slot of job {} freed at t = {} with jobs queued, then {:?} at t = {}",
+                    resolved, at, e.kind, e.time
+                );
+            }
+            match e.kind {
+                TraceEventKind::JobArrival { job, .. } => {
+                    if waited.contains(&job) {
+                        prop_assert_eq!(
+                            held.len(), max_resident,
+                            "job {} queued at t = {} with a free slot", job, e.time
+                        );
+                    }
+                    queued.insert(job);
+                }
+                TraceEventKind::Malformed { job } => {
+                    queued.remove(&job);
+                }
+                TraceEventKind::Admitted { job, leader } => {
+                    queued.remove(&job);
+                    leader_of.insert(job, leader);
+                    if held.insert(leader) {
+                        refill = None;
+                    }
+                }
+                TraceEventKind::JobComplete { job, .. } | TraceEventKind::JobFailed { job, .. } => {
+                    let leader = leader_of[&job];
+                    if held.remove(&leader) && !queued.is_empty() {
+                        refill = Some((leader, e.time));
+                    }
+                }
+                _ => {}
+            }
+        }
+        prop_assert!(refill.is_none(), "the last freed slot was never refilled");
+        prop_assert!(queued.is_empty() && held.is_empty());
     }
 }
 

@@ -28,11 +28,6 @@ pub enum TraceEventKind {
         /// Job id.
         job: u64,
     },
-    /// Deadline-aware admission judged the job's SLO infeasible.
-    Rejected {
-        /// Job id.
-        job: u64,
-    },
     /// The job was admitted to the resident set.
     Admitted {
         /// Job id.
@@ -46,11 +41,6 @@ pub enum TraceEventKind {
         leader: u64,
         /// Number of member jobs coalesced into the round.
         members: usize,
-    },
-    /// A held time-window batch key was flushed by its timer.
-    BatchFlush {
-        /// Pending-queue depth at flush time.
-        pending: usize,
     },
     /// An iteration round was dispatched.
     IterationStart {

@@ -59,9 +59,6 @@ pub fn jsonl(events: &[TraceEvent]) -> String {
             TraceEventKind::Malformed { job } => {
                 let _ = writeln!(out, r#"{{"t":{t},"type":"malformed","job":{job}}}"#);
             }
-            TraceEventKind::Rejected { job } => {
-                let _ = writeln!(out, r#"{{"t":{t},"type":"rejected","job":{job}}}"#);
-            }
             TraceEventKind::Admitted { job, leader } => {
                 let _ = writeln!(
                     out,
@@ -72,12 +69,6 @@ pub fn jsonl(events: &[TraceEvent]) -> String {
                 let _ = writeln!(
                     out,
                     r#"{{"t":{t},"type":"batch_formed","leader":{leader},"members":{members}}}"#
-                );
-            }
-            TraceEventKind::BatchFlush { pending } => {
-                let _ = writeln!(
-                    out,
-                    r#"{{"t":{t},"type":"batch_flush","pending":{pending}}}"#
                 );
             }
             TraceEventKind::IterationStart {
@@ -231,7 +222,6 @@ enum SpanEnd {
     Superseded,
     Open,
     Failed,
-    Rejected,
     Malformed,
 }
 
@@ -243,7 +233,6 @@ impl SpanEnd {
             SpanEnd::Superseded => "superseded",
             SpanEnd::Open => "open",
             SpanEnd::Failed => "failed",
-            SpanEnd::Rejected => "rejected",
             SpanEnd::Malformed => "malformed",
         }
     }
@@ -278,10 +267,8 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             }
             // No worker or tenant identity to collect.
             TraceEventKind::Malformed { .. }
-            | TraceEventKind::Rejected { .. }
             | TraceEventKind::Admitted { .. }
             | TraceEventKind::BatchFormed { .. }
-            | TraceEventKind::BatchFlush { .. }
             | TraceEventKind::IterationStart { .. }
             | TraceEventKind::RecoveryRung { .. }
             | TraceEventKind::Decode { .. }
@@ -395,11 +382,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     close_job(&mut rows, &tenant_of, job, start, e.time, SpanEnd::Failed);
                 }
             }
-            TraceEventKind::Rejected { job } => {
-                if let Some(start) = open_jobs.remove(&job) {
-                    close_job(&mut rows, &tenant_of, job, start, e.time, SpanEnd::Rejected);
-                }
-            }
             TraceEventKind::Malformed { job } => {
                 if let Some(start) = open_jobs.remove(&job) {
                     close_job(
@@ -458,7 +440,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             // Not rendered as chrome spans or instants.
             TraceEventKind::Admitted { .. }
             | TraceEventKind::BatchFormed { .. }
-            | TraceEventKind::BatchFlush { .. }
             | TraceEventKind::IterationStart { .. }
             | TraceEventKind::Decode { .. }
             | TraceEventKind::Verify { .. }

@@ -127,8 +127,8 @@ fn main() {
 
     // --- QoS: deadline-aware admission ---------------------------------
     // The same overloaded SLO-carrying stream under FIFO vs
-    // earliest-deadline admission (plus infeasibility rejection): EDF
-    // spends the queueing slack where deadlines are loose.
+    // earliest-deadline admission: EDF spends the queueing slack where
+    // deadlines are loose.
     let mix = vec![
         (JobPreset::small().with_deadline(1.5), 5.0),
         (JobPreset::medium().with_deadline(5.0), 3.0),
@@ -137,30 +137,27 @@ fn main() {
     let slo_load = generate_workload(&ArrivalPattern::Poisson { rate: 4.0 }, &mix, 40, 4, n, 7);
     println!("\ndeadline admission (same 40-job SLO stream, Poisson 4/s):");
     println!(
-        "{:<12} {:>13} {:>9} {:>9} {:>9}",
-        "policy", "on_time_ratio", "p99 (s)", "served", "rejected"
+        "{:<12} {:>13} {:>9} {:>9}",
+        "policy", "on_time_ratio", "p99 (s)", "served"
     );
-    for (name, policy, reject) in [
-        ("fifo", QueuePolicy::Fifo, false),
-        ("edf", QueuePolicy::EarliestDeadline, false),
-        ("edf+reject", QueuePolicy::EarliestDeadline, true),
+    for (name, policy) in [
+        ("fifo", QueuePolicy::Fifo),
+        ("edf", QueuePolicy::EarliestDeadline),
     ] {
         let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
             predictor: PredictorSource::LastValue,
         });
         cfg.policy = policy;
-        cfg.reject_infeasible_deadlines = reject;
         let report = ServiceEngine::new(pool(), cfg)
             .expect("valid configuration")
             .run(&slo_load)
             .expect("service run completes");
         println!(
-            "{:<12} {:>13.3} {:>9.3} {:>9} {:>9}",
+            "{:<12} {:>13.3} {:>9.3} {:>9}",
             name,
             report.on_time_ratio(),
             report.latency_percentile(99.0),
             report.completed(),
-            report.rejected(),
         );
     }
 
