@@ -19,9 +19,9 @@ use super::{avail_speeds, trace_into, ServeError, ServiceEngine};
 use crate::admission::{QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
 use crate::metrics::JobRecord;
-use crate::shared_alloc::{allocate_for_resident, full_over_available};
+use crate::shared_alloc::{allocate_for_resident, full_over_available_into, JobDemand};
 use crate::workload::JobSpec;
-use s2c2_core::allocate_chunks_basic;
+use s2c2_core::{allocate_chunks_into, ChunkAssignment};
 use s2c2_telemetry::TraceEventKind;
 
 use super::thread_speedup;
@@ -375,36 +375,32 @@ impl ServiceEngine {
             .sum::<f64>()
             .max(f64::MIN_POSITIVE);
         let weighted_share = (weight / total_weight).min(1.0);
-        // The task table comes from the scratch pool when a retired
-        // round left one (reset in place — contents identical to fresh
-        // allocation).
-        let tasks = self.take_scratch(self.n(), c_eff, k_eff);
-        // The available speeds and the speeds the round is planned at
-        // live in engine-owned buffers, refilled per round.
+        // The task table and the assignment come from the scratch pool
+        // when a retired round left them (refilled in place — contents
+        // identical to fresh allocation).
+        let (tasks, mut assignment) = self.take_scratch(self.n(), c_eff, k_eff);
+        // The available speeds, the speeds the round is planned at and
+        // Algorithm 1's buffers are engine-owned, refilled per round.
         let (avail, plan_speeds) = (&mut self.avail, &mut self.plan_speeds);
         avail.clear();
         avail.extend(avail_speeds(&self.speeds, &self.up));
         plan_speeds.clear();
         let uniform = |&s: &f64| if s > 0.0 { 1.0 } else { 0.0 };
-        let (assignment, share, degraded) = match &self.cfg.scheduler {
+        let (share, degraded) = match &self.cfg.scheduler {
             SchedulerMode::Uncoded => {
-                let mask: Vec<bool> = avail.iter().map(|&s| s > 0.0).collect();
+                plan_speeds.extend(avail.iter().map(uniform));
                 #[expect(
                     clippy::expect_used,
                     reason = "engine invariant: the alive >= k_eff guard above makes k=1 allocation infallible"
                 )]
-                let a = allocate_chunks_basic(&mask, 1, c_eff)
+                allocate_chunks_into(plan_speeds, 1, c_eff, &mut self.alloc, &mut assignment)
                     .expect("alive >= 1 guarantees feasibility");
-                plan_speeds.extend(avail.iter().map(uniform));
-                (a, weighted_share, false)
+                (weighted_share, false)
             }
             SchedulerMode::ConventionalMds => {
                 plan_speeds.extend(avail.iter().map(uniform));
-                (
-                    full_over_available(avail, k_eff, c_eff),
-                    weighted_share,
-                    false,
-                )
+                full_over_available_into(avail, k_eff, c_eff, &mut assignment);
+                (weighted_share, false)
             }
             SchedulerMode::SharedS2c2 { .. } => {
                 let preds = self.tracker.predictions_for(avail).iter().zip(&self.up);
@@ -412,8 +408,19 @@ impl ServiceEngine {
                 // Weighted capacity split across the resident set; only
                 // this job's slice is needed (neighbours are rescaled by
                 // `rebalance_shares` when membership changes).
-                let mine = allocate_for_resident(plan_speeds, k_eff, c_eff, weight, total_weight);
-                (mine.assignment, mine.share, mine.degraded)
+                let demand = JobDemand {
+                    k: k_eff,
+                    chunks_per_partition: c_eff,
+                    weight,
+                };
+                allocate_for_resident(
+                    plan_speeds,
+                    demand,
+                    total_weight,
+                    &mut self.slice,
+                    &mut self.alloc,
+                    &mut assignment,
+                )
             }
         };
 
@@ -529,13 +536,14 @@ impl ServiceEngine {
         Ok(())
     }
 
-    /// Pops a pooled task table (reset in place) or builds a fresh one.
-    fn take_scratch(&mut self, n: usize, chunks: usize, k: usize) -> Tasks {
+    /// Pops a pooled task table (reset in place) and chunk assignment
+    /// (for the caller to refill), or builds fresh ones.
+    fn take_scratch(&mut self, n: usize, chunks: usize, k: usize) -> (Tasks, ChunkAssignment) {
         let pooled = self.scratch.pop();
         self.report.scratch_reuses += u64::from(pooled.is_some());
-        let mut tasks = pooled.unwrap_or_default();
+        let (mut tasks, assignment) = pooled.unwrap_or_default();
         tasks.reset(n, chunks, k);
-        tasks
+        (tasks, assignment)
     }
 
     pub(crate) fn on_task_complete(

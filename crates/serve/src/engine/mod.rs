@@ -136,6 +136,7 @@ use backend::ExecutionBackend;
 use core::ResidentJob;
 use s2c2_cluster::{ChurnProcess, ClusterSpec, CommModel, ComputeModel};
 use s2c2_core::speed_tracker::{PredictorSource, SpeedTracker};
+use s2c2_core::AllocScratch;
 use s2c2_telemetry::{Telemetry, TraceEvent, TraceEventKind, TraceSink};
 use s2c2_trace::BoxedSpeedModel;
 use std::collections::BTreeMap;
@@ -361,13 +362,16 @@ pub struct ServiceEngine {
     /// Every emission site goes through [`trace_into`], so the `None`
     /// path costs one branch.
     telemetry: Option<Telemetry>,
-    /// Retired rounds' task tables, pooled for reuse by the next
-    /// dispatch (see [`round::Tasks`]).
-    scratch: Vec<round::Tasks>,
-    /// Per-dispatch buffers: the pool's available speeds, and the
-    /// speeds the round being dispatched is planned at.
+    /// Retired rounds' task tables and chunk assignments, pooled for
+    /// reuse by the next dispatch (see [`round::Tasks`]).
+    scratch: Vec<round::RoundScratch>,
+    /// Per-dispatch buffers: the pool's available speeds, the speeds
+    /// the round being dispatched is planned at, the job's capacity
+    /// slice of them, and Algorithm 1's working state.
     avail: Vec<f64>,
     plan_speeds: Vec<f64>,
+    slice: Vec<f64>,
+    alloc: AllocScratch,
     /// Per-retire buffers of the decode-cost model.
     decode_scratch: round::DecodeScratch,
 }
@@ -472,6 +476,8 @@ impl ServiceEngine {
             scratch: Vec::new(),
             avail: Vec::new(),
             plan_speeds: Vec::new(),
+            slice: Vec::new(),
+            alloc: AllocScratch::default(),
             decode_scratch: round::DecodeScratch::default(),
         })
     }

@@ -118,10 +118,16 @@ pub(crate) struct Tasks {
     short: usize,
 }
 
-/// Upper bound on pooled task tables: enough for every resident job's
+/// Upper bound on pooled round buffers: enough for every resident job's
 /// whole window in any realistic configuration, small enough that a
 /// churn-heavy run cannot hoard memory.
-const SCRATCH_POOL_CAP: usize = 64;
+pub(crate) const SCRATCH_POOL_CAP: usize = 64;
+
+/// A retired round's reusable buffers: its task table and its chunk
+/// assignment, which the next dispatch refills in place (Algorithm 1
+/// writes into the assignment's per-worker lists without reallocating
+/// them).
+pub(crate) type RoundScratch = (Tasks, ChunkAssignment);
 
 impl Tasks {
     /// Re-initializes the table for an `n`-worker round over `chunks`
@@ -281,11 +287,12 @@ impl RunningIteration {
         }
     }
 
-    /// Returns a retired round's task table to the scratch pool for the
-    /// next dispatch. A full pool simply drops it.
-    pub(crate) fn reclaim(self, pool: &mut Vec<Tasks>) {
+    /// Returns a retired or abandoned round's task table and chunk
+    /// assignment to the scratch pool for the next dispatch to refill. A
+    /// full pool simply drops them.
+    pub(crate) fn reclaim(self, pool: &mut Vec<RoundScratch>) {
         if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(self.tasks);
+            pool.push((self.tasks, self.assignment));
         }
     }
 

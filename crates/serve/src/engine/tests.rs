@@ -1247,7 +1247,7 @@ fn pipelined_engine_survives_churn_across_window_rounds() {
 
 // ---- the per-round task model (engine/round.rs) -------------------------
 
-use super::round::{RunningIteration, Sinks, Tasks};
+use super::round::{RunningIteration, Sinks, Tasks, SCRATCH_POOL_CAP};
 
 /// The engine state a round writes to, standing alone.
 struct Rig {
@@ -1419,9 +1419,11 @@ fn scratch_reset_matches_fresh_construction() {
     round.complete_task(2, false, 1.5);
     round.dispatch_redo(2, vec![0, 1], 9.0, 0.8, &mut rig.sinks(2.0));
     round.cancel(0, false, &mut rig.sinks(2.0));
+    let lists = round.assignment.clone();
     let mut pool = Vec::new();
     round.reclaim(&mut pool);
-    let mut tasks = pool.pop().unwrap();
+    let (mut tasks, assignment) = pool.pop().unwrap();
+    assert_eq!(assignment, lists, "the assignment is pooled with its table");
     let kept_cap = tasks.redo_capacity(2);
     assert!(kept_cap >= 2);
     for (n, chunks, k) in [(5, 4, 3), (3, 2, 1)] {
@@ -1434,6 +1436,51 @@ fn scratch_reset_matches_fresh_construction() {
         tasks.redo_capacity(2) >= kept_cap,
         "inner chunk lists keep their allocation across resets"
     );
+    // A full pool drops what it cannot hold.
+    for _ in 0..SCRATCH_POOL_CAP + 3 {
+        blank_round(vec![vec![0]], 1, 1, 1).reclaim(&mut pool);
+    }
+    assert_eq!(pool.len(), SCRATCH_POOL_CAP);
+}
+
+#[test]
+fn dispatch_refills_the_reclaimed_assignment() {
+    // One job at depth 1 keeps one round in flight, so a single pooled
+    // pair of buffers circulates: every dispatch pops it and refills
+    // the assignment's lists in place, every retirement hands it back.
+    let n = 8;
+    let spec = JobPreset::small().instantiate(0, 0, n);
+    let iterations = spec.iterations;
+    let mut engine = ServiceEngine::new(
+        pool(n, &[2]),
+        ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        }),
+    )
+    .unwrap();
+    let seeded = s2c2_core::ChunkAssignment {
+        chunks: (0..n).map(|_| Vec::with_capacity(64)).collect(),
+        chunks_per_partition: 0,
+        k: 0,
+    };
+    let held = |a: &s2c2_core::ChunkAssignment| -> Vec<(*const usize, usize)> {
+        a.chunks
+            .iter()
+            .map(|l| (l.as_ptr(), l.capacity()))
+            .collect()
+    };
+    let (outer, lists) = (seeded.chunks.as_ptr(), held(&seeded));
+    engine.scratch.push((Tasks::default(), seeded));
+    engine.drive(&[(0.0, spec)]).unwrap();
+    assert_eq!(engine.report.completed(), 1);
+    assert_eq!(engine.report.scratch_reuses, iterations as u64);
+    let [(_, assignment)] = engine.scratch.as_slice() else {
+        panic!("one pooled pair, got {}", engine.scratch.len());
+    };
+    assert_eq!(assignment.chunks.as_ptr(), outer);
+    assert_eq!(held(assignment), lists, "no list was reallocated");
+    assert!(assignment.is_decodable(), "it holds the last round's plan");
+    assert!(assignment.total_slots() > 0);
 }
 
 #[test]

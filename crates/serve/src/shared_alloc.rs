@@ -16,7 +16,9 @@
 //! full partition and the master takes the fastest `k` per chunk (§4.4's
 //! robustness rule, applied per job).
 
-use s2c2_core::{allocate_chunks, split_worker_capacity, ChunkAssignment};
+use s2c2_core::{
+    allocate_chunks, allocate_chunks_into, split_worker_capacity, AllocScratch, ChunkAssignment,
+};
 
 /// One resident job's allocation inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,19 +53,24 @@ pub fn full_over_available(
     k: usize,
     chunks_per_partition: usize,
 ) -> ChunkAssignment {
-    ChunkAssignment {
-        chunks: speeds
-            .iter()
-            .map(|&s| {
-                if s > 0.0 {
-                    (0..chunks_per_partition).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect(),
-        chunks_per_partition,
-        k,
+    let mut out = ChunkAssignment::default();
+    full_over_available_into(speeds, k, chunks_per_partition, &mut out);
+    out
+}
+
+/// [`full_over_available`] written into a caller-owned assignment, each
+/// worker's list refilled in place.
+pub(crate) fn full_over_available_into(
+    speeds: &[f64],
+    k: usize,
+    chunks_per_partition: usize,
+    out: &mut ChunkAssignment,
+) {
+    out.clear_for(speeds.len(), k, chunks_per_partition);
+    for (list, &s) in out.chunks.iter_mut().zip(speeds) {
+        if s > 0.0 {
+            list.extend(0..chunks_per_partition);
+        }
     }
 }
 
@@ -108,22 +115,35 @@ pub fn allocate_shared(speeds: &[f64], demands: &[JobDemand]) -> Vec<SharedAssig
 /// instants, so the engine only ever needs its own slice; recomputing
 /// every neighbour's assignment would be `O(residents)` wasted work).
 ///
-/// `weight` is this job's capacity weight; `total_weight` is the sum
-/// over the whole resident set (including this job). The slice is cut
-/// with the same [`split_worker_capacity`] hook [`allocate_shared`]
-/// uses, so the two entry points cannot drift apart.
+/// `demand.weight` is this job's capacity weight; `total_weight` is the
+/// sum over the whole resident set (including this job). The job's
+/// speeds are cut as in a two-way [`split_worker_capacity`] (itself vs
+/// everyone else) into the caller-owned `slice`, Algorithm 1 runs on them
+/// through `scratch`, and the result — or, when the slice cannot support
+/// `k`-coverage, [`full_over_available`] — is written into `out`. Every
+/// buffer is refilled in place, so a steady-state call allocates
+/// nothing.
+///
+/// Returns `(share, degraded)`: the fraction of every worker's capacity
+/// the job receives, and whether it degraded to the full assignment.
 ///
 /// # Panics
 ///
-/// Panics if `weight` is non-positive or exceeds `total_weight`.
+/// Panics if the weight is non-positive or exceeds `total_weight`.
 #[must_use]
 pub fn allocate_for_resident(
     speeds: &[f64],
-    k: usize,
-    chunks_per_partition: usize,
-    weight: f64,
+    demand: JobDemand,
     total_weight: f64,
-) -> SharedAssignment {
+    slice: &mut Vec<f64>,
+    scratch: &mut AllocScratch,
+    out: &mut ChunkAssignment,
+) -> (f64, bool) {
+    let JobDemand {
+        k,
+        chunks_per_partition,
+        weight,
+    } = demand;
     assert!(
         weight.is_finite() && weight > 0.0,
         "job weight must be positive"
@@ -133,32 +153,22 @@ pub fn allocate_for_resident(
         "total weight must cover the job's own weight"
     );
     let rest = total_weight - weight;
-    let (share, slice) = if rest > 0.0 {
-        // The job's slice of a two-way split: itself vs everyone else.
-        // `split_worker_capacity` yields one slice per weight; should
-        // that contract ever break, falling back to the whole pool
-        // degrades gracefully instead of panicking mid-service.
-        let slice = split_worker_capacity(speeds, &[weight, rest])
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| speeds.to_vec());
-        (weight / total_weight, slice)
+    slice.clear();
+    let share = if rest > 0.0 {
+        // `normalized_shares(&[weight, rest])[0]`, bit for bit.
+        let frac = weight / (weight + rest);
+        slice.extend(speeds.iter().map(|&s| s * frac));
+        weight / total_weight
     } else {
         // Sole resident: the whole pool.
-        (1.0, speeds.to_vec())
+        slice.extend_from_slice(speeds);
+        1.0
     };
-    match allocate_chunks(&slice, k, chunks_per_partition) {
-        Ok(assignment) => SharedAssignment {
-            assignment,
-            share,
-            degraded: false,
-        },
-        Err(_) => SharedAssignment {
-            assignment: full_over_available(speeds, k, chunks_per_partition),
-            share,
-            degraded: true,
-        },
+    let degraded = allocate_chunks_into(slice, k, chunks_per_partition, scratch, out).is_err();
+    if degraded {
+        full_over_available_into(speeds, k, chunks_per_partition, out);
     }
+    (share, degraded)
 }
 
 #[cfg(test)]
@@ -240,35 +250,73 @@ mod tests {
         }
     }
 
+    /// The buffers `allocate_for_resident` fills, as the engine keeps
+    /// them between rounds.
+    type Buffers = (Vec<f64>, AllocScratch, ChunkAssignment);
+
+    /// Buffers left dirty by an unrelated call: a wider pool and another
+    /// shape.
+    fn dirty_buffers() -> Buffers {
+        let mut bufs = Buffers::default();
+        let demand = JobDemand {
+            k: 3,
+            chunks_per_partition: 11,
+            weight: 1.0,
+        };
+        let speeds = [0.3, 1.0, 0.8, 0.0, 2.0, 1.1, 0.9, 0.5];
+        let _ = resident(&speeds, demand, 2.5, &mut bufs);
+        bufs
+    }
+
+    /// [`allocate_for_resident`] through `bufs`, as the entry
+    /// [`allocate_shared`] would return.
+    fn resident(
+        speeds: &[f64],
+        demand: JobDemand,
+        total_weight: f64,
+        bufs: &mut Buffers,
+    ) -> SharedAssignment {
+        let (slice, scratch, out) = bufs;
+        let (share, degraded) =
+            allocate_for_resident(speeds, demand, total_weight, slice, scratch, out);
+        SharedAssignment {
+            assignment: out.clone(),
+            share,
+            degraded,
+        }
+    }
+
+    /// Equal entries, the share compared bit for bit.
+    fn assert_same(solo: &SharedAssignment, shared: &SharedAssignment, what: &str) {
+        assert_eq!(solo, shared, "{what}");
+        assert_eq!(solo.share.to_bits(), shared.share.to_bits(), "{what}");
+    }
+
     #[test]
     fn single_resident_slice_matches_shared_entry() {
         let speeds = [1.0, 0.4, 0.0, 0.9, 0.7];
+        let mut bufs = dirty_buffers();
+        let demand = |k| JobDemand {
+            k,
+            chunks_per_partition: 6,
+            weight: 1.0,
+        };
         for residents in 1..=4 {
-            let demands: Vec<JobDemand> = (0..residents)
-                .map(|_| JobDemand {
-                    k: 2,
-                    chunks_per_partition: 6,
-                    weight: 1.0,
-                })
-                .collect();
-            let shared = allocate_shared(&speeds, &demands);
-            let solo = allocate_for_resident(&speeds, 2, 6, 1.0, residents as f64);
-            assert_eq!(solo, shared[0], "{residents} residents");
+            let shared = allocate_shared(&speeds, &vec![demand(2); residents]);
+            let solo = resident(&speeds, demand(2), residents as f64, &mut bufs);
+            assert_same(&solo, &shared[0], &format!("{residents} residents"));
         }
-        // Degrade path agrees too (k above alive count).
-        let degraded = allocate_for_resident(&speeds, 5, 6, 1.0, 2.0);
-        assert!(degraded.degraded);
-        assert_eq!(
-            degraded,
-            allocate_shared(
-                &speeds,
-                &[JobDemand {
-                    k: 5,
-                    chunks_per_partition: 6,
-                    weight: 1.0
-                }; 2]
-            )[0]
-        );
+        // Degrade path agrees too (k above alive count), and a feasible
+        // call refills the degraded buffers exactly.
+        for k in [5, 2, 5] {
+            let solo = resident(&speeds, demand(k), 2.0, &mut bufs);
+            assert_eq!(solo.degraded, k == 5);
+            assert_same(
+                &solo,
+                &allocate_shared(&speeds, &[demand(k); 2])[0],
+                "k {k}",
+            );
+        }
     }
 
     #[test]
@@ -292,16 +340,28 @@ mod tests {
                 chunks_per_partition: 5,
                 weight: 0.5,
             },
+            JobDemand {
+                k: 6,
+                chunks_per_partition: 3,
+                weight: 0.0625,
+            },
         ];
+        let total: f64 = demands.iter().map(|d| d.weight).sum();
         let shared = allocate_shared(&speeds, &demands);
-        for (i, d) in demands.iter().enumerate() {
-            let solo = allocate_for_resident(&speeds, d.k, d.chunks_per_partition, d.weight, 4.0);
-            assert!((solo.share - shared[i].share).abs() < 1e-12, "job {i}");
-            assert_eq!(solo.assignment, shared[i].assignment, "job {i}");
+        assert!(shared[3].degraded);
+        let mut bufs = dirty_buffers();
+        for (i, (d, entry)) in demands.iter().zip(&shared).enumerate() {
+            let solo = resident(&speeds, *d, total, &mut bufs);
+            assert_same(&solo, entry, &format!("job {i}"));
         }
         // Sole resident gets the full pool regardless of weight.
-        let solo = allocate_for_resident(&speeds, 2, 6, 3.0, 3.0);
-        assert!((solo.share - 1.0).abs() < 1e-12);
+        let solo = resident(&speeds, demands[1], 1.5, &mut bufs);
+        assert_eq!(solo.share, 1.0);
+        assert_eq!(
+            solo.assignment,
+            allocate_chunks(&speeds, 3, 4).unwrap(),
+            "the whole pool, unscaled"
+        );
     }
 
     #[test]
