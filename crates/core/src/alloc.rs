@@ -420,56 +420,6 @@ pub fn allocate_chunks_with_fixed_cost(
     Ok(assignment)
 }
 
-/// Normalizes per-job capacity weights into fractional shares summing
-/// to 1: `out[j] = weights[j] / Σ weights`.
-///
-/// This is the single weight→share definition the whole stack agrees
-/// on: [`split_worker_capacity`] uses it to slice worker capacity, and
-/// the `s2c2-serve` engine uses it to rate in-flight tasks, so a
-/// weight-2 tenant really runs at twice a weight-1 tenant's fractional
-/// rate everywhere the weight is consulted.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or any weight is non-positive.
-#[must_use]
-pub fn normalized_shares(weights: &[f64]) -> Vec<f64> {
-    assert!(!weights.is_empty(), "need at least one resident job");
-    assert!(
-        weights.iter().all(|w| w.is_finite() && *w > 0.0),
-        "job weights must be positive"
-    );
-    let total: f64 = weights.iter().sum();
-    weights.iter().map(|&w| w / total).collect()
-}
-
-/// Splits each worker's per-iteration capacity across concurrently
-/// resident jobs — the shared-cluster hook used by `s2c2-serve`.
-///
-/// Given the pool's per-worker speeds and one weight per resident job
-/// (equal weights = processor sharing; work-proportional weights =
-/// makespan fairness), returns one *effective speed vector per job*:
-/// `out[j][w] = speeds[w] · weights[j] / Σ weights`. Feeding `out[j]`
-/// to [`allocate_chunks`] yields a per-job assignment that preserves
-/// that job's exactly-`k` coverage while the pool's capacity is shared
-/// — Algorithm 1 is scale-invariant in the speeds, so each job's chunk
-/// *shape* matches what it would get on a dedicated cluster running at
-/// its fractional rate.
-///
-/// Zero-speed (dead/churned-out) workers stay zero in every slice, so
-/// per-job feasibility checks (`alive >= k`) keep working downstream.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or any weight is non-positive.
-#[must_use]
-pub fn split_worker_capacity(speeds: &[f64], weights: &[f64]) -> Vec<Vec<f64>> {
-    normalized_shares(weights)
-        .into_iter()
-        .map(|frac| speeds.iter().map(|&s| s * frac).collect())
-        .collect()
-}
-
 /// Basic S²C² allocation: every worker in `available` treated as equal
 /// speed, stragglers excluded entirely (§4.1).
 ///
@@ -856,46 +806,5 @@ mod tests {
         let a = allocate_chunks(&speeds, 3, 10).unwrap();
         let b = allocate_chunks(&speeds, 3, 10).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn capacity_split_sums_to_full_speed() {
-        let speeds = [1.0, 0.5, 0.0, 0.8];
-        let slices = split_worker_capacity(&speeds, &[2.0, 1.0, 1.0]);
-        assert_eq!(slices.len(), 3);
-        for w in 0..speeds.len() {
-            let total: f64 = slices.iter().map(|s| s[w]).sum();
-            assert!((total - speeds[w]).abs() < 1e-12, "worker {w}");
-        }
-        // Dead worker stays dead in every slice.
-        assert!(slices.iter().all(|s| s[2] == 0.0));
-        // Weight-2 job gets twice the weight-1 job's share.
-        assert!((slices[0][0] / slices[1][0] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn capacity_split_preserves_allocation_shape() {
-        // Algorithm 1 is scale-invariant: a job scheduled on its capacity
-        // slice gets the same chunk shape as on the dedicated cluster.
-        let speeds = [1.0, 0.9, 0.5, 0.2, 1.1, 0.7];
-        let slices = split_worker_capacity(&speeds, &[1.0, 1.0, 1.0]);
-        let dedicated = allocate_chunks(&speeds, 3, 8).unwrap();
-        for slice in &slices {
-            assert_eq!(allocate_chunks(slice, 3, 8).unwrap(), dedicated);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "job weights must be positive")]
-    fn capacity_split_rejects_zero_weight() {
-        let _ = split_worker_capacity(&[1.0], &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn normalized_shares_sum_to_one_and_track_weights() {
-        let shares = normalized_shares(&[1.0, 2.0, 1.0]);
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((shares[1] / shares[0] - 2.0).abs() < 1e-12);
-        assert_eq!(normalized_shares(&[7.0]), vec![1.0]);
     }
 }

@@ -25,6 +25,15 @@ enum JobData {
     Encoded(Arc<CachedEncoding>),
 }
 
+/// Replication factor of [`StrategyKind::Replication`].
+const REPLICAS: usize = 3;
+/// Speculative relaunches per round under [`StrategyKind::Replication`].
+const MAX_SPECULATIVE: usize = 6;
+/// Over-decomposition factor of [`StrategyKind::OverDecomposition`].
+const OVERDECOMP_FACTOR: usize = 4;
+/// Seed of the replicated and over-decomposed placements.
+const PLACEMENT_SEED: u64 = 42;
+
 /// Builder for a [`CodedJob`].
 pub struct CodedJobBuilder {
     data: JobData,
@@ -32,10 +41,6 @@ pub struct CodedJobBuilder {
     chunks_per_worker: usize,
     strategy: StrategyKind,
     predictor: PredictorSource,
-    replicas: usize,
-    max_speculative: usize,
-    overdecomp_factor: usize,
-    seed: u64,
 }
 
 impl CodedJobBuilder {
@@ -64,10 +69,6 @@ impl CodedJobBuilder {
             chunks_per_worker: 8,
             strategy: StrategyKind::S2c2General,
             predictor: PredictorSource::LastValue,
-            replicas: 3,
-            max_speculative: 6,
-            overdecomp_factor: 4,
-            seed: 42,
         }
     }
 
@@ -89,35 +90,6 @@ impl CodedJobBuilder {
     #[must_use]
     pub fn predictor(mut self, predictor: PredictorSource) -> Self {
         self.predictor = predictor;
-        self
-    }
-
-    /// Replication factor for [`StrategyKind::Replication`] (default 3).
-    #[must_use]
-    pub fn replicas(mut self, r: usize) -> Self {
-        self.replicas = r;
-        self
-    }
-
-    /// Max speculative relaunches per round (default 6).
-    #[must_use]
-    pub fn max_speculative(mut self, m: usize) -> Self {
-        self.max_speculative = m;
-        self
-    }
-
-    /// Over-decomposition factor for
-    /// [`StrategyKind::OverDecomposition`] (default 4).
-    #[must_use]
-    pub fn overdecomp_factor(mut self, f: usize) -> Self {
-        self.overdecomp_factor = f;
-        self
-    }
-
-    /// Seed for placement decisions.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -145,9 +117,9 @@ impl CodedJobBuilder {
             StrategyKind::Replication => Box::new(ReplicationStrategy::new(
                 self.matrix()?,
                 n,
-                self.replicas,
-                self.max_speculative,
-                self.seed,
+                REPLICAS,
+                MAX_SPECULATIVE,
+                PLACEMENT_SEED,
             )?),
             StrategyKind::MdsCoded => Box::new(MdsStrategy::from_encoding(self.encoding()?)),
             StrategyKind::S2c2Basic => Box::new(S2c2Strategy::from_encoding(
@@ -163,10 +135,10 @@ impl CodedJobBuilder {
             StrategyKind::OverDecomposition => Box::new(OverDecompositionStrategy::new(
                 self.matrix()?,
                 n,
-                self.overdecomp_factor,
+                OVERDECOMP_FACTOR,
                 self.params.storage_overhead(),
                 &self.predictor,
-                self.seed,
+                PLACEMENT_SEED,
             )?),
         };
         Ok(CodedJob {

@@ -44,8 +44,8 @@ pub mod storage_model;
 pub mod strategy;
 
 pub use alloc::{
-    allocate_chunks, allocate_chunks_basic, allocate_chunks_into, allocate_full, normalized_shares,
-    split_worker_capacity, AllocScratch, ChunkAssignment,
+    allocate_chunks, allocate_chunks_basic, allocate_chunks_into, allocate_full, AllocScratch,
+    ChunkAssignment,
 };
 pub use error::S2c2Error;
 pub use job::{CodedJob, CodedJobBuilder};

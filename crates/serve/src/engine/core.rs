@@ -15,11 +15,13 @@
 //! [`super::pipeline::PipelinePolicy`].
 
 use super::round::{sinks, RunningIteration, Tasks};
-use super::{avail_speeds, trace_into, ServeError, ServiceEngine};
+use super::{
+    avail_speeds, sample_speed, trace_into, ServeError, ServiceEngine, EPOCH, TIMEOUT_MARGIN,
+};
 use crate::admission::{QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
 use crate::metrics::JobRecord;
-use crate::shared_alloc::{allocate_for_resident, full_over_available_into, JobDemand};
+use crate::shared_alloc::full_over_available_into;
 use crate::workload::JobSpec;
 use s2c2_core::{allocate_chunks_into, ChunkAssignment};
 use s2c2_telemetry::TraceEventKind;
@@ -363,18 +365,9 @@ impl ServiceEngine {
             return Ok(());
         }
 
-        // Planning speeds and per-job assignment. Every mode rates the
-        // job at its weight-normalized share of the live resident mass —
-        // the same `weight / Σ weights` rule `split_worker_capacity`
-        // slices capacity by. A batch weighs the sum of its members.
-        let weight = job.weight();
-        let total_weight: f64 = self
-            .resident
-            .values()
-            .map(ResidentJob::weight)
-            .sum::<f64>()
-            .max(f64::MIN_POSITIVE);
-        let weighted_share = (weight / total_weight).min(1.0);
+        // Every mode rates the job at its share of the resident mass; a
+        // batch weighs the sum of its members.
+        let share = self.share(id);
         // The task table and the assignment come from the scratch pool
         // when a retired round left them (refilled in place — contents
         // identical to fresh allocation).
@@ -386,7 +379,7 @@ impl ServiceEngine {
         avail.extend(avail_speeds(&self.speeds, &self.up));
         plan_speeds.clear();
         let uniform = |&s: &f64| if s > 0.0 { 1.0 } else { 0.0 };
-        let (share, degraded) = match &self.cfg.scheduler {
+        let degraded = match &self.cfg.scheduler {
             SchedulerMode::Uncoded => {
                 plan_speeds.extend(avail.iter().map(uniform));
                 #[expect(
@@ -395,32 +388,31 @@ impl ServiceEngine {
                 )]
                 allocate_chunks_into(plan_speeds, 1, c_eff, &mut self.alloc, &mut assignment)
                     .expect("alive >= 1 guarantees feasibility");
-                (weighted_share, false)
+                false
             }
             SchedulerMode::ConventionalMds => {
                 plan_speeds.extend(avail.iter().map(uniform));
                 full_over_available_into(avail, k_eff, c_eff, &mut assignment);
-                (weighted_share, false)
+                false
             }
             SchedulerMode::SharedS2c2 { .. } => {
                 let preds = self.tracker.predictions_for(avail).iter().zip(&self.up);
                 plan_speeds.extend(preds.map(|(&p, &u)| if u { p.max(0.0) } else { 0.0 }));
-                // Weighted capacity split across the resident set; only
-                // this job's slice is needed (neighbours are rescaled by
-                // `rebalance_shares` when membership changes).
-                let demand = JobDemand {
-                    k: k_eff,
-                    chunks_per_partition: c_eff,
-                    weight,
-                };
-                allocate_for_resident(
+                // Algorithm 1 on the pool's speeds (the share rates the
+                // tasks, not the shape), or rung 2 when the predictions
+                // cannot support `k`-coverage.
+                let degraded = allocate_chunks_into(
                     plan_speeds,
-                    demand,
-                    total_weight,
-                    &mut self.slice,
+                    k_eff,
+                    c_eff,
                     &mut self.alloc,
                     &mut assignment,
                 )
+                .is_err();
+                if degraded {
+                    full_over_available_into(plan_speeds, k_eff, c_eff, &mut assignment);
+                }
+                degraded
             }
         };
 
@@ -517,7 +509,7 @@ impl ServiceEngine {
             SchedulerMode::SharedS2c2 { .. } => max_planned_span,
             SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => max_actual_span,
         };
-        iter.arm(at + (1.0 + self.cfg.timeout_margin) * span, &mut sinks);
+        iter.arm(at + (1.0 + TIMEOUT_MARGIN) * span, &mut sinks);
 
         if rhs > 1 {
             self.report.batch_rounds += 1;
@@ -840,9 +832,9 @@ impl ServiceEngine {
         Ok(())
     }
 
-    pub(crate) fn on_epoch_tick(&mut self, epoch: usize) {
+    pub(crate) fn on_epoch_tick(&mut self, epoch: usize) -> Result<(), ServeError> {
         for (w, m) in self.models.iter_mut().enumerate() {
-            let s = m.speed_at(epoch);
+            let s = sample_speed(m, w, epoch)?;
             if (s - self.speeds[w]).abs() > f64::EPSILON {
                 self.queue.push(
                     self.now,
@@ -861,10 +853,9 @@ impl ServiceEngine {
             }
         }
         if self.work_remains() {
-            self.queue.push(
-                self.now + self.cfg.epoch,
-                EventKind::EpochTick { epoch: epoch + 1 },
-            );
+            self.queue
+                .push(self.now + EPOCH, EventKind::EpochTick { epoch: epoch + 1 });
         }
+        Ok(())
     }
 }

@@ -41,11 +41,12 @@
 //! [`s2c2_cluster::CommModel`]. `share_j` is the fraction of every
 //! worker's capacity the shared allocator granted job `j`: the job's
 //! capacity weight normalized over the live resident set
-//! (`weight_j / Σ weights`, the [`s2c2_core::normalized_shares`] rule),
-//! so a weight-2 tenant runs at twice a weight-1 tenant's fractional
-//! rate. Speeds are piecewise constant: each task runs at the speed
-//! sampled when it was issued, and epoch ticks only affect tasks issued
-//! afterwards — the same once-per-iteration granularity the paper
+//! (`weight_j / Σ weights`, computed in one place), so a weight-2 tenant
+//! runs at twice a weight-1 tenant's fractional rate. Algorithm 1 runs on
+//! the pool's speeds: the share sets how fast a job's tasks run, not
+//! which chunks it gets. Speeds are piecewise constant: each task runs
+//! at the speed sampled when it was issued, and epoch ticks only affect
+//! tasks issued afterwards — the same once-per-iteration granularity the paper
 //! measures and predicts at.
 //!
 //! # Execution backends
@@ -165,9 +166,9 @@ pub enum SchedulerMode {
     /// Conventional `(n, k)` MDS: every available worker computes its full
     /// partition; the master takes the fastest `k` per chunk.
     ConventionalMds,
-    /// Shared-cluster S²C²: capacity split across resident jobs, Algorithm
-    /// 1 per job on predicted speeds, timeout-and-reassign on mis-
-    /// prediction.
+    /// Shared-cluster S²C²: capacity shared across resident jobs by
+    /// weight, Algorithm 1 per job on the pool's predicted speeds,
+    /// timeout-and-reassign on mis-prediction.
     SharedS2c2 {
         /// Where next-iteration speed estimates come from.
         predictor: PredictorSource,
@@ -190,6 +191,13 @@ impl std::fmt::Debug for SchedulerMode {
         write!(f, "SchedulerMode::{self}")
     }
 }
+
+/// §4.3 timeout margin: a round's deadline sits this fraction past its
+/// planned span.
+pub(crate) const TIMEOUT_MARGIN: f64 = 0.25;
+
+/// Seconds between speed/churn resampling epochs.
+pub const EPOCH: f64 = 0.25;
 
 /// Worker churn parameters (see [`ChurnProcess`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,10 +223,6 @@ pub struct ServeConfig {
     pub policy: QueuePolicy,
     /// Maximum concurrently-resident jobs (the multiprogramming level).
     pub max_resident: usize,
-    /// §4.3 timeout margin over the planned iteration span.
-    pub timeout_margin: f64,
-    /// Seconds between speed/churn resampling epochs.
-    pub epoch: f64,
     /// Threads each worker devotes to its matvec. The timing model charges
     /// the near-linear scaling measured for row-partitioned
     /// [`s2c2_linalg::parallel::par_matvec`]: `1 + 0.9 · (threads − 1)`.
@@ -255,8 +259,6 @@ impl ServeConfig {
             backend: BackendKind::Sim,
             policy: QueuePolicy::Fifo,
             max_resident: 4,
-            timeout_margin: 0.25,
-            epoch: 0.25,
             worker_threads: 1,
             churn: None,
             max_retries: 3,
@@ -334,6 +336,26 @@ pub(crate) fn avail_speeds<'a>(
         .map(|(&s, &u)| if u { s } else { 0.0 })
 }
 
+/// Worker `worker`'s speed at `epoch`, held to the
+/// [`s2c2_trace::SpeedModel`] contract (finite and positive): a zero
+/// would schedule a task at infinity, a NaN would never register as a
+/// change, and a negative speed would charge negative compute time.
+pub(crate) fn sample_speed(
+    model: &mut BoxedSpeedModel,
+    worker: usize,
+    epoch: usize,
+) -> Result<f64, ServeError> {
+    let speed = model.speed_at(epoch);
+    if speed.is_finite() && speed > 0.0 {
+        Ok(speed)
+    } else {
+        Err(ServeError::InvalidConfig(format!(
+            "worker {worker}'s speed model returned {speed} at epoch {epoch}; \
+             speeds must be finite and positive"
+        )))
+    }
+}
+
 /// Effective speedup of `threads`-way row-partitioned matvec.
 pub(crate) fn thread_speedup(threads: usize) -> f64 {
     1.0 + 0.9 * threads.saturating_sub(1) as f64
@@ -366,11 +388,10 @@ pub struct ServiceEngine {
     /// reuse by the next dispatch (see [`round::Tasks`]).
     scratch: Vec<round::RoundScratch>,
     /// Per-dispatch buffers: the pool's available speeds, the speeds
-    /// the round being dispatched is planned at, the job's capacity
-    /// slice of them, and Algorithm 1's working state.
+    /// the round being dispatched is planned at, and Algorithm 1's
+    /// working state.
     avail: Vec<f64>,
     plan_speeds: Vec<f64>,
-    slice: Vec<f64>,
     alloc: AllocScratch,
     /// Per-retire buffers of the decode-cost model.
     decode_scratch: round::DecodeScratch,
@@ -405,14 +426,6 @@ impl ServiceEngine {
         }
         if cfg.max_resident == 0 {
             return Err(ServeError::InvalidConfig("max_resident must be ≥ 1".into()));
-        }
-        if !(cfg.epoch.is_finite() && cfg.epoch > 0.0) {
-            return Err(ServeError::InvalidConfig("epoch must be positive".into()));
-        }
-        if !(cfg.timeout_margin.is_finite() && cfg.timeout_margin >= 0.0) {
-            return Err(ServeError::InvalidConfig(
-                "timeout margin must be non-negative".into(),
-            ));
         }
         if cfg.worker_threads == 0 {
             return Err(ServeError::InvalidConfig(
@@ -476,7 +489,6 @@ impl ServiceEngine {
             scratch: Vec::new(),
             avail: Vec::new(),
             plan_speeds: Vec::new(),
-            slice: Vec::new(),
             alloc: AllocScratch::default(),
             decode_scratch: round::DecodeScratch::default(),
         })
@@ -547,13 +559,12 @@ impl ServiceEngine {
 
         // Initial samples: epoch 0.
         for (w, m) in self.models.iter_mut().enumerate() {
-            self.speeds[w] = m.speed_at(0);
+            self.speeds[w] = sample_speed(m, w, 0)?;
         }
         self.up.copy_from_slice(self.churn.advance_to(0));
         self.arrivals_remaining = workload.len();
         if self.work_remains() {
-            self.queue
-                .push(self.cfg.epoch, EventKind::EpochTick { epoch: 1 });
+            self.queue.push(EPOCH, EventKind::EpochTick { epoch: 1 });
         }
 
         loop {
@@ -603,10 +614,7 @@ impl ServiceEngine {
                 arm,
             } => self.on_timeout(job, generation, arm),
             EventKind::WorkerChurn { worker, up } => self.on_churn(worker, up),
-            EventKind::EpochTick { epoch } => {
-                self.on_epoch_tick(epoch);
-                Ok(())
-            }
+            EventKind::EpochTick { epoch } => self.on_epoch_tick(epoch),
         }
     }
 

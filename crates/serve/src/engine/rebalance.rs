@@ -17,6 +17,16 @@ use crate::event::JobId;
 use s2c2_telemetry::TraceEventKind;
 
 impl ServiceEngine {
+    /// A residency's share of every worker's capacity: its weight over
+    /// the resident weight mass. The one place the engine computes a
+    /// share — round dispatch and rebalancing both read it. Weights are
+    /// validated positive at arrival, so the mass is positive whenever
+    /// `id` is resident.
+    pub(crate) fn share(&self, id: JobId) -> f64 {
+        let total: f64 = self.resident.values().map(ResidentJob::weight).sum();
+        self.resident[&id].weight() / total
+    }
+
     /// Work-conserving share rebalance: recomputes every running
     /// iteration's share from the live resident weight mass and rescales
     /// its in-flight tasks at the current instant. Called whenever the
@@ -28,17 +38,11 @@ impl ServiceEngine {
     /// completion, close the share segment) are
     /// [`super::round::RunningIteration::rescale`].
     pub(crate) fn rebalance_shares(&mut self) {
-        let total: f64 = self.resident.values().map(ResidentJob::weight).sum();
-        if total <= 0.0 {
-            return;
-        }
         let now = self.now;
-        let margin = self.cfg.timeout_margin;
         let ids: Vec<JobId> = self.resident.keys().copied().collect();
         let resident_count = ids.len();
         for id in ids {
-            let weight = self.resident[&id].weight();
-            let new_share = weight / total;
+            let new_share = self.share(id);
             let mut sinks = sinks!(self, now);
             let Some(job) = self.resident.get_mut(&id) else {
                 continue;
@@ -70,7 +74,7 @@ impl ServiceEngine {
                 resident: resident_count,
             });
             for (pos, latest) in rearm {
-                job.window[pos].arm_behind(latest, margin, &mut sinks);
+                job.window[pos].arm_behind(latest, &mut sinks);
             }
         }
     }

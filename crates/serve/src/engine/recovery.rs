@@ -32,7 +32,6 @@ impl ServiceEngine {
         let now = self.now;
         let speedup = thread_speedup(self.cfg.worker_threads);
         let cancel_late = matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. });
-        let margin = self.cfg.timeout_margin;
         let elements_per_sec = self.compute.elements_per_sec;
         let comm = self.comm;
         let mut sinks = sinks!(self, now);
@@ -70,7 +69,7 @@ impl ServiceEngine {
         if need.iter().all(|&short| short == 0) {
             // Everything outstanding is already being handled; re-arm the
             // safety net behind the open tasks.
-            iter.arm_behind(iter.latest_open(), margin, &mut sinks);
+            iter.arm_behind(iter.latest_open(), &mut sinks);
             return Ok(());
         }
 
@@ -158,7 +157,7 @@ impl ServiceEngine {
             if from_timeout {
                 self.report.timeouts += 1;
             }
-            iter.arm_behind(latest_redo, margin, &mut sinks);
+            iter.arm_behind(latest_redo, &mut sinks);
             return Ok(());
         }
 
@@ -178,7 +177,7 @@ impl ServiceEngine {
                     rung: 4,
                 });
             }
-            iter.arm_behind(iter.latest_open(), margin, &mut sinks);
+            iter.arm_behind(iter.latest_open(), &mut sinks);
             return Ok(());
         }
 

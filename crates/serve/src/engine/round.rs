@@ -29,7 +29,7 @@
 //! them indexes task state by worker.
 
 use super::backend::ExecutionBackend;
-use super::trace_into;
+use super::{trace_into, TIMEOUT_MARGIN};
 use crate::event::{EventKind, EventQueue, JobId};
 use s2c2_core::strategy::mds::chunk_decode_flops;
 use s2c2_core::ChunkAssignment;
@@ -559,11 +559,11 @@ impl RunningIteration {
         );
     }
 
-    /// Re-arms the deadline a `margin` behind `latest`, the last finish
-    /// the round is waiting for (anything not after `now` arms the
+    /// Re-arms the deadline [`TIMEOUT_MARGIN`] behind `latest`, the last
+    /// finish the round is waiting for (anything not after `now` arms the
     /// smallest step ahead).
-    pub(crate) fn arm_behind(&mut self, latest: f64, margin: f64, s: &mut Sinks) {
-        let deadline = s.now + (1.0 + margin) * (latest - s.now).max(f64::MIN_POSITIVE);
+    pub(crate) fn arm_behind(&mut self, latest: f64, s: &mut Sinks) {
+        let deadline = s.now + (1.0 + TIMEOUT_MARGIN) * (latest - s.now).max(f64::MIN_POSITIVE);
         self.arm(deadline, s);
     }
 

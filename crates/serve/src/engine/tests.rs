@@ -213,9 +213,6 @@ fn invalid_config_rejected() {
         ServiceEngine::new(pool(4, &[]), cfg),
         Err(ServeError::InvalidConfig(_))
     ));
-    let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
-    cfg.epoch = 0.0;
-    assert!(ServiceEngine::new(pool(4, &[]), cfg).is_err());
 }
 
 #[test]
@@ -549,6 +546,96 @@ fn invalid_arrival_times_return_typed_invalid_job() {
             }
             other => panic!("expected InvalidJob, got {other}"),
         }
+    }
+}
+
+/// A speed model that breaks the `SpeedModel` contract from one epoch
+/// on.
+#[derive(Clone)]
+struct BadFrom {
+    epoch: usize,
+    speed: f64,
+}
+
+impl s2c2_trace::SpeedModel for BadFrom {
+    fn speed_at(&mut self, epoch: usize) -> f64 {
+        if epoch >= self.epoch {
+            self.speed
+        } else {
+            1.0
+        }
+    }
+
+    fn clone_box(&self) -> BoxedSpeedModel {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn speed_samples_outside_the_contract_end_the_run_typed() {
+    // A zero speed would time a task at infinity, a NaN would never
+    // register as a change, a negative one would charge negative compute
+    // time: each is refused where the engine reads the model.
+    let n = 8;
+    for (speed, from) in [(0.0, 3), (f64::NAN, 3), (-1.0, 3), (0.0, 0)] {
+        let mut spec = pool(n, &[]);
+        spec.workers[2] = Box::new(BadFrom { epoch: from, speed });
+        let cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        let engine = ServiceEngine::new(spec, cfg).unwrap();
+        match engine.run(&workload(40, 2.0, n, 9)) {
+            Err(ServeError::InvalidConfig(msg)) => {
+                let needle = format!("worker 2's speed model returned {speed} at epoch {from}");
+                assert!(msg.contains(&needle), "{msg} should say {needle}");
+            }
+            Err(other) => panic!("speed {speed}: expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("speed {speed}: the run must be refused"),
+        }
+    }
+}
+
+#[test]
+fn shares_depend_on_weight_ratios_only() {
+    // Weights in {1, 2}, then every weight scaled by 2^-1070. Both sets
+    // are exact (the scaled ones subnormal), so every resident sum and
+    // every share is the same number: the runs must agree bit for bit.
+    let n = 12;
+    let tiny = f64::MIN_POSITIVE / 2f64.powi(48);
+    let stream = |scale: f64| -> Vec<(f64, JobSpec)> {
+        workload(30, 4.0, n, 21)
+            .into_iter()
+            .map(|(t, mut spec)| {
+                spec.weight = scale * if spec.id % 2 == 0 { 1.0 } else { 2.0 };
+                (t, spec)
+            })
+            .collect()
+    };
+    let modes = || {
+        [
+            SchedulerMode::SharedS2c2 {
+                predictor: PredictorSource::LastValue,
+            },
+            SchedulerMode::ConventionalMds,
+        ]
+    };
+    for (unit, scaled) in modes().into_iter().zip(modes()) {
+        let label = unit.to_string();
+        let run = |mode, scale| {
+            let engine = ServiceEngine::new(pool(n, &[2, 7]), ServeConfig::new(mode)).unwrap();
+            engine.run(&stream(scale)).unwrap()
+        };
+        let (a, b) = (run(unit, 1.0), run(scaled, tiny));
+        assert_eq!(a.completed(), 30, "{label}");
+        assert!(a.rebalances > 0, "{label}: the stream must overlap");
+        assert_eq!(a.events_processed, b.events_processed, "{label}");
+        let finished = |r: &ServiceReport| -> Vec<(JobId, u64)> {
+            r.jobs
+                .iter()
+                .map(|j| (j.id, j.finished.to_bits()))
+                .collect()
+        };
+        assert_eq!(finished(&a), finished(&b), "{label}");
     }
 }
 

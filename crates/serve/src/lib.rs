@@ -18,10 +18,10 @@
 //! * [`admission`] — pluggable queueing policies: FIFO,
 //!   earliest-deadline, and weighted fair-share.
 //! * [`shared_alloc`] — Algorithm 1 extended to a shared cluster: each
-//!   worker's capacity is split across resident jobs in proportion to
-//!   their weights (via [`s2c2_core::split_worker_capacity`]) while
-//!   every job keeps its exactly-`k` chunk coverage; infeasible jobs
-//!   degrade to conventional coded computing, alone.
+//!   resident job's share of every worker's capacity is
+//!   `weight / Σ weights`, computed in one place; Algorithm 1 runs on the
+//!   pool's speeds, so every job keeps its exactly-`k` chunk coverage;
+//!   infeasible jobs degrade to conventional coded computing, alone.
 //! * [`engine`] — the [`engine::ServiceEngine`] tying it together, with
 //!   worker churn, §4.3-style timeout recovery, a retry ladder,
 //!   work-conserving share rebalancing at every resident-set change,

@@ -1,24 +1,22 @@
 //! The shared-cluster S²C² allocator: Algorithm 1 across many jobs.
 //!
 //! Extends the paper's single-job allocator to a pool serving several
-//! coded jobs at once. Each worker's per-iteration capacity is split
-//! across the resident jobs ([`s2c2_core::split_worker_capacity`], the
-//! capacity hook exposed by the core crate) and every job then runs
-//! Algorithm 1 on *its slice* of the pool. Because Algorithm 1 is
-//! scale-invariant in the speeds, each job keeps exactly the chunk shape
-//! it would get on a dedicated cluster running at its fractional rate —
-//! and therefore keeps its exactly-`k` chunk coverage, which is the
-//! decodability invariant the whole scheme rests on.
+//! coded jobs at once. A job's share of every worker's capacity is
+//! `weight / Σ weights`, computed in one place; Algorithm 1 runs on the
+//! pool's speeds. Because Algorithm 1 is scale-invariant in the speeds,
+//! the share changes how fast a job's tasks run, not which chunks it
+//! gets: each job keeps exactly the chunk shape it would get on a
+//! dedicated cluster — and therefore keeps its exactly-`k` chunk
+//! coverage, which is the decodability invariant the whole scheme rests
+//! on.
 //!
-//! When a job's slice cannot support `k`-coverage (predictions claim
-//! fewer than `k` workers alive), that job — and only that job — degrades
-//! to conventional coded computing: every available worker computes its
-//! full partition and the master takes the fastest `k` per chunk (§4.4's
-//! robustness rule, applied per job).
+//! When the pool's speeds cannot support a job's `k`-coverage
+//! (predictions claim fewer than `k` workers alive), that job — and only
+//! that job — degrades to conventional coded computing: every available
+//! worker computes its full partition and the master takes the fastest
+//! `k` per chunk (§4.4's robustness rule, applied per job).
 
-use s2c2_core::{
-    allocate_chunks, allocate_chunks_into, split_worker_capacity, AllocScratch, ChunkAssignment,
-};
+use s2c2_core::{allocate_chunks, ChunkAssignment};
 
 /// One resident job's allocation inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +29,7 @@ pub struct JobDemand {
     pub weight: f64,
 }
 
-/// One job's slice of the shared allocation.
+/// One job's entry in the shared allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedAssignment {
     /// Chunk indices per worker for this job.
@@ -39,7 +37,7 @@ pub struct SharedAssignment {
     /// Fraction of every worker's capacity this job received.
     pub share: f64,
     /// Whether the job degraded to conventional full assignment because
-    /// its predicted slice could not support exactly-`k` coverage.
+    /// the predicted speeds could not support exactly-`k` coverage.
     pub degraded: bool,
 }
 
@@ -77,7 +75,10 @@ pub(crate) fn full_over_available_into(
 /// Allocates every resident job's chunks over the shared pool.
 ///
 /// `speeds` are the pool's (predicted) per-worker speeds, zero meaning
-/// unavailable. The result is index-aligned with `demands`.
+/// unavailable. Each entry is Algorithm 1 on those speeds — or, when they
+/// cannot support the job's `k`-coverage, [`full_over_available`] — with
+/// the job's share `weight / Σ weights`. The result is index-aligned with
+/// `demands`.
 ///
 /// # Panics
 ///
@@ -85,90 +86,29 @@ pub(crate) fn full_over_available_into(
 /// engine bugs, not runtime conditions).
 #[must_use]
 pub fn allocate_shared(speeds: &[f64], demands: &[JobDemand]) -> Vec<SharedAssignment> {
-    let weights: Vec<f64> = demands.iter().map(|d| d.weight).collect();
-    let slices = split_worker_capacity(speeds, &weights);
-    let total: f64 = weights.iter().sum();
+    assert!(!demands.is_empty(), "need at least one resident job");
+    assert!(
+        demands
+            .iter()
+            .all(|d| d.weight.is_finite() && d.weight > 0.0),
+        "job weights must be positive"
+    );
+    let total: f64 = demands.iter().map(|d| d.weight).sum();
     demands
         .iter()
-        .zip(slices.iter())
-        .map(|(d, slice)| {
-            let share = d.weight / total;
-            match allocate_chunks(slice, d.k, d.chunks_per_partition) {
-                Ok(assignment) => SharedAssignment {
-                    assignment,
-                    share,
-                    degraded: false,
-                },
-                Err(_) => SharedAssignment {
-                    assignment: full_over_available(speeds, d.k, d.chunks_per_partition),
-                    share,
-                    degraded: true,
-                },
+        .map(|d| {
+            let (k, chunks) = (d.k, d.chunks_per_partition);
+            let (assignment, degraded) = match allocate_chunks(speeds, k, chunks) {
+                Ok(assignment) => (assignment, false),
+                Err(_) => (full_over_available(speeds, k, chunks), true),
+            };
+            SharedAssignment {
+                assignment,
+                share: d.weight / total,
+                degraded,
             }
         })
         .collect()
-}
-
-/// One job's weighted slice of the shared allocation — identical to the
-/// matching entry of [`allocate_shared`] for a resident set whose
-/// weights sum to `total_weight` (jobs start iterations at different
-/// instants, so the engine only ever needs its own slice; recomputing
-/// every neighbour's assignment would be `O(residents)` wasted work).
-///
-/// `demand.weight` is this job's capacity weight; `total_weight` is the
-/// sum over the whole resident set (including this job). The job's
-/// speeds are cut as in a two-way [`split_worker_capacity`] (itself vs
-/// everyone else) into the caller-owned `slice`, Algorithm 1 runs on them
-/// through `scratch`, and the result — or, when the slice cannot support
-/// `k`-coverage, [`full_over_available`] — is written into `out`. Every
-/// buffer is refilled in place, so a steady-state call allocates
-/// nothing.
-///
-/// Returns `(share, degraded)`: the fraction of every worker's capacity
-/// the job receives, and whether it degraded to the full assignment.
-///
-/// # Panics
-///
-/// Panics if the weight is non-positive or exceeds `total_weight`.
-#[must_use]
-pub fn allocate_for_resident(
-    speeds: &[f64],
-    demand: JobDemand,
-    total_weight: f64,
-    slice: &mut Vec<f64>,
-    scratch: &mut AllocScratch,
-    out: &mut ChunkAssignment,
-) -> (f64, bool) {
-    let JobDemand {
-        k,
-        chunks_per_partition,
-        weight,
-    } = demand;
-    assert!(
-        weight.is_finite() && weight > 0.0,
-        "job weight must be positive"
-    );
-    assert!(
-        total_weight.is_finite() && total_weight >= weight,
-        "total weight must cover the job's own weight"
-    );
-    let rest = total_weight - weight;
-    slice.clear();
-    let share = if rest > 0.0 {
-        // `normalized_shares(&[weight, rest])[0]`, bit for bit.
-        let frac = weight / (weight + rest);
-        slice.extend(speeds.iter().map(|&s| s * frac));
-        weight / total_weight
-    } else {
-        // Sole resident: the whole pool.
-        slice.extend_from_slice(speeds);
-        1.0
-    };
-    let degraded = allocate_chunks_into(slice, k, chunks_per_partition, scratch, out).is_err();
-    if degraded {
-        full_over_available_into(speeds, k, chunks_per_partition, out);
-    }
-    (share, degraded)
 }
 
 #[cfg(test)]
@@ -250,118 +190,49 @@ mod tests {
         }
     }
 
-    /// The buffers `allocate_for_resident` fills, as the engine keeps
-    /// them between rounds.
-    type Buffers = (Vec<f64>, AllocScratch, ChunkAssignment);
-
-    /// Buffers left dirty by an unrelated call: a wider pool and another
-    /// shape.
-    fn dirty_buffers() -> Buffers {
-        let mut bufs = Buffers::default();
-        let demand = JobDemand {
-            k: 3,
-            chunks_per_partition: 11,
-            weight: 1.0,
-        };
-        let speeds = [0.3, 1.0, 0.8, 0.0, 2.0, 1.1, 0.9, 0.5];
-        let _ = resident(&speeds, demand, 2.5, &mut bufs);
-        bufs
-    }
-
-    /// [`allocate_for_resident`] through `bufs`, as the entry
-    /// [`allocate_shared`] would return.
-    fn resident(
-        speeds: &[f64],
-        demand: JobDemand,
-        total_weight: f64,
-        bufs: &mut Buffers,
-    ) -> SharedAssignment {
-        let (slice, scratch, out) = bufs;
-        let (share, degraded) =
-            allocate_for_resident(speeds, demand, total_weight, slice, scratch, out);
-        SharedAssignment {
-            assignment: out.clone(),
-            share,
-            degraded,
-        }
-    }
-
-    /// Equal entries, the share compared bit for bit.
-    fn assert_same(solo: &SharedAssignment, shared: &SharedAssignment, what: &str) {
-        assert_eq!(solo, shared, "{what}");
-        assert_eq!(solo.share.to_bits(), shared.share.to_bits(), "{what}");
-    }
-
     #[test]
-    fn single_resident_slice_matches_shared_entry() {
-        let speeds = [1.0, 0.4, 0.0, 0.9, 0.7];
-        let mut bufs = dirty_buffers();
-        let demand = |k| JobDemand {
-            k,
-            chunks_per_partition: 6,
-            weight: 1.0,
-        };
-        for residents in 1..=4 {
-            let shared = allocate_shared(&speeds, &vec![demand(2); residents]);
-            let solo = resident(&speeds, demand(2), residents as f64, &mut bufs);
-            assert_same(&solo, &shared[0], &format!("{residents} residents"));
-        }
-        // Degrade path agrees too (k above alive count), and a feasible
-        // call refills the degraded buffers exactly.
-        for k in [5, 2, 5] {
-            let solo = resident(&speeds, demand(k), 2.0, &mut bufs);
-            assert_eq!(solo.degraded, k == 5);
-            assert_same(
-                &solo,
-                &allocate_shared(&speeds, &[demand(k); 2])[0],
-                "k {k}",
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_resident_slice_matches_shared_entry() {
-        // A weight-2 job among total weight 4: its slice and share must
-        // match the allocate_shared entry built from the full demand set.
+    fn entries_are_algorithm_1_on_the_pool_speeds() {
+        // Every entry is what the job would get alone on the pool, and
+        // its share is its weight over the resident mass, bit for bit.
         let speeds = [1.0, 0.4, 0.0, 0.9, 0.7, 1.1];
+        let demand = |k, chunks_per_partition, weight| JobDemand {
+            k,
+            chunks_per_partition,
+            weight,
+        };
         let demands = [
-            JobDemand {
-                k: 2,
-                chunks_per_partition: 6,
-                weight: 2.0,
-            },
-            JobDemand {
-                k: 3,
-                chunks_per_partition: 4,
-                weight: 1.5,
-            },
-            JobDemand {
-                k: 2,
-                chunks_per_partition: 5,
-                weight: 0.5,
-            },
-            JobDemand {
-                k: 6,
-                chunks_per_partition: 3,
-                weight: 0.0625,
-            },
+            demand(2, 6, 2.0),
+            demand(3, 4, 1.5),
+            demand(2, 5, 0.5),
+            demand(6, 3, 0.0625),
         ];
-        let total: f64 = demands.iter().map(|d| d.weight).sum();
-        let shared = allocate_shared(&speeds, &demands);
-        assert!(shared[3].degraded);
-        let mut bufs = dirty_buffers();
-        for (i, (d, entry)) in demands.iter().zip(&shared).enumerate() {
-            let solo = resident(&speeds, *d, total, &mut bufs);
-            assert_same(&solo, entry, &format!("job {i}"));
+        for residents in 1..=demands.len() {
+            let out = allocate_shared(&speeds, &demands[..residents]);
+            assert_eq!(out.len(), residents);
+            let total: f64 = demands[..residents].iter().map(|d| d.weight).sum();
+            for (d, entry) in demands.iter().zip(&out) {
+                let (k, c) = (d.k, d.chunks_per_partition);
+                let expect = allocate_chunks(&speeds, k, c);
+                assert_eq!(entry.degraded, expect.is_err(), "k {k}");
+                let expect = expect.unwrap_or_else(|_| full_over_available(&speeds, k, c));
+                assert_eq!(entry.assignment, expect, "k {k}");
+                assert_eq!(entry.share.to_bits(), (d.weight / total).to_bits());
+            }
         }
-        // Sole resident gets the full pool regardless of weight.
-        let solo = resident(&speeds, demands[1], 1.5, &mut bufs);
-        assert_eq!(solo.share, 1.0);
-        assert_eq!(
-            solo.assignment,
-            allocate_chunks(&speeds, 3, 4).unwrap(),
-            "the whole pool, unscaled"
-        );
+        // Only five workers are alive: the k = 6 job takes the degraded
+        // branch.
+        assert!(allocate_shared(&speeds, &demands)[3].degraded);
+    }
+
+    #[test]
+    #[should_panic(expected = "job weights must be positive")]
+    fn allocate_shared_rejects_zero_weight() {
+        let demand = |weight| JobDemand {
+            k: 1,
+            chunks_per_partition: 2,
+            weight,
+        };
+        let _ = allocate_shared(&[1.0, 1.0], &[demand(1.0), demand(0.0)]);
     }
 
     #[test]

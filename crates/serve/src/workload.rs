@@ -33,7 +33,8 @@ pub struct JobSpec {
     pub preset: &'static str,
     /// Capacity weight: a weight-2 job is entitled to twice a weight-1
     /// job's fractional rate on every worker while both are resident
-    /// (normalized via [`s2c2_core::normalized_shares`]).
+    /// (its share is `weight / Σ weights`, computed in one place;
+    /// Algorithm 1 runs on the pool's speeds).
     pub weight: f64,
     /// Optional relative SLO: the job should finish within `deadline`
     /// seconds of its *arrival*. Consulted by

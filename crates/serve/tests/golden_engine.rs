@@ -27,6 +27,7 @@
 
 use s2c2_cluster::ClusterSpec;
 use s2c2_core::speed_tracker::PredictorSource;
+use s2c2_serve::engine::EPOCH;
 use s2c2_serve::prelude::*;
 use s2c2_serve::JobId;
 use s2c2_telemetry::export::jsonl;
@@ -226,7 +227,7 @@ fn baseline_under_churn(scheduler: SchedulerMode, seed: u64) -> ServiceReport {
 
 /// (e) A hand-built slice that is *not* time-sorted, with duplicate
 /// arrival instants, arrivals at t = 0 and arrivals landing exactly on
-/// epoch ticks (multiples of `cfg.epoch`) while the pool resamples
+/// epoch ticks (multiples of `EPOCH`) while the pool resamples
 /// speeds and churns at those ticks. Ids are deliberately out of step
 /// with both slice and time order, and two residency slots keep a
 /// queue, so the order arrivals are taken in decides who is admitted
@@ -241,7 +242,7 @@ fn arrival_ties() -> (Vec<(f64, JobSpec)>, ServiceReport) {
         min_up: 10,
     });
     cfg.max_retries = 10;
-    let tick = cfg.epoch;
+    let tick = EPOCH;
     let job = |id: JobId, preset: JobPreset| preset.instantiate(id, (id % 3) as u32, n);
     let stream = vec![
         (2.0 * tick, job(0, JobPreset::medium())),
