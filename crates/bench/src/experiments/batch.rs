@@ -13,9 +13,10 @@
 //! small-preset jobs (one shared model matrix, the regime the encode
 //! cache and batch key target) to the serve engine twice:
 //!
-//! * **unbatched** — [`BatchPolicy::Off`]: the engine exactly as it was;
-//! * **batch-size** — [`BatchPolicy::SizeThreshold`]: queued mates ride
-//!   the policy pick opportunistically, up to 4 per round.
+//! * **unbatched** — [`ServeConfig::max_batch`] 1: the engine exactly as
+//!   it was;
+//! * **batch-size** — `max_batch` 4: queued mates ride the policy pick
+//!   opportunistically, up to 4 per round.
 //!
 //! The cluster model carries realistic per-message latency (the LAN
 //! link the paper's controlled cluster uses) so the fixed cost being
@@ -73,31 +74,28 @@ pub fn small_job_workload(jobs: usize) -> Vec<(f64, JobSpec)> {
     )
 }
 
-/// Runs the canonical batch scenario under one batching policy.
+/// Runs the canonical batch scenario at one batch cap (1 is no batching).
 ///
 /// # Panics
 ///
 /// Panics if the engine rejects the configuration or the run stalls —
 /// both must hold on every commit.
 #[must_use]
-pub fn run_policy(batch: BatchPolicy, jobs: usize) -> ServiceReport {
+pub fn run_policy(max_batch: usize, jobs: usize) -> ServiceReport {
     let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
         predictor: PredictorSource::LastValue,
     });
-    cfg.batch = batch;
+    cfg.max_batch = max_batch;
     ServiceEngine::new(cluster(), cfg)
         .expect("batch configuration is valid")
         .run(&small_job_workload(jobs))
         .expect("batch run completes")
 }
 
-/// The two policies the table compares, with row labels.
+/// The two batch caps the table compares, with row labels.
 #[must_use]
-pub fn policies() -> Vec<(&'static str, BatchPolicy)> {
-    vec![
-        ("unbatched", BatchPolicy::Off),
-        ("batch-size", BatchPolicy::SizeThreshold { max_batch: 4 }),
-    ]
+pub fn policies() -> Vec<(&'static str, usize)> {
+    vec![("unbatched", 1), ("batch-size", 4)]
 }
 
 /// Runs the batch experiment.
@@ -120,8 +118,8 @@ pub fn run(scale: Scale) -> Table {
             "utilization".into(),
         ],
     );
-    for (label, policy) in policies() {
-        let r = run_policy(policy, jobs);
+    for (label, max_batch) in policies() {
+        let r = run_policy(max_batch, jobs);
         assert_eq!(r.completed(), jobs, "{label} must serve every job");
         assert!(
             (0.0..=1.0).contains(&r.utilization()),
@@ -181,7 +179,7 @@ mod tests {
     fn every_policy_serves_the_same_job_set() {
         let jobs = 60;
         let base: Vec<u64> = {
-            let mut ids: Vec<u64> = run_policy(BatchPolicy::Off, jobs)
+            let mut ids: Vec<u64> = run_policy(1, jobs)
                 .jobs
                 .iter()
                 .filter(|j| !j.failed)
@@ -191,8 +189,8 @@ mod tests {
             ids
         };
         assert_eq!(base.len(), jobs);
-        for (label, policy) in policies() {
-            let mut ids: Vec<u64> = run_policy(policy, jobs)
+        for (label, max_batch) in policies() {
+            let mut ids: Vec<u64> = run_policy(max_batch, jobs)
                 .jobs
                 .iter()
                 .filter(|j| !j.failed)

@@ -62,7 +62,7 @@ pub fn run_depth(
     let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
         predictor: PredictorSource::LastValue,
     });
-    cfg.pipeline = PipelinePolicy::Depth(depth);
+    cfg.pipeline_depth = depth;
     cfg.telemetry = telemetry;
     ServiceEngine::new(pool, cfg)
         .expect("pipeline configuration is valid")

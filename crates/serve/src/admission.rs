@@ -31,55 +31,6 @@ impl QueuedJob {
     }
 }
 
-/// How the engine coalesces queued small jobs into shared batch rounds.
-///
-/// S²C²'s advantage comes from amortizing coding work across the
-/// computation it protects; at high arrival rates a stream of small
-/// jobs gives that advantage back, because every job pays its own
-/// encode lookup, dispatch round-trip, decode, and residency slot. A
-/// batch groups queued jobs that share a [`batch key`](batch_key) —
-/// same model matrix *and* code geometry — into one round: a single
-/// cache-backed encode, one stacked multi-RHS dispatch per worker, one
-/// decode LU factorization per chunk, and one residency slot for the
-/// whole group. Per-job identity survives: QoS (weights, deadlines)
-/// and all reporting see the member jobs, never the batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchPolicy {
-    /// No batching (default): every job runs its own rounds. The engine
-    /// is byte-identical to the pre-batching behavior.
-    Off,
-    /// Opportunistic coalescing: when a residency slot frees, the
-    /// admission policy's pick is admitted together with every queued
-    /// job sharing its batch key, up to `max_batch` members per round.
-    /// Never delays the pick, so policy ordering (FIFO/EDF/weighted
-    /// fair-share) is preserved exactly — mates merely ride along.
-    SizeThreshold {
-        /// Size threshold: a round is capped at this many member jobs
-        /// (≥ 2).
-        max_batch: usize,
-    },
-}
-
-impl BatchPolicy {
-    /// The member cap of one batch round (1 when batching is off).
-    #[must_use]
-    pub fn max_batch(&self) -> usize {
-        match *self {
-            BatchPolicy::Off => 1,
-            BatchPolicy::SizeThreshold { max_batch } => max_batch,
-        }
-    }
-}
-
-impl std::fmt::Display for BatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchPolicy::Off => f.write_str("off"),
-            BatchPolicy::SizeThreshold { max_batch } => write!(f, "size({max_batch})"),
-        }
-    }
-}
-
 /// The identity that makes two jobs batchable onto one round (the
 /// return of [`batch_key`]): `(matrix_id, rows, cols, k,
 /// chunks_per_partition, iterations)`.
@@ -177,9 +128,9 @@ impl QueuePolicy {
 
     /// Returns `head` plus up to `max_batch − 1` queued mates sharing its
     /// [`batch_key`], in this policy's admission order (the head stays
-    /// first). The engine's admission calls this after [`Self::pick`],
-    /// with `max_batch == 1` when batching is off (the head alone,
-    /// without scanning the queue). The policy's pick is never displaced
+    /// first). The engine's admission calls this after [`Self::pick`]
+    /// with [`crate::ServeConfig::max_batch`]; at 1, batching's off state, it
+    /// returns the head alone without scanning the queue. The policy's pick is never displaced
     /// by gathering — mates ride along behind it, themselves ordered the
     /// way the policy would have admitted them (so a batch gathered
     /// under earliest-deadline lists members by ascending deadline).
@@ -371,15 +322,6 @@ mod tests {
         // The size cap truncates the tail, never the head.
         assert_eq!(policy.gather_batch(&q, &[], head, 2), vec![1, 4]);
         assert_eq!(policy.gather_batch(&q, &[], head, 1), vec![1]);
-    }
-
-    #[test]
-    fn batch_policy_helpers() {
-        assert_eq!(BatchPolicy::Off.max_batch(), 1);
-        let size = BatchPolicy::SizeThreshold { max_batch: 4 };
-        assert_eq!(size.max_batch(), 4);
-        assert_eq!(size.to_string(), "size(4)");
-        assert_eq!(BatchPolicy::Off.to_string(), "off");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! ([`ServiceEngine::retire_ready_rounds`]). A round's task state is
 //! read and written only through [`super::round`]. Timeout and churn
 //! events are handed to [`super::recovery`]; share rescaling lives in
-//! [`super::rebalance`]; the window policy itself is
-//! [`super::pipeline::PipelinePolicy`].
+//! [`super::rebalance`]; the window bound itself is
+//! [`ServeConfig::pipeline_depth`](super::ServeConfig::pipeline_depth).
 
 use super::round::{sinks, RunningIteration, Tasks};
 use super::{
@@ -47,7 +47,7 @@ pub(crate) struct ResidentJob {
     /// iterations_done`.
     pub(crate) iterations_done: usize,
     /// In-flight rounds, sorted by `round_index`; at most
-    /// `pipeline.depth()` long. At depth 1 this is the classic barrier
+    /// `pipeline_depth` long. At depth 1 this is the classic barrier
     /// engine: zero or one round.
     pub(crate) window: Vec<RunningIteration>,
     /// Round indices dispatched but stalled on pool capacity
@@ -222,12 +222,10 @@ impl ServiceEngine {
             // Batch-aware admission: the policy's pick stays the head;
             // queued mates sharing its key ride along, in policy order,
             // up to the size cap (a group of one when batching is off).
-            let group = self.cfg.policy.gather_batch(
-                &self.pending,
-                &residents,
-                head,
-                self.cfg.batch.max_batch(),
-            );
+            let group =
+                self.cfg
+                    .policy
+                    .gather_batch(&self.pending, &residents, head, self.cfg.max_batch);
             // Remove the group from the queue (descending index order
             // keeps earlier indices valid) while preserving the
             // policy-ordered member sequence.
@@ -313,7 +311,7 @@ impl ServiceEngine {
     /// job runs out of iterations. At depth 1 this is exactly the
     /// barrier engine's "start the next iteration".
     pub(crate) fn fill_window(&mut self, id: JobId, at: f64) -> Result<(), ServeError> {
-        let depth = self.cfg.pipeline.depth();
+        let depth = self.cfg.pipeline_depth;
         loop {
             let Some(job) = self.resident.get_mut(&id) else {
                 return Ok(());
@@ -643,7 +641,7 @@ impl ServiceEngine {
         let mut at = self.now;
         // The head this call retires was the round blocking any parked
         // successors: account the in-order-commit stall it caused.
-        if self.cfg.pipeline.overlapping() {
+        if self.cfg.pipeline_depth > 1 {
             if let Some(job) = self.resident.get(&id) {
                 let earliest_parked = job
                     .window
@@ -729,7 +727,7 @@ impl ServiceEngine {
             let parked_for = (at - completed_at).max(0.0);
             self.report.pipeline_stall_time += parked_for;
             self.report.pipeline_overlap_time += (job.last_retire_end - iter.started).max(0.0);
-            if self.cfg.pipeline.overlapping() {
+            if self.cfg.pipeline_depth > 1 {
                 trace_into(&mut self.telemetry, end, || TraceEventKind::RoundRetired {
                     job: id,
                     iteration: iteration_index,

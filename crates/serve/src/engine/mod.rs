@@ -28,9 +28,7 @@
 //!   workers (selected via [`BackendKind`]);
 //! * `recovery` — the §4.3 robustness ladder (cancel-and-reassign,
 //!   wait-out, retry);
-//! * `rebalance` — work-conserving share rebalancing;
-//! * `pipeline` — the cross-round in-flight window policy
-//!   ([`PipelinePolicy`]).
+//! * `rebalance` — work-conserving share rebalancing.
 //!
 //! # Timing model
 //!
@@ -83,16 +81,37 @@
 //!
 //! # Batching
 //!
-//! [`ServeConfig::batch`] ([`BatchPolicy`]) coalesces queued jobs that
-//! share a batch key (model identity, shape, code geometry, iteration
-//! count) into one *batch round*: a single cache-backed encode, one
-//! stacked multi-RHS dispatch per worker, one decode LU factorization
-//! per chunk, and one residency slot for the whole group. QoS always
-//! sees the member jobs — per-member weights, deadlines, and records —
-//! and the recovery ladder degrades or redoes a straggling round *per
-//! batch*, so every member decodes from the identical coverage. With
-//! [`BatchPolicy::Off`] (the default) the engine is byte-identical to
-//! the pre-batching behavior.
+//! S²C²'s advantage comes from amortizing coding work across the
+//! computation it protects; at high arrival rates a stream of small jobs
+//! gives that advantage back, because every job pays its own encode
+//! lookup, dispatch round-trip, decode, and residency slot. With
+//! [`ServeConfig::max_batch`] above 1, admission coalesces queued jobs
+//! that share a [batch key](crate::admission::batch_key) (model
+//! identity, shape, code geometry, iteration count) into one *batch
+//! round*: a single cache-backed encode, one stacked multi-RHS dispatch
+//! per worker, one decode LU factorization per chunk, and one residency
+//! slot for the whole group. The admission policy's pick is never
+//! delayed or displaced; queued mates ride along behind it, in policy
+//! order, up to the cap. QoS always sees the member jobs — per-member
+//! weights, deadlines, and records — and the recovery ladder degrades
+//! or redoes a straggling round *per batch*, so every member decodes
+//! from the identical coverage. At 1 (the default) every job runs its
+//! own rounds.
+//!
+//! # Pipelining
+//!
+//! The paper's serving loop is a hard barrier: round `i + 1` of a job
+//! cannot dispatch until round `i` has collected, decoded, and verified,
+//! so one straggled round stalls the whole job even when most of its
+//! workers are idle. [`ServeConfig::pipeline_depth`] bounds a window of
+//! concurrently running iterations per resident job: round `i + 1`
+//! dispatches as soon as round `i`'s tasks are issued (a worker computes
+//! one job's rounds in dispatch order at the job's capacity share), and
+//! decode/verify results commit strictly in round order — a completion
+//! for round `i + 1` parks until round `i` retires. The §4.3 recovery
+//! ladder operates per in-flight round. Pipeline-only trace events and
+//! accounting are gated on a depth above 1, so depth 1 (the default) is
+//! the barrier engine.
 //!
 //! # Deadlines and QoS
 //!
@@ -119,7 +138,6 @@
 
 pub mod backend;
 mod core;
-mod pipeline;
 mod rebalance;
 mod recovery;
 mod round;
@@ -127,9 +145,8 @@ mod round;
 mod tests;
 
 pub use backend::BackendKind;
-pub use pipeline::PipelinePolicy;
 
-use crate::admission::{BatchPolicy, QueuePolicy, QueuedJob};
+use crate::admission::{QueuePolicy, QueuedJob};
 use crate::event::{EventKind, EventQueue, JobId};
 use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
@@ -233,16 +250,15 @@ pub struct ServeConfig {
     pub max_retries: usize,
     /// Hard event budget (guards against configuration-induced livelock).
     pub max_events: u64,
-    /// Batching/coalescing of queued jobs sharing a model matrix and
-    /// code geometry onto one encode/dispatch round (see
-    /// [`BatchPolicy`]). Off by default — the unbatched engine is
-    /// byte-identical to the pre-batching behavior.
-    pub batch: BatchPolicy,
-    /// Cross-round pipelining: how many of a job's iterations may be in
-    /// flight concurrently (see [`PipelinePolicy`]). Results always
-    /// commit in round order. Off by default — `Off` and `Depth(1)` are
-    /// byte-identical to the barrier engine.
-    pub pipeline: PipelinePolicy,
+    /// Most member jobs one round may carry: queued jobs sharing a model
+    /// matrix and code geometry are coalesced onto one encode/dispatch
+    /// round (see the module docs' *Batching*). 1 by default, which is
+    /// no batching; 0 is rejected.
+    pub max_batch: usize,
+    /// Most iterations of one job in flight at once, committed in round
+    /// order (see the module docs' *Pipelining*). 1 by default, which is
+    /// the barrier engine; 0 is rejected.
+    pub pipeline_depth: usize,
     /// Record structured trace events during the run, surfaced as
     /// [`ServiceReport::telemetry`]. Off by default; the disabled path
     /// never constructs an event (emission sites take closures that are
@@ -263,8 +279,8 @@ impl ServeConfig {
             churn: None,
             max_retries: 3,
             max_events: 2_000_000,
-            batch: BatchPolicy::Off,
-            pipeline: PipelinePolicy::Off,
+            max_batch: 1,
+            pipeline_depth: 1,
             telemetry: false,
         }
     }
@@ -432,15 +448,34 @@ impl ServiceEngine {
                 "worker_threads must be ≥ 1".into(),
             ));
         }
-        if matches!(cfg.batch, BatchPolicy::SizeThreshold { max_batch } if max_batch < 2) {
+        if cfg.max_batch == 0 {
+            return Err(ServeError::InvalidConfig("max_batch must be ≥ 1".into()));
+        }
+        if cfg.pipeline_depth == 0 {
             return Err(ServeError::InvalidConfig(
-                "batch size threshold must be ≥ 2 (use BatchPolicy::Off to disable)".into(),
+                "pipeline_depth must be ≥ 1".into(),
             ));
         }
-        if cfg.pipeline == PipelinePolicy::Depth(0) {
-            return Err(ServeError::InvalidConfig(
-                "pipeline depth must be ≥ 1 (use PipelinePolicy::Off to disable)".into(),
-            ));
+        // `ClusterSpec`'s fields are public, so the builder's asserts do
+        // not bind them: a zero or NaN throughput, or a negative or NaN
+        // latency, would time an event at an infinite, NaN or past
+        // instant.
+        for (field, value) in [
+            ("compute.elements_per_sec", spec.compute.elements_per_sec),
+            ("comm.bandwidth", spec.comm.bandwidth),
+            ("decode_flops_per_sec", spec.decode_flops_per_sec),
+        ] {
+            if value.is_nan() || value <= 0.0 {
+                return Err(ServeError::InvalidConfig(format!(
+                    "cluster {field} must be > 0, not {value}"
+                )));
+            }
+        }
+        let latency = spec.comm.latency;
+        if !latency.is_finite() || latency < 0.0 {
+            return Err(ServeError::InvalidConfig(format!(
+                "cluster comm.latency must be finite and ≥ 0, not {latency}"
+            )));
         }
         let churn = match &cfg.churn {
             Some(c) => {

@@ -200,7 +200,7 @@ pub(crate) struct DecodeScratch {
 }
 
 /// One in-flight iteration round of a resident job (or batch of jobs).
-/// A job holds up to `pipeline.depth()` of these at once, committed in
+/// A job holds up to `pipeline_depth` of these at once, committed in
 /// `round_index` order.
 #[derive(Debug)]
 pub(crate) struct RunningIteration {

@@ -233,6 +233,42 @@ fn empty_pool_rejected_at_config() {
 }
 
 #[test]
+fn invalid_cost_model_values_rejected_at_config() {
+    // `ClusterSpec`'s fields are public, past the builder's asserts. A
+    // zero or NaN throughput or a negative or NaN latency would time an
+    // event at an infinite, NaN or negative instant; each is a typed
+    // configuration error naming the field, not a panic in the run.
+    type Poke = fn(&mut ClusterSpec);
+    let cases: [(&str, Poke); 6] = [
+        ("decode_flops_per_sec", |s| s.decode_flops_per_sec = 0.0),
+        ("decode_flops_per_sec", |s| {
+            s.decode_flops_per_sec = f64::NAN
+        }),
+        ("compute.elements_per_sec", |s| {
+            s.compute.elements_per_sec = 0.0
+        }),
+        ("comm.bandwidth", |s| s.comm.bandwidth = 0.0),
+        ("comm.latency", |s| s.comm.latency = -1.0),
+        ("comm.latency", |s| s.comm.latency = f64::NAN),
+    ];
+    let n = 8;
+    for (field, poke) in cases {
+        let mut spec = pool(n, &[]);
+        poke(&mut spec);
+        let cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        match ServiceEngine::new(spec, cfg).and_then(|e| e.run(&workload(10, 1.0, n, 3))) {
+            Err(ServeError::InvalidConfig(msg)) => {
+                assert!(msg.contains(field), "{msg} should name {field}");
+            }
+            Err(other) => panic!("{field}: expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("{field}: the configuration must be refused"),
+        }
+    }
+}
+
+#[test]
 fn invalid_churn_probabilities_rejected_at_config() {
     // Out-of-range or NaN probabilities are a configuration error, not
     // a panic inside the churn process.
@@ -913,17 +949,17 @@ fn tiny_burst(jobs: usize, n: usize) -> Vec<(f64, JobSpec)> {
 #[test]
 fn size_threshold_coalesces_queued_jobs() {
     let n = 8;
-    let run_with = |batch: BatchPolicy| {
+    let run_with = |max_batch: usize| {
         let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
             predictor: PredictorSource::LastValue,
         });
         cfg.max_resident = 2;
-        cfg.batch = batch;
+        cfg.max_batch = max_batch;
         let engine = ServiceEngine::new(pool(n, &[2]), cfg).unwrap();
         engine.run(&small_burst(12, n)).unwrap()
     };
-    let off = run_with(BatchPolicy::Off);
-    let batched = run_with(BatchPolicy::SizeThreshold { max_batch: 4 });
+    let off = run_with(1);
+    let batched = run_with(4);
     // Both serve the identical job set...
     assert_eq!(off.completed(), 12);
     assert_eq!(batched.completed(), 12);
@@ -957,18 +993,18 @@ fn batched_members_decode_their_own_outputs() {
     // shared coverage and verified against its own A·x reference — the
     // de-interleave cannot mix members up without failing the run.
     let n = 8;
-    let run_with = |batch: BatchPolicy| {
+    let run_with = |max_batch: usize| {
         let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
             predictor: PredictorSource::LastValue,
         });
         cfg.backend = BackendKind::SimVerified;
         cfg.max_resident = 1;
-        cfg.batch = batch;
+        cfg.max_batch = max_batch;
         let engine = ServiceEngine::new(pool(n, &[2]), cfg).unwrap();
         engine.run(&tiny_burst(6, n)).unwrap()
     };
-    let off = run_with(BatchPolicy::Off);
-    let batched = run_with(BatchPolicy::SizeThreshold { max_batch: 3 });
+    let off = run_with(1);
+    let batched = run_with(3);
     assert_eq!(off.completed(), 6);
     assert_eq!(batched.completed(), 6);
     assert!(batched.batches_admitted > 0);
@@ -1006,7 +1042,7 @@ fn batching_survives_mid_batch_straggler_recovery() {
         predictor: PredictorSource::Uniform,
     });
     cfg.backend = BackendKind::Threaded;
-    cfg.batch = BatchPolicy::SizeThreshold { max_batch: 3 };
+    cfg.max_batch = 3;
     cfg.max_resident = 1;
     let engine = ServiceEngine::new(pool(n, &[0, 4]), cfg).unwrap();
     let report = engine.run(&tiny_burst(6, n)).unwrap();
@@ -1019,20 +1055,12 @@ fn batching_survives_mid_batch_straggler_recovery() {
 
 #[test]
 fn invalid_batch_policy_rejected_at_config() {
-    for batch in [
-        BatchPolicy::SizeThreshold { max_batch: 0 },
-        BatchPolicy::SizeThreshold { max_batch: 1 },
-    ] {
-        let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
-        cfg.batch = batch;
-        assert!(
-            matches!(
-                ServiceEngine::new(pool(4, &[]), cfg),
-                Err(ServeError::InvalidConfig(_))
-            ),
-            "{batch} must be rejected"
-        );
-    }
+    let mut cfg = ServeConfig::new(SchedulerMode::Uncoded);
+    cfg.max_batch = 0;
+    assert!(matches!(
+        ServiceEngine::new(pool(4, &[]), cfg),
+        Err(ServeError::InvalidConfig(_))
+    ));
 }
 
 // ---- telemetry ----------------------------------------------------------
@@ -1118,7 +1146,7 @@ fn tracing_changes_no_report_field() {
         });
         cfg.max_retries = 10;
         cfg.max_resident = 3;
-        cfg.batch = BatchPolicy::SizeThreshold { max_batch: 4 };
+        cfg.max_batch = 4;
         cfg.telemetry = telemetry;
         let engine = ServiceEngine::new(pool(n, &[2, 7]), cfg).unwrap();
         engine.run(&small_burst(24, n)).unwrap()
@@ -1141,14 +1169,14 @@ fn tracing_changes_no_report_field() {
 
 fn pipelined_cfg(depth: usize, predictor: PredictorSource) -> ServeConfig {
     let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 { predictor });
-    cfg.pipeline = PipelinePolicy::Depth(depth);
+    cfg.pipeline_depth = depth;
     cfg
 }
 
 #[test]
 fn zero_pipeline_depth_rejected_at_config() {
     let mut cfg = ServeConfig::new(SchedulerMode::ConventionalMds);
-    cfg.pipeline = PipelinePolicy::Depth(0);
+    cfg.pipeline_depth = 0;
     assert!(matches!(
         ServiceEngine::new(pool(8, &[]), cfg),
         Err(ServeError::InvalidConfig(_))
@@ -1157,36 +1185,31 @@ fn zero_pipeline_depth_rejected_at_config() {
 
 #[test]
 fn depth_one_reproduces_the_barrier_engine_exactly() {
-    // `Depth(1)` routes through the window machinery but must be
-    // indistinguishable from `Off` — same records, same virtual clock,
-    // same event count, same trace stream, bit for bit. Uniform
+    // Depth 1, the default, routes through the window machinery but must
+    // be the barrier engine: no round ever parks or overlaps its
+    // predecessor, and no pipeline-only trace event is emitted. Uniform
     // predictions on a straggler pool drag the recovery ladder (and its
-    // re-armed timeouts) into the comparison.
-    let run_with = |pipeline: PipelinePolicy| {
-        let n = 12;
-        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-            predictor: PredictorSource::Uniform,
-        });
-        cfg.pipeline = pipeline;
-        cfg.telemetry = true;
-        let engine = ServiceEngine::new(pool(n, &[2, 7]), cfg).unwrap();
-        engine.run(&workload(15, 1.2, n, 11)).unwrap()
-    };
-    let off = run_with(PipelinePolicy::Off);
-    let one = run_with(PipelinePolicy::Depth(1));
-    assert!(off.timeouts > 0, "the scenario must exercise recovery");
-    assert_eq!(off.jobs, one.jobs);
-    assert_eq!(off.makespan.to_bits(), one.makespan.to_bits());
-    assert_eq!(off.events_processed, one.events_processed);
-    assert_eq!(off.timeouts, one.timeouts);
-    assert_eq!(off.recovery_rung_counts, one.recovery_rung_counts);
-    assert_eq!(off.rebalances, one.rebalances);
-    let (ta, tb) = (off.telemetry.unwrap(), one.telemetry.unwrap());
-    assert_eq!(ta.trace, tb.trace, "trace streams must be identical");
-    // And a window of one can never overlap or park anything.
+    // re-armed timeouts) into the run.
+    let n = 12;
+    let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+        predictor: PredictorSource::Uniform,
+    });
+    cfg.telemetry = true;
+    assert_eq!(cfg.pipeline_depth, 1);
+    let engine = ServiceEngine::new(pool(n, &[2, 7]), cfg).unwrap();
+    let one = engine.run(&workload(15, 1.2, n, 11)).unwrap();
+    assert!(one.timeouts > 0, "the scenario must exercise recovery");
     assert_eq!(one.rounds_parked, 0);
     assert_eq!(one.pipeline_overlap_time, 0.0);
     assert_eq!(one.pipeline_stall_time, 0.0);
+    let trace = one.telemetry.unwrap().trace;
+    assert!(
+        !trace
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, TraceEventKind::RoundRetired { .. })),
+        "RoundRetired is pipeline-only"
+    );
 }
 
 #[test]

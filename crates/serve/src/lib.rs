@@ -90,10 +90,8 @@ pub mod metrics;
 pub mod shared_alloc;
 pub mod workload;
 
-pub use admission::{batch_key, BatchKey, BatchPolicy, QueuePolicy, QueuedJob, ResidentInfo};
-pub use engine::{
-    BackendKind, ChurnConfig, PipelinePolicy, SchedulerMode, ServeConfig, ServeError, ServiceEngine,
-};
+pub use admission::{batch_key, BatchKey, QueuePolicy, QueuedJob, ResidentInfo};
+pub use engine::{BackendKind, ChurnConfig, SchedulerMode, ServeConfig, ServeError, ServiceEngine};
 pub use event::{EventKind, EventQueue, JobId};
 pub use metrics::{percentile, JobRecord, ServiceReport, TenantSummary};
 pub use s2c2_telemetry::{PhaseTotals, Telemetry, TraceEvent, TraceEventKind};
@@ -102,10 +100,8 @@ pub use workload::{generate_workload, ArrivalPattern, JobPreset, JobSpec};
 
 /// One-stop imports for service-engine users.
 pub mod prelude {
-    pub use crate::admission::{BatchPolicy, QueuePolicy};
-    pub use crate::engine::{
-        BackendKind, ChurnConfig, PipelinePolicy, SchedulerMode, ServeConfig, ServiceEngine,
-    };
+    pub use crate::admission::QueuePolicy;
+    pub use crate::engine::{BackendKind, ChurnConfig, SchedulerMode, ServeConfig, ServiceEngine};
     pub use crate::metrics::{ServiceReport, TenantSummary};
     pub use crate::workload::{generate_workload, ArrivalPattern, JobPreset, JobSpec};
     pub use s2c2_telemetry::{PhaseTotals, Telemetry, TraceEvent, TraceEventKind};

@@ -240,7 +240,7 @@ pub struct ServiceReport {
     /// split accounts for.
     pub iteration_time_total: f64,
     /// Completed rounds that parked behind an unretired predecessor
-    /// under pipelined serving ([`crate::engine::PipelinePolicy`]);
+    /// under pipelined serving ([`crate::ServeConfig::pipeline_depth`]);
     /// always 0 at depth 1.
     pub rounds_parked: u64,
     /// Total virtual seconds completed rounds spent parked waiting for

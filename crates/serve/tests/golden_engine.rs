@@ -176,7 +176,7 @@ fn churn_storm() -> ServiceReport {
         min_up: 9,
     });
     cfg.max_retries = 1;
-    cfg.pipeline = PipelinePolicy::Depth(2);
+    cfg.pipeline_depth = 2;
     let pool = ClusterSpec::builder(n)
         .compute_bound()
         .seed(0xFEED)
@@ -193,8 +193,8 @@ fn churn_storm() -> ServiceReport {
 fn pipelined_batches() -> ServiceReport {
     let n = 12;
     let mut cfg = s2c2(PredictorSource::Uniform);
-    cfg.pipeline = PipelinePolicy::Depth(2);
-    cfg.batch = BatchPolicy::SizeThreshold { max_batch: 3 };
+    cfg.pipeline_depth = 2;
+    cfg.max_batch = 3;
     cfg.max_resident = 3;
     let mix = [
         (JobPreset::small().with_deadline(3.0), 3.0),

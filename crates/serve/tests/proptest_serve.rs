@@ -9,10 +9,14 @@
 //!    conventional full assignment when the pool's speeds cannot support
 //!    it,
 //! 3. the shares are weight-proportional and sum to 1 (no capacity
-//!    invented or lost), and
+//!    invented or lost),
 //! 4. end-to-end engine runs under earliest-deadline admission record
 //!    every job consistently: `finished − arrival` agrees with its
-//!    on-time classification, and utilization stays in `[0, 1]`.
+//!    on-time classification, and utilization stays in `[0, 1]`,
+//!
+//! then, numbered in the order they were added, backend, batching,
+//! trace and pipelining parity (5–8), work-conserving admission (9)
+//! and Little's law on the admission queue (10).
 
 use proptest::prelude::*;
 use s2c2_core::speed_tracker::PredictorSource;
@@ -294,11 +298,7 @@ proptest! {
         });
         cfg.policy = policy;
         cfg.max_resident = max_resident;
-        cfg.batch = if max_batch == 1 {
-            BatchPolicy::Off
-        } else {
-            BatchPolicy::SizeThreshold { max_batch }
-        };
+        cfg.max_batch = max_batch;
         cfg.telemetry = true;
         let report = ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap();
         prop_assert_eq!(report.jobs.len(), jobs, "every job resolves exactly once");
@@ -366,6 +366,59 @@ proptest! {
         }
         prop_assert!(refill.is_none(), "the last freed slot was never refilled");
         prop_assert!(queued.is_empty() && held.is_empty());
+    }
+
+    /// Property 10: Little's law on the admission queue. The
+    /// time-average queue depth over the run, times the makespan, is the
+    /// area under the depth curve; every queued job adds exactly its own
+    /// wait to that area, so it must equal Σ `queueing_delay()`. The two
+    /// sides come from different bookkeeping (depth samples against the
+    /// per-job records), so a job that leaves the queue without a record,
+    /// or a sample taken at the wrong instant, breaks the equality.
+    #[test]
+    fn littles_law_holds_on_the_admission_queue(
+        jobs in 4usize..=16,
+        rate in 1.0f64..16.0,
+        max_resident in 1usize..=4,
+        max_batch in prop_oneof![Just(1usize), 2usize..=4],
+        pipeline_depth in 1usize..=3,
+        policy in prop_oneof![
+            Just(QueuePolicy::Fifo),
+            Just(QueuePolicy::EarliestDeadline),
+            Just(QueuePolicy::WeightedFairShare),
+        ],
+        seed in 0u64..256,
+    ) {
+        let n = 8;
+        let workload = generate_workload(
+            &ArrivalPattern::Poisson { rate },
+            &JobPreset::standard_mix(),
+            jobs,
+            3,
+            n,
+            seed,
+        );
+        let pool = s2c2_cluster::ClusterSpec::builder(n)
+            .compute_bound()
+            .seed(seed ^ 0x1177)
+            .straggler_slowdown(5.0)
+            .stragglers(&[1], 0.2)
+            .build();
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        cfg.policy = policy;
+        cfg.max_resident = max_resident;
+        cfg.max_batch = max_batch;
+        cfg.pipeline_depth = pipeline_depth;
+        let report = ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap();
+        prop_assume!(report.makespan > 0.0);
+        let area = report.mean_queue_depth() * report.makespan;
+        let waits: f64 = report.jobs.iter().map(|j| j.queueing_delay()).sum();
+        prop_assert!(
+            (area - waits).abs() <= 1e-9 * area.abs().max(waits.abs()),
+            "mean depth × makespan {} vs Σ queueing delay {}", area, waits
+        );
     }
 }
 
@@ -480,7 +533,7 @@ proptest! {
         let workload: Vec<(f64, JobSpec)> = (0..jobs as u64)
             .map(|i| (0.0, preset.instantiate(i, (i % 2) as u32, n)))
             .collect();
-        let run = |backend: BackendKind, batch: BatchPolicy| {
+        let run = |backend: BackendKind, max_batch: usize| {
             let pool = s2c2_cluster::ClusterSpec::builder(n)
                 .compute_bound()
                 .seed(seed ^ 0xBEEF)
@@ -497,11 +550,10 @@ proptest! {
                 },
             });
             cfg.backend = backend;
-            cfg.batch = batch;
+            cfg.max_batch = max_batch;
             cfg.max_resident = 1;
             ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap()
         };
-        let policy = BatchPolicy::SizeThreshold { max_batch };
         let sorted_ids = |r: &ServiceReport| {
             let mut v: Vec<u64> = r.jobs.iter().filter(|j| !j.failed).map(|j| j.id).collect();
             v.sort_unstable();
@@ -514,8 +566,8 @@ proptest! {
         };
         let mut batched_by_backend: Vec<ServiceReport> = Vec::new();
         for backend in [BackendKind::Sim, BackendKind::SimVerified, BackendKind::Threaded] {
-            let off = run(backend, BatchPolicy::Off);
-            let batched = run(backend, policy);
+            let off = run(backend, 1);
+            let batched = run(backend, max_batch);
             prop_assert_eq!(off.completed(), jobs, "{} unbatched must serve all", backend);
             prop_assert_eq!(batched.completed(), jobs, "{} batched must serve all", backend);
             prop_assert_eq!(sorted_ids(&off), sorted_ids(&batched));
@@ -673,7 +725,7 @@ proptest! {
                 },
             });
             cfg.backend = backend;
-            cfg.pipeline = PipelinePolicy::Depth(depth);
+            cfg.pipeline_depth = depth;
             ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap()
         };
         for backend in [BackendKind::SimVerified, BackendKind::Threaded] {

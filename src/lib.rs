@@ -65,7 +65,6 @@ pub mod prelude {
     pub use s2c2_linalg::{Matrix, Vector};
     pub use s2c2_serve::prelude::{
         generate_workload, ArrivalPattern, BackendKind, ChurnConfig, JobPreset, JobSpec,
-        PipelinePolicy, QueuePolicy, SchedulerMode, ServeConfig, ServiceEngine, ServiceReport,
-        TenantSummary,
+        QueuePolicy, SchedulerMode, ServeConfig, ServiceEngine, ServiceReport, TenantSummary,
     };
 }
