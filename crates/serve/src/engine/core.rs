@@ -832,8 +832,10 @@ impl ServiceEngine {
 
     pub(crate) fn on_epoch_tick(&mut self, epoch: usize) -> Result<(), ServeError> {
         for (w, m) in self.models.iter_mut().enumerate() {
+            // Samples are finite and positive, so `!=` is exact: any
+            // change is applied, however small in absolute terms.
             let s = sample_speed(m, w, epoch)?;
-            if (s - self.speeds[w]).abs() > f64::EPSILON {
+            if s != self.speeds[w] {
                 self.queue.push(
                     self.now,
                     EventKind::WorkerSpeedChange {

@@ -585,20 +585,20 @@ fn invalid_arrival_times_return_typed_invalid_job() {
     }
 }
 
-/// A speed model that breaks the `SpeedModel` contract from one epoch
-/// on.
+/// A speed model that steps from `before` to `after` at `epoch`.
 #[derive(Clone)]
-struct BadFrom {
+struct StepAt {
     epoch: usize,
-    speed: f64,
+    before: f64,
+    after: f64,
 }
 
-impl s2c2_trace::SpeedModel for BadFrom {
+impl s2c2_trace::SpeedModel for StepAt {
     fn speed_at(&mut self, epoch: usize) -> f64 {
         if epoch >= self.epoch {
-            self.speed
+            self.after
         } else {
-            1.0
+            self.before
         }
     }
 
@@ -615,7 +615,11 @@ fn speed_samples_outside_the_contract_end_the_run_typed() {
     let n = 8;
     for (speed, from) in [(0.0, 3), (f64::NAN, 3), (-1.0, 3), (0.0, 0)] {
         let mut spec = pool(n, &[]);
-        spec.workers[2] = Box::new(BadFrom { epoch: from, speed });
+        spec.workers[2] = Box::new(StepAt {
+            epoch: from,
+            before: 1.0,
+            after: speed,
+        });
         let cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
             predictor: PredictorSource::LastValue,
         });
@@ -629,6 +633,29 @@ fn speed_samples_outside_the_contract_end_the_run_typed() {
             Ok(_) => panic!("speed {speed}: the run must be refused"),
         }
     }
+}
+
+#[test]
+fn epoch_tick_applies_a_change_of_any_size() {
+    // 1e-17 → 2e-17 doubles the worker's speed, yet the two differ by
+    // less than `f64::EPSILON`: a change is a change, not a difference
+    // above a fixed absolute floor.
+    let mut spec = ClusterSpec::builder(2).compute_bound().build();
+    spec.workers[1] = Box::new(StepAt {
+        epoch: 1,
+        before: 1e-17,
+        after: 2e-17,
+    });
+    let cfg = ServeConfig::new(SchedulerMode::ConventionalMds);
+    let mut engine = ServiceEngine::new(spec, cfg).unwrap();
+    // No jobs: `drive` only takes the epoch-0 samples.
+    engine.drive(&[]).unwrap();
+    assert_eq!(engine.speeds, [1.0, 1e-17]);
+    engine.on_epoch_tick(1).unwrap();
+    while let Some((t, kind)) = engine.queue.pop() {
+        engine.on_event(t, kind).unwrap();
+    }
+    assert_eq!(engine.speeds, [1.0, 2e-17]);
 }
 
 #[test]
