@@ -292,9 +292,7 @@ pub fn generate_workload(
         ArrivalPattern::Trace(instants) => {
             assert!(!instants.is_empty(), "trace must contain arrivals");
             assert!(
-                instants
-                    .windows(2)
-                    .all(|w| w[0] <= w[1] && w[0].is_finite()),
+                instants.iter().all(|t| t.is_finite()) && instants.windows(2).all(|w| w[0] <= w[1]),
                 "trace instants must be finite and nondecreasing"
             );
             assert!(instants[0] >= 0.0, "trace instants must be non-negative");
@@ -445,6 +443,32 @@ mod tests {
         let d = JobPreset::small().with_matrix_id(42).instantiate(3, 0, 8);
         assert_eq!(d.matrix_id, 42);
         assert_eq!(d.with_matrix_id(43).matrix_id, 43);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace instants must be finite")]
+    fn infinite_last_trace_instant_rejected() {
+        let _ = generate_workload(
+            &ArrivalPattern::Trace(vec![0.0, f64::INFINITY]),
+            &[(JobPreset::small(), 1.0)],
+            2,
+            1,
+            4,
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace instants must be finite")]
+    fn infinite_sole_trace_instant_rejected() {
+        let _ = generate_workload(
+            &ArrivalPattern::Trace(vec![f64::INFINITY]),
+            &[(JobPreset::small(), 1.0)],
+            1,
+            1,
+            4,
+            0,
+        );
     }
 
     #[test]
