@@ -10,13 +10,13 @@
 //! ahead of an earlier sibling parks until the window head retires
 //! ([`ServiceEngine::retire_ready_rounds`]). A round's task state is
 //! read and written only through [`super::round`]. Timeout and churn
-//! events are handed to [`super::recovery`]; share rescaling lives in
-//! [`super::rebalance`]; the window bound itself is
+//! events are handed to [`super::recovery`]; the clock's weight mass
+//! lives in [`super::rebalance`]; the window bound itself is
 //! [`ServeConfig::pipeline_depth`](super::ServeConfig::pipeline_depth).
 
 use super::round::{sinks, RunningIteration, Tasks};
 use super::{
-    avail_speeds, sample_speed, trace_into, ServeError, ServiceEngine, EPOCH, TIMEOUT_MARGIN,
+    avail_speeds, sample_speed, trace_into, Clock, ServeError, ServiceEngine, EPOCH, TIMEOUT_MARGIN,
 };
 use crate::admission::{QueuedJob, ResidentInfo};
 use crate::event::{EventKind, JobId};
@@ -41,6 +41,11 @@ pub(crate) struct ResidentJob {
     /// (model identity, shape, code geometry, iteration count), so their
     /// rounds run in lockstep from admission to completion.
     pub(crate) members: Vec<QueuedJob>,
+    /// Capacity weight of this residency slot, in the clock's units: the
+    /// sum of its members' weights. Batching is capacity-neutral by
+    /// construction — m coalesced weight-1 jobs hold exactly the
+    /// capacity m resident weight-1 jobs would.
+    pub(crate) weight: f64,
     pub(crate) admitted: f64,
     /// Rounds committed (decoded/verified) so far — the in-order commit
     /// cursor: the next retirable round is exactly `round_index ==
@@ -72,14 +77,6 @@ impl ResidentJob {
     /// Stacked right-hand sides a round of this residency carries.
     pub(crate) fn rhs(&self) -> usize {
         self.members.len()
-    }
-
-    /// Capacity weight of this residency slot: the sum of its members'
-    /// weights. Batching is capacity-neutral by construction — m
-    /// coalesced weight-1 jobs hold exactly the capacity m resident
-    /// weight-1 jobs would.
-    pub(crate) fn weight(&self) -> f64 {
-        self.members.iter().map(|m| m.spec.weight).sum()
     }
 }
 
@@ -158,10 +155,12 @@ impl ServiceEngine {
         // the queue-ordering comparators, where the best case is a
         // mis-sorted queue and the worst a panicking `unwrap` deep in
         // the allocator. Same for non-positive or non-finite deadlines.
-        if !(spec.weight.is_finite() && spec.weight > 0.0) {
+        // The clock counts weights in units of the stream's lightest.
+        let (w, unit) = (spec.weight, self.weight_unit);
+        if !(w.is_finite() && w > 0.0 && (w / unit).is_finite()) {
             return Err(ServeError::InvalidJob {
                 job: spec.id,
-                reason: format!("weight must be finite and positive, got {}", spec.weight),
+                reason: format!("weight must be finite, positive and at most f64::MAX times the lightest ({unit}), got {w}"),
             });
         }
         if let Some(d) = spec.deadline {
@@ -172,7 +171,7 @@ impl ServiceEngine {
                 });
             }
         }
-        let (jid, tenant, preset, now) = (spec.id, spec.tenant, spec.preset, self.now);
+        let (jid, tenant, preset, now) = (spec.id, spec.tenant, spec.preset, self.clock.now);
         trace_into(&mut self.telemetry, now, || TraceEventKind::JobArrival {
             job: jid,
             tenant,
@@ -193,7 +192,7 @@ impl ServiceEngine {
         }
         self.pending.push(QueuedJob {
             spec: spec.clone(),
-            arrival: self.now,
+            arrival: self.clock.now,
         });
         self.sample_queue_depth();
         self.try_admit()
@@ -247,14 +246,14 @@ impl ServiceEngine {
             if members.len() > 1 {
                 self.report.batches_admitted += 1;
                 self.report.batched_jobs += members.len();
-                let (count, now) = (members.len(), self.now);
+                let (count, now) = (members.len(), self.clock.now);
                 trace_into(&mut self.telemetry, now, || TraceEventKind::BatchFormed {
                     leader: id,
                     members: count,
                 });
             }
             if self.telemetry.is_some() {
-                let now = self.now;
+                let now = self.clock.now;
                 for m in &members {
                     let jid = m.spec.id;
                     trace_into(&mut self.telemetry, now, || TraceEventKind::Admitted {
@@ -266,13 +265,14 @@ impl ServiceEngine {
             self.resident.insert(
                 id,
                 ResidentJob {
+                    weight: members.iter().map(|m| m.spec.weight).sum::<f64>() / self.weight_unit,
                     members,
-                    admitted: self.now,
+                    admitted: self.clock.now,
                     iterations_done: 0,
                     window: Vec::new(),
                     stalled_rounds: Vec::new(),
                     iterations_dispatched: 0,
-                    last_retire_end: self.now,
+                    last_retire_end: self.clock.now,
                     iter_retries: 0,
                     total_retries: 0,
                 },
@@ -282,7 +282,7 @@ impl ServiceEngine {
             // iteration boundaries.
             self.rebalance_shares();
             self.sample_queue_depth();
-            let at = self.now;
+            let at = self.clock.now;
             self.fill_window(id, at)?;
         }
         Ok(())
@@ -365,7 +365,7 @@ impl ServiceEngine {
 
         // Every mode rates the job at its share of the resident mass; a
         // batch weighs the sum of its members.
-        let share = self.share(id);
+        let (share, weight) = (self.share(id), job.weight);
         // The task table and the assignment come from the scratch pool
         // when a retired round left them (refilled in place — contents
         // identical to fresh allocation).
@@ -443,7 +443,7 @@ impl ServiceEngine {
             job: id,
             generation,
             round_index,
-            share,
+            weight,
             k_eff,
             rows_per_chunk: rpc,
             rhs,
@@ -453,8 +453,7 @@ impl ServiceEngine {
             waited_out: false,
             armed_deadline: f64::INFINITY,
             armed_seq: 0,
-            share_integral: 0.0,
-            share_anchor: at,
+            latest: Some(f64::NEG_INFINITY),
             started: at,
             t_input: 0.0,
             last_reply: 0.0,
@@ -472,6 +471,7 @@ impl ServiceEngine {
         let mut max_actual_span: f64 = 0.0;
         let window = &self.resident[&id].window;
         let mut sinks = sinks!(self, at);
+        let Clock { v: v_at, mass, .. } = sinks.clock;
         for (w, &plan_speed) in self.plan_speeds.iter().enumerate() {
             let chunks = iter.assignment.chunks[w].len();
             if chunks == 0 {
@@ -481,11 +481,11 @@ impl ServiceEngine {
             // rounds in dispatch order at the job's share, so this
             // round's task starts after the worker's live tasks from
             // earlier window rounds. With an empty window (depth 1)
-            // `start_w == at` exactly.
-            let start_w = window
+            // `start == v_at` exactly.
+            let start = window
                 .iter()
-                .fold(at, |acc, r| acc.max(r.latest_open_finish(w)));
-            let offset = start_w - at;
+                .fold(v_at, |acc, r| acc.max(r.latest_open_finish(w)));
+            let offset = (start - v_at) * mass;
             let rows_w = chunks * rpc;
             let work = ((rows_w * cols) * rhs) as f64;
             let rate = self.speeds[w] * share * self.compute.elements_per_sec * speedup;
@@ -496,7 +496,7 @@ impl ServiceEngine {
                 plan_speed.max(f64::MIN_POSITIVE) * share * self.compute.elements_per_sec * speedup;
             max_planned_span = max_planned_span.max(offset + (t_in + work / plan_rate + t_reply));
             let charge = work / rate * share;
-            iter.dispatch(w, start_w + span, charge, offset * share, &mut sinks);
+            iter.dispatch(w, start, start + span / mass, charge, &mut sinks);
         }
 
         // Adaptive scheduling arms the deadline from the *plan* (so
@@ -542,7 +542,7 @@ impl ServiceEngine {
         worker: usize,
         generation: u64,
         redo: bool,
-        t: f64,
+        v: f64,
     ) -> Result<(), ServeError> {
         let completed = {
             let Some(job) = self.resident.get_mut(&id) else {
@@ -551,12 +551,9 @@ impl ServiceEngine {
             let Some(iter) = job.window.iter_mut().find(|r| r.generation == generation) else {
                 return Ok(());
             };
-            // A parked round's live tasks were cancelled at park time;
-            // any straggling completion event for it is stale.
-            if iter.parked_at.is_some() {
-                return Ok(());
-            }
-            let Some(chunks) = iter.complete_task(worker, redo, t) else {
+            // Stale: superseded, cancelled (a parked round's live tasks
+            // were, at park time) or already done.
+            let Some(chunks) = iter.complete_task(worker, redo, v) else {
                 return Ok(());
             };
             let rows_w = chunks * iter.rows_per_chunk;
@@ -564,14 +561,12 @@ impl ServiceEngine {
             // Feed the predictor with the observed relative rate. Redo
             // tasks are excluded (their span includes master-side idle
             // time, which would skew the estimate — same rule as the
-            // single-job engine). The denominator is the share
-            // *integral*, not `duration · share`: rebalances change the
-            // share mid-task and the naive product would mis-scale the
-            // estimate by up to `old_share / new_share`. Pipelined
-            // rounds additionally subtract the queueing offset the
-            // task spent waiting behind earlier window rounds.
+            // single-job engine). The denominator is the dedicated time
+            // the task had, `weight · ΔV` from its start, not `duration ·
+            // share`, which a rebalance mid-task would mis-scale.
             if !redo && matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
-                let dedicated = iter.task_dedicated_by(worker, None);
+                let (start, _) = iter.original_span(worker);
+                let dedicated = (iter.weight * (v - start)).max(f64::MIN_POSITIVE);
                 // The observed rate covers the whole stacked width the
                 // worker actually computed, so batched and unbatched
                 // rounds feed the predictor the same per-element speed.
@@ -580,7 +575,8 @@ impl ServiceEngine {
             }
             iter.complete()
         };
-        trace_into(&mut self.telemetry, t, || TraceEventKind::TaskComplete {
+        let now = self.clock.now;
+        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskComplete {
             job: id,
             worker,
             generation,
@@ -600,7 +596,7 @@ impl ServiceEngine {
         id: JobId,
         generation: u64,
     ) -> Result<(), ServeError> {
-        let now = self.now;
+        let now = self.clock.now;
         let Some(job) = self.resident.get_mut(&id) else {
             return Ok(());
         };
@@ -638,7 +634,7 @@ impl ServiceEngine {
     /// the window back up. At depth 1 this is exactly the barrier
     /// engine's iteration completion.
     pub(crate) fn retire_ready_rounds(&mut self, id: JobId) -> Result<(), ServeError> {
-        let mut at = self.now;
+        let mut at = self.clock.now;
         // The head this call retires was the round blocking any parked
         // successors: account the in-order-commit stall it caused.
         if self.cfg.pipeline_depth > 1 {
@@ -776,7 +772,7 @@ impl ServiceEngine {
 
     pub(crate) fn on_churn(&mut self, worker: usize, up: bool) -> Result<(), ServeError> {
         self.up[worker] = up;
-        let now = self.now;
+        let now = self.clock.now;
         trace_into(&mut self.telemetry, now, || {
             if up {
                 TraceEventKind::WorkerUp { worker }
@@ -831,13 +827,14 @@ impl ServiceEngine {
     }
 
     pub(crate) fn on_epoch_tick(&mut self, epoch: usize) -> Result<(), ServeError> {
+        let now = self.clock.now;
         for (w, m) in self.models.iter_mut().enumerate() {
             // Samples are finite and positive, so `!=` is exact: any
             // change is applied, however small in absolute terms.
             let s = sample_speed(m, w, epoch)?;
             if s != self.speeds[w] {
                 self.queue.push(
-                    self.now,
+                    now,
                     EventKind::WorkerSpeedChange {
                         worker: w,
                         speed: s,
@@ -849,12 +846,12 @@ impl ServiceEngine {
         for (w, (&new, &old)) in mask.iter().zip(self.up.iter()).enumerate() {
             if new != old {
                 self.queue
-                    .push(self.now, EventKind::WorkerChurn { worker: w, up: new });
+                    .push(now, EventKind::WorkerChurn { worker: w, up: new });
             }
         }
         if self.work_remains() {
             self.queue
-                .push(self.now + EPOCH, EventKind::EpochTick { epoch: epoch + 1 });
+                .push(now + EPOCH, EventKind::EpochTick { epoch: epoch + 1 });
         }
         Ok(())
     }

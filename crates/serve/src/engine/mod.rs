@@ -10,25 +10,27 @@
 //!
 //! The engine is split into focused submodules, all driven by one event
 //! loop (this module), which merges the time-ordered arrival stream
-//! with the event queue — arrivals win ties, so the order is exactly
-//! what pre-pushing every arrival would give, without the heap ever
-//! holding a future arrival:
+//! with two event queues — task completions on the virtual clock,
+//! everything else in real time (see *Timing model*). Arrivals win
+//! ties, so the order is exactly what pre-pushing every arrival would
+//! give, without a heap ever holding a future arrival:
 //!
 //! * `core` — resident-job state and the event handlers (arrival,
 //!   admission, iteration start/completion, churn, epoch ticks);
 //! * `round` — the per-round task model: one `TaskSlot` type for a
 //!   worker's original and redo task, and the only code that touches
-//!   them — dispatch, completion, the single cancel/refund site, share
-//!   rescaling, deadline arming — plus the coverage questions (is the
-//!   round decodable, how far short is a chunk, what is credited),
-//!   answered from a per-chunk response tally the transitions keep, so
-//!   a task completion costs what its own chunk list costs;
+//!   them — dispatch, completion, the single cancel/refund site,
+//!   deadline arming — plus the coverage questions (is the round
+//!   decodable, how far short is a chunk, what is credited), answered
+//!   from a per-chunk response tally the transitions keep, so a task
+//!   completion costs what its own chunk list costs;
 //! * [`backend`] — the pluggable `ExecutionBackend` seam: timing-only
 //!   simulation, master-side verified numerics, or real OS-thread
 //!   workers (selected via [`BackendKind`]);
 //! * `recovery` — the §4.3 robustness ladder (cancel-and-reassign,
 //!   wait-out, retry);
-//! * `rebalance` — work-conserving share rebalancing.
+//! * `rebalance` — the resident weight mass the virtual clock runs at,
+//!   and the deadline re-arms a change of it calls for.
 //!
 //! # Timing model
 //!
@@ -37,15 +39,21 @@
 //! serving job `j` takes `E / (speed_w · share_j · throughput ·
 //! thread_speedup)` seconds, plus transfer times from the
 //! [`s2c2_cluster::CommModel`]. `share_j` is the fraction of every
-//! worker's capacity the shared allocator granted job `j`: the job's
-//! capacity weight normalized over the live resident set
-//! (`weight_j / Σ weights`, computed in one place), so a weight-2 tenant
-//! runs at twice a weight-1 tenant's fractional rate. Algorithm 1 runs on
-//! the pool's speeds: the share sets how fast a job's tasks run, not
-//! which chunks it gets. Speeds are piecewise constant: each task runs
-//! at the speed sampled when it was issued, and epoch ticks only affect
-//! tasks issued afterwards — the same once-per-iteration granularity the paper
-//! measures and predicts at.
+//! worker's capacity job `j` holds: its capacity weight over the
+//! resident weight mass `W` (`weight_j / W`, computed in one place), so
+//! a weight-2 tenant runs at twice a weight-1 tenant's fractional rate.
+//! Algorithm 1 runs on the pool's speeds: the share sets how fast a
+//! job's tasks run, not which chunks it gets. Speeds are piecewise
+//! constant: each task runs at the speed sampled when it was issued,
+//! and epoch ticks only affect tasks issued afterwards — the same
+//! once-per-iteration granularity the paper measures and predicts at.
+//!
+//! Shares move whenever `W` does, so the pool keeps generalized
+//! processor sharing's virtual time: one clock `V` with `dV/dt = 1 / W`
+//! (`W` in units of the stream's lightest weight). A task dispatched
+//! with real span `S` at mass `W` finishes at `V_start + S / W` whatever
+//! `W` does meanwhile, so its completion is queued once, by that
+//! V-instant; the loop maps it to `now + (V_head − V) · W`.
 //!
 //! # Execution backends
 //!
@@ -67,17 +75,16 @@
 //! # Work conservation
 //!
 //! Shares are *not* frozen at iteration boundaries: whenever the
-//! resident set changes (admission, completion, failure), every running
-//! iteration's share is recomputed from the live weight mass and its
-//! in-flight tasks are rescaled at that instant. Capacity freed by a
-//! finishing job flows to its neighbours immediately instead of idling
-//! until their iteration boundaries, and a newly admitted job squeezes
-//! its neighbours immediately instead of over-subscribing the pool
-//! (stale share snapshots were precisely the bug that let reported
-//! utilization exceed 1). The rescale stretches a task's whole
-//! remaining span — a deliberate approximation: the transfer tail is a
-//! few control/row messages, negligible beside compute in the clusters
-//! this models.
+//! resident set changes (admission, completion, failure), every
+//! in-flight task runs at its new share from that instant, at no cost
+//! per task on the virtual clock. Capacity freed by a finishing job
+//! flows to its neighbours immediately instead of idling until their
+//! iteration boundaries, and a newly admitted job squeezes its
+//! neighbours immediately instead of over-subscribing the pool (stale
+//! share snapshots were precisely the bug that let reported utilization
+//! exceed 1). A task's whole remaining span stretches — a deliberate
+//! approximation: the transfer tail is a few control/row messages,
+//! negligible beside compute in the clusters this models.
 //!
 //! # Batching
 //!
@@ -377,6 +384,30 @@ pub(crate) fn thread_speedup(threads: usize) -> f64 {
     1.0 + 0.9 * threads.saturating_sub(1) as f64
 }
 
+/// The pool's virtual clock read at real instant `now` (module docs,
+/// *Timing model*): `V` is `v` and advances at `1 / mass` until the
+/// resident weight mass next changes (an empty pool keeps the last).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Clock {
+    pub(crate) now: f64,
+    pub(crate) v: f64,
+    pub(crate) mass: f64,
+}
+
+impl Clock {
+    /// The clock read at real instant `t ≥ now`, the mass holding.
+    pub(crate) fn at(self, t: f64) -> Clock {
+        let v = self.v + (t - self.now) / self.mass;
+        Clock { now: t, v, ..self }
+    }
+
+    /// The real instant `V` reaches `v`, the mass holding (`now` if it
+    /// has).
+    pub(crate) fn real(self, v: f64) -> f64 {
+        self.now + (v - self.v).max(0.0) * self.mass
+    }
+}
+
 /// The event-driven multi-job service engine.
 pub struct ServiceEngine {
     cfg: ServeConfig,
@@ -388,7 +419,11 @@ pub struct ServiceEngine {
     tracker: SpeedTracker,
     speeds: Vec<f64>,
     up: Vec<bool>,
-    now: f64,
+    clock: Clock,
+    /// The stream's lightest valid weight, the clock's unit of mass.
+    weight_unit: f64,
+    /// Task completions by `V`; everything else in `queue`, by real time.
+    completions: EventQueue,
     queue: EventQueue,
     pending: Vec<QueuedJob>,
     resident: BTreeMap<JobId, ResidentJob>,
@@ -418,7 +453,7 @@ impl std::fmt::Debug for ServiceEngine {
         f.debug_struct("ServiceEngine")
             .field("workers", &self.models.len())
             .field("backend", &self.cfg.backend)
-            .field("now", &self.now)
+            .field("now", &self.clock.now)
             .field("pending", &self.pending.len())
             .field("resident", &self.resident.len())
             .finish()
@@ -511,7 +546,13 @@ impl ServiceEngine {
             churn,
             speeds: vec![1.0; n],
             up: vec![true; n],
-            now: 0.0,
+            clock: Clock {
+                now: 0.0,
+                v: 0.0,
+                mass: 1.0,
+            },
+            weight_unit: 1.0,
+            completions: EventQueue::new(),
             queue: EventQueue::new(),
             pending: Vec::new(),
             resident: BTreeMap::new(),
@@ -572,12 +613,11 @@ impl ServiceEngine {
         Ok(self.report)
     }
 
-    /// The event loop proper. Arrivals are streamed from the workload
-    /// in arrival order and merged with the event queue, so the heap
-    /// holds live engine events only — its size tracks the work in
-    /// flight, not the length of the stream. An arrival is taken when
-    /// its time is `total_cmp`-≤ the queue head's: arrivals win ties
-    /// against engine events, and equal-time arrivals keep slice order.
+    /// The event loop proper. Arrivals are streamed in arrival order and
+    /// merged with the two event queues, so the heaps hold live engine
+    /// events only. Each turn takes the earliest of the next arrival, the
+    /// completion queue's head mapped to real time, and the real-time
+    /// queue's head, ties (`total_cmp`) in that order and in slice order.
     fn drive(&mut self, workload: &[(f64, JobSpec)]) -> Result<(), ServeError> {
         for (t, spec) in workload {
             if !(t.is_finite() && *t >= 0.0) {
@@ -587,6 +627,14 @@ impl ServiceEngine {
                 });
             }
         }
+        // The clock's unit of mass; invalid weights are refused at their
+        // arrival.
+        self.weight_unit = workload
+            .iter()
+            .map(|(_, spec)| spec.weight)
+            .filter(|w| w.is_finite() && *w > 0.0)
+            .min_by(f64::total_cmp)
+            .unwrap_or(1.0);
         // Stable, so equal instants stay in slice order.
         let mut order: Vec<&(f64, JobSpec)> = workload.iter().collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -603,11 +651,21 @@ impl ServiceEngine {
         }
 
         loop {
-            let head = self.queue.peek_time();
+            let done = self.completions.peek_time().map(|v| self.clock.real(v));
+            let timed = self.queue.peek_time();
+            let completion = done.filter(|d| timed.map_or(true, |t| d.total_cmp(&t).is_le()));
+            let head = completion.or(timed);
             let due = arrivals.next_if(|(at, _)| head.map_or(true, |h| at.total_cmp(&h).is_le()));
             if let Some((at, spec)) = due {
                 self.begin_event(*at)?;
                 self.on_arrival(spec)?;
+            } else if let Some((v, kind)) = completion.and_then(|_| self.completions.pop()) {
+                // `V` lands exactly on `v`, and never runs back to a
+                // stale head an ulp behind it.
+                let before = self.clock.v;
+                self.begin_event(self.clock.real(v))?;
+                self.clock.v = v.max(before);
+                self.on_event(v, kind)?;
             } else if let Some((t, kind)) = self.queue.pop() {
                 self.begin_event(t)?;
                 self.on_event(t, kind)?;
@@ -620,7 +678,7 @@ impl ServiceEngine {
     /// Advances the clock to the next event and charges it to the event
     /// budget.
     fn begin_event(&mut self, t: f64) -> Result<(), ServeError> {
-        self.now = t;
+        self.clock = self.clock.at(t);
         self.report.events_processed += 1;
         if self.report.events_processed > self.cfg.max_events {
             return Err(ServeError::Runaway {
@@ -630,15 +688,15 @@ impl ServiceEngine {
         Ok(())
     }
 
-    /// Reacts to one popped queue event.
-    fn on_event(&mut self, t: f64, kind: EventKind) -> Result<(), ServeError> {
+    /// Reacts to one popped event, queued under `key` (`V` or real time).
+    fn on_event(&mut self, key: f64, kind: EventKind) -> Result<(), ServeError> {
         match kind {
             EventKind::TaskComplete {
                 job,
                 worker,
                 generation,
                 redo,
-            } => self.on_task_complete(job, worker, generation, redo, t),
+            } => self.on_task_complete(job, worker, generation, redo, key),
             EventKind::WorkerSpeedChange { worker, speed } => {
                 self.speeds[worker] = speed;
                 Ok(())
@@ -658,6 +716,7 @@ impl ServiceEngine {
     }
 
     fn sample_queue_depth(&mut self) {
-        self.report.queue_depth.record(self.now, self.pending.len());
+        let now = self.clock.now;
+        self.report.queue_depth.record(now, self.pending.len());
     }
 }

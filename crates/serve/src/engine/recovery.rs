@@ -16,7 +16,7 @@
 
 use super::core::Fate;
 use super::round::sinks;
-use super::{thread_speedup, trace_into, SchedulerMode, ServeError, ServiceEngine};
+use super::{thread_speedup, trace_into, Clock, SchedulerMode, ServeError, ServiceEngine};
 use crate::event::JobId;
 use s2c2_telemetry::TraceEventKind;
 
@@ -29,12 +29,13 @@ impl ServiceEngine {
         generation: u64,
         from_timeout: bool,
     ) -> Result<(), ServeError> {
-        let now = self.now;
+        let now = self.clock.now;
         let speedup = thread_speedup(self.cfg.worker_threads);
         let cancel_late = matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. });
         let elements_per_sec = self.compute.elements_per_sec;
         let comm = self.comm;
         let mut sinks = sinks!(self, now);
+        let Clock { v: vnow, mass, .. } = sinks.clock;
 
         // Both lookups are graceful: a churn sweep may queue several
         // doomed generations for one job, and an earlier rung-5 restart
@@ -60,6 +61,7 @@ impl ServiceEngine {
         // coverage accounting (every member decodes from the identical
         // worker/chunk set) can never diverge inside one batch.
         let rhs = iter.rhs;
+        let share = iter.weight / mass;
 
         // Outstanding need per chunk (adaptive mode has written the
         // in-flight originals off, the baselines still count on them).
@@ -69,7 +71,8 @@ impl ServiceEngine {
         if need.iter().all(|&short| short == 0) {
             // Everything outstanding is already being handled; re-arm the
             // safety net behind the open tasks.
-            iter.arm_behind(iter.latest_open(), &mut sinks);
+            let latest = iter.latest_open();
+            iter.arm_behind(latest, &mut sinks);
             return Ok(());
         }
 
@@ -92,21 +95,16 @@ impl ServiceEngine {
                     let rows_w = iter.assignment.chunks[w].len() * rpc;
                     let work = ((rows_w * cols) * rhs) as f64;
                     let t_reply = comm.transfer_time(((rows_w * rhs) * 8) as u64);
-                    // Reconstruct progress in *dedicated* share-
-                    // seconds (the share integral), not wall time —
-                    // rebalances change the share mid-task, and wall
-                    // spans would misattribute the mixed-share
-                    // window. Comm legs are charged at the current
-                    // share (exact when the share never changed).
-                    // Pipelined rounds subtract the queueing offset
-                    // spent waiting behind earlier window rounds
-                    // (identically 0 at depth 1).
-                    let ded_total = iter.task_dedicated_by(w, None);
-                    let ded_elapsed = iter.task_dedicated_by(w, Some(now));
-                    let ded_comm = (t_in + t_reply) * iter.share;
+                    // Progress in *dedicated* seconds, `weight · ΔV`, not
+                    // wall time, which rebalances stretch; comm legs at
+                    // the current share (exact when it never changed).
+                    let (start, finish) = iter.original_span(w);
+                    let ded_total = iter.weight * (finish - start);
+                    let ded_elapsed = (iter.weight * (vnow - start)).max(f64::MIN_POSITIVE);
+                    let ded_comm = (t_in + t_reply) * share;
                     let compute_ded = (ded_total - ded_comm).max(f64::MIN_POSITIVE);
                     let rate = work / compute_ded;
-                    let partial = (rate * (ded_elapsed - t_in * iter.share).max(0.0)).min(work);
+                    let partial = (rate * (ded_elapsed - t_in * share).max(0.0)).min(work);
                     *slot = Some(partial.max(1.0) / ded_elapsed);
                 }
                 if obs.iter().any(Option::is_some) {
@@ -121,7 +119,7 @@ impl ServiceEngine {
                 generation,
                 rung: 3,
             });
-            let mut latest_redo = now;
+            let mut latest_redo = vnow;
             for (w, new_chunks) in extra.into_iter().enumerate() {
                 if new_chunks.is_empty() {
                     continue;
@@ -134,10 +132,10 @@ impl ServiceEngine {
                     .map_err(ServeError::Backend)?;
                 // Merge with any still-pending redo on the same worker:
                 // the combined task finishes after both workloads.
-                let base = iter.open_finish(w, true).unwrap_or(now);
+                let base = iter.open_finish(w, true).unwrap_or(vnow);
                 let rows_w = new_chunks.len() * rpc;
                 let work = ((rows_w * cols) * rhs) as f64;
-                let rate = self.speeds[w] * iter.share * elements_per_sec * speedup;
+                let rate = self.speeds[w] * share * elements_per_sec * speedup;
                 // Coded hosts already hold the partitions, so the work
                 // order is a 64-byte control message; uncoded hosts must
                 // first receive the raw rows being reassigned.
@@ -146,12 +144,12 @@ impl ServiceEngine {
                 } else {
                     64
                 };
-                let finish = base
-                    + comm.transfer_time(order_bytes)
+                let span = comm.transfer_time(order_bytes)
                     + work / rate
                     + comm.transfer_time(((rows_w * rhs) * 8) as u64);
+                let finish = base + span / mass;
                 latest_redo = latest_redo.max(finish);
-                let charge = work / rate * iter.share;
+                let charge = work / rate * share;
                 iter.dispatch_redo(w, new_chunks, finish, charge, &mut sinks);
             }
             if from_timeout {
@@ -177,7 +175,8 @@ impl ServiceEngine {
                     rung: 4,
                 });
             }
-            iter.arm_behind(iter.latest_open(), &mut sinks);
+            let latest = iter.latest_open();
+            iter.arm_behind(latest, &mut sinks);
             return Ok(());
         }
 

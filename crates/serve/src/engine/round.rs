@@ -9,8 +9,8 @@
 //! apart only by the `redo` flag every engine event already carries,
 //! and every lifecycle step exists once, for both: dispatch, completion,
 //! cancellation (the single refund + backend cancel + `TaskCancel`
-//! site), share rescaling, and deadline (re)arming (the single
-//! `Timeout` push). The coverage questions the recovery ladder, the
+//! site), and deadline (re)arming (the single `Timeout` push). The
+//! coverage questions the recovery ladder, the
 //! decode-cost model and the numeric backends ask — is the round
 //! decodable, how far short is a chunk, is it doomed, which responses
 //! are credited — are answered here too, so a code that counts
@@ -25,11 +25,15 @@
 //! chunks × workers scans survive as `#[cfg(test)]` oracles the tally
 //! is differentially tested against.
 //!
+//! Task instants (starts, finishes) are on the pool's virtual clock `V`
+//! (the engine's module docs, *Timing model*), which a rebalance does not
+//! move; deadlines stay in real time, via [`Clock::real`].
+//!
 //! `core`, `recovery`, `rebalance` and `backend` are clients: none of
 //! them indexes task state by worker.
 
 use super::backend::ExecutionBackend;
-use super::{trace_into, TIMEOUT_MARGIN};
+use super::{trace_into, Clock, TIMEOUT_MARGIN};
 use crate::event::{EventKind, EventQueue, JobId};
 use s2c2_core::strategy::mds::chunk_decode_flops;
 use s2c2_core::ChunkAssignment;
@@ -54,7 +58,7 @@ enum Phase {
 /// redo reassigned to it by rung 3.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TaskSlot {
-    /// Scheduled finish instant (`INFINITY` until a task is dispatched).
+    /// Scheduled finish, a V-instant (`INFINITY` until a task is dispatched).
     finish: f64,
     phase: Phase,
     /// Dedicated compute-seconds charged to `busy_time` for this task
@@ -93,13 +97,9 @@ struct WorkerTasks {
     /// Chunks of the (possibly merged) redo task; the original's chunks
     /// are the round's `assignment`.
     redo_chunks: Vec<usize>,
-    /// Dedicated share-seconds between this round's dispatch and the
-    /// worker's actual task start. A pipelined round queues behind the
-    /// job's earlier in-flight rounds on a shared worker, so speed
-    /// observations must subtract this offset from the share integral
-    /// or the queueing delay would be billed as slowness. Exactly 0 at
-    /// pipeline depth 1.
-    ded_offset: f64,
+    /// V-instant the original task starts computing, after queueing
+    /// behind earlier window rounds (not to be billed as slowness).
+    start: f64,
 }
 
 /// A round's per-worker task table. Retired rounds hand theirs back to
@@ -139,12 +139,12 @@ impl Tasks {
         for t in &mut self.workers {
             t.slots = [TaskSlot::EMPTY; 2];
             t.redo_chunks.clear();
-            t.ded_offset = 0.0;
+            t.start = 0.0;
         }
         self.workers.resize_with(n, || WorkerTasks {
             slots: [TaskSlot::EMPTY; 2],
             redo_chunks: Vec::new(),
-            ded_offset: 0.0,
+            start: 0.0,
         });
         self.cover.clear();
         self.cover.resize(chunks, ChunkCover::default());
@@ -161,20 +161,23 @@ impl Tasks {
 /// field so the resident map (and the round inside it) stays borrowable
 /// next to it. Built with [`sinks!`].
 pub(crate) struct Sinks<'a> {
-    pub(crate) now: f64,
+    /// The clock read at the instant the transitions are stamped with.
+    pub(crate) clock: Clock,
     pub(crate) busy_time: &'a mut [f64],
+    pub(crate) completions: &'a mut EventQueue,
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) backend: &'a mut dyn ExecutionBackend,
     pub(crate) telemetry: &'a mut Option<Telemetry>,
 }
 
-/// `sinks!(engine, now)`: the [`Sinks`] of a `ServiceEngine`. A macro,
-/// not a method, because a method would borrow the whole engine.
+/// `sinks!(engine, now)`: the [`Sinks`] of a `ServiceEngine` at `now`.
+/// A macro, not a method, because a method would borrow the whole engine.
 macro_rules! sinks {
     ($engine:ident, $now:expr) => {
         $crate::engine::round::Sinks {
-            now: $now,
+            clock: $engine.clock.at($now),
             busy_time: &mut $engine.report.busy_time,
+            completions: &mut $engine.completions,
             queue: &mut $engine.queue,
             backend: $engine.backend.as_mut(),
             telemetry: &mut $engine.telemetry,
@@ -212,7 +215,9 @@ pub(crate) struct RunningIteration {
     /// in-order commit key: a round retires only when every earlier
     /// index has.
     pub(crate) round_index: usize,
-    pub(crate) share: f64,
+    /// The residency's weight in clock units: `weight · ΔV` is a task's
+    /// dedicated compute over `ΔV`.
+    pub(crate) weight: f64,
     pub(crate) k_eff: usize,
     pub(crate) rows_per_chunk: usize,
     /// Stacked right-hand sides this round carries: 1 for a solo job,
@@ -228,26 +233,20 @@ pub(crate) struct RunningIteration {
     pub(crate) parked_at: Option<f64>,
     /// Set once this iteration fell back to waiting out stragglers.
     pub(crate) waited_out: bool,
-    /// The currently-armed §4.3 deadline. Kept for the rebalance
-    /// re-arm condition (`latest >= armed_deadline`); staleness of
-    /// timeout *events* is decided by [`Self::armed_seq`].
+    /// The currently-armed §4.3 deadline (real time). Kept for the
+    /// rebalance re-arm condition; staleness of timeout *events* is
+    /// decided by [`Self::armed_seq`].
     pub(crate) armed_deadline: f64,
     /// Arming sequence number: bumped at every (re)arm of this round's
     /// deadline, carried in the scheduled timeout event. A timeout
-    /// whose `arm` does not match was superseded (share rebalances
-    /// stretch in-flight spans and re-arm) and is dropped — keyed per
-    /// round, so a retired round's stale timeout can never fire against
-    /// a successor round.
+    /// whose `arm` does not match was superseded (a rebalance or
+    /// recovery re-armed) and is dropped — keyed per round, so a retired
+    /// round's stale timeout can never fire against a successor round.
     pub(crate) armed_seq: u64,
-    /// Dedicated share-seconds accumulated over completed share
-    /// segments: `∫ share dt` from iteration start to [`Self::share_anchor`].
-    /// With rebalancing, `duration · share` is wrong whenever the share
-    /// changed mid-task; speed observations must use this integral or
-    /// the predictor inherits a bias of up to `old_share / new_share`.
-    pub(crate) share_integral: f64,
-    /// Instant the current share segment began.
-    pub(crate) share_anchor: f64,
-    /// Instant this round was dispatched (phase-profiling anchor).
+    /// The latest open finish; `None` once its task closed, until
+    /// [`Self::latest_open`] recomputes it.
+    pub(crate) latest: Option<f64>,
+    /// Real instant this round was dispatched (phase-profiling anchor).
     pub(crate) started: f64,
     /// Input-broadcast transfer time of this round (the virtual
     /// "dispatch" phase).
@@ -256,16 +255,6 @@ pub(crate) struct RunningIteration {
     /// time the iteration completes, the "collect" phase of the
     /// critical path.
     pub(crate) last_reply: f64,
-}
-
-/// Refunds the not-yet-performed remainder of an abandoned task's
-/// compute charge: a task scheduled to finish at `slot.finish` and
-/// abandoned at `now` still owes `(finish − now) · share` dedicated
-/// compute-seconds (capped at what was charged).
-fn refund_busy(busy_time: &mut f64, slot: &mut TaskSlot, now: f64, share: f64) {
-    let refund = ((slot.finish - now) * share).clamp(0.0, slot.busy_charged);
-    *busy_time -= refund;
-    slot.busy_charged -= refund;
 }
 
 impl RunningIteration {
@@ -296,19 +285,10 @@ impl RunningIteration {
         }
     }
 
-    /// Dedicated share-seconds the iteration has accrued by instant `t`
-    /// (`∫ share` over `[start, t]`, exact across share rebalances).
-    fn dedicated_by(&self, t: f64) -> f64 {
-        self.share_integral + (t - self.share_anchor).max(0.0) * self.share
-    }
-
-    /// Dedicated share-seconds `worker`'s original task has had by
-    /// instant `t` (`None`: by its scheduled finish) — the share
-    /// integral minus the queueing offset spent behind earlier window
-    /// rounds.
-    pub(crate) fn task_dedicated_by(&self, worker: usize, t: Option<f64>) -> f64 {
-        let t = t.unwrap_or(self.slot(worker, false).finish);
-        (self.dedicated_by(t) - self.tasks.workers[worker].ded_offset).max(f64::MIN_POSITIVE)
+    /// `(start, finish)` of `worker`'s original task, kept once closed.
+    pub(crate) fn original_span(&self, worker: usize) -> (f64, f64) {
+        let t = &self.tasks.workers[worker];
+        (t.start, t.slots[0].finish)
     }
 
     // ---- lifecycle ------------------------------------------------------
@@ -359,12 +339,18 @@ impl RunningIteration {
         }
     }
 
+    fn closed(&mut self, finish: f64) {
+        if self.latest == Some(finish) {
+            self.latest = None;
+        }
+    }
+
     /// Starts (or, for a redo merged onto an earlier one, restarts) one
     /// of `worker`'s tasks, whose chunk list is newly handed out from
     /// position `fresh` on: charges `charge` dedicated compute-seconds,
-    /// traces the dispatch and schedules the completion. Utilization is
-    /// accounted in dedicated compute-seconds (the share factor
-    /// stretches wall time, not work done).
+    /// traces the dispatch and schedules the completion at `finish`.
+    /// Utilization is accounted in dedicated compute-seconds (the share
+    /// factor stretches wall time, not work done).
     fn launch(
         &mut self,
         worker: usize,
@@ -375,12 +361,18 @@ impl RunningIteration {
         s: &mut Sinks,
     ) {
         let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
-        let was = slot.phase;
+        let (was, replaced) = (slot.phase, slot.finish);
         *slot = TaskSlot {
             finish,
             phase: Phase::Open,
             busy_charged: slot.busy_charged + charge,
         };
+        if was == Phase::Open {
+            self.closed(replaced);
+        }
+        if let Some(latest) = &mut self.latest {
+            *latest = latest.max(finish);
+        }
         // A redo merged onto a *finished* one is credited as a whole,
         // only once it finishes again: what it had in hand goes back to
         // awaited (the one place a done task reopens). Merged onto a
@@ -397,34 +389,30 @@ impl RunningIteration {
         self.refile(worker, redo, fresh..held, Phase::Idle, Phase::Open);
         s.busy_time[worker] += charge;
         let (job, generation) = (self.job, self.generation);
-        trace_into(s.telemetry, s.now, || TraceEventKind::TaskDispatch {
+        trace_into(s.telemetry, s.clock.now, || TraceEventKind::TaskDispatch {
             job,
             worker,
             generation,
             chunks: held,
             redo,
         });
-        s.queue.push(finish, self.completion(worker, redo));
+        s.completions.push(finish, self.completion(worker, redo));
     }
 
-    /// Dispatches `worker`'s original task. `ded_offset` freezes the
-    /// queueing delay behind earlier window rounds in dedicated
-    /// share-seconds so speed observations can subtract it (approximate
-    /// across a later rebalance, exact otherwise; identically 0 at
-    /// depth 1).
+    /// Dispatches `worker`'s original task, computing `start..finish`.
     pub(crate) fn dispatch(
         &mut self,
         worker: usize,
+        start: f64,
         finish: f64,
         charge: f64,
-        ded_offset: f64,
         s: &mut Sinks,
     ) {
         debug_assert!(
             self.slot(worker, false).phase == Phase::Idle,
             "a round dispatches each original once"
         );
-        self.tasks.workers[worker].ded_offset = ded_offset;
+        self.tasks.workers[worker].start = start;
         self.launch(worker, false, 0, finish, charge, s);
     }
 
@@ -446,24 +434,25 @@ impl RunningIteration {
         self.launch(worker, true, fresh, finish, charge, s);
     }
 
-    /// A completion event fired at `t`: marks the task done and returns
-    /// how many chunks it replied with, or `None` for a stale event.
-    /// The finish-time match drops completions superseded by a share
-    /// rebalance or a merged redo (the task was rescheduled); a
-    /// cancelled task's completion is stale by its flag.
-    pub(crate) fn complete_task(&mut self, worker: usize, redo: bool, t: f64) -> Option<usize> {
+    /// A completion event queued under `v`: marks the task done and
+    /// returns how many chunks it replied with, or `None` for a stale
+    /// event — a merged redo's superseded one (its key is no longer the
+    /// slot's, bit for bit) or a cancelled task's (by its phase).
+    pub(crate) fn complete_task(&mut self, worker: usize, redo: bool, v: f64) -> Option<usize> {
         let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
-        if !slot.open() || (t - slot.finish).abs() > 1e-9 {
+        if !slot.open() || slot.finish.to_bits() != v.to_bits() {
             return None;
         }
         slot.phase = Phase::Done;
+        self.closed(v);
         let replied = self.chunks(worker, redo).len();
         self.refile(worker, redo, 0..replied, Phase::Open, Phase::Done);
         Some(replied)
     }
 
     /// The master stops caring about one task: refunds the compute it
-    /// will not perform, tells the backend so real workers drop the
+    /// will not perform (`weight · (finish − V)` dedicated seconds,
+    /// capped at its charge), tells the backend so real workers drop the
     /// work too, and traces the cancel. Returns whether there was an
     /// open task to cancel — on a task that is done, already cancelled
     /// or was never dispatched this is a no-op, so no caller can refund
@@ -476,7 +465,11 @@ impl RunningIteration {
             return false;
         }
         slot.phase = Phase::Idle;
-        refund_busy(&mut s.busy_time[worker], slot, s.now, self.share);
+        let finish = slot.finish;
+        let refund = (self.weight * (finish - s.clock.v)).clamp(0.0, slot.busy_charged);
+        s.busy_time[worker] -= refund;
+        slot.busy_charged -= refund;
+        self.closed(finish);
         let awaited = self.chunks(worker, redo).len();
         self.refile(worker, redo, 0..awaited, Phase::Open, Phase::Idle);
         if redo {
@@ -484,7 +477,7 @@ impl RunningIteration {
         }
         let (job, generation) = (self.job, self.generation);
         s.backend.on_cancel(job, generation, worker, redo);
-        trace_into(s.telemetry, s.now, || TraceEventKind::TaskCancel {
+        trace_into(s.telemetry, s.clock.now, || TraceEventKind::TaskCancel {
             job,
             worker,
             generation,
@@ -498,7 +491,7 @@ impl RunningIteration {
     /// can never be "cancelled" into a fabricated near-zero speed
     /// observation that would permanently exclude a healthy worker.
     pub(crate) fn cancel_late(&mut self, worker: usize, s: &mut Sinks) -> bool {
-        self.slot(worker, false).finish > s.now && self.cancel(worker, false, s)
+        self.slot(worker, false).finish > s.clock.v && self.cancel(worker, false, s)
     }
 
     /// Cancels every task the round is still waiting for (conventional
@@ -509,39 +502,6 @@ impl RunningIteration {
             self.cancel(worker, false, s);
             self.cancel(worker, true, s);
         }
-    }
-
-    /// Moves the round to `new_share` at `s.now`: stretches every open
-    /// task's remaining span by `old_share / new_share`, reschedules
-    /// its completion (the superseded event is dropped by its stale
-    /// finish time) and closes the old share segment so speed
-    /// observations integrate the true dedicated time across the
-    /// change. Returns the latest stretched finish, or `None` if no
-    /// task moved. Busy accounting needs no adjustment: a task's
-    /// dedicated compute-seconds are share-invariant, and the refund
-    /// rule `(finish − now) · share` is preserved exactly.
-    pub(crate) fn rescale(&mut self, new_share: f64, s: &mut Sinks) -> Option<f64> {
-        let (old_share, now) = (self.share, s.now);
-        if (new_share - old_share).abs() <= 1e-12 * new_share.max(old_share) {
-            return None;
-        }
-        let stretch = old_share / new_share;
-        let mut latest = None;
-        for worker in 0..self.tasks.workers.len() {
-            for redo in [false, true] {
-                let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
-                if slot.open() && slot.finish > now {
-                    let finish = now + (slot.finish - now) * stretch;
-                    slot.finish = finish;
-                    latest = Some(latest.map_or(finish, |l: f64| l.max(finish)));
-                    s.queue.push(finish, self.completion(worker, redo));
-                }
-            }
-        }
-        self.share_integral += (now - self.share_anchor).max(0.0) * old_share;
-        self.share_anchor = self.share_anchor.max(now);
-        self.share = new_share;
-        latest
     }
 
     /// (Re)arms the round's deadline: bumps the arming sequence so any
@@ -560,23 +520,23 @@ impl RunningIteration {
     }
 
     /// Re-arms the deadline [`TIMEOUT_MARGIN`] behind `latest`, the last
-    /// finish the round is waiting for (anything not after `now` arms the
-    /// smallest step ahead).
+    /// finish the round is waiting for, in real time (anything V has
+    /// passed arms the smallest step ahead).
     pub(crate) fn arm_behind(&mut self, latest: f64, s: &mut Sinks) {
-        let deadline = s.now + (1.0 + TIMEOUT_MARGIN) * (latest - s.now).max(f64::MIN_POSITIVE);
-        self.arm(deadline, s);
+        let ahead = (s.clock.real(latest) - s.clock.now).max(f64::MIN_POSITIVE);
+        self.arm(s.clock.now + (1.0 + TIMEOUT_MARGIN) * ahead, s);
     }
 
     // ---- open tasks -----------------------------------------------------
 
-    /// Scheduled finish of one of `worker`'s tasks, if it is open.
+    /// Scheduled finish (V) of one of `worker`'s tasks, if it is open.
     pub(crate) fn open_finish(&self, worker: usize, redo: bool) -> Option<f64> {
         let slot = self.slot(worker, redo);
         slot.open().then_some(slot.finish)
     }
 
     /// When `worker` is free of this round: the later of its open
-    /// tasks' finishes (`NEG_INFINITY` if it has none).
+    /// tasks' finishes, in V (`NEG_INFINITY` if it has none).
     pub(crate) fn latest_open_finish(&self, worker: usize) -> f64 {
         [false, true]
             .into_iter()
@@ -585,11 +545,16 @@ impl RunningIteration {
     }
 
     /// The last finish the round is still waiting for (`NEG_INFINITY`
-    /// if nothing is open).
-    pub(crate) fn latest_open(&self) -> f64 {
-        (0..self.tasks.workers.len())
+    /// if nothing is open), cached.
+    pub(crate) fn latest_open(&mut self) -> f64 {
+        if let Some(latest) = self.latest {
+            return latest;
+        }
+        let latest = (0..self.tasks.workers.len())
             .map(|w| self.latest_open_finish(w))
-            .fold(f64::NEG_INFINITY, f64::max)
+            .fold(f64::NEG_INFINITY, f64::max);
+        self.latest = Some(latest);
+        latest
     }
 
     pub(crate) fn has_open(&self) -> bool {

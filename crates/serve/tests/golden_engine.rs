@@ -7,8 +7,8 @@
 //! including a redo merged onto a worker that still has one pending),
 //! churn cancels, wait-out (rung 4), restart (rung 5), retry exhaustion
 //! with the rest of the window torn down, in-order parking at pipeline
-//! depth 2, batch rounds, share rebalances that stretch open tasks and
-//! re-arm their deadline, and the baselines' stragglers abandoned at
+//! depth 2, batch rounds, share rebalances that push open tasks' finishes
+//! past their deadline and re-arm it, and the baselines' stragglers abandoned at
 //! round completion. (Not reached by any small run: a redo still open
 //! when its round completes, which needs an exact finish/deadline tie;
 //! `engine/tests.rs` covers that cancel directly.) The sixth, (e), pins the
