@@ -10,10 +10,9 @@
 //!
 //! The engine is split into focused submodules, all driven by one event
 //! loop (this module), which merges the time-ordered arrival stream
-//! with two event queues — task completions on the virtual clock,
-//! everything else in real time (see *Timing model*). Arrivals win
-//! ties, so the order is exactly what pre-pushing every arrival would
-//! give, without a heap ever holding a future arrival:
+//! with two event queues (task completions on the virtual clock of
+//! *Timing model*, the rest in real time). Arrivals win ties, so the
+//! order is what pre-pushing every arrival would give:
 //!
 //! * `core` — resident-job state and the event handlers (arrival,
 //!   admission, iteration start/completion, churn, epoch ticks);
@@ -627,8 +626,7 @@ impl ServiceEngine {
                 });
             }
         }
-        // The clock's unit of mass; invalid weights are refused at their
-        // arrival.
+        // The clock's unit; invalid weights are refused at their arrival.
         self.weight_unit = workload
             .iter()
             .map(|(_, spec)| spec.weight)
@@ -660,8 +658,7 @@ impl ServiceEngine {
                 self.begin_event(*at)?;
                 self.on_arrival(spec)?;
             } else if let Some((v, kind)) = completion.and_then(|_| self.completions.pop()) {
-                // `V` lands exactly on `v`, and never runs back to a
-                // stale head an ulp behind it.
+                // `V` lands on `v` exactly, never back on a stale head.
                 let before = self.clock.v;
                 self.begin_event(self.clock.real(v))?;
                 self.clock.v = v.max(before);

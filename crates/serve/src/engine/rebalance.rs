@@ -14,8 +14,8 @@ use s2c2_telemetry::TraceEventKind;
 
 impl ServiceEngine {
     /// A residency's share of every worker's capacity: its weight over
-    /// the resident weight mass. The one place the engine computes a
-    /// share.
+    /// the resident weight mass (rung 3 divides a round's copy of the
+    /// weight by the same mass).
     pub(crate) fn share(&self, id: JobId) -> f64 {
         self.resident[&id].weight / self.clock.mass
     }

@@ -10,12 +10,12 @@
 //! and every lifecycle step exists once, for both: dispatch, completion,
 //! cancellation (the single refund + backend cancel + `TaskCancel`
 //! site), and deadline (re)arming (the single `Timeout` push). The
-//! coverage questions the recovery ladder, the
-//! decode-cost model and the numeric backends ask — is the round
-//! decodable, how far short is a chunk, is it doomed, which responses
-//! are credited — are answered here too, so a code that counts
-//! something other than chunks-per-worker (symbols collected, row
-//! ranges) has one place to change.
+//! coverage questions the recovery ladder, the decode-cost model and
+//! the numeric backends ask — is the round decodable, how far short is
+//! a chunk, is it doomed, which responses are credited — are answered
+//! here too, so a code that counts something other than
+//! chunks-per-worker (symbols collected, row ranges) has one place to
+//! change.
 //!
 //! Those answers are *kept*, not recomputed: every transition of a
 //! slot re-files its chunks in a per-chunk response tally
@@ -339,6 +339,8 @@ impl RunningIteration {
         }
     }
 
+    /// Forgets the cached latest finish if the task closing at `finish`
+    /// held it.
     fn closed(&mut self, finish: f64) {
         if self.latest == Some(finish) {
             self.latest = None;
@@ -519,9 +521,9 @@ impl RunningIteration {
         );
     }
 
-    /// Re-arms the deadline [`TIMEOUT_MARGIN`] behind `latest`, the last
-    /// finish the round is waiting for, in real time (anything V has
-    /// passed arms the smallest step ahead).
+    /// Re-arms the deadline [`TIMEOUT_MARGIN`] behind the V-instant
+    /// `latest`, the last finish the round is waiting for, mapped to real
+    /// time (anything V has passed arms the smallest step ahead).
     pub(crate) fn arm_behind(&mut self, latest: f64, s: &mut Sinks) {
         let ahead = (s.clock.real(latest) - s.clock.now).max(f64::MIN_POSITIVE);
         self.arm(s.clock.now + (1.0 + TIMEOUT_MARGIN) * ahead, s);
