@@ -826,32 +826,25 @@ impl ServiceEngine {
         Ok(())
     }
 
+    /// Applies epoch `epoch`'s samples in place: every worker's new speed,
+    /// then each availability flip, in worker order. The next tick is
+    /// decided and queued *before* the flips, so a departure that fails
+    /// the last job still leaves one trailing tick (and its trace).
     pub(crate) fn on_epoch_tick(&mut self, epoch: usize) -> Result<(), ServeError> {
-        let now = self.clock.now;
         for (w, m) in self.models.iter_mut().enumerate() {
-            // Samples are finite and positive, so `!=` is exact: any
-            // change is applied, however small in absolute terms.
-            let s = sample_speed(m, w, epoch)?;
-            if s != self.speeds[w] {
-                self.queue.push(
-                    now,
-                    EventKind::WorkerSpeedChange {
-                        worker: w,
-                        speed: s,
-                    },
-                );
-            }
-        }
-        let mask = self.churn.advance_to(epoch).to_vec();
-        for (w, (&new, &old)) in mask.iter().zip(self.up.iter()).enumerate() {
-            if new != old {
-                self.queue
-                    .push(now, EventKind::WorkerChurn { worker: w, up: new });
-            }
+            self.speeds[w] = sample_speed(m, w, epoch)?;
         }
         if self.work_remains() {
-            self.queue
-                .push(now + EPOCH, EventKind::EpochTick { epoch: epoch + 1 });
+            self.queue.push(
+                self.clock.now + EPOCH,
+                EventKind::EpochTick { epoch: epoch + 1 },
+            );
+        }
+        let mask = self.churn.advance_to(epoch).to_vec();
+        for (w, up) in mask.into_iter().enumerate() {
+            if up != self.up[w] {
+                self.on_churn(w, up)?;
+            }
         }
         Ok(())
     }

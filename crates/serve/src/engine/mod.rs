@@ -10,9 +10,11 @@
 //!
 //! The engine is split into focused submodules, all driven by one event
 //! loop (this module), which merges the time-ordered arrival stream
-//! with two event queues (task completions on the virtual clock of
-//! *Timing model*, the rest in real time). Arrivals win ties, so the
-//! order is what pre-pushing every arrival would give:
+//! with two event queues: task completions on the virtual clock of
+//! *Timing model*, and in real time the deadlines and the next epoch
+//! tick. A tick applies its speed samples and churn flips in place
+//! rather than queueing them. Arrivals win ties, so the order is what
+//! pre-pushing every arrival would give:
 //!
 //! * `core` — resident-job state and the event handlers (arrival,
 //!   admission, iteration start/completion, churn, epoch ticks);
@@ -703,7 +705,6 @@ impl ServiceEngine {
                 generation,
                 arm,
             } => self.on_timeout(job, generation, arm),
-            EventKind::WorkerChurn { worker, up } => self.on_churn(worker, up),
             EventKind::EpochTick { epoch } => self.on_epoch_tick(epoch),
         }
     }

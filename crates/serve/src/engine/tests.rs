@@ -652,10 +652,37 @@ fn epoch_tick_applies_a_change_of_any_size() {
     engine.drive(&[]).unwrap();
     assert_eq!(engine.speeds, [1.0, 1e-17]);
     engine.on_epoch_tick(1).unwrap();
-    while let Some((t, kind)) = engine.queue.pop() {
-        engine.on_event(t, kind).unwrap();
-    }
+    // Written in place: nothing is queued for the loop to pop back.
     assert_eq!(engine.speeds, [1.0, 2e-17]);
+    assert!(engine.queue.is_empty());
+}
+
+#[test]
+fn epoch_tick_applies_churn_in_place() {
+    // Certain flips, whatever the RNG rolls: at epoch 0 both workers
+    // fail and the floor revives worker 0; at epoch 1 worker 0 fails and
+    // the floor revives worker 1, down the longest.
+    let mut cfg = ServeConfig::new(SchedulerMode::ConventionalMds);
+    cfg.churn = Some(ChurnConfig {
+        p_fail: 1.0,
+        p_recover: 0.0,
+        min_up: 1,
+    });
+    cfg.telemetry = true;
+    let spec = ClusterSpec::builder(2).compute_bound().build();
+    let mut engine = ServiceEngine::new(spec, cfg).unwrap();
+    engine.drive(&[]).unwrap();
+    assert_eq!(engine.up, [true, false]);
+    engine.begin_event(EPOCH).unwrap();
+    engine.on_epoch_tick(1).unwrap();
+    assert_eq!(engine.up, [false, true]);
+    assert!(engine.queue.is_empty(), "no churn echo is queued");
+    let trace = engine.telemetry.as_ref().unwrap().trace.events();
+    let down = trace
+        .iter()
+        .find(|e| e.kind == s2c2_telemetry::TraceEventKind::WorkerDown { worker: 0 })
+        .expect("the departure is traced");
+    assert_eq!(down.time, EPOCH);
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! The typed discrete-event core: a binary-heap event queue with
 //! deterministic FIFO tie-breaking.
 //!
-//! Everything the service engine schedules for itself is one of the
-//! [`EventKind`] variants. (Job arrivals are not: the engine streams
-//! them straight from the workload slice and merges that cursor with
-//! the queue, so the heap only ever holds live engine events.)
+//! Everything the service engine schedules for itself is a task
+//! completion, a deadline or the next epoch tick. (Job arrivals are not
+//! queued: the engine streams them straight from the workload slice and
+//! merges that cursor with the queue. Nor are an epoch's speed samples
+//! and churn flips: the tick applies them in place. The heap only ever
+//! holds live engine events.)
 //! Determinism matters more here than in the
 //! single-job simulator: many jobs' events interleave at identical
 //! timestamps (iteration boundaries, epoch ticks), and the pop order
@@ -19,7 +21,7 @@ use std::collections::BinaryHeap;
 /// Identifier of a job across its whole service lifetime.
 pub type JobId = u64;
 
-/// Every event the service engine schedules.
+/// The events of an [`EventQueue`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// One worker finished its assigned task for one job iteration.
@@ -35,7 +37,10 @@ pub enum EventKind {
         /// the original allocation.
         redo: bool,
     },
-    /// A worker's sampled speed changed at an epoch boundary.
+    /// A worker's speed becomes `speed`. The engine never schedules
+    /// it (an epoch tick writes its samples in place); popped, it is a
+    /// plain speed write. It remains as the payload of `perf`'s event
+    /// queue hold benchmark.
     WorkerSpeedChange {
         /// Affected worker.
         worker: usize,
@@ -56,14 +61,7 @@ pub enum EventKind {
         /// virtual instant can never fire against a successor round.
         arm: u64,
     },
-    /// A worker left (`up == false`) or rejoined (`up == true`) the pool.
-    WorkerChurn {
-        /// Affected worker.
-        worker: usize,
-        /// New availability.
-        up: bool,
-    },
-    /// Internal clock tick driving speed resampling and churn advances.
+    /// Internal clock tick: resamples speeds and advances churn in place.
     EpochTick {
         /// Epoch index (multiples of the configured epoch length).
         epoch: usize,

@@ -7,11 +7,11 @@
 //! supplies that layer:
 //!
 //! * [`event`] — the typed discrete-event core: a binary-heap
-//!   [`event::EventQueue`] over `TaskComplete` / `WorkerSpeedChange` /
-//!   `Timeout` / `WorkerChurn` / `EpochTick` events, with
-//!   deterministic FIFO tie-breaking. Job arrivals are not queue
-//!   events: the engine streams them from the workload slice and
-//!   merges that cursor with the heap.
+//!   [`event::EventQueue`] over `TaskComplete` / `Timeout` /
+//!   `EpochTick` events, with deterministic FIFO tie-breaking. Job
+//!   arrivals are not queue events: the engine streams them from the
+//!   workload slice and merges that cursor with the heap. An epoch
+//!   tick applies its speed samples and churn flips in place.
 //! * [`workload`] — Poisson and trace-driven arrival generators over
 //!   heterogeneous job presets (matvec shapes, `(n, k)` parameters,
 //!   iteration counts, per-job capacity weights and deadline SLOs).
