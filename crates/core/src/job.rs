@@ -249,12 +249,6 @@ impl CodedJob {
         self.iteration
     }
 
-    /// The strategy's display name.
-    #[must_use]
-    pub fn strategy_name(&self) -> String {
-        self.strategy.name()
-    }
-
     /// Per-worker storage requirement of the strategy.
     #[must_use]
     pub fn storage_bytes_per_worker(&self) -> u64 {

@@ -130,12 +130,6 @@ impl DistributedHessian {
     pub fn metrics(&self) -> &JobMetrics {
         &self.metrics
     }
-
-    /// Strategy display name.
-    #[must_use]
-    pub fn strategy_name(&self) -> String {
-        self.strategy.name()
-    }
 }
 
 impl std::fmt::Debug for DistributedHessian {
