@@ -9,9 +9,10 @@
 //! execution backend) strictly in round order — a round that finishes
 //! ahead of an earlier sibling parks until the window head retires
 //! ([`ServiceEngine::retire_ready_rounds`]). A round's task state is
-//! read and written only through [`super::round`]. Timeout and churn
-//! events are handed to [`super::recovery`]; the clock's weight mass
-//! lives in [`super::rebalance`]; the window bound itself is
+//! read and written only through [`super::round`]. Timeouts, and the
+//! departures an epoch tick applies, are handed to [`super::recovery`];
+//! the clock's weight mass lives in [`super::rebalance`]; the window
+//! bound itself is
 //! [`ServeConfig::pipeline_depth`](super::ServeConfig::pipeline_depth).
 
 use super::round::{sinks, RunningIteration, Tasks};
@@ -770,7 +771,7 @@ impl ServiceEngine {
         self.recover(id, generation, true)
     }
 
-    pub(crate) fn on_churn(&mut self, worker: usize, up: bool) -> Result<(), ServeError> {
+    fn on_churn(&mut self, worker: usize, up: bool) -> Result<(), ServeError> {
         self.up[worker] = up;
         let now = self.clock.now;
         trace_into(&mut self.telemetry, now, || {
