@@ -409,7 +409,10 @@ impl ServiceEngine {
                 )
                 .is_err();
                 if degraded {
-                    full_over_available_into(plan_speeds, k_eff, c_eff, &mut assignment);
+                    // Rung 2 runs over the workers that are actually up:
+                    // fewer than `k` have a positive prediction, so the
+                    // predictions cannot cover a chunk `k` times.
+                    full_over_available_into(avail, k_eff, c_eff, &mut assignment);
                 }
                 degraded
             }
@@ -503,10 +506,13 @@ impl ServiceEngine {
         // Adaptive scheduling arms the deadline from the *plan* (so
         // mis-predictions are caught); the non-adaptive baselines never
         // cancel, so their timeout is a pure churn-recovery safety net
-        // armed past every scheduled finish.
+        // armed past every scheduled finish. So is a degraded round's: a
+        // zero planning speed plans no meaningful span.
         let span = match self.cfg.scheduler {
-            SchedulerMode::SharedS2c2 { .. } => max_planned_span,
-            SchedulerMode::Uncoded | SchedulerMode::ConventionalMds => max_actual_span,
+            SchedulerMode::SharedS2c2 { .. } if !degraded => max_planned_span,
+            SchedulerMode::SharedS2c2 { .. }
+            | SchedulerMode::Uncoded
+            | SchedulerMode::ConventionalMds => max_actual_span,
         };
         iter.arm(at + (1.0 + TIMEOUT_MARGIN) * span, &mut sinks);
 

@@ -685,6 +685,51 @@ fn epoch_tick_applies_churn_in_place() {
     assert_eq!(down.time, EPOCH);
 }
 
+/// Forecasts 1.0 before its first observation and 0.0 after it.
+#[derive(Clone)]
+struct CollapsesOnce {
+    observed: bool,
+}
+
+impl s2c2_predict::SpeedPredictor for CollapsesOnce {
+    fn observe_and_predict(&mut self, _: f64) -> f64 {
+        self.observed = true;
+        0.0
+    }
+    fn predict_cold(&self) -> f64 {
+        if self.observed {
+            0.0
+        } else {
+            1.0
+        }
+    }
+    fn clone_box(&self) -> s2c2_predict::BoxedPredictor {
+        Box::new(self.clone())
+    }
+    fn reset(&mut self) {
+        self.observed = false;
+    }
+}
+
+#[test]
+fn a_degraded_round_decodes_over_the_workers_that_are_up() {
+    // Once every worker has reported, no prediction is positive, so every
+    // round is planned at rung 2. It must still give each chunk to `k`
+    // workers that are up, decode, and never restart.
+    let n = 8;
+    let predictor = PredictorSource::Prototype(Box::new(CollapsesOnce { observed: false }));
+    let cfg = ServeConfig::new(SchedulerMode::SharedS2c2 { predictor });
+    let engine = ServiceEngine::new(ClusterSpec::builder(n).compute_bound().build(), cfg).unwrap();
+    let stream: Vec<(f64, JobSpec)> = (0..10)
+        .map(|id| (id as f64, JobPreset::small().instantiate(id, 0, n)))
+        .collect();
+    let report = engine.run(&stream).unwrap();
+    assert_eq!(report.completed(), 10);
+    let rungs = report.recovery_rung_counts;
+    assert!(rungs[1] > 0, "rounds must degrade: {rungs:?}");
+    assert_eq!(rungs[4], 0, "and never restart: {rungs:?}");
+}
+
 #[test]
 fn shares_depend_on_weight_ratios_only() {
     // Weights in {1, 2}, then every weight scaled by 2^-1070. Both sets
