@@ -54,7 +54,10 @@
 //! (`W` in units of the stream's lightest weight). A task dispatched
 //! with real span `S` at mass `W` finishes at `V_start + S / W` whatever
 //! `W` does meanwhile, so its completion is queued once, by that
-//! V-instant; the loop maps it to `now + (V_head − V) · W`.
+//! V-instant. The clock converts through its anchor `(t0, v0)`, the
+//! reading at which `W` last changed: `V(t) = v0 + (t − t0) / W` and
+//! `real(v) = t0 + (v − v0) · W`, so an event's reading depends on its
+//! own instant (or key) and the anchor, not on the events before it.
 //!
 //! # Execution backends
 //!
@@ -385,27 +388,60 @@ pub(crate) fn thread_speedup(threads: usize) -> f64 {
     1.0 + 0.9 * threads.saturating_sub(1) as f64
 }
 
-/// The pool's virtual clock read at real instant `now` (module docs,
-/// *Timing model*): `V` is `v` and advances at `1 / mass` until the
-/// resident weight mass next changes (an empty pool keeps the last).
+/// The pool's virtual clock (module docs, *Timing model*). `V` runs at
+/// `1 / mass` from the anchor `(t0, v0)`, the reading at which the
+/// resident weight mass last changed (an empty pool keeps the last):
+/// `V(t) = v0 + (t − t0) / mass` and `real(v) = t0 + (v − v0) · mass`.
+/// So every reading is a function of its own instant or key and the
+/// anchor, never of the events read before it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Clock {
+    /// The current reading: a real instant and `V` there.
     pub(crate) now: f64,
     pub(crate) v: f64,
     pub(crate) mass: f64,
+    /// The reading at which `mass` last changed.
+    pub(crate) t0: f64,
+    pub(crate) v0: f64,
 }
 
 impl Clock {
-    /// The clock read at real instant `t ≥ now`, the mass holding.
-    pub(crate) fn at(self, t: f64) -> Clock {
-        let v = self.v + (t - self.now) / self.mass;
+    /// A clock reading `v` at `now`, anchored there.
+    pub(crate) fn anchored(now: f64, v: f64, mass: f64) -> Clock {
+        Clock {
+            now,
+            v,
+            mass,
+            t0: now,
+            v0: v,
+        }
+    }
+
+    /// The reading at real instant `t`, from the anchor.
+    pub(crate) fn read(self, t: f64) -> Clock {
+        let v = self.v0 + (t - self.t0) / self.mass;
         Clock { now: t, v, ..self }
     }
 
-    /// The real instant `V` reaches `v`, the mass holding (`now` if it
-    /// has).
+    /// The clock at real instant `t ≥ now`: the current reading if `t`
+    /// is now, so a handler re-reading its own instant gets its own `V`
+    /// back, else [`Self::read`].
+    pub(crate) fn at(self, t: f64) -> Clock {
+        if t.to_bits() == self.now.to_bits() {
+            self
+        } else {
+            self.read(t)
+        }
+    }
+
+    /// The real instant `V` reaches `v` (the anchor's if it has).
     pub(crate) fn real(self, v: f64) -> f64 {
-        self.now + (v - self.v).max(0.0) * self.mass
+        self.t0 + (v - self.v0).max(0.0) * self.mass
+    }
+
+    /// The mass becomes `mass` at the current reading, which anchors it.
+    pub(crate) fn set_mass(&mut self, mass: f64) {
+        *self = Clock::anchored(self.now, self.v, mass);
     }
 }
 
@@ -547,11 +583,7 @@ impl ServiceEngine {
             churn,
             speeds: vec![1.0; n],
             up: vec![true; n],
-            clock: Clock {
-                now: 0.0,
-                v: 0.0,
-                mass: 1.0,
-            },
+            clock: Clock::anchored(0.0, 0.0, 1.0),
             weight_unit: 1.0,
             completions: EventQueue::new(),
             queue: EventQueue::new(),
@@ -660,10 +692,9 @@ impl ServiceEngine {
                 self.begin_event(*at)?;
                 self.on_arrival(spec)?;
             } else if let Some((v, kind)) = completion.and_then(|_| self.completions.pop()) {
-                // `V` lands on `v` exactly, never back on a stale head.
-                let before = self.clock.v;
+                // A completion reads `V` at its key exactly.
                 self.begin_event(self.clock.real(v))?;
-                self.clock.v = v.max(before);
+                self.clock.v = v;
                 self.on_event(v, kind)?;
             } else if let Some((t, kind)) = self.queue.pop() {
                 self.begin_event(t)?;
@@ -674,10 +705,10 @@ impl ServiceEngine {
         }
     }
 
-    /// Advances the clock to the next event and charges it to the event
-    /// budget.
+    /// Reads the clock at the next event's instant and charges the event
+    /// to the event budget.
     fn begin_event(&mut self, t: f64) -> Result<(), ServeError> {
-        self.clock = self.clock.at(t);
+        self.clock = self.clock.read(t);
         self.report.events_processed += 1;
         if self.report.events_processed > self.cfg.max_events {
             return Err(ServeError::Runaway {

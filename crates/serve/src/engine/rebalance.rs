@@ -30,7 +30,7 @@ impl ServiceEngine {
         if mass == 0.0 || mass == self.clock.mass {
             return;
         }
-        self.clock.mass = mass;
+        self.clock.set_mass(mass);
         let (now, resident) = (self.clock.now, self.resident.len());
         let mut sinks = sinks!(self, now);
         for job in self.resident.values_mut() {

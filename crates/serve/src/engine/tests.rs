@@ -1483,11 +1483,7 @@ impl Rig {
     /// reads `now` too: V-instants and real instants coincide.
     fn sinks(&mut self, now: f64) -> Sinks<'_> {
         Sinks {
-            clock: Clock {
-                now,
-                v: now,
-                mass: 1.0,
-            },
+            clock: Clock::anchored(now, now, 1.0),
             busy_time: &mut self.busy,
             completions: &mut self.completions,
             queue: &mut self.queue,
