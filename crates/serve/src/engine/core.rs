@@ -5,7 +5,8 @@
 //! job's in-flight round window whose per-worker tasks are scheduled
 //! from the shared allocation
 //! ([`ServiceEngine::dispatch_round`]), task completions mark coverage
-//! and feed the speed predictor, and completed rounds decode (via the
+//! and feed the speed predictor
+//! ([`ServiceEngine::apply_next_completion`]), and completed rounds decode (via the
 //! execution backend) strictly in round order — a round that finishes
 //! ahead of an earlier sibling parks until the window head retires
 //! ([`ServiceEngine::retire_ready_rounds`]). A round's task state is
@@ -20,7 +21,7 @@ use super::{
     avail_speeds, sample_speed, trace_into, Clock, ServeError, ServiceEngine, EPOCH, TIMEOUT_MARGIN,
 };
 use crate::admission::{QueuedJob, ResidentInfo};
-use crate::event::{EventKind, JobId};
+use crate::event::JobId;
 use crate::metrics::JobRecord;
 use crate::shared_alloc::full_over_available_into;
 use crate::workload::JobSpec;
@@ -137,6 +138,7 @@ impl ServiceEngine {
         let Some(job) = self.resident.remove(&id) else {
             return Ok(());
         };
+        debug_assert!(job.window.is_empty(), "a resolved job has no round left");
         for m in &job.members {
             self.record_fate(&m.spec, m.arrival, finished, fate, Some(&job));
             self.backend.on_job_resolved(m.spec.id);
@@ -424,6 +426,7 @@ impl ServiceEngine {
 
         let generation = self.next_generation;
         self.next_generation += 1;
+        let handle = self.agenda.enter(id, generation);
         // Rungs 1 and 2 of the recovery ladder are decided right here at
         // planning time: a predict-feasible start is rung 1, a degraded
         // (reduced-redundancy) start is rung 2. Rungs 3-5 are counted at
@@ -446,6 +449,7 @@ impl ServiceEngine {
         let mut iter = RunningIteration {
             job: id,
             generation,
+            handle,
             round_index,
             weight,
             k_eff,
@@ -456,8 +460,6 @@ impl ServiceEngine {
             parked_at: None,
             waited_out: false,
             armed_deadline: f64::INFINITY,
-            armed_seq: 0,
-            latest: Some(f64::NEG_INFINITY),
             started: at,
             t_input: 0.0,
             last_reply: 0.0,
@@ -515,6 +517,7 @@ impl ServiceEngine {
             | SchedulerMode::ConventionalMds => max_actual_span,
         };
         iter.arm(at + (1.0 + TIMEOUT_MARGIN) * span, &mut sinks);
+        iter.schedule(sinks.agenda);
 
         if rhs > 1 {
             self.report.batch_rounds += 1;
@@ -543,56 +546,64 @@ impl ServiceEngine {
         (tasks, assignment)
     }
 
-    pub(crate) fn on_task_complete(
-        &mut self,
-        id: JobId,
-        worker: usize,
-        generation: u64,
-        redo: bool,
-        v: f64,
-    ) -> Result<(), ServeError> {
-        let completed = {
-            let Some(job) = self.resident.get_mut(&id) else {
-                return Ok(());
-            };
-            let Some(iter) = job.window.iter_mut().find(|r| r.generation == generation) else {
-                return Ok(());
-            };
-            // Stale: superseded, cancelled (a parked round's live tasks
-            // were, at park time) or already done.
-            let Some(chunks) = iter.complete_task(worker, redo, v) else {
-                return Ok(());
-            };
-            let rows_w = chunks * iter.rows_per_chunk;
-            iter.last_reply = self.comm.transfer_time(((rows_w * iter.rhs) * 8) as u64);
-            // Feed the predictor with the observed relative rate. Redo
-            // tasks are excluded (their span includes master-side idle
-            // time, which would skew the estimate — same rule as the
-            // single-job engine). The denominator is the dedicated time
-            // the task had, `weight · ΔV` from its start, not `duration ·
-            // share`, which a rebalance mid-task would mis-scale.
-            if !redo && matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
-                let (start, _) = iter.original_span(worker);
-                let dedicated = (iter.weight * (v - start)).max(f64::MIN_POSITIVE);
-                // The observed rate covers the whole stacked width the
-                // worker actually computed, so batched and unbatched
-                // rounds feed the predictor the same per-element speed.
-                let observed = ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
-                self.tracker.observe_one(worker, observed);
-            }
-            iter.complete()
+    /// Applies the earliest open task completion of all rounds, at its
+    /// own real instant: the task's slot and coverage, the speed
+    /// predictor and the trace. Returns the round, as `(job,
+    /// generation)`, if this completion made it decodable, and then
+    /// also records its reply time as the round's last.
+    pub(crate) fn apply_next_completion(&mut self) -> Result<Option<(JobId, u64)>, ServeError> {
+        let Some((v, _, handle)) = self.agenda.backlog.peek() else {
+            return Ok(None);
         };
-        let now = self.clock.now;
-        trace_into(&mut self.telemetry, now, || TraceEventKind::TaskComplete {
-            job: id,
-            worker,
-            generation,
-            redo,
-        });
-        if completed {
-            self.on_round_complete(id, generation)?;
+        let (id, generation) = self.agenda.round(handle);
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: the agenda holds rounds of resident jobs only; a round leaves it when it leaves its window"
+        )]
+        let job = self.resident.get_mut(&id).expect("resident job");
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: the agenda holds rounds of resident jobs only; a round leaves it when it leaves its window"
+        )]
+        let iter = job
+            .window
+            .iter_mut()
+            .find(|r| r.generation == generation)
+            .expect("round in its window");
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: a round is in the backlog exactly while it has an open task"
+        )]
+        let (worker, redo, chunks) = iter.complete_next(&mut self.agenda).expect("an open task");
+        let rows_w = chunks * iter.rows_per_chunk;
+        // Feed the predictor with the observed relative rate. Redo
+        // tasks are excluded (their span includes master-side idle
+        // time, which would skew the estimate — same rule as the
+        // single-job engine). The denominator is the dedicated time
+        // the task had, `weight · ΔV` from its start, not `duration ·
+        // share`, which a rebalance mid-task would mis-scale.
+        if !redo && matches!(self.cfg.scheduler, SchedulerMode::SharedS2c2 { .. }) {
+            let (start, _) = iter.original_span(worker);
+            let dedicated = (iter.weight * (v - start)).max(f64::MIN_POSITIVE);
+            // The observed rate covers the whole stacked width the
+            // worker actually computed, so batched and unbatched
+            // rounds feed the predictor the same per-element speed.
+            let observed = ((rows_w * job.members[0].spec.cols) * iter.rhs) as f64 / dedicated;
+            self.tracker.observe_one(worker, observed);
         }
-        Ok(())
+        let completed = iter.complete();
+        if completed {
+            iter.last_reply = self.comm.transfer_time(((rows_w * iter.rhs) * 8) as u64);
+        }
+        trace_into(&mut self.telemetry, self.clock.real(v), || {
+            TraceEventKind::TaskComplete {
+                job: id,
+                worker,
+                generation,
+                redo,
+            }
+        });
+        Ok(completed.then_some((id, generation)))
     }
 
     /// A round's coverage is complete: cancel the tasks nobody waits for
@@ -618,8 +629,11 @@ impl ServiceEngine {
         // The master stops caring about still-running tasks (conventional
         // stragglers, superfluous redo). Cancelling closes their slots,
         // so a later churn event finds nothing to refund while the round
-        // sits parked.
-        iter.cancel_open(&mut sinks!(self, now));
+        // sits parked, and with its deadline gone the round leaves
+        // nothing on the agenda.
+        let mut sinks = sinks!(self, now);
+        iter.cancel_open(&mut sinks);
+        iter.disarm(&mut sinks);
         iter.parked_at = Some(now);
         if head {
             return self.retire_ready_rounds(id);
@@ -741,7 +755,7 @@ impl ServiceEngine {
             job.iterations_done += 1;
             job.iter_retries = 0;
             job.last_retire_end = end;
-            iter.reclaim(&mut self.scratch);
+            iter.reclaim(&mut self.scratch, &mut self.agenda);
             if job.iterations_done >= job.leader().iterations {
                 return self.resolve_job(id, end, Fate::Completed);
             }
@@ -750,31 +764,6 @@ impl ServiceEngine {
         // The commit cursor advanced and the window has room: dispatch
         // the next fresh rounds from the last decode's end.
         self.fill_window(id, at)
-    }
-
-    pub(crate) fn on_timeout(
-        &mut self,
-        id: JobId,
-        generation: u64,
-        arm: u64,
-    ) -> Result<(), ServeError> {
-        let Some(job) = self.resident.get(&id) else {
-            return Ok(());
-        };
-        let Some(iter) = job.window.iter().find(|r| r.generation == generation) else {
-            return Ok(());
-        };
-        // Superseded deadline: recovery or a share rebalance re-armed
-        // this round behind a later instant (and bumped the sequence).
-        if iter.armed_seq != arm {
-            return Ok(());
-        }
-        // Completed but waiting on an earlier sibling to retire: the
-        // round has its coverage, there is nothing left to recover.
-        if iter.parked_at.is_some() {
-            return Ok(());
-        }
-        self.recover(id, generation, true)
     }
 
     fn on_churn(&mut self, worker: usize, up: bool) -> Result<(), ServeError> {
@@ -820,8 +809,11 @@ impl ServiceEngine {
                 // `|`, not `||`: both of the worker's tasks go.
                 let affected =
                     iter.cancel(worker, false, &mut sinks) | iter.cancel(worker, true, &mut sinks);
-                if affected && iter.doomed() {
-                    doomed.push(iter.generation);
+                if affected {
+                    iter.schedule(sinks.agenda);
+                    if iter.doomed() {
+                        doomed.push(iter.generation);
+                    }
                 }
             }
             for generation in doomed {
@@ -842,16 +834,16 @@ impl ServiceEngine {
             self.speeds[w] = sample_speed(m, w, epoch)?;
         }
         if self.work_remains() {
-            self.queue.push(
-                self.clock.now + EPOCH,
-                EventKind::EpochTick { epoch: epoch + 1 },
-            );
+            self.agenda.tick(self.clock.now + EPOCH, epoch + 1);
         }
-        let mask = self.churn.advance_to(epoch).to_vec();
-        for (w, up) in mask.into_iter().enumerate() {
-            if up != self.up[w] {
-                self.on_churn(w, up)?;
-            }
+        let mask = self.churn.advance_to(epoch).iter().zip(&self.up);
+        let flips: Vec<(usize, bool)> = mask
+            .enumerate()
+            .filter(|(_, (now, was))| now != was)
+            .map(|(w, (&up, _))| (w, up))
+            .collect();
+        for (w, up) in flips {
+            self.on_churn(w, up)?;
         }
         Ok(())
     }

@@ -10,11 +10,14 @@
 //!
 //! The engine is split into focused submodules, all driven by one event
 //! loop (this module), which merges the time-ordered arrival stream
-//! with two event queues: task completions on the virtual clock of
-//! *Timing model*, and in real time the deadlines and the next epoch
-//! tick. A tick applies its speed samples and churn flips in place
-//! rather than queueing them. Arrivals win ties, so the order is what
-//! pre-pushing every arrival would give:
+//! with the `round::Agenda`: per in-flight round, the completion that
+//! makes it decodable, on the virtual clock of *Timing model*, and its
+//! deadline in real time, beside the next epoch tick. A task completion
+//! that decides nothing costs no event: it is applied, in completion
+//! order, at the start of the turn of the event that follows it. A tick
+//! applies its speed samples and churn flips in place rather than
+//! queueing them. Arrivals win ties, so the order is what pre-pushing
+//! every arrival would give:
 //!
 //! * `core` — resident-job state and the event handlers (arrival,
 //!   admission, iteration start/completion, churn, epoch ticks);
@@ -158,11 +161,12 @@ mod tests;
 pub use backend::BackendKind;
 
 use crate::admission::{QueuePolicy, QueuedJob};
-use crate::event::{EventKind, EventQueue, JobId};
+use crate::event::JobId;
 use crate::metrics::ServiceReport;
 use crate::workload::JobSpec;
 use backend::ExecutionBackend;
 use core::ResidentJob;
+use round::{Agenda, TICK};
 use s2c2_cluster::{ChurnProcess, ClusterSpec, CommModel, ComputeModel};
 use s2c2_core::speed_tracker::{PredictorSource, SpeedTracker};
 use s2c2_core::AllocScratch;
@@ -259,7 +263,10 @@ pub struct ServeConfig {
     pub churn: Option<ChurnConfig>,
     /// Iteration restarts tolerated before a job is failed.
     pub max_retries: usize,
-    /// Hard event budget (guards against configuration-induced livelock).
+    /// Hard event budget (guards against configuration-induced
+    /// livelock). Events are the loop's decisions: arrivals, epoch ticks,
+    /// deadlines and round completions; a task completion that completes
+    /// no round is not one.
     pub max_events: u64,
     /// Most member jobs one round may carry: queued jobs sharing a model
     /// matrix and code geometry are coalesced onto one encode/dispatch
@@ -459,9 +466,10 @@ pub struct ServiceEngine {
     clock: Clock,
     /// The stream's lightest valid weight, the clock's unit of mass.
     weight_unit: f64,
-    /// Task completions by `V`; everything else in `queue`, by real time.
-    completions: EventQueue,
-    queue: EventQueue,
+    /// What the loop pops next: per in-flight round its decision and
+    /// its next completion by `V`, its deadline by real time, and the
+    /// epoch tick.
+    agenda: Agenda,
     pending: Vec<QueuedJob>,
     resident: BTreeMap<JobId, ResidentJob>,
     arrivals_remaining: usize,
@@ -585,8 +593,7 @@ impl ServiceEngine {
             up: vec![true; n],
             clock: Clock::anchored(0.0, 0.0, 1.0),
             weight_unit: 1.0,
-            completions: EventQueue::new(),
-            queue: EventQueue::new(),
+            agenda: Agenda::new(),
             pending: Vec::new(),
             resident: BTreeMap::new(),
             arrivals_remaining: 0,
@@ -647,10 +654,18 @@ impl ServiceEngine {
     }
 
     /// The event loop proper. Arrivals are streamed in arrival order and
-    /// merged with the two event queues, so the heaps hold live engine
-    /// events only. Each turn takes the earliest of the next arrival, the
-    /// completion queue's head mapped to real time, and the real-time
-    /// queue's head, ties (`total_cmp`) in that order and in slice order.
+    /// merged with the agenda, which holds live entries only. Each turn
+    /// takes the earliest of the next arrival, the earliest round
+    /// decision mapped to real time, and the earliest deadline or tick,
+    /// ties (`total_cmp`) in that order and in slice order. Before it
+    /// handles the event it applies every task completion that comes
+    /// first, in `(V, launch seq)` order across rounds: one at the same
+    /// real instant as an arrival comes after it, one at the same
+    /// instant as a deadline or tick before it. None of them completes a
+    /// round — the earliest that does is the decision itself — so each
+    /// changes only its task's slot, the coverage tally, the speed
+    /// tracker, the round's last reply and the trace, exactly as it
+    /// would have as its own event.
     fn drive(&mut self, workload: &[(f64, JobSpec)]) -> Result<(), ServeError> {
         for (t, spec) in workload {
             if !(t.is_finite() && *t >= 0.0) {
@@ -679,30 +694,57 @@ impl ServiceEngine {
         self.up.copy_from_slice(self.churn.advance_to(0));
         self.arrivals_remaining = workload.len();
         if self.work_remains() {
-            self.queue.push(EPOCH, EventKind::EpochTick { epoch: 1 });
+            self.agenda.tick(EPOCH, 1);
         }
 
         loop {
-            let done = self.completions.peek_time().map(|v| self.clock.real(v));
-            let timed = self.queue.peek_time();
-            let completion = done.filter(|d| timed.map_or(true, |t| d.total_cmp(&t).is_le()));
-            let head = completion.or(timed);
+            let decision = self.agenda.decisions.peek();
+            let done = decision.map(|(v, ..)| self.clock.real(v));
+            let timed = self.agenda.timed.peek();
+            let completion = done.filter(|d| timed.map_or(true, |(t, ..)| d.total_cmp(&t).is_le()));
+            let head = completion.or(timed.map(|(t, ..)| t));
             let due = arrivals.next_if(|(at, _)| head.map_or(true, |h| at.total_cmp(&h).is_le()));
+            let clock = self.clock;
             if let Some((at, spec)) = due {
+                self.settle(|v, _| clock.real(v).total_cmp(at).is_lt())?;
                 self.begin_event(*at)?;
                 self.on_arrival(spec)?;
-            } else if let Some((v, kind)) = completion.and_then(|_| self.completions.pop()) {
+            } else if let (Some(_), Some((v, seq, _))) = (completion, decision) {
+                self.settle(|u, s| u.total_cmp(&v).then(s.cmp(&seq)).is_lt())?;
                 // A completion reads `V` at its key exactly.
-                self.begin_event(self.clock.real(v))?;
+                self.begin_event(clock.real(v))?;
                 self.clock.v = v;
-                self.on_event(v, kind)?;
-            } else if let Some((t, kind)) = self.queue.pop() {
+                if let Some((id, generation)) = self.apply_next_completion()? {
+                    self.on_round_complete(id, generation)?;
+                }
+            } else if let Some((t, _, handle)) = timed {
+                self.settle(|v, _| clock.real(v).total_cmp(&t).is_le())?;
                 self.begin_event(t)?;
-                self.on_event(t, kind)?;
+                self.agenda.timed.remove(handle);
+                if handle == TICK {
+                    self.on_epoch_tick(self.agenda.epoch)?;
+                } else {
+                    let (id, generation) = self.agenda.round(handle);
+                    self.recover(id, generation, true)?;
+                }
             } else {
-                return Ok(());
+                // Nothing left to decide; apply what is still open.
+                return self.settle(|_, _| true);
             }
         }
+    }
+
+    /// Applies, in `(V, launch seq)` order, every task completion whose
+    /// key `due` accepts.
+    fn settle(&mut self, due: impl Fn(f64, u64) -> bool) -> Result<(), ServeError> {
+        while let Some((v, seq, _)) = self.agenda.backlog.peek() {
+            if !due(v, seq) {
+                break;
+            }
+            let decided = self.apply_next_completion()?;
+            debug_assert!(decided.is_none(), "only a decision completes a round");
+        }
+        Ok(())
     }
 
     /// Reads the clock at the next event's instant and charges the event
@@ -716,28 +758,6 @@ impl ServiceEngine {
             });
         }
         Ok(())
-    }
-
-    /// Reacts to one popped event, queued under `key` (`V` or real time).
-    fn on_event(&mut self, key: f64, kind: EventKind) -> Result<(), ServeError> {
-        match kind {
-            EventKind::TaskComplete {
-                job,
-                worker,
-                generation,
-                redo,
-            } => self.on_task_complete(job, worker, generation, redo, key),
-            EventKind::WorkerSpeedChange { worker, speed } => {
-                self.speeds[worker] = speed;
-                Ok(())
-            }
-            EventKind::Timeout {
-                job,
-                generation,
-                arm,
-            } => self.on_timeout(job, generation, arm),
-            EventKind::EpochTick { epoch } => self.on_epoch_tick(epoch),
-        }
     }
 
     fn work_remains(&self) -> bool {

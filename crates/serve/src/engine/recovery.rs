@@ -156,6 +156,7 @@ impl ServiceEngine {
                 self.report.timeouts += 1;
             }
             iter.arm_behind(latest_redo, &mut sinks);
+            iter.schedule(sinks.agenda);
             return Ok(());
         }
 
@@ -191,7 +192,7 @@ impl ServiceEngine {
         });
         let failed_round = job.window.remove(pos);
         let round_index = failed_round.round_index;
-        failed_round.reclaim(&mut self.scratch);
+        failed_round.reclaim(&mut self.scratch, sinks.agenda);
         sinks.backend.on_iteration_abandoned(id, generation);
         job.iter_retries += 1;
         job.total_retries += 1;
@@ -206,7 +207,7 @@ impl ServiceEngine {
         for mut round in job.window.drain(..) {
             round.cancel_open(&mut sinks);
             sinks.backend.on_iteration_abandoned(id, round.generation);
-            round.reclaim(&mut self.scratch);
+            round.reclaim(&mut self.scratch, sinks.agenda);
         }
         self.resolve_job(id, now, Fate::Failed)
     }

@@ -29,12 +29,20 @@
 //! (the engine's module docs, *Timing model*), which a rebalance does not
 //! move; deadlines stay in real time, via [`Clock::real`].
 //!
+//! A round keeps its open tasks in completion order and files itself in
+//! the engine's [`Agenda`] under one handle: by the completion that
+//! makes it decodable (its next decision), by its earliest open
+//! completion (the next to apply), and by its deadline. Every transition
+//! that changes the open set re-keys those entries through
+//! [`RunningIteration::schedule`], and a round that leaves takes them
+//! with it.
+//!
 //! `core`, `recovery`, `rebalance` and `backend` are clients: none of
 //! them indexes task state by worker.
 
 use super::backend::ExecutionBackend;
 use super::{trace_into, Clock, TIMEOUT_MARGIN};
-use crate::event::{EventKind, EventQueue, JobId};
+use crate::event::{JobId, KeyedQueue};
 use s2c2_core::strategy::mds::chunk_decode_flops;
 use s2c2_core::ChunkAssignment;
 use s2c2_telemetry::{Telemetry, TraceEventKind};
@@ -60,6 +68,8 @@ enum Phase {
 struct TaskSlot {
     /// Scheduled finish, a V-instant (`INFINITY` until a task is dispatched).
     finish: f64,
+    /// Launch sequence number: orders completions at equal `finish`.
+    seq: u64,
     phase: Phase,
     /// Dedicated compute-seconds charged to `busy_time` for this task
     /// (refunded pro rata when it is cancelled).
@@ -69,6 +79,7 @@ struct TaskSlot {
 impl TaskSlot {
     const EMPTY: TaskSlot = TaskSlot {
         finish: f64::INFINITY,
+        seq: 0,
         phase: Phase::Idle,
         busy_charged: 0.0,
     };
@@ -87,6 +98,26 @@ struct ChunkCover {
     done: usize,
     /// Responses still awaited, `[from originals, from redos]`.
     open: [usize; 2],
+}
+
+/// An open task, as its round orders its completions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Awaited {
+    finish: f64,
+    seq: u64,
+    worker: usize,
+    redo: bool,
+}
+
+impl Awaited {
+    /// Whether `self` completes after `other`: later finish, then
+    /// later launch.
+    fn after(&self, other: &Awaited) -> bool {
+        self.finish
+            .total_cmp(&other.finish)
+            .then(self.seq.cmp(&other.seq))
+            .is_gt()
+    }
 }
 
 /// Everything a round tracks about one worker.
@@ -116,6 +147,16 @@ pub(crate) struct Tasks {
     cover: Vec<ChunkCover>,
     /// Chunks whose responses in hand are still short of `k`.
     short: usize,
+    /// Every open task. Latest completion first, so the next one to
+    /// complete is the last, from each [`RunningIteration::schedule`]
+    /// until the next launch.
+    awaited: Vec<Awaited>,
+    /// Per chunk, responses in hand if the open tasks complete in order
+    /// ([`RunningIteration::decision`]'s working copy of the tally).
+    projected: Vec<usize>,
+    /// Every done task as `(finish, worker, redo)`, in the order they
+    /// completed.
+    replied: Vec<(f64, usize, bool)>,
 }
 
 /// Upper bound on pooled round buffers: enough for every resident job's
@@ -149,11 +190,101 @@ impl Tasks {
         self.cover.clear();
         self.cover.resize(chunks, ChunkCover::default());
         self.short = if k > 0 { chunks } else { 0 };
+        self.awaited.clear();
+        self.projected.clear();
+        self.replied.clear();
+    }
+
+    /// Unfiles the open task launched as `seq`.
+    fn unfile(&mut self, seq: u64) {
+        if let Some(at) = self.awaited.iter().rposition(|a| a.seq == seq) {
+            self.awaited.remove(at);
+        }
     }
 
     #[cfg(test)]
     pub(crate) fn redo_capacity(&self, worker: usize) -> usize {
         self.workers[worker].redo_chunks.capacity()
+    }
+}
+
+/// The handle of the epoch tick in [`Agenda::timed`].
+pub(crate) const TICK: usize = 0;
+
+/// What the event loop pops, one entry per in-flight round in each
+/// queue, filed under the round's handle (plus the epoch tick).
+#[derive(Debug)]
+pub(crate) struct Agenda {
+    /// Per round, the completion that makes it decodable if its open
+    /// tasks complete in order, by `(V, launch seq)`: its next decision.
+    pub(crate) decisions: KeyedQueue,
+    /// Per round, its earliest open completion, by `(V, launch seq)`:
+    /// the next to apply.
+    pub(crate) backlog: KeyedQueue,
+    /// Per round its armed deadline, and the next epoch tick under
+    /// [`TICK`], in real time, equal instants in arming order.
+    pub(crate) timed: KeyedQueue,
+    launches: u64,
+    arms: u64,
+    /// The epoch of the queued tick.
+    pub(crate) epoch: usize,
+    /// The round each handle names, `(job, generation)`; [`TICK`]'s
+    /// entry is a placeholder.
+    rounds: Vec<(JobId, u64)>,
+    /// Handles of rounds that left, for the next to enter.
+    free: Vec<usize>,
+}
+
+impl Agenda {
+    pub(crate) fn new() -> Agenda {
+        Agenda {
+            decisions: KeyedQueue::default(),
+            backlog: KeyedQueue::default(),
+            timed: KeyedQueue::default(),
+            launches: 0,
+            arms: 0,
+            epoch: 0,
+            rounds: vec![(0, 0)],
+            free: Vec::new(),
+        }
+    }
+
+    /// A handle for the round `(job, generation)`.
+    pub(crate) fn enter(&mut self, job: JobId, generation: u64) -> usize {
+        if let Some(handle) = self.free.pop() {
+            self.rounds[handle] = (job, generation);
+            handle
+        } else {
+            self.rounds.push((job, generation));
+            self.rounds.len() - 1
+        }
+    }
+
+    /// The round under `handle`, as `(job, generation)`.
+    pub(crate) fn round(&self, handle: usize) -> (JobId, u64) {
+        self.rounds[handle]
+    }
+
+    /// The round under `handle` left: its entries go, and so does the
+    /// handle.
+    fn leave(&mut self, handle: usize) {
+        self.decisions.remove(handle);
+        self.backlog.remove(handle);
+        self.timed.remove(handle);
+        self.free.push(handle);
+    }
+
+    /// Queues `epoch`'s tick at real instant `at`.
+    pub(crate) fn tick(&mut self, at: f64, epoch: usize) {
+        self.epoch = epoch;
+        self.arm(TICK, at);
+    }
+
+    /// Files `handle` in the timed queue at `at`, after every equal
+    /// instant armed before it.
+    fn arm(&mut self, handle: usize, at: f64) {
+        self.arms += 1;
+        self.timed.set(handle, at, self.arms);
     }
 }
 
@@ -164,8 +295,7 @@ pub(crate) struct Sinks<'a> {
     /// The clock read at the instant the transitions are stamped with.
     pub(crate) clock: Clock,
     pub(crate) busy_time: &'a mut [f64],
-    pub(crate) completions: &'a mut EventQueue,
-    pub(crate) queue: &'a mut EventQueue,
+    pub(crate) agenda: &'a mut Agenda,
     pub(crate) backend: &'a mut dyn ExecutionBackend,
     pub(crate) telemetry: &'a mut Option<Telemetry>,
 }
@@ -177,8 +307,7 @@ macro_rules! sinks {
         $crate::engine::round::Sinks {
             clock: $engine.clock.at($now),
             busy_time: &mut $engine.report.busy_time,
-            completions: &mut $engine.completions,
-            queue: &mut $engine.queue,
+            agenda: &mut $engine.agenda,
             backend: $engine.backend.as_mut(),
             telemetry: &mut $engine.telemetry,
         }
@@ -211,6 +340,8 @@ pub(crate) struct RunningIteration {
     /// event and backend call the round makes).
     pub(crate) job: JobId,
     pub(crate) generation: u64,
+    /// The round's handle in the engine's [`Agenda`].
+    pub(crate) handle: usize,
     /// Zero-based iteration index of this round within its job — the
     /// in-order commit key: a round retires only when every earlier
     /// index has.
@@ -233,27 +364,16 @@ pub(crate) struct RunningIteration {
     pub(crate) parked_at: Option<f64>,
     /// Set once this iteration fell back to waiting out stragglers.
     pub(crate) waited_out: bool,
-    /// The currently-armed §4.3 deadline (real time). Kept for the
-    /// rebalance re-arm condition; staleness of timeout *events* is
-    /// decided by [`Self::armed_seq`].
+    /// The currently-armed §4.3 deadline (real time), for the
+    /// rebalance re-arm condition.
     pub(crate) armed_deadline: f64,
-    /// Arming sequence number: bumped at every (re)arm of this round's
-    /// deadline, carried in the scheduled timeout event. A timeout
-    /// whose `arm` does not match was superseded (a rebalance or
-    /// recovery re-armed) and is dropped — keyed per round, so a retired
-    /// round's stale timeout can never fire against a successor round.
-    pub(crate) armed_seq: u64,
-    /// The latest open finish; `None` once its task closed, until
-    /// [`Self::latest_open`] recomputes it.
-    pub(crate) latest: Option<f64>,
     /// Real instant this round was dispatched (phase-profiling anchor).
     pub(crate) started: f64,
     /// Input-broadcast transfer time of this round (the virtual
     /// "dispatch" phase).
     pub(crate) t_input: f64,
-    /// Reply transfer time of the most recent task completion — by the
-    /// time the iteration completes, the "collect" phase of the
-    /// critical path.
+    /// Reply transfer time of the completion that made the round
+    /// decodable: the "collect" phase of the critical path.
     pub(crate) last_reply: f64,
 }
 
@@ -276,10 +396,11 @@ impl RunningIteration {
         }
     }
 
-    /// Returns a retired or abandoned round's task table and chunk
-    /// assignment to the scratch pool for the next dispatch to refill. A
-    /// full pool simply drops them.
-    pub(crate) fn reclaim(self, pool: &mut Vec<RoundScratch>) {
+    /// Takes a retired or abandoned round off the agenda and returns its
+    /// task table and chunk assignment to the scratch pool for the next
+    /// dispatch to refill. A full pool simply drops them.
+    pub(crate) fn reclaim(self, pool: &mut Vec<RoundScratch>, agenda: &mut Agenda) {
+        agenda.leave(self.handle);
         if pool.len() < SCRATCH_POOL_CAP {
             pool.push((self.tasks, self.assignment));
         }
@@ -293,15 +414,6 @@ impl RunningIteration {
 
     // ---- lifecycle ------------------------------------------------------
 
-    fn completion(&self, worker: usize, redo: bool) -> EventKind {
-        EventKind::TaskComplete {
-            job: self.job,
-            worker,
-            generation: self.generation,
-            redo,
-        }
-    }
-
     /// Moves the responses `worker`'s task carries — the chunks at
     /// `range` of its list — from one phase's tally to another's. The
     /// only writer of the coverage tally; every slot transition calls
@@ -312,6 +424,7 @@ impl RunningIteration {
             workers,
             cover,
             short,
+            ..
         } = &mut self.tasks;
         let chunks: &[usize] = if redo {
             &workers[worker].redo_chunks
@@ -339,20 +452,13 @@ impl RunningIteration {
         }
     }
 
-    /// Forgets the cached latest finish if the task closing at `finish`
-    /// held it.
-    fn closed(&mut self, finish: f64) {
-        if self.latest == Some(finish) {
-            self.latest = None;
-        }
-    }
-
     /// Starts (or, for a redo merged onto an earlier one, restarts) one
     /// of `worker`'s tasks, whose chunk list is newly handed out from
     /// position `fresh` on: charges `charge` dedicated compute-seconds,
-    /// traces the dispatch and schedules the completion at `finish`.
+    /// traces the dispatch and files the task to complete at `finish`.
     /// Utilization is accounted in dedicated compute-seconds (the share
-    /// factor stretches wall time, not work done).
+    /// factor stretches wall time, not work done). The caller re-keys the
+    /// round ([`Self::schedule`]) once its launches are done.
     fn launch(
         &mut self,
         worker: usize,
@@ -362,19 +468,25 @@ impl RunningIteration {
         charge: f64,
         s: &mut Sinks,
     ) {
+        s.agenda.launches += 1;
+        let seq = s.agenda.launches;
         let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
-        let (was, replaced) = (slot.phase, slot.finish);
+        let (was, replaced) = (slot.phase, *slot);
         *slot = TaskSlot {
             finish,
+            seq,
             phase: Phase::Open,
             busy_charged: slot.busy_charged + charge,
         };
         if was == Phase::Open {
-            self.closed(replaced);
+            self.tasks.unfile(replaced.seq);
         }
-        if let Some(latest) = &mut self.latest {
-            *latest = latest.max(finish);
-        }
+        self.tasks.awaited.push(Awaited {
+            finish,
+            seq,
+            worker,
+            redo,
+        });
         // A redo merged onto a *finished* one is credited as a whole,
         // only once it finishes again: what it had in hand goes back to
         // awaited (the one place a done task reopens). Merged onto a
@@ -386,6 +498,8 @@ impl RunningIteration {
         );
         if was == Phase::Done {
             self.refile(worker, redo, 0..fresh, Phase::Done, Phase::Open);
+            let replied = &mut self.tasks.replied;
+            replied.retain(|&(_, w, r)| (w, r) != (worker, redo));
         }
         let held = self.chunks(worker, redo).len();
         self.refile(worker, redo, fresh..held, Phase::Idle, Phase::Open);
@@ -398,7 +512,6 @@ impl RunningIteration {
             chunks: held,
             redo,
         });
-        s.completions.push(finish, self.completion(worker, redo));
     }
 
     /// Dispatches `worker`'s original task, computing `start..finish`.
@@ -436,20 +549,100 @@ impl RunningIteration {
         self.launch(worker, true, fresh, finish, charge, s);
     }
 
-    /// A completion event queued under `v`: marks the task done and
-    /// returns how many chunks it replied with, or `None` for a stale
-    /// event — a merged redo's superseded one (its key is no longer the
-    /// slot's, bit for bit) or a cancelled task's (by its phase).
+    /// The completion of one of `worker`'s tasks at `v`: marks the task
+    /// done and returns how many chunks it replied with, or `None` if no
+    /// open task of that slot finishes at `v` — a merged redo's
+    /// superseded finish (no longer the slot's, bit for bit) or a
+    /// cancelled task's (by its phase).
     pub(crate) fn complete_task(&mut self, worker: usize, redo: bool, v: f64) -> Option<usize> {
         let slot = &mut self.tasks.workers[worker].slots[usize::from(redo)];
         if !slot.open() || slot.finish.to_bits() != v.to_bits() {
             return None;
         }
         slot.phase = Phase::Done;
-        self.closed(v);
+        let seq = slot.seq;
+        self.tasks.unfile(seq);
+        self.tasks.replied.push((v, worker, redo));
         let replied = self.chunks(worker, redo).len();
         self.refile(worker, redo, 0..replied, Phase::Open, Phase::Done);
         Some(replied)
+    }
+
+    /// Completes the round's earliest open task and re-keys the round's
+    /// backlog entry: returns `(worker, redo, chunks replied)`,
+    /// or `None` if nothing is open. Its decision stands: completions in
+    /// order are what it was computed from.
+    pub(crate) fn complete_next(&mut self, agenda: &mut Agenda) -> Option<(usize, bool, usize)> {
+        let awaited = &self.tasks.awaited;
+        debug_assert!(awaited.windows(2).all(|w| w[0].after(&w[1])), "scheduled");
+        let next = *awaited.last()?;
+        let replied = self.complete_task(next.worker, next.redo, next.finish)?;
+        match self.tasks.awaited.last() {
+            Some(a) => agenda.backlog.set(self.handle, a.finish, a.seq),
+            None => agenda.backlog.remove(self.handle),
+        }
+        Some((next.worker, next.redo, replied))
+    }
+
+    /// The open task whose completion makes the round decodable if the
+    /// open tasks complete in order, as `(finish, seq)`; `None` if the
+    /// round is complete already or its open tasks cannot complete it.
+    fn decision(&mut self) -> Option<(f64, u64)> {
+        let k = self.k_eff;
+        let Tasks {
+            workers,
+            cover,
+            short,
+            awaited,
+            projected,
+            ..
+        } = &mut self.tasks;
+        if *short == 0 {
+            return None;
+        }
+        let chunks = |task: &Awaited| -> &[usize] {
+            if task.redo {
+                &workers[task.worker].redo_chunks
+            } else {
+                &self.assignment.chunks[task.worker]
+            }
+        };
+        // No chunk has a response to spare (Algorithm 1's exact-`k`
+        // plans, uncoded rounds): the round waits for every open task
+        // that carries a chunk.
+        if cover.iter().all(|c| c.done + c.open[0] + c.open[1] == k) {
+            let last = awaited.iter().find(|a| !chunks(a).is_empty());
+            return last.map(|a| (a.finish, a.seq));
+        }
+        projected.clear();
+        projected.extend(cover.iter().map(|c| c.done));
+        let mut short = *short;
+        for task in awaited.iter().rev() {
+            for &chunk in chunks(task) {
+                projected[chunk] += 1;
+                short -= usize::from(projected[chunk] == k);
+            }
+            if short == 0 {
+                return Some((task.finish, task.seq));
+            }
+        }
+        None
+    }
+
+    /// Re-files the round's decision and backlog entries after its open
+    /// set changed (launches, cancels).
+    pub(crate) fn schedule(&mut self, agenda: &mut Agenda) {
+        self.tasks
+            .awaited
+            .sort_unstable_by(|a, b| b.finish.total_cmp(&a.finish).then(b.seq.cmp(&a.seq)));
+        match self.decision() {
+            Some((v, seq)) => agenda.decisions.set(self.handle, v, seq),
+            None => agenda.decisions.remove(self.handle),
+        }
+        match self.tasks.awaited.last() {
+            Some(a) => agenda.backlog.set(self.handle, a.finish, a.seq),
+            None => agenda.backlog.remove(self.handle),
+        }
     }
 
     /// The master stops caring about one task: refunds the compute it
@@ -471,7 +664,8 @@ impl RunningIteration {
         let refund = (self.weight * (finish - s.clock.v)).clamp(0.0, slot.busy_charged);
         s.busy_time[worker] -= refund;
         slot.busy_charged -= refund;
-        self.closed(finish);
+        let seq = slot.seq;
+        self.tasks.unfile(seq);
         let awaited = self.chunks(worker, redo).len();
         self.refile(worker, redo, 0..awaited, Phase::Open, Phase::Idle);
         if redo {
@@ -498,27 +692,30 @@ impl RunningIteration {
 
     /// Cancels every task the round is still waiting for (conventional
     /// stragglers and superfluous redos at completion, everything when
-    /// the round is torn down).
+    /// the round is torn down), which takes it out of the completion
+    /// queues.
     pub(crate) fn cancel_open(&mut self, s: &mut Sinks) {
-        for worker in 0..self.tasks.workers.len() {
-            self.cancel(worker, false, s);
-            self.cancel(worker, true, s);
+        // In worker order, each worker's original before its redo.
+        let mut open = std::mem::take(&mut self.tasks.awaited);
+        open.sort_unstable_by_key(|a| (a.worker, a.redo));
+        for a in &open {
+            self.cancel(a.worker, a.redo, s);
         }
+        open.clear();
+        self.tasks.awaited = open;
+        self.schedule(s.agenda);
     }
 
-    /// (Re)arms the round's deadline: bumps the arming sequence so any
-    /// earlier timeout event goes stale, and schedules the new one.
+    /// (Re)arms the round's deadline, moving its one timed entry.
     pub(crate) fn arm(&mut self, deadline: f64, s: &mut Sinks) {
         self.armed_deadline = deadline;
-        self.armed_seq += 1;
-        s.queue.push(
-            deadline,
-            EventKind::Timeout {
-                job: self.job,
-                generation: self.generation,
-                arm: self.armed_seq,
-            },
-        );
+        s.agenda.arm(self.handle, deadline);
+    }
+
+    /// Drops the round's deadline: it completed.
+    pub(crate) fn disarm(&mut self, s: &mut Sinks) {
+        self.armed_deadline = f64::INFINITY;
+        s.agenda.timed.remove(self.handle);
     }
 
     /// Re-arms the deadline [`TIMEOUT_MARGIN`] behind the V-instant
@@ -547,21 +744,14 @@ impl RunningIteration {
     }
 
     /// The last finish the round is still waiting for (`NEG_INFINITY`
-    /// if nothing is open), cached.
-    pub(crate) fn latest_open(&mut self) -> f64 {
-        if let Some(latest) = self.latest {
-            return latest;
-        }
-        let latest = (0..self.tasks.workers.len())
-            .map(|w| self.latest_open_finish(w))
-            .fold(f64::NEG_INFINITY, f64::max);
-        self.latest = Some(latest);
-        latest
+    /// if nothing is open).
+    pub(crate) fn latest_open(&self) -> f64 {
+        let awaited = self.tasks.awaited.iter();
+        awaited.fold(f64::NEG_INFINITY, |latest, a| latest.max(a.finish))
     }
 
     pub(crate) fn has_open(&self) -> bool {
-        let mut slots = self.tasks.workers.iter().flat_map(|t| &t.slots);
-        slots.any(TaskSlot::open)
+        !self.tasks.awaited.is_empty()
     }
 
     pub(crate) fn task_done(&self, worker: usize, redo: bool) -> bool {
@@ -662,10 +852,10 @@ impl RunningIteration {
         let k = self.k_eff;
         let DecodeScratch { order, taken } = scratch;
         order.clear();
-        order.extend(
-            self.credited_tasks()
-                .map(|(w, redo)| (self.slot(w, redo).finish, w, redo)),
-        );
+        // The credited tasks in the order they completed, which is
+        // finish order already but for ties.
+        let replied = self.tasks.replied.iter();
+        order.extend(replied.filter(|&&(_, w, redo)| !self.chunks(w, redo).is_empty()));
         // A worker's two tasks never share a chunk, so how an equal
         // `(finish, worker)` pair falls is immaterial.
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

@@ -561,9 +561,9 @@ fn malformed_qos_fields_return_typed_invalid_job() {
 
 #[test]
 fn invalid_arrival_times_return_typed_invalid_job() {
-    // Arrivals are streamed, never pushed onto the event queue, so a
-    // bad instant cannot reach `EventQueue::push`'s assert: it is
-    // refused up front, wherever in the slice it sits.
+    // Arrivals are streamed, never queued, so a bad instant cannot
+    // reach the agenda's assert: it is refused up front, wherever in the
+    // slice it sits.
     let n = 4;
     for bad in [f64::NAN, -1.0, f64::INFINITY] {
         let engine = ServiceEngine::new(
@@ -654,7 +654,7 @@ fn epoch_tick_applies_a_change_of_any_size() {
     engine.on_epoch_tick(1).unwrap();
     // Written in place: nothing is queued for the loop to pop back.
     assert_eq!(engine.speeds, [1.0, 2e-17]);
-    assert!(engine.queue.is_empty());
+    assert!(engine.agenda.timed.is_empty());
 }
 
 #[test]
@@ -676,7 +676,7 @@ fn epoch_tick_applies_churn_in_place() {
     engine.begin_event(EPOCH).unwrap();
     engine.on_epoch_tick(1).unwrap();
     assert_eq!(engine.up, [false, true]);
-    assert!(engine.queue.is_empty(), "no churn echo is queued");
+    assert!(engine.agenda.timed.is_empty(), "no churn echo is queued");
     let trace = engine.telemetry.as_ref().unwrap().trace.events();
     let down = trace
         .iter()
@@ -776,12 +776,21 @@ fn shares_depend_on_weight_ratios_only() {
 
 #[test]
 fn event_queue_holds_live_events_only() {
-    // The perf harness's `sim-steady` pool and stream shape. The queues'
-    // high-water marks are set by the work in flight (resident jobs ×
-    // tasks, plus superseded completions not yet drained), not by how
-    // many arrivals the stream still has to deliver. Their sum bounds
-    // what both held at once.
+    // The perf harness's `sim-steady` pool and stream shape. Each round
+    // in flight holds at most one entry in each of the agenda's three
+    // queues (its decision, its next completion, its deadline), and the
+    // timed queue one more for the epoch tick. At most `max_resident`
+    // jobs hold at most `pipeline_depth` rounds each, so the queues'
+    // peaks are bounded by that, not by the stream's length or by the
+    // tasks in flight. Their sum bounds what all three held at once.
     let n = 16;
+    let cfg = || {
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        cfg.max_events = 400 * 5_000;
+        cfg
+    };
     let peak_of = |jobs: usize| {
         let spec = ClusterSpec::builder(n)
             .compute_bound()
@@ -789,10 +798,6 @@ fn event_queue_holds_live_events_only() {
             .straggler_slowdown(5.0)
             .stragglers(&[2, 7, 12], 0.2)
             .build();
-        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
-            predictor: PredictorSource::LastValue,
-        });
-        cfg.max_events = 400 * jobs as u64;
         let stream = generate_workload(
             &ArrivalPattern::Poisson { rate: 2.0 },
             &JobPreset::standard_mix(),
@@ -801,17 +806,26 @@ fn event_queue_holds_live_events_only() {
             n,
             42,
         );
-        let mut engine = ServiceEngine::new(spec, cfg).unwrap();
+        let mut engine = ServiceEngine::new(spec, cfg()).unwrap();
         engine.drive(&stream).unwrap();
         assert_eq!(engine.report.jobs.len(), jobs);
-        engine.queue.peak_len() + engine.completions.peak_len()
+        let Agenda {
+            decisions,
+            backlog,
+            timed,
+            ..
+        } = &engine.agenda;
+        assert!(decisions.is_empty() && backlog.is_empty() && timed.is_empty());
+        decisions.peak_len() + backlog.peak_len() + timed.peak_len()
     };
-    // Measured 359 and 326; with arrivals pre-pushed the peaks were at
-    // least the stream lengths, 1 000 and 5 000.
-    const LIVE_BOUND: usize = 512;
+    let rounds = cfg().max_resident * cfg().pipeline_depth;
+    let live_bound = 3 * rounds + 1;
+    // With a per-task completion queue the peaks summed to 359 and 326;
+    // with arrivals pre-pushed they were at least the stream lengths,
+    // 1 000 and 5 000.
     let (short, long) = (peak_of(1_000), peak_of(5_000));
-    assert!(short <= LIVE_BOUND, "1k-job peak {short}");
-    assert!(long <= LIVE_BOUND, "5k-job peak {long}");
+    assert!(short <= live_bound, "1k-job peak {short} > {live_bound}");
+    assert!(long <= live_bound, "5k-job peak {long} > {live_bound}");
 }
 
 // ---- execution backends -------------------------------------------------
@@ -1457,13 +1471,12 @@ fn pipelined_engine_survives_churn_across_window_rounds() {
 
 // ---- the per-round task model (engine/round.rs) -------------------------
 
-use super::round::{RunningIteration, Sinks, Tasks, SCRATCH_POOL_CAP};
+use super::round::{Agenda, RunningIteration, Sinks, Tasks, SCRATCH_POOL_CAP};
 
 /// The engine state a round writes to, standing alone.
 struct Rig {
     busy: Vec<f64>,
-    completions: EventQueue,
-    queue: EventQueue,
+    agenda: Agenda,
     backend: Box<dyn ExecutionBackend>,
     telemetry: Option<Telemetry>,
 }
@@ -1472,8 +1485,7 @@ impl Rig {
     fn new(n: usize) -> Self {
         Rig {
             busy: vec![0.0; n],
-            completions: EventQueue::new(),
-            queue: EventQueue::new(),
+            agenda: Agenda::new(),
             backend: backend::make_backend(BackendKind::Sim, n),
             telemetry: Some(Telemetry::new()),
         }
@@ -1485,8 +1497,7 @@ impl Rig {
         Sinks {
             clock: Clock::anchored(now, now, 1.0),
             busy_time: &mut self.busy,
-            completions: &mut self.completions,
-            queue: &mut self.queue,
+            agenda: &mut self.agenda,
             backend: self.backend.as_mut(),
             telemetry: &mut self.telemetry,
         }
@@ -1512,6 +1523,7 @@ fn blank_round(lists: Vec<Vec<usize>>, chunks: usize, k: usize, rhs: usize) -> R
     RunningIteration {
         job: 7,
         generation: 1,
+        handle: 1,
         round_index: 0,
         weight: 0.5,
         k_eff: k,
@@ -1526,8 +1538,6 @@ fn blank_round(lists: Vec<Vec<usize>>, chunks: usize, k: usize, rhs: usize) -> R
         parked_at: None,
         waited_out: false,
         armed_deadline: f64::INFINITY,
-        armed_seq: 0,
-        latest: Some(f64::NEG_INFINITY),
         started: 0.0,
         t_input: 0.0,
         last_reply: 0.0,
@@ -1636,7 +1646,7 @@ fn scratch_reset_matches_fresh_construction() {
     round.cancel(0, false, &mut rig.sinks(2.0));
     let lists = round.assignment.clone();
     let mut pool = Vec::new();
-    round.reclaim(&mut pool);
+    round.reclaim(&mut pool, &mut rig.agenda);
     let (mut tasks, assignment) = pool.pop().unwrap();
     assert_eq!(assignment, lists, "the assignment is pooled with its table");
     let kept_cap = tasks.redo_capacity(2);
@@ -1653,7 +1663,7 @@ fn scratch_reset_matches_fresh_construction() {
     );
     // A full pool drops what it cannot hold.
     for _ in 0..SCRATCH_POOL_CAP + 3 {
-        blank_round(vec![vec![0]], 1, 1, 1).reclaim(&mut pool);
+        blank_round(vec![vec![0]], 1, 1, 1).reclaim(&mut pool, &mut rig.agenda);
     }
     assert_eq!(pool.len(), SCRATCH_POOL_CAP);
 }
@@ -1796,7 +1806,7 @@ fn coverage_tally_equals_the_definitional_scan_after_every_op() {
 fn a_resident_set_change_pushes_nothing_unless_it_rearms() {
     // One MDS round in flight on a homogeneous pool; its deadline sits
     // 1.25× its span out. Neighbours join without rounds of their own,
-    // so every push below would come from the rebalance itself.
+    // so every change below would come from the rebalance itself.
     let n = 4;
     let pool = ClusterSpec::builder(n).compute_bound().build();
     let cfg = ServeConfig::new(SchedulerMode::ConventionalMds);
@@ -1805,9 +1815,14 @@ fn a_resident_set_change_pushes_nothing_unless_it_rearms() {
     engine.drive(&[]).unwrap();
     engine.arrivals_remaining = 1;
     engine.on_arrival(&spec).unwrap();
-    let lens = |e: &ServiceEngine| (e.completions.len(), e.queue.len());
-    let dispatched = lens(&engine);
-    assert_eq!(dispatched, (n, 1), "n completions and one deadline");
+    // `(decisions, next completions, timed)`: lengths and heads.
+    let state = |e: &ServiceEngine| {
+        let a = &e.agenda;
+        let lens = (a.decisions.len(), a.backlog.len(), a.timed.len());
+        (lens, a.decisions.peek(), a.backlog.peek(), a.timed.peek())
+    };
+    let dispatched = state(&engine);
+    assert_eq!(dispatched.0, (1, 1, 1), "one round entry and one deadline");
     let mut join = |id: JobId, weight: f64| {
         let member = QueuedJob {
             spec: JobPreset::small().with_weight(weight).instantiate(id, 0, n),
@@ -1827,12 +1842,16 @@ fn a_resident_set_change_pushes_nothing_unless_it_rearms() {
         };
         engine.resident.insert(id, neighbour);
         engine.rebalance_shares();
-        lens(&engine)
+        state(&engine)
     };
     // Mass 1 → 1.1: every open task stretches 1.1×, inside the margin.
     assert_eq!(join(1, 0.1), dispatched);
-    // Mass 1.1 → 2.1: past the deadline, which alone is re-armed.
-    assert_eq!(join(2, 1.0), (n, 2));
+    // Mass 1.1 → 2.1: past the deadline, which alone moves, in place.
+    let rearmed = join(2, 1.0);
+    assert_eq!(rearmed.0, (1, 1, 1));
+    assert_eq!((rearmed.1, rearmed.2), (dispatched.1, dispatched.2));
+    let deadline = |s: &(_, _, _, Option<(f64, u64, usize)>)| s.3.unwrap().0;
+    assert!(deadline(&rearmed) > deadline(&dispatched));
     assert_eq!(engine.report.rebalances, 2);
 }
 

@@ -35,6 +35,9 @@
 //! rather than through the previous event, `trace_fnv` and
 //! `finished_fnv` moved by rounding again: every trace kept its event
 //! sequence, its instants within 5e-14 relative, and every counter held.
+//! Since the event loop pops one decision per round rather than one
+//! event per task completion, and never a superseded deadline, only
+//! `events_processed` moved: every trace and finish kept its bytes.
 
 use s2c2_cluster::ClusterSpec;
 use s2c2_core::speed_tracker::PredictorSource;
@@ -299,7 +302,7 @@ fn golden_cold_start_misprediction() {
         pin_of(&report),
         Pin {
             trace_fnv: 0x027590B549B5A563,
-            events_processed: 1785,
+            events_processed: 251,
             timeouts: 59,
             recovery_rung_counts: [78, 0, 68, 17, 6],
             rebalances: 54,
@@ -322,7 +325,7 @@ fn golden_churn_storm() {
         pin_of(&report),
         Pin {
             trace_fnv: 0x455E49976606B3AD,
-            events_processed: 1737,
+            events_processed: 238,
             timeouts: 33,
             recovery_rung_counts: [123, 0, 37, 55, 19],
             rebalances: 62,
@@ -343,7 +346,7 @@ fn golden_pipelined_batches() {
         pin_of(&report),
         Pin {
             trace_fnv: 0xD2DEB45835629E66,
-            events_processed: 1601,
+            events_processed: 263,
             timeouts: 44,
             recovery_rung_counts: [72, 0, 44, 0, 0],
             rebalances: 38,
@@ -366,7 +369,7 @@ fn golden_baselines_under_churn() {
         pin_of(&mds),
         Pin {
             trace_fnv: 0xD4AC890F4298475F,
-            events_processed: 934,
+            events_processed: 134,
             timeouts: 0,
             recovery_rung_counts: [73, 0, 0, 5, 5],
             rebalances: 18,
@@ -385,7 +388,7 @@ fn golden_baselines_under_churn() {
         pin_of(&uncoded),
         Pin {
             trace_fnv: 0x6147DC9E54C51B0A,
-            events_processed: 1077,
+            events_processed: 158,
             timeouts: 13,
             recovery_rung_counts: [64, 0, 25, 15, 0],
             rebalances: 30,
@@ -440,7 +443,7 @@ fn golden_arrival_ties() {
         pin_of(&report),
         Pin {
             trace_fnv: 0x634A2E1913909749,
-            events_processed: 933,
+            events_processed: 110,
             timeouts: 13,
             recovery_rung_counts: [66, 0, 13, 15, 2],
             rebalances: 22,

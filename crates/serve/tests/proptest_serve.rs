@@ -53,18 +53,18 @@ proptest! {
     ) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(t as f64, EventKind::EpochTick { epoch: i });
+            q.push(t as f64, EventKind::WorkerSpeedChange { worker: i, speed: 1.0 });
         }
         let mut popped: Vec<(f64, usize)> = Vec::new();
-        while let Some((t, EventKind::EpochTick { epoch })) = q.pop() {
-            popped.push((t, epoch));
+        while let Some((t, EventKind::WorkerSpeedChange { worker, .. })) = q.pop() {
+            popped.push((t, worker));
         }
         prop_assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
             prop_assert!(w[0].0 <= w[1].0, "time went backwards: {w:?}");
             if w[0].0 == w[1].0 {
-                // FIFO among ties: insertion order (epoch payload encodes
-                // push order) must be preserved.
+                // FIFO among ties: insertion order (the worker payload
+                // encodes push order) must be preserved.
                 prop_assert!(w[0].1 < w[1].1, "FIFO violated at {w:?}");
             }
         }
@@ -88,7 +88,7 @@ proptest! {
                 // Only push at or after the last popped time, as the
                 // engine does (no scheduling into the past).
                 let t = (t as f64).max(last_popped);
-                q.push(t, EventKind::EpochTick { epoch: seq });
+                q.push(t, EventKind::WorkerSpeedChange { worker: seq, speed: 1.0 });
                 seq += 1;
             }
             if let Some((t, _)) = q.pop() {
