@@ -930,6 +930,42 @@ impl RunningIteration {
         flops
     }
 
+    /// The definitional decision: the first open task, in `(finish,
+    /// seq)` order, after whose completion (with every earlier one's)
+    /// each chunk has `k` responses.
+    pub(crate) fn decision_by_scan(&self) -> Option<(f64, u64)> {
+        if self.complete_by_scan() {
+            return None;
+        }
+        let mut open: Vec<(f64, u64, usize, bool)> = (0..self.tasks.workers.len())
+            .flat_map(|w| [(w, false), (w, true)])
+            .filter(|&(w, redo)| self.slot(w, redo).open())
+            .map(|(w, redo)| (self.slot(w, redo).finish, self.slot(w, redo).seq, w, redo))
+            .collect();
+        open.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        (1..=open.len()).find_map(|n| {
+            let counted = &open[..n];
+            let covered = (0..self.assignment.chunks_per_partition).all(|c| {
+                let done = self.scan(c, |slot, _| slot.phase == Phase::Done);
+                let more = counted
+                    .iter()
+                    .filter(|&&(_, _, w, redo)| self.chunks(w, redo).contains(&c))
+                    .count();
+                done + more >= self.k_eff
+            });
+            covered.then_some((open[n - 1].0, open[n - 1].1))
+        })
+    }
+
+    /// The earliest open task, as `(finish, seq)`.
+    pub(crate) fn next_by_scan(&self) -> Option<(f64, u64)> {
+        let open = (0..self.tasks.workers.len())
+            .flat_map(|w| [(w, false), (w, true)])
+            .filter(|&(w, redo)| self.slot(w, redo).open())
+            .map(|(w, redo)| (self.slot(w, redo).finish, self.slot(w, redo).seq));
+        open.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
     /// Whether `worker` holds `chunk` in either of its tasks' lists.
     pub(crate) fn holds(&self, worker: usize, chunk: usize) -> bool {
         self.covers(worker, chunk) || self.tasks.workers[worker].redo_chunks.contains(&chunk)

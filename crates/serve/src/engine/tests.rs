@@ -1715,6 +1715,7 @@ fn coverage_tally_equals_the_definitional_scan_after_every_op() {
     // What the sequences reached, over all seeds: the tally is only
     // tested where the ops actually went.
     let (mut completed, mut reopened, mut merged_open, mut doomed) = (0, 0, 0, 0);
+    let mut decided = 0;
     for seed in 0..200 {
         let mut rng = StdRng::seed_from_u64(seed);
         let k = rng.gen_range(1..=3);
@@ -1791,11 +1792,24 @@ fn coverage_tally_equals_the_definitional_scan_after_every_op() {
                 scanned.to_bits(),
                 "seed {seed}"
             );
+            // The agenda entries: the next decision and the next
+            // completion, by their definitions.
+            round.schedule(&mut rig.agenda);
+            let entry = |q: &crate::event::KeyedQueue| q.peek().map(|(v, seq, _)| (v, seq));
+            let decision = round.decision_by_scan();
+            assert_eq!(entry(&rig.agenda.decisions), decision, "seed {seed}");
+            assert_eq!(
+                entry(&rig.agenda.backlog),
+                round.next_by_scan(),
+                "seed {seed}"
+            );
+            decided += usize::from(decision.is_some());
             completed += usize::from(round.complete());
             doomed += usize::from(round.doomed());
         }
     }
     assert!(completed > 0 && doomed > 0, "{completed} {doomed}");
+    assert!(decided > 0, "a decision must be pending somewhere");
     assert!(reopened > 0, "a redo must merge onto a done one");
     assert!(merged_open > 0, "and onto a pending one");
 }
@@ -1853,6 +1867,139 @@ fn a_resident_set_change_pushes_nothing_unless_it_rearms() {
     let deadline = |s: &(_, _, _, Option<(f64, u64, usize)>)| s.3.unwrap().0;
     assert!(deadline(&rearmed) > deadline(&dispatched));
     assert_eq!(engine.report.rebalances, 2);
+}
+
+#[test]
+fn a_completed_round_leaves_nothing_queued() {
+    // One job of one round. Run the loop under a growing event budget
+    // until the budget first lets the round complete: the run then stops
+    // at the next event, with the state the round's completion left.
+    let n = 8;
+    let spec = JobPreset {
+        iterations: 1,
+        ..JobPreset::small()
+    }
+    .instantiate(0, 0, n);
+    let cfg = |max_events| {
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        cfg.max_events = max_events;
+        cfg
+    };
+    for budget in 1..100 {
+        let mut engine = ServiceEngine::new(pool(n, &[2]), cfg(budget)).unwrap();
+        let outcome = engine.drive(&[(0.0, spec.clone())]);
+        assert!(matches!(outcome, Err(ServeError::Runaway { .. })));
+        if engine.report.jobs.is_empty() {
+            continue;
+        }
+        // The round's decision, deadline and open tasks are gone; only
+        // the tick the run was stopped at is left.
+        let agenda = &engine.agenda;
+        assert!(agenda.decisions.is_empty(), "budget {budget}");
+        assert!(agenda.backlog.is_empty(), "budget {budget}");
+        assert_eq!(agenda.timed.len(), 1, "budget {budget}");
+        assert_eq!(agenda.timed.peek().map(|(.., h)| h), Some(TICK));
+        return;
+    }
+    panic!("the round never completed");
+}
+
+#[test]
+fn an_arrival_between_two_completions_plans_on_the_earlier_only() {
+    // Job B arrives between two task completions of job A's first round.
+    // Every completion before B's arrival must have reached the shared
+    // speed tracker before B is planned, and none after it.
+    let n = 8;
+    let pool = || {
+        ClusterSpec::builder(n)
+            .compute_bound()
+            .seed(0xFEED)
+            .straggler_slowdown(3.0)
+            .stragglers(&[1, 5], 0.3)
+            .build()
+    };
+    let cfg = || {
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 {
+            predictor: PredictorSource::LastValue,
+        });
+        cfg.telemetry = true;
+        cfg
+    };
+    let a = JobPreset::large().instantiate(0, 0, n);
+    let (k, chunks, cols) = (a.k, a.chunks_per_partition, a.cols);
+    let rpc = a.rows.div_ceil(k).div_ceil(chunks);
+    // A's own run: what its first round dispatched and when each task
+    // completed. A alone at weight 1 runs the clock at unit mass from 0,
+    // so a task's completion instant is also its V-instant and its
+    // dedicated time.
+    let solo = ServiceEngine::new(pool(), cfg())
+        .unwrap()
+        .run(&[(0.0, a.clone())])
+        .unwrap();
+    let trace = solo.telemetry.as_ref().unwrap().trace.events();
+    let mut held = vec![0; n];
+    let mut done: Vec<(f64, usize)> = Vec::new();
+    for e in trace {
+        match e.kind {
+            TraceEventKind::TaskDispatch {
+                generation: 1,
+                worker,
+                chunks,
+                redo: false,
+                ..
+            } => held[worker] = chunks,
+            TraceEventKind::TaskComplete {
+                generation: 1,
+                worker,
+                redo: false,
+                ..
+            } => done.push((e.time, worker)),
+            _ => {}
+        }
+    }
+    // Algorithm 1 on the predictions after A's first `m` completions.
+    let plan = |m: usize| -> Vec<usize> {
+        let mut tracker = SpeedTracker::new(&PredictorSource::LastValue, n);
+        for &(t, w) in &done[..m] {
+            tracker.observe_one(w, ((held[w] * rpc) * cols) as f64 / t);
+        }
+        let speeds = tracker.predictions_from(&vec![1.0; n]);
+        let assignment = s2c2_core::allocate_chunks(&speeds, k, chunks).unwrap();
+        assignment.chunks.iter().map(Vec::len).collect()
+    };
+    // A gap between completions `m` and `m + 1` that no epoch tick
+    // falls in, where the two plans differ: B's arrival is what must
+    // apply completion `m`.
+    let m = (1..done.len() - 1)
+        .find(|&m| {
+            let (early, late) = (done[m - 1].0, done[m].0);
+            let tick_between = (early / EPOCH).floor() != (late / EPOCH).floor();
+            early < late && !tick_between && plan(m) != plan(m - 1) && plan(m) != plan(m + 1)
+        })
+        .expect("a gap where one completion changes the plan");
+    let at = 0.5 * (done[m - 1].0 + done[m].0);
+    let b = JobPreset::large().instantiate(1, 0, n);
+    let both = ServiceEngine::new(pool(), cfg())
+        .unwrap()
+        .run(&[(0.0, a), (at, b)])
+        .unwrap();
+    let mut planned = vec![0; n];
+    for e in both.telemetry.as_ref().unwrap().trace.events() {
+        if let TraceEventKind::TaskDispatch {
+            job: 1,
+            generation: 2,
+            worker,
+            chunks,
+            ..
+        } = e.kind
+        {
+            assert_eq!(e.time, at, "B's first round is planned at its arrival");
+            planned[worker] = chunks;
+        }
+    }
+    assert_eq!(planned, plan(m));
 }
 
 #[test]

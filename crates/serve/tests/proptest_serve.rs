@@ -15,8 +15,9 @@
 //!    on-time classification, and utilization stays in `[0, 1]`,
 //!
 //! then, numbered in the order they were added, backend, batching,
-//! trace and pipelining parity (5–8), work-conserving admission (9)
-//! and Little's law on the admission queue (10).
+//! trace and pipelining parity (5–8), work-conserving admission (9),
+//! Little's law on the admission queue (10) and task completions that
+//! close open tasks in time order (11).
 
 use proptest::prelude::*;
 use s2c2_core::speed_tracker::PredictorSource;
@@ -419,6 +420,99 @@ proptest! {
             (area - waits).abs() <= 1e-9 * area.abs().max(waits.abs()),
             "mean depth × makespan {} vs Σ queueing delay {}", area, waits
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property 11: task completions are applied in time order, each to
+    /// a task the master is waiting for. Over the whole trace,
+    /// `TaskComplete` instants never decrease, and each one closes a
+    /// task that is open: dispatched, and neither completed nor
+    /// cancelled since. A dispatch onto an open or done task reopens it
+    /// (rung 3 merges a redo onto the worker's previous one), and a
+    /// cancel, too, closes an open task only. The runs mispredict from
+    /// uniform predictions, so deadlines cancel and reassign, and some
+    /// churn and pipeline.
+    #[test]
+    fn task_completions_close_open_tasks_in_time_order(
+        jobs in 2usize..=10,
+        rate in 0.5f64..8.0,
+        pipeline_depth in 1usize..=2,
+        max_batch in prop_oneof![Just(1usize), 2usize..=3],
+        churn in prop_oneof![Just(0.0f64), 0.02f64..0.08],
+        uniform in prop_oneof![Just(true), Just(false)],
+        seed in 0u64..256,
+    ) {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Task {
+            Open,
+            Done,
+            Cancelled,
+        }
+        let n = 8;
+        let workload = generate_workload(
+            &ArrivalPattern::Poisson { rate },
+            &JobPreset::standard_mix(),
+            jobs,
+            3,
+            n,
+            seed,
+        );
+        let pool = s2c2_cluster::ClusterSpec::builder(n)
+            .compute_bound()
+            .seed(seed ^ 0x7A5C)
+            .straggler_slowdown(5.0)
+            .stragglers(&[1, 4], 0.2)
+            .build();
+        let predictor = if uniform {
+            PredictorSource::Uniform
+        } else {
+            PredictorSource::LastValue
+        };
+        let mut cfg = ServeConfig::new(SchedulerMode::SharedS2c2 { predictor });
+        cfg.pipeline_depth = pipeline_depth;
+        cfg.max_batch = max_batch;
+        if churn > 0.0 {
+            cfg.churn = Some(ChurnConfig { p_fail: churn, p_recover: 0.5, min_up: 6 });
+            cfg.max_retries = 10;
+        }
+        cfg.telemetry = true;
+        let report = ServiceEngine::new(pool, cfg).unwrap().run(&workload).unwrap();
+        prop_assert_eq!(report.jobs.len(), jobs, "every job resolves exactly once");
+        let trace = &report.telemetry.as_ref().expect("telemetry enabled").trace;
+        let mut tasks: BTreeMap<(u64, u64, usize, bool), Task> = BTreeMap::new();
+        let mut last = f64::NEG_INFINITY;
+        for e in trace.events() {
+            match e.kind {
+                TraceEventKind::TaskDispatch { job, generation, worker, redo, .. } => {
+                    tasks.insert((job, generation, worker, redo), Task::Open);
+                }
+                TraceEventKind::TaskComplete { job, generation, worker, redo } => {
+                    prop_assert!(e.time >= last, "completion at {} after one at {}", e.time, last);
+                    last = e.time;
+                    let task = tasks.get_mut(&(job, generation, worker, redo));
+                    prop_assert_eq!(
+                        task.as_deref(), Some(&Task::Open),
+                        "job {} gen {} worker {} redo {} completed at {}",
+                        job, generation, worker, redo, e.time
+                    );
+                    tasks.insert((job, generation, worker, redo), Task::Done);
+                }
+                TraceEventKind::TaskCancel { job, generation, worker, redo } => {
+                    let task = tasks.get_mut(&(job, generation, worker, redo));
+                    prop_assert_eq!(
+                        task.as_deref(), Some(&Task::Open),
+                        "job {} gen {} worker {} redo {} cancelled at {}",
+                        job, generation, worker, redo, e.time
+                    );
+                    tasks.insert((job, generation, worker, redo), Task::Cancelled);
+                }
+                _ => {}
+            }
+        }
+        prop_assert!(last > f64::NEG_INFINITY, "some task completed");
     }
 }
 
