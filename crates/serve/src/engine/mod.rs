@@ -664,8 +664,7 @@ impl ServiceEngine {
     /// instant as a deadline or tick before it. None of them completes a
     /// round — the earliest that does is the decision itself — so each
     /// changes only its task's slot, the coverage tally, the speed
-    /// tracker, the round's last reply and the trace, exactly as it
-    /// would have as its own event.
+    /// tracker and the trace, exactly as it would have as its own event.
     fn drive(&mut self, workload: &[(f64, JobSpec)]) -> Result<(), ServeError> {
         for (t, spec) in workload {
             if !(t.is_finite() && *t >= 0.0) {

@@ -1,7 +1,7 @@
 //! The discrete-event core: min-queues with deterministic FIFO
 //! tie-breaking.
 //!
-//! The service engine's agenda is three [`KeyedQueue`]s, each holding
+//! The service engine's agenda is three `KeyedQueue`s, each holding
 //! at most one entry per in-flight round: the completion that makes the
 //! round decodable (its next *decision*, on the pool's virtual clock),
 //! its earliest open task's completion (the next one to apply), and its

@@ -6,12 +6,14 @@
 //! serverless and rateless-coding lines of related work). This crate
 //! supplies that layer:
 //!
-//! * [`event`] — the typed discrete-event core: a binary-heap
-//!   [`event::EventQueue`] over `TaskComplete` / `Timeout` /
-//!   `EpochTick` events, with deterministic FIFO tie-breaking. Job
-//!   arrivals are not queue events: the engine streams them from the
-//!   workload slice and merges that cursor with the heap. An epoch
-//!   tick applies its speed samples and churn flips in place.
+//! * [`event`] — the discrete-event core: min-queues with
+//!   deterministic FIFO tie-breaking. The engine's agenda holds one
+//!   entry per in-flight round in each of its queues (the completion
+//!   that decides the round, its next completion, its deadline) and
+//!   the epoch tick, each moved in place, so nothing stale is queued.
+//!   Job arrivals are not queue events: the engine streams them from
+//!   the workload slice and merges that cursor with the agenda. An
+//!   epoch tick applies its speed samples and churn flips in place.
 //! * [`workload`] — Poisson and trace-driven arrival generators over
 //!   heterogeneous job presets (matvec shapes, `(n, k)` parameters,
 //!   iteration counts, per-job capacity weights and deadline SLOs).

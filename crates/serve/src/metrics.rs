@@ -202,7 +202,10 @@ pub struct ServiceReport {
     /// (`rhs > 1`) — each one an encode/dispatch/decode round that
     /// several jobs shared.
     pub batch_rounds: usize,
-    /// Total events processed.
+    /// Events the loop processed: arrivals, epoch ticks, deadlines and
+    /// round completions (the task completion that makes a round
+    /// decodable). A task completion that completes no round is applied
+    /// without an event of its own and is not counted.
     pub events_processed: u64,
     /// Encode-cache lookups served from cache (numeric backends only;
     /// the timing-only backend never encodes).
