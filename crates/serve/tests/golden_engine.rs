@@ -1,7 +1,7 @@
 //! Golden pins of the serve engine's event stream.
 //!
-//! Six small seeded `Sim` runs in five tests: (a), (b), (c′), (d) with
-//! two runs, and (e). The first five runs are chosen
+//! Seven small seeded runs in six tests: (a), (b), (c′), (d) with
+//! two runs, (e) and (f), all on `Sim` but (f). The first five runs are chosen
 //! so that together they walk every task-lifecycle path the engine has — for original
 //! and redo tasks alike: deadline cancel + reassignment (rung 3,
 //! including a redo merged onto a worker that still has one pending),
@@ -14,7 +14,11 @@
 //! `engine/tests.rs` covers that cancel directly.) The sixth, (e), pins the
 //! *arrival order* of a hand-built workload slice: arrivals win ties
 //! against engine events at the same instant, and equal-time arrivals
-//! keep slice order. Each run is pinned by the FNV-1a of its JSONL
+//! keep slice order. The seventh, (f), is the one that plans at rung 2
+//! (degraded rounds over the workers that are up) and decodes every
+//! round on `SimVerified`: its pins were generated before the MDS
+//! decoder's grouping and solve were rewritten, which must reproduce
+//! them unedited. Each run is pinned by the FNV-1a of its JSONL
 //! trace export plus the report counters a trace does not carry.
 //!
 //! The constants were generated on the engine as it stood before the
@@ -41,6 +45,7 @@
 
 use s2c2_cluster::ClusterSpec;
 use s2c2_core::speed_tracker::PredictorSource;
+use s2c2_predict::{BoxedPredictor, SpeedPredictor};
 use s2c2_serve::engine::EPOCH;
 use s2c2_serve::prelude::*;
 use s2c2_serve::JobId;
@@ -282,6 +287,53 @@ fn arrival_ties() -> (Vec<(f64, JobSpec)>, ServiceReport) {
     (stream, report)
 }
 
+/// Forecasts 1.0 before its first observation and 0.0 after it: once
+/// every worker has reported, no prediction is positive.
+#[derive(Clone)]
+struct ZeroAfterFirst {
+    observed: bool,
+}
+
+impl SpeedPredictor for ZeroAfterFirst {
+    fn observe_and_predict(&mut self, _: f64) -> f64 {
+        self.observed = true;
+        0.0
+    }
+    fn predict_cold(&self) -> f64 {
+        if self.observed {
+            0.0
+        } else {
+            1.0
+        }
+    }
+    fn clone_box(&self) -> BoxedPredictor {
+        Box::new(self.clone())
+    }
+    fn reset(&mut self) {
+        self.observed = false;
+    }
+}
+
+/// (f) S²C² on zero forecasts under churn, with every round decoded on
+/// `SimVerified`: after the first reports every round is planned at
+/// rung 2 over the workers that are up, so degraded rounds cover their
+/// chunks more than `k` times and the decoder keeps the `k` lowest
+/// worker ids of each.
+fn degraded_under_churn() -> ServiceReport {
+    let n = 12;
+    let predictor = PredictorSource::Prototype(Box::new(ZeroAfterFirst { observed: false }));
+    let mut cfg = s2c2(predictor);
+    cfg.backend = BackendKind::SimVerified;
+    cfg.churn = Some(ChurnConfig {
+        p_fail: 0.05,
+        p_recover: 0.4,
+        min_up: 10,
+    });
+    cfg.max_retries = 10;
+    let engine = ServiceEngine::new(controlled_pool(n, &[3, 8]), cfg).expect("valid config");
+    engine.run(&poisson(10, 1.0, n, 5)).expect("run completes")
+}
+
 fn cancels(report: &ServiceReport, of_redo: bool) -> usize {
     count(
         report,
@@ -449,6 +501,47 @@ fn golden_arrival_ties() {
             rebalances: 22,
             scratch_reuses: 64,
             finished_fnv: 0x3B1AB59D5E4311AF,
+        }
+    );
+}
+
+#[test]
+fn golden_degraded_under_churn() {
+    let report = degraded_under_churn();
+    assert_eq!(report.completed(), 10);
+    let rungs = report.recovery_rung_counts;
+    assert!(rungs[1] > 0, "rounds must be planned at rung 2: {rungs:?}");
+    let rounds: usize = report.jobs.iter().map(|j| j.iterations).sum();
+    assert_eq!(
+        report.verified_iterations, rounds,
+        "every completed round decodes"
+    );
+    assert!(
+        report.max_decode_error <= 1e-9,
+        "decode error {}",
+        report.max_decode_error
+    );
+    // The decoded numerics, bit for bit: every final output and the
+    // largest decode error.
+    let outputs_fnv = report.job_outputs.iter().fold(FNV_OFFSET, |h, (id, out)| {
+        out.iter().fold(fnv1a(h, &id.to_le_bytes()), |h, v| {
+            fnv1a(h, &v.to_bits().to_le_bytes())
+        })
+    });
+    assert_eq!(
+        (outputs_fnv, report.max_decode_error.to_bits()),
+        (0x4D0F4AF3AC98E1AE, 0x3D40DCBBED34FC22)
+    );
+    assert_eq!(
+        pin_of(&report),
+        Pin {
+            trace_fnv: 0x9A0FE79BDDDF14C7,
+            events_processed: 134,
+            timeouts: 1,
+            recovery_rung_counts: [1, 64, 1, 1, 1],
+            rebalances: 16,
+            scratch_reuses: 123,
+            finished_fnv: 0x96A4F677D19118A1,
         }
     );
 }
