@@ -114,11 +114,21 @@ impl LuFactors {
         Vector::from(x)
     }
 
-    /// Solves `A·X = B` column-by-column for a matrix right-hand side.
+    /// Solves `A·X = B` for a matrix right-hand side.
     ///
     /// Used by decoders that recover whole row-blocks of results at once:
     /// `B`'s rows are the received coded results, and each *column* of the
     /// unknown corresponds to one output column of the workload.
+    ///
+    /// `X` starts as `B`'s rows in pivot order and is solved in place,
+    /// one row at a time over every column at once: forward substitution
+    /// subtracts `L[i][j] · X[j]` from row `i` for `j < i` ascending, back
+    /// substitution `U[i][j] · X[j]` for `j > i` ascending and then
+    /// divides by `U[i][i]`. Each column therefore sees exactly the
+    /// operations of [`Self::solve`] in the same order — a separate
+    /// multiply and subtract, never a fused `mul_add` — so every column is
+    /// bit-identical to solving it alone, on any host, while the inner
+    /// loops run over contiguous rows and vectorize.
     ///
     /// # Panics
     ///
@@ -128,37 +138,40 @@ impl LuFactors {
         let n = self.dim();
         assert_eq!(b.rows(), n, "solve_matrix: rhs row mismatch");
         let cols = b.cols();
-        let mut out = Matrix::zeros(n, cols);
-        // Substitute directly in two reused scratch buffers: the stacked
-        // decoder solves `rows_per_chunk × members` columns per chunk, so
-        // per-column allocations would dominate the small-system solves.
-        let mut rhs = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for c in 0..cols {
-            for (r, slot) in rhs.iter_mut().enumerate() {
-                *slot = b.get(r, c);
-            }
-            // Forward substitution on the permuted rhs (unit diagonal L).
-            for i in 0..n {
-                let mut sum = rhs[self.perm[i]];
-                for (j, &xj) in x[..i].iter().enumerate() {
-                    sum -= self.lu.get(i, j) * xj;
+        let mut x = Vec::with_capacity(n * cols);
+        for &p in &self.perm {
+            x.extend_from_slice(b.row(p));
+        }
+        if cols == 0 {
+            return Matrix::from_flat(n, 0, x);
+        }
+        // Forward substitution (L has an implicit unit diagonal).
+        for i in 1..n {
+            let (solved, rest) = x.split_at_mut(i * cols);
+            let xi = &mut rest[..cols];
+            for (j, xj) in solved.chunks_exact(cols).enumerate() {
+                let l = self.lu.get(i, j);
+                for (d, &v) in xi.iter_mut().zip(xj) {
+                    *d -= l * v;
                 }
-                x[i] = sum;
-            }
-            // Back substitution through U.
-            for i in (0..n).rev() {
-                let mut sum = x[i];
-                for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                    sum -= self.lu.get(i, j) * xj;
-                }
-                x[i] = sum / self.lu.get(i, i);
-            }
-            for (r, &xr) in x.iter().enumerate() {
-                out.set(r, c, xr);
             }
         }
-        out
+        // Back substitution through U.
+        for i in (0..n).rev() {
+            let (head, solved) = x.split_at_mut((i + 1) * cols);
+            let xi = &mut head[i * cols..];
+            for (j, xj) in solved.chunks_exact(cols).enumerate() {
+                let u = self.lu.get(i, i + 1 + j);
+                for (d, &v) in xi.iter_mut().zip(xj) {
+                    *d -= u * v;
+                }
+            }
+            let pivot = self.lu.get(i, i);
+            for d in xi {
+                *d /= pivot;
+            }
+        }
+        Matrix::from_flat(n, cols, x)
     }
 
     /// Computes the inverse matrix explicitly.
@@ -264,6 +277,43 @@ mod tests {
         // Verify A * X == B.
         let back = a.matmul(&x);
         assert!(back.max_abs_diff(&b) < 1e-12);
+    }
+
+    #[test]
+    fn solve_matrix_is_the_columnwise_solve_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x501E);
+        let mut value = || rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-2..=2));
+        let same_bits = |x: &Matrix, lu: &LuFactors, b: &Matrix, label: &str| {
+            for c in 0..b.cols() {
+                let column = lu.solve(&Vector::from_fn(b.rows(), |r| b.get(r, c)));
+                for (r, v) in column.as_slice().iter().enumerate() {
+                    assert_eq!(x.get(r, c).to_bits(), v.to_bits(), "{label}: ({r}, {c})");
+                }
+            }
+        };
+        for n in 1..=12 {
+            // With `pivoting`, a zero leading entry and a diagonal
+            // shrunk by 1e-6 make partial pivoting swap rows.
+            for pivoting in [false, true].into_iter().take(n.min(2)) {
+                let a = Matrix::from_fn(n, n, |r, c| match (pivoting, r == c) {
+                    (true, true) if r == 0 => 0.0,
+                    (true, true) => value() * 1e-6,
+                    _ => value(),
+                });
+                let lu = LuFactors::factor(&a).unwrap();
+                let swapped = lu.perm.iter().enumerate().any(|(i, &p)| i != p);
+                assert!(swapped || !pivoting, "n = {n}: no row swapped");
+                for cols in [0, 1, 3, 17] {
+                    let b = Matrix::from_fn(n, cols, |_, _| value());
+                    let label = format!("n = {n}, pivoting = {pivoting}, {cols} columns");
+                    same_bits(&lu.solve_matrix(&b), &lu, &b, &label);
+                }
+                // The inverse is the solve of the identity's columns.
+                let label = format!("inverse, n = {n}, pivoting = {pivoting}");
+                same_bits(&lu.inverse(), &lu, &Matrix::identity(n), &label);
+            }
+        }
     }
 
     #[test]
