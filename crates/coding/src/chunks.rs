@@ -153,25 +153,52 @@ impl MultiChunkResult {
     }
 }
 
-/// Groups blocks by chunk, validating worker/chunk bounds, a uniform
-/// member count, payload length (`values_per_member × members`), and
-/// duplicate `(worker, chunk)` pairs.
+/// Replies grouped by chunk in a `(chunk, worker)` slot table: slot
+/// `chunk · workers + worker` holds that pair's reply, if any.
 ///
-/// Returns `per_chunk[chunk] = Vec<&MultiChunkResult>`.
+/// Reading a chunk's slots upward yields its replies in ascending
+/// worker order whatever order they arrived in, so a decoder that keeps
+/// the lowest worker ids takes the first ones it reads, without sorting.
+pub(crate) struct ChunkReplies<'a> {
+    workers: usize,
+    slots: Vec<Option<&'a MultiChunkResult>>,
+    counts: Vec<usize>,
+}
+
+impl<'a> ChunkReplies<'a> {
+    /// How many replies `chunk` has.
+    pub(crate) fn count(&self, chunk: usize) -> usize {
+        self.counts[chunk]
+    }
+
+    /// `chunk`'s replies in ascending worker order.
+    pub(crate) fn replies(&self, chunk: usize) -> impl Iterator<Item = &'a MultiChunkResult> + '_ {
+        self.slots[chunk * self.workers..(chunk + 1) * self.workers]
+            .iter()
+            .filter_map(|slot| *slot)
+    }
+}
+
+/// Groups blocks by chunk in one pass, validating worker/chunk bounds,
+/// a uniform member count, payload length (`values_per_member ×
+/// members`), and duplicate `(worker, chunk)` pairs.
 ///
 /// # Errors
 ///
 /// [`CodingError::MalformedResponse`] on out-of-range indices, a member
 /// count differing from `members`, or wrong payload length;
-/// [`CodingError::DuplicateResponse`] on duplicates.
+/// [`CodingError::DuplicateResponse`] on duplicates. The first invalid
+/// block in `responses` order is the one reported.
 pub(crate) fn group_blocks_by_chunk<'a>(
     responses: &'a [MultiChunkResult],
     workers: usize,
     layout: &ChunkLayout,
     members: usize,
     values_per_member: usize,
-) -> Result<Vec<Vec<&'a MultiChunkResult>>, CodingError> {
-    let mut per_chunk: Vec<Vec<&MultiChunkResult>> = vec![Vec::new(); layout.chunks_per_partition];
+) -> Result<ChunkReplies<'a>, CodingError> {
+    let chunks = layout.chunks_per_partition;
+    let mut slots = vec![None; chunks * workers];
+    let mut counts = vec![0; chunks];
     for r in responses {
         if r.worker >= workers {
             return Err(CodingError::MalformedResponse(format!(
@@ -179,10 +206,10 @@ pub(crate) fn group_blocks_by_chunk<'a>(
                 r.worker
             )));
         }
-        if r.chunk >= layout.chunks_per_partition {
+        if r.chunk >= chunks {
             return Err(CodingError::MalformedResponse(format!(
-                "chunk {} out of range ({} chunks per partition)",
-                r.chunk, layout.chunks_per_partition
+                "chunk {} out of range ({chunks} chunks per partition)",
+                r.chunk
             )));
         }
         if r.members != members {
@@ -198,15 +225,21 @@ pub(crate) fn group_blocks_by_chunk<'a>(
                 values_per_member * members
             )));
         }
-        if per_chunk[r.chunk].iter().any(|e| e.worker == r.worker) {
+        let slot = &mut slots[r.chunk * workers + r.worker];
+        if slot.is_some() {
             return Err(CodingError::DuplicateResponse {
                 worker: r.worker,
                 chunk: r.chunk,
             });
         }
-        per_chunk[r.chunk].push(r);
+        *slot = Some(r);
+        counts[r.chunk] += 1;
     }
-    Ok(per_chunk)
+    Ok(ChunkReplies {
+        workers,
+        slots,
+        counts,
+    })
 }
 
 #[cfg(test)]
@@ -285,13 +318,33 @@ mod tests {
             let block = |worker, chunk| {
                 MultiChunkResult::new(worker, chunk, members, vec![0.0; vpm * members])
             };
+            // Per chunk, the workers that replied, in the order the
+            // grouping hands them out.
             let group = |blocks: &[MultiChunkResult]| {
-                group_blocks_by_chunk(blocks, 3, &l, members, vpm)
-                    .map(|g| g.iter().map(Vec::len).collect::<Vec<_>>())
+                group_blocks_by_chunk(blocks, 3, &l, members, vpm).map(|g| {
+                    (0..l.chunks_per_partition)
+                        .map(|c| {
+                            let workers: Vec<usize> = g.replies(c).map(|r| r.worker).collect();
+                            assert_eq!(workers.len(), g.count(c));
+                            workers
+                        })
+                        .collect::<Vec<_>>()
+                })
             };
             assert_eq!(
                 group(&[block(0, 0), block(1, 0), block(0, 1)]),
-                Ok(vec![2, 1])
+                Ok(vec![vec![0, 1], vec![0]])
+            );
+            // Ascending worker order whatever the arrival order.
+            assert_eq!(
+                group(&[
+                    block(2, 1),
+                    block(1, 0),
+                    block(0, 1),
+                    block(2, 0),
+                    block(1, 1)
+                ]),
+                Ok(vec![vec![1, 2], vec![0, 1, 2]])
             );
             assert_eq!(
                 group(&[block(0, 0), block(0, 0)]),

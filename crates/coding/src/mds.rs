@@ -389,10 +389,19 @@ impl MdsCode {
     /// workers, and every block must carry the same member count. Of a
     /// chunk's replies the decoder keeps the `k` with the lowest worker
     /// ids — systematic first, since those decode for free — whatever
-    /// order they arrived in, and ignores the rest. The LU system of a
-    /// chunk is factored once and back-substituted over the whole
-    /// stacked block, so each member's output is bit-identical to
-    /// decoding that member's one-member blocks alone.
+    /// order they arrived in, and ignores the rest: one pass files the
+    /// replies into a `(chunk, worker)` slot table, and reading a chunk's
+    /// slots upward yields them in that order. Systematic blocks are
+    /// copied into place. For the missing ones, the right-hand side of a
+    /// parity reply is its block minus `P[p][j] · block_j` for every kept
+    /// systematic `j`, ascending, over the whole contiguous block; the
+    /// generator subsystem is LU-factored once per erasure pattern (the
+    /// missing blocks and the parity workers kept) per call, and solved
+    /// row-wise over the whole stacked block
+    /// ([`LuFactors::solve_matrix`]). Every step is a plain multiply and
+    /// subtract, never a fused `mul_add`, in the order decoding each
+    /// value alone would take, so each member's output is bit-identical
+    /// to decoding that member's one-member blocks alone, on every host.
     ///
     /// Returns one output vector per member, truncated to the original
     /// row count.
@@ -425,83 +434,125 @@ impl MdsCode {
         };
         let members = first.members;
         let rpc = layout.rows_per_chunk();
+        let prow = layout.partition_rows();
         let padded = layout.padded_rows;
         let width = rpc * members;
-        let per_chunk = group_blocks_by_chunk(responses, self.params.n, layout, members, rpc)?;
+        let groups = group_blocks_by_chunk(responses, self.params.n, layout, members, rpc)?;
 
         // Member-major: member `m`'s padded output is
         // `out[m * padded..(m + 1) * padded]`.
         let mut out = vec![0.0; members * padded];
-        for (chunk, mut resps) in per_chunk.into_iter().enumerate() {
-            if resps.len() < k {
+        // Reused across chunks: the kept replies split into systematic
+        // and parity ones, the chunk's erasure pattern (the missing
+        // blocks, then the parity workers kept), the right-hand side,
+        // and one factorization per pattern met so far.
+        let mut known: Vec<&MultiChunkResult> = Vec::with_capacity(k);
+        let mut parity: Vec<&MultiChunkResult> = Vec::new();
+        let mut pattern: Vec<usize> = Vec::new();
+        let mut factored: Vec<(Vec<usize>, LuFactors)> = Vec::new();
+        let mut rhs: Vec<f64> = Vec::new();
+        for chunk in 0..layout.chunks_per_partition {
+            let got = groups.count(chunk);
+            if got < k {
                 return Err(CodingError::NotEnoughResponses {
                     chunk,
-                    got: resps.len(),
+                    got,
                     need: k,
                 });
             }
-            // Deterministic preference for systematic responses: they decode
-            // for free, minimizing the solve size.
-            resps.sort_by_key(|r| r.worker);
-            resps.truncate(k);
-
-            // Place systematic results directly; collect missing blocks.
-            let mut have = vec![false; k];
-            for r in &resps {
+            // Block `j`'s rows of this chunk start at `j · prow + first`
+            // of the padded output.
+            let first = chunk * rpc;
+            known.clear();
+            parity.clear();
+            for r in groups.replies(chunk).take(k) {
                 if r.worker < k {
-                    have[r.worker] = true;
-                    let dst = layout.output_range(r.worker, chunk);
-                    for (col, &v) in r.values.iter().enumerate() {
-                        out[(col % members) * padded + dst.start + col / members] = v;
-                    }
+                    known.push(r);
+                } else {
+                    parity.push(r);
                 }
             }
-            let missing: Vec<usize> = (0..k).filter(|j| !have[*j]).collect();
-            if missing.is_empty() {
+            for r in &known {
+                scatter_block(
+                    &mut out,
+                    padded,
+                    members,
+                    r.worker * prow + first,
+                    &r.values,
+                );
+            }
+            if parity.is_empty() {
                 continue;
             }
-            let parity_resps: Vec<&MultiChunkResult> =
-                resps.iter().copied().filter(|r| r.worker >= k).collect();
-            debug_assert!(parity_resps.len() >= missing.len());
 
-            // Build the m×m generator subsystem over the missing
-            // coordinates and factor it once for the whole stacked block.
-            let m = missing.len();
-            let sys = Matrix::from_fn(m, m, |pi, mj| {
-                self.parity.get(parity_resps[pi].worker - k, missing[mj])
-            });
-            let lu = LuFactors::factor(&sys).map_err(|_| CodingError::DecodeSingular { chunk })?;
+            // `known` ascends, so the missing blocks are its gaps.
+            let m = parity.len();
+            pattern.clear();
+            let mut ids = known.iter().map(|r| r.worker).peekable();
+            for j in 0..k {
+                if ids.next_if_eq(&j).is_none() {
+                    pattern.push(j);
+                }
+            }
+            debug_assert_eq!(pattern.len(), m);
+            pattern.extend(parity.iter().map(|r| r.worker));
+            let at = match factored.iter().position(|(key, _)| *key == pattern) {
+                Some(at) => at,
+                None => {
+                    let sys = Matrix::from_fn(m, m, |pi, mj| {
+                        self.parity.get(pattern[m + pi] - k, pattern[mj])
+                    });
+                    let lu = LuFactors::factor(&sys)
+                        .map_err(|_| CodingError::DecodeSingular { chunk })?;
+                    factored.push((pattern.clone(), lu));
+                    factored.len() - 1
+                }
+            };
 
-            // RHS: parity values minus contributions from known blocks —
-            // one column per (chunk row, member) pair, built flat and
-            // handed to the solver in one piece.
-            let mut rhs = Vec::with_capacity(m * width);
-            for r in &parity_resps {
-                let prow_idx = r.worker - k;
-                for (col, &pv) in r.values.iter().enumerate() {
-                    let base = (col % members) * padded + col / members;
-                    let mut v = pv;
-                    for j in 0..k {
-                        if have[j] {
-                            let known = out[base + layout.output_range(j, chunk).start];
-                            v -= self.parity.get(prow_idx, j) * known;
-                        }
+            // RHS: each parity block minus the known blocks' share of
+            // it, one contiguous `rpc × members` row per parity reply.
+            rhs.clear();
+            for r in &parity {
+                let weights = self.parity.row(r.worker - k);
+                let start = rhs.len();
+                rhs.extend_from_slice(&r.values);
+                let row = &mut rhs[start..];
+                for s in &known {
+                    let w = weights[s.worker];
+                    for (d, &v) in row.iter_mut().zip(&s.values) {
+                        *d -= w * v;
                     }
-                    rhs.push(v);
                 }
             }
-            let solved = lu.solve_matrix(&Matrix::from_flat(m, width, rhs));
-            for (mi, &j) in missing.iter().enumerate() {
-                let dst = layout.output_range(j, chunk);
-                for col in 0..width {
-                    out[(col % members) * padded + dst.start + col / members] = solved.get(mi, col);
-                }
+            let b = Matrix::from_flat(m, width, std::mem::take(&mut rhs));
+            let solved = factored[at].1.solve_matrix(&b);
+            rhs = b.into_flat();
+            for (mi, &j) in pattern[..m].iter().enumerate() {
+                scatter_block(&mut out, padded, members, j * prow + first, solved.row(mi));
             }
+        }
+        if members == 1 {
+            out.truncate(layout.original_rows);
+            return Ok(vec![Vector::from(out)]);
         }
         Ok(out
             .chunks_exact(padded)
             .map(|member| Vector::from(member[..layout.original_rows].to_vec()))
             .collect())
+    }
+}
+
+/// Writes one `rows × members` reply block (member-minor) into every
+/// member's padded output, starting at padded row `first`.
+fn scatter_block(out: &mut [f64], padded: usize, members: usize, first: usize, block: &[f64]) {
+    if members == 1 {
+        out[first..first + block.len()].copy_from_slice(block);
+        return;
+    }
+    for (row, values) in block.chunks_exact(members).enumerate() {
+        for (m, &v) in values.iter().enumerate() {
+            out[m * padded + first + row] = v;
+        }
     }
 }
 

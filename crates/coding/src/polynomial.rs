@@ -258,28 +258,25 @@ impl PolynomialCode {
         let rpc = layout.row.rows_per_chunk();
         let pcol = layout.cols_per_partition();
         let vpc = layout.values_per_chunk();
-        let per_chunk = group_blocks_by_chunk(responses, self.params.n, &layout.row, 1, vpc)?;
+        let groups = group_blocks_by_chunk(responses, self.params.n, &layout.row, 1, vpc)?;
 
         let mut out = Matrix::zeros(layout.row.padded_rows, layout.padded_cols);
-        for (chunk, mut resps) in per_chunk.into_iter().enumerate() {
-            if resps.len() < need {
-                return Err(CodingError::NotEnoughResponses {
-                    chunk,
-                    got: resps.len(),
-                    need,
-                });
+        for chunk in 0..layout.row.chunks_per_partition {
+            let got = groups.count(chunk);
+            if got < need {
+                return Err(CodingError::NotEnoughResponses { chunk, got, need });
             }
-            resps.sort_by_key(|r| r.worker);
-            resps.truncate(need);
+            // The `need` lowest worker ids: the grouping yields them first.
+            let kept = || groups.replies(chunk).take(need);
 
             // Interpolation system: V[i][q] = α_(worker_i)^q.
-            let pts: Vec<f64> = resps.iter().map(|r| self.points[r.worker]).collect();
+            let pts: Vec<f64> = kept().map(|r| self.points[r.worker]).collect();
             let v = vandermonde(&pts, need);
             let lu = LuFactors::factor(&v).map_err(|_| CodingError::DecodeSingular { chunk })?;
 
             // RHS rows are the flattened responses; columns are entries.
             let mut rhs = Matrix::zeros(need, vpc);
-            for (ri, r) in resps.iter().enumerate() {
+            for (ri, r) in kept().enumerate() {
                 rhs.row_mut(ri).copy_from_slice(&r.values);
             }
             let solved = lu.solve_matrix(&rhs); // row q = flattened X_q

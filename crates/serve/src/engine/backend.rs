@@ -388,7 +388,7 @@ impl NumericCore {
     }
 
     /// Decodes the round's stacked blocks (all members in one pass, LU
-    /// factored once per chunk), verifies every member against its
+    /// factored once per erasure pattern), verifies every member against its
     /// sequential reference, and records the outcomes.
     fn verify_multi(
         &mut self,
