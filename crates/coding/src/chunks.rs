@@ -162,15 +162,9 @@ impl MultiChunkResult {
 pub(crate) struct ChunkReplies<'a> {
     workers: usize,
     slots: Vec<Option<&'a MultiChunkResult>>,
-    counts: Vec<usize>,
 }
 
 impl<'a> ChunkReplies<'a> {
-    /// How many replies `chunk` has.
-    pub(crate) fn count(&self, chunk: usize) -> usize {
-        self.counts[chunk]
-    }
-
     /// `chunk`'s replies in ascending worker order.
     pub(crate) fn replies(&self, chunk: usize) -> impl Iterator<Item = &'a MultiChunkResult> + '_ {
         self.slots[chunk * self.workers..(chunk + 1) * self.workers]
@@ -198,7 +192,6 @@ pub(crate) fn group_blocks_by_chunk<'a>(
 ) -> Result<ChunkReplies<'a>, CodingError> {
     let chunks = layout.chunks_per_partition;
     let mut slots = vec![None; chunks * workers];
-    let mut counts = vec![0; chunks];
     for r in responses {
         if r.worker >= workers {
             return Err(CodingError::MalformedResponse(format!(
@@ -233,13 +226,8 @@ pub(crate) fn group_blocks_by_chunk<'a>(
             });
         }
         *slot = Some(r);
-        counts[r.chunk] += 1;
     }
-    Ok(ChunkReplies {
-        workers,
-        slots,
-        counts,
-    })
+    Ok(ChunkReplies { workers, slots })
 }
 
 #[cfg(test)]
@@ -323,11 +311,7 @@ mod tests {
             let group = |blocks: &[MultiChunkResult]| {
                 group_blocks_by_chunk(blocks, 3, &l, members, vpm).map(|g| {
                     (0..l.chunks_per_partition)
-                        .map(|c| {
-                            let workers: Vec<usize> = g.replies(c).map(|r| r.worker).collect();
-                            assert_eq!(workers.len(), g.count(c));
-                            workers
-                        })
+                        .map(|c| g.replies(c).map(|r| r.worker).collect())
                         .collect::<Vec<_>>()
                 })
             };

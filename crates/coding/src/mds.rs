@@ -452,7 +452,7 @@ impl MdsCode {
         let mut factored: Vec<(Vec<usize>, LuFactors)> = Vec::new();
         let mut rhs: Vec<f64> = Vec::new();
         for chunk in 0..layout.chunks_per_partition {
-            let got = groups.count(chunk);
+            let got = groups.replies(chunk).count();
             if got < k {
                 return Err(CodingError::NotEnoughResponses {
                     chunk,

@@ -262,7 +262,7 @@ impl PolynomialCode {
 
         let mut out = Matrix::zeros(layout.row.padded_rows, layout.padded_cols);
         for chunk in 0..layout.row.chunks_per_partition {
-            let got = groups.count(chunk);
+            let got = groups.replies(chunk).count();
             if got < need {
                 return Err(CodingError::NotEnoughResponses { chunk, got, need });
             }
