@@ -6,13 +6,13 @@
 //! replication factor); (12,10) is flat to 2 stragglers then jumps ~5×;
 //! (12,9) is flat throughout but pays a higher healthy-cluster baseline.
 
-use crate::experiments::{common, Scale};
+use crate::experiments::common::{self, Scheme};
+use crate::experiments::Scale;
 use crate::report::Table;
 use s2c2_coding::mds::MdsParams;
 use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_core::strategy::StrategyKind;
 use s2c2_workloads::datasets::gisette_like;
-use s2c2_workloads::logreg::DistributedLogReg;
 
 /// Runs the experiment; values are total LR latencies normalized to
 /// uncoded-3-replication with zero stragglers.
@@ -23,44 +23,26 @@ pub fn run(scale: Scale) -> Table {
     let iters = scale.pick(5, 15);
     let data = gisette_like(rows, cols, 0xF1);
 
-    let schemes: Vec<(&str, MdsParams, StrategyKind)> = vec![
-        (
-            "uncoded-3rep",
-            MdsParams::new(12, 12),
-            StrategyKind::Replication,
-        ),
-        ("mds(12,10)", MdsParams::new(12, 10), StrategyKind::MdsCoded),
-        ("mds(12,9)", MdsParams::new(12, 9), StrategyKind::MdsCoded),
+    let scheme = |label, k, kind| Scheme {
+        label,
+        params: MdsParams::new(12, k),
+        kind,
+        predictor: PredictorSource::LastValue,
+    };
+    let schemes = [
+        scheme("uncoded-3rep", 12, StrategyKind::Replication),
+        scheme("mds(12,10)", 10, StrategyKind::MdsCoded),
+        scheme("mds(12,9)", 9, StrategyKind::MdsCoded),
     ];
-
-    let mut table = Table::new(
+    common::sweep(
         "Fig 1 — LR latency vs stragglers (normalized to uncoded-3rep @ 0)",
-        schemes.iter().map(|(n, _, _)| (*n).to_string()).collect(),
-    );
-
-    let mut baseline = None;
-    for stragglers in 0..=3usize {
-        let mut values = Vec::with_capacity(schemes.len());
-        for (si, (_, params, kind)) in schemes.iter().enumerate() {
-            let cluster = common::controlled_cluster(12, stragglers, 0xF1 + si as u64);
-            let cfg = common::exec(*params, cluster, *kind, PredictorSource::LastValue, 10);
-            let mut lr = DistributedLogReg::new(&data, &cfg, 0.5, 1e-4)
-                .expect("experiment configuration is valid");
-            for _ in 0..iters {
-                lr.step().expect("iteration succeeds");
-            }
-            values.push(lr.total_latency());
-        }
-        if baseline.is_none() {
-            baseline = Some(values[0]);
-        }
-        let base = baseline.expect("set on first row");
-        table.push_row(
-            format!("{stragglers} stragglers"),
-            values.iter().map(|v| v / base).collect(),
-        );
-    }
-    table
+        &schemes,
+        3,
+        |stragglers, si, scheme| {
+            let cfg = scheme.controlled(stragglers, 0xF1 + si as u64, 10);
+            common::logreg_latency(&data, &cfg, iters)
+        },
+    )
 }
 
 #[cfg(test)]

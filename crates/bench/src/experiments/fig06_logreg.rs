@@ -6,79 +6,36 @@
 //! then ~5×; (12,6)-MDS flat at ~2× baseline; basic S²C² tracks
 //! `12/(12−s)`; general S²C² (knowing exact speeds) is lowest everywhere.
 
-use crate::experiments::{common, Scale};
+use crate::experiments::common::{self, Scheme};
+use crate::experiments::Scale;
 use crate::report::Table;
 use s2c2_coding::mds::MdsParams;
 use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_core::strategy::StrategyKind;
 use s2c2_workloads::datasets::gisette_like;
-use s2c2_workloads::logreg::DistributedLogReg;
 
-/// One column of the figure.
-struct Scheme {
-    label: &'static str,
-    params: MdsParams,
-    kind: StrategyKind,
-    predictor: PredictorSource,
-}
-
-fn schemes() -> Vec<Scheme> {
+/// The figure's five columns, shared with Fig 7.
+pub(crate) fn schemes() -> Vec<Scheme> {
+    let scheme = |label, k, kind, predictor| Scheme {
+        label,
+        params: MdsParams::new(12, k),
+        kind,
+        predictor,
+    };
+    let last = || PredictorSource::LastValue;
     vec![
-        Scheme {
-            label: "uncoded-3rep+spec",
-            params: MdsParams::new(12, 12),
-            kind: StrategyKind::Replication,
-            predictor: PredictorSource::LastValue,
-        },
-        Scheme {
-            label: "mds(12,10)",
-            params: MdsParams::new(12, 10),
-            kind: StrategyKind::MdsCoded,
-            predictor: PredictorSource::LastValue,
-        },
-        Scheme {
-            label: "mds(12,6)",
-            params: MdsParams::new(12, 6),
-            kind: StrategyKind::MdsCoded,
-            predictor: PredictorSource::LastValue,
-        },
-        Scheme {
-            label: "s2c2-basic(12,6)",
-            params: MdsParams::new(12, 6),
-            kind: StrategyKind::S2c2Basic,
-            predictor: PredictorSource::LastValue,
-        },
-        Scheme {
-            label: "s2c2-general(12,6)",
-            params: MdsParams::new(12, 6),
-            kind: StrategyKind::S2c2General,
-            // "knowing the exact speeds" — the oracle variant of Fig 6.
-            predictor: PredictorSource::Oracle,
-        },
+        scheme("uncoded-3rep+spec", 12, StrategyKind::Replication, last()),
+        scheme("mds(12,10)", 10, StrategyKind::MdsCoded, last()),
+        scheme("mds(12,6)", 6, StrategyKind::MdsCoded, last()),
+        scheme("s2c2-basic(12,6)", 6, StrategyKind::S2c2Basic, last()),
+        // "knowing the exact speeds" — the oracle variant of Fig 6.
+        scheme(
+            "s2c2-general(12,6)",
+            6,
+            StrategyKind::S2c2General,
+            PredictorSource::Oracle,
+        ),
     ]
-}
-
-/// Runs the experiment over `workload(straggler_count, scheme) -> latency`.
-fn sweep(scale: Scale, title: &str, mut total_latency: impl FnMut(usize, &Scheme) -> f64) -> Table {
-    let schemes = schemes();
-    let mut table = Table::new(title, schemes.iter().map(|s| s.label.to_string()).collect());
-    let max_stragglers = scale.pick(4, 6);
-    let mut baseline = None;
-    for stragglers in 0..=max_stragglers {
-        let values: Vec<f64> = schemes
-            .iter()
-            .map(|s| total_latency(stragglers, s))
-            .collect();
-        if baseline.is_none() {
-            baseline = Some(values[0]);
-        }
-        let base = baseline.expect("set on first row");
-        table.push_row(
-            format!("{stragglers} stragglers"),
-            values.iter().map(|v| v / base).collect(),
-        );
-    }
-    table
 }
 
 /// Runs Figure 6 (logistic regression).
@@ -88,24 +45,12 @@ pub fn run(scale: Scale) -> Table {
     let cols = scale.pick(48, 240);
     let iters = scale.pick(5, 15);
     let data = gisette_like(rows, cols, 0xF6);
-    sweep(
-        scale,
+    common::sweep(
         "Fig 6 — LR relative execution time (normalized to replication @ 0)",
-        |stragglers, scheme| {
-            let cluster = common::controlled_cluster(12, stragglers, 0xF6);
-            let cfg = common::exec(
-                scheme.params,
-                cluster,
-                scheme.kind,
-                scheme.predictor.clone(),
-                12,
-            );
-            let mut lr = DistributedLogReg::new(&data, &cfg, 0.5, 1e-4)
-                .expect("experiment configuration is valid");
-            for _ in 0..iters {
-                lr.step().expect("iteration succeeds");
-            }
-            lr.total_latency()
+        &schemes(),
+        scale.pick(4, 6),
+        |stragglers, _, scheme| {
+            common::logreg_latency(&data, &scheme.controlled(stragglers, 0xF6, 12), iters)
         },
     )
 }

@@ -1,10 +1,7 @@
 //! Figure 7 — PageRank on the controlled cluster (same sweep as Fig 6).
 
-use crate::experiments::{common, Scale};
+use crate::experiments::{common, fig06_logreg, Scale};
 use crate::report::Table;
-use s2c2_coding::mds::MdsParams;
-use s2c2_core::speed_tracker::PredictorSource;
-use s2c2_core::strategy::StrategyKind;
 use s2c2_workloads::datasets::power_law_graph;
 use s2c2_workloads::pagerank::DistributedPageRank;
 
@@ -14,71 +11,20 @@ pub fn run(scale: Scale) -> Table {
     let nodes = scale.pick(480, 2400);
     let iters = scale.pick(5, 15);
     let graph = power_law_graph(nodes, 3, 0xF7);
-
-    let schemes: Vec<(&str, MdsParams, StrategyKind, PredictorSource)> = vec![
-        (
-            "uncoded-3rep+spec",
-            MdsParams::new(12, 12),
-            StrategyKind::Replication,
-            PredictorSource::LastValue,
-        ),
-        (
-            "mds(12,10)",
-            MdsParams::new(12, 10),
-            StrategyKind::MdsCoded,
-            PredictorSource::LastValue,
-        ),
-        (
-            "mds(12,6)",
-            MdsParams::new(12, 6),
-            StrategyKind::MdsCoded,
-            PredictorSource::LastValue,
-        ),
-        (
-            "s2c2-basic(12,6)",
-            MdsParams::new(12, 6),
-            StrategyKind::S2c2Basic,
-            PredictorSource::LastValue,
-        ),
-        (
-            "s2c2-general(12,6)",
-            MdsParams::new(12, 6),
-            StrategyKind::S2c2General,
-            PredictorSource::Oracle,
-        ),
-    ];
-
-    let mut table = Table::new(
+    common::sweep(
         "Fig 7 — PageRank relative execution time (normalized to replication @ 0)",
-        schemes
-            .iter()
-            .map(|(l, _, _, _)| (*l).to_string())
-            .collect(),
-    );
-    let max_stragglers = scale.pick(4, 6);
-    let mut baseline = None;
-    for stragglers in 0..=max_stragglers {
-        let mut values = Vec::with_capacity(schemes.len());
-        for (_, params, kind, predictor) in &schemes {
-            let cluster = common::controlled_cluster(12, stragglers, 0xF7);
-            let cfg = common::exec(*params, cluster, *kind, predictor.clone(), 12);
+        &fig06_logreg::schemes(),
+        scale.pick(4, 6),
+        |stragglers, _, scheme| {
+            let cfg = scheme.controlled(stragglers, 0xF7, 12);
             let mut pr = DistributedPageRank::new(&graph, &cfg, 0.85)
                 .expect("experiment configuration is valid");
             for _ in 0..iters {
                 pr.step().expect("iteration succeeds");
             }
-            values.push(pr.total_latency());
-        }
-        if baseline.is_none() {
-            baseline = Some(values[0]);
-        }
-        let base = baseline.expect("set on first row");
-        table.push_row(
-            format!("{stragglers} stragglers"),
-            values.iter().map(|v| v / base).collect(),
-        );
-    }
-    table
+            pr.total_latency()
+        },
+    )
 }
 
 #[cfg(test)]

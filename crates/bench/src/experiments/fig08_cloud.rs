@@ -10,15 +10,14 @@
 //!   (volatile traces) — ordering preserved, gaps shrink, S²C² now wastes
 //!   some work but far less than MDS.
 
-use crate::experiments::{common, Scale};
+use crate::experiments::common::{self, Scheme};
+use crate::experiments::Scale;
 use crate::report::Table;
-use s2c2_cluster::JobMetrics;
 use s2c2_coding::mds::MdsParams;
 use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_core::strategy::StrategyKind;
 use s2c2_trace::CloudTraceConfig;
-use s2c2_workloads::datasets::{gisette_like, Classification};
-use s2c2_workloads::svm::DistributedSvm;
+use s2c2_workloads::datasets::gisette_like;
 
 /// All four tables of the cloud experiment family.
 #[derive(Debug, Clone)]
@@ -33,52 +32,6 @@ pub struct CloudFigures {
     pub fig11: Table,
 }
 
-struct SchemeResult {
-    label: String,
-    latency: f64,
-    forward_metrics: JobMetrics,
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one call per scheme row; each argument is a column of the figure's table"
-)]
-fn run_scheme(
-    data: &Classification,
-    label: &str,
-    params: MdsParams,
-    kind: StrategyKind,
-    predictor: PredictorSource,
-    preset: &CloudTraceConfig,
-    iters: usize,
-    seed: u64,
-) -> SchemeResult {
-    let cluster = common::cloud_cluster(params.n, preset, seed);
-    let cfg = common::exec(params, cluster, kind, predictor, 14);
-    let mut svm =
-        DistributedSvm::new(data, &cfg, 0.2, 1e-3).expect("experiment configuration is valid");
-    // Warm-up: the paper's deployment predicts from *history*; give the
-    // online predictors the same advantage before the measured window.
-    for _ in 0..2 {
-        svm.step().expect("warmup iteration succeeds");
-    }
-    let warm_latency = svm.total_latency();
-    for _ in 0..iters {
-        svm.step().expect("iteration succeeds");
-    }
-    SchemeResult {
-        label: label.to_string(),
-        latency: svm.total_latency() - warm_latency,
-        forward_metrics: svm_forward_metrics(&svm),
-    }
-}
-
-/// The wasted-computation figures use the forward job's accounting (the
-/// backward job behaves identically; using one keeps the bars readable).
-fn svm_forward_metrics(svm: &DistributedSvm) -> JobMetrics {
-    svm.forward_metrics().clone()
-}
-
 fn environment(preset: &CloudTraceConfig, name: &str, scale: Scale, seed: u64) -> (Table, Table) {
     let rows = scale.pick(560, 2100);
     let cols = scale.pick(56, 210);
@@ -86,68 +39,56 @@ fn environment(preset: &CloudTraceConfig, name: &str, scale: Scale, seed: u64) -
     let data = gisette_like(rows, cols, seed);
     let lstm = common::lstm_predictor(preset, seed);
 
-    let mut results: Vec<SchemeResult> = Vec::new();
-    results.push(run_scheme(
-        &data,
+    let scheme = |label, n, kind, predictor| Scheme {
+        label,
+        params: MdsParams::new(n, 7),
+        kind,
+        predictor,
+    };
+    let mut schemes = vec![scheme(
         "over-decomposition",
-        MdsParams::new(10, 7),
+        10,
         StrategyKind::OverDecomposition,
         lstm.clone(),
-        preset,
-        iters,
-        seed,
-    ));
+    )];
     for (n, label) in [(8usize, "mds(8,7)"), (9, "mds(9,7)"), (10, "mds(10,7)")] {
-        results.push(run_scheme(
-            &data,
+        schemes.push(scheme(
             label,
-            MdsParams::new(n, 7),
+            n,
             StrategyKind::MdsCoded,
             PredictorSource::LastValue,
-            preset,
-            iters,
-            seed,
         ));
     }
     for (n, label) in [(8usize, "s2c2(8,7)"), (9, "s2c2(9,7)"), (10, "s2c2(10,7)")] {
-        results.push(run_scheme(
-            &data,
-            label,
-            MdsParams::new(n, 7),
-            StrategyKind::S2c2General,
-            lstm.clone(),
-            preset,
-            iters,
-            seed,
-        ));
+        schemes.push(scheme(label, n, StrategyKind::S2c2General, lstm.clone()));
     }
-
-    let base = results
+    // Each scheme's measured latency and its forward job's accounting:
+    // the wasted-computation figures use the forward job (the backward
+    // job behaves identically; using one keeps the bars readable).
+    let results: Vec<_> = schemes
         .iter()
-        .find(|r| r.label == "s2c2(10,7)")
-        .expect("baseline scheme present")
-        .latency;
+        .map(|s| {
+            let (latency, svm) = common::svm_window(&data, &s.cloud(preset, seed, 14), iters);
+            (latency, svm.forward_metrics().clone())
+        })
+        .collect();
+    let result = |label| {
+        let at = schemes.iter().position(|s| s.label == label);
+        &results[at.expect("scheme present")]
+    };
+
+    let base = result("s2c2(10,7)").0;
     let mut exec_table = Table::new(
         format!("Execution time comparison, {name} (normalized to s2c2(10,7))"),
         vec!["relative execution time".into()],
     );
-    for r in &results {
-        exec_table.push_row(r.label.clone(), vec![r.latency / base]);
+    for (s, (latency, _)) in schemes.iter().zip(&results) {
+        exec_table.push_row(s.label, vec![latency / base]);
     }
 
     // Wasted computation per worker: (10,7) MDS vs (10,7) S2C2.
-    let mds_waste = results
-        .iter()
-        .find(|r| r.label == "mds(10,7)")
-        .expect("present")
-        .forward_metrics
-        .wasted_fraction_per_worker();
-    let s2c2_waste = results
-        .iter()
-        .find(|r| r.label == "s2c2(10,7)")
-        .expect("present")
-        .forward_metrics
-        .wasted_fraction_per_worker();
+    let mds_waste = result("mds(10,7)").1.wasted_fraction_per_worker();
+    let s2c2_waste = result("s2c2(10,7)").1.wasted_fraction_per_worker();
     let mut waste_table = Table::new(
         format!("Wasted computation per worker (%), {name}"),
         vec!["mds(10,7)".into(), "s2c2(10,7)".into()],

@@ -4,14 +4,14 @@
 //! Expected shape: MDS ≈ 1.25× S²C² at low mis-prediction (the exact
 //! `(50−40)/40` bound when all 50 workers stay fast), ≈ 1.12× at high.
 
-use crate::experiments::{common, Scale};
+use crate::experiments::common::{self, Scheme};
+use crate::experiments::Scale;
 use crate::report::Table;
 use s2c2_coding::mds::MdsParams;
 use s2c2_core::speed_tracker::PredictorSource;
 use s2c2_core::strategy::StrategyKind;
 use s2c2_trace::CloudTraceConfig;
 use s2c2_workloads::datasets::gisette_like;
-use s2c2_workloads::svm::DistributedSvm;
 
 fn environment(preset: &CloudTraceConfig, scale: Scale, seed: u64) -> Vec<f64> {
     let rows = scale.pick(2000, 6400);
@@ -21,24 +21,24 @@ fn environment(preset: &CloudTraceConfig, scale: Scale, seed: u64) -> Vec<f64> {
     let params = MdsParams::new(50, 40);
     let lstm = common::lstm_predictor(preset, seed);
 
-    let mut latencies = Vec::with_capacity(2);
-    for (kind, predictor) in [
-        (StrategyKind::MdsCoded, PredictorSource::LastValue),
-        (StrategyKind::S2c2General, lstm),
-    ] {
-        let cluster = common::cloud_cluster(50, preset, seed);
-        let cfg = common::exec(params, cluster, kind, predictor, 10);
-        let mut svm =
-            DistributedSvm::new(&data, &cfg, 0.2, 1e-3).expect("experiment configuration is valid");
-        for _ in 0..2 {
-            svm.step().expect("warmup iteration succeeds");
-        }
-        let warm = svm.total_latency();
-        for _ in 0..iters {
-            svm.step().expect("iteration succeeds");
-        }
-        latencies.push(svm.total_latency() - warm);
-    }
+    let schemes = [
+        Scheme {
+            label: "mds(50,40)",
+            params,
+            kind: StrategyKind::MdsCoded,
+            predictor: PredictorSource::LastValue,
+        },
+        Scheme {
+            label: "s2c2(50,40)",
+            params,
+            kind: StrategyKind::S2c2General,
+            predictor: lstm,
+        },
+    ];
+    let latencies: Vec<f64> = schemes
+        .iter()
+        .map(|s| common::svm_window(&data, &s.cloud(preset, seed, 10), iters).0)
+        .collect();
     let base = latencies[1];
     latencies.iter().map(|l| l / base).collect()
 }

@@ -152,17 +152,6 @@ impl EncodeCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// `hits / (hits + misses)`, or 0 before the first lookup.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +190,6 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "hits alias one allocation");
         assert_eq!(cache.len(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -240,8 +228,7 @@ mod tests {
         let mut cache = EncodeCache::new();
         assert!(cache.get_or_encode(key(1, 3, 4, 2), matrix).is_err());
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hit_rate(), 0.0);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 
     #[test]
@@ -270,6 +257,6 @@ mod tests {
     fn empty_cache_reports_zero() {
         let cache = EncodeCache::new();
         assert!(cache.is_empty());
-        assert_eq!(cache.hit_rate(), 0.0);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 }

@@ -97,12 +97,6 @@ impl ChunkLayout {
         let base = partition * self.partition_rows();
         base + local.start..base + local.end
     }
-
-    /// Total number of zero rows appended by padding.
-    #[must_use]
-    pub fn padding_rows(&self) -> usize {
-        self.padded_rows - self.original_rows
-    }
 }
 
 /// One worker's reply for one chunk of its coded partition: a
@@ -240,14 +234,12 @@ mod tests {
         assert_eq!(l.padded_rows, 120);
         assert_eq!(l.partition_rows(), 30);
         assert_eq!(l.rows_per_chunk(), 10);
-        assert_eq!(l.padding_rows(), 0);
     }
 
     #[test]
     fn padding_rounds_up() {
         let l = ChunkLayout::new(100, 4, 3).unwrap();
         assert_eq!(l.padded_rows, 108);
-        assert_eq!(l.padding_rows(), 8);
     }
 
     #[test]

@@ -288,26 +288,33 @@ mod tests {
     fn every_strategy_kind_builds_and_runs() {
         let (a, x) = data();
         let expect = a.matvec(&x);
-        for kind in StrategyKind::all() {
-            let cluster = ClusterSpec::builder(12)
+        // Every pool of 3..=20 workers, including 6 and 18, where
+        // replication's placement stride cycles through fewer workers
+        // than its 3 replicas.
+        for (n, kind) in (3..=20).flat_map(|n| StrategyKind::all().map(|kind| (n, kind))) {
+            let cluster = ClusterSpec::builder(n)
                 .straggler_slowdown(5.0)
                 .stragglers(&[2], 0.1)
                 .build();
-            let mut job = CodedJobBuilder::new(a.clone(), MdsParams::new(12, 6))
+            let mut job = CodedJobBuilder::new(a.clone(), MdsParams::new(n, n / 2))
                 .chunks_per_worker(12)
                 .strategy(kind)
                 .build(cluster)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+                .unwrap_or_else(|e| panic!("{kind} on {n}: {e}"));
             // The exact product, bit for bit, without running a round.
-            assert_eq!(bits(&job.product(&x).unwrap()), bits(&expect), "{kind}");
+            assert_eq!(
+                bits(&job.product(&x).unwrap()),
+                bits(&expect),
+                "{kind} on {n}"
+            );
             assert_eq!(job.iteration(), 0);
             for _ in 0..3 {
                 let out = job
                     .run_iteration(&x)
-                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
+                    .unwrap_or_else(|e| panic!("{kind} on {n}: {e}"));
                 s2c2_linalg::assert_slices_close(out.result.as_slice(), expect.as_slice(), 1e-6);
             }
-            assert_eq!(job.metrics().len(), 3, "{kind}");
+            assert_eq!(job.metrics().len(), 3, "{kind} on {n}");
             assert_eq!(job.iteration(), 3);
             assert!(job.storage_bytes_per_worker() > 0);
         }

@@ -42,6 +42,8 @@ impl ReplicationStrategy {
     /// Replica placement is deterministic: partition `p` lives at workers
     /// `p, p+stride, p+2·stride, …` (mod `n`) with a stride derived from
     /// `seed`, mimicking random placement while keeping runs reproducible.
+    /// Where that walk cycles through fewer than `r` workers, it steps one
+    /// worker on and continues from there.
     ///
     /// # Errors
     ///
@@ -62,17 +64,23 @@ impl ReplicationStrategy {
         if a.rows() == 0 {
             return Err(S2c2Error::InvalidConfig("matrix has zero rows".into()));
         }
-        // Deterministic pseudo-random placement: stride coprime-ish to n.
+        // Deterministic pseudo-random placement: step by `stride` from the
+        // primary. When the walk comes back to a worker it already holds —
+        // its cycle, of `n / gcd(stride, n)` workers, is exhausted — it
+        // moves one worker on, into the next unvisited cycle, so every
+        // `r ≤ n` is reached.
         let stride = (seed as usize % n.saturating_sub(1).max(1)) + 1;
         let replicas: Vec<Vec<usize>> = (0..n)
             .map(|p| {
                 let mut set = Vec::with_capacity(r);
                 let mut w = p;
                 while set.len() < r {
-                    if !set.contains(&(w % n)) {
+                    if set.contains(&(w % n)) {
+                        w += 1;
+                    } else {
                         set.push(w % n);
+                        w += stride;
                     }
-                    w += stride.max(1);
                 }
                 set.sort_unstable();
                 set
@@ -310,15 +318,23 @@ mod tests {
 
     #[test]
     fn replica_sets_have_r_distinct_members() {
-        let (a, _) = data();
-        let s = ReplicationStrategy::new(&a, 12, 3, 6, 17).unwrap();
-        for p in 0..12 {
-            let set = s.replica_set(p);
-            assert_eq!(set.len(), 3);
-            assert!(set.contains(&p), "primary holds its own partition");
-            let mut dedup = set.to_vec();
-            dedup.dedup();
-            assert_eq!(dedup.len(), 3);
+        // Every pool up to 64 workers, every factor, strides that do and
+        // do not divide the pool size.
+        for n in 1..=64 {
+            let a = Matrix::from_fn(n, 1, |r, _| r as f64);
+            for r in 1..=n {
+                for seed in [0, 1, 7, 17, 42, 1_000_003] {
+                    let s = ReplicationStrategy::new(&a, n, r, 6, seed).unwrap();
+                    for p in 0..n {
+                        let set = s.replica_set(p);
+                        assert_eq!(set.len(), r, "n={n} r={r} seed={seed} p={p}");
+                        assert!(set.contains(&p), "primary holds its own partition");
+                        let mut dedup = set.to_vec();
+                        dedup.dedup();
+                        assert_eq!(dedup.len(), r, "n={n} r={r} seed={seed} p={p}");
+                    }
+                }
+            }
         }
     }
 

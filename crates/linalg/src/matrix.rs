@@ -332,12 +332,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element difference against another same-shape
     /// matrix; NaN if any difference is NaN.
     ///
@@ -491,7 +485,6 @@ mod tests {
     #[test]
     fn frobenius_and_diff() {
         let m = Matrix::from_rows(vec![vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
         let n = Matrix::zeros(2, 2);
         assert_eq!(m.max_abs_diff(&n), 4.0);
     }

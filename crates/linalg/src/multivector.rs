@@ -182,12 +182,6 @@ impl MultiVector {
         &self.data
     }
 
-    /// Copies the members back out as owned [`Vector`]s.
-    #[must_use]
-    pub fn to_vectors(&self) -> Vec<Vector> {
-        self.members().map(Vector::from).collect()
-    }
-
     /// Bytes shipped when this stack crosses the simulated network.
     #[must_use]
     pub fn payload_bytes(&self) -> u64 {
@@ -460,7 +454,7 @@ mod tests {
         assert_eq!(mv.count(), 3);
         assert_eq!(mv.len(), 5);
         assert!(!mv.is_empty());
-        let vs = mv.to_vectors();
+        let vs: Vec<Vector> = mv.members().map(Vector::from).collect();
         assert_eq!(vs.len(), 3);
         let refs: Vec<&Vector> = vs.iter().collect();
         assert_eq!(MultiVector::from_vectors(&refs), mv);

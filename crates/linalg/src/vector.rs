@@ -82,12 +82,6 @@ impl Vector {
         self.dot(self).sqrt()
     }
 
-    /// L1 norm (sum of absolute values).
-    #[must_use]
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Infinity norm (maximum absolute value); 0 for the empty vector.
     #[must_use]
     pub fn norm_inf(&self) -> f64 {
@@ -283,7 +277,6 @@ mod tests {
     fn norms() {
         let v = Vector::from(vec![3.0, -4.0]);
         assert_eq!(v.norm2(), 5.0);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(v.norm_inf(), 4.0);
         assert_eq!(Vector::zeros(0).norm_inf(), 0.0);
     }

@@ -168,23 +168,6 @@ impl TrainedLstm {
         step_with(&self.theta, self.off, x, h, c)
     }
 
-    /// Runs the model over a raw (unnormalized) series, returning one-step
-    /// ahead predictions aligned so `pred[t]` forecasts `series[t + 1]`.
-    #[must_use]
-    pub fn forecast_series(&self, series: &[f64]) -> Vec<f64> {
-        let hdim = self.off.h;
-        let mut h = vec![0.0; hdim];
-        let mut c = vec![0.0; hdim];
-        let mut out = Vec::with_capacity(series.len());
-        for &raw in series {
-            let cache = self.step(self.to_model(raw), &h, &c);
-            h = cache.h.clone();
-            c = cache.c.clone();
-            out.push(self.model_to_raw(cache.y));
-        }
-        out
-    }
-
     /// Creates a stateful per-worker online predictor sharing these weights.
     #[must_use]
     pub fn online(&self) -> LstmPredictor {
@@ -487,6 +470,23 @@ impl SpeedPredictor for LstmPredictor {
 mod tests {
     use super::*;
 
+    /// Runs `model` over a raw (unnormalized) series from a cold state,
+    /// returning one-step ahead predictions aligned so `pred[t]` forecasts
+    /// `series[t + 1]` — the batch unroll the online predictor must match.
+    fn forecast_series(model: &TrainedLstm, series: &[f64]) -> Vec<f64> {
+        let hdim = model.off.h;
+        let mut h = vec![0.0; hdim];
+        let mut c = vec![0.0; hdim];
+        let mut out = Vec::with_capacity(series.len());
+        for &raw in series {
+            let cache = model.step(model.to_model(raw), &h, &c);
+            h = cache.h.clone();
+            c = cache.c.clone();
+            out.push(model.model_to_raw(cache.y));
+        }
+        out
+    }
+
     fn tiny_config() -> LstmConfig {
         LstmConfig {
             hidden: 3,
@@ -588,7 +588,7 @@ mod tests {
             .map(|i| 0.8 + 0.15 * ((i as f64) * 0.05).sin())
             .collect();
         let model = train(&tiny_config(), &[&series[..480]]);
-        let preds = model.forecast_series(&series[480..]);
+        let preds = forecast_series(&model, &series[480..]);
         let actual = &series[481..];
         let mean = 0.8;
         let mut err_model = 0.0;
@@ -609,7 +609,7 @@ mod tests {
             .map(|i| 0.6 + 0.1 * ((i as f64) * 0.1).cos())
             .collect();
         let model = train(&tiny_config(), &[&series]);
-        let batch = model.forecast_series(&series[..50]);
+        let batch = forecast_series(&model, &series[..50]);
         let mut online = model.online();
         for (t, &x) in series[..50].iter().enumerate() {
             let p = online.observe_and_predict(x);

@@ -130,12 +130,6 @@ impl TraceSet {
         TraceSet { traces }
     }
 
-    /// Wraps existing traces.
-    #[must_use]
-    pub fn from_traces(traces: Vec<Trace>) -> Self {
-        TraceSet { traces }
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -158,19 +152,6 @@ impl TraceSet {
     #[must_use]
     pub fn traces(&self) -> &[Trace] {
         &self.traces
-    }
-
-    /// Flattens every node's `(previous, next)` sample pairs into one
-    /// supervised dataset — the form the speed predictors train on.
-    #[must_use]
-    pub fn one_step_pairs(&self) -> Vec<(f64, f64)> {
-        let mut pairs = Vec::new();
-        for t in &self.traces {
-            for w in t.samples().windows(2) {
-                pairs.push((w[0], w[1]));
-            }
-        }
-        pairs
     }
 }
 
@@ -232,12 +213,6 @@ mod tests {
             cv(&volatile) > 2.0 * cv(&calm),
             "volatile should be much noisier"
         );
-    }
-
-    #[test]
-    fn one_step_pairs_counts() {
-        let set = TraceSet::generate(&CloudTraceConfig::calm(), 3, 10, 4);
-        assert_eq!(set.one_step_pairs().len(), 3 * 9);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   presets.
 //! * [`stats`] — the time-series diagnostics used to validate that
 //!   generated traces have the paper's properties.
-//! * [`csv`] — minimal trace persistence (plain CSV, no external deps).
 
 #![warn(missing_docs)]
 // Library code (tests excepted) does not panic; a site that provably
@@ -38,7 +37,6 @@
     )
 )]
 
-pub mod csv;
 pub mod generator;
 pub mod model;
 pub mod stats;

@@ -195,12 +195,6 @@ impl MarkovRegimeSpeed {
         }
     }
 
-    /// Index of the regime occupied right now (test/diagnostic hook).
-    #[must_use]
-    pub fn current_regime(&self) -> usize {
-        self.current
-    }
-
     fn maybe_jump(&mut self) {
         if self.levels.len() == 1 {
             return;
@@ -347,11 +341,11 @@ mod tests {
     fn markov_same_iteration_does_not_advance_chain() {
         let mut m = MarkovRegimeSpeed::new(vec![1.0, 0.5], 2.0, 0.0, 0, 5);
         let _ = m.speed_at(3);
-        let regime = m.current_regime();
+        let regime = m.current;
         // Re-sampling iteration 3 must not move the chain.
         for _ in 0..50 {
             let _ = m.speed_at(3);
-            assert_eq!(m.current_regime(), regime);
+            assert_eq!(m.current, regime);
         }
     }
 

@@ -7,10 +7,11 @@
 //! parameterized over the scheduling strategy via `s2c2-core`'s job API:
 //!
 //! * [`logreg::DistributedLogReg`] — gradient descent on a gisette-like
-//!   dataset; forward (`A·w`) and backward (`Aᵀ·g`) products both run as
-//!   coded jobs.
-//! * [`svm::DistributedSvm`] — hinge-loss subgradient descent, same
-//!   structure.
+//!   dataset under the logistic loss.
+//! * [`svm::DistributedSvm`] — hinge-loss subgradient descent. Both
+//!   trainers run one gradient step, whose forward (`A·w`) and backward
+//!   (`Aᵀ·r`) products are coded jobs; they differ only in the residual
+//!   `r` and the objective they report.
 //! * [`pagerank::DistributedPageRank`] — power iteration over a
 //!   column-stochastic link matrix from a power-law graph.
 //! * [`graph_filter::DistributedGraphFilter`] — n-hop combinatorial
@@ -26,6 +27,7 @@
 
 pub mod datasets;
 pub mod exec;
+mod gradient;
 pub mod graph_filter;
 pub mod hessian;
 pub mod logreg;

@@ -1,17 +1,16 @@
 //! Distributed logistic regression by gradient descent.
 //!
-//! Each iteration runs two coded matvec jobs — the forward margin
-//! `u = A·w` and the backward gradient `g = Aᵀ·(σ(u) − ½(y+1))` — and
-//! the master's exact margin `A·w₊` at the new weights, from which the
-//! step reports loss and accuracy. The forward job computes that margin
-//! ([`CodedJob::product`]) and keeps its systematic rows, so the next
-//! step's forward round, on the same `w₊`, computes only the parity
-//! responses it chose. This is the workload behind Figs 1, 3 and 6.
+//! Each iteration is the gradient step [`DistributedLogReg`] shares with
+//! [`crate::svm::DistributedSvm`], on the logistic residual
+//! `σ(u) − ½(y+1)`: two coded matvec jobs — the forward margin `u = A·w`
+//! and the backward gradient `Aᵀ·(σ(u) − t)` — and the master's exact
+//! margin `A·w₊` at the new weights, from which the step reports loss and
+//! accuracy. The forward job computes that margin and keeps its
+//! systematic rows, so the next step's forward round, on the same `w₊`,
+//! computes only the parity responses it chose. This is the workload
+//! behind Figs 1, 3 and 6.
 
-use crate::datasets::{sign_accuracy, Classification, Orientation};
-use crate::exec::ExecConfig;
-use s2c2_core::job::CodedJob;
-use s2c2_core::S2c2Error;
+use crate::gradient::{GradientDescent, Loss};
 use s2c2_linalg::Vector;
 
 /// Report of a single gradient-descent step.
@@ -25,119 +24,26 @@ pub struct StepReport {
     pub accuracy: f64,
 }
 
+/// The logistic loss against labels remapped to {0, 1}.
+pub struct Logistic;
+
 /// Distributed logistic regression state.
-pub struct DistributedLogReg {
-    forward: CodedJob,
-    backward: CodedJob,
-    /// Labels remapped to {0, 1} for the logistic gradient.
-    targets01: Vector,
-    labels: Vector,
-    weights: Vector,
-    learning_rate: f64,
-    l2: f64,
-}
+pub type DistributedLogReg = GradientDescent<Logistic>;
 
-impl DistributedLogReg {
-    /// Builds the distributed trainer: a forward job on `A` and a
-    /// backward job on `Aᵀ` under the same execution config. Coded
-    /// strategies take the dataset's shared encodings of `A` and `Aᵀ`
-    /// ([`Classification::encoding`]), so trainers over one dataset
-    /// encode each matrix once between them.
-    ///
-    /// # Errors
-    ///
-    /// [`S2c2Error::InvalidConfig`] unless the dataset has one label per
-    /// example; propagates job-construction failures.
-    pub fn new(
-        data: &Classification,
-        config: &ExecConfig,
-        learning_rate: f64,
-        l2: f64,
-    ) -> Result<Self, S2c2Error> {
-        data.check_labels()?;
-        let forward = config.build_data_job(data, Orientation::Features)?;
-        let backward = config.build_data_job(data, Orientation::Transposed)?;
-        let targets01 = Vector::from_fn(data.labels.len(), |i| {
-            if data.labels[i] > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        Ok(DistributedLogReg {
-            forward,
-            backward,
-            targets01,
-            labels: data.labels.clone(),
-            weights: Vector::zeros(data.features.cols()),
-            learning_rate,
-            l2,
-        })
-    }
+impl Loss for Logistic {
+    const TRAINER: &'static str = "DistributedLogReg";
+    type Report = StepReport;
 
-    /// Current model weights.
-    #[must_use]
-    pub fn weights(&self) -> &Vector {
-        &self.weights
-    }
-
-    /// Runs one gradient-descent iteration through the coded jobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling/decode failures.
-    pub fn step(&mut self) -> Result<StepReport, S2c2Error> {
-        let rows = self.labels.len() as f64;
-        // Forward: u = A w  (distributed).
-        let fwd = self.forward.run_iteration(&self.weights)?;
-        // Residual: sigma(u) - t  (master-side, O(rows)).
-        let residual = Vector::from_fn(fwd.result.len(), |i| {
-            sigmoid(fwd.result[i]) - self.targets01[i]
-        });
-        // Backward: grad = A^T residual  (distributed).
-        let bwd = self.backward.run_iteration(&residual)?;
-        // Update with L2 regularization.
-        let mut grad = bwd.result;
-        grad.scale(1.0 / rows);
-        grad.axpy(self.l2, &self.weights);
-        self.weights.axpy(-self.learning_rate, &grad);
-
-        // One margin at the new weights serves both loss and accuracy,
-        // and the next step's forward round.
-        let u = self.margin();
-        Ok(StepReport {
-            latency: fwd.metrics.latency + bwd.metrics.latency,
-            loss: self.loss_at(&u),
-            accuracy: sign_accuracy(&u, &self.labels),
-        })
-    }
-
-    /// Training log-loss of the current weights (computed locally).
-    #[must_use]
-    pub fn loss(&self) -> f64 {
-        self.loss_at(&self.margin())
-    }
-
-    /// Training accuracy of the current weights (computed locally).
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        sign_accuracy(&self.margin(), &self.labels)
-    }
-
-    /// The exact margin `u = A·w` at the current weights, from the
-    /// forward job on every host core.
-    fn margin(&self) -> Vector {
-        self.forward
-            .product(&self.weights)
-            .expect("the weights have one entry per feature")
+    fn residual(label: f64, margin: f64) -> f64 {
+        sigmoid(margin) - target01(label)
     }
 
     /// Mean log-loss of margin `u` against the {0, 1} targets.
-    fn loss_at(&self, u: &Vector) -> f64 {
+    fn objective(labels: &Vector, u: &Vector, _weights: &Vector, _l2: f64) -> f64 {
         let mut total = 0.0;
         for i in 0..u.len() {
             let p = sigmoid(u[i]).clamp(1e-12, 1.0 - 1e-12);
-            total -= if self.targets01[i] > 0.5 {
+            total -= if target01(labels[i]) > 0.5 {
                 p.ln()
             } else {
                 (1.0 - p).ln()
@@ -146,22 +52,30 @@ impl DistributedLogReg {
         total / u.len() as f64
     }
 
-    /// Total simulated latency accumulated so far across both jobs.
-    #[must_use]
-    pub fn total_latency(&self) -> f64 {
-        self.forward.metrics().total_latency() + self.backward.metrics().total_latency()
+    fn report(latency: f64, loss: f64, accuracy: f64) -> StepReport {
+        StepReport {
+            latency,
+            loss,
+            accuracy,
+        }
     }
+}
 
-    /// Accumulated metrics of the forward (`A·w`) job.
+impl DistributedLogReg {
+    /// Training log-loss of the current weights (computed locally).
     #[must_use]
-    pub fn forward_metrics(&self) -> &s2c2_cluster::JobMetrics {
-        self.forward.metrics()
+    pub fn loss(&self) -> f64 {
+        self.objective_at(&self.margin())
     }
+}
 
-    /// Accumulated metrics of the backward (`Aᵀ·g`) job.
-    #[must_use]
-    pub fn backward_metrics(&self) -> &s2c2_cluster::JobMetrics {
-        self.backward.metrics()
+/// A ±1 label remapped to the logistic gradient's {0, 1} target.
+#[inline]
+fn target01(label: f64) -> f64 {
+    if label > 0.0 {
+        1.0
+    } else {
+        0.0
     }
 }
 
@@ -170,22 +84,15 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-impl std::fmt::Debug for DistributedLogReg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistributedLogReg")
-            .field("rows", &self.labels.len())
-            .field("cols", &self.weights.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::gisette_like;
+    use crate::datasets::{gisette_like, sign_accuracy, Classification};
+    use crate::exec::ExecConfig;
     use s2c2_cluster::ClusterSpec;
     use s2c2_coding::mds::MdsParams;
     use s2c2_core::strategy::StrategyKind;
+    use s2c2_core::S2c2Error;
     use std::sync::Arc;
 
     fn config(strategy: StrategyKind) -> ExecConfig {
@@ -233,7 +140,7 @@ mod tests {
             assert_eq!(report.accuracy.to_bits(), lr.accuracy().to_bits());
             // ... and equal to the sequential margin's.
             let u = data.features.matvec(lr.weights());
-            assert_eq!(report.loss.to_bits(), lr.loss_at(&u).to_bits());
+            assert_eq!(report.loss.to_bits(), lr.objective_at(&u).to_bits());
             assert_eq!(
                 report.accuracy.to_bits(),
                 sign_accuracy(&u, &data.labels).to_bits()

@@ -1,15 +1,11 @@
 //! Distributed linear SVM by hinge-loss subgradient descent.
 //!
-//! The cloud experiments (Figs 8–11, 13) run SVM; structurally it is the
-//! same two-coded-products loop as logistic regression with the logistic
-//! residual replaced by the hinge subgradient indicator — including the
-//! master's exact margin at the new weights, which the forward job
-//! computes and its next round reuses (see [`crate::logreg`]).
+//! The cloud experiments (Figs 8–11, 13) run SVM: the gradient step of
+//! [`crate::logreg::DistributedLogReg`], with the hinge subgradient
+//! indicator as the residual and the regularized hinge objective as the
+//! report.
 
-use crate::datasets::{sign_accuracy, Classification, Orientation};
-use crate::exec::ExecConfig;
-use s2c2_core::job::CodedJob;
-use s2c2_core::S2c2Error;
+use crate::gradient::{GradientDescent, Loss};
 use s2c2_linalg::Vector;
 
 /// Report of one SVM subgradient step.
@@ -23,146 +19,59 @@ pub struct SvmStepReport {
     pub accuracy: f64,
 }
 
+/// The regularized hinge loss against ±1 labels.
+pub struct Hinge;
+
 /// Distributed SVM trainer state.
-pub struct DistributedSvm {
-    forward: CodedJob,
-    backward: CodedJob,
-    labels: Vector,
-    weights: Vector,
-    learning_rate: f64,
-    l2: f64,
+pub type DistributedSvm = GradientDescent<Hinge>;
+
+impl Loss for Hinge {
+    const TRAINER: &'static str = "DistributedSvm";
+    type Report = SvmStepReport;
+
+    /// Hinge active-set indicator: `-y` where `y·u < 1`, else 0.
+    fn residual(label: f64, margin: f64) -> f64 {
+        if label * margin < 1.0 {
+            -label
+        } else {
+            0.0
+        }
+    }
+
+    /// Regularized hinge objective of margin `u`.
+    fn objective(labels: &Vector, u: &Vector, weights: &Vector, l2: f64) -> f64 {
+        let hinge: f64 = (0..u.len())
+            .map(|i| (1.0 - labels[i] * u[i]).max(0.0))
+            .sum();
+        hinge / u.len() as f64 + 0.5 * l2 * weights.dot(weights)
+    }
+
+    fn report(latency: f64, objective: f64, accuracy: f64) -> SvmStepReport {
+        SvmStepReport {
+            latency,
+            objective,
+            accuracy,
+        }
+    }
 }
 
 impl DistributedSvm {
-    /// Builds the trainer: `A` forward, `Aᵀ` backward, on the dataset's
-    /// shared encodings under the coded strategies (see
-    /// [`crate::logreg::DistributedLogReg::new`]).
-    ///
-    /// # Errors
-    ///
-    /// [`S2c2Error::InvalidConfig`] unless the dataset has one label per
-    /// example; propagates job-construction failures.
-    pub fn new(
-        data: &Classification,
-        config: &ExecConfig,
-        learning_rate: f64,
-        l2: f64,
-    ) -> Result<Self, S2c2Error> {
-        data.check_labels()?;
-        Ok(DistributedSvm {
-            forward: config.build_data_job(data, Orientation::Features)?,
-            backward: config.build_data_job(data, Orientation::Transposed)?,
-            labels: data.labels.clone(),
-            weights: Vector::zeros(data.features.cols()),
-            learning_rate,
-            l2,
-        })
-    }
-
-    /// Current model weights.
-    #[must_use]
-    pub fn weights(&self) -> &Vector {
-        &self.weights
-    }
-
-    /// Runs one subgradient iteration through the coded jobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling/decode failures.
-    pub fn step(&mut self) -> Result<SvmStepReport, S2c2Error> {
-        let rows = self.labels.len() as f64;
-        // Forward margins (distributed).
-        let fwd = self.forward.run_iteration(&self.weights)?;
-        // Hinge active-set indicator: -y_i where y_i * u_i < 1, else 0.
-        let indicator = Vector::from_fn(fwd.result.len(), |i| {
-            if self.labels[i] * fwd.result[i] < 1.0 {
-                -self.labels[i]
-            } else {
-                0.0
-            }
-        });
-        // Backward product (distributed).
-        let bwd = self.backward.run_iteration(&indicator)?;
-        let mut grad = bwd.result;
-        grad.scale(1.0 / rows);
-        grad.axpy(self.l2, &self.weights);
-        self.weights.axpy(-self.learning_rate, &grad);
-
-        // One margin at the new weights serves both objective and
-        // accuracy, and the next step's forward round.
-        let u = self.margin();
-        Ok(SvmStepReport {
-            latency: fwd.metrics.latency + bwd.metrics.latency,
-            objective: self.objective_at(&u),
-            accuracy: sign_accuracy(&u, &self.labels),
-        })
-    }
-
     /// Regularized hinge objective (computed locally).
     #[must_use]
     pub fn objective(&self) -> f64 {
         self.objective_at(&self.margin())
-    }
-
-    /// Training accuracy (computed locally).
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        sign_accuracy(&self.margin(), &self.labels)
-    }
-
-    /// The exact margin `u = A·w` at the current weights, from the
-    /// forward job on every host core.
-    fn margin(&self) -> Vector {
-        self.forward
-            .product(&self.weights)
-            .expect("the weights have one entry per feature")
-    }
-
-    /// Regularized hinge objective of margin `u`.
-    fn objective_at(&self, u: &Vector) -> f64 {
-        let hinge: f64 = (0..u.len())
-            .map(|i| (1.0 - self.labels[i] * u[i]).max(0.0))
-            .sum();
-        hinge / u.len() as f64 + 0.5 * self.l2 * self.weights.dot(&self.weights)
-    }
-
-    /// Total simulated latency across both jobs so far.
-    #[must_use]
-    pub fn total_latency(&self) -> f64 {
-        self.forward.metrics().total_latency() + self.backward.metrics().total_latency()
-    }
-
-    /// Accumulated metrics of the forward (`A·w`) job — the wasted-work
-    /// accounting behind Figs 9/11.
-    #[must_use]
-    pub fn forward_metrics(&self) -> &s2c2_cluster::JobMetrics {
-        self.forward.metrics()
-    }
-
-    /// Accumulated metrics of the backward (`Aᵀ·g`) job.
-    #[must_use]
-    pub fn backward_metrics(&self) -> &s2c2_cluster::JobMetrics {
-        self.backward.metrics()
-    }
-}
-
-impl std::fmt::Debug for DistributedSvm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistributedSvm")
-            .field("rows", &self.labels.len())
-            .field("cols", &self.weights.len())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::gisette_like;
+    use crate::datasets::{gisette_like, sign_accuracy, Classification};
+    use crate::exec::ExecConfig;
     use s2c2_cluster::ClusterSpec;
     use s2c2_coding::mds::MdsParams;
     use s2c2_core::strategy::StrategyKind;
+    use s2c2_core::S2c2Error;
     use std::sync::Arc;
 
     fn config(strategy: StrategyKind) -> ExecConfig {
