@@ -8,8 +8,8 @@ use crate::error::S2c2Error;
 use crate::speed_tracker::PredictorSource;
 use crate::strategy::s2c2::S2c2Mode;
 use crate::strategy::{
-    IterationOutcome, MatvecStrategy, MdsStrategy, OverDecompositionStrategy, ReplicationStrategy,
-    S2c2Strategy, StrategyKind,
+    IterationOutcome, MatvecStrategy, OverDecompositionStrategy, ReplicationStrategy, S2c2Strategy,
+    StrategyKind,
 };
 use s2c2_cluster::{ClusterSim, ClusterSpec, JobMetrics};
 use s2c2_coding::cache::CachedEncoding;
@@ -109,7 +109,7 @@ impl CodedJobBuilder {
             )));
         }
         let strategy: Box<dyn MatvecStrategy> = match self.strategy {
-            StrategyKind::Uncoded => Box::new(MdsStrategy::uncoded(
+            StrategyKind::Uncoded => Box::new(S2c2Strategy::uncoded(
                 self.matrix()?,
                 n,
                 self.chunks_per_worker,
@@ -121,15 +121,19 @@ impl CodedJobBuilder {
                 MAX_SPECULATIVE,
                 PLACEMENT_SEED,
             )?),
-            StrategyKind::MdsCoded => Box::new(MdsStrategy::from_encoding(self.encoding()?)),
+            StrategyKind::MdsCoded => Box::new(S2c2Strategy::from_encoding(
+                self.encoding()?,
+                None,
+                &self.predictor,
+            )),
             StrategyKind::S2c2Basic => Box::new(S2c2Strategy::from_encoding(
                 self.encoding()?,
-                S2c2Mode::Basic,
+                Some(S2c2Mode::Basic),
                 &self.predictor,
             )),
             StrategyKind::S2c2General => Box::new(S2c2Strategy::from_encoding(
                 self.encoding()?,
-                S2c2Mode::General,
+                Some(S2c2Mode::General),
                 &self.predictor,
             )),
             StrategyKind::OverDecomposition => Box::new(OverDecompositionStrategy::new(

@@ -1,15 +1,16 @@
 //! Per-iteration speed estimation plumbing (§6.2).
 //!
 //! The master records each worker's response time, converts it to an
-//! observed speed (`rows / time`), feeds the per-worker predictor bank,
-//! and hands the resulting forecasts to the allocator for the next
-//! iteration. The tracker also implements the two degenerate "predictors"
-//! the paper's figures need: *uniform* (basic S²C²'s equal-speed
-//! assumption) and *oracle* ("knowing the exact speeds" in Figs 6/7).
+//! observed speed (`rows / time`), feeds that worker's own stateful
+//! predictor (one clone of the trained model per worker), and hands the
+//! resulting forecasts to the allocator for the next iteration. The
+//! tracker also implements the two degenerate "predictors" the paper's
+//! figures need: *uniform* (basic S²C²'s equal-speed assumption) and
+//! *oracle* ("knowing the exact speeds" in Figs 6/7).
 
 use s2c2_cluster::ClusterSim;
 use s2c2_predict::predictor::{LastValue, UniformSpeed};
-use s2c2_predict::{BoxedPredictor, PredictorBank};
+use s2c2_predict::{BoxedPredictor, SpeedPredictor};
 
 /// Where next-iteration speed estimates come from.
 pub enum PredictorSource {
@@ -56,11 +57,12 @@ impl std::fmt::Debug for PredictorSource {
 /// paper applies to its measured traces (§3.2). Predictions are therefore
 /// relative, which is all the allocator consumes.
 pub struct SpeedTracker {
-    oracle: bool,
-    bank: Option<PredictorBank>,
+    /// One predictor per worker; `None` for the oracle, which reads the
+    /// engine's actual speeds instead.
+    predictors: Option<Vec<BoxedPredictor>>,
     predictions: Vec<f64>,
-    /// Whether `predictions` came out of the bank (true from the first
-    /// observation on) rather than the all-ones start.
+    /// Whether `predictions` came out of the predictors (true from the
+    /// first observation on) rather than the all-ones start.
     primed: bool,
     obs_scale: f64,
 }
@@ -69,26 +71,15 @@ impl SpeedTracker {
     /// Builds the tracker for `n` workers.
     #[must_use]
     pub fn new(source: &PredictorSource, n: usize) -> Self {
-        let (oracle, bank) = match source {
-            PredictorSource::Uniform => (
-                false,
-                Some(PredictorBank::from_prototype(&UniformSpeed::new(1.0), n)),
-            ),
-            PredictorSource::LastValue => (
-                false,
-                Some(PredictorBank::from_prototype(&LastValue::new(1.0), n)),
-            ),
-            PredictorSource::Oracle => (true, None),
-            PredictorSource::Prototype(p) => (
-                false,
-                Some(PredictorBank::from_predictors(
-                    (0..n).map(|_| p.clone()).collect(),
-                )),
-            ),
+        let clones = |p: &dyn SpeedPredictor| Some((0..n).map(|_| p.clone_box()).collect());
+        let predictors = match source {
+            PredictorSource::Uniform => clones(&UniformSpeed::new(1.0)),
+            PredictorSource::LastValue => clones(&LastValue::new(1.0)),
+            PredictorSource::Oracle => None,
+            PredictorSource::Prototype(p) => clones(p.as_ref()),
         };
         SpeedTracker {
-            oracle,
-            bank,
+            predictors,
             predictions: vec![1.0; n],
             primed: false,
             obs_scale: 0.0,
@@ -106,10 +97,12 @@ impl SpeedTracker {
     /// observations; the oracle reads the simulator's actual speeds.
     #[must_use]
     pub fn predictions(&self, sim: &ClusterSim) -> Vec<f64> {
-        self.predictions_from(sim.speeds())
+        self.predictions_for(sim.speeds()).to_vec()
     }
 
-    /// Speed estimates given the engine's current *actual* speeds.
+    /// Speed estimates given the engine's current *actual* speeds: a
+    /// view of the current forecasts (of `actual` itself for the
+    /// oracle).
     ///
     /// This is the engine-agnostic form of [`Self::predictions`]: callers
     /// that do not drive a [`ClusterSim`] (the `s2c2-serve` event engine
@@ -117,15 +110,8 @@ impl SpeedTracker {
     /// whatever ground-truth speed table they hold. Honest predictors
     /// ignore `actual` entirely; only the oracle reads it.
     #[must_use]
-    pub fn predictions_from(&self, actual: &[f64]) -> Vec<f64> {
-        self.predictions_for(actual).to_vec()
-    }
-
-    /// [`Self::predictions_from`] without the copy: a view of the
-    /// current forecasts (of `actual` itself for the oracle).
-    #[must_use]
     pub fn predictions_for<'a>(&'a self, actual: &'a [f64]) -> &'a [f64] {
-        if self.oracle {
+        if self.predictors.is_none() {
             actual
         } else {
             &self.predictions
@@ -133,15 +119,25 @@ impl SpeedTracker {
     }
 
     /// Feeds observed speeds (None = worker idle, nothing measured) and
-    /// refreshes the forecasts used next iteration.
+    /// refreshes the forecasts used next iteration: a worker with an
+    /// observation advances its predictor, an idle one's forecast is its
+    /// predictor's unchanged one.
     pub fn observe(&mut self, observed: &[Option<f64>]) {
-        if let Some(bank) = &mut self.bank {
+        if let Some(predictors) = &mut self.predictors {
             for v in observed.iter().flatten() {
                 self.obs_scale = self.obs_scale.max(*v);
             }
             let scale = obs_divisor(self.obs_scale);
-            let scaled: Vec<Option<f64>> = observed.iter().map(|o| o.map(|v| v / scale)).collect();
-            self.predictions = bank.observe_and_predict_masked(&scaled);
+            for ((p, forecast), o) in predictors
+                .iter_mut()
+                .zip(&mut self.predictions)
+                .zip(observed)
+            {
+                *forecast = match o {
+                    Some(v) => p.observe_and_predict(v / scale),
+                    None => p.predict_cold(),
+                };
+            }
             self.primed = true;
         }
     }
@@ -153,20 +149,22 @@ impl SpeedTracker {
     /// does not move without new information (the
     /// [`s2c2_predict::SpeedPredictor::predict_cold`] contract) — except
     /// on the very first observation, which replaces the all-ones start
-    /// by the bank's cold forecasts exactly as the masked form does.
+    /// by the predictors' cold forecasts exactly as the masked form does.
     ///
     /// # Panics
     ///
     /// Panics if `worker` is out of range.
     pub fn observe_one(&mut self, worker: usize, observed: f64) {
-        if let Some(bank) = &mut self.bank {
+        if let Some(predictors) = &mut self.predictors {
             self.obs_scale = self.obs_scale.max(observed);
             let scale = obs_divisor(self.obs_scale);
             if !self.primed {
-                self.predictions = bank.predict_cold();
+                for (forecast, p) in self.predictions.iter_mut().zip(predictors.iter()) {
+                    *forecast = p.predict_cold();
+                }
                 self.primed = true;
             }
-            self.predictions[worker] = bank.observe_one(worker, observed / scale);
+            self.predictions[worker] = predictors[worker].observe_and_predict(observed / scale);
         }
     }
 }
@@ -184,7 +182,7 @@ fn obs_divisor(obs_scale: f64) -> f64 {
 impl std::fmt::Debug for SpeedTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpeedTracker")
-            .field("oracle", &self.oracle)
+            .field("oracle", &self.predictors.is_none())
             .field("workers", &self.predictions.len())
             .finish()
     }

@@ -1,23 +1,16 @@
-//! Conventional `(n, k)`-MDS coded computation (Lee et al.), the paper's
-//! primary coded baseline — and, as its degenerate `(n, n)` case, the
-//! uncoded even split of §2.
-//!
-//! Every worker computes its *entire* coded partition every iteration; the
-//! master uses the fastest `k` responses and ignores the rest. Robust to
-//! `n − k` stragglers, but (a) each worker does `1/k`-of-the-data work
-//! regardless of cluster health, and (b) the slowest `n − k` workers'
-//! effort is always wasted — the two inefficiencies S²C² removes.
-//!
-//! This module also owns the numeric tail every coded-matvec scheduler
-//! shares (compute the chosen responses, decode, charge the decode) and
-//! the exact product [`MatvecStrategy::product`] computes from the
-//! systematic partitions; the round itself is planned by
-//! [`round::plan_round`](crate::strategy::round::plan_round).
+//! The numeric tail of coded matvec: an `(n, k)`-MDS-encoded matrix,
+//! the responses a round chose computed and decoded, the decode charged,
+//! and the exact product
+//! [`MatvecStrategy::product`](crate::strategy::MatvecStrategy::product)
+//! computes from the systematic partitions. The round itself is planned by
+//! [`round::plan_round`](crate::strategy::round::plan_round), and
+//! [`S2c2Strategy`](crate::strategy::S2c2Strategy) — conventional MDS,
+//! uncoded and S²C² alike — is the one scheduler that runs it.
 
 use crate::alloc::{allocate_full, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
-use crate::strategy::{check_input, IterationOutcome, MatvecStrategy};
+use crate::strategy::{check_input, IterationOutcome};
 use s2c2_cluster::ClusterSim;
 use s2c2_coding::cache::CachedEncoding;
 use s2c2_coding::mds::{EncodedMatrix, MdsCode, MdsParams};
@@ -253,111 +246,10 @@ impl CodedMatvec {
     }
 }
 
-/// Conventional MDS coded computation.
-pub struct MdsStrategy {
-    coded: CodedMatvec,
-    name: String,
-}
-
-impl MdsStrategy {
-    /// Encodes `a` with an `(n, k)` code and
-    /// `chunks_per_partition`-way chunking; the encoding keeps `a` as
-    /// its systematic partitions (a borrowed matrix is copied once).
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid code parameters or degenerate shapes.
-    pub fn new(
-        a: impl IntoShared,
-        params: MdsParams,
-        chunks_per_partition: usize,
-    ) -> Result<Self, S2c2Error> {
-        Ok(Self::conventional(CodedMatvec::new(
-            a,
-            params,
-            chunks_per_partition,
-        )?))
-    }
-
-    /// Conventional MDS over an existing (possibly shared) encoding:
-    /// no data is copied or re-encoded.
-    pub(crate) fn from_encoding(encoding: Arc<CachedEncoding>) -> Self {
-        Self::conventional(CodedMatvec::over(encoding))
-    }
-
-    fn conventional(coded: CodedMatvec) -> Self {
-        let p = coded.code().params();
-        MdsStrategy {
-            name: format!("mds({},{})", p.n, p.k),
-            coded,
-        }
-    }
-
-    /// The uncoded even-split baseline (§2's strawman): every worker
-    /// owns `1/n` of the rows and the master waits for everyone — the
-    /// degenerate `(n, n)` code (identity generator, no parity), which
-    /// gives exactly the "speed of the slowest node" behaviour. The
-    /// chunking only matters for metric granularity here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures for degenerate shapes.
-    pub fn uncoded(
-        a: impl IntoShared,
-        n: usize,
-        chunks_per_partition: usize,
-    ) -> Result<Self, S2c2Error> {
-        Ok(MdsStrategy {
-            coded: CodedMatvec::new(a, MdsParams::new(n, n), chunks_per_partition)?,
-            name: "uncoded".into(),
-        })
-    }
-
-    /// The code parameters in use.
-    #[must_use]
-    pub fn params(&self) -> MdsParams {
-        self.coded.code().params()
-    }
-}
-
-impl MatvecStrategy for MdsStrategy {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn run_iteration(
-        &mut self,
-        sim: &mut ClusterSim,
-        iteration: usize,
-        x: &Vector,
-    ) -> Result<IterationOutcome, S2c2Error> {
-        self.coded.check_input(x)?;
-        sim.begin_iteration(iteration);
-        // Conventional coded computing never reassigns (and plain
-        // uncoded has no recovery mechanism at all).
-        let assignment = self.coded.full_assignment();
-        let (outcome, _) = self
-            .coded
-            .run_round(&assignment, sim, x, 0.15, false, None)?;
-        Ok(outcome)
-    }
-
-    fn product(&self, x: &Vector) -> Result<Vector, S2c2Error> {
-        self.coded.product(x)
-    }
-
-    fn storage_bytes_per_worker(&self) -> u64 {
-        self.coded.encoded().bytes_per_worker()
-    }
-
-    fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
-        Some(&self.coded.shared)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{MatvecStrategy, S2c2Strategy};
     use s2c2_cluster::ClusterSpec;
     use s2c2_linalg::Matrix;
 
@@ -369,7 +261,7 @@ mod tests {
 
     fn run_with_stragglers(params: MdsParams, stragglers: &[usize]) -> IterationOutcome {
         let (a, x) = data();
-        let mut s = MdsStrategy::new(&a, params, 5).unwrap();
+        let mut s = S2c2Strategy::conventional(&a, params, 5).unwrap();
         let mut sim = ClusterSim::new(
             ClusterSpec::builder(params.n)
                 .compute_bound()
@@ -534,7 +426,7 @@ mod tests {
     #[test]
     fn name_includes_params() {
         let (a, _) = data();
-        let s = MdsStrategy::new(&a, MdsParams::new(12, 6), 2).unwrap();
+        let s = S2c2Strategy::conventional(&a, MdsParams::new(12, 6), 2).unwrap();
         assert_eq!(s.name(), "mds(12,6)");
     }
 
@@ -547,7 +439,7 @@ mod tests {
     #[test]
     fn uncoded_computes_exact_product() {
         let (a, x) = uncoded_data();
-        let mut s = MdsStrategy::uncoded(&a, 6, 4).unwrap();
+        let mut s = S2c2Strategy::uncoded(&a, 6, 4).unwrap();
         assert_eq!(s.name(), "uncoded");
         let spec = ClusterSpec::builder(6).build();
         let mut sim = ClusterSim::new(spec);
@@ -558,7 +450,7 @@ mod tests {
     #[test]
     fn uncoded_latency_tracks_slowest_worker() {
         let (a, x) = uncoded_data();
-        let mut s = MdsStrategy::uncoded(&a, 6, 4).unwrap();
+        let mut s = S2c2Strategy::uncoded(&a, 6, 4).unwrap();
         // No straggler run.
         let mut fast_sim = ClusterSim::new(ClusterSpec::builder(6).compute_bound().build());
         let fast = s.run_iteration(&mut fast_sim, 0, &x).unwrap();
@@ -578,7 +470,7 @@ mod tests {
     #[test]
     fn uncoded_no_waste_when_all_results_used() {
         let (a, x) = uncoded_data();
-        let mut s = MdsStrategy::uncoded(&a, 4, 3).unwrap();
+        let mut s = S2c2Strategy::uncoded(&a, 4, 3).unwrap();
         let mut sim = ClusterSim::new(ClusterSpec::builder(4).build());
         let out = s.run_iteration(&mut sim, 0, &x).unwrap();
         assert_eq!(out.metrics.total_wasted_rows(), 0);
@@ -587,7 +479,7 @@ mod tests {
     #[test]
     fn uncoded_storage_is_one_nth() {
         let (a, _x) = uncoded_data();
-        let s = MdsStrategy::uncoded(&a, 6, 4).unwrap();
+        let s = S2c2Strategy::uncoded(&a, 6, 4).unwrap();
         assert_eq!(s.storage_bytes_per_worker(), a.payload_bytes() / 6);
     }
 }

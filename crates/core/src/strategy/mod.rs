@@ -4,17 +4,20 @@
 //!
 //! | Strategy | Paper role |
 //! |---|---|
-//! | [`MdsStrategy::uncoded`] | even split, wait for all (§2's strawman): the degenerate `(n, n)` code |
+//! | [`S2c2Strategy`] | the one scheduler of MDS-coded matvec, on one of two schedules: |
+//! | — [`S2c2Strategy::uncoded`] | conventional on the degenerate `(n, n)` code: even split, wait for all (§2's strawman) |
+//! | — [`S2c2Strategy::conventional`] | conventional (n,k)-MDS coded computation (Lee et al., §7.1/7.2 baseline) |
+//! | — [`S2c2Strategy::new`] | **the contribution**: adaptive, basic & general S²C² (§4) |
 //! | [`ReplicationStrategy`] | uncoded r-replication + speculative re-execution (Hadoop/LATE-like, §7.1 baseline) |
-//! | [`MdsStrategy`] | conventional (n,k)-MDS coded computation (Lee et al., §7.1/7.2 baseline) |
-//! | [`S2c2Strategy`] | **the contribution**: basic & general S²C² (§4) |
 //! | [`OverDecompositionStrategy`] | Charm++-style over-decomposition + prediction-driven rebalancing (§7.2 baseline) |
-//! | [`poly`] | polynomial-coded Hessian, conventional vs S²C²-scheduled (§5, Fig 12) |
+//! | [`poly::PolyS2c2`] | polynomial-coded Hessian, conventional or S²C²-scheduled (§5, Fig 12) |
 //!
-//! The coded strategies (uncoded, MDS, both S²C² variants, both
-//! polynomial schedulers) all schedule through the one §4.3 round planner
-//! in [`round`]; [`mds`] and [`poly`] add only their numeric tails, and
-//! [`s2c2`] the adaptive predict → allocate → observe loop around it.
+//! Conventional coded computing is S²C²'s loop with a fixed schedule —
+//! every worker, its full partition, no forecasts — so each code has
+//! one scheduler type, and every schedule of either code runs the one
+//! §4.3 round planner in [`round`]. [`mds`] and [`poly`] add only their
+//! numeric tails, and [`s2c2`] the adaptive predict → allocate → observe
+//! loop around it.
 
 pub mod mds;
 pub mod overdecomp;
@@ -24,7 +27,6 @@ pub mod replication;
 pub mod round;
 pub mod s2c2;
 
-pub use mds::MdsStrategy;
 pub use overdecomp::OverDecompositionStrategy;
 pub use replication::ReplicationStrategy;
 pub use s2c2::S2c2Strategy;
@@ -84,7 +86,7 @@ pub trait MatvecStrategy: Send {
     fn storage_bytes_per_worker(&self) -> u64;
 
     /// The MDS encoding the strategy computes against, for the
-    /// strategies that run on one (conventional MDS, uncoded, S²C²);
+    /// strategy that runs on one ([`S2c2Strategy`], on either schedule);
     /// jobs built over a shared encoding return that very allocation.
     fn encoding(&self) -> Option<&Arc<CachedEncoding>> {
         None

@@ -21,7 +21,7 @@
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
 use crate::strategy::partitions::RowPartitions;
-use crate::strategy::round::Deadlines;
+use crate::strategy::round::{Deadlines, TIMEOUT_MARGIN};
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
@@ -35,7 +35,6 @@ pub struct OverDecompositionStrategy {
     holders: Vec<Vec<usize>>,
     n: usize,
     tracker: SpeedTracker,
-    timeout_margin: f64,
 }
 
 impl OverDecompositionStrategy {
@@ -83,7 +82,6 @@ impl OverDecompositionStrategy {
             holders,
             n,
             tracker: SpeedTracker::new(predictor, n),
-            timeout_margin: 0.15,
         })
     }
 
@@ -234,7 +232,7 @@ impl MatvecStrategy for OverDecompositionStrategy {
             &times,
             &planned,
             (responders * 7 / 10).max(1),
-            self.timeout_margin,
+            TIMEOUT_MARGIN,
         );
 
         let mut final_time = 0.0_f64;

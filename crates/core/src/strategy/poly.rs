@@ -1,15 +1,16 @@
-//! Polynomial-coded bilinear computation, conventional and S²C²-scheduled
-//! (§5, Fig 12).
+//! Polynomial-coded bilinear computation (§5, Fig 12): one scheduler,
+//! [`PolyS2c2`], on either schedule of S²C².
 //!
 //! The workload is the Hessian-style product `Aᵀ·diag(w)·A` (encoded once
-//! as a polynomial-code pair). Two schedulers share the execution shape:
+//! as a polynomial-code pair). [`PolyStrategyKind`] names the schedules:
 //!
-//! * [`PolyConventional`] — every node computes its full encoded product;
-//!   the master takes the fastest `a·b` responses.
-//! * [`PolyS2c2`] — Algorithm 1 assigns row chunks of each node's encoded
-//!   `Ã_i` proportional to predicted speed (coverage `a·b` per chunk
-//!   index), with the same timeout/reassignment machinery as the MDS
-//!   variant.
+//! * conventional — every node computes its full encoded product; the
+//!   master takes the fastest `a·b` responses, and no speed tracker is
+//!   built, consulted or fed;
+//! * S²C² — Algorithm 1 assigns row chunks of each node's encoded `Ã_i`
+//!   proportional to predicted speed (coverage `a·b` per chunk index),
+//!   with the same timeout/reassignment machinery and §4.4 fallback as
+//!   the MDS scheduler.
 //!
 //! Timing honours the paper's observation that the `diag(w)·B̃_i` scaling
 //! pass is *not* reduced by S²C² (every node scales its full `B̃_i`), which
@@ -18,13 +19,23 @@
 use crate::alloc::{allocate_chunks_with_fixed_cost, allocate_full, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
-use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit};
+use crate::strategy::check_input;
+use crate::strategy::round::{plan_round, Feedback, RoundCost, WorkUnit, TIMEOUT_MARGIN};
 use crate::strategy::s2c2::AdaptiveScheduler;
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
 use s2c2_coding::polynomial::{EncodedPair, PolyParams, PolynomialCode};
 use s2c2_linalg::parallel::{host_threads, par_map, should_spawn};
 use s2c2_linalg::{Matrix, Vector};
+
+/// Which schedule the polynomial scheduler runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolyStrategyKind {
+    /// Conventional polynomial coded computing (fastest `a·b` win).
+    Conventional,
+    /// S²C²-scheduled polynomial coded computing.
+    S2c2,
+}
 
 /// Result of one bilinear iteration.
 #[derive(Debug, Clone)]
@@ -35,29 +46,12 @@ pub struct BilinearOutcome {
     pub metrics: RoundMetrics,
 }
 
-/// A scheduler for iterated polynomial-coded bilinear jobs.
-pub trait BilinearStrategy: Send {
-    /// Human-readable name.
-    fn name(&self) -> String;
-
-    /// Runs iteration `iteration` with middle weight vector `w`.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces scheduling and decode failures.
-    fn run_iteration(
-        &mut self,
-        sim: &mut ClusterSim,
-        iteration: usize,
-        w: &Vector,
-    ) -> Result<BilinearOutcome, S2c2Error>;
-}
-
-/// A polynomial-encoded pair plus the numeric tail the two schedulers
-/// share.
+/// A polynomial-encoded pair plus the numeric tail both schedules run.
 struct PolyShared {
     code: PolynomialCode,
     enc: EncodedPair,
+    /// The inner dimension `m`: columns of `Aᵀ`, entries of `w`.
+    inner: usize,
 }
 
 impl PolyShared {
@@ -69,7 +63,11 @@ impl PolyShared {
     ) -> Result<Self, S2c2Error> {
         let code = PolynomialCode::new(params)?;
         let enc = code.encode_pair(a_t, a, chunks_per_partition)?;
-        Ok(PolyShared { code, enc })
+        Ok(PolyShared {
+            code,
+            enc,
+            inner: a_t.cols(),
+        })
     }
 
     /// The conventional assignment: every node, its whole encoded product.
@@ -179,59 +177,17 @@ impl PolyShared {
     }
 }
 
-/// Conventional polynomial-coded computation: full work on every node,
-/// fastest `a·b` win.
-pub struct PolyConventional {
-    shared: PolyShared,
-}
-
-impl PolyConventional {
-    /// Encodes the pair `(Aᵀ, A)` for Hessian computation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates code/shape failures.
-    pub fn new(
-        a_t: &Matrix,
-        a: &Matrix,
-        params: PolyParams,
-        chunks_per_partition: usize,
-    ) -> Result<Self, S2c2Error> {
-        Ok(PolyConventional {
-            shared: PolyShared::new(a_t, a, params, chunks_per_partition)?,
-        })
-    }
-}
-
-impl BilinearStrategy for PolyConventional {
-    fn name(&self) -> String {
-        let p = self.shared.code.params();
-        format!("poly({},{}x{})", p.n, p.a, p.b)
-    }
-
-    fn run_iteration(
-        &mut self,
-        sim: &mut ClusterSim,
-        iteration: usize,
-        w: &Vector,
-    ) -> Result<BilinearOutcome, S2c2Error> {
-        sim.begin_iteration(iteration);
-        let assignment = self.shared.full_assignment();
-        let (outcome, _) = self
-            .shared
-            .run_round(&assignment, sim, w, 0.15, false, None)?;
-        Ok(outcome)
-    }
-}
-
-/// S²C²-scheduled polynomial-coded computation.
+/// The scheduler of iterated polynomial-coded bilinear jobs, on the
+/// conventional or the S²C² schedule.
 pub struct PolyS2c2 {
     shared: PolyShared,
-    sched: AdaptiveScheduler,
+    /// The S²C² schedule's loop; `None` is the conventional schedule.
+    sched: Option<AdaptiveScheduler>,
 }
 
 impl PolyS2c2 {
-    /// Encodes the pair and builds the scheduler.
+    /// Encodes the pair `(Aᵀ, A)` for Hessian computation and builds the
+    /// S²C² schedule on forecasts from `predictor`.
     ///
     /// # Errors
     ///
@@ -245,41 +201,93 @@ impl PolyS2c2 {
     ) -> Result<Self, S2c2Error> {
         Ok(PolyS2c2 {
             shared: PolyShared::new(a_t, a, params, chunks_per_partition)?,
-            sched: AdaptiveScheduler::new(predictor, params.n),
+            sched: Some(AdaptiveScheduler::new(predictor, params.n)),
         })
     }
 
+    /// Encodes the pair `(Aᵀ, A)` for the conventional schedule: full
+    /// work on every node, fastest `a·b` win.
+    ///
+    /// # Errors
+    ///
+    /// Propagates code/shape failures.
+    pub fn conventional(
+        a_t: &Matrix,
+        a: &Matrix,
+        params: PolyParams,
+        chunks_per_partition: usize,
+    ) -> Result<Self, S2c2Error> {
+        Ok(PolyS2c2 {
+            shared: PolyShared::new(a_t, a, params, chunks_per_partition)?,
+            sched: None,
+        })
+    }
+
+    /// Human-readable name.
+    #[must_use]
+    pub fn name(&self) -> String {
+        let p = self.shared.code.params();
+        let schedule = if self.sched.is_some() {
+            "poly-s2c2"
+        } else {
+            "poly"
+        };
+        format!("{schedule}({},{}x{})", p.n, p.a, p.b)
+    }
+
     /// Fraction of rounds in which the timeout fired and work was
-    /// rebuilt.
+    /// rebuilt; 0 under the conventional schedule, which never
+    /// reassigns.
     #[must_use]
     pub fn misprediction_rate(&self) -> f64 {
-        self.sched.misprediction_rate()
+        self.sched
+            .as_ref()
+            .map_or(0.0, AdaptiveScheduler::misprediction_rate)
     }
 
     /// The speed tracker whose forecasts drive the next allocation
     /// (read-only: this is how a test sees the observed speeds a round
     /// fed back).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conventional schedule, which builds no tracker.
     #[must_use]
     pub fn tracker(&self) -> &SpeedTracker {
-        self.sched.tracker()
+        #[expect(
+            clippy::expect_used,
+            reason = "documented: only the S²C² schedule has a tracker"
+        )]
+        self.sched
+            .as_ref()
+            .map(AdaptiveScheduler::tracker)
+            .expect("the conventional schedule builds no tracker")
     }
-}
 
-impl BilinearStrategy for PolyS2c2 {
-    fn name(&self) -> String {
-        let p = self.shared.code.params();
-        format!("poly-s2c2({},{}x{})", p.n, p.a, p.b)
-    }
-
-    fn run_iteration(
+    /// Runs iteration `iteration` with middle weight vector `w`.
+    ///
+    /// # Errors
+    ///
+    /// [`S2c2Error::InvalidConfig`] unless `w` has one entry per column
+    /// of `Aᵀ`, before anything runs; surfaces scheduling and decode
+    /// failures.
+    pub fn run_iteration(
         &mut self,
         sim: &mut ClusterSim,
         iteration: usize,
         w: &Vector,
     ) -> Result<BilinearOutcome, S2c2Error> {
+        check_input(w, self.shared.inner)?;
         sim.begin_iteration(iteration);
+        let Some(sched) = &mut self.sched else {
+            let assignment = self.shared.full_assignment();
+            let (outcome, _) =
+                self.shared
+                    .run_round(&assignment, sim, w, TIMEOUT_MARGIN, false, None)?;
+            return Ok(outcome);
+        };
         let p = self.shared.code.params();
-        let (preds, margin) = self.sched.forecast(sim)?;
+        let (preds, margin) = sched.forecast(sim)?;
         // Fixed cost: the diag(w) scaling pass over the full encoded B
         // partition; unit cost: one chunk's product work.
         let cost = self.shared.cost(w.len());
@@ -290,12 +298,12 @@ impl BilinearStrategy for PolyS2c2 {
             cost.fixed_elems as f64,
             cost.rows_per_chunk as f64 * cost.elems_per_row as f64,
         );
-        // §4.4 fallback, as in S2c2Strategy.
+        // §4.4 fallback, as in the MDS scheduler.
         let assignment = attempt.unwrap_or_else(|_| self.shared.full_assignment());
         let (outcome, feedback) =
             self.shared
                 .run_round(&assignment, sim, w, margin, true, Some(&preds))?;
-        self.sched.learn(&feedback);
+        sched.learn(&feedback);
         Ok(outcome)
     }
 }
@@ -327,7 +335,7 @@ mod tests {
     #[test]
     fn conventional_decodes_hessian_exactly() {
         let (a_t, a, w, expect) = hessian_inputs();
-        let mut s = PolyConventional::new(&a_t, &a, PolyParams::new(12, 3, 3), 2).unwrap();
+        let mut s = PolyS2c2::conventional(&a_t, &a, PolyParams::new(12, 3, 3), 2).unwrap();
         let mut sim = ClusterSim::new(
             ClusterSpec::builder(12)
                 .compute_bound()
@@ -385,7 +393,7 @@ mod tests {
     fn s2c2_faster_than_conventional_when_healthy() {
         let (a_t, a, w, _) = hessian_inputs();
         let params = PolyParams::new(12, 3, 3);
-        let mut conv = PolyConventional::new(&a_t, &a, params, 6).unwrap();
+        let mut conv = PolyS2c2::conventional(&a_t, &a, params, 6).unwrap();
         let mut s2c2 = PolyS2c2::new(&a_t, &a, params, 6, &PredictorSource::Oracle).unwrap();
         let spec = ClusterSpec::builder(12).compute_bound().build();
         let mut sim_a = ClusterSim::new(spec.clone());
@@ -480,13 +488,9 @@ mod tests {
         let params = PolyParams::new(12, 3, 3);
         for workers in [10, 14] {
             let spec = ClusterSpec::builder(workers).compute_bound().build();
-            let mut strategies: Vec<Box<dyn BilinearStrategy>> = vec![Box::new(
-                PolyConventional::new(&a_t, &a, params, 6).unwrap(),
-            )];
+            let mut strategies = vec![PolyS2c2::conventional(&a_t, &a, params, 6).unwrap()];
             for predictor in [PredictorSource::Uniform, PredictorSource::Oracle] {
-                strategies.push(Box::new(
-                    PolyS2c2::new(&a_t, &a, params, 6, &predictor).unwrap(),
-                ));
+                strategies.push(PolyS2c2::new(&a_t, &a, params, 6, &predictor).unwrap());
             }
             for strategy in &mut strategies {
                 let mut sim = ClusterSim::new(spec.clone());
@@ -496,6 +500,31 @@ mod tests {
                     "{} on {workers} workers: {err}",
                     strategy.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_length_weight_vector_is_a_typed_error() {
+        // A is 30 × 18, so w needs 30 entries. The workers' kernel
+        // asserts the length, so the check must come before any round.
+        let (a_t, a, _, _) = hessian_inputs();
+        let params = PolyParams::new(12, 3, 3);
+        for len in [29, 31] {
+            let w = Vector::filled(len, 0.5);
+            let strategies = [
+                PolyS2c2::conventional(&a_t, &a, params, 6).unwrap(),
+                PolyS2c2::new(&a_t, &a, params, 6, &PredictorSource::LastValue).unwrap(),
+            ];
+            for mut strategy in strategies {
+                let mut sim = ClusterSim::new(ClusterSpec::builder(12).compute_bound().build());
+                let err = strategy.run_iteration(&mut sim, 0, &w).unwrap_err();
+                assert!(
+                    matches!(err, S2c2Error::InvalidConfig(_)),
+                    "{} with {len} weights: {err}",
+                    strategy.name()
+                );
+                assert_eq!(sim.iteration(), None, "{}: no round began", strategy.name());
             }
         }
     }

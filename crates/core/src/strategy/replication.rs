@@ -4,7 +4,7 @@
 //! The data is split into `n` partitions; each partition is replicated at
 //! `r` workers (its primary plus `r − 1` pseudo-random others). Every
 //! iteration all primaries compute. When "most" tasks have finished
-//! (detection quantile, default 75%), the master speculatively relaunches
+//! (the detection quantile, 75%), the master speculatively relaunches
 //! the still-running tasks — up to `max_speculative` of them — on the
 //! fastest workers that have already finished:
 //!
@@ -24,6 +24,10 @@ use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
 use s2c2_linalg::{Matrix, Vector};
 
+/// Fraction of primary tasks that must finish before the master
+/// speculates on the rest.
+const DETECT_QUANTILE: f64 = 0.75;
+
 /// Replication + speculation strategy.
 pub struct ReplicationStrategy {
     /// One row block per worker.
@@ -32,7 +36,6 @@ pub struct ReplicationStrategy {
     replicas: Vec<Vec<usize>>,
     n: usize,
     max_speculative: usize,
-    detect_quantile: f64,
 }
 
 impl ReplicationStrategy {
@@ -92,7 +95,6 @@ impl ReplicationStrategy {
             replicas,
             n,
             max_speculative,
-            detect_quantile: 0.75,
         })
     }
 
@@ -136,13 +138,13 @@ impl MatvecStrategy for ReplicationStrategy {
                 + sim.transfer_time((part_rows(p) * 8) as u64);
         }
 
-        // Detection point: when `detect_quantile` of tasks have finished —
+        // Detection point: when `DETECT_QUANTILE` of tasks have finished —
         // but, LATE-style, never later than 1.5x the median completion
         // (progress-rate divergence), otherwise a straggler majority would
         // postpone detection indefinitely.
         let mut sorted = primary_time.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        let detect_idx = ((n as f64 * self.detect_quantile).ceil() as usize).clamp(1, n) - 1;
+        let detect_idx = ((n as f64 * DETECT_QUANTILE).ceil() as usize).clamp(1, n) - 1;
         let t_detect = sorted[detect_idx].min(1.5 * sorted[n / 2]);
 
         // Speculation: slowest unfinished tasks first.
@@ -164,7 +166,6 @@ impl MatvecStrategy for ReplicationStrategy {
         // (winner_time, winner_worker, loser info) per speculated task.
         let mut task_time = primary_time.clone();
         let mut spec_extra_rows = vec![0usize; n]; // speculative rows per host
-        let mut spec_completion = vec![f64::INFINITY; n];
         for &p in &lagging {
             // Prefer a host holding a replica of p.
             let chosen = hosts
@@ -191,7 +192,6 @@ impl MatvecStrategy for ReplicationStrategy {
                 // work (up to the win time) is wasted.
                 task_time[p] = spec_done;
                 spec_extra_rows[host] += part_rows(p);
-                spec_completion[host] = spec_completion[host].min(spec_done);
                 metrics.assigned_rows[host] += part_rows(p);
                 metrics.useful_rows[host] += part_rows(p);
                 let elapsed = (spec_done - input_time).max(0.0);

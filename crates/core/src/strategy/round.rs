@@ -1,17 +1,17 @@
 //! The §4.3 scheduling round, written once.
 //!
-//! Uncoded, conventional MDS, both S²C² variants and the two polynomial
-//! schedulers all run the same round — broadcast the input, workers
-//! compute the assigned chunks of their own coded partitions, the master
-//! waits for the first `need` responders, cancels whoever runs past the
-//! timeout margin, hands the cancelled chunks to finished workers (who
-//! already hold the coded data), and decodes each chunk from its `need`
-//! earliest results. The round does not care what the code computes:
-//! [`plan_round`] owns every scheduling step and the accounting
-//! (Figs 9/11 are computed from it), and what differs between codes
-//! arrives as a [`RoundCost`] value. The strategies keep only their
-//! numeric tail — compute the chosen responses, decode, charge the
-//! decode.
+//! Uncoded, conventional MDS, both S²C² variants and both schedules of
+//! the polynomial code all run the same round — broadcast the input,
+//! workers compute the assigned chunks of their own coded partitions,
+//! the master waits for the first `need` responders, cancels whoever
+//! runs past the timeout margin, hands the cancelled chunks to finished
+//! workers (who already hold the coded data), and decodes each chunk
+//! from its `need` earliest results. The round does not care what the
+//! code computes: [`plan_round`] owns every scheduling step and the
+//! accounting (Figs 9/11 are computed from it), and what differs
+//! between codes arrives as a [`RoundCost`] value. The strategies keep
+//! only their numeric tail — compute the chosen responses, decode,
+//! charge the decode.
 //!
 //! Collection rule: for every chunk index the master uses the `need`
 //! earliest-arriving results among workers that computed that chunk; any
@@ -31,6 +31,10 @@ use crate::alloc::ChunkAssignment;
 use crate::error::S2c2Error;
 use s2c2_cluster::metrics::RoundMetrics;
 use s2c2_cluster::ClusterSim;
+
+/// The §4.3 timeout margin a round runs with unless a caller overrides
+/// it: 15%, from the paper's observed 16.7% prediction error.
+pub(crate) const TIMEOUT_MARGIN: f64 = 0.15;
 
 /// The unit a worker's planned work and observed speed are expressed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,23 +1,33 @@
-//! Slack Squeeze Coded Computing — the paper's contribution (§4).
+//! The one scheduler over an `(n, k)`-MDS-coded matrix: S²C², the
+//! paper's contribution (§4), and conventional coded computing as its
+//! non-adaptive schedule.
 //!
-//! Data is encoded **once** with a conservative `(n, k)` code — and the
-//! encoding can be the very one a conventional MDS job runs on:
+//! Data is encoded **once** with a conservative `(n, k)` code, and both
+//! schedules run on that very encoding:
 //! [`CodedJobBuilder::from_encoding`](crate::job::CodedJobBuilder::from_encoding)
-//! hands both schedulers one shared allocation, so switching a job from
-//! MDS to S²C² re-encodes and re-distributes nothing. Every iteration
-//! the scheduler:
+//! hands jobs one shared allocation, so switching a job from MDS to S²C²
+//! re-encodes and re-distributes nothing.
 //!
-//! 1. obtains per-worker speed estimates from the [`SpeedTracker`]
-//!    (LSTM/ARIMA forecasts, last-value, uniform, or the oracle),
-//! 2. runs Algorithm 1 to assign each worker a subset of its own coded
-//!    partition's chunks — proportional to speed, every chunk index
-//!    covered by exactly `k` workers (*basic* mode instead excludes
-//!    detected stragglers and splits evenly among the rest),
-//! 3. executes the round with the §4.3 timeout: if a worker misses
-//!    `(1 + margin) ×` the mean response of the first `k` finishers, its
-//!    chunks are recomputed by finished workers (who already hold the
-//!    coded data — no data movement, ever),
-//! 4. feeds observed speeds back to the predictors.
+//! * **Conventional** (Lee et al., §7.1/7.2 baseline): every worker
+//!   computes its *entire* coded partition every iteration and the
+//!   master decodes from the fastest `k`. Robust to `n − k` stragglers,
+//!   but each worker does `1/k` of the data regardless of cluster
+//!   health and the slowest `n − k` workers' effort is always wasted —
+//!   the two inefficiencies S²C² removes. No speed tracker is built,
+//!   consulted or fed. Its degenerate `(n, n)` code is the uncoded even
+//!   split of §2: the master waits for everyone.
+//! * **Adaptive** (S²C²): every iteration the scheduler
+//!   1. obtains per-worker speed estimates from the [`SpeedTracker`]
+//!      (LSTM/ARIMA forecasts, last-value, uniform, or the oracle),
+//!   2. runs Algorithm 1 to assign each worker a subset of its own coded
+//!      partition's chunks — proportional to speed, every chunk index
+//!      covered by exactly `k` workers (*basic* mode instead excludes
+//!      detected stragglers and splits evenly among the rest),
+//!   3. executes the round with the §4.3 timeout: if a worker misses
+//!      `(1 + margin) ×` the mean response of the first `k` finishers,
+//!      its chunks are recomputed by finished workers (who already hold
+//!      the coded data — no data movement, ever),
+//!   4. feeds observed speeds back to the predictors.
 //!
 //! Robustness (§4.4): if the predictions leave fewer than `k` workers
 //! schedulable, the round runs the conventional full assignment instead;
@@ -29,13 +39,17 @@ use crate::alloc::{allocate_chunks, allocate_chunks_basic, ChunkAssignment};
 use crate::error::S2c2Error;
 use crate::speed_tracker::{PredictorSource, SpeedTracker};
 use crate::strategy::mds::CodedMatvec;
-use crate::strategy::round::Feedback;
+use crate::strategy::round::{Feedback, TIMEOUT_MARGIN};
 use crate::strategy::{IterationOutcome, MatvecStrategy};
 use s2c2_cluster::ClusterSim;
 use s2c2_coding::cache::CachedEncoding;
 use s2c2_coding::mds::MdsParams;
 use s2c2_linalg::{IntoShared, Vector};
 use std::sync::Arc;
+
+/// Basic mode: a worker is a straggler when its estimated speed falls
+/// below this fraction of the median estimate.
+const STRAGGLER_THRESHOLD: f64 = 0.5;
 
 /// The adaptive half of S²C², whatever the code underneath: forecasts
 /// out, a round run on them, observations back in. Shared by the MDS
@@ -52,7 +66,7 @@ impl AdaptiveScheduler {
     pub(crate) fn new(predictor: &PredictorSource, n: usize) -> Self {
         AdaptiveScheduler {
             tracker: SpeedTracker::new(predictor, n),
-            timeout_margin: 0.15,
+            timeout_margin: TIMEOUT_MARGIN,
             mispredicted_rounds: 0,
             rounds: 0,
         }
@@ -121,29 +135,29 @@ pub enum S2c2Mode {
     General,
 }
 
-/// The S²C² scheduler over an `(n, k)`-MDS-coded matrix.
+/// The scheduler over an `(n, k)`-MDS-coded matrix, on the conventional
+/// or the adaptive schedule.
 pub struct S2c2Strategy {
     coded: CodedMatvec,
-    sched: AdaptiveScheduler,
-    mode: S2c2Mode,
-    /// Basic mode: a worker is a straggler when its estimated speed falls
-    /// below this fraction of the median estimate.
-    straggler_threshold: f64,
+    name: String,
+    /// The adaptive schedule's variant and loop; `None` is the
+    /// conventional schedule.
+    adaptive: Option<(S2c2Mode, AdaptiveScheduler)>,
 }
 
 impl std::fmt::Debug for S2c2Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("S2c2Strategy")
-            .field("params", &self.params())
-            .field("mode", &self.mode)
-            .field("rounds", &self.sched.rounds)
+            .field("name", &self.name)
+            .field("rounds", &self.adaptive.as_ref().map(|(_, s)| s.rounds))
             .finish()
     }
 }
 
 impl S2c2Strategy {
-    /// Encodes `a` and builds the scheduler; the encoding keeps `a` as
-    /// its systematic partitions (a borrowed matrix is copied once).
+    /// Encodes `a` and builds the adaptive scheduler; the encoding keeps
+    /// `a` as its systematic partitions (a borrowed matrix is copied
+    /// once).
     ///
     /// # Errors
     ///
@@ -163,47 +177,104 @@ impl S2c2Strategy {
             )));
         }
         let coded = CodedMatvec::new(a, params, chunks_per_partition)?;
-        Ok(Self::scheduling(coded, mode, predictor))
+        Ok(Self::over(coded, Some((mode, predictor))))
+    }
+
+    /// Conventional MDS: encodes `a` with an `(n, k)` code and
+    /// `chunks_per_partition`-way chunking; the encoding keeps `a` as
+    /// its systematic partitions (a borrowed matrix is copied once).
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid code parameters or degenerate shapes.
+    pub fn conventional(
+        a: impl IntoShared,
+        params: MdsParams,
+        chunks_per_partition: usize,
+    ) -> Result<Self, S2c2Error> {
+        Ok(Self::over(
+            CodedMatvec::new(a, params, chunks_per_partition)?,
+            None,
+        ))
+    }
+
+    /// The uncoded even-split baseline (§2's strawman): every worker
+    /// owns `1/n` of the rows and the master waits for everyone — the
+    /// conventional schedule on the degenerate `(n, n)` code (identity
+    /// generator, no parity), which gives exactly the "speed of the
+    /// slowest node" behaviour. The chunking only matters for metric
+    /// granularity here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding failures for degenerate shapes.
+    pub fn uncoded(
+        a: impl IntoShared,
+        n: usize,
+        chunks_per_partition: usize,
+    ) -> Result<Self, S2c2Error> {
+        Ok(S2c2Strategy {
+            coded: CodedMatvec::new(a, MdsParams::new(n, n), chunks_per_partition)?,
+            name: "uncoded".into(),
+            adaptive: None,
+        })
     }
 
     /// The scheduler over an existing (possibly shared) encoding — the
-    /// paper's "no data re-distribution": S²C² runs on the very coded
-    /// partitions conventional MDS computes against. The caller has
+    /// paper's "no data re-distribution": S²C² (`Some(mode)`) runs on
+    /// the very coded partitions conventional MDS (`None`) computes
+    /// against, and no data is copied or re-encoded. The caller has
     /// checked the code against the cluster.
     pub(crate) fn from_encoding(
         encoding: Arc<CachedEncoding>,
-        mode: S2c2Mode,
+        mode: Option<S2c2Mode>,
         predictor: &PredictorSource,
     ) -> Self {
-        Self::scheduling(CodedMatvec::over(encoding), mode, predictor)
+        Self::over(
+            CodedMatvec::over(encoding),
+            mode.map(|mode| (mode, predictor)),
+        )
     }
 
-    fn scheduling(coded: CodedMatvec, mode: S2c2Mode, predictor: &PredictorSource) -> Self {
-        let n = coded.code().params().n;
+    /// The adaptive schedule in `mode` on forecasts from `predictor`, or
+    /// for `None` the conventional one.
+    fn over(coded: CodedMatvec, adaptive: Option<(S2c2Mode, &PredictorSource)>) -> Self {
+        let p = coded.code().params();
+        let name = match adaptive {
+            None => format!("mds({},{})", p.n, p.k),
+            Some((S2c2Mode::Basic, _)) => format!("s2c2-basic({},{})", p.n, p.k),
+            Some((S2c2Mode::General, _)) => format!("s2c2-general({},{})", p.n, p.k),
+        };
         S2c2Strategy {
             coded,
-            sched: AdaptiveScheduler::new(predictor, n),
-            mode,
-            straggler_threshold: 0.5,
+            name,
+            adaptive: adaptive
+                .map(|(mode, predictor)| (mode, AdaptiveScheduler::new(predictor, p.n))),
         }
     }
 
-    /// Overrides the §4.3 timeout margin (default 0.15, from the paper's
-    /// observed 16.7% prediction error).
+    /// Overrides the adaptive schedule's §4.3 timeout margin (default
+    /// 0.15, from the paper's observed 16.7% prediction error). The
+    /// conventional schedule never cancels, so it has no margin to set.
     ///
     /// # Panics
     ///
     /// Panics on a negative margin.
     pub fn set_timeout_margin(&mut self, margin: f64) {
         assert!(margin >= 0.0, "timeout margin must be non-negative");
-        self.sched.timeout_margin = margin;
+        if let Some((_, sched)) = &mut self.adaptive {
+            sched.timeout_margin = margin;
+        }
     }
 
     /// Fraction of rounds in which the timeout fired and work was
-    /// rebuilt (the measured mis-prediction rate of §7.2).
+    /// rebuilt (the measured mis-prediction rate of §7.2); 0 under the
+    /// conventional schedule, which never reassigns.
     #[must_use]
     pub fn misprediction_rate(&self) -> f64 {
-        self.sched.misprediction_rate()
+        self.adaptive
+            .as_ref()
+            .map_or(0.0, |(_, sched)| sched.misprediction_rate())
     }
 
     /// The code parameters in use.
@@ -215,44 +286,52 @@ impl S2c2Strategy {
     /// The speed tracker whose forecasts drive the next allocation
     /// (read-only: this is how a test sees the observed speeds a round
     /// fed back).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conventional schedule, which builds no tracker.
     #[must_use]
     pub fn tracker(&self) -> &SpeedTracker {
-        self.sched.tracker()
+        #[expect(
+            clippy::expect_used,
+            reason = "documented: only the adaptive schedule has a tracker"
+        )]
+        self.adaptive
+            .as_ref()
+            .map(|(_, sched)| sched.tracker())
+            .expect("the conventional schedule builds no tracker")
     }
+}
 
-    /// Algorithm 1 on the forecasts (general), or detected stragglers
-    /// excluded and an even split among the rest (basic).
-    fn build_assignment(&self, preds: &[f64]) -> ChunkAssignment {
-        let p = self.params();
-        let c = self.coded.encoded().layout().chunks_per_partition;
-        let attempt = match self.mode {
-            S2c2Mode::General => allocate_chunks(preds, p.k, c),
-            S2c2Mode::Basic => {
-                let mut sorted: Vec<f64> = preds.to_vec();
-                sorted.sort_by(|a, b| a.total_cmp(b));
-                let median = sorted[sorted.len() / 2];
-                let available: Vec<bool> = preds
-                    .iter()
-                    .map(|&s| s >= self.straggler_threshold * median)
-                    .collect();
-                allocate_chunks_basic(&available, p.k, c)
-            }
-        };
-        // §4.4 fallback: an unschedulable prediction state (fewer than k
-        // workers believed alive) degrades to conventional coded computing
-        // rather than failing.
-        attempt.unwrap_or_else(|_| self.coded.full_assignment())
-    }
+/// Algorithm 1 on the forecasts (general), or detected stragglers
+/// excluded and an even split among the rest (basic); the conventional
+/// full assignment when the forecasts leave fewer than `k` workers
+/// schedulable.
+fn allocate(coded: &CodedMatvec, mode: S2c2Mode, preds: &[f64]) -> ChunkAssignment {
+    let k = coded.code().params().k;
+    let c = coded.encoded().layout().chunks_per_partition;
+    let attempt = match mode {
+        S2c2Mode::General => allocate_chunks(preds, k, c),
+        S2c2Mode::Basic => {
+            let mut sorted: Vec<f64> = preds.to_vec();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            let median = sorted[sorted.len() / 2];
+            let available: Vec<bool> = preds
+                .iter()
+                .map(|&s| s >= STRAGGLER_THRESHOLD * median)
+                .collect();
+            allocate_chunks_basic(&available, k, c)
+        }
+    };
+    // §4.4 fallback: an unschedulable prediction state (fewer than k
+    // workers believed alive) degrades to conventional coded computing
+    // rather than failing.
+    attempt.unwrap_or_else(|_| coded.full_assignment())
 }
 
 impl MatvecStrategy for S2c2Strategy {
     fn name(&self) -> String {
-        let p = self.params();
-        let mode = match self.mode {
-            S2c2Mode::Basic => "basic",
-            S2c2Mode::General => "general",
-        };
-        format!("s2c2-{mode}({},{})", p.n, p.k)
+        self.name.clone()
     }
 
     fn run_iteration(
@@ -263,15 +342,24 @@ impl MatvecStrategy for S2c2Strategy {
     ) -> Result<IterationOutcome, S2c2Error> {
         self.coded.check_input(x)?;
         sim.begin_iteration(iteration);
-        let (preds, margin) = self.sched.forecast(sim)?;
-        let assignment = self.build_assignment(&preds);
+        let Some((mode, sched)) = &mut self.adaptive else {
+            // Conventional coded computing never reassigns (and plain
+            // uncoded has no recovery mechanism at all).
+            let assignment = self.coded.full_assignment();
+            let (outcome, _) =
+                self.coded
+                    .run_round(&assignment, sim, x, TIMEOUT_MARGIN, false, None)?;
+            return Ok(outcome);
+        };
+        let (preds, margin) = sched.forecast(sim)?;
+        let assignment = allocate(&self.coded, *mode, &preds);
         // Basic mode plans on its equal-speed assumption; general mode
         // on the actual predictions.
-        let expected = (self.mode == S2c2Mode::General).then_some(preds.as_slice());
+        let expected = (*mode == S2c2Mode::General).then_some(preds.as_slice());
         let (outcome, feedback) =
             self.coded
                 .run_round(&assignment, sim, x, margin, true, expected)?;
-        self.sched.learn(&feedback);
+        sched.learn(&feedback);
         Ok(outcome)
     }
 
@@ -545,14 +633,15 @@ mod tests {
             if keep {
                 s.product(&x).unwrap();
             }
-            let (preds, margin) = s.sched.forecast(&sim).unwrap();
-            let assignment = s.build_assignment(&preds);
+            let (_, sched) = s.adaptive.as_mut().unwrap();
+            let (preds, margin) = sched.forecast(&sim).unwrap();
+            let assignment = allocate(&s.coded, mode, &preds);
             let expected = (mode == S2c2Mode::General).then_some(preds.as_slice());
             let (out, feedback, computed) = s
                 .coded
                 .run_round_with_threads(&assignment, &sim, &x, margin, true, expected, threads)
                 .unwrap();
-            s.sched.learn(&feedback);
+            sched.learn(&feedback);
             let bits = round_bits(out.result.as_slice(), &out.metrics, &feedback);
             let forecasts = s.tracker().predictions(&sim);
             (
@@ -607,5 +696,42 @@ mod tests {
             PredictorSource::Uniform,
         );
         assert_eq!(s.name(), "s2c2-general(12,6)");
+    }
+
+    #[test]
+    fn the_conventional_schedule_ignores_the_margin_and_never_mispredicts() {
+        let (a, x) = data();
+        let spec = ClusterSpec::builder(12)
+            .compute_bound()
+            .straggler_slowdown(5.0)
+            .stragglers(&[1, 7], 0.2)
+            .build();
+        let latencies = |margin: Option<f64>| {
+            let mut s = S2c2Strategy::conventional(&a, MdsParams::new(12, 6), 12).unwrap();
+            if let Some(margin) = margin {
+                s.set_timeout_margin(margin);
+            }
+            let mut sim = ClusterSim::new(spec.clone());
+            let bits: Vec<u64> = (0..3)
+                .map(|i| {
+                    s.run_iteration(&mut sim, i, &x)
+                        .unwrap()
+                        .metrics
+                        .latency
+                        .to_bits()
+                })
+                .collect();
+            assert_eq!(s.misprediction_rate(), 0.0);
+            bits
+        };
+        assert_eq!(latencies(Some(0.0)), latencies(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "the conventional schedule builds no tracker")]
+    fn the_conventional_schedule_has_no_tracker() {
+        let (a, _) = data();
+        let s = S2c2Strategy::conventional(&a, MdsParams::new(12, 6), 12).unwrap();
+        let _ = s.tracker();
     }
 }

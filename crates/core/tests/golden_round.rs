@@ -30,7 +30,7 @@ use s2c2_coding::mds::MdsParams;
 use s2c2_coding::polynomial::PolyParams;
 use s2c2_core::job::CodedJobBuilder;
 use s2c2_core::speed_tracker::{PredictorSource, SpeedTracker};
-use s2c2_core::strategy::poly::{BilinearStrategy, PolyConventional, PolyS2c2};
+use s2c2_core::strategy::poly::PolyS2c2;
 use s2c2_core::strategy::s2c2::S2c2Mode;
 use s2c2_core::strategy::{MatvecStrategy, OverDecompositionStrategy, S2c2Strategy, StrategyKind};
 use s2c2_linalg::{Matrix, Vector};
@@ -206,11 +206,11 @@ fn w_for(iteration: usize) -> Vector {
     })
 }
 
-fn run_bilinear<S: BilinearStrategy>(
-    strategy: &mut S,
+fn run_bilinear(
+    strategy: &mut PolyS2c2,
     cluster: ClusterSpec,
     iterations: usize,
-    tracker: impl Fn(&S) -> Option<&SpeedTracker>,
+    tracker: impl Fn(&PolyS2c2) -> Option<&SpeedTracker>,
 ) -> Run {
     let mut sim = ClusterSim::new(cluster);
     let mut run = Run::new();
@@ -271,7 +271,7 @@ fn golden_static_schedulers() {
     // Conventional polynomial code: the fastest 9 of 12 win.
     let (a_t, a) = hessian_inputs();
     let mut poly =
-        PolyConventional::new(&a_t, &a, PolyParams::new(12, 3, 3), 2).expect("strategy builds");
+        PolyS2c2::conventional(&a_t, &a, PolyParams::new(12, 3, 3), 2).expect("strategy builds");
     let poly = run_bilinear(&mut poly, controlled(12, 7, 5.0, &[4, 8], 0.2), 3, |_| None);
     assert!(poly.rounds.iter().all(|m| m.total_wasted_rows() > 0));
 

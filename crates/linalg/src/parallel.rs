@@ -4,7 +4,7 @@
 //! spawn/join site; the kernels here are their clients. Callers on the
 //! single-job path: `s2c2-core`'s coded rounds (`CodedMatvec::run_round`
 //! under MDS, uncoded and both S²C² variants, and `PolyShared::run_round`
-//! under both polynomial schedulers) compute a round's chosen worker
+//! under both polynomial schedules) compute a round's chosen worker
 //! responses, and a job's exact product (the logistic regression and
 //! SVM loss/accuracy margins) its systematic rows, through
 //! `s2c2-coding`'s `EncodedMatrix::compute_pairs`, which maps [`par_map`]

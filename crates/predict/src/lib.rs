@@ -16,9 +16,9 @@
 //!   Hannan–Rissanen two-stage estimation.
 //! * [`predictor`] — the [`SpeedPredictor`] online interface the scheduler
 //!   consumes (`observe_and_predict`), plus trivial baselines
-//!   ([`predictor::LastValue`], [`predictor::UniformSpeed`]).
-//! * [`bank`] — a per-worker bank of predictor instances sharing one
-//!   trained model, which is how the master drives them each iteration.
+//!   ([`predictor::LastValue`], [`predictor::UniformSpeed`]). The master
+//!   keeps one stateful clone of a trained predictor per worker
+//!   (`s2c2-core`'s `SpeedTracker`).
 //! * [`eval`] — the §6.1 experiment harness: train on a trace set, report
 //!   test MAPE per model.
 
@@ -37,11 +37,9 @@
 )]
 
 pub mod arima;
-pub mod bank;
 pub mod eval;
 pub mod lstm;
 pub mod normalize;
 pub mod predictor;
 
-pub use bank::PredictorBank;
 pub use predictor::{BoxedPredictor, SpeedPredictor};

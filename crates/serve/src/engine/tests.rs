@@ -1965,7 +1965,7 @@ fn an_arrival_between_two_completions_plans_on_the_earlier_only() {
         for &(t, w) in &done[..m] {
             tracker.observe_one(w, ((held[w] * rpc) * cols) as f64 / t);
         }
-        let speeds = tracker.predictions_from(&vec![1.0; n]);
+        let speeds = tracker.predictions_for(&vec![1.0; n]).to_vec();
         let assignment = s2c2_core::allocate_chunks(&speeds, k, chunks).unwrap();
         assignment.chunks.iter().map(Vec::len).collect()
     };

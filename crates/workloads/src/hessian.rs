@@ -9,19 +9,11 @@
 use crate::exec::ExecConfig;
 use s2c2_cluster::{ClusterSim, JobMetrics};
 use s2c2_coding::polynomial::PolyParams;
-use s2c2_core::strategy::poly::{BilinearStrategy, PolyConventional, PolyS2c2};
+use s2c2_core::strategy::poly::PolyS2c2;
+pub use s2c2_core::strategy::poly::PolyStrategyKind;
 use s2c2_core::S2c2Error;
 use s2c2_linalg::parallel::{host_threads, par_matvec};
 use s2c2_linalg::{Matrix, Vector};
-
-/// Which polynomial scheduler to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolyStrategyKind {
-    /// Conventional polynomial coded computing (fastest `a·b` win).
-    Conventional,
-    /// S²C²-scheduled polynomial coded computing.
-    S2c2,
-}
 
 /// Result of one Hessian evaluation.
 #[derive(Debug, Clone)]
@@ -34,7 +26,7 @@ pub struct HessianOutcome {
 
 /// Distributed Hessian evaluator.
 pub struct DistributedHessian {
-    strategy: Box<dyn BilinearStrategy>,
+    strategy: PolyS2c2,
     sim: ClusterSim,
     features: Matrix,
     metrics: JobMetrics,
@@ -66,20 +58,10 @@ impl DistributedHessian {
             )));
         }
         let a_t = a.transpose();
-        let strategy: Box<dyn BilinearStrategy> = match kind {
-            PolyStrategyKind::Conventional => Box::new(PolyConventional::new(
-                &a_t,
-                a,
-                params,
-                config.chunks_per_worker,
-            )?),
-            PolyStrategyKind::S2c2 => Box::new(PolyS2c2::new(
-                &a_t,
-                a,
-                params,
-                config.chunks_per_worker,
-                &config.predictor,
-            )?),
+        let chunks = config.chunks_per_worker;
+        let strategy = match kind {
+            PolyStrategyKind::Conventional => PolyS2c2::conventional(&a_t, a, params, chunks)?,
+            PolyStrategyKind::S2c2 => PolyS2c2::new(&a_t, a, params, chunks, &config.predictor)?,
         };
         Ok(DistributedHessian {
             strategy,
@@ -107,13 +89,6 @@ impl DistributedHessian {
     /// Propagates scheduling/decode failures; rejects weight vectors of
     /// the wrong length.
     pub fn compute(&mut self, w: &Vector) -> Result<HessianOutcome, S2c2Error> {
-        if w.len() != self.features.rows() {
-            return Err(S2c2Error::InvalidConfig(format!(
-                "weights have {} entries, features have {} rows",
-                w.len(),
-                self.features.rows()
-            )));
-        }
         let out = self
             .strategy
             .run_iteration(&mut self.sim, self.iteration, w)?;
